@@ -8,8 +8,9 @@ run     Evaluate one configuration: output probabilities, the extracted
         canonical JSON (sorted keys, shortest round-trip floats) on
         standard output.
 sweep   Emit plot-ready CSV, one row per step of delta, gamma or theta.
-exit    codes: 0 success, 1 verification failure, 2 usage error.
 verify  Run the full invariant suite and print a pass/fail table.
+
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Angles are radians; pass --degrees to convert every angle flag at parse
 time. Complex numbers serialize as [re, im] pairs, matrices row-major.
@@ -56,6 +57,8 @@ def _parse_input(text: str) -> np.ndarray:
         reals = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"--input fields must be numbers: {exc}") from None
+    if not all(math.isfinite(x) for x in reals):
+        raise UsageError(f"--input fields must be finite, got {text!r}")
     v = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
     n = float(np.linalg.norm(v))
     if abs(n * n - 1.0) > 1e-6:
@@ -107,33 +110,48 @@ def _bloch_list(v) -> list[float] | None:
     return [float(x) for x in v]
 
 
-def _config_from_args(args) -> interferometer.MzConfig:
+def _load_config(args) -> dict:
+    """The fields of the --config JSON file, or {} without one."""
+    if not getattr(args, "config", None):
+        return {}
+    with open(args.config, encoding="utf-8") as fh:
+        fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise UsageError(f"config file must hold a JSON object, got {type(fields).__name__}")
+    return fields
+
+
+def _angle(name: str, value) -> float:
+    try:
+        return float(value or 0.0)
+    except (TypeError, ValueError):
+        raise UsageError(f"config field {name!r} must be a number, got {value!r}") from None
+
+
+def _config_from_args(args, file_fields: dict) -> interferometer.MzConfig:
     fields = {"experiment": args.experiment, "delta": args.delta, "gamma": args.gamma, "theta": args.theta}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_fields = json.load(fh)
-        for key in ("experiment", "delta", "gamma", "theta"):
-            if fields[key] is None and key in file_fields:
-                fields[key] = file_fields[key]
+    for key in fields:
+        if fields[key] is None and key in file_fields:
+            fields[key] = file_fields[key]
     if fields["experiment"] is None:
         raise UsageError("an experiment must be given via --experiment or --config")
     scale = math.pi / 180.0 if args.degrees else 1.0
     return interferometer.MzConfig(
         experiment=fields["experiment"],
-        delta=scale * float(fields["delta"] or 0.0),
-        gamma=scale * float(fields["gamma"] or 0.0),
-        theta=scale * float(fields["theta"] or 0.0),
+        delta=scale * _angle("delta", fields["delta"]),
+        gamma=scale * _angle("gamma", fields["gamma"]),
+        theta=scale * _angle("theta", fields["theta"]),
     )
 
 
-def _input_from_args(args) -> np.ndarray:
+def _input_from_args(args, file_fields: dict) -> np.ndarray:
     text = args.input
-    if text is None and getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_fields = json.load(fh)
-        if "input" in file_fields:
-            reals = file_fields["input"]
+    if text is None and "input" in file_fields:
+        reals = file_fields["input"]
+        try:
             text = ",".join(str(float(x)) for x in reals)
+        except (TypeError, ValueError):
+            raise UsageError(f"config field 'input' must list 4 numbers, got {reals!r}") from None
     if text is None:
         text = "0.7071067811865476,0,0.7071067811865476,0"
     return _parse_input(text)
@@ -260,6 +278,16 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--degrees", action="store_true", help="interpret all angles in degrees")
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mzpovm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--steps", type=int, required=True)
 
     verify_p = sub.add_parser("verify", help="run the invariant suite")
-    verify_p.add_argument("--seed", type=int, default=42)
+    verify_p.add_argument("--seed", type=_seed, default=42)
     verify_p.add_argument("--samples", type=int, default=100)
     verify_p.add_argument("--tol", type=float, default=1e-10)
     return parser
@@ -286,13 +314,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = _config_from_args(args)
-            psi = _input_from_args(args)
+            file_fields = _load_config(args)
+            config = _config_from_args(args, file_fields)
+            psi = _input_from_args(args, file_fields)
             print(render_json(evaluate_run(config, psi)))
             return 0
         if args.command == "sweep":
-            config = _config_from_args(args)
-            psi = _input_from_args(args)
+            file_fields = _load_config(args)
+            config = _config_from_args(args, file_fields)
+            psi = _input_from_args(args, file_fields)
             if not args.start < args.stop:
                 raise UsageError("--from must be strictly below --to")
             if not 2 <= args.steps <= 100000:

@@ -8,9 +8,8 @@ Conventions
   components of ``numpy.kron(photon, probe)``:
   ``|1>|q1>, |1>|q2>, |2>|q1>, |2>|q2>``.
 * Tolerance policy: structural predicates (Hermitian, normalized, positive,
-  projection) are checked at 1e-10; analytic identities are tested at 1e-12;
-  the iterative eigensolver drives the off-diagonal norm below 1e-13. The
-  two orders of margin keep computation noise away from assertion
+  projection) are checked at 1e-10; analytic identities are tested at 1e-12.
+  The two orders of margin keep computation noise away from assertion
   thresholds.
 
 All returned arrays are write-protected; every function is pure, so the
@@ -29,7 +28,6 @@ from .errors import BlochOutOfBall, NotHermitian, NotNormalized
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
 ZERO_NORM_GUARD = 1e-12
-JACOBI_OFF_TARGET = 1e-13
 MAX_DIMENSION = 16
 
 
@@ -46,6 +44,7 @@ _PAULI = {
 
 IDENTITY2 = _frozen(np.eye(2, dtype=complex))
 IDENTITY4 = _frozen(np.eye(4, dtype=complex))
+_PLUS_MINUS = _frozen(np.array([1.0, -1.0]))
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -129,7 +128,7 @@ def density_operator(matrix) -> np.ndarray:
     tr = float(m.trace().real)
     if abs(tr - 1.0) > HERMITIAN_TOL:
         raise NotHermitian(f"density operator trace is {tr!r}, expected 1")
-    lo = min(ev for ev, _ in eig_hermitian(m))
+    lo = float(eigvals_hermitian(m)[-1])
     if lo < -HERMITIAN_TOL:
         raise NotHermitian(f"density operator has negative eigenvalue {lo!r}")
     return _frozen(m.copy())
@@ -220,7 +219,7 @@ def partial_trace_probe(psi) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Hermitian eigendecomposition: closed form for 2x2, cyclic Jacobi above.
+# Hermitian eigendecomposition: closed form for 2x2, numpy eigh above.
 # ----------------------------------------------------------------------
 
 
@@ -270,47 +269,6 @@ def _eigh2(a: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int = 64) -> list[tuple[float, np.ndarray]]:
-    n = a.shape[0]
-    work = a.astype(complex).copy()
-    basis = np.eye(n, dtype=complex)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # Summing the off-diagonal entries directly avoids the cancellation
-        # floor of a total-minus-diagonal formula.
-        off = math.sqrt(float((np.abs(work[off_mask]) ** 2).sum()))
-        if off <= JACOBI_OFF_TARGET:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r < 1e-18:
-                    continue
-                phase = apq / r
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                work = rot.conj().T @ work @ rot
-                basis = basis @ rot
-    else:
-        raise NotHermitian("Jacobi iteration failed to converge")
-    order = np.argsort(-np.diag(work).real)
-    return [
-        (float(work[k, k].real), _frozen(_canonical_phase(basis[:, k].copy())))
-        for k in order
-    ]
-
-
 def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
@@ -318,13 +276,13 @@ def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
     ----------
     a
         Square Hermitian matrix, dimension at most 16. The 2x2 case is
-        solved in closed form; larger matrices use cyclic Jacobi rotations
-        iterated until the off-diagonal norm drops below 1e-13.
+        solved in closed form; larger matrices use ``numpy.linalg.eigh``.
 
     Returns
     -------
-    list of (eigenvalue, eigenvector) pairs, eigenvalues descending. The
-    reconstruction  sum_k  lambda_k v_k v_k^dagger  reproduces ``a`` to
+    list of (eigenvalue, eigenvector) pairs, eigenvalues descending. Each
+    eigenvector's global phase makes its largest component real positive.
+    The reconstruction  sum_k  lambda_k v_k v_k^dagger  reproduces ``a`` to
     1e-11 in max norm.
     """
     a = _require_hermitian(a)
@@ -335,7 +293,33 @@ def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
     h = 0.5 * (a + a.conj().T)
     if n == 2:
         return _eigh2(h)
-    return _jacobi(h)
+    evs, vecs = np.linalg.eigh(h)
+    return [
+        (float(evs[k]), _frozen(_canonical_phase(vecs[:, k].copy())))
+        for k in range(n - 1, -1, -1)
+    ]
+
+
+def eigvals_hermitian(a) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian part of every matrix in a stack.
+
+    ``a`` has shape (..., n, n); the result has shape (..., n). The 2x2
+    case is the closed form of ``eig_hermitian`` evaluated over the whole
+    stack; larger matrices use ``numpy.linalg.eigvalsh``. Nothing is
+    validated: callers that need Hermiticity measure it themselves.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.shape[-1] == 2:
+        a00 = a[..., 0, 0].real
+        a11 = a[..., 1, 1].real
+        b = 0.5 * (a[..., 0, 1] + a[..., 1, 0].conj())
+        mean = 0.5 * (a00 + a11)
+        spread = np.hypot(0.5 * (a00 - a11), np.abs(b))
+        return _frozen(mean[..., None] + spread[..., None] * _PLUS_MINUS)
+    h = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return _frozen(np.ascontiguousarray(np.linalg.eigvalsh(h)[..., ::-1]))
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,58 @@ class PovmClassification:
     failures: tuple[str, ...] = field(default=())
 
 
+@dataclass(frozen=True)
+class StackClassification:
+    """Verdicts on an (N, K, d, d) stack of N candidate K-effect POVMs.
+
+    ``valid``, ``sharp`` and ``trivial`` have shape (N,). The magnitudes
+    behind them have shape (N, K) per effect, or (N,) for the sum:
+    ``hermitian_deviation`` is max |E - E^dagger|, ``lowest`` and
+    ``highest`` are the extreme eigenvalues of the Hermitian part of E,
+    and ``sum_deviation`` is max |sum E - I| over the effects that are
+    Hermitian within the tolerance.
+    """
+
+    valid: np.ndarray
+    sharp: np.ndarray
+    trivial: np.ndarray
+    hermitian_deviation: np.ndarray
+    lowest: np.ndarray
+    highest: np.ndarray
+    sum_deviation: np.ndarray
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
+    """Classify an (N, K, d, d) stack of candidate POVMs in one array pass.
+
+    Same criteria as :func:`validate`: a candidate is valid when every
+    effect is Hermitian with spectrum in [0, 1] and the effects sum to the
+    identity; a valid candidate is sharp when every effect is a projection
+    and trivial when every effect is a multiple of the identity.
+    """
+    ops = np.asarray(effects, dtype=complex)
+    if ops.ndim != 4 or ops.shape[-1] != ops.shape[-2]:
+        raise DimensionMismatch(f"expected an (N, K, d, d) effect stack, got shape {ops.shape}")
+    dim = ops.shape[-1]
+    ident = np.eye(dim)
+    herm_dev = _max_abs(ops - ops.conj().swapaxes(-1, -2))
+    evs = linalg.eigvals_hermitian(ops)
+    lowest, highest = evs[..., -1], evs[..., 0]
+    hermitian = herm_dev <= tol
+    total = np.where(hermitian[..., None, None], ops, 0.0).sum(axis=1)
+    sum_dev = _max_abs(total - ident)
+    in_range = (lowest >= -tol) & (highest <= 1.0 + tol)
+    valid = (hermitian & in_range).all(axis=1) & (sum_dev <= tol)
+    sharp = valid & (_max_abs(ops @ ops - ops) <= tol).all(axis=1)
+    mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
+    trivial = valid & (_max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
+    return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
+
+
 def validate(p: DiscretePovm, tol: float = EFFECT_TOL) -> PovmClassification:
     """Classify a candidate POVM as valid / sharp (PVM) / trivial.
 
@@ -94,39 +146,37 @@ def validate(p: DiscretePovm, tol: float = EFFECT_TOL) -> PovmClassification:
     effects sum to the identity. Sharp means every effect is a projection;
     trivial means every effect is a multiple of the identity (its
     statistics carry no information about the state). Failures are
-    reported with their magnitudes instead of raising.
+    reported with their magnitudes instead of raising. This is a batch of
+    one of :func:`classify_effects`; effects of the wrong shape are left
+    out of it and reported.
     """
-    failures = []
     dim = p.dimension()
-    total = np.zeros((dim, dim), dtype=complex)
+    shaped = [e for e in p.effects if e.operator.shape == (dim, dim)]
+    ops = np.array([e.operator for e in shaped], dtype=complex).reshape(1, len(shaped), dim, dim)
+    stack = classify_effects(ops, tol)
+    failures = []
+    k = 0
     for e in p.effects:
-        op = e.operator
-        if op.shape != (dim, dim):
-            failures.append(f"effect {e.label!r} has shape {op.shape}, expected {(dim, dim)}")
+        if e.operator.shape != (dim, dim):
+            failures.append(f"effect {e.label!r} has shape {e.operator.shape}, expected {(dim, dim)}")
             continue
-        herm_dev = float(np.max(np.abs(op - op.conj().T)))
-        if herm_dev > tol:
+        herm_dev = float(stack.hermitian_deviation[0, k])
+        lowest = float(stack.lowest[0, k])
+        highest = float(stack.highest[0, k])
+        k += 1
+        if not herm_dev <= tol:
             failures.append(f"effect {e.label!r} deviates from Hermitian by {herm_dev:.3e}")
             continue
-        evs = [ev for ev, _ in linalg.eig_hermitian(op)]
-        if evs[-1] < -tol:
-            failures.append(f"effect {e.label!r} has eigenvalue {evs[-1]:.6g} below 0")
-        if evs[0] > 1.0 + tol:
-            failures.append(f"effect {e.label!r} has eigenvalue {evs[0]:.6g} above 1")
-        total = total + op
-    sum_dev = float(np.max(np.abs(total - np.eye(dim))))
-    if sum_dev > tol:
+        if not lowest >= -tol:
+            failures.append(f"effect {e.label!r} has eigenvalue {lowest:.6g} below 0")
+        if not highest <= 1.0 + tol:
+            failures.append(f"effect {e.label!r} has eigenvalue {highest:.6g} above 1")
+    sum_dev = float(stack.sum_deviation[0])
+    if not sum_dev <= tol:
         failures.append(f"effects sum deviates from identity by {sum_dev:.3e}")
     if failures:
         return PovmClassification(valid=False, sharp=False, trivial=False, failures=tuple(failures))
-    sharp = all(
-        float(np.max(np.abs(e.operator @ e.operator - e.operator))) <= tol for e in p.effects
-    )
-    trivial = all(
-        float(np.max(np.abs(e.operator - (np.trace(e.operator) / dim) * np.eye(dim)))) <= tol
-        for e in p.effects
-    )
-    return PovmClassification(valid=True, sharp=sharp, trivial=trivial)
+    return PovmClassification(valid=True, sharp=bool(stack.sharp[0]), trivial=bool(stack.trivial[0]))
 
 
 def smear(sharp: DiscretePovm, w) -> DiscretePovm:
@@ -192,28 +242,45 @@ def jointly_measurable(pair: UnsharpPair) -> bool:
     return pair.f * pair.f + pair.g * pair.g <= 1.0 + 1e-12
 
 
+JOINT_LABELS = ("11", "21", "12", "22")
+_JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked joint observables of the unsharp pairs (f[n], g[n]).
+
+    Returns the (N, 4, 2, 2) effects (I +/- f sigma_x +/- g sigma_z) / 4 in
+    the order of ``JOINT_LABELS``, and the (N,) mask of pairs admitted by
+    f^2 + g^2 <= 1 + 1e-10. Effects are built for every pair; outside the
+    mask their minimum eigenvalue (1 - sqrt(f^2 + g^2)) / 4 is negative.
+    """
+    f = np.asarray(f, dtype=float).reshape(-1)
+    g = np.asarray(g, dtype=float).reshape(-1)
+    if f.shape != g.shape:
+        raise DimensionMismatch(f"{f.size} values of f against {g.size} values of g")
+    sx, _, sz = linalg.pauli_triple()
+    fx = (f[:, None] * _JOINT_X_SIGNS)[..., None, None]
+    gz = (g[:, None] * _JOINT_Z_SIGNS)[..., None, None]
+    effects = 0.25 * (linalg.IDENTITY2 + fx * sx + gz * sz)
+    return effects, f * f + g * g <= 1.0 + JOINT_BOUNDARY_TOL
+
+
 def joint_xz(pair: UnsharpPair) -> DiscretePovm:
     """The four-outcome joint observable of the unsharp sigma_x / sigma_z pair.
 
     Effects are (I +/- f sigma_x +/- g sigma_z) / 4 labeled 11, 21, 12, 22;
     the minimum eigenvalue is (1 - sqrt(f^2 + g^2)) / 4, so the
-    construction exists exactly on the admissible disk.
+    construction exists exactly on the admissible disk. A batch of one of
+    :func:`joint_xz_effects`.
     """
-    f, g = pair.f, pair.g
-    if f * f + g * g > 1.0 + JOINT_BOUNDARY_TOL:
+    effects, admitted = joint_xz_effects(pair.f, pair.g)
+    if not admitted[0]:
+        f, g = pair.f, pair.g
         raise NotJointlyMeasurable(
             f"f^2 + g^2 = {f * f + g * g!r} > 1: minimum eigenvalue would be negative"
         )
-    sx, _, sz = linalg.pauli_triple()
-    ident = np.eye(2, dtype=complex)
-    return DiscretePovm.from_pairs(
-        [
-            ("11", 0.25 * (ident + f * sx + g * sz)),
-            ("21", 0.25 * (ident - f * sx + g * sz)),
-            ("12", 0.25 * (ident + f * sx - g * sz)),
-            ("22", 0.25 * (ident - f * sx - g * sz)),
-        ]
-    )
+    return DiscretePovm.from_pairs(zip(JOINT_LABELS, effects[0]))
 
 
 JOINT_FIRST_INDEX_GROUPING = {"1": ("11", "12"), "2": ("21", "22")}

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -118,6 +119,71 @@ class TestRun:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--experiment", "path", "--bogus"])
         assert excinfo.value.code == 2
+
+
+class TestUsageErrors:
+    """Malformed input exits 2 with an ``error:`` line, never a traceback."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+        return err
+
+    def test_non_numeric_config_angle(self, capsys, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"experiment": "marking", "delta": "abc"}))
+        err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
+        assert "delta" in err
+
+    def test_non_numeric_config_input(self, capsys, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"experiment": "marking", "input": [1, "x", 0, 0]}))
+        err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
+        assert "input" in err
+
+    def test_config_that_is_not_an_object(self, capsys, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text("[1, 2]")
+        err = self.assert_usage_error(
+            capsys, "run", "--experiment", "path", "--config", str(config_path)
+        )
+        assert "JSON object" in err
+
+    def test_negative_seed_rejected_at_parse_time(self, capsys, monkeypatch):
+        def fail(**kwargs):
+            raise AssertionError("the suite must not start")
+
+        monkeypatch.setattr(verify, "run_all", fail)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "non-negative" in err and "Traceback" not in err
+
+    def test_nan_input_rejected_before_arithmetic(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.assert_usage_error(
+                capsys, "run", "--experiment", "path", "--input", "nan,0,0,0"
+            )
+        assert "finite" in err
+
+    def test_config_file_read_once(self, capsys, tmp_path, monkeypatch):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"experiment": "path", "input": [1, 0, 0, 0]}))
+        loads = []
+        original = json.load
+
+        def counting_load(fh, **kwargs):
+            loads.append(fh.name)
+            return original(fh, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        code, _, _ = run_cli(capsys, "run", "--config", str(config_path))
+        assert code == 0
+        assert loads == [str(config_path)]
 
 
 class TestSweep:

@@ -183,6 +183,52 @@ class TestEigHermitian:
         with pytest.raises(NotHermitian):
             linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_larger_dimensions_keep_the_contract(self, rng, n):
+        for _ in range(20):
+            h = random_hermitian(rng, n)
+            pairs = linalg.eig_hermitian(h)
+            evs = [ev for ev, _ in pairs]
+            assert evs == sorted(evs, reverse=True)
+            for _, v in pairs:
+                k = int(np.argmax(np.abs(v)))
+                assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
+                assert not v.flags.writeable
+            rec = sum(ev * np.outer(v, v.conj()) for ev, v in pairs)
+            assert np.max(np.abs(rec - h)) <= 1e-11
+
+    def test_dimension_above_sixteen_rejected(self):
+        with pytest.raises(NotHermitian):
+            linalg.eig_hermitian(np.eye(17))
+
+
+class TestEigvalsHermitian:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_matches_numpy_per_matrix(self, rng, n):
+        stack = np.array([[random_hermitian(rng, n) for _ in range(3)] for _ in range(5)])
+        got = linalg.eigvals_hermitian(stack)
+        assert got.shape == (5, 3, n)
+        for idx in np.ndindex(5, 3):
+            want = np.linalg.eigvalsh(stack[idx])[::-1]
+            np.testing.assert_allclose(got[idx], want, atol=1e-12)
+
+    def test_two_by_two_matches_scalar_path(self, rng):
+        stack = np.array([random_hermitian(rng, 2) for _ in range(50)])
+        got = linalg.eigvals_hermitian(stack)
+        for h, evs in zip(stack, got):
+            np.testing.assert_allclose(evs, [ev for ev, _ in linalg.eig_hermitian(h)], atol=1e-15)
+
+    def test_uses_the_hermitian_part(self):
+        a = np.array([[0.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_allclose(linalg.eigvals_hermitian(a), [1.0, -1.0], atol=1e-15)
+
+    def test_result_is_write_protected(self):
+        assert not linalg.eigvals_hermitian(np.eye(2)).flags.writeable
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NotHermitian):
+            linalg.eigvals_hermitian(np.zeros((3, 2, 3)))
+
 
 class TestSchmidt:
     def test_product_state_has_weight_one(self, rng):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg, oracle
+from mzpovm import extraction, interferometer, linalg, oracle, verify
+from mzpovm.errors import InvalidScheme
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -39,6 +40,17 @@ class TestHaarStates:
 
     def test_different_indices_differ(self):
         assert oracle.haar_state(123, 0).tobytes() != oracle.haar_state(123, 1).tobytes()
+
+    def test_random_states_stack_rows_are_haar_states(self):
+        states = oracle.random_states(11, 30)
+        assert states.shape == (30, 2)
+        assert not states.flags.writeable
+        for i, row in enumerate(states):
+            assert row.tobytes() == oracle.haar_state(11, i).tobytes()
+
+    def test_random_states_cached_per_seed_and_count(self):
+        assert oracle.random_states(12, 5) is oracle.random_states(12, 5)
+        assert oracle.random_states(12, 6) is not oracle.random_states(12, 5)
 
 
 class TestDirectProbabilities:
@@ -101,10 +113,39 @@ class TestCrossCheck:
                 worst = max(worst, abs(p - predicted))
         assert worst >= 0.004
 
+    def test_stacked_route_matches_per_state_loop_on_the_grid(self):
+        # Reference: one direct_probabilities call and one <psi|E|psi> per state.
+        cfg = oracle.OracleConfig(seed=5, samples=100)
+        states = [oracle.haar_state(cfg.seed, i) for i in range(cfg.samples)]
+        for config in verify.distinct_grid_configs():
+            scheme = extraction.scheme_for(config)
+            measured = extraction.extract_povm(scheme)
+            worst = 0.0
+            for psi in states:
+                for label, p in oracle.direct_probabilities(scheme, psi).items():
+                    predicted = float(np.vdot(psi, measured.operator(label) @ psi).real)
+                    worst = max(worst, abs(p - predicted))
+            assert abs(oracle.cross_check(config, cfg) - worst) <= 1e-15
+
     def test_deterministic_given_seed(self):
         cfg = oracle.OracleConfig(seed=21, samples=30)
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=0.6)
         assert repr(oracle.cross_check(config, cfg)) == repr(oracle.cross_check(config, cfg))
+
+
+class TestProbabilityChecks:
+    def test_out_of_range_names_the_worst_value(self):
+        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        states = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]], dtype=complex)
+        with pytest.raises(InvalidScheme, match=r"probability 4\.0 for output '1'"):
+            oracle._probabilities(scheme, states)
+
+    def test_bad_sum_names_the_worst_total(self):
+        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        balanced = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        states = np.array([balanced, (1.0 + 1e-9) * balanced, (1.0 + 1e-10) * balanced])
+        with pytest.raises(InvalidScheme, match=r"sum to 1\.000000002"):
+            oracle._probabilities(scheme, states)
 
 
 class TestGridMaximize:

@@ -55,6 +55,146 @@ class TestValidate:
         assert any("sum deviates" in failure for failure in cls.failures)
 
 
+def reference_classification(ops, tol=1e-10):
+    """Per-effect numpy classification of one candidate: (valid, sharp, trivial)."""
+    dim = ops[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    valid = True
+    for op in ops:
+        if np.max(np.abs(op - op.conj().T)) > tol:
+            valid = False
+            continue
+        evs = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
+        if evs[0] < -tol or evs[-1] > 1.0 + tol:
+            valid = False
+        total = total + op
+    if np.max(np.abs(total - np.eye(dim))) > tol:
+        valid = False
+    sharp = valid and all(np.max(np.abs(op @ op - op)) <= tol for op in ops)
+    trivial = valid and all(
+        np.max(np.abs(op - np.trace(op) / dim * np.eye(dim))) <= tol for op in ops
+    )
+    return valid, sharp, trivial
+
+
+def random_povm(rng, k, dim):
+    """k effects S^(-1/2) A_i S^(-1/2) from random positive A_i with sum S."""
+    parts = []
+    for _ in range(k):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        parts.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    root = v @ np.diag(w**-0.5) @ v.conj().T
+    return [root @ a @ root for a in parts]
+
+
+def random_pvm(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return [np.outer(q[:, i], q[:, i].conj()) for i in range(dim)]
+
+
+def candidate_stack(rng, k, dim):
+    """Valid, sharp, trivial and broken candidates with k effects of size dim."""
+    out = [random_povm(rng, k, dim) for _ in range(6)]
+    half = sum(random_pvm(rng, dim)[: dim // 2])
+    out.append([half, np.eye(dim) - half] + [np.zeros((dim, dim))] * (k - 2))
+    out.append([np.eye(dim)] + [np.zeros((dim, dim))] * (k - 1))
+    out.append([np.eye(dim) / k] * k)
+    non_hermitian = random_povm(rng, k, dim)
+    non_hermitian[0] = non_hermitian[0] + 1e-6 * np.triu(np.ones((dim, dim)), 1)
+    out.append(non_hermitian)
+    # Move weight between two effects so that the first gets eigenvalue -0.05.
+    negative = random_povm(rng, k, dim)
+    w, v = np.linalg.eigh(negative[0])
+    shift = (w[0] + 0.05) * np.outer(v[:, 0], v[:, 0].conj())
+    negative[0] = negative[0] - shift
+    negative[1] = negative[1] + shift
+    out.append(negative)
+    wrong_sum = random_povm(rng, k, dim)
+    wrong_sum[-1] = 1.01 * wrong_sum[-1]
+    out.append(wrong_sum)
+    return np.array(out, dtype=complex)
+
+
+class TestClassifyEffects:
+    @pytest.mark.parametrize("k, dim", [(2, 2), (4, 2), (3, 4), (4, 4)])
+    def test_agrees_with_per_effect_numpy_reference(self, rng, k, dim):
+        stack = candidate_stack(rng, k, dim)
+        got = povm.classify_effects(stack)
+        for n, ops in enumerate(stack):
+            want = reference_classification(ops)
+            assert (bool(got.valid[n]), bool(got.sharp[n]), bool(got.trivial[n])) == want
+            cls = povm.validate(povm.DiscretePovm.from_pairs(enumerate(ops)))
+            assert (cls.valid, cls.sharp, cls.trivial) == want
+            assert cls.valid == (not cls.failures)
+            for j, op in enumerate(ops):
+                evs = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
+                assert got.lowest[n, j] == pytest.approx(evs[0], abs=1e-12)
+                assert got.highest[n, j] == pytest.approx(evs[-1], abs=1e-12)
+        # The stack holds every kind of verdict: 9 valid (2 of them sharp,
+        # 2 trivial) and 3 broken candidates.
+        assert got.valid.sum() == 9 and got.sharp.sum() == 2 and got.trivial.sum() == 2
+        assert got.lowest[-2].min() == pytest.approx(-0.05, abs=1e-12)
+
+    def test_pvm_stack_is_sharp(self, rng):
+        stack = np.array([random_pvm(rng, 4) for _ in range(5)])
+        got = povm.classify_effects(stack)
+        assert got.valid.all() and got.sharp.all() and not got.trivial.any()
+
+    def test_boundary_pairs_are_valid(self):
+        angles = np.linspace(0.0, 2.0 * math.pi, 97)
+        effects, admitted = povm.joint_xz_effects(np.cos(angles), np.sin(angles))
+        got = povm.classify_effects(effects)
+        assert admitted.all() and got.valid.all()
+        for ops in effects:
+            assert reference_classification(ops) == (True, False, False)
+        assert np.max(np.abs(got.lowest.min(axis=1))) <= 1e-12
+
+    def test_non_hermitian_effect_left_out_of_the_sum(self):
+        # As in validate: the sum runs over the effects that are Hermitian.
+        stack = np.array([[0.5 * I2 + 1e-6 * np.array([[0, 1], [0, 0]]), 0.5 * I2]])
+        got = povm.classify_effects(stack)
+        assert not got.valid[0]
+        assert got.hermitian_deviation[0, 0] == pytest.approx(1e-6)
+        assert got.sum_deviation[0] == pytest.approx(0.5)
+
+    def test_rejects_a_bare_matrix_stack(self):
+        with pytest.raises(DimensionMismatch):
+            povm.classify_effects(np.zeros((3, 2, 2)))
+
+
+class TestValidateFailures:
+    def test_mismatched_shapes_reported(self):
+        broken = povm.DiscretePovm.from_pairs([("1", I2), ("2", np.zeros((3, 3)))])
+        cls = povm.validate(broken)
+        assert not cls.valid
+        assert cls.failures == ("effect '2' has shape (3, 3), expected (2, 2)",)
+
+    def test_non_hermitian_reported_with_magnitude(self):
+        broken = povm.DiscretePovm.from_pairs(
+            [("1", 0.5 * I2 + np.array([[0, 1e-3], [0, 0]])), ("2", 0.5 * I2)]
+        )
+        cls = povm.validate(broken)
+        assert cls.failures == (
+            "effect '1' deviates from Hermitian by 1.000e-03",
+            "effects sum deviates from identity by 5.000e-01",
+        )
+
+    def test_non_finite_effect_is_invalid(self):
+        broken = povm.DiscretePovm.from_pairs([("1", np.full((2, 2), np.nan)), ("2", I2)])
+        cls = povm.validate(broken)
+        assert not cls.valid
+        assert cls.failures == ("effect '1' deviates from Hermitian by nan",)
+
+    def test_above_one_reported(self):
+        broken = povm.DiscretePovm.from_pairs([("1", 1.5 * I2), ("2", -0.5 * I2)])
+        cls = povm.validate(broken)
+        assert cls.failures == (
+            "effect '1' has eigenvalue 1.5 above 1",
+            "effect '2' has eigenvalue -0.5 below 0",
+        )
+
+
 class TestSmear:
     def test_symmetric_two_by_two_matrix(self):
         # The classic bit-flip smearing with parameter f.
@@ -153,6 +293,27 @@ class TestJointXZ:
             ev for e in joint.effects for ev, _ in linalg.eig_hermitian(e.operator)
         )
         assert lowest == pytest.approx(0.0, abs=1e-12)
+
+    def test_batch_of_one_matches_stacked_builder(self, rng):
+        f = rng.uniform(-1.0, 1.0, 40)
+        g = rng.uniform(-1.0, 1.0, 40)
+        effects, admitted = povm.joint_xz_effects(f, g)
+        assert effects.shape == (40, 4, 2, 2)
+        for n in range(40):
+            pair = povm.UnsharpPair(float(f[n]), float(g[n]))
+            assert admitted[n] == (f[n] ** 2 + g[n] ** 2 <= 1.0 + povm.JOINT_BOUNDARY_TOL)
+            if not admitted[n]:
+                with pytest.raises(NotJointlyMeasurable):
+                    povm.joint_xz(pair)
+                continue
+            joint = povm.joint_xz(pair)
+            assert joint.labels == povm.JOINT_LABELS
+            for k, label in enumerate(joint.labels):
+                np.testing.assert_array_equal(joint.operator(label), effects[n, k])
+
+    def test_stacked_builder_rejects_unpaired_arrays(self):
+        with pytest.raises(DimensionMismatch):
+            povm.joint_xz_effects([0.1, 0.2], [0.3])
 
     def test_inadmissible_pair_rejected(self):
         with pytest.raises(NotJointlyMeasurable):
