@@ -8,6 +8,8 @@ run     Evaluate one configuration: output probabilities, the extracted
         canonical JSON (sorted keys, shortest round-trip floats) on
         standard output.
 sweep   Emit plot-ready CSV, one row per step of delta, gamma or theta.
+        Sweeping an angle the experiment ignores gives constant rows and
+        a note on standard error.
 verify  Run the full invariant suite and print a pass/fail table.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -19,6 +21,7 @@ time. Complex numbers serialize as [re, im] pairs, matrices row-major.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -288,7 +291,9 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="mzpovm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,6 +332,9 @@ def main(argv=None) -> int:
                 raise UsageError("--from must be strictly below --to")
             if not 2 <= args.steps <= 100000:
                 raise UsageError("--steps must lie in [2, 100000]")
+            if args.param not in interferometer.ANGLES_READ[config.experiment]:
+                note = f"note: {config.experiment} ignores {args.param}; every row is the same"
+                print(note, file=sys.stderr)
             scale = math.pi / 180.0 if args.degrees else 1.0
             print(",".join(SWEEP_COLUMNS))
             for row in sweep_rows(

@@ -49,7 +49,8 @@ class MeasurementScheme:
         if u.shape != (4, 4):
             raise InvalidScheme(f"scheme unitary must be 4x4, got {u.shape}")
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
-        if defect > SCHEME_UNITARY_TOL:
+        # "not <=" rejects NaN, which every comparison leaves False.
+        if not defect <= SCHEME_UNITARY_TOL:
             raise InvalidScheme(f"unitarity defect {defect:.3e} exceeds {SCHEME_UNITARY_TOL}")
         object.__setattr__(self, "probe_init", linalg.state_vector(self.probe_init))
         total = np.zeros((4, 4), dtype=complex)
@@ -57,11 +58,11 @@ class MeasurementScheme:
         for label, m in self.outputs:
             m = np.asarray(m, dtype=complex)
             idem = float(np.max(np.abs(m @ m - m)))
-            if idem > SCHEME_PROJECTION_TOL or not linalg.is_hermitian(m):
+            if not idem <= SCHEME_PROJECTION_TOL or not linalg.is_hermitian(m):
                 raise InvalidScheme(f"output {label!r} deviates from a projection by {idem:.3e}")
             total = total + m
             outs.append((str(label), m))
-        if float(np.max(np.abs(total - np.eye(4)))) > SCHEME_PROJECTION_TOL:
+        if not float(np.max(np.abs(total - np.eye(4)))) <= SCHEME_PROJECTION_TOL:
             raise InvalidScheme("output projections do not sum to the identity")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "outputs", tuple(outs))

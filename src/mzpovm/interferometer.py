@@ -32,6 +32,14 @@ from . import linalg
 from .errors import NotNormalized, UnsupportedExperiment
 
 EXPERIMENTS = ("path", "interference", "marking", "erasure", "quantitative")
+# The angles each experiment's scheme reads; it ignores the others.
+ANGLES_READ = {
+    "path": frozenset(),
+    "interference": frozenset(),
+    "marking": frozenset({"delta"}),
+    "erasure": frozenset({"delta", "gamma"}),
+    "quantitative": frozenset({"delta", "theta"}),
+}
 
 
 @dataclass(frozen=True)

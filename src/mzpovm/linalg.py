@@ -149,13 +149,18 @@ def density_from_bloch(r) -> np.ndarray:
         If |r| exceeds 1 by more than 1e-10.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
-    if r.shape != (3,) or not np.all(np.isfinite(r)):
+    # Scalar arithmetic: grid searches build one state per objective call.
+    components = r.tolist()
+    if len(components) != 3 or not all(map(math.isfinite, components)):
         raise BlochOutOfBall(f"Bloch vector must be 3 finite reals, got {r!r}")
-    n = float(np.linalg.norm(r))
+    x, y, z = components
+    n = math.sqrt(x * x + y * y + z * z)
     if n > 1.0 + 1e-10:
         raise BlochOutOfBall(f"|r| = {n!r} lies outside the Bloch ball")
-    sx, sy, sz = pauli_triple()
-    return _frozen(0.5 * (IDENTITY2 + r[0] * sx + r[1] * sy + r[2] * sz))
+    return _frozen(
+        np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
+                  [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
+    )
 
 
 def bloch_from_density(rho) -> np.ndarray:

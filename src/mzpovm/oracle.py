@@ -111,17 +111,47 @@ def cross_check(config: interferometer.MzConfig, oracle: OracleConfig) -> float:
     return float(np.max(np.abs(direct - predicted)))
 
 
-def _bloch(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
 
 
-def _tangent_frame(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.array([0.0, 0.0, 1.0]) if abs(r[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(r, axis)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(r, t1)
+@functools.lru_cache(maxsize=4)
+def _coarse_lattice(step: float) -> tuple[np.ndarray, ...]:
+    # The latitude/longitude points in sweep order, as write-protected
+    # (3,) arrays. theta and phi grow by repeated addition of step, and
+    # that rounding fixes which points the sweep visits.
+    points = []
+    theta = 0.0
+    while theta <= math.pi + 1e-12:
+        phi = 0.0
+        while phi < 2.0 * math.pi - 1e-12:
+            point = np.array(_bloch(theta, phi))
+            point.setflags(write=False)
+            points.append(point)
+            # Poles are a single point; one longitude suffices there.
+            if theta <= 1e-12 or theta >= math.pi - 1e-12:
+                break
+            phi += step
+        theta += step
+    return tuple(points)
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _unit(v) -> tuple[float, float, float]:
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _tangent_frame(r) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    axis = (0.0, 0.0, 1.0) if abs(r[2]) <= 0.9 else (1.0, 0.0, 0.0)
+    t1 = _unit(_cross(r, axis))
+    return t1, _cross(r, t1)
+
+
+_PATTERN = tuple((a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0) if (a, b) != (0.0, 0.0))
 
 
 def grid_maximize(objective, oracle: OracleConfig) -> tuple[float, np.ndarray]:
@@ -132,39 +162,38 @@ def grid_maximize(objective, oracle: OracleConfig) -> tuple[float, np.ndarray]:
     tangent frame of the current point (renormalizing), which has no pole
     pathology. For the linear and quadratic objectives used here the
     result is within 1e-6 of the true maximum.
+
+    Brute force throughout: ``objective`` is called on one (3,) array at
+    a time and must return a real number. The coarse lattice is built
+    once per resolution and cached; the refinement keeps the current
+    point and its tangent frame as Python floats, so a step costs one
+    small array and one objective call.
     """
     step = oracle.grid_resolution
+    lattice = _coarse_lattice(step)
     best_value = -math.inf
-    best = _bloch(0.0, 0.0)
-    theta = 0.0
-    while theta <= math.pi + 1e-12:
-        phi = 0.0
-        while phi < 2.0 * math.pi - 1e-12:
-            candidate = _bloch(theta, phi)
-            value = float(objective(candidate))
-            if value > best_value:
-                best_value = value
-                best = candidate
-            # Poles are a single point; one longitude suffices there.
-            if theta <= 1e-12 or theta >= math.pi - 1e-12:
-                break
-            phi += step
-        theta += step
+    best = lattice[0]
+    for candidate in lattice:
+        value = float(objective(candidate))
+        if value > best_value:
+            best_value = value
+            best = candidate
+    r = best.tolist()
     for _ in range(20):
         step *= 0.5
         improved = True
         while improved:
             improved = False
-            t1, t2 = _tangent_frame(best)
-            for a in (-1.0, 0.0, 1.0):
-                for b in (-1.0, 0.0, 1.0):
-                    if a == 0.0 and b == 0.0:
-                        continue
-                    candidate = best + step * (a * t1 + b * t2)
-                    candidate = candidate / np.linalg.norm(candidate)
-                    value = float(objective(candidate))
-                    if value > best_value:
-                        best_value = value
-                        best = candidate
-                        improved = True
-    return best_value, best
+            (u1, u2, u3), (v1, v2, v3) = _tangent_frame(r)
+            for a, b in _PATTERN:
+                moved = (r[0] + step * (a * u1 + b * v1),
+                         r[1] + step * (a * u2 + b * v2),
+                         r[2] + step * (a * u3 + b * v3))
+                candidate = np.array(_unit(moved))
+                value = float(objective(candidate))
+                if value > best_value:
+                    best_value = value
+                    best = candidate
+                    r = candidate.tolist()
+                    improved = True
+    return best_value, np.array(best)

@@ -13,6 +13,13 @@ the verification suite) can audit rather than recompute. Quantities:
   coincidence POVM behind it, and the reduced-state visibility V_e, with
   the pure-state identities D^2 + V_e^2 = 1 and Var(H, psi) + Var(s_n,
   rho_e) = 1 at the respective optima.
+
+Each audited relation has one array kernel over a stack of states:
+:func:`variance_ur_stack` and :func:`triple_relations_stack` take (N, 2, 2)
+density operators, :func:`entropic_bound_stack` (N, 2) pure states, and
+:func:`erasure_duality_stack` (N,) amplitudes with (N, 2) markers. They
+return :class:`RelationStack` arrays; the scalar functions are batches of
+one that return the same records.
 """
 
 from __future__ import annotations
@@ -24,10 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .errors import NotNormalized, NotSharp, NotTwoOutcome
+from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp, NotTwoOutcome
 
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
+
+_PAULIS = np.array(linalg.pauli_triple())
+_PAULIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,32 @@ class RelationReport:
     slack: float
 
 
-def make_report(name: str, lhs: float, rhs: float, kind: str, tol: float = EQ_TOL) -> RelationReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
+@dataclass(frozen=True)
+class RelationStack:
+    """One relation audited over N states: the fields of RelationReport as (N,) arrays."""
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    kind: str
+    satisfied: np.ndarray
+    slack: np.ndarray
+
+    def report(self, index: int) -> RelationReport:
+        return RelationReport(
+            name=self.name,
+            lhs=float(self.lhs[index]),
+            rhs=float(self.rhs[index]),
+            kind=self.kind,
+            satisfied=bool(self.satisfied[index]),
+            slack=float(self.slack[index]),
+        )
+
+
+def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> RelationStack:
+    """Audit lhs against rhs elementwise; rhs may be a scalar bound."""
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
     if kind == "geq":
         slack = lhs - rhs
         ok = slack >= -tol
@@ -58,80 +91,166 @@ def make_report(name: str, lhs: float, rhs: float, kind: str, tol: float = EQ_TO
         ok = slack >= -tol
     elif kind == "eq":
         slack = lhs - rhs
-        ok = abs(slack) <= tol
+        ok = np.abs(slack) <= tol
     else:
         raise ValueError(f"kind must be geq, leq or eq, got {kind!r}")
-    return RelationReport(name=name, lhs=lhs, rhs=rhs, kind=kind, satisfied=bool(ok), slack=slack)
+    return RelationStack(name=name, lhs=lhs, rhs=rhs, kind=kind, satisfied=ok, slack=slack)
 
 
-def variance_ur(rho) -> RelationReport:
-    """Variance product relation for the sigma_x / sigma_z pair.
+def make_report(name: str, lhs: float, rhs: float, kind: str, tol: float = EQ_TOL) -> RelationReport:
+    return make_reports(name, [float(lhs)], [float(rhs)], kind, tol).report(0)
+
+
+def _trace(ops, rho) -> np.ndarray:
+    # tr(A rho) over broadcast stacks of operators and states.
+    return np.einsum("...ij,...ji->...", ops, rho)
+
+
+def _variance(ops, rho) -> np.ndarray:
+    # Var(A, rho) = <A^2> - <A>^2 over broadcast stacks.
+    mean = _trace(ops, rho).real
+    return _trace(ops @ ops, rho).real - mean * mean
+
+
+def _bloch_vectors(rho: np.ndarray) -> np.ndarray:
+    # (N, 2, 2) states -> (N, 3) vectors r_k = tr[rho sigma_k].
+    return _trace(_PAULIS, rho[:, None]).real
+
+
+def _density_stack(rhos) -> np.ndarray:
+    rho = np.asarray(rhos, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (2, 2):
+        raise NotHermitian(f"expected an (N, 2, 2) stack of states, got shape {rho.shape}")
+    dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
+    if not dev <= linalg.HERMITIAN_TOL:
+        raise NotHermitian(f"state deviates from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
+    return rho
+
+
+def _unit_rows(states, what: str) -> np.ndarray:
+    v = np.asarray(states, dtype=complex)
+    if v.ndim != 2:
+        raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
+    norms = np.linalg.norm(v, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= linalg.NORM_TOL))
+    if bad.size:
+        raise NotNormalized(
+            f"{what} {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {linalg.NORM_TOL}"
+        )
+    return v
+
+
+def _weight(amplitude: np.ndarray) -> np.ndarray:
+    # |a|^2 through hypot, which rounds like abs() of a Python complex: a
+    # batch of one then matches scalar arithmetic on the same amplitudes.
+    return np.hypot(amplitude.real, amplitude.imag) ** 2
+
+
+def _amplitudes(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
+    alpha = np.asarray(alphas, dtype=complex).reshape(-1)
+    beta = np.asarray(betas, dtype=complex).reshape(-1)
+    if alpha.shape != beta.shape:
+        raise DimensionMismatch(f"got {alpha.size} alpha and {beta.size} beta amplitudes")
+    norm2 = _weight(alpha) + _weight(beta)
+    bad = ~(np.abs(norm2 - 1.0) <= linalg.NORM_TOL)
+    if bad.any():
+        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {float(norm2[bad][0])!r}, expected 1")
+    return alpha, beta
+
+
+def _operators(p: povm.DiscretePovm) -> np.ndarray:
+    return np.array([e.operator for e in p.effects])
+
+
+def _projectors(states: np.ndarray) -> np.ndarray:
+    return states[:, :, None] * states.conj()[:, None, :]
+
+
+def variance_ur_stack(rhos) -> RelationStack:
+    """Variance product relation for sigma_x / sigma_z over an (N, 2, 2) state stack.
 
     lhs = Var(sx) Var(sz); rhs carries the commutator and covariance
     terms. lhs - rhs reduces to 1 - |r|^2, so equality holds exactly on
     pure states.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _density_stack(rhos)
     sx, _, sz = linalg.pauli_triple()
-    lhs = linalg.variance(sx, rho) * linalg.variance(sz, rho)
-    comm = complex(np.trace((sx @ sz - sz @ sx) @ rho))
-    anti = float(np.trace((sx @ sz + sz @ sx) @ rho).real)
-    mx = linalg.expectation(sx, rho)
-    mz = linalg.expectation(sz, rho)
-    rhs = 0.25 * abs(comm) ** 2 + 0.25 * (anti - 2.0 * mx * mz) ** 2
-    return make_report("variance-product-xz", lhs, rhs, "geq", tol=1e-12)
+    lhs = _variance(sx, rho) * _variance(sz, rho)
+    comm = _trace(sx @ sz - sz @ sx, rho)
+    anti = _trace(sx @ sz + sz @ sx, rho).real
+    mx = _trace(sx, rho).real
+    mz = _trace(sz, rho).real
+    rhs = 0.25 * np.abs(comm) ** 2 + 0.25 * (anti - 2.0 * mx * mz) ** 2
+    return make_reports("variance-product-xz", lhs, rhs, "geq", tol=1e-12)
+
+
+def variance_ur(rho) -> RelationReport:
+    """Variance product relation for one state; see :func:`variance_ur_stack`."""
+    return variance_ur_stack(np.asarray(rho, dtype=complex)[None]).report(0)
+
+
+def _entropies(p: povm.DiscretePovm, rho: np.ndarray) -> np.ndarray:
+    # Shannon entropies (bits) of p's outcome distributions over an (N, 2, 2) stack.
+    probs = np.clip(_trace(_operators(p), rho[:, None]).real, 0.0, 1.0)
+    seen = probs > 0.0
+    return -np.where(seen, probs * np.log2(np.where(seen, probs, 1.0)), 0.0).sum(axis=1)
 
 
 def shannon_entropy(p: povm.DiscretePovm, rho) -> float:
     """Shannon entropy (bits) of a POVM's outcome distribution in a state."""
-    rho = np.asarray(rho, dtype=complex)
-    total = 0.0
-    for e in p.effects:
-        prob = float(np.trace(e.operator @ rho).real)
-        prob = min(1.0, max(0.0, prob))
-        if prob > 0.0:
-            total -= prob * math.log2(prob)
-    return total
+    return float(_entropies(p, np.asarray(rho, dtype=complex)[None])[0])
 
 
 @functools.lru_cache(maxsize=None)
 def pauli_pvm(axis: str) -> povm.DiscretePovm:
-    """The spectral measure {(I + s)/2, (I - s)/2} of a Pauli operator."""
+    """The spectral measure {(I + s)/2, (I - s)/2} of a Pauli operator.
+
+    Cached and write-protected, so the same sharp instance serves every
+    caller for the life of the process.
+    """
     s = linalg.pauli(axis)
-    ident = np.eye(2, dtype=complex)
-    return povm.DiscretePovm.from_pairs([("1", 0.5 * (ident + s)), ("2", 0.5 * (ident - s))])
+    plus, minus = 0.5 * (linalg.IDENTITY2 + s), 0.5 * (linalg.IDENTITY2 - s)
+    for op in (plus, minus):
+        op.setflags(write=False)
+    return povm.DiscretePovm.from_pairs([("1", plus), ("2", minus)])
 
 
-def entropic_bound(a: povm.DiscretePovm, b: povm.DiscretePovm, psi) -> RelationReport:
-    """Additive entropic trade-off for two sharp observables in a pure state.
+def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> RelationStack:
+    """Additive entropic trade-off for two sharp observables over (N, d) pure states.
 
     H(A, psi) + H(B, psi) >= -2 log2 max_{i,k} |<psi|P_i Q_k|psi>| /
     (|P_i psi| |Q_k psi|); terms whose norms fall below 1e-12 are excluded
     from the maximum. For rank-1 mutually unbiased pairs the bound is one
-    bit for every state.
+    bit for every state. Sharpness is checked once per call.
     """
-    for candidate in (a, b):
-        cls = povm.validate(candidate)
+    for p in (a, b):
+        # The cached Pauli PVMs are sharp by construction and immutable.
+        if any(p is pauli_pvm(axis) for axis in "xyz"):
+            continue
+        cls = povm.validate(p)
         if not (cls.valid and cls.sharp):
             raise NotSharp("the entropic bound applies to projection-valued observables")
-    v = linalg.state_vector(psi)
-    rho = np.outer(v, v.conj())
-    lhs = shannon_entropy(a, rho) + shannon_entropy(b, rho)
-    best = 0.0
-    for ea in a.effects:
-        pa = ea.operator @ v
-        na = float(np.linalg.norm(pa))
-        if na < 1e-12:
-            continue
-        for eb in b.effects:
-            qb = eb.operator @ v
-            nb = float(np.linalg.norm(qb))
-            if nb < 1e-12:
-                continue
-            ratio = abs(complex(np.vdot(v, ea.operator @ qb))) / (na * nb)
-            best = max(best, ratio)
-    rhs = -2.0 * math.log2(best) if best > 0.0 else float("inf")
-    return make_report("entropy-pair", lhs, rhs, "geq")
+    v = _unit_rows(states, "state")
+    rho = _projectors(v)
+    lhs = _entropies(a, rho) + _entropies(b, rho)
+    ops_a, ops_b = _operators(a), _operators(b)
+    pa = np.einsum("kij,nj->nki", ops_a, v)
+    qb = np.einsum("lij,nj->nli", ops_b, v)
+    na = np.linalg.norm(pa, axis=2)
+    nb = np.linalg.norm(qb, axis=2)
+    overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), ops_a, qb))
+    kept = (na >= 1e-12)[:, :, None] & (nb >= 1e-12)[:, None, :]
+    norms = np.where(kept, na[:, :, None] * nb[:, None, :], 1.0)
+    best = np.where(kept, overlap / norms, 0.0).max(axis=(1, 2))
+    found = best > 0.0
+    rhs = np.full(best.shape, math.inf)
+    rhs[found] = -2.0 * np.log2(best[found])
+    return make_reports("entropy-pair", lhs, rhs, "geq")
+
+
+def entropic_bound(a: povm.DiscretePovm, b: povm.DiscretePovm, psi) -> RelationReport:
+    """Additive entropic trade-off in one pure state; see :func:`entropic_bound_stack`."""
+    return entropic_bound_stack(a, b, np.asarray(psi, dtype=complex).reshape(1, -1)).report(0)
 
 
 @dataclass(frozen=True)
@@ -155,22 +274,27 @@ def contrasts(rho) -> StateContrasts:
     )
 
 
-def triple_relations(rho) -> list[RelationReport]:
-    """The three-observable trade-offs for sigma_x, sigma_y, sigma_z.
+def triple_relations_stack(rhos) -> list[RelationStack]:
+    """The three-observable trade-offs for sigma_x, sigma_y, sigma_z over (N, 2, 2) states.
 
     Entropy sum >= 2 bits, variance sum >= 2 (equal to 3 - |r|^2), and
     squared-contrast sum <= 1 (equal to |r|^2).
     """
-    rho = np.asarray(rho, dtype=complex)
-    entropy_sum = sum(shannon_entropy(pauli_pvm(ax), rho) for ax in "xyz")
-    variance_sum = sum(linalg.variance(linalg.pauli(ax), rho) for ax in "xyz")
-    c = contrasts(rho)
-    contrast_sum = c.path**2 + c.interference_x**2 + c.interference_y**2
+    rho = _density_stack(rhos)
+    entropy_sum = sum(_entropies(pauli_pvm(ax), rho) for ax in "xyz")
+    variance_sum = sum(_variance(s, rho) for s in linalg.pauli_triple())
+    c = np.minimum(1.0, np.abs(_bloch_vectors(rho)))
+    contrast_sum = c[:, 2] ** 2 + c[:, 0] ** 2 + c[:, 1] ** 2
     return [
-        make_report("entropy-triple", entropy_sum, 2.0, "geq"),
-        make_report("variance-triple", variance_sum, 2.0, "geq", tol=1e-12),
-        make_report("contrast-triple", contrast_sum, 1.0, "leq", tol=1e-12),
+        make_reports("entropy-triple", entropy_sum, 2.0, "geq"),
+        make_reports("variance-triple", variance_sum, 2.0, "geq", tol=1e-12),
+        make_reports("contrast-triple", contrast_sum, 1.0, "leq", tol=1e-12),
     ]
+
+
+def triple_relations(rho) -> list[RelationReport]:
+    """The three-observable trade-offs for one state; see :func:`triple_relations_stack`."""
+    return [s.report(0) for s in triple_relations_stack(np.asarray(rho, dtype=complex)[None])]
 
 
 @dataclass(frozen=True)
@@ -188,11 +312,23 @@ class DistinguishabilityResult:
     distinguishability: float
 
 
-def _amplitude_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm2 - 1.0) > linalg.NORM_TOL:
-        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {norm2!r}, expected 1")
-    return complex(alpha), complex(beta)
+def _inference(alpha, beta, b1, b2) -> tuple[np.ndarray, np.ndarray]:
+    # Optimal pointer directions ((N, 3), NaN rows where the evidence
+    # vanishes) and distinguishabilities D over a stack.
+    evidence = _weight(alpha)[:, None] * b1 - _weight(beta)[:, None] * b2
+    strength = np.linalg.norm(evidence, axis=1)
+    resolved = strength >= DEGENERATE_DIRECTION_TOL
+    direction = np.where(resolved[:, None], evidence / np.where(resolved, strength, 1.0)[:, None], np.nan)
+    # Rounding can push |evidence| past 1.
+    return direction, np.where(resolved, np.minimum(1.0, strength), 0.0)
+
+
+def _inference_result(direction: np.ndarray, d: float) -> DistinguishabilityResult:
+    return DistinguishabilityResult(
+        pointer_direction=None if np.isnan(direction[0]) else direction,
+        max_correct_probability=0.5 * (1.0 + float(d)),
+        distinguishability=float(d),
+    )
 
 
 def distinguishability(alpha, beta, p1, p2) -> DistinguishabilityResult:
@@ -203,20 +339,19 @@ def distinguishability(alpha, beta, p1, p2) -> DistinguishabilityResult:
     L = (1 + |evidence|) / 2 and D = 2L - 1, which coincides with
     sqrt(1 - 4 |alpha|^2 |beta|^2 |<p1|p2>|^2).
     """
-    alpha, beta = _amplitude_pair(alpha, beta)
-    b1 = linalg.bloch_from_state(p1)
-    b2 = linalg.bloch_from_state(p2)
-    evidence = abs(alpha) ** 2 * b1 - abs(beta) ** 2 * b2
-    strength = float(np.linalg.norm(evidence))
-    if strength < DEGENERATE_DIRECTION_TOL:
-        return DistinguishabilityResult(None, 0.5, 0.0)
-    direction = evidence / strength
-    strength = min(1.0, strength)  # rounding can push |evidence| past 1
-    return DistinguishabilityResult(
-        pointer_direction=direction,
-        max_correct_probability=0.5 * (1.0 + strength),
-        distinguishability=strength,
-    )
+    alpha, beta = _amplitudes(alpha, beta)
+    b1 = linalg.bloch_from_state(p1)[None]
+    b2 = linalg.bloch_from_state(p2)[None]
+    direction, d = _inference(alpha, beta, b1, b2)
+    return _inference_result(direction[0], d[0])
+
+
+def _coincidence_effect(b1, b2, r) -> np.ndarray:
+    # The 'correct' effects ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
+    # for (N, 3) marker Bloch vectors and pointer directions.
+    bias = 0.5 * np.einsum("nk,nk->n", r, b1 - b2)
+    axis = 0.5 * np.einsum("nk,nk->n", r, b1 + b2)
+    return 0.5 * ((1.0 + bias)[:, None, None] * linalg.IDENTITY2 + axis[:, None, None] * linalg.pauli("z"))
 
 
 def coincidence_povm(p1, p2, pointer_direction) -> povm.DiscretePovm:
@@ -234,12 +369,13 @@ def coincidence_povm(p1, p2, pointer_direction) -> povm.DiscretePovm:
         raise NotNormalized(f"pointer direction must be unit length, got |r| = {np.linalg.norm(r)!r}")
     b1 = linalg.bloch_from_state(p1)
     b2 = linalg.bloch_from_state(p2)
-    sz = linalg.pauli("z")
-    ident = np.eye(2, dtype=complex)
-    bias = 0.5 * float(r @ (b1 - b2))
-    axis = 0.5 * float(r @ (b1 + b2))
-    correct = 0.5 * ((1.0 + bias) * ident + axis * sz)
-    return povm.DiscretePovm.from_pairs([("correct", correct), ("error", ident - correct)])
+    correct = _coincidence_effect(b1[None], b2[None], r[None])[0]
+    return povm.DiscretePovm.from_pairs([("correct", correct), ("error", linalg.IDENTITY2 - correct)])
+
+
+def _two_outcome_variance(first, second, rho) -> np.ndarray:
+    diff = _trace(first - second, rho).real
+    return 1.0 - diff * diff
 
 
 def outcome_variance(p: povm.DiscretePovm, rho) -> float:
@@ -247,8 +383,7 @@ def outcome_variance(p: povm.DiscretePovm, rho) -> float:
     if len(p.effects) != 2:
         raise NotTwoOutcome(f"need two outcomes, got {len(p.effects)}")
     rho = np.asarray(rho, dtype=complex)
-    diff = float(np.trace((p.effects[0].operator - p.effects[1].operator) @ rho).real)
-    return 1.0 - diff * diff
+    return float(_two_outcome_variance(p.effects[0].operator, p.effects[1].operator, rho))
 
 
 @dataclass(frozen=True)
@@ -259,6 +394,16 @@ class VisibilityResult:
     direction: np.ndarray
 
 
+def _visibility(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Values 2|rho_01| and (N, 3) optimal equatorial directions for a stack
+    # of off-diagonal elements; below 1e-15 the value is 0 along +x.
+    coherent = np.abs(off) >= 1e-15
+    angle = np.where(coherent, -np.angle(off), 0.0)
+    value = np.where(coherent, np.minimum(1.0, 2.0 * np.abs(off)), 0.0)
+    direction = np.stack([np.cos(angle), np.sin(angle), np.zeros(angle.shape)], axis=1)
+    return value, direction
+
+
 def visibility_reduced(rho_e) -> VisibilityResult:
     """Best interference contrast available in a (reduced) photon state.
 
@@ -267,18 +412,13 @@ def visibility_reduced(rho_e) -> VisibilityResult:
     of n cancels the off-diagonal phase.
     """
     rho = np.asarray(rho_e, dtype=complex)
-    off = complex(rho[0, 1])
-    if abs(off) < 1e-15:
-        return VisibilityResult(0.0, np.array([1.0, 0.0, 0.0]))
-    angle = -np.angle(off)
-    return VisibilityResult(
-        min(1.0, 2.0 * abs(off)), np.array([math.cos(angle), math.sin(angle), 0.0])
-    )
+    value, direction = _visibility(rho[0, 1].reshape(1))
+    return VisibilityResult(float(value[0]), direction[0])
 
 
 def marked_state(alpha, beta, p1, p2) -> np.ndarray:
     """The photon-probe vector alpha |1>|p1> + beta |2>|p2>."""
-    alpha, beta = _amplitude_pair(alpha, beta)
+    (alpha,), (beta,) = _amplitudes(alpha, beta)
     v1 = linalg.state_vector(p1)
     v2 = linalg.state_vector(p2)
     e1 = np.array([1.0, 0.0], dtype=complex)
@@ -296,31 +436,75 @@ class ErasureAudit:
     variance_tradeoff: RelationReport
 
 
-def erasure_duality(alpha, beta, p1, p2) -> ErasureAudit:
-    """Audit D^2 + V_e^2 = 1 and the variance form of the same trade-off.
+@dataclass(frozen=True)
+class ErasureStack:
+    """:func:`erasure_duality` over N inputs, as arrays.
+
+    ``pointer_direction`` (N, 3) has NaN rows where the marker evidence
+    vanishes; ``visibility`` and ``distinguishability`` have shape (N,).
+    """
+
+    pointer_direction: np.ndarray
+    distinguishability: np.ndarray
+    visibility: np.ndarray
+    visibility_direction: np.ndarray
+    duality: RelationStack
+    variance_tradeoff: RelationStack
+
+    def audit(self, index: int) -> ErasureAudit:
+        return ErasureAudit(
+            inference=_inference_result(self.pointer_direction[index], self.distinguishability[index]),
+            visibility=VisibilityResult(float(self.visibility[index]), self.visibility_direction[index]),
+            duality=self.duality.report(index),
+            variance_tradeoff=self.variance_tradeoff.report(index),
+        )
+
+
+def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureStack:
+    """Audit D^2 + V_e^2 = 1 and its variance form over (N,) amplitudes and (N, 2) markers.
 
     Both equalities are evaluated at the optima: the coincidence POVM at
-    the optimal pointer direction, the interference variance at the
-    optimal equatorial direction. Totals mixed across marker choices break
-    the equality down to an inequality, which callers can probe by mixing
-    reports.
+    the optimal pointer direction (sigma_z where there is none), the
+    interference variance at the optimal equatorial direction. Totals
+    mixed across marker choices break the equality down to an inequality,
+    which callers can probe by mixing reports.
     """
-    alpha, beta = _amplitude_pair(alpha, beta)
-    inference = distinguishability(alpha, beta, p1, p2)
-    rho_e = linalg.partial_trace_probe(marked_state(alpha, beta, p1, p2))
-    vis = visibility_reduced(rho_e)
-    direction = inference.pointer_direction
-    if direction is None:
-        direction = np.array([0.0, 0.0, 1.0])
-    coincidence = coincidence_povm(p1, p2, direction)
-    psi_in = linalg.state_vector([alpha, beta])
-    var_coincidence = outcome_variance(coincidence, np.outer(psi_in, psi_in.conj()))
+    alpha, beta = _amplitudes(alphas, betas)
+    p1 = _unit_rows(p1s, "marker state")
+    p2 = _unit_rows(p2s, "marker state")
+    if not p1.shape == p2.shape == (alpha.size, 2):
+        raise DimensionMismatch(f"got {alpha.size} amplitude pairs for {len(p1)} and {len(p2)} markers")
+    b1 = _bloch_vectors(_projectors(p1))
+    b2 = _bloch_vectors(_projectors(p2))
+    direction, d = _inference(alpha, beta, b1, b2)
+    # Reduced photon state of alpha |1>|p1> + beta |2>|p2>.
+    rows = np.stack([alpha[:, None] * p1, beta[:, None] * p2], axis=1)
+    rho_e = rows @ rows.conj().swapaxes(-1, -2)
+    vis, n = _visibility(rho_e[:, 0, 1])
+    pointer = np.where(np.isnan(direction), [0.0, 0.0, 1.0], direction)
+    correct = _coincidence_effect(b1, b2, pointer)
+    psi_in = np.stack([alpha, beta], axis=1)
+    var_coincidence = _two_outcome_variance(correct, linalg.IDENTITY2 - correct, _projectors(psi_in))
     sx, sy, _ = linalg.pauli_triple()
-    s_n = vis.direction[0] * sx + vis.direction[1] * sy
-    var_interference = linalg.variance(s_n, rho_e)
-    d = inference.distinguishability
-    duality = make_report("erasure-duality", d * d + vis.value**2, 1.0, "eq")
-    tradeoff = make_report(
-        "coincidence-visibility-variance", var_coincidence + var_interference, 1.0, "eq"
+    s_n = n[:, 0, None, None] * sx + n[:, 1, None, None] * sy
+    var_interference = _variance(s_n, rho_e)
+    return ErasureStack(
+        pointer_direction=direction,
+        distinguishability=d,
+        visibility=vis,
+        visibility_direction=n,
+        duality=make_reports("erasure-duality", d * d + vis**2, 1.0, "eq"),
+        variance_tradeoff=make_reports(
+            "coincidence-visibility-variance", var_coincidence + var_interference, 1.0, "eq"
+        ),
     )
-    return ErasureAudit(inference, vis, duality, tradeoff)
+
+
+def erasure_duality(alpha, beta, p1, p2) -> ErasureAudit:
+    """Audit D^2 + V_e^2 = 1 and the variance form of the same trade-off for one input.
+
+    See :func:`erasure_duality_stack`.
+    """
+    return erasure_duality_stack(
+        [alpha], [beta], np.reshape(p1, (1, -1)), np.reshape(p2, (1, -1))
+    ).audit(0)

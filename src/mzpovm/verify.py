@@ -65,13 +65,14 @@ def distinct_grid_configs() -> list[interferometer.MzConfig]:
     configs: list[interferometer.MzConfig] = []
     seen = set()
     for experiment in interferometer.EXPERIMENTS:
+        read = interferometer.ANGLES_READ[experiment]
         for d, g, t in itertools.product(ANGLE_GRID, repeat=3):
             config = interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
             key = (
                 experiment,
                 interferometer.effective_delta(config),
-                g if experiment == "erasure" else None,
-                t if experiment == "quantitative" else None,
+                g if "gamma" in read else None,
+                t if "theta" in read else None,
             )
             if key not in seen:
                 seen.add(key)
@@ -432,22 +433,21 @@ def check_state_relations(seed: int, samples: int) -> CheckResult:
     blochs = _random_bloch_ball(rng, half)
     pure_dirs = rng.standard_normal((half, 3))
     pure_dirs /= np.linalg.norm(pure_dirs, axis=1, keepdims=True)
-    worst = 0.0
-    ok = True
-    for r in np.concatenate([blochs, pure_dirs]):
-        rho = linalg.density_from_bloch(r)
-        report = relations.variance_ur(rho)
-        gap = 1.0 - float(r @ r)
-        worst = max(worst, abs(report.slack - gap))
-        if report.slack < -1e-12:
-            ok = False
-        triple = relations.triple_relations(rho)
-        var_triple = triple[1]
-        contrast_triple = triple[2]
-        worst = max(worst, abs(var_triple.lhs - (3.0 - float(r @ r))))
-        worst = max(worst, abs(contrast_triple.lhs - float(r @ r)))
-        if contrast_triple.lhs > 1.0 + 1e-12 or triple[0].lhs < 2.0 - 1e-9:
-            ok = False
+    rs = np.concatenate([blochs, pure_dirs])
+    rhos = np.array([linalg.density_from_bloch(r) for r in rs])
+    r2 = np.sum(rs * rs, axis=1)
+    report = relations.variance_ur_stack(rhos)
+    entropy_triple, var_triple, contrast_triple = relations.triple_relations_stack(rhos)
+    worst = max(
+        float(np.max(np.abs(report.slack - (1.0 - r2)))),
+        float(np.max(np.abs(var_triple.lhs - (3.0 - r2)))),
+        float(np.max(np.abs(contrast_triple.lhs - r2))),
+    )
+    ok = bool(
+        np.all(report.slack >= -1e-12)
+        and np.all(contrast_triple.lhs <= 1.0 + 1e-12)
+        and np.all(entropy_triple.lhs >= 2.0 - 1e-9)
+    )
     res = _result("state-relations", worst, 1e-10)
     return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
 
@@ -462,28 +462,27 @@ def check_entropic_bound(seed: int, samples: int) -> CheckResult:
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     eigenstates = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                    np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)]
-    lowest = math.inf
-    worst_violation = 0.0
-    for psi in list(states) + eigenstates:
-        report = relations.entropic_bound(sz_pvm, sx_pvm, psi)
-        worst_violation = max(worst_violation, -report.slack)
-        lowest = min(lowest, report.lhs)
+    report = relations.entropic_bound_stack(sz_pvm, sx_pvm, np.vstack([states, eigenstates]))
+    worst_violation = max(0.0, float(np.max(-report.slack)))
+    lowest = float(np.min(report.lhs))
     passed = worst_violation <= 1e-9 and abs(lowest - 1.0) <= 1e-3
     return CheckResult("entropic-bound", passed, worst_violation, f"min lhs {lowest:.6f}")
 
 
 def check_erasure_duality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 115])
-    worst = 0.0
+    alphas, betas, p1s, p2s = [], [], [], []
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi / 2.0))
         weight = rng.random()
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        alpha = math.sqrt(weight)
-        beta = math.sqrt(1.0 - weight) * np.exp(1j * phase)
+        alphas.append(math.sqrt(weight))
+        betas.append(math.sqrt(1.0 - weight) * np.exp(1j * phase))
         p1, p2 = interferometer.marker_states(theta)
-        audit = relations.erasure_duality(alpha, beta, p1, p2)
-        worst = max(worst, abs(audit.duality.slack), abs(audit.variance_tradeoff.slack))
+        p1s.append(p1)
+        p2s.append(p2)
+    audit = relations.erasure_duality_stack(alphas, betas, p1s, p2s)
+    worst = float(max(np.max(np.abs(audit.duality.slack)), np.max(np.abs(audit.variance_tradeoff.slack))))
     return _result("erasure-duality", worst, 1e-9)
 
 

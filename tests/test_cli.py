@@ -251,6 +251,30 @@ class TestSweep:
         assert cells[header.index("G_contrast")] == ""
         assert float(cells[header.index("F_contrast")]) == pytest.approx(1.0)
 
+    def test_ignored_angle_noted_on_stderr(self, capsys):
+        argv = ("sweep", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3")
+        code, out, err = run_cli(capsys, *argv, "--experiment", "erasure")
+        assert code == 0
+        assert err == "note: erasure ignores theta; every row is the same\n"
+        rows = out.strip().splitlines()[1:]
+        assert len({row.split(",", 1)[1] for row in rows}) == 1
+        for experiment, param in (("marking", "gamma"), ("path", "delta"), ("interference", "delta")):
+            code, _, err = run_cli(
+                capsys, "sweep", "--experiment", experiment, "--param", param,
+                "--from", "0", "--to", "1", "--steps", "2",
+            )
+            assert code == 0
+            assert err.startswith(f"note: {experiment} ignores {param}")
+
+    def test_read_angle_gives_no_note(self, capsys):
+        for experiment, param in (("quantitative", "theta"), ("erasure", "gamma"), ("marking", "delta")):
+            code, _, err = run_cli(
+                capsys, "sweep", "--experiment", experiment, "--param", param,
+                "--from", "0", "--to", "1", "--steps", "2",
+            )
+            assert code == 0
+            assert err == ""
+
     def test_reversed_range_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -294,3 +318,33 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--tol", "0")
         assert code == 2
         assert "tol" in err
+
+
+class TestRepeatedCalls:
+    def test_back_to_back_commands_keep_their_own_results(self, capsys, monkeypatch):
+        # The parser is built once per process; consecutive calls must not
+        # see each other's arguments.
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(
+            verify, "run_all", lambda seed, samples, tol: [verify.CheckResult("demo", False, 1.0)]
+        )
+        code, out, err = run_cli(capsys, "run", "--experiment", "path", "--input", "1,0,0,0")
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"]["experiment"] == "path"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "marking", "--param", "delta",
+            "--from", "0", "--to", "1", "--steps", "2",
+        )
+        assert code == 0 and err == ""
+        assert len(out.strip().splitlines()) == 3
+        code, out, _ = run_cli(capsys, "verify", "--seed", "3")
+        assert code == 1
+        assert out.startswith("seed=3 samples=100 tol=1e-10")
+        code, out, err = run_cli(capsys, "run")
+        assert code == 2 and out == ""
+        assert "error:" in err and "experiment" in err
+        code, out, err = run_cli(capsys, "run", "--experiment", "interference")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["config"]["experiment"] == "interference"
+        assert report["input"] == [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]

@@ -191,6 +191,27 @@ class TestSchemeValidation:
             )
 
 
+    def test_nan_unitary_rejected(self):
+        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        with pytest.raises(InvalidScheme, match="unitarity"):
+            extraction.MeasurementScheme(
+                unitary=np.full((4, 4), np.nan),
+                probe_init=scheme.probe_init,
+                outputs=scheme.outputs,
+            )
+
+    def test_nan_output_projection_rejected(self):
+        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        broken = np.array(scheme.outputs[0][1])
+        broken[0, 0] = np.nan
+        with pytest.raises(InvalidScheme, match="'1'"):
+            extraction.MeasurementScheme(
+                unitary=scheme.unitary,
+                probe_init=scheme.probe_init,
+                outputs=(("1", broken), scheme.outputs[1]),
+            )
+
+
 class TestExtractionProperties:
     def test_positivity_and_normalization(self, rng):
         for _ in range(40):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg, oracle, verify
+from mzpovm import extraction, interferometer, linalg, oracle, relations, verify
 from mzpovm.errors import InvalidScheme
 
 I2 = np.eye(2, dtype=complex)
@@ -191,3 +191,137 @@ class TestGridMaximize:
             )
             assert best == pytest.approx(scale, abs=1e-6)
             assert float(argmax @ target) >= 1.0 - 1e-5
+
+
+def _reference_bloch(theta, phi):
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+
+def _reference_frame(r):
+    axis = np.array([0.0, 0.0, 1.0]) if abs(r[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
+    t1 = np.cross(r, axis)
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(r, t1)
+
+
+def reference_grid_maximize(objective, cfg):
+    """The lattice sweep and pattern search on numpy vectors, one step at a time."""
+    step = cfg.grid_resolution
+    best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
+    theta = 0.0
+    while theta <= math.pi + 1e-12:
+        phi = 0.0
+        while phi < 2.0 * math.pi - 1e-12:
+            candidate = _reference_bloch(theta, phi)
+            value = float(objective(candidate))
+            if value > best_value:
+                best_value, best = value, candidate
+            if theta <= 1e-12 or theta >= math.pi - 1e-12:
+                break
+            phi += step
+        theta += step
+    for _ in range(20):
+        step *= 0.5
+        improved = True
+        while improved:
+            improved = False
+            t1, t2 = _reference_frame(best)
+            for a in (-1.0, 0.0, 1.0):
+                for b in (-1.0, 0.0, 1.0):
+                    if a == 0.0 and b == 0.0:
+                        continue
+                    candidate = best + step * (a * t1 + b * t2)
+                    candidate = candidate / np.linalg.norm(candidate)
+                    value = float(objective(candidate))
+                    if value > best_value:
+                        best_value, best, improved = value, candidate, True
+    return best_value, best
+
+
+def _counted(objective):
+    calls = []
+
+    def wrapped(r):
+        calls.append(1)
+        return objective(r)
+
+    return wrapped, calls
+
+
+def _suite_objectives(seed, count):
+    """The objectives of the contrast-oracle and grid-maximize-agreement checks."""
+    rng = np.random.default_rng([seed, 107])
+    for _ in range(count):
+        u_dir = rng.standard_normal(3)
+        u_dir /= np.linalg.norm(u_dir)
+        u_len = rng.random()
+        b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
+        e1 = 0.5 * ((1.0 + b) * I2 + u_len * (u_dir[0] * SX + u_dir[1] * SY + u_dir[2] * SZ))
+        diff = e1 - (I2 - e1)
+        yield lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))
+    rng = np.random.default_rng([seed, 116])
+    for _ in range(count):
+        theta = float(rng.uniform(0.0, math.pi / 2.0))
+        weight = rng.random()
+        alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
+        p1, p2 = interferometer.marker_states(theta)
+        evidence = alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2)
+        yield lambda r, evidence=evidence: 0.5 * (1.0 + float(r @ evidence))
+        rho_e = linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
+
+        def equatorial(r, rho_e=rho_e):
+            planar = math.hypot(r[0], r[1])
+            if planar < 1e-12:
+                return 0.0
+            return abs(float(np.trace(rho_e @ ((r[0] * SX + r[1] * SY) / planar)).real))
+
+        yield equatorial
+
+
+class TestGridMaximizeAgainstReference:
+    def assert_same_search(self, objective, cfg):
+        fast, fast_calls = _counted(objective)
+        slow, slow_calls = _counted(objective)
+        best, argmax = oracle.grid_maximize(fast, cfg)
+        want, want_argmax = reference_grid_maximize(slow, cfg)
+        assert len(fast_calls) == len(slow_calls)
+        assert best == pytest.approx(want, abs=1e-15)
+        np.testing.assert_allclose(argmax, want_argmax, rtol=0, atol=1e-15)
+
+    def test_suite_objectives(self):
+        cfg = oracle.OracleConfig(seed=42, samples=1)
+        for objective in _suite_objectives(42, 8):
+            self.assert_same_search(objective, cfg)
+
+    def test_unit_test_objectives(self, rng):
+        rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
+
+        def equatorial(r):
+            planar = math.hypot(r[0], r[1])
+            if planar < 1e-12:
+                return 0.0
+            return abs(float(np.trace(rho @ ((r[0] * SX + r[1] * SY) / planar)).real))
+
+        objectives = [
+            lambda r: float(np.trace(linalg.density_from_bloch(r) @ (0.6 * SX)).real),
+            equatorial,
+            lambda r: 0.25,
+        ]
+        for _ in range(5):
+            target = rng.standard_normal(3)
+            target /= np.linalg.norm(target)
+            objectives.append(lambda r, t=target: float(r @ t))
+        for resolution in (math.pi / 16.0, math.pi / 8.0, 0.1):
+            cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=resolution)
+            for objective in objectives:
+                self.assert_same_search(objective, cfg)
+
+    def test_cached_lattice_is_read_only_and_result_is_owned(self):
+        cfg = oracle.OracleConfig()
+        seen = []
+        oracle.grid_maximize(lambda r: seen.append(r) or 0.0, cfg)
+        with pytest.raises(ValueError):
+            seen[0][0] = 5.0
+        best, argmax = oracle.grid_maximize(lambda r: -float(r[2]), cfg)
+        argmax[0] = 5.0
+        assert oracle.grid_maximize(lambda r: -float(r[2]), cfg)[0] == best

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import interferometer, linalg, oracle, povm, relations
-from mzpovm.errors import NotNormalized, NotSharp, NotTwoOutcome
+from mzpovm import complementarity, interferometer, linalg, oracle, povm, relations
+from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp, NotTwoOutcome
 
 from conftest import random_bloch_in_ball, random_pure
 
@@ -396,3 +396,240 @@ class TestReportMechanics:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             relations.make_report("demo", 1.0, 1.0, "approx")
+
+
+# Per-state reference formulas for the stacked kernels: the scalar routes
+# these kernels replaced, written with the linalg primitives one state at
+# a time.
+
+
+def reference_entropy(effects, rho):
+    total = 0.0
+    for e in effects:
+        prob = min(1.0, max(0.0, float(np.trace(e @ rho).real)))
+        if prob > 0.0:
+            total -= prob * math.log2(prob)
+    return total
+
+
+def reference_variance_ur(rho):
+    lhs = linalg.variance(SX, rho) * linalg.variance(SZ, rho)
+    comm = complex(np.trace((SX @ SZ - SZ @ SX) @ rho))
+    anti = float(np.trace((SX @ SZ + SZ @ SX) @ rho).real)
+    mx, mz = linalg.expectation(SX, rho), linalg.expectation(SZ, rho)
+    return lhs, 0.25 * abs(comm) ** 2 + 0.25 * (anti - 2.0 * mx * mz) ** 2
+
+
+def reference_triple(rho):
+    pvms = [[0.5 * (I2 + s), 0.5 * (I2 - s)] for s in (SX, SY, SZ)]
+    r = linalg.bloch_from_density(rho)
+    c = [min(1.0, abs(float(x))) for x in r]
+    return (
+        sum(reference_entropy(ops, rho) for ops in pvms),
+        sum(linalg.variance(s, rho) for s in (SX, SY, SZ)),
+        c[2] ** 2 + c[0] ** 2 + c[1] ** 2,
+    )
+
+
+def reference_entropic_bound(ops_a, ops_b, psi):
+    v = linalg.state_vector(psi)
+    rho = np.outer(v, v.conj())
+    lhs = reference_entropy(ops_a, rho) + reference_entropy(ops_b, rho)
+    best = 0.0
+    for pa_op in ops_a:
+        pa = pa_op @ v
+        na = float(np.linalg.norm(pa))
+        if na < 1e-12:
+            continue
+        for qb_op in ops_b:
+            qb = qb_op @ v
+            nb = float(np.linalg.norm(qb))
+            if nb < 1e-12:
+                continue
+            best = max(best, abs(complex(np.vdot(v, pa_op @ qb))) / (na * nb))
+    return lhs, (-2.0 * math.log2(best) if best > 0.0 else math.inf)
+
+
+def reference_erasure(alpha, beta, p1, p2):
+    """(pointer direction or None, D, V_e, visibility direction, D^2 + V_e^2, variance sum)."""
+    b1, b2 = linalg.bloch_from_state(p1), linalg.bloch_from_state(p2)
+    evidence = abs(alpha) ** 2 * b1 - abs(beta) ** 2 * b2
+    strength = float(np.linalg.norm(evidence))
+    if strength < 1e-12:
+        pointer, d = None, 0.0
+    else:
+        pointer, d = evidence / strength, min(1.0, strength)
+    marked = alpha * np.kron([1.0, 0.0], p1) + beta * np.kron([0.0, 1.0], p2)
+    rho_e = linalg.partial_trace_probe(linalg.state_vector(marked))
+    off = complex(rho_e[0, 1])
+    if abs(off) < 1e-15:
+        v_e, n = 0.0, np.array([1.0, 0.0, 0.0])
+    else:
+        angle = -np.angle(off)
+        v_e, n = min(1.0, 2.0 * abs(off)), np.array([math.cos(angle), math.sin(angle), 0.0])
+    r = np.array([0.0, 0.0, 1.0]) if pointer is None else pointer
+    correct = 0.5 * ((1.0 + 0.5 * float(r @ (b1 - b2))) * I2 + 0.5 * float(r @ (b1 + b2)) * SZ)
+    psi_in = linalg.state_vector([alpha, beta])
+    diff = float(np.trace((correct - (I2 - correct)) @ np.outer(psi_in, psi_in.conj())).real)
+    var_interference = linalg.variance(n[0] * SX + n[1] * SY, rho_e)
+    return pointer, d, v_e, n, d * d + v_e**2, 1.0 - diff * diff + var_interference
+
+
+EIGENSTATES = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), PLUS, np.array([1.0, -1.0]) / math.sqrt(2)]
+
+
+def sample_states(rng):
+    """Random mixed states, random pure states and the sigma_z / sigma_x eigenstates."""
+    mixed = [linalg.density_from_bloch(random_bloch_in_ball(rng)) for _ in range(200)]
+    pure = [linalg.pure_density(random_pure(rng)) for _ in range(200)]
+    return np.array(mixed + pure + [linalg.pure_density(v) for v in EIGENSTATES])
+
+
+class TestStackedKernels:
+    def test_variance_ur_stack_matches_per_state_reference(self, rng):
+        rhos = sample_states(rng)
+        stack = relations.variance_ur_stack(rhos)
+        want = np.array([reference_variance_ur(rho) for rho in rhos])
+        np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack.rhs, want[:, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack.slack, want[:, 0] - want[:, 1], rtol=0, atol=1e-15)
+        assert stack.satisfied.all()
+
+    def test_triple_relations_stack_matches_per_state_reference(self, rng):
+        rhos = sample_states(rng)
+        entropic, variances, squares = relations.triple_relations_stack(rhos)
+        want = np.array([reference_triple(rho) for rho in rhos])
+        for got, column in ((entropic, 0), (variances, 1), (squares, 2)):
+            np.testing.assert_allclose(got.lhs, want[:, column], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(squares.slack, 1.0 - want[:, 2], rtol=0, atol=1e-15)
+        assert [s.name for s in (entropic, variances, squares)] == [
+            "entropy-triple", "variance-triple", "contrast-triple"
+        ]
+
+    def test_entropic_bound_stack_matches_per_state_reference(self, rng):
+        states = np.array([random_pure(rng) for _ in range(300)] + EIGENSTATES, dtype=complex)
+        for a, b in (("z", "x"), ("x", "y"), ("z", "z")):
+            pvm_a, pvm_b = relations.pauli_pvm(a), relations.pauli_pvm(b)
+            stack = relations.entropic_bound_stack(pvm_a, pvm_b, states)
+            ops_a = [e.operator for e in pvm_a.effects]
+            ops_b = [e.operator for e in pvm_b.effects]
+            want = np.array([reference_entropic_bound(ops_a, ops_b, psi) for psi in states])
+            np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
+            # The bound divides |<psi|P Q|psi>| by |P psi| |Q psi|, which
+            # magnifies last-place rounding by up to 1 / (|P psi| |Q psi|):
+            # both routes carry errors near 1e-14 on states close to an eigenstate.
+            np.testing.assert_allclose(stack.rhs, want[:, 1], rtol=0, atol=1e-13)
+
+    def test_entropic_bound_stack_in_three_dimensions(self, rng):
+        computational = [np.diag(row).astype(complex) for row in np.eye(3)]
+        fourier = complementarity.fourier_partner(complementarity.OrthonormalBasis(np.eye(3)))
+        rotated = [np.outer(v, v.conj()) for v in fourier.vectors]
+        pvm_a = povm.DiscretePovm.from_pairs(zip("123", computational))
+        pvm_b = povm.DiscretePovm.from_pairs(zip("123", rotated))
+        z = rng.standard_normal((50, 6))
+        states = z[:, 0::2] + 1j * z[:, 1::2]
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        stack = relations.entropic_bound_stack(pvm_a, pvm_b, states)
+        want = np.array([reference_entropic_bound(computational, rotated, psi) for psi in states])
+        np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack.rhs, math.log2(3.0), rtol=0, atol=1e-13)
+        assert (stack.slack >= -1e-9).all()
+
+    def test_eigenstates_take_the_excluded_term_branch(self):
+        # P_2 |1> = 0: the (2, k) terms drop out of the maximum, and the
+        # bound still comes out at one bit.
+        stack = relations.entropic_bound_stack(
+            relations.pauli_pvm("z"), relations.pauli_pvm("x"), np.array(EIGENSTATES)
+        )
+        np.testing.assert_allclose(stack.lhs, 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack.rhs, 1.0, rtol=0, atol=1e-15)
+
+    def test_erasure_duality_stack_matches_per_state_reference(self, rng):
+        alphas, betas, p1s, p2s = [], [], [], []
+        for _ in range(300):
+            weight = float(rng.random())
+            alphas.append(math.sqrt(weight))
+            betas.append(math.sqrt(1.0 - weight) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            p1, p2 = interferometer.marker_states(float(rng.uniform(0.0, math.pi / 2.0)))
+            p1s.append(p1)
+            p2s.append(p2)
+        same = interferometer.marker_states(math.pi / 2)
+        degenerate = [
+            (PLUS[0], PLUS[1], *same),  # no evidence: no pointer direction
+            (PLUS[0], PLUS[1], [1.0, 0.0], [0.0, 1.0]),  # orthogonal markers: rho_01 = 0
+            (1.0, 0.0, *same),  # path eigenstate: rho_01 = 0
+            (1.0, 1e-16j, *same),  # 0 < |rho_01| < 1e-15 counts as no coherence
+        ]
+        for alpha, beta, p1, p2 in degenerate:
+            alphas.append(alpha)
+            betas.append(beta)
+            p1s.append(np.asarray(p1, dtype=complex))
+            p2s.append(np.asarray(p2, dtype=complex))
+        stack = relations.erasure_duality_stack(alphas, betas, p1s, p2s)
+        assert np.isnan(stack.pointer_direction[-4]).all()
+        assert (stack.visibility[-3:] == 0.0).all()
+        np.testing.assert_array_equal(stack.visibility_direction[-1], [1.0, 0.0, 0.0])
+        for i, args in enumerate(zip(alphas, betas, p1s, p2s)):
+            pointer, d, v_e, n, duality, tradeoff = reference_erasure(*args)
+            audit = stack.audit(i)
+            if pointer is None:
+                assert audit.inference.pointer_direction is None
+            else:
+                # Compared as evidence vectors: normalizing a short one magnifies rounding.
+                np.testing.assert_allclose(
+                    audit.inference.pointer_direction * d, pointer * d, rtol=0, atol=1e-15
+                )
+            assert audit.inference.distinguishability == pytest.approx(d, abs=1e-15)
+            assert audit.inference.max_correct_probability == pytest.approx(0.5 * (1.0 + d), abs=1e-15)
+            assert audit.visibility.value == pytest.approx(v_e, abs=1e-15)
+            np.testing.assert_allclose(audit.visibility.direction, n, rtol=0, atol=1e-15)
+            assert audit.duality.lhs == pytest.approx(duality, abs=1e-15)
+            assert audit.variance_tradeoff.lhs == pytest.approx(tradeoff, abs=1e-15)
+
+    def test_scalar_functions_are_batches_of_one(self, rng):
+        rho = linalg.density_from_bloch(random_bloch_in_ball(rng))
+        assert relations.variance_ur(rho) == relations.variance_ur_stack(rho[None]).report(0)
+        assert relations.triple_relations(rho) == [
+            s.report(0) for s in relations.triple_relations_stack(rho[None])
+        ]
+        psi = random_pure(rng)
+        z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
+        assert relations.entropic_bound(z_pvm, x_pvm, psi) == relations.entropic_bound_stack(
+            z_pvm, x_pvm, psi[None]
+        ).report(0)
+
+    def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
+        calls = []
+        original = povm.validate
+
+        def counting_validate(p, *args, **kwargs):
+            calls.append(p)
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(povm, "validate", counting_validate)
+        z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
+        relations.entropic_bound(z_pvm, x_pvm, [1, 0])
+        assert calls == []
+        copy = povm.DiscretePovm.from_pairs([(e.label, e.operator) for e in z_pvm.effects])
+        relations.entropic_bound_stack(copy, x_pvm, np.array(EIGENSTATES, dtype=complex))
+        assert calls == [copy]  # once per kernel call, not once per state
+
+    def test_cached_pauli_pvms_are_write_protected(self):
+        with pytest.raises(ValueError):
+            relations.pauli_pvm("x").effects[0].operator[0, 0] = 2.0
+
+    def test_stack_inputs_are_validated(self):
+        with pytest.raises(NotNormalized):
+            relations.entropic_bound_stack(
+                relations.pauli_pvm("z"), relations.pauli_pvm("x"), np.array([[1.0, 0.0], [1.0, 1.0]])
+            )
+        with pytest.raises(NotHermitian):
+            relations.variance_ur_stack(np.array([[[0.5, 0.5], [0.0, 0.5]]]))
+        with pytest.raises(NotHermitian):
+            relations.triple_relations_stack(np.full((1, 2, 2), np.nan))
+        with pytest.raises(NotNormalized):
+            relations.erasure_duality_stack([1.0, 0.6], [0.0, 0.6], [[1, 0], [1, 0]], [[0, 1], [0, 1]])
+        with pytest.raises(NotNormalized):
+            relations.erasure_duality_stack([1.0], [0.0], [[1, 1]], [[0, 1]])
+        with pytest.raises(DimensionMismatch):
+            relations.erasure_duality_stack([1.0, 0.0], [0.0, 1.0], [[1, 0]], [[0, 1]])
