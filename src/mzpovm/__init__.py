@@ -8,18 +8,9 @@ brute-force oracle (direct joint-state probabilities, seeded random-state
 sampling, Bloch-sphere grid optimization) validates every closed form.
 """
 
-from . import (
-    cli,
-    complementarity,
-    errors,
-    extraction,
-    interferometer,
-    linalg,
-    oracle,
-    povm,
-    relations,
-    verify,
-)
+import importlib
+
+from . import cli, complementarity, errors, extraction, interferometer, linalg, oracle, povm, relations
 
 __all__ = [
     "cli",
@@ -35,3 +26,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The invariant suite is imported on first use, so `run` and `sweep`
+    # do not compile it.
+    if name == "verify":
+        return importlib.import_module(".verify", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import extraction, interferometer, linalg, oracle, povm, relations, verify
+from . import extraction, interferometer, linalg, oracle, povm, relations
 from .errors import MzPovmError, ZeroProbabilityCondition
 
 SWEEP_COLUMNS = [
@@ -127,7 +127,7 @@ def _load_config(args) -> dict:
 def _angle(name: str, value) -> float:
     try:
         return float(value or 0.0)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config field {name!r} must be a number, got {value!r}") from None
 
 
@@ -153,7 +153,7 @@ def _input_from_args(args, file_fields: dict) -> np.ndarray:
         reals = file_fields["input"]
         try:
             text = ",".join(str(float(x)) for x in reals)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"config field 'input' must list 4 numbers, got {reals!r}") from None
     if text is None:
         text = "0.7071067811865476,0,0.7071067811865476,0"
@@ -343,6 +343,8 @@ def main(argv=None) -> int:
                 print(",".join(_fmt(row[name]) for name in SWEEP_COLUMNS))
             return 0
         if args.command == "verify":
+            from . import verify
+
             if args.samples < 1:
                 raise UsageError("--samples must be at least 1")
             if not args.tol > 0.0:
@@ -353,7 +355,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MzPovmError, OSError, json.JSONDecodeError) as exc:
+    except (MzPovmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -105,7 +105,7 @@ def scheme_for(config: interferometer.MzConfig) -> MeasurementScheme:
     )
 
 
-def extract_povm(scheme: MeasurementScheme) -> DiscretePovm:
+def extract_povm(scheme: MeasurementScheme) -> povm.DiscretePovm:
     """The input POVM a scheme measures, one effect per output label."""
     basis_in = [
         scheme.unitary @ np.kron(e, scheme.probe_init)
@@ -121,9 +121,6 @@ def extract_povm(scheme: MeasurementScheme) -> DiscretePovm:
     return povm.DiscretePovm.from_pairs(effects)
 
 
-DiscretePovm = povm.DiscretePovm
-
-
 @dataclass(frozen=True)
 class ExperimentObservables:
     """A four-outcome joint POVM with its three grouped marginals.
@@ -133,13 +130,13 @@ class ExperimentObservables:
     against unequal index pairs (H).
     """
 
-    joint: DiscretePovm
-    detector: DiscretePovm
-    probe: DiscretePovm
-    coincidence: DiscretePovm
+    joint: povm.DiscretePovm
+    detector: povm.DiscretePovm
+    probe: povm.DiscretePovm
+    coincidence: povm.DiscretePovm
 
 
-def marginals_of(joint: DiscretePovm) -> ExperimentObservables:
+def marginals_of(joint: povm.DiscretePovm) -> ExperimentObservables:
     """Group a four-outcome joint POVM into its three standard marginals."""
     return ExperimentObservables(
         joint=joint,
@@ -250,7 +247,7 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
     )
 
 
-def conditional_probabilities(joint: DiscretePovm, probe_label: str, psi) -> dict[str, float]:
+def conditional_probabilities(joint: povm.DiscretePovm, probe_label: str, psi) -> dict[str, float]:
     """Detector probabilities conditional on one probe outcome.
 
     prob(D_k | probe = l) = <psi| E_kl |psi> / <psi| G_l |psi>, where G_l

@@ -41,15 +41,25 @@ class OracleConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
+def haar_vector(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """A Haar-random unit vector of C^dim drawn from ``rng``.
+
+    Draws 2 * dim standard normals, pairs them as (re, im) and normalizes.
+    The package's one random-state sampler; seeded draws replay bit for bit.
+    """
+    z = rng.standard_normal(2 * dim)
+    v = z[0::2] + 1j * z[1::2]
+    return v / np.linalg.norm(v)
+
+
 def haar_state(seed: int, index: int) -> np.ndarray:
     """The ``index``-th reproducible Haar-random pure qubit state for ``seed``."""
     rng = np.random.default_rng([seed, index])
     while True:
-        z = rng.standard_normal(4)
-        v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
-        n = float(np.linalg.norm(v))
-        if n > 1e-6:
-            return linalg.state_vector(v / n)
+        # A draw too short to normalize (probability zero) is drawn again.
+        v = haar_vector(rng)
+        if np.isfinite(v).all():
+            return linalg.state_vector(v)
 
 
 @functools.lru_cache(maxsize=4)

@@ -179,33 +179,58 @@ def validate(p: DiscretePovm, tol: float = EFFECT_TOL) -> PovmClassification:
     return PovmClassification(valid=True, sharp=bool(stack.sharp[0]), trivial=bool(stack.trivial[0]))
 
 
+def smear_stack(projections, w) -> np.ndarray:
+    """Coarse-grain N PVMs through N stochastic matrices in one array pass.
+
+    ``projections`` is an (N, K, d, d) stack of K-outcome PVMs and ``w`` an
+    (N, L, K) stack of stochastic matrices; the result is the (N, L, d, d)
+    stack E[n, l] = sum_k w[n, l, k] P[n, k]. Every member is checked, and
+    the first failure raises, in this order: ``InvalidStochasticMatrix``
+    when ``w`` is not a stack of matrices, ``NotSharp`` when a member of
+    ``projections`` is not a valid PVM, ``DimensionMismatch`` when the
+    stacks disagree on N or K, and ``InvalidStochasticMatrix`` for a
+    negative (or NaN) entry or a column that does not sum to 1.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 3:
+        raise InvalidStochasticMatrix(f"expected an (N, L, K) stack of matrices, got shape {w.shape}")
+    ops = np.asarray(projections, dtype=complex)
+    not_sharp = np.flatnonzero(~classify_effects(ops).sharp)
+    if not_sharp.size:
+        raise NotSharp(f"smearing requires a valid projection-valued input (member {not_sharp[0]})")
+    if w.shape[0] != ops.shape[0] or w.shape[2] != ops.shape[1]:
+        raise DimensionMismatch(
+            f"{w.shape[0]} stochastic matrices with {w.shape[2]} columns for "
+            f"{ops.shape[0]} PVMs with {ops.shape[1]} outcomes"
+        )
+    negative = np.flatnonzero(~(w >= -STOCHASTIC_TOL).all(axis=(1, 2)))
+    if negative.size:
+        n = negative[0]
+        raise InvalidStochasticMatrix(f"negative entry {float(w[n].min())!r} (member {n})")
+    col_dev = np.abs(w.sum(axis=1) - 1.0).max(axis=1)
+    bad_sums = np.flatnonzero(col_dev > STOCHASTIC_TOL)
+    if bad_sums.size:
+        n = bad_sums[0]
+        raise InvalidStochasticMatrix(f"column sums deviate from 1 by {col_dev[n]:.3e} (member {n})")
+    return np.einsum("nlk,nkij->nlij", w, ops)
+
+
 def smear(sharp: DiscretePovm, w) -> DiscretePovm:
     """Coarse-grain a PVM through a stochastic matrix: E_l = sum_k w[l, k] P_k.
 
     The result is always a valid, commutative POVM representing an
-    approximate measurement of the sharp input.
+    approximate measurement of the sharp input. A batch of one of
+    :func:`smear_stack`.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise InvalidStochasticMatrix(f"expected a matrix, got shape {w.shape}")
-    cls = validate(sharp)
-    if not (cls.valid and cls.sharp):
+    dim = sharp.dimension()
+    if any(e.operator.shape != (dim, dim) for e in sharp.effects):
         raise NotSharp("smearing requires a valid projection-valued input")
-    if w.shape[1] != len(sharp.effects):
-        raise DimensionMismatch(
-            f"stochastic matrix has {w.shape[1]} columns for {len(sharp.effects)} outcomes"
-        )
-    if np.min(w) < -STOCHASTIC_TOL:
-        raise InvalidStochasticMatrix(f"negative entry {np.min(w)!r}")
-    col_dev = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
-    if col_dev > STOCHASTIC_TOL:
-        raise InvalidStochasticMatrix(f"column sums deviate from 1 by {col_dev:.3e}")
-    projections = [e.operator for e in sharp.effects]
-    effects = []
-    for row in range(w.shape[0]):
-        op = sum(w[row, k] * projections[k] for k in range(len(projections)))
-        effects.append((str(row + 1), op))
-    return DiscretePovm.from_pairs(effects)
+    projections = np.array([e.operator for e in sharp.effects])
+    effects = smear_stack(projections[None], w[None])[0]
+    return DiscretePovm.from_pairs((str(row + 1), op) for row, op in enumerate(effects))
 
 
 def marginal(p: DiscretePovm, grouping) -> DiscretePovm:

@@ -52,12 +52,6 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _random_probe_state(rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(4)
-    v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
-    return v / np.linalg.norm(v)
-
-
 def distinct_grid_configs() -> list[interferometer.MzConfig]:
     # Configurations that differ only in angles an experiment ignores
     # build byte-identical schemes; evaluating one representative per
@@ -104,8 +98,8 @@ def check_partial_trace_product(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 102])
     worst = 0.0
     for _ in range(100):
-        psi = _random_probe_state(rng)
-        phi = _random_probe_state(rng)
+        psi = oracle.haar_vector(rng)
+        phi = oracle.haar_vector(rng)
         reduced = linalg.partial_trace_probe(np.kron(psi, phi))
         worst = max(worst, float(np.max(np.abs(reduced - np.outer(psi, psi.conj())))))
     return _result("partial-trace-product", worst, 1e-12)
@@ -131,12 +125,12 @@ def check_schmidt_separability(seed: int) -> CheckResult:
     ok = True
     for k in range(60):
         if k % 2 == 0:
-            vec = np.kron(_random_probe_state(rng), _random_probe_state(rng))
+            vec = np.kron(oracle.haar_vector(rng), oracle.haar_vector(rng))
             expected_variance = 0.0
         else:
             w = float(rng.uniform(0.55, 0.95))
-            psi = _random_probe_state(rng)
-            phi = _random_probe_state(rng)
+            psi = oracle.haar_vector(rng)
+            phi = oracle.haar_vector(rng)
             vec = math.sqrt(w) * np.kron(psi, phi) + math.sqrt(1.0 - w) * np.kron(
                 linalg.perp(psi), linalg.perp(phi)
             )
@@ -155,24 +149,27 @@ def check_schmidt_separability(seed: int) -> CheckResult:
 
 def check_smear_validity(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 105])
-    worst = 0.0
-    ok = True
+    axes, weights = [], []
     for _ in range(1000):
-        axis = _random_unit(rng)
-        op = sum(axis[i] * s for i, s in enumerate(linalg.pauli_triple()))
-        pvm = povm.DiscretePovm.from_pairs(
-            [("1", 0.5 * (np.eye(2) + op)), ("2", 0.5 * (np.eye(2) - op))]
-        )
+        axes.append(_random_unit(rng))
         rows = int(rng.integers(2, 5))
         w = rng.random((rows, 2)) + 1e-3
         w /= w.sum(axis=0, keepdims=True)
-        smeared = povm.smear(pvm, w)
-        cls = povm.validate(smeared)
-        if not cls.valid:
-            ok = False
-        effects = [e.operator for e in smeared.effects]
-        for a, b in itertools.combinations(effects, 2):
-            worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
+        weights.append(w)
+    sx, sy, sz = linalg.pauli_triple()
+    worst = 0.0
+    ok = True
+    # One smear, one classification and one commutator pass per row count.
+    for rows in (2, 3, 4):
+        members = [n for n, w in enumerate(weights) if len(w) == rows]
+        a = np.array([axes[n] for n in members])[:, :, None, None]
+        op = a[:, 0] * sx + a[:, 1] * sy + a[:, 2] * sz
+        pvms = np.stack([0.5 * (np.eye(2) + op), 0.5 * (np.eye(2) - op)], axis=1)
+        smeared = povm.smear_stack(pvms, np.array([weights[n] for n in members]))
+        ok = ok and bool(povm.classify_effects(smeared).valid.all())
+        i, j = np.triu_indices(rows, 1)
+        left, right = smeared[:, i], smeared[:, j]
+        worst = max(worst, float(np.max(np.abs(left @ right - right @ left))))
     res = _result("smear-commutative", worst, 1e-12)
     return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
 
@@ -210,6 +207,27 @@ def check_joint_iff_grid() -> CheckResult:
     return _result("joint-iff-grid", float(mismatches), 0.0)
 
 
+def _contrast_objective(diff: np.ndarray):
+    """r -> |tr[rho(r) diff]| for a 2x2 ``diff``, on floats.
+
+    With rho(r) = (I + r . sigma) / 2 written out entrywise,
+    tr[rho(r) diff] = c0 + cx x + cy y + cz z. The coefficients are read
+    off the matrix entries, not from ``povm.bias_and_direction``, which the
+    closed form under test is built on.
+    """
+    (d00, d01), (d10, d11) = diff.tolist()
+    c0 = 0.5 * (d00 + d11).real
+    cx = 0.5 * (d01 + d10).real
+    cy = 0.5 * (d10 - d01).imag
+    cz = 0.5 * (d00 - d11).real
+
+    def objective(r):
+        x, y, z = r.tolist()
+        return abs(c0 + cx * x + cy * y + cz * z)
+
+    return objective
+
+
 def check_contrast_oracle(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
     cfg = oracle.OracleConfig(seed=seed, samples=1, grid_resolution=math.pi / 16.0)
@@ -221,12 +239,7 @@ def check_contrast_oracle(seed: int) -> CheckResult:
         e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
         p = povm.DiscretePovm.from_pairs([("1", e1), ("2", np.eye(2) - e1)])
         diff = p.effects[0].operator - p.effects[1].operator
-
-        def objective(r, diff=diff):
-            rho = linalg.density_from_bloch(r)
-            return abs(float(np.trace(rho @ diff).real))
-
-        best, _ = oracle.grid_maximize(objective, cfg)
+        best, _ = oracle.grid_maximize(_contrast_objective(diff), cfg)
         worst = max(worst, abs(best - povm.contrast(p)))
     return _result("contrast-oracle", worst, 1e-6)
 
@@ -307,7 +320,7 @@ def check_marking_unitary(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(200):
         probes = interferometer.ProbeTriple(
-            p0=_random_probe_state(rng), p1=_random_probe_state(rng), p2=_random_probe_state(rng)
+            p0=oracle.haar_vector(rng), p1=oracle.haar_vector(rng), p2=oracle.haar_vector(rng)
         )
         u = interferometer.marking_unitary(probes)
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
@@ -335,7 +348,7 @@ def check_completion_independence(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(40):
         probes = interferometer.ProbeTriple(
-            p0=_random_probe_state(rng), p1=_random_probe_state(rng), p2=_random_probe_state(rng)
+            p0=oracle.haar_vector(rng), p1=oracle.haar_vector(rng), p2=oracle.haar_vector(rng)
         )
         delta = float(rng.uniform(-math.pi, math.pi))
         pointer = interferometer.pointer_basis(interferometer.MzConfig("marking"))
@@ -415,7 +428,7 @@ def check_pointer_freedom(seed: int) -> CheckResult:
         delta = float(rng.uniform(-math.pi, math.pi))
         p1, p2 = interferometer.marker_states(theta)
         probes = interferometer.ProbeTriple(p0=np.array([1.0, 0.0]), p1=p1, p2=p2)
-        r1 = _random_probe_state(rng)
+        r1 = oracle.haar_vector(rng)
         r2 = linalg.perp(r1)
         scheme = extraction.build_scheme(probes, delta, (r1, r2))
         grouped = extraction.marginals_of(extraction.extract_povm(scheme))
@@ -505,6 +518,33 @@ def check_limit_complementarity() -> CheckResult:
     return _result("limit-complementarity", float(failures), 0.0)
 
 
+def _correct_prob_objective(evidence: np.ndarray):
+    """r -> (1 + r . evidence) / 2, the success probability of the pointer guess along r."""
+    ex, ey, ez = evidence.tolist()
+
+    def objective(r):
+        x, y, z = r.tolist()
+        return 0.5 * (1.0 + (x * ex + y * ey + z * ez))
+
+    return objective
+
+
+def _equatorial_objective(rho_e: np.ndarray):
+    """r -> |tr[rho_e (n . sigma)]| for the unit equatorial direction n along (x, y)."""
+    sx, sy, _ = linalg.pauli_triple()
+    ex = float(np.trace(rho_e @ sx).real)
+    ey = float(np.trace(rho_e @ sy).real)
+
+    def objective(r):
+        x, y, _ = r.tolist()
+        planar = math.hypot(x, y)
+        if planar < 1e-12:
+            return 0.0
+        return abs(ex * (x / planar) + ey * (y / planar))
+
+    return objective
+
+
 def check_grid_maximize_agreement(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 116])
     cfg = oracle.OracleConfig(seed=seed, samples=1)
@@ -517,25 +557,12 @@ def check_grid_maximize_agreement(seed: int) -> CheckResult:
         p1, p2 = interferometer.marker_states(theta)
         b1, b2 = linalg.bloch_from_state(p1), linalg.bloch_from_state(p2)
         evidence = alpha**2 * b1 - beta**2 * b2
-
-        def correct_prob(r, evidence=evidence):
-            return 0.5 * (1.0 + float(r @ evidence))
-
-        best, _ = oracle.grid_maximize(correct_prob, cfg)
+        best, _ = oracle.grid_maximize(_correct_prob_objective(evidence), cfg)
         inference = relations.distinguishability(alpha, beta, p1, p2)
         worst = max(worst, abs(best - inference.max_correct_probability))
 
         rho_e = linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
-
-        def equatorial_contrast(r, rho_e=rho_e):
-            planar = math.hypot(r[0], r[1])
-            if planar < 1e-12:
-                return 0.0
-            n = np.array([r[0] / planar, r[1] / planar, 0.0])
-            sx, sy, _ = linalg.pauli_triple()
-            return abs(float(np.trace(rho_e @ (n[0] * sx + n[1] * sy)).real))
-
-        best_v, _ = oracle.grid_maximize(equatorial_contrast, cfg)
+        best_v, _ = oracle.grid_maximize(_equatorial_objective(rho_e), cfg)
         worst = max(worst, abs(best_v - relations.visibility_reduced(rho_e).value))
     return _result("grid-maximize-agreement", worst, 1e-6)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mzpovm import oracle
+
 
 @pytest.fixture
 def rng():
@@ -8,15 +10,11 @@ def rng():
 
 
 def random_pure(rng) -> np.ndarray:
-    z = rng.standard_normal(4)
-    v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
-    return v / np.linalg.norm(v)
+    return oracle.haar_vector(rng)
 
 
 def random_pure4(rng) -> np.ndarray:
-    z = rng.standard_normal(8)
-    v = z[0::2] + 1j * z[1::2]
-    return v / np.linalg.norm(v)
+    return oracle.haar_vector(rng, 4)
 
 
 def random_bloch_in_ball(rng) -> np.ndarray:

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mzpovm import cli, verify
+from mzpovm import cli, interferometer, verify
 
 
 def run_cli(capsys, *argv):
@@ -348,3 +355,131 @@ class TestRepeatedCalls:
         report = json.loads(out)
         assert report["config"]["experiment"] == "interference"
         assert report["input"] == [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
+
+
+def _number_text():
+    return st.one_of(
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.sampled_from(["", "abc", "1e999", "-inf", "nan", "0x1p3", "1_0", " 2 ", "--1"]),
+        st.text(max_size=6),
+    )
+
+
+def _json_value():
+    big = st.integers(300, 400).map(lambda e: 10**e)
+    scalar = st.one_of(st.none(), st.booleans(), st.integers(), big, st.floats(), st.text(max_size=8))
+    return st.one_of(scalar, st.lists(scalar, max_size=5), st.dictionaries(st.text(max_size=4), scalar, max_size=3))
+
+
+def _config_contents():
+    fields = st.fixed_dictionaries(
+        {},
+        optional={
+            "experiment": st.one_of(st.sampled_from(interferometer.EXPERIMENTS), _json_value()),
+            "delta": _json_value(),
+            "gamma": _json_value(),
+            "theta": _json_value(),
+            "input": st.one_of(st.lists(st.floats(), min_size=4, max_size=4), _json_value()),
+        },
+    )
+    other = st.one_of(
+        _json_value().map(lambda v: json.dumps(v).encode()),
+        st.text(max_size=20).map(str.encode),
+        st.binary(max_size=20),
+    )
+    return st.one_of(fields.map(lambda d: json.dumps(d).encode()), other)
+
+
+def _common_flags():
+    input_text = st.one_of(
+        st.lists(_number_text(), min_size=1, max_size=5).map(",".join),
+        st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    )
+    flag = st.one_of(
+        st.one_of(st.sampled_from(interferometer.EXPERIMENTS), st.text(max_size=6)).map(
+            lambda e: "--experiment=" + e
+        ),
+        st.tuples(st.sampled_from(["--delta=", "--gamma=", "--theta="]), _number_text()).map("".join),
+        input_text.map(lambda v: "--input=" + v),
+        st.just("--config=CONFIG"),
+        st.just("--config=MISSING"),
+        st.just("--degrees"),
+        st.sampled_from(["--bogus", "extra", "-x"]),
+    )
+    return st.lists(flag, max_size=6)
+
+
+def _not_a_seed(text: str) -> bool:
+    try:
+        return int(text) < 0
+    except ValueError:
+        return True
+
+
+def _fuzz_main(argv, config: bytes) -> tuple[int, str]:
+    """Exit code and standard error of ``main`` on argv, with CONFIG and MISSING
+    replaced by a file holding ``config`` and a path that does not exist."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(config)
+        argv = [a.replace("CONFIG", str(path)).replace("MISSING", str(Path(tmp) / "none.json")) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzzedArguments:
+    """Every argv and config file exits 0 or 2, never with a traceback; exit 1
+    belongs to a failed verification alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=_common_flags(), config=_config_contents())
+    @example(flags=["--config=CONFIG"], config=b"\x80")
+    @example(flags=["--config=CONFIG"], config=json.dumps({"experiment": "path", "delta": 10**400}).encode())
+    @example(flags=["--config=CONFIG"], config=json.dumps({"experiment": "path", "input": [10**400, 0, 0, 0]}).encode())
+    def test_run(self, flags, config):
+        code, err = _fuzz_main(["run", *flags], config)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        flags=_common_flags(),
+        config=_config_contents(),
+        param=st.sampled_from(["delta", "gamma", "theta", "phi"]),
+        start=_number_text(),
+        stop=_number_text(),
+        steps=st.one_of(st.integers(-2, 6), st.sampled_from([100001, 10**12]).map(str), _number_text()),
+    )
+    def test_sweep(self, flags, config, param, start, stop, steps):
+        argv = ["sweep", *flags, f"--param={param}", f"--from={start}", f"--to={stop}", f"--steps={steps}"]
+        code, err = _fuzz_main(argv, config)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        malformed=st.one_of(
+            st.integers(max_value=-1).map(lambda v: f"--seed={v}"),
+            st.text(max_size=6).filter(_not_a_seed).map(lambda t: f"--seed={t}"),
+            st.integers(max_value=0).map(lambda v: f"--samples={v}"),
+            st.sampled_from(["--samples=1.5", "--samples=x", "--samples="]),
+            st.floats(max_value=0.0).map(lambda v: f"--tol={v!r}"),
+            st.sampled_from(["--tol=nan", "--tol=x", "--tol=", "--bogus", "extra"]),
+        ),
+        valid=st.lists(st.sampled_from(["--seed=3", "--samples=2", "--tol=1e-9"]), max_size=2),
+    )
+    def test_verify_rejects_malformed_flags(self, malformed, valid):
+        def never(**kwargs):
+            raise AssertionError("the suite must not start")
+
+        with mock.patch.object(verify, "run_all", never):
+            code, err = _fuzz_main(["verify", *valid, malformed], b"")
+        assert code == 2, err
+        assert "Traceback" not in err

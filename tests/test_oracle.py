@@ -248,8 +248,27 @@ def _counted(objective):
     return wrapped, calls
 
 
-def _suite_objectives(seed, count):
-    """The objectives of the contrast-oracle and grid-maximize-agreement checks."""
+def _reference_contrast(diff):
+    return lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))
+
+
+def _reference_correct_prob(evidence):
+    return lambda r: 0.5 * (1.0 + float(r @ evidence))
+
+
+def _reference_equatorial(rho_e):
+    def equatorial(r):
+        planar = math.hypot(r[0], r[1])
+        if planar < 1e-12:
+            return 0.0
+        return abs(float(np.trace(rho_e @ ((r[0] * SX + r[1] * SY) / planar)).real))
+
+    return equatorial
+
+
+def _suite_objective_pairs(seed, count):
+    """The objectives of the contrast-oracle and grid-maximize-agreement checks,
+    as (reference formula, the check's float-level objective) on the same draws."""
     rng = np.random.default_rng([seed, 107])
     for _ in range(count):
         u_dir = rng.standard_normal(3)
@@ -258,7 +277,7 @@ def _suite_objectives(seed, count):
         b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
         e1 = 0.5 * ((1.0 + b) * I2 + u_len * (u_dir[0] * SX + u_dir[1] * SY + u_dir[2] * SZ))
         diff = e1 - (I2 - e1)
-        yield lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))
+        yield _reference_contrast(diff), verify._contrast_objective(diff)
     rng = np.random.default_rng([seed, 116])
     for _ in range(count):
         theta = float(rng.uniform(0.0, math.pi / 2.0))
@@ -266,16 +285,38 @@ def _suite_objectives(seed, count):
         alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
         p1, p2 = interferometer.marker_states(theta)
         evidence = alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2)
-        yield lambda r, evidence=evidence: 0.5 * (1.0 + float(r @ evidence))
+        yield _reference_correct_prob(evidence), verify._correct_prob_objective(evidence)
         rho_e = linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
+        yield _reference_equatorial(rho_e), verify._equatorial_objective(rho_e)
 
-        def equatorial(r, rho_e=rho_e):
-            planar = math.hypot(r[0], r[1])
-            if planar < 1e-12:
-                return 0.0
-            return abs(float(np.trace(rho_e @ ((r[0] * SX + r[1] * SY) / planar)).real))
 
-        yield equatorial
+def _suite_objectives(seed, count):
+    """The reference formulas of the suite's objectives."""
+    for reference, _ in _suite_objective_pairs(seed, count):
+        yield reference
+
+
+class TestSuiteObjectives:
+    def test_float_objectives_match_reference_formulas(self, rng):
+        extra = rng.standard_normal((2000, 3))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        points = [*oracle._coarse_lattice(math.pi / 16.0), *extra]
+        pairs = [*_suite_objective_pairs(42, 4), *_suite_objective_pairs(7, 4)]
+        # The suite's markers are real, so its evidence vectors and reduced
+        # states have no y part; generic inputs cover that term.
+        for _ in range(4):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            diff = 0.5 * (g + g.conj().T)
+            evidence = rng.standard_normal(3)
+            rho = linalg.density_from_bloch(0.9 * extra[rng.integers(2000)])
+            pairs += [
+                (_reference_contrast(diff), verify._contrast_objective(diff)),
+                (_reference_correct_prob(evidence), verify._correct_prob_objective(evidence)),
+                (_reference_equatorial(rho), verify._equatorial_objective(rho)),
+            ]
+        for reference, objective in pairs:
+            worst = max(abs(objective(r) - reference(r)) for r in points)
+            assert worst <= 1e-15
 
 
 class TestGridMaximizeAgainstReference:

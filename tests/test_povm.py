@@ -248,6 +248,72 @@ class TestSmear:
             povm.smear(two_outcome(0.5), np.eye(2))
 
 
+def random_pvm_stack(rng, n: int) -> np.ndarray:
+    axes = rng.standard_normal((n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    op = np.einsum("na,aij->nij", axes, np.array([SX, SY, SZ]))
+    return np.stack([0.5 * (I2 + op), 0.5 * (I2 - op)], axis=1)
+
+
+def random_stochastic_stack(rng, n: int, rows: int) -> np.ndarray:
+    w = rng.random((n, rows, 2)) + 1e-3
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestSmearStack:
+    def test_matches_per_member_loop(self, rng):
+        for rows in (2, 3, 4):
+            pvms = random_pvm_stack(rng, 40)
+            w = random_stochastic_stack(rng, 40, rows)
+            got = povm.smear_stack(pvms, w)
+            assert got.shape == (40, rows, 2, 2)
+            for n in range(40):
+                for row in range(rows):
+                    want = sum(w[n, row, k] * pvms[n, k] for k in range(2))
+                    assert np.max(np.abs(got[n, row] - want)) <= 1e-15
+
+    def test_one_unsharp_member_rejected(self, rng):
+        pvms = random_pvm_stack(rng, 5)
+        pvms[3] = [0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)]
+        with pytest.raises(NotSharp, match="member 3"):
+            povm.smear_stack(pvms, random_stochastic_stack(rng, 5, 2))
+
+    def test_one_negative_entry_rejected(self, rng):
+        w = random_stochastic_stack(rng, 5, 2)
+        w[2, :, 0] = [1.2, -0.2]
+        with pytest.raises(InvalidStochasticMatrix, match="negative.*member 2"):
+            povm.smear_stack(random_pvm_stack(rng, 5), w)
+
+    def test_one_bad_column_sum_rejected(self, rng):
+        w = random_stochastic_stack(rng, 5, 3)
+        w[4, 0, 1] += 0.1
+        with pytest.raises(InvalidStochasticMatrix, match="column sums.*member 4"):
+            povm.smear_stack(random_pvm_stack(rng, 5), w)
+
+    def test_one_nan_entry_rejected(self, rng):
+        w = random_stochastic_stack(rng, 5, 2)
+        w[1, 0, 0] = np.nan
+        with pytest.raises(InvalidStochasticMatrix):
+            povm.smear_stack(random_pvm_stack(rng, 5), w)
+
+    def test_mismatched_stacks_rejected(self, rng):
+        pvms = random_pvm_stack(rng, 5)
+        with pytest.raises(DimensionMismatch):
+            povm.smear_stack(pvms, random_stochastic_stack(rng, 4, 2))
+        with pytest.raises(DimensionMismatch):
+            povm.smear_stack(pvms, np.full((5, 2, 3), 0.5))
+        with pytest.raises(DimensionMismatch):
+            povm.smear_stack(pvms[0], random_stochastic_stack(rng, 5, 2))
+
+    def test_checks_run_in_order(self, rng):
+        unsharp = random_pvm_stack(rng, 2)
+        unsharp[0] = [0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)]
+        with pytest.raises(InvalidStochasticMatrix):
+            povm.smear_stack(unsharp, np.eye(2))
+        with pytest.raises(NotSharp):
+            povm.smear_stack(unsharp, -np.ones((3, 2, 3)))
+
+
 class TestMarginal:
     def test_first_index_grouping_recovers_x_marginal(self):
         pair = povm.UnsharpPair(0.6, 0.3)

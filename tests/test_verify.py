@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from mzpovm import extraction, verify
+import mzpovm
+from mzpovm import extraction, povm, verify
 
 
 class TestCheckResults:
@@ -21,7 +27,7 @@ class TestCheckResults:
             pairs = [(e.label, e.operator) for e in measured.effects]
             label, op = pairs[0]
             pairs[0] = (label, op + 1e-6 * np.eye(2))
-            return extraction.DiscretePovm.from_pairs(pairs)
+            return povm.DiscretePovm.from_pairs(pairs)
 
         monkeypatch.setattr(extraction, "extract_povm", corrupted)
         result = verify.check_probability_reproduction(seed=3, samples=5, tol=1e-10)
@@ -52,3 +58,18 @@ class TestTableFormat:
         assert first == second
         assert "alpha-check" in first and "PASS" in first and "FAIL" in first
         assert first.endswith("2 checks: 1 passed, 1 failed")
+
+
+class TestLazyImport:
+    def test_package_and_cli_run_leave_verify_unloaded(self):
+        code = (
+            "import contextlib, io, sys, mzpovm\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert mzpovm.cli.main(['run', '--experiment', 'path']) == 0\n"
+            "assert 'mzpovm.verify' not in sys.modules\n"
+            "assert callable(mzpovm.verify.run_all)\n"
+            "assert 'mzpovm.verify' in sys.modules\n"
+        )
+        src = str(Path(mzpovm.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
