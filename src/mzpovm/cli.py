@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -160,11 +161,24 @@ def _input_from_args(args, file_fields: dict) -> np.ndarray:
     return _parse_input(text)
 
 
+def _evaluate(configs, psi: np.ndarray):
+    # The stacked core of run and sweep for N configurations and one input:
+    # output labels, (N, L, 2, 2) effects, (N, L) direct probabilities and
+    # the erasure duality audit of each configuration's markers.
+    schemes = extraction.schemes_for(configs)
+    probes = interferometer.probe_stack(configs)
+    n = len(configs)
+    audit = relations.erasure_duality_stack(
+        np.full(n, psi[0]), np.full(n, psi[1]), probes[:, 1], probes[:, 2]
+    )
+    probabilities = oracle.direct_probability_stack(schemes, psi)
+    return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
+
+
 def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
-    """The full report for one configuration and input state."""
-    scheme = extraction.scheme_for(config)
-    measured = extraction.extract_povm(scheme)
-    probabilities = oracle.direct_probabilities(scheme, psi)
+    """The full report for one configuration and input state; a batch of one of the sweep core."""
+    labels, effects, probabilities, audits = _evaluate([config], psi)
+    measured = povm.DiscretePovm.from_pairs(zip(labels, effects[0]))
     rho = linalg.pure_density(psi)
 
     reports = [relations.variance_ur(rho)]
@@ -180,13 +194,12 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
             "effective_delta": interferometer.effective_delta(config),
         },
         "input": [_complex_pair(complex(psi[0])), _complex_pair(complex(psi[1]))],
-        "probabilities": {label: float(p) for label, p in probabilities.items()},
+        "probabilities": {label: float(p) for label, p in zip(labels, probabilities[0])},
         "povm": _povm_dict(measured),
         "povm_classification": _classify(measured),
     }
 
-    probes = interferometer.probes_for(config)
-    audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), probes.p1, probes.p2)
+    audit = audits.audit(0)
     reports.extend([audit.duality, audit.variance_tradeoff])
     report["distinguishability"] = {
         "D": audit.inference.distinguishability,
@@ -229,41 +242,48 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def sweep_rows(config: interferometer.MzConfig, psi: np.ndarray, param: str, start: float, stop: float, steps: int):
-    """One CSV row of probabilities, contrasts and duality data per step."""
-    values = np.linspace(start, stop, steps)
+def sweep_configs(config: interferometer.MzConfig, param: str, start: float, stop: float, steps: int):
+    """The validated configuration of every sweep step: ``param`` on an even grid."""
+    return [replace(config, **{param: float(v)}) for v in np.linspace(start, stop, steps)]
+
+
+# Steps evaluated per stack: bounds the temporaries of a long sweep.
+SWEEP_STACK = 4096
+
+
+def sweep_rows(configs, psi: np.ndarray, param: str):
+    """One CSV row of probabilities, contrasts and duality data per configuration.
+
+    Up to ``SWEEP_STACK`` steps at a time go through the stacked core as
+    one stack.
+    """
     state_contrast = relations.contrasts(linalg.pure_density(psi))
-    for value in values:
-        fields = {
-            "experiment": config.experiment,
-            "delta": config.delta,
-            "gamma": config.gamma,
-            "theta": config.theta,
+    for first in range(0, len(configs), SWEEP_STACK):
+        chunk = configs[first:first + SWEEP_STACK]
+        labels, effects, probabilities, audit = _evaluate(chunk, psi)
+        columns = {
+            "param_value": [getattr(c, param) for c in chunk],
+            "D": audit.distinguishability,
+            "V_e": audit.visibility,
+            "duality_slack": audit.duality.slack,
         }
-        fields[param] = float(value)
-        step_config = interferometer.MzConfig(**fields)
-        scheme = extraction.scheme_for(step_config)
-        measured = extraction.extract_povm(scheme)
-        probabilities = oracle.direct_probabilities(scheme, psi)
-        row = {name: None for name in SWEEP_COLUMNS}
-        row["param_value"] = float(value)
-        row["C_P"] = state_contrast.path
-        row["C_Ix"] = state_contrast.interference_x
-        if len(measured.effects) == 4:
+        if len(labels) == 4:
             for label in ("11", "12", "21", "22"):
-                row["p" + label] = probabilities[label]
-            grouped = extraction.marginals_of(measured)
-            row["F_contrast"] = povm.contrast(grouped.detector)
-            row["G_contrast"] = povm.contrast(grouped.probe)
-            row["H_contrast"] = povm.contrast(grouped.coincidence)
+                columns["p" + label] = probabilities[:, labels.index(label)]
+            for column, grouping in (
+                ("F_contrast", extraction.DETECTOR_GROUPING),
+                ("G_contrast", extraction.PROBE_GROUPING),
+                ("H_contrast", extraction.COINCIDENCE_GROUPING),
+            ):
+                columns[column] = povm.contrast_stack(povm.marginal_stack(effects, labels, grouping))
         else:
-            row["F_contrast"] = povm.contrast(measured)
-        probes = interferometer.probes_for(step_config)
-        audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), probes.p1, probes.p2)
-        row["D"] = audit.inference.distinguishability
-        row["V_e"] = audit.visibility.value
-        row["duality_slack"] = audit.duality.slack
-        yield row
+            columns["F_contrast"] = povm.contrast_stack(effects)
+        for n in range(len(chunk)):
+            row = {name: None for name in SWEEP_COLUMNS}
+            row.update((name, float(values[n])) for name, values in columns.items())
+            row["C_P"] = state_contrast.path
+            row["C_Ix"] = state_contrast.interference_x
+            yield row
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
@@ -332,14 +352,17 @@ def main(argv=None) -> int:
                 raise UsageError("--from must be strictly below --to")
             if not 2 <= args.steps <= 100000:
                 raise UsageError("--steps must lie in [2, 100000]")
+            scale = math.pi / 180.0 if args.degrees else 1.0
+            start, stop = scale * args.start, scale * args.stop
+            if not math.isfinite(stop - start):
+                raise UsageError("--from and --to must be finite, and so must their difference")
+            # Every step is built and validated before the first line of output.
+            configs = sweep_configs(config, args.param, start, stop, args.steps)
             if args.param not in interferometer.ANGLES_READ[config.experiment]:
                 note = f"note: {config.experiment} ignores {args.param}; every row is the same"
                 print(note, file=sys.stderr)
-            scale = math.pi / 180.0 if args.degrees else 1.0
             print(",".join(SWEEP_COLUMNS))
-            for row in sweep_rows(
-                config, psi, args.param, scale * args.start, scale * args.stop, args.steps
-            ):
+            for row in sweep_rows(configs, psi, args.param):
                 print(",".join(_fmt(row[name]) for name in SWEEP_COLUMNS))
             return 0
         if args.command == "verify":

@@ -21,12 +21,12 @@ follows from the effects: normalization fixes the prefactor at 1/2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import interferometer, linalg, povm
-from .errors import InvalidScheme, UnsupportedExperiment, ZeroProbabilityCondition
+from .errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
@@ -37,35 +37,131 @@ COINCIDENCE_GROUPING = {"1": ("11", "22"), "2": ("12", "21")}
 
 
 @dataclass(frozen=True)
+class SchemeStack:
+    """N measurement schemes sharing one output label set, as stacked arrays.
+
+    ``unitaries`` is (N, 4, 4), ``probe_init`` (N, 2) and ``outputs``
+    (N, L, 4, 4), one projection per label. Construction validates the
+    whole stack in one array pass and names the first bad member.
+    """
+
+    labels: tuple[str, ...]
+    unitaries: np.ndarray
+    probe_init: np.ndarray
+    outputs: np.ndarray
+
+    def __post_init__(self):
+        labels = tuple(str(label) for label in self.labels)
+        u = np.asarray(self.unitaries, dtype=complex)
+        p0 = np.asarray(self.probe_init, dtype=complex)
+        m = np.asarray(self.outputs, dtype=complex)
+        if u.ndim != 3 or u.shape[1:] != (4, 4):
+            raise InvalidScheme(f"scheme unitaries must be (N, 4, 4), got {u.shape}")
+        n = len(u)
+        if p0.shape != (n, 2):
+            raise InvalidScheme(f"initial probe states must be ({n}, 2), got {p0.shape}")
+        if m.shape != (n, len(labels), 4, 4):
+            raise InvalidScheme(f"outputs must be ({n}, {len(labels)}, 4, 4), got {m.shape}")
+        _validate(labels, u, p0, m)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "unitaries", u)
+        object.__setattr__(self, "probe_init", p0)
+        object.__setattr__(self, "outputs", m)
+
+    def __len__(self) -> int:
+        return len(self.unitaries)
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
+    # Every check is "not value <= tol", which rejects NaN: every
+    # comparison with NaN is False.
+    unitarity = _max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
+    norms = np.linalg.norm(p0, axis=1)
+    idempotency = _max_abs(m @ m - m)
+    hermiticity = _max_abs(m - m.conj().swapaxes(-1, -2))
+    total = _max_abs(m.sum(axis=1) - np.eye(4))
+    bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
+    bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
+    bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)
+    bad_total = ~(total <= SCHEME_PROJECTION_TOL)
+    bad = bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if bad_unitary[k]:
+        raise InvalidScheme(
+            f"scheme {k}: unitarity defect {unitarity[k]:.3e} exceeds {SCHEME_UNITARY_TOL}"
+        )
+    if bad_probe[k]:
+        raise NotNormalized(
+            f"scheme {k}: initial probe state norm is {float(norms[k])!r}, "
+            f"expected 1 within {linalg.NORM_TOL}"
+        )
+    if bad_output[k].any():
+        l = int(np.argmax(bad_output[k]))
+        raise InvalidScheme(
+            f"scheme {k}: output {labels[l]!r} deviates from a projection by {idempotency[k, l]:.3e}"
+        )
+    raise InvalidScheme(f"scheme {k}: output projections do not sum to the identity")
+
+
+@dataclass(frozen=True)
 class MeasurementScheme:
-    """Unitary coupling, initial probe state, and labeled output projections."""
+    """Unitary coupling, initial probe state, and labeled output projections.
+
+    A batch of one of :class:`SchemeStack`, kept as ``stack``.
+    """
 
     unitary: np.ndarray
     probe_init: np.ndarray
     outputs: tuple[tuple[str, np.ndarray], ...]
+    stack: SchemeStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
         if u.shape != (4, 4):
             raise InvalidScheme(f"scheme unitary must be 4x4, got {u.shape}")
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
-        # "not <=" rejects NaN, which every comparison leaves False.
-        if not defect <= SCHEME_UNITARY_TOL:
-            raise InvalidScheme(f"unitarity defect {defect:.3e} exceeds {SCHEME_UNITARY_TOL}")
-        object.__setattr__(self, "probe_init", linalg.state_vector(self.probe_init))
-        total = np.zeros((4, 4), dtype=complex)
-        outs = []
-        for label, m in self.outputs:
-            m = np.asarray(m, dtype=complex)
-            idem = float(np.max(np.abs(m @ m - m)))
-            if not idem <= SCHEME_PROJECTION_TOL or not linalg.is_hermitian(m):
-                raise InvalidScheme(f"output {label!r} deviates from a projection by {idem:.3e}")
-            total = total + m
-            outs.append((str(label), m))
-        if not float(np.max(np.abs(total - np.eye(4)))) <= SCHEME_PROJECTION_TOL:
-            raise InvalidScheme("output projections do not sum to the identity")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "outputs", tuple(outs))
+        labels = [label for label, _ in self.outputs]
+        ops = [np.asarray(m, dtype=complex) for _, m in self.outputs]
+        if not ops or any(op.shape != (4, 4) for op in ops):
+            raise InvalidScheme("a scheme needs at least one output, each a 4x4 projection")
+        p0 = np.asarray(self.probe_init, dtype=complex).reshape(1, -1)
+        stack = SchemeStack(labels, u[None], p0, np.array(ops)[None])
+        object.__setattr__(self, "unitary", stack.unitaries[0])
+        object.__setattr__(self, "probe_init", stack.probe_init[0])
+        object.__setattr__(self, "outputs", tuple(zip(stack.labels, stack.outputs[0])))
+        object.__setattr__(self, "stack", stack)
+
+
+_DETECTOR_LABELS = ("1", "2")
+_POINTER_LABELS = ("11", "21", "12", "22")
+_DETECTOR_OUTPUTS = np.array([interferometer.detector_projection(k) for k in (1, 2)])
+
+
+def _scheme_arrays(probes: np.ndarray, deltas, pointers: np.ndarray | None):
+    # Labels, unitaries, initial probe states and outputs of N schemes,
+    # unvalidated: SchemeStack and MeasurementScheme each validate once.
+    unitaries = interferometer.total_unitary_stack(probes, deltas)
+    if pointers is None:
+        outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
+        return _DETECTOR_LABELS, unitaries, probes[:, 0], outputs
+    outputs = [interferometer.output_projection_stack(k, pointers[:, l]) for l in (0, 1) for k in (1, 2)]
+    return _POINTER_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1)
+
+
+def build_schemes(probes, deltas, pointers) -> SchemeStack:
+    """Schemes for (N, 3, 2) probe triples, (N,) phases and (N, 2, 2) pointer pairs or None.
+
+    With pointer pairs the outputs are the four compound projections
+    |k><k| (x) |r_l><r_l| labeled 11, 21, 12, 22; without, only the
+    detector projections |k><k| (x) I labeled 1, 2.
+    """
+    pointers = None if pointers is None else np.asarray(pointers, dtype=complex)
+    return SchemeStack(*_scheme_arrays(np.asarray(probes, dtype=complex), deltas, pointers))
 
 
 def build_scheme(
@@ -73,27 +169,27 @@ def build_scheme(
     delta: float,
     pointers: tuple[np.ndarray, np.ndarray] | None,
 ) -> MeasurementScheme:
-    """Assemble a scheme from probes, phase, and an optional pointer basis.
+    """Assemble one scheme from probes, phase, and an optional pointer basis.
 
-    With a pointer pair the outputs are the four compound projections
-    |k><k| (x) |r_l><r_l| labeled 11, 21, 12, 22; without one, only the
-    detector projections |k><k| (x) I labeled 1, 2.
+    A batch of one of :func:`build_schemes`.
     """
-    u = interferometer.total_unitary(probes, delta)
-    if pointers is None:
-        outputs = [
-            ("1", interferometer.detector_projection(1)),
-            ("2", interferometer.detector_projection(2)),
-        ]
-    else:
-        r1, r2 = pointers
-        outputs = [
-            ("11", interferometer.output_projection(1, r1)),
-            ("21", interferometer.output_projection(2, r1)),
-            ("12", interferometer.output_projection(1, r2)),
-            ("22", interferometer.output_projection(2, r2)),
-        ]
-    return MeasurementScheme(unitary=u, probe_init=probes.p0, outputs=tuple(outputs))
+    if pointers is not None:
+        pointers = np.array([[linalg.state_vector(r) for r in pointers]])
+    labels, unitaries, probe_init, outputs = _scheme_arrays(probes.rows()[None], [delta], pointers)
+    return MeasurementScheme(unitaries[0], probe_init[0], tuple(zip(labels, outputs[0])))
+
+
+def schemes_for(configs) -> SchemeStack:
+    """The measurement schemes of configurations that share one readout, as one stack.
+
+    Path and interference read the detectors alone; the other experiments
+    add a pointer. One stack cannot mix the two.
+    """
+    return build_schemes(
+        interferometer.probe_stack(configs),
+        [interferometer.effective_delta(c) for c in configs],
+        interferometer.pointer_stack(configs),
+    )
 
 
 def scheme_for(config: interferometer.MzConfig) -> MeasurementScheme:
@@ -105,20 +201,26 @@ def scheme_for(config: interferometer.MzConfig) -> MeasurementScheme:
     )
 
 
+def extract_effects(schemes: SchemeStack) -> np.ndarray:
+    """The (N, L, 2, 2) input effects E_l of every scheme of a stack.
+
+    With W[:, i] = U (e_i (x) p0), the (4, 2) images of the two basis
+    inputs, E_l = W* (M_l W) for the whole stack at once. Forming M_l W
+    first sums in the order of the per-entry <w_i| M_l w_j> route.
+    """
+    # U[:, 2i + b] is the image of input |i, b>, so U (e_i (x) p0) = U[:, i, :] p0.
+    columns = schemes.unitaries.reshape(-1, 4, 2, 2)
+    w = np.einsum("naib,nb->nai", columns, schemes.probe_init)
+    mw = np.einsum("nlab,nbj->nlaj", schemes.outputs, w)
+    return np.einsum("nai,nlaj->nlij", w.conj(), mw)
+
+
 def extract_povm(scheme: MeasurementScheme) -> povm.DiscretePovm:
-    """The input POVM a scheme measures, one effect per output label."""
-    basis_in = [
-        scheme.unitary @ np.kron(e, scheme.probe_init)
-        for e in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-    ]
-    effects = []
-    for label, m in scheme.outputs:
-        e = np.empty((2, 2), dtype=complex)
-        for i, wi in enumerate(basis_in):
-            for j, wj in enumerate(basis_in):
-                e[i, j] = np.vdot(wi, m @ wj)
-        effects.append((label, e))
-    return povm.DiscretePovm.from_pairs(effects)
+    """The input POVM a scheme measures, one effect per output label.
+
+    A batch of one of :func:`extract_effects`.
+    """
+    return povm.DiscretePovm.from_pairs(zip(scheme.stack.labels, extract_effects(scheme.stack)[0]))
 
 
 @dataclass(frozen=True)
@@ -147,8 +249,11 @@ def marginals_of(joint: povm.DiscretePovm) -> ExperimentObservables:
 
 
 def _half(coeff: float, vec) -> np.ndarray:
-    sx, sy, sz = linalg.pauli_triple()
-    return 0.5 * (coeff * np.eye(2, dtype=complex) + vec[0] * sx + vec[1] * sy + vec[2] * sz)
+    # (coeff I + vec . sigma) / 2 written out entrywise, as
+    # linalg.density_from_bloch builds a state: scalar arithmetic only.
+    x, y, z = (float(c) for c in vec)
+    return np.array([[0.5 * (coeff + z), complex(0.5 * x, -0.5 * y)],
+                     [complex(0.5 * x, 0.5 * y), 0.5 * (coeff - z)]])
 
 
 def _quarter(coeff: float, vec) -> np.ndarray:

@@ -40,6 +40,8 @@ ANGLES_READ = {
     "erasure": frozenset({"delta", "gamma"}),
     "quantitative": frozenset({"delta", "theta"}),
 }
+# Experiments read out by the detectors alone; the others add a probe pointer.
+DETECTOR_ONLY = frozenset({"path", "interference"})
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,10 @@ class ProbeTriple:
         for name in ("p0", "p1", "p2"):
             object.__setattr__(self, name, linalg.state_vector(getattr(self, name)))
 
+    def rows(self) -> np.ndarray:
+        """The triple as one (3, 2) array: p0, p1, p2."""
+        return np.array([self.p0, self.p1, self.p2])
+
 
 def effective_delta(config: MzConfig) -> float:
     """The phase actually applied: pinned for path/interference, free otherwise."""
@@ -86,8 +92,8 @@ def effective_delta(config: MzConfig) -> float:
     return config.delta
 
 
-def mz_evolution(delta: float) -> np.ndarray:
-    """Photon unitary for the full interferometer passage at phase delta.
+def mz_evolution_stack(deltas) -> np.ndarray:
+    """Photon unitaries for an (N,) array of phases, as one (N, 2, 2) array.
 
     Columns are the images of |1> and |2>:
 
@@ -96,13 +102,21 @@ def mz_evolution(delta: float) -> np.ndarray:
 
     At delta = 0 both inputs pick up only a global sign (-I).
     """
-    e = np.exp(1j * delta)
-    return 0.5 * np.array(
-        [
-            [-e - 1.0, 1j * (-e + 1.0)],
-            [1j * (e - 1.0), -(1.0 + e)],
-        ]
-    )
+    e = np.exp(1j * np.asarray(deltas, dtype=float).reshape(-1))
+    out = np.empty((e.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = -e - 1.0
+    out[:, 0, 1] = 1j * (-e + 1.0)
+    out[:, 1, 0] = 1j * (e - 1.0)
+    out[:, 1, 1] = -(1.0 + e)
+    return 0.5 * out
+
+
+def mz_evolution(delta: float) -> np.ndarray:
+    """Photon unitary for the full interferometer passage at phase delta.
+
+    A batch of one of :func:`mz_evolution_stack`.
+    """
+    return mz_evolution_stack([delta])[0]
 
 
 def marker_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,84 +129,151 @@ def marker_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
 
 
+_Q1 = linalg.state_vector([1.0, 0.0])
+_Q2 = linalg.state_vector([0.0, 1.0])
+_UNMARKED = ProbeTriple(p0=_Q1, p1=_Q1, p2=_Q1)
+_MARKED = ProbeTriple(p0=_Q1, p1=_Q1, p2=_Q2)
+# Every experiment but quantitative uses one fixed triple; quantitative
+# tilts its markers by theta.
+_FIXED_PROBES = {"path": _UNMARKED, "interference": _UNMARKED, "marking": _MARKED, "erasure": _MARKED}
+_FIXED_ROWS = {name: triple.rows() for name, triple in _FIXED_PROBES.items()}
+
+
 def probes_for(config: MzConfig) -> ProbeTriple:
-    """The probe triple each experiment uses."""
-    q1 = np.array([1.0, 0.0], dtype=complex)
-    q2 = np.array([0.0, 1.0], dtype=complex)
-    if config.experiment in ("path", "interference"):
-        return ProbeTriple(p0=q1, p1=q1, p2=q1)
-    if config.experiment in ("marking", "erasure"):
-        return ProbeTriple(p0=q1, p1=q1, p2=q2)
-    p1, p2 = marker_states(config.theta)
-    return ProbeTriple(p0=q1, p1=p1, p2=p2)
+    """The probe triple each experiment uses (shared, immutable for all but quantitative)."""
+    fixed = _FIXED_PROBES.get(config.experiment)
+    if fixed is not None:
+        return fixed
+    return ProbeTriple(_Q1, *marker_states(config.theta))
+
+
+def probe_stack(configs) -> np.ndarray:
+    """The probe triples of ``configs`` as one (N, 3, 2) array of rows p0, p1, p2."""
+    return np.array([
+        _FIXED_ROWS[c.experiment] if c.experiment in _FIXED_ROWS else (_Q1, *marker_states(c.theta))
+        for c in configs
+    ])
+
+
+def pointer_stack(configs) -> np.ndarray | None:
+    """The orthonormal pointer pairs (r1, r2) of ``configs`` as one (N, 2, 2) array.
+
+    Returns None when every config is read out by the detectors alone
+    (path, interference); configs that mix the two readouts are rejected.
+    Erasure reads (p1 +/- e^(i gamma) p2) / sqrt 2, marking and
+    quantitative the marker basis.
+    """
+    detector_only = [c.experiment in DETECTOR_ONLY for c in configs]
+    if all(detector_only):
+        return None
+    if any(detector_only):
+        raise UnsupportedExperiment("one stack cannot mix detector-only and pointer readouts")
+    out = np.empty((len(configs), 2, 2), dtype=complex)
+    out[:] = np.eye(2)
+    erasure = [n for n, c in enumerate(configs) if c.experiment == "erasure"]
+    if erasure:
+        phase = np.exp(1j * np.array([configs[n].gamma for n in erasure]))
+        one = np.ones_like(phase)
+        out[erasure, 0] = np.stack([one, phase], axis=-1) / math.sqrt(2.0)
+        out[erasure, 1] = np.stack([one, -phase], axis=-1) / math.sqrt(2.0)
+    return out
 
 
 def pointer_basis(config: MzConfig) -> tuple[np.ndarray, np.ndarray] | None:
     """Orthonormal probe vectors read out jointly with the detectors.
 
-    Returns None for path/interference, where only the detectors fire.
+    Returns None for path/interference, where only the detectors fire. A
+    batch of one of :func:`pointer_stack`.
     """
-    if config.experiment in ("path", "interference"):
-        return None
-    if config.experiment == "erasure":
-        phase = np.exp(1j * config.gamma)
-        r1 = np.array([1.0, phase], dtype=complex) / math.sqrt(2.0)
-        r2 = np.array([1.0, -phase], dtype=complex) / math.sqrt(2.0)
-        return r1, r2
-    return (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-    )
+    pointers = pointer_stack([config])
+    return None if pointers is None else (pointers[0, 0], pointers[0, 1])
 
 
-def marking_unitary(probes: ProbeTriple) -> np.ndarray:
-    """The path-marking coupling |k><k| (x) V_k with V_k p0 = p_k.
+def _marking_blocks(probes: np.ndarray) -> np.ndarray:
+    # V_k = |p_k><p0| + |p_k_perp><p0_perp| for k = 1, 2, as (N, 2, 2, 2) [n, k, row, col].
+    p0, pk = probes[:, 0, None, None, :], probes[:, 1:, :, None]
+    return pk * p0.conj() + linalg.perp(probes[:, 1:])[..., None] * linalg.perp(p0).conj()
 
-    The coupling is only constrained on inputs psi (x) p0; the completion
+
+def marking_unitary_stack(probes) -> np.ndarray:
+    """The path-marking couplings of an (N, 3, 2) probe stack, as (N, 4, 4).
+
+    Each is |k><k| (x) V_k with V_k p0 = p_k. The coupling is only
+    constrained on inputs psi (x) p0; the completion
     V_k = |p_k><p0| + |p_k_perp><p0_perp| makes it a concrete unitary.
     Any other completion acts identically on all psi (x) p0 and yields the
     same measured POVM.
     """
-    blocks = []
-    p0 = probes.p0
-    p0_perp = linalg.perp(p0)
-    for pk in (probes.p1, probes.p2):
-        v = np.outer(pk, p0.conj()) + np.outer(linalg.perp(pk), p0_perp.conj())
-        blocks.append(v)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = blocks[0]
-    out[2:, 2:] = blocks[1]
-    return out
+    blocks = _marking_blocks(np.asarray(probes, dtype=complex))
+    out = np.zeros((len(blocks), 2, 2, 2, 2), dtype=complex)
+    out[:, 0, :, 0, :] = blocks[:, 0]
+    out[:, 1, :, 1, :] = blocks[:, 1]
+    return out.reshape(-1, 4, 4)
+
+
+def marking_unitary(probes: ProbeTriple) -> np.ndarray:
+    """The path-marking coupling of one triple; see :func:`marking_unitary_stack`."""
+    return marking_unitary_stack(probes.rows()[None])[0]
+
+
+def total_unitary_stack(probes, deltas) -> np.ndarray:
+    """Marking followed by the interferometer, (U_MZ (x) I) . U_mark, as (N, 4, 4).
+
+    U_mark is block diagonal in the photon path, so the product maps
+    |k, d> to sum_ab U_MZ[a, k] V_k[b, d] |a, b>: an outer product and a
+    reshape, with no Kronecker product formed.
+    """
+    blocks = _marking_blocks(np.asarray(probes, dtype=complex))
+    mz = mz_evolution_stack(deltas)
+    return np.einsum("nak,nkbd->nabkd", mz, blocks).reshape(-1, 4, 4)
 
 
 def total_unitary(probes: ProbeTriple, delta: float) -> np.ndarray:
-    """Marking followed by the interferometer: (U_MZ (x) I) . U_mark."""
-    return np.kron(mz_evolution(delta), np.eye(2, dtype=complex)) @ marking_unitary(probes)
+    """Marking followed by the interferometer for one triple; see :func:`total_unitary_stack`."""
+    return total_unitary_stack(probes.rows()[None], [delta])[0]
 
 
-def final_state(psi, probes: ProbeTriple, config: MzConfig) -> np.ndarray:
-    """Total output vector for input psi: (U_MZ (x) I) U_mark (psi (x) p0)."""
+def final_state_stack(psi, probes, deltas) -> np.ndarray:
+    """Total output vectors (U_MZ (x) I) U_mark (psi (x) p0) for one input, as (N, 4).
+
+    ``psi`` is validated once for the whole stack.
+    """
     v = linalg.state_vector(psi)
     if v.shape != (2,):
         raise NotNormalized("the photon input must be a two-component state")
-    out = total_unitary(probes, effective_delta(config)) @ np.kron(v, probes.p0)
-    return linalg.state_vector(out)
+    probes = np.asarray(probes, dtype=complex)
+    inputs = (v[:, None] * probes[:, 0, None, :]).reshape(-1, 4)
+    return np.einsum("nab,nb->na", total_unitary_stack(probes, deltas), inputs)
+
+
+def final_state(psi, probes: ProbeTriple, config: MzConfig) -> np.ndarray:
+    """Total output vector for input psi; a batch of one of :func:`final_state_stack`."""
+    return final_state_stack(psi, probes.rows()[None], [effective_delta(config)])[0]
+
+
+def _photon_index(k: int) -> int:
+    if k not in (1, 2):
+        raise ValueError(f"detector index must be 1 or 2, got {k!r}")
+    return k - 1
+
+
+def output_projection_stack(k: int, pointers) -> np.ndarray:
+    """The compound projections |k><k| (x) |r><r| for (N, 2) pointer rows r, as (N, 4, 4)."""
+    i = _photon_index(k)
+    r = np.asarray(pointers, dtype=complex)
+    out = np.zeros((len(r), 2, 2, 2, 2), dtype=complex)
+    out[:, i, :, i, :] = r[:, :, None] * r.conj()[:, None, :]
+    return out.reshape(-1, 4, 4)
 
 
 def output_projection(k: int, pointer) -> np.ndarray:
     """The compound projection |k><k| (x) |pointer><pointer|, k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError(f"detector index must be 1 or 2, got {k!r}")
-    r = linalg.state_vector(pointer)
-    photon = np.zeros((2, 2), dtype=complex)
-    photon[k - 1, k - 1] = 1.0
-    return np.kron(photon, np.outer(r, r.conj()))
+    return output_projection_stack(k, linalg.state_vector(pointer)[None])[0]
 
 
 def detector_projection(k: int) -> np.ndarray:
     """The detector-only projection |k><k| (x) I, k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError(f"detector index must be 1 or 2, got {k!r}")
+    i = _photon_index(k)
     photon = np.zeros((2, 2), dtype=complex)
-    photon[k - 1, k - 1] = 1.0
+    photon[i, i] = 1.0
     return np.kron(photon, np.eye(2, dtype=complex))

@@ -95,11 +95,14 @@ def unit(v) -> np.ndarray:
 
 
 def perp(v) -> np.ndarray:
-    """The canonical perpendicular of a C^2 vector: (a, b) -> (-conj(b), conj(a))."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (2,):
+    """The canonical perpendicular of C^2 vectors: (a, b) -> (-conj(b), conj(a)).
+
+    ``v`` is one vector of shape (2,) or a stack of shape (..., 2).
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError("perp is defined for two-component vectors only")
-    return _frozen(np.array([-np.conj(v[1]), np.conj(v[0])]))
+    return _frozen(np.stack([-v[..., 1].conj(), v[..., 0].conj()], axis=-1))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

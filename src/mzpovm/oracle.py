@@ -74,27 +74,32 @@ def random_states(seed: int, count: int) -> np.ndarray:
     return states
 
 
-def _probabilities(scheme: extraction.MeasurementScheme, states: np.ndarray) -> np.ndarray:
-    # p[s, l] = <Psi_s| M_l |Psi_s> with Psi_s = U (psi_s (x) p0), for an
-    # (S, 2) stack of inputs; every p must lie in [0, 1] and each row sum to 1.
-    compound = (states[:, :, None] * scheme.probe_init).reshape(-1, 4)
-    final = compound @ scheme.unitary.T
-    outputs = np.array([m for _, m in scheme.outputs])
-    probs = np.einsum("si,lij,sj->sl", final.conj(), outputs, final).real
+def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.ndarray:
+    """p[n, s, l] = <Psi| M_l |Psi> with Psi = U_n (psi_s (x) p0_n), as (N, S, L).
+
+    Every p must lie in [0, 1] and the p of each scheme and state must sum
+    to 1; a failure names the scheme, the state and the output.
+    """
+    inputs = states[None, :, :, None] * schemes.probe_init[:, None, None, :]
+    final = inputs.reshape(len(schemes), -1, 4) @ schemes.unitaries.swapaxes(-1, -2)
+    probs = np.einsum("nsa,nlab,nsb->nsl", final.conj(), schemes.outputs, final).real
     if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
-        s, l = np.unravel_index(np.argmax(np.abs(probs - 0.5)), probs.shape)
+        n, s, l = np.unravel_index(np.argmax(np.abs(probs - 0.5)), probs.shape)
         raise InvalidScheme(
-            f"probability {float(probs[s, l])!r} for output {scheme.outputs[l][0]!r} is out of range"
+            f"scheme {n}, state {s}: probability {float(probs[n, s, l])!r} "
+            f"for output {schemes.labels[l]!r} is out of range"
         )
-    totals = probs.sum(axis=1)
-    worst = int(np.argmax(np.abs(totals - 1.0)))
-    if not abs(totals[worst] - 1.0) <= 1e-12:
-        raise InvalidScheme(f"probabilities sum to {float(totals[worst])!r}, expected 1")
+    totals = probs.sum(axis=2)
+    n, s = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
+    if not abs(totals[n, s] - 1.0) <= 1e-12:
+        raise InvalidScheme(
+            f"scheme {n}, state {s}: probabilities sum to {float(totals[n, s])!r}, expected 1"
+        )
     return probs
 
 
-def direct_probabilities(scheme: extraction.MeasurementScheme, psi) -> dict[str, float]:
-    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0).
+def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray:
+    """Output probabilities of one input in every scheme of a stack, as (N, L).
 
     Computed with no reference to any extracted POVM; this is the
     independent route against which extraction is checked.
@@ -102,23 +107,34 @@ def direct_probabilities(scheme: extraction.MeasurementScheme, psi) -> dict[str,
     v = linalg.state_vector(psi)
     if v.shape != (2,):
         raise InvalidScheme("the input must be a two-component photon state")
-    probs = _probabilities(scheme, v[None, :])[0]
-    return {label: float(p) for (label, _), p in zip(scheme.outputs, probs)}
+    return _probabilities(schemes, v[None, :])[:, 0]
+
+
+def direct_probabilities(scheme: extraction.MeasurementScheme, psi) -> dict[str, float]:
+    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0).
+
+    A batch of one of :func:`direct_probability_stack`.
+    """
+    probs = direct_probability_stack(scheme.stack, psi)[0]
+    return {label: float(p) for label, p in zip(scheme.stack.labels, probs)}
+
+
+def cross_check_stack(schemes: extraction.SchemeStack, oracle: OracleConfig) -> np.ndarray:
+    """Per scheme, the max deviation |direct - <psi|E|psi>| over random inputs and outcomes.
+
+    All schemes and inputs go through the direct route in one stacked
+    call. The caller asserts against ``oracle.tolerance``; this only reports.
+    """
+    effects = extraction.extract_effects(schemes)
+    states = random_states(oracle.seed, oracle.samples)
+    direct = _probabilities(schemes, states)
+    predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
+    return np.abs(direct - predicted).max(axis=(1, 2))
 
 
 def cross_check(config: interferometer.MzConfig, oracle: OracleConfig) -> float:
-    """Max deviation |direct - <psi|E|psi>| over random inputs and outcomes.
-
-    All inputs go through the direct route in one stacked call. The caller
-    asserts against ``oracle.tolerance``; this only reports.
-    """
-    scheme = extraction.scheme_for(config)
-    measured = extraction.extract_povm(scheme)
-    states = random_states(oracle.seed, oracle.samples)
-    direct = _probabilities(scheme, states)
-    effects = np.array([measured.operator(label) for label, _ in scheme.outputs])
-    predicted = np.einsum("si,lij,sj->sl", states.conj(), effects, states).real
-    return float(np.max(np.abs(direct - predicted)))
+    """Max deviation of one configuration; a batch of one of :func:`cross_check_stack`."""
+    return float(cross_check_stack(extraction.schemes_for([config]), oracle)[0])
 
 
 def _bloch(theta: float, phi: float) -> tuple[float, float, float]:

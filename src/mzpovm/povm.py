@@ -233,28 +233,34 @@ def smear(sharp: DiscretePovm, w) -> DiscretePovm:
     return DiscretePovm.from_pairs((str(row + 1), op) for row, op in enumerate(effects))
 
 
-def marginal(p: DiscretePovm, grouping) -> DiscretePovm:
-    """Sum grouped effects into a new POVM.
+def marginal_stack(effects, labels, grouping) -> np.ndarray:
+    """Sum grouped effects over an (N, L, d, d) stack whose effects carry ``labels``.
 
     ``grouping`` maps each output label to the member labels it absorbs
-    and must partition the input label set exactly.
+    and must partition ``labels`` exactly. Returns (N, K, d, d), one effect
+    per output label in the order of ``grouping``.
     """
     items = list(grouping.items()) if isinstance(grouping, dict) else list(grouping)
-    seen: list[str] = []
-    for _, members in items:
-        seen.extend(members)
-    if sorted(seen) != sorted(p.labels):
+    seen = [m for _, members in items for m in members]
+    if sorted(seen) != sorted(labels):
         raise NotAPartition(
-            f"grouping covers {sorted(seen)} but the POVM has outcomes {sorted(p.labels)}"
+            f"grouping covers {sorted(seen)} but the POVM has outcomes {sorted(labels)}"
         )
-    dim = p.dimension()
-    out = []
-    for label, members in items:
-        op = np.zeros((dim, dim), dtype=complex)
+    ops = np.asarray(effects, dtype=complex)
+    index = {label: k for k, label in enumerate(labels)}
+    out = np.zeros((len(ops), len(items)) + ops.shape[2:], dtype=complex)
+    for k, (_, members) in enumerate(items):
         for m in members:
-            op = op + p.operator(m)
-        out.append((label, op))
-    return DiscretePovm.from_pairs(out)
+            out[:, k] += ops[:, index[m]]
+    return out
+
+
+def marginal(p: DiscretePovm, grouping) -> DiscretePovm:
+    """Sum grouped effects into a new POVM; a batch of one of :func:`marginal_stack`."""
+    items = list(grouping.items()) if isinstance(grouping, dict) else list(grouping)
+    ops = np.array([e.operator for e in p.effects])[None]
+    grouped = marginal_stack(ops, p.labels, items)[0]
+    return DiscretePovm.from_pairs((label, op) for (label, _), op in zip(items, grouped))
 
 
 def jointly_measurable(pair: UnsharpPair) -> bool:
@@ -267,6 +273,7 @@ def jointly_measurable(pair: UnsharpPair) -> bool:
     return pair.f * pair.f + pair.g * pair.g <= 1.0 + 1e-12
 
 
+_PAULIS = np.array(linalg.pauli_triple())
 JOINT_LABELS = ("11", "21", "12", "22")
 _JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -312,25 +319,48 @@ JOINT_FIRST_INDEX_GROUPING = {"1": ("11", "12"), "2": ("21", "22")}
 JOINT_SECOND_INDEX_GROUPING = {"1": ("11", "21"), "2": ("12", "22")}
 
 
+def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose an (N, 2, 2) stack of qubit effects as ((1 + b) I + u . sigma) / 2.
+
+    Returns b with shape (N,) and u with shape (N, 3).
+    """
+    ops = np.asarray(effects, dtype=complex)
+    b = np.trace(ops, axis1=-2, axis2=-1).real - 1.0
+    u = np.einsum("nij,kji->nk", ops, _PAULIS).real
+    return b, u
+
+
 def bias_and_direction(effect: np.ndarray) -> tuple[float, np.ndarray]:
     """Decompose a qubit effect as ((1 + b) I + u . sigma) / 2."""
-    b = float(np.trace(effect).real) - 1.0
-    u = np.array([float(np.trace(effect @ s).real) for s in linalg.pauli_triple()])
-    return b, u
+    b, u = bias_and_direction_stack(np.asarray(effect)[None])
+    return float(b[0]), u[0]
+
+
+def contrast_stack(effects) -> np.ndarray:
+    """Maximal statistical contrasts of an (N, 2, 2, 2) stack of two-outcome qubit POVMs.
+
+    Writing each first effect as ((1 + b) I + u . sigma) / 2, the maximum
+    of |tr[rho E1] - tr[rho E2]| over the Bloch ball is |b| + |u|, clamped
+    to [0, 1]. Biased effects (b != 0) are covered because erasure produces
+    biased coincidence marginals.
+    """
+    ops = np.asarray(effects, dtype=complex)
+    if ops.ndim != 4 or ops.shape[1] != 2:
+        raise NotTwoOutcome(f"contrast needs exactly two outcomes, got a stack of shape {ops.shape}")
+    b, u = bias_and_direction_stack(ops[:, 0])
+    # |u| as one dot product per row, the way numpy.linalg.norm sums one vector.
+    length = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+    return np.minimum(1.0, np.maximum(0.0, np.abs(b) + length))
 
 
 def contrast(p: DiscretePovm) -> float:
     """Maximal statistical contrast of a two-outcome POVM over all states.
 
-    Writing the first effect as ((1 + b) I + u . sigma) / 2, the maximum of
-    |tr[rho E1] - tr[rho E2]| over the Bloch ball is |b| + |u|, clamped to
-    [0, 1]. Biased effects (b != 0) are covered because erasure produces
-    biased coincidence marginals.
+    A batch of one of :func:`contrast_stack`.
     """
     if len(p.effects) != 2:
         raise NotTwoOutcome(f"contrast needs exactly two outcomes, got {len(p.effects)}")
-    b, u = bias_and_direction(p.effects[0].operator)
-    return min(1.0, max(0.0, abs(b) + float(np.linalg.norm(u))))
+    return float(contrast_stack(np.array([e.operator for e in p.effects])[None])[0])
 
 
 def unsharpness(p: DiscretePovm) -> float:

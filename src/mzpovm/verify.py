@@ -56,22 +56,31 @@ def distinct_grid_configs() -> list[interferometer.MzConfig]:
     # Configurations that differ only in angles an experiment ignores
     # build byte-identical schemes; evaluating one representative per
     # distinct scheme keeps grid sweeps exhaustive without duplicate work.
+    # The key holds only the angles the experiment reads (path and
+    # interference pin delta), so each representative is built once.
     configs: list[interferometer.MzConfig] = []
     seen = set()
     for experiment in interferometer.EXPERIMENTS:
         read = interferometer.ANGLES_READ[experiment]
         for d, g, t in itertools.product(ANGLE_GRID, repeat=3):
-            config = interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
             key = (
                 experiment,
-                interferometer.effective_delta(config),
+                d if "delta" in read else None,
                 g if "gamma" in read else None,
                 t if "theta" in read else None,
             )
             if key not in seen:
                 seen.add(key)
-                configs.append(config)
+                configs.append(interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t))
     return configs
+
+
+def _readout_groups(configs) -> list[list[interferometer.MzConfig]]:
+    # One scheme stack holds one readout: detectors alone (two outputs)
+    # or detectors with a probe pointer (four outputs).
+    detector_only = [c for c in configs if c.experiment in interferometer.DETECTOR_ONLY]
+    with_pointer = [c for c in configs if c.experiment not in interferometer.DETECTOR_ONLY]
+    return [group for group in (detector_only, with_pointer) if group]
 
 
 def check_pauli_algebra() -> CheckResult:
@@ -308,72 +317,67 @@ def check_projection_meets() -> CheckResult:
 
 def check_mz_unitarity(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 110])
-    worst = 0.0
-    for delta in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 1000):
-        u = interferometer.mz_evolution(float(delta))
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(2)))))
+    u = interferometer.mz_evolution_stack(rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 1000))
+    worst = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))))
     return _result("mz-unitarity", worst, 1e-14)
 
 
 def check_marking_unitary(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 111])
-    worst = 0.0
-    for _ in range(200):
-        probes = interferometer.ProbeTriple(
-            p0=oracle.haar_vector(rng), p1=oracle.haar_vector(rng), p2=oracle.haar_vector(rng)
-        )
-        u = interferometer.marking_unitary(probes)
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
-        for k, pk in ((1, probes.p1), (2, probes.p2)):
-            e = np.zeros(2, dtype=complex)
-            e[k - 1] = 1.0
-            out = u @ np.kron(e, probes.p0)
-            worst = max(worst, float(np.max(np.abs(out - np.kron(e, pk)))))
+    probes = np.array([[oracle.haar_vector(rng) for _ in range(3)] for _ in range(200)])
+    u = interferometer.marking_unitary_stack(probes)
+    worst = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))))
+    for k in (1, 2):
+        e = np.zeros(2, dtype=complex)
+        e[k - 1] = 1.0
+        # U_mark (e_k (x) p0) must be e_k (x) p_k.
+        inputs = (e[:, None] * probes[:, 0, None, :]).reshape(-1, 4, 1)
+        wanted = (e[:, None] * probes[:, k, None, :]).reshape(-1, 4)
+        worst = max(worst, float(np.max(np.abs((u @ inputs)[..., 0] - wanted))))
     return _result("marking-unitary", worst, 1e-12)
 
 
 def check_final_state_norm() -> CheckResult:
-    worst = 0.0
     # final_state reads only the fields distinct_grid_configs keys on, so no state is missed.
-    for config in distinct_grid_configs():
-        probes = interferometer.probes_for(config)
-        psi = np.array([0.6, 0.8j])
-        out = interferometer.final_state(psi, probes, config)
-        worst = max(worst, abs(float(np.linalg.norm(out)) - 1.0))
+    configs = distinct_grid_configs()
+    out = interferometer.final_state_stack(
+        np.array([0.6, 0.8j]),
+        interferometer.probe_stack(configs),
+        [interferometer.effective_delta(c) for c in configs],
+    )
+    worst = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)))
     return _result("final-state-norm", worst, 1e-12)
 
 
 def check_completion_independence(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 112])
-    worst = 0.0
+    probes, deltas, phases = [], [], []
     for _ in range(40):
-        probes = interferometer.ProbeTriple(
-            p0=oracle.haar_vector(rng), p1=oracle.haar_vector(rng), p2=oracle.haar_vector(rng)
-        )
-        delta = float(rng.uniform(-math.pi, math.pi))
-        pointer = interferometer.pointer_basis(interferometer.MzConfig("marking"))
-        base = extraction.extract_povm(extraction.build_scheme(probes, delta, pointer))
-        # Alternative completion: extra phases on the perp channel.
-        phase1, phase2 = np.exp(1j * rng.uniform(0, 2 * math.pi, 2))
-        alt_blocks = []
-        for pk, ph in ((probes.p1, phase1), (probes.p2, phase2)):
-            alt_blocks.append(
-                np.outer(pk, probes.p0.conj())
-                + ph * np.outer(linalg.perp(pk), linalg.perp(probes.p0).conj())
-            )
-        alt_mark = np.zeros((4, 4), dtype=complex)
-        alt_mark[:2, :2] = alt_blocks[0]
-        alt_mark[2:, 2:] = alt_blocks[1]
-        alt_unitary = np.kron(interferometer.mz_evolution(delta), np.eye(2)) @ alt_mark
-        alt_scheme = extraction.MeasurementScheme(
-            unitary=alt_unitary,
-            probe_init=probes.p0,
-            outputs=extraction.build_scheme(probes, delta, pointer).outputs,
-        )
-        alt = extraction.extract_povm(alt_scheme)
-        for label in base.labels:
-            worst = max(worst, float(np.max(np.abs(base.operator(label) - alt.operator(label)))))
-    return _result("completion-independence", worst, 1e-12)
+        probes.append([oracle.haar_vector(rng) for _ in range(3)])
+        deltas.append(float(rng.uniform(-math.pi, math.pi)))
+        phases.append(np.exp(1j * rng.uniform(0, 2 * math.pi, 2)))
+    probes = np.array(probes)
+    pointers = interferometer.pointer_stack([interferometer.MzConfig("marking")] * len(probes))
+    base_schemes = extraction.build_schemes(probes, deltas, pointers)
+    # Alternative completion: extra phases on the perp channel,
+    # V_k = |p_k><p0| + ph_k |p_k_perp><p0_perp|.
+    p0, pk = probes[:, 0, None, None, :], probes[:, 1:, :, None]
+    perp_outer = linalg.perp(probes[:, 1:])[..., None] * linalg.perp(p0).conj()
+    blocks = pk * p0.conj() + np.array(phases)[:, :, None, None] * perp_outer
+    alt_mark = np.zeros((len(probes), 2, 2, 2, 2), dtype=complex)
+    alt_mark[:, 0, :, 0, :] = blocks[:, 0]
+    alt_mark[:, 1, :, 1, :] = blocks[:, 1]
+    mz = interferometer.mz_evolution_stack(deltas)
+    mz_kron_identity = np.einsum("nac,bd->nabcd", mz, np.eye(2)).reshape(-1, 4, 4)
+    alt_schemes = extraction.SchemeStack(
+        base_schemes.labels,
+        mz_kron_identity @ alt_mark.reshape(-1, 4, 4),
+        base_schemes.probe_init,
+        base_schemes.outputs,
+    )
+    base = extraction.extract_effects(base_schemes)
+    alt = extraction.extract_effects(alt_schemes)
+    return _result("completion-independence", float(np.max(np.abs(base - alt))), 1e-12)
 
 
 def extraction_grid_checks(tol: float) -> list[CheckResult]:
@@ -381,30 +385,25 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
     psd_worst = 0.0
     norm_worst = 0.0
     agree_worst = 0.0
-    for config in distinct_grid_configs():
-        measured = extraction.extract_povm(extraction.scheme_for(config))
-        ops = np.array([e.operator for e in measured.effects])
-        low = float(linalg.eigvals_hermitian(ops)[:, -1].min())
-        psd_worst = max(psd_worst, max(0.0, -low))
-        norm_worst = max(norm_worst, float(np.max(np.abs(ops.sum(axis=0) - np.eye(2)))))
-        if config.experiment in ("path", "interference"):
+    for configs in _readout_groups(distinct_grid_configs()):
+        schemes = extraction.schemes_for(configs)
+        effects = extraction.extract_effects(schemes)
+        low = float(linalg.eigvals_hermitian(effects)[..., -1].min())
+        psd_worst = max(psd_worst, -low)
+        norm_worst = max(norm_worst, float(np.max(np.abs(effects.sum(axis=1) - np.eye(2)))))
+        if configs[0].experiment in interferometer.DETECTOR_ONLY:
             continue
-        analytic = extraction.closed_form(config)
-        for label in measured.labels:
-            agree_worst = max(
-                agree_worst,
-                float(np.max(np.abs(measured.operator(label) - analytic.joint.operator(label)))),
-            )
-        grouped = extraction.marginals_of(measured)
-        for got, want in (
-            (grouped.detector, analytic.detector),
-            (grouped.probe, analytic.probe),
-            (grouped.coincidence, analytic.coincidence),
+        analytic = [extraction.closed_form(c) for c in configs]
+        for field, grouping in (
+            ("joint", None),
+            ("detector", extraction.DETECTOR_GROUPING),
+            ("probe", extraction.PROBE_GROUPING),
+            ("coincidence", extraction.COINCIDENCE_GROUPING),
         ):
-            for label in got.labels:
-                agree_worst = max(
-                    agree_worst, float(np.max(np.abs(got.operator(label) - want.operator(label))))
-                )
+            measured = effects if grouping is None else povm.marginal_stack(effects, schemes.labels, grouping)
+            labels = schemes.labels if grouping is None else tuple(grouping)
+            want = np.array([[getattr(a, field).operator(label) for label in labels] for a in analytic])
+            agree_worst = max(agree_worst, float(np.max(np.abs(measured - want))))
     return [
         _result("extraction-positivity", psd_worst, 1e-10),
         _result("extraction-normalization", norm_worst, max(tol, 0.0)),
@@ -415,28 +414,32 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
 def check_probability_reproduction(seed: int, samples: int, tol: float) -> CheckResult:
     cfg = oracle.OracleConfig(seed=seed, samples=samples)
     worst = 0.0
-    for config in distinct_grid_configs():
-        worst = max(worst, oracle.cross_check(config, cfg))
+    for configs in _readout_groups(distinct_grid_configs()):
+        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for(configs), cfg).max()))
     return _result("probability-reproduction", worst, tol)
 
 
 def check_pointer_freedom(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 113])
-    worst = 0.0
+    configs, pointers = [], []
     for _ in range(50):
         theta = float(rng.uniform(0.0, math.pi / 2.0))
         delta = float(rng.uniform(-math.pi, math.pi))
-        p1, p2 = interferometer.marker_states(theta)
-        probes = interferometer.ProbeTriple(p0=np.array([1.0, 0.0]), p1=p1, p2=p2)
+        configs.append(interferometer.MzConfig("quantitative", delta=delta, theta=theta))
         r1 = oracle.haar_vector(rng)
-        r2 = linalg.perp(r1)
-        scheme = extraction.build_scheme(probes, delta, (r1, r2))
-        grouped = extraction.marginals_of(extraction.extract_povm(scheme))
-        b1, u1 = povm.bias_and_direction(grouped.probe.operator("1"))
-        b2, u2 = povm.bias_and_direction(grouped.probe.operator("2"))
-        worst = max(worst, float(np.max(np.abs(u1 + u2))))
-        worst = max(worst, abs(b1 + b2))
-        worst = max(worst, abs(u1[0]), abs(u1[1]))  # path type: along z only
+        pointers.append((r1, linalg.perp(r1)))
+    schemes = extraction.build_schemes(
+        interferometer.probe_stack(configs), [c.delta for c in configs], pointers
+    )
+    effects = extraction.extract_effects(schemes)
+    probe = povm.marginal_stack(effects, schemes.labels, extraction.PROBE_GROUPING)
+    b, u = povm.bias_and_direction_stack(probe.reshape(-1, 2, 2))
+    b, u = b.reshape(-1, 2), u.reshape(-1, 2, 3)
+    worst = max(
+        float(np.max(np.abs(u[:, 0] + u[:, 1]))),
+        float(np.max(np.abs(b[:, 0] + b[:, 1]))),
+        float(np.max(np.abs(u[:, 0, :2]))),  # path type: along z only
+    )
     return _result("pointer-freedom", worst, 1e-10)
 
 

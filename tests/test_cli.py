@@ -295,6 +295,27 @@ class TestSweep:
         assert code == 2
         assert "below" in err
 
+    @pytest.mark.parametrize(
+        "bounds", [("--from=-1e308", "--to=1e308"), ("--from=-inf", "--to=1"), ("--from=0", "--to=inf")]
+    )
+    def test_unrepresentable_range_rejected_before_output(self, capsys, bounds):
+        # The span of -1e308..1e308 overflows a float; infinite ends have no
+        # grid at all. Either must fail as a usage error before the header
+        # and without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "sweep",
+                "--experiment", "quantitative",
+                "--param", "theta",
+                *bounds,
+                "--steps", "3",
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_step_count_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -138,14 +138,14 @@ class TestProbabilityChecks:
         scheme = extraction.scheme_for(interferometer.MzConfig("path"))
         states = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]], dtype=complex)
         with pytest.raises(InvalidScheme, match=r"probability 4\.0 for output '1'"):
-            oracle._probabilities(scheme, states)
+            oracle._probabilities(scheme.stack, states)
 
     def test_bad_sum_names_the_worst_total(self):
         scheme = extraction.scheme_for(interferometer.MzConfig("path"))
         balanced = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         states = np.array([balanced, (1.0 + 1e-9) * balanced, (1.0 + 1e-10) * balanced])
         with pytest.raises(InvalidScheme, match=r"sum to 1\.000000002"):
-            oracle._probabilities(scheme, states)
+            oracle._probabilities(scheme.stack, states)
 
 
 class TestGridMaximize:

@@ -1,0 +1,339 @@
+"""Differential tests of the stacked extraction core against per-config routes.
+
+The reference helpers below are the per-entry routes the stacked core
+replaced: Kronecker-product unitaries and projections, and one
+<w_i| M w_j> inner product per effect entry. They are kept here, and only
+here, so the stacked arrays always have an independent route to agree with.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
+from mzpovm.errors import InvalidScheme, NotAPartition, NotNormalized, UnsupportedExperiment
+
+from conftest import random_pure
+
+TOL = 1e-15
+E1 = np.array([1.0, 0.0], dtype=complex)
+E2 = np.array([0.0, 1.0], dtype=complex)
+
+
+def _reference_marking_unitary(p0, p1, p2):
+    out = np.zeros((4, 4), dtype=complex)
+    for k, pk in enumerate((p1, p2)):
+        block = np.outer(pk, p0.conj()) + np.outer(linalg.perp(pk), linalg.perp(p0).conj())
+        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+    return out
+
+
+def _reference_total_unitary(p0, p1, p2, delta):
+    mz = interferometer.mz_evolution(delta)
+    return np.kron(mz, np.eye(2, dtype=complex)) @ _reference_marking_unitary(p0, p1, p2)
+
+
+def _reference_outputs(pointers):
+    if pointers is None:
+        return [np.kron(np.outer(e, e), np.eye(2)) for e in (E1, E2)]
+    r1, r2 = pointers
+    return [np.kron(np.outer(e, e), np.outer(r, r.conj())) for r in (r1, r2) for e in (E1, E2)]
+
+
+def _reference_effects(unitary, p0, outputs):
+    basis_in = [unitary @ np.kron(e, p0) for e in (E1, E2)]
+    effects = []
+    for m in outputs:
+        e = np.empty((2, 2), dtype=complex)
+        for i, wi in enumerate(basis_in):
+            for j, wj in enumerate(basis_in):
+                e[i, j] = np.vdot(wi, m @ wj)
+        effects.append(e)
+    return np.array(effects)
+
+
+def _reference_config_effects(config):
+    probes = interferometer.probes_for(config)
+    unitary = _reference_total_unitary(
+        probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
+    )
+    return _reference_effects(unitary, probes.p0, _reference_outputs(interferometer.pointer_basis(config)))
+
+
+def _groups():
+    return verify._readout_groups(verify.distinct_grid_configs())
+
+
+class TestStackedExtraction:
+    def test_grid_configs_match_the_per_entry_route(self):
+        checked = 0
+        for configs in _groups():
+            effects = extraction.extract_effects(extraction.schemes_for(configs))
+            for config, got in zip(configs, effects):
+                np.testing.assert_allclose(got, _reference_config_effects(config), rtol=0, atol=TOL)
+                checked += 1
+        assert checked == 138
+
+    def test_random_triples_and_pointers_match_the_per_entry_route(self, rng):
+        triples, deltas, pointers = [], [], []
+        for _ in range(200):
+            triples.append([random_pure(rng) for _ in range(3)])
+            deltas.append(float(rng.uniform(-math.pi, math.pi)))
+            r1 = random_pure(rng)
+            pointers.append([r1, linalg.perp(r1)])
+        schemes = extraction.build_schemes(triples, deltas, pointers)
+        effects = extraction.extract_effects(schemes)
+        for n in range(200):
+            p0, p1, p2 = triples[n]
+            unitary = _reference_total_unitary(p0, p1, p2, deltas[n])
+            np.testing.assert_allclose(schemes.unitaries[n], unitary, rtol=0, atol=TOL)
+            want = _reference_effects(unitary, p0, _reference_outputs(pointers[n]))
+            np.testing.assert_allclose(effects[n], want, rtol=0, atol=TOL)
+
+    def test_scalar_entry_points_are_batches_of_one(self):
+        for configs in _groups():
+            schemes = extraction.schemes_for(configs)
+            effects = extraction.extract_effects(schemes)
+            for n in (0, len(configs) - 1):
+                scheme = extraction.scheme_for(configs[n])
+                assert scheme.unitary.tobytes() == schemes.unitaries[n].tobytes()
+                measured = extraction.extract_povm(scheme)
+                assert measured.labels == schemes.labels
+                assert np.array([e.operator for e in measured.effects]).tobytes() == effects[n].tobytes()
+
+    def test_stacks_reject_mixed_readouts(self):
+        configs = [interferometer.MzConfig("path"), interferometer.MzConfig("marking")]
+        with pytest.raises(UnsupportedExperiment):
+            extraction.schemes_for(configs)
+
+
+class TestStackedOracle:
+    def test_probabilities_match_a_per_config_per_state_loop(self):
+        states = oracle.random_states(11, 20)
+        for configs in _groups():
+            schemes = extraction.schemes_for(configs)
+            probs = oracle._probabilities(schemes, states)
+            assert probs.shape == (len(configs), 20, len(schemes.labels))
+            for n, config in enumerate(configs):
+                probes = interferometer.probes_for(config)
+                unitary = _reference_total_unitary(
+                    probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
+                )
+                outputs = _reference_outputs(interferometer.pointer_basis(config))
+                for s, psi in enumerate(states):
+                    final = unitary @ np.kron(psi, probes.p0)
+                    want = [np.vdot(final, m @ final).real for m in outputs]
+                    np.testing.assert_allclose(probs[n, s], want, rtol=0, atol=TOL)
+
+    def test_cross_check_stack_matches_the_scalar_cross_check(self):
+        cfg = oracle.OracleConfig(seed=5, samples=30)
+        for configs in _groups():
+            stacked = oracle.cross_check_stack(extraction.schemes_for(configs), cfg)
+            for n in (0, len(configs) // 2, len(configs) - 1):
+                assert abs(stacked[n] - oracle.cross_check(configs[n], cfg)) <= TOL
+
+    def test_out_of_range_names_scheme_and_state(self):
+        schemes = extraction.schemes_for([interferometer.MzConfig("path")] * 3)
+        states = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]], dtype=complex)
+        with pytest.raises(InvalidScheme, match=r"scheme 0, state 2: probability 4\.0"):
+            oracle._probabilities(schemes, states)
+
+
+class TestStackedValidator:
+    def _stack(self, **broken):
+        configs = [interferometer.MzConfig("erasure", delta=0.1 * n, gamma=0.2 * n) for n in range(8)]
+        schemes = extraction.schemes_for(configs)
+        arrays = {
+            "labels": schemes.labels,
+            "unitaries": schemes.unitaries.copy(),
+            "probe_init": schemes.probe_init.copy(),
+            "outputs": np.array(schemes.outputs),
+        }
+        for name, (member, fn) in broken.items():
+            fn(arrays[name][member])
+        return arrays
+
+    def test_valid_stack_passes(self):
+        extraction.SchemeStack(**self._stack())
+
+    @pytest.mark.parametrize(
+        "name, fn, match",
+        [
+            ("unitaries", lambda u: np.multiply(u, 1.1, out=u), "unitarity"),
+            ("unitaries", lambda u: u.fill(np.nan), "unitarity"),
+            ("outputs", lambda m: np.multiply(m[2], 0.5, out=m[2]), "output '12' deviates from a projection"),
+            ("outputs", lambda m: np.copyto(m[3], m[0]), "do not sum to the identity"),
+        ],
+    )
+    def test_one_bad_member_is_named(self, name, fn, match):
+        with pytest.raises(InvalidScheme, match=f"scheme 5: .*{match}"):
+            extraction.SchemeStack(**self._stack(**{name: (5, fn)}))
+
+    def test_first_of_two_bad_members_is_named(self):
+        arrays = self._stack(unitaries=(6, lambda u: np.multiply(u, 2.0, out=u)))
+        arrays["outputs"][3, 0] *= 0.5
+        with pytest.raises(InvalidScheme, match="scheme 3: output '11'"):
+            extraction.SchemeStack(**arrays)
+
+    def test_bad_initial_probe_state_is_named(self):
+        with pytest.raises(NotNormalized, match="scheme 4"):
+            extraction.SchemeStack(**self._stack(probe_init=(4, lambda p: np.multiply(p, 1.5, out=p))))
+
+    def test_shape_mismatch_rejected(self):
+        arrays = self._stack()
+        arrays["outputs"] = arrays["outputs"][:, :3]
+        with pytest.raises(InvalidScheme, match="outputs must be"):
+            extraction.SchemeStack(**arrays)
+
+
+def _scalar_sweep_row(config, psi):
+    # The per-step route: one scheme, POVM, probability table and audit per step.
+    scheme = extraction.scheme_for(config)
+    measured = extraction.extract_povm(scheme)
+    probabilities = oracle.direct_probabilities(scheme, psi)
+    probes = interferometer.probes_for(config)
+    audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), probes.p1, probes.p2)
+    row = {"D": audit.inference.distinguishability, "V_e": audit.visibility.value,
+           "duality_slack": audit.duality.slack}
+    if len(measured.effects) == 4:
+        row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
+        grouped = extraction.marginals_of(measured)
+        row["F_contrast"] = povm.contrast(grouped.detector)
+        row["G_contrast"] = povm.contrast(grouped.probe)
+        row["H_contrast"] = povm.contrast(grouped.coincidence)
+    else:
+        row["F_contrast"] = povm.contrast(measured)
+    return row
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize(
+        "experiment, param",
+        [("quantitative", "theta"), ("quantitative", "delta"), ("erasure", "gamma"),
+         ("erasure", "delta"), ("marking", "delta"), ("path", "delta"), ("interference", "theta")],
+    )
+    def test_every_row_matches_the_per_step_route(self, rng, experiment, param):
+        base = interferometer.MzConfig(experiment, delta=0.3, gamma=-0.7, theta=1.1)
+        psi = random_pure(rng)
+        configs = cli.sweep_configs(base, param, -2.0, 2.5, 41)
+        rows = list(cli.sweep_rows(configs, psi, param))
+        assert len(rows) == 41
+        for config, row in zip(configs, rows):
+            assert row["param_value"] == getattr(config, param)
+            for name, want in _scalar_sweep_row(config, psi).items():
+                assert abs(row[name] - want) <= TOL, name
+
+    def test_long_sweeps_are_split_into_stacks(self, rng, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_STACK", 7)
+        base = interferometer.MzConfig("erasure", delta=0.4)
+        psi = random_pure(rng)
+        configs = cli.sweep_configs(base, "gamma", 0.0, 3.0, 23)
+        split = list(cli.sweep_rows(configs, psi, "gamma"))
+        monkeypatch.setattr(cli, "SWEEP_STACK", 4096)
+        assert split == list(cli.sweep_rows(configs, psi, "gamma"))
+
+    def test_run_report_is_a_batch_of_one_of_the_sweep_core(self, rng):
+        psi = random_pure(rng)
+        config = interferometer.MzConfig("quantitative", delta=0.8, theta=0.5)
+        report = cli.evaluate_run(config, psi)
+        (row,) = cli.sweep_rows([config], psi, "theta")
+        for label in ("11", "12", "21", "22"):
+            assert report["probabilities"][label] == row["p" + label]
+        assert report["distinguishability"]["D"] == row["D"]
+        assert report["visibility"]["V_e"] == row["V_e"]
+
+
+class TestInterferometerStacks:
+    def test_total_unitaries_match_the_kron_route(self, rng):
+        triples = np.array([[random_pure(rng) for _ in range(3)] for _ in range(50)])
+        deltas = rng.uniform(-2 * math.pi, 2 * math.pi, 50)
+        stacked = interferometer.total_unitary_stack(triples, deltas)
+        marking = interferometer.marking_unitary_stack(triples)
+        for n in range(50):
+            np.testing.assert_allclose(
+                stacked[n], _reference_total_unitary(*triples[n], deltas[n]), rtol=0, atol=TOL
+            )
+            np.testing.assert_allclose(marking[n], _reference_marking_unitary(*triples[n]), rtol=0, atol=TOL)
+
+    def test_probe_stack_matches_probes_for(self):
+        configs = verify.distinct_grid_configs()
+        stacked = interferometer.probe_stack(configs)
+        for config, rows in zip(configs, stacked):
+            assert rows.tobytes() == interferometer.probes_for(config).rows().tobytes()
+
+    def test_fixed_probe_triples_are_shared(self):
+        for experiment in ("path", "interference", "marking", "erasure"):
+            first = interferometer.probes_for(interferometer.MzConfig(experiment, delta=0.1))
+            assert interferometer.probes_for(interferometer.MzConfig(experiment, delta=2.0)) is first
+            assert not first.p1.flags.writeable
+        quantitative = interferometer.MzConfig("quantitative", theta=0.4)
+        assert interferometer.probes_for(quantitative) is not interferometer.probes_for(quantitative)
+
+    def test_final_state_validates_its_input_once(self, monkeypatch):
+        calls = []
+        original = linalg.state_vector
+
+        def counting(v):
+            calls.append(1)
+            return original(v)
+
+        monkeypatch.setattr(linalg, "state_vector", counting)
+        config = interferometer.MzConfig("erasure", delta=0.3, gamma=0.2)
+        out = interferometer.final_state([0.6, 0.8j], interferometer.probes_for(config), config)
+        assert len(calls) == 1
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+
+    def test_perp_of_a_stack_is_rowwise(self, rng):
+        rows = np.array([random_pure(rng) for _ in range(10)])
+        stacked = linalg.perp(rows)
+        for v, p in zip(rows, stacked):
+            assert p.tobytes() == linalg.perp(v).tobytes()
+
+
+def _reference_half(coeff, vec):
+    sx, sy, sz = linalg.pauli_triple()
+    return 0.5 * (coeff * np.eye(2, dtype=complex) + vec[0] * sx + vec[1] * sy + vec[2] * sz)
+
+
+class TestClosedFormEntries:
+    def test_half_matches_the_pauli_sum_entrywise(self, rng):
+        # Equal as floats (so up to the sign of zeros), not just close.
+        cases = [(1.0, (0, 0, 0)), (1.0, (0.0, -0.0, 1.0)), (0.0, (-1.0, 0.0, 0.0))]
+        cases += [(float(c), tuple(v)) for c, v in zip(rng.uniform(-2, 2, 500), rng.standard_normal((500, 3)))]
+        for coeff, vec in cases:
+            got, want = extraction._half(coeff, np.array(vec)), _reference_half(coeff, np.array(vec))
+            assert np.array_equal(got, want), (coeff, vec)
+            assert np.array_equal(extraction._quarter(coeff, np.array(vec)), 0.5 * want)
+
+
+class TestPovmStacks:
+    def test_marginal_stack_matches_marginal(self, rng):
+        effects = extraction.extract_effects(
+            extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.7, gamma=g) for g in (0.1, 2.0)])
+        )
+        for n in range(2):
+            joint = povm.DiscretePovm.from_pairs(zip(("11", "21", "12", "22"), effects[n]))
+            for grouping in (extraction.DETECTOR_GROUPING, extraction.COINCIDENCE_GROUPING):
+                stacked = povm.marginal_stack(effects, joint.labels, grouping)[n]
+                scalar = povm.marginal(joint, grouping)
+                assert np.array_equal(stacked, [e.operator for e in scalar.effects])
+
+    def test_marginal_stack_rejects_a_non_partition(self):
+        with pytest.raises(NotAPartition):
+            povm.marginal_stack(np.zeros((1, 2, 2, 2)), ("1", "2"), {"1": ("1",)})
+
+    def test_contrast_stack_matches_the_bias_direction_formula(self, rng):
+        firsts = []
+        for _ in range(200):
+            u = rng.standard_normal(3)
+            u *= rng.random() / np.linalg.norm(u)
+            b = (1.0 - np.linalg.norm(u)) * rng.uniform(-1, 1)
+            firsts.append(_reference_half(1.0 + b, u))
+        firsts = np.array(firsts)
+        stacks = np.stack([firsts, np.eye(2) - firsts], axis=1)
+        got = povm.contrast_stack(stacks)
+        for n, first in enumerate(firsts):
+            b = float(np.trace(first).real) - 1.0
+            u = np.array([float(np.trace(first @ s).real) for s in linalg.pauli_triple()])
+            assert got[n] == min(1.0, max(0.0, abs(b) + float(np.linalg.norm(u))))

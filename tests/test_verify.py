@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import mzpovm
-from mzpovm import extraction, povm, verify
+from mzpovm import extraction, verify
 
 
 class TestCheckResults:
@@ -19,18 +19,39 @@ class TestCheckResults:
 
     def test_injected_perturbation_detected(self, monkeypatch):
         # Corrupt one extracted effect by the smallest shift the contract
-        # promises to flag; the oracle cross-check must catch it.
-        original = extraction.extract_povm
+        # promises to flag; the oracle cross-check must catch it. The
+        # stacked kernel behind extract_povm is patched, so every scheme of
+        # every stack has its first effect shifted.
+        original = extraction.extract_effects
 
-        def corrupted(scheme):
-            measured = original(scheme)
-            pairs = [(e.label, e.operator) for e in measured.effects]
-            label, op = pairs[0]
-            pairs[0] = (label, op + 1e-6 * np.eye(2))
-            return povm.DiscretePovm.from_pairs(pairs)
+        def corrupted(schemes):
+            effects = original(schemes).copy()
+            effects[:, 0] += 1e-6 * np.eye(2)
+            return effects
 
-        monkeypatch.setattr(extraction, "extract_povm", corrupted)
+        monkeypatch.setattr(extraction, "extract_effects", corrupted)
         result = verify.check_probability_reproduction(seed=3, samples=5, tol=1e-10)
+        assert not result.passed
+        assert result.deviation >= 1e-7
+
+    def test_single_corrupted_member_detected(self, monkeypatch):
+        # The same shift on one scheme out of the 138 grid configurations:
+        # a stacked maximum must not let it hide among the others.
+        original = extraction.extract_effects
+        target = 100
+        seen = [0]
+
+        def corrupted(schemes):
+            effects = original(schemes).copy()
+            local = target - seen[0]
+            if 0 <= local < len(schemes):
+                effects[local, 0] += 1e-6 * np.eye(2)
+            seen[0] += len(schemes)
+            return effects
+
+        monkeypatch.setattr(extraction, "extract_effects", corrupted)
+        result = verify.check_probability_reproduction(seed=3, samples=5, tol=1e-10)
+        assert seen[0] == len(verify.distinct_grid_configs()) == 138
         assert not result.passed
         assert result.deviation >= 1e-7
 
