@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Record the benchmark numbers of a checkout, and optionally its baseline, in BENCH_<pr>.json.
+
+For each checkout this runs ``perfbench/run.py`` on the ``run``, ``verify``
+and ``sweep`` workloads with ``--trace 0`` for 30 s each (``--pairs``
+times, seeds 1 to ``--pairs``), then once on ``verify`` with ``--trace 1``
+at seed 1, and keeps each run's ``env`` line and final JSON line. It also times fresh
+processes, median of 5 after one untimed warm-up, of ``import mzpovm``,
+``mzpovm run``, ``mzpovm verify --seed 42`` and ``mzpovm sweep --steps
+2000``. With ``--baseline`` the two checkouts alternate run by run, the
+first of each pair alternating too, so a slow phase of a shared host falls
+on both sides; ``summary`` then gives, per workload and end-to-end metric,
+the median and quartiles of each side, their ratio and the pairs the
+checkout won, and the per-layer call counts of the traced ``verify``
+suite that differ. Each checkout runs its own ``perfbench`` on its own
+``src``.
+
+    python scripts/bench.py --pr <number> --baseline <parent checkout> --pairs 10
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 30.0
+WORKLOADS = ("run", "verify", "sweep")
+END_TO_END = ("call_ms", "setup_s", "peak_rss_mb")
+COMMANDS = {
+    "import": ["-c", "import mzpovm"],
+    "run": ["-m", "mzpovm", "run", "--experiment", "erasure", "--delta", "-1.5707963267948966",
+            "--gamma", "0", "--input", "0.7071067811865476,0,0.7071067811865476,0"],
+    "verify": ["-m", "mzpovm", "verify", "--seed", "42"],
+    "sweep": ["-m", "mzpovm", "sweep", "--experiment", "quantitative", "--delta", "-1.5707963267948966",
+              "--param", "theta", "--from", "0", "--to", "1.5", "--steps", "2000"],
+}
+
+
+def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    env = next(line for line in out if line.startswith("env "))
+    return {"env": json.loads(env[4:]), "result": json.loads(out[-1])}
+
+
+def wall_seconds(root: Path, command: str) -> float:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *COMMANDS[command]], cwd=root, env=env, check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict, traced: dict) -> dict:
+    summary = {}
+    for workload in WORKLOADS:
+        for metric in END_TO_END:
+            sides = {
+                side: [r["result"]["metrics"][metric]["value"] for r in runs[side][workload]]
+                for side in runs
+            }
+            entry = {side: quartiles(values) for side, values in sides.items()}
+            if "baseline" in sides:
+                base, change = sides["baseline"], sides["checkout"]
+                entry["ratio"] = entry["checkout"]["median"] / entry["baseline"]["median"]
+                entry["checkout_better"] = sum(c < b for b, c in zip(base, change))
+                entry["pairs"] = len(base)
+            summary[f"{workload}.{metric}"] = entry
+    if "baseline" in traced:
+        # Per-layer call counts of one traced verify suite that differ between the sides.
+        base, change = (traced[side]["result"]["metrics"] for side in ("baseline", "checkout"))
+        summary["verify_trace_calls"] = {
+            name: {"baseline": base[name]["value"], "checkout": change[name]["value"]}
+            for name in sorted(base)
+            if name.endswith(".calls") and base[name]["value"] != change.get(name, {}).get("value")
+        }
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--baseline", type=Path, help="checkout to compare against, e.g. the parent commit")
+    parser.add_argument("--pairs", type=int, default=1, help="runs of each --trace 0 workload per checkout")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    roots = {"checkout": ROOT}
+    if args.baseline is not None:
+        if not (args.baseline / "perfbench" / "run.py").is_file():
+            parser.error(f"{args.baseline} holds no perfbench/run.py")
+        roots = {"baseline": args.baseline.resolve(), "checkout": ROOT}
+
+    def alternating(index: int) -> list[str]:
+        sides = list(roots)
+        return sides if index % 2 == 0 else sides[::-1]
+
+    runs = {side: {w: [] for w in WORKLOADS} for side in roots}
+    step = 0
+    for pair in range(args.pairs):
+        for workload in WORKLOADS:
+            for side in alternating(step):
+                runs[side][workload].append(perfbench(roots[side], workload, pair + 1, 0))
+                print(f"{workload} pair {pair} {side} done", file=sys.stderr, flush=True)
+            step += 1
+    traced = {side: perfbench(roots[side], "verify", 1, 1) for side in alternating(step)}
+
+    walls = {side: {c: [] for c in COMMANDS} for side in roots}
+    for command in COMMANDS:
+        for side in roots:
+            wall_seconds(roots[side], command)
+        for rep in range(5):
+            for side in alternating(rep):
+                walls[side][command].append(wall_seconds(roots[side], command))
+    report = {
+        "pr": args.pr,
+        "perfbench_seconds": SECONDS,
+        "seeds": list(range(1, args.pairs + 1)),
+        "perfbench": {side: {**runs[side], "verify_trace": traced[side]} for side in roots},
+        "wall_s": {
+            side: {c: {"median": statistics.median(v), "runs": v} for c, v in walls[side].items()} for side in roots
+        },
+        "summary": summarize(runs, traced),
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -82,11 +82,15 @@ def meet(p, q, tol: float = MEET_EIGENVALUE_TOL) -> np.ndarray:
         raise DimensionMismatch(f"shapes differ: {p.shape} vs {q.shape}")
     _require_projection(p)
     _require_projection(q)
-    out = np.zeros_like(p)
-    for ev, vec in linalg.eig_hermitian(p + q):
-        if ev >= 2.0 - tol:
-            out = out + np.outer(vec, vec.conj())
-    return out
+    return _meet_stack(p[None], q[None], tol)[0]
+
+
+def _meet_stack(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    # Meets of (N, d, d) stacks of projections: the sum of v v^dagger over
+    # the eigenvectors of P + Q whose eigenvalue is 2 within tol.
+    values, vectors = linalg.eig_hermitian_stack(p + q)
+    kept = (values >= 2.0 - tol)[..., None]
+    return np.einsum("nki,nkj->nij", np.where(kept, vectors, 0.0), vectors.conj())
 
 
 def _require_projection(p: np.ndarray):
@@ -110,7 +114,5 @@ def probabilistically_complementary(p, q) -> bool:
         if not 0.5 < tr < 1.5:
             raise NotAProjection(f"need a rank-1 qubit projection, got trace {tr!r}")
     ident = np.eye(2, dtype=complex)
-    for a, b in ((p, q), (p, ident - q), (ident - p, q)):
-        if float(np.max(np.abs(meet(a, b)))) > 1e-9:
-            return False
-    return True
+    meets = _meet_stack(np.array([p, p, ident - p]), np.array([q, ident - q, q]), MEET_EIGENVALUE_TOL)
+    return not float(np.max(np.abs(meets))) > 1e-9

@@ -249,8 +249,7 @@ def marginals_of(joint: povm.DiscretePovm) -> ExperimentObservables:
 
 
 def _half(coeff: float, vec) -> np.ndarray:
-    # (coeff I + vec . sigma) / 2 written out entrywise, as
-    # linalg.density_from_bloch builds a state: scalar arithmetic only.
+    # (coeff I + vec . sigma) / 2 written out entrywise on Python floats.
     x, y, z = (float(c) for c in vec)
     return np.array([[0.5 * (coeff + z), complex(0.5 * x, -0.5 * y)],
                      [complex(0.5 * x, 0.5 * y), 0.5 * (coeff - z)]])

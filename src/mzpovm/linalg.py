@@ -42,6 +42,7 @@ _PAULI = {
     "z": _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
 }
 
+_PAULI_STACK = _frozen(np.array([_PAULI["x"], _PAULI["y"], _PAULI["z"]]))
 IDENTITY2 = _frozen(np.eye(2, dtype=complex))
 IDENTITY4 = _frozen(np.eye(4, dtype=complex))
 _PLUS_MINUS = _frozen(np.array([1.0, -1.0]))
@@ -143,33 +144,62 @@ def pure_density(psi) -> np.ndarray:
     return _frozen(np.outer(v, v.conj()))
 
 
-def density_from_bloch(r) -> np.ndarray:
-    """Build the state (I + r . sigma) / 2 from a Bloch vector.
+def density_from_bloch_stack(r) -> np.ndarray:
+    """Build the states (I + r . sigma) / 2 from an (N, 3) stack of Bloch vectors.
 
     Raises
     ------
     BlochOutOfBall
-        If |r| exceeds 1 by more than 1e-10.
+        Naming the first member that is not 3 finite reals or whose |r|
+        exceeds 1 by more than 1e-10.
     """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise BlochOutOfBall(f"expected an (N, 3) stack of Bloch vectors, got shape {r.shape}")
+    x, y, z = r[:, 0], r[:, 1], r[:, 2]
+    finite = np.isfinite(r).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt(x * x + y * y + z * z)
+    bad = np.flatnonzero(~(finite & (n <= 1.0 + 1e-10)))
+    if bad.size:
+        k = bad[0]
+        if not finite[k]:
+            raise BlochOutOfBall(f"Bloch vector {k} must be 3 finite reals, got {r[k]!r}")
+        raise BlochOutOfBall(f"Bloch vector {k}: |r| = {float(n[k])!r} lies outside the Bloch ball")
+    out = np.zeros((len(r), 2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[:, 0, 0] = 0.5 * (1.0 + z)
+    re[:, 1, 1] = 0.5 * (1.0 - z)
+    re[:, 0, 1] = re[:, 1, 0] = 0.5 * x
+    im[:, 0, 1] = -0.5 * y
+    im[:, 1, 0] = 0.5 * y
+    return _frozen(out)
+
+
+def density_from_bloch(r) -> np.ndarray:
+    """The state (I + r . sigma) / 2; a batch of one of :func:`density_from_bloch_stack`."""
     r = np.asarray(r, dtype=float).reshape(-1)
-    # Scalar arithmetic: grid searches build one state per objective call.
-    components = r.tolist()
-    if len(components) != 3 or not all(map(math.isfinite, components)):
+    if r.shape != (3,):
         raise BlochOutOfBall(f"Bloch vector must be 3 finite reals, got {r!r}")
-    x, y, z = components
-    n = math.sqrt(x * x + y * y + z * z)
-    if n > 1.0 + 1e-10:
-        raise BlochOutOfBall(f"|r| = {n!r} lies outside the Bloch ball")
-    return _frozen(
-        np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
-                  [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
-    )
+    return density_from_bloch_stack(r[None])[0]
+
+
+def bloch_from_density_stack(rho) -> np.ndarray:
+    """Bloch vectors r_k = tr[rho sigma_k] of a (..., 2, 2) stack of states, shape (..., 3).
+
+    The inverse of :func:`density_from_bloch_stack`; only the shape is
+    checked. The Pauli entries are 0, +/-1 and +/-i, so each component is
+    one rounded sum of two matrix entries.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise NotHermitian(f"expected a stack of 2x2 states, got shape {rho.shape}")
+    return _frozen(np.einsum("kij,...ji->...k", _PAULI_STACK, rho).real)
 
 
 def bloch_from_density(rho) -> np.ndarray:
-    """The Bloch vector r_k = tr[rho sigma_k]; inverse of density_from_bloch."""
-    rho = np.asarray(rho, dtype=complex)
-    return _frozen(np.array([float(np.trace(rho @ s).real) for s in pauli_triple()]))
+    """The Bloch vector of one state; a batch of one of :func:`bloch_from_density_stack`."""
+    return bloch_from_density_stack(rho)
 
 
 def state_from_bloch(r) -> np.ndarray:
@@ -214,16 +244,55 @@ def tensor(a, b) -> np.ndarray:
     return _frozen(np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
-def partial_trace_probe(psi) -> np.ndarray:
-    """Reduced photon state of a photon-probe vector (probe traced out)."""
+def vector_norms(v) -> np.ndarray:
+    """Euclidean norms along the last axis of a stack of complex vectors.
+
+    One real dot product per part and row, the way ``numpy.linalg.norm``
+    sums a single vector, so a row's norm equals that of the row alone.
+    """
+    v = np.asarray(v, dtype=complex)
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return _frozen(np.sqrt((re @ re.swapaxes(-1, -2))[..., 0, 0] + (im @ im.swapaxes(-1, -2))[..., 0, 0]))
+
+
+def kron_rows(a, b) -> np.ndarray:
+    """``numpy.kron`` of matching rows of two stacks: (..., m) and (..., n) give (..., m n)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    products = a[..., :, None] * b[..., None, :]
+    return _frozen(products.reshape(products.shape[:-2] + (-1,)))
+
+
+def _compound_rows(psi) -> np.ndarray:
+    # Validate an (N, 4) stack of unit photon-probe vectors, naming the
+    # first bad member; a non-finite component fails the norm test.
+    v = np.asarray(psi, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise NotNormalized(f"expected an (N, 4) stack of compound vectors, got shape {v.shape}")
+    n = vector_norms(v)
+    bad = np.flatnonzero(~(np.abs(n - 1.0) <= NORM_TOL))
+    if bad.size:
+        k = bad[0]
+        raise NotNormalized(f"compound vector {k} norm is {float(n[k])!r}, expected 1")
+    return v
+
+
+def _compound_row(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise NotNormalized(f"expected a 4-component compound vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > NORM_TOL:
-        raise NotNormalized(f"compound vector norm is {n!r}, expected 1")
-    c = v.reshape(2, 2)
-    return _frozen(c @ c.conj().T)
+    return v[None]
+
+
+def partial_trace_probe_stack(psi) -> np.ndarray:
+    """Reduced photon states (probe traced out) of an (N, 4) stack of unit photon-probe vectors."""
+    c = _compound_rows(psi).reshape(-1, 2, 2)
+    return _frozen(c @ c.conj().swapaxes(-1, -2))
+
+
+def partial_trace_probe(psi) -> np.ndarray:
+    """Reduced photon state of a photon-probe vector; a batch of one of :func:`partial_trace_probe_stack`."""
+    return partial_trace_probe_stack(_compound_row(psi))[0]
 
 
 # ----------------------------------------------------------------------
@@ -231,50 +300,67 @@ def partial_trace_probe(psi) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _eig2_values(a: np.ndarray):
+    # Diagonal, Hermitian off-diagonal entry, descending eigenvalues
+    # mean +/- spread and the spread of a 2x2 stack.
+    a00 = a[..., 0, 0].real
+    a11 = a[..., 1, 1].real
+    b = 0.5 * (a[..., 0, 1] + a[..., 1, 0].conj())
+    spread = np.hypot(0.5 * (a00 - a11), np.abs(b))
+    return a00, a11, b, 0.5 * (a00 + a11)[..., None] + spread[..., None] * _PLUS_MINUS, spread
+
+
+def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The 2x2 closed form over a stack: eigenvector rows (x, y) and
+    # (-conj y, conj x) for the values hi and lo.
+    a00, a11, b, values, spread = _eig2_values(a)
+    hi = values[..., 0]
+    babs = np.abs(b)
+    n1_sq = babs * babs + (hi - a00) * (hi - a00)
+    n2_sq = (hi - a11) * (hi - a11) + babs * babs
+    norm = np.sqrt(np.maximum(n1_sq, n2_sq))
+    # Degenerate and vanishing cases take the standard basis, swapped when a11 > a00.
+    basis = (spread <= 0.0) | (norm < ZERO_NORM_GUARD)
+    swap = basis & (spread > 0.0) & (a11 > a00)
+    # Two equivalent eigenvector formulas; take the better-conditioned one.
+    first = n1_sq >= n2_sq
+    norm = np.where(basis, 1.0, norm)
+    x = np.where(basis, 1.0 - swap, np.where(first, b, hi - a11) / norm)
+    y = np.where(basis, 1.0 * swap, np.where(first, hi - a00, b.conj()) / norm)
+    rows = np.empty(hi.shape + (2, 2), dtype=complex)
+    rows[..., 0, 0], rows[..., 0, 1] = x, y
+    rows[..., 1, 0], rows[..., 1, 1] = -y.conj(), x.conj()
+    return values, _canonical_phase(rows)
+
+
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector's global phase so its largest component is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    mag = abs(v[k])
-    if mag < ZERO_NORM_GUARD:
-        return v
-    return v * (np.conj(v[k]) / mag)
+    # Rotate each row of a (..., n) stack of unit vectors by conj(pivot) /
+    # |pivot|, the pivot being its first largest component.
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-1)[..., None], axis=-1)
+    return v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
-def _eigh2(a: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    # Scalar arithmetic throughout: this path sits under every effect
-    # validation, so numpy per-call overhead would dominate grid sweeps.
-    a00 = float(a[0, 0].real)
-    a11 = float(a[1, 1].real)
-    b = complex(a[0, 1])
-    mean = 0.5 * (a00 + a11)
-    half_gap = 0.5 * (a00 - a11)
-    spread = math.hypot(half_gap, abs(b))
-    hi, lo = mean + spread, mean - spread
-    if spread <= 0.0 or (b == 0.0 and a00 == a11):
-        v1, v2 = (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
+def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian part of every matrix in a stack.
+
+    ``a`` has shape (..., n, n). Returns the eigenvalues, shape (..., n),
+    descending, and the orthonormal eigenvectors, shape (..., n, n), row k
+    belonging to eigenvalue k. Each eigenvector's global phase makes its
+    largest component real positive. The 2x2 case is solved in closed form,
+    mean +/- spread; larger matrices use ``numpy.linalg.eigh``. Nothing is validated:
+    callers that need Hermiticity measure it themselves.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.shape[-1] == 2:
+        values, vectors = _eigh2(a)
     else:
-        # Two equivalent eigenvector formulas; take the better-conditioned one.
-        n1_sq = abs(b) ** 2 + (hi - a00) ** 2
-        n2_sq = (hi - a11) ** 2 + abs(b) ** 2
-        x, y = (b, hi - a00 + 0.0j) if n1_sq >= n2_sq else (hi - a11 + 0.0j, b.conjugate())
-        norm = math.sqrt(max(n1_sq, n2_sq))
-        if norm < ZERO_NORM_GUARD:
-            v1, v2 = (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
-            if a11 > a00:
-                v1, v2 = v2, v1
-        else:
-            x, y = x / norm, y / norm
-            v1 = (x, y)
-            v2 = (-y.conjugate(), x.conjugate())
-    out = []
-    for ev, (x, y) in ((hi, v1), (lo, v2)):
-        pivot = x if abs(x) >= abs(y) else y
-        mag = abs(pivot)
-        if mag >= ZERO_NORM_GUARD:
-            phase = pivot.conjugate() / mag
-            x, y = x * phase, y * phase
-        out.append((ev, _frozen(np.array([x, y]))))
-    return out
+        # Work on the Hermitian average so tiny asymmetries cannot bias the result.
+        evs, vecs = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+        values = np.ascontiguousarray(evs[..., ::-1])
+        vectors = _canonical_phase(np.ascontiguousarray(vecs[..., ::-1].swapaxes(-1, -2)))
+    return _frozen(values), _frozen(vectors)
 
 
 def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
@@ -283,49 +369,37 @@ def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
     Parameters
     ----------
     a
-        Square Hermitian matrix, dimension at most 16. The 2x2 case is
-        solved in closed form; larger matrices use ``numpy.linalg.eigh``.
+        Square Hermitian matrix, dimension at most 16.
 
     Returns
     -------
     list of (eigenvalue, eigenvector) pairs, eigenvalues descending. Each
     eigenvector's global phase makes its largest component real positive.
     The reconstruction  sum_k  lambda_k v_k v_k^dagger  reproduces ``a`` to
-    1e-11 in max norm.
+    1e-11 in max norm. A batch of one of :func:`eig_hermitian_stack`.
     """
     a = _require_hermitian(a)
     n = a.shape[0]
     if n > MAX_DIMENSION:
         raise NotHermitian(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    # Work on the Hermitian average so tiny asymmetries cannot bias the result.
-    h = 0.5 * (a + a.conj().T)
-    if n == 2:
-        return _eigh2(h)
-    evs, vecs = np.linalg.eigh(h)
-    return [
-        (float(evs[k]), _frozen(_canonical_phase(vecs[:, k].copy())))
-        for k in range(n - 1, -1, -1)
-    ]
+    values, vectors = eig_hermitian_stack(a)
+    return [(float(values[k]), vectors[k]) for k in range(n)]
 
 
 def eigvals_hermitian(a) -> np.ndarray:
     """Descending eigenvalues of the Hermitian part of every matrix in a stack.
 
     ``a`` has shape (..., n, n); the result has shape (..., n). The 2x2
-    case is the closed form of ``eig_hermitian`` evaluated over the whole
-    stack; larger matrices use ``numpy.linalg.eigvalsh``. Nothing is
-    validated: callers that need Hermiticity measure it themselves.
+    case shares the closed form of :func:`eig_hermitian_stack`, so its
+    values equal that kernel's; larger matrices use
+    ``numpy.linalg.eigvalsh``. Nothing is validated: callers that need
+    Hermiticity measure it themselves.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitian(f"expected a stack of square matrices, got shape {a.shape}")
     if a.shape[-1] == 2:
-        a00 = a[..., 0, 0].real
-        a11 = a[..., 1, 1].real
-        b = 0.5 * (a[..., 0, 1] + a[..., 1, 0].conj())
-        mean = 0.5 * (a00 + a11)
-        spread = np.hypot(0.5 * (a00 - a11), np.abs(b))
-        return _frozen(mean[..., None] + spread[..., None] * _PLUS_MINUS)
+        return _frozen(_eig2_values(a)[3])
     h = 0.5 * (a + a.conj().swapaxes(-1, -2))
     return _frozen(np.ascontiguousarray(np.linalg.eigvalsh(h)[..., ::-1]))
 
@@ -348,69 +422,91 @@ class SchmidtDecomposition:
     probe_pair: tuple[np.ndarray, np.ndarray]
 
     def reconstruct(self) -> np.ndarray:
-        w = self.weight
-        p1, p2 = self.photon_pair
-        q1, q2 = self.probe_pair
-        return math.sqrt(max(w, 0.0)) * np.kron(p1, q1) + math.sqrt(
-            max(1.0 - w, 0.0)
-        ) * np.kron(p2, q2)
+        terms = schmidt_terms(
+            np.array([self.weight]), np.array([self.photon_pair]), np.array([self.probe_pair])
+        )
+        return terms[0].sum(axis=0)
+
+
+def schmidt_stack(psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Biorthogonal decompositions of an (N, 4) stack of unit photon-probe vectors.
+
+    Returns the weights w, shape (N,), and the photon and probe pairs,
+    shape (N, 2, 2), row k of a pair belonging to the k-th Schmidt term.
+    The photon pair diagonalizes the reduced photon state and the weights
+    are its top eigenvalues, so w >= 1/2. Each photon vector's global phase
+    makes its largest component real positive, which pins the (otherwise
+    free) degenerate w = 1/2 case for golden tests. Raises
+    ``NotNormalized`` naming the first member that is not a unit vector.
+    """
+    c = _compound_rows(psi).reshape(-1, 2, 2)
+    values, photon = eig_hermitian_stack(c @ c.conj().swapaxes(-1, -2))
+    w = np.minimum(1.0, np.maximum(0.0, values[:, 0]))
+    ct = c.swapaxes(-1, -2)
+    # Top weight is always >= 1/2 for a trace-1 reduced state, so this is safe.
+    phi1 = (ct @ photon[:, 0].conj()[..., None])[..., 0] / np.sqrt(w)[:, None]
+    phi1 = phi1 / vector_norms(phi1)[:, None]
+    # A second weight below eigenvalue noise is zero: snapping it keeps
+    # sqrt(1 - w) from injecting a ghost term into the reconstruction.
+    snap = 1.0 - w < 1e-12
+    w = np.where(snap, 1.0, w)
+    phi2 = (ct @ photon[:, 1].conj()[..., None])[..., 0] / np.sqrt(np.where(snap, 1.0, 1.0 - w))[:, None]
+    phi2 = phi2 / np.where(snap, 1.0, vector_norms(phi2))[:, None]
+    # A snapped second probe direction is unconstrained; pick the canonical perp.
+    phi2 = np.where(snap[:, None], perp(phi1), phi2)
+    return _frozen(w), photon, _frozen(np.stack([phi1, phi2], axis=1))
 
 
 def schmidt(psi) -> SchmidtDecomposition:
-    """Biorthogonal decomposition of a unit photon-probe vector.
+    """Biorthogonal decomposition of one unit photon-probe vector.
 
-    The photon pair diagonalizes the reduced photon state; weights are its
-    eigenvalues, ordered so that w >= 1/2. Each photon vector's global
-    phase is fixed by making its largest component real positive, which
-    pins the (otherwise free) degenerate w = 1/2 case for golden tests.
+    A batch of one of :func:`schmidt_stack`.
     """
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape != (4,):
-        raise NotNormalized(f"expected a 4-component compound vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > NORM_TOL:
-        raise NotNormalized(f"compound vector norm is {n!r}, expected 1")
-    c = v.reshape(2, 2)
-    reduced = c @ c.conj().T
-    (w, u1), (_, u2) = eig_hermitian(reduced)
-    w = min(1.0, max(0.0, float(w)))
-    # Top weight is always >= 1/2 for a trace-1 reduced state, so this is safe.
-    phi1 = c.T @ u1.conj() / math.sqrt(w)
-    phi1 = phi1 / np.linalg.norm(phi1)
-    if 1.0 - w < 1e-12:
-        # A second weight below eigenvalue noise is zero: snapping it keeps
-        # sqrt(1 - w) from injecting a ghost term into the reconstruction.
-        w = 1.0
-        # Second probe direction is unconstrained; pick the canonical perp.
-        phi2 = perp(phi1).copy()
-    else:
-        phi2 = c.T @ u2.conj() / math.sqrt(1.0 - w)
-        phi2 = phi2 / np.linalg.norm(phi2)
+    w, photon, probe = schmidt_stack(_compound_row(psi))
     return SchmidtDecomposition(
-        weight=w,
-        photon_pair=(u1, u2),
-        probe_pair=(_frozen(phi1), _frozen(phi2)),
+        weight=float(w[0]),
+        photon_pair=(photon[0, 0], photon[0, 1]),
+        probe_pair=(probe[0, 0], probe[0, 1]),
     )
 
 
-def adapted_observable(psi) -> np.ndarray:
-    """The +/-1 observable on a vector's own Schmidt product directions.
+def schmidt_terms(weights, photon, probe) -> np.ndarray:
+    """The (N, 2, 4) terms sqrt(w_k) psi_k (x) phi_k of N Schmidt decompositions.
+
+    ``weights`` (N,) and the (N, 2, 2) pairs are as :func:`schmidt_stack`
+    returns them; the weights of the two terms are w and 1 - w. The terms
+    sum to the decomposed vectors.
+    """
+    w = np.asarray(weights, dtype=float)
+    scale = np.sqrt(np.maximum(np.stack([w, 1.0 - w], axis=1), 0.0))
+    return _frozen(scale[..., None] * kron_rows(photon, probe))
+
+
+def adapted_observable_stack(psi) -> np.ndarray:
+    """The +/-1 observables on each vector's own Schmidt product directions, (N, 4, 4).
 
     Eigenvalue +1 on psi1 x phi1, -1 on psi2 x phi2, 0 on the rest. Its
     outcome is definite exactly when the vector is separable.
     """
-    dec = schmidt(psi)
-    p1, p2 = dec.photon_pair
-    q1, q2 = dec.probe_pair
-    plus = np.kron(np.outer(p1, p1.conj()), np.outer(q1, q1.conj()))
-    minus = np.kron(np.outer(p2, p2.conj()), np.outer(q2, q2.conj()))
-    return _frozen(plus - minus)
+    _, photon, probe = schmidt_stack(psi)
+    p = photon[..., :, None] * photon.conj()[..., None, :]
+    q = probe[..., :, None] * probe.conj()[..., None, :]
+    # kron(p_k, q_k) for each term k: rows (i, a), columns (j, b).
+    kron = (p[:, :, :, None, :, None] * q[:, :, None, :, None, :]).reshape(-1, 2, 4, 4)
+    return _frozen(kron[:, 0] - kron[:, 1])
+
+
+def adapted_observable_variance_stack(psi) -> np.ndarray:
+    """Variance of each adapted observable in its own vector; equals 4 w (1 - w)."""
+    v = _compound_rows(psi)
+    s = adapted_observable_stack(v)
+    bra = v.conj()[:, None, :]
+    sv = s @ v[..., None]
+    mean = (bra @ sv)[:, 0, 0].real
+    second = (bra @ (s @ sv))[:, 0, 0].real
+    return _frozen(second - mean * mean)
 
 
 def adapted_observable_variance(psi) -> float:
-    """Variance of the adapted observable in its own vector; equals 4 w (1 - w)."""
-    v = state_vector(psi)
-    s = adapted_observable(v)
-    mean = float(np.vdot(v, s @ v).real)
-    second = float(np.vdot(v, s @ (s @ v)).real)
-    return second - mean * mean
+    """A batch of one of :func:`adapted_observable_variance_stack`."""
+    return float(adapted_observable_variance_stack(_compound_row(psi))[0])

@@ -41,15 +41,22 @@ class OracleConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def haar_vector(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """A Haar-random unit vector of C^dim drawn from ``rng``.
+def haar_vectors(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
+    """``count`` Haar-random unit vectors of C^dim drawn from ``rng``, shape (count, dim).
 
-    Draws 2 * dim standard normals, pairs them as (re, im) and normalizes.
-    The package's one random-state sampler; seeded draws replay bit for bit.
+    Draws 2 * dim standard normals per vector, pairs them as (re, im) and
+    normalizes each row. The package's one random-state sampler: row n
+    equals the n-th of ``count`` successive :func:`haar_vector` draws bit
+    for bit, and seeded draws replay bit for bit.
     """
-    z = rng.standard_normal(2 * dim)
-    v = z[0::2] + 1j * z[1::2]
-    return v / np.linalg.norm(v)
+    z = rng.standard_normal((count, 2 * dim))
+    v = z[:, 0::2] + 1j * z[:, 1::2]
+    return v / linalg.vector_norms(v)[:, None]
+
+
+def haar_vector(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """One Haar-random unit vector of C^dim; a batch of one of :func:`haar_vectors`."""
+    return haar_vectors(rng, 1, dim)[0]
 
 
 def haar_state(seed: int, index: int) -> np.ndarray:

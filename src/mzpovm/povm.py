@@ -263,39 +263,52 @@ def marginal(p: DiscretePovm, grouping) -> DiscretePovm:
     return DiscretePovm.from_pairs((label, op) for (label, _), op in zip(items, grouped))
 
 
-def jointly_measurable(pair: UnsharpPair) -> bool:
-    """Whether the unsharp sigma_x / sigma_z pair admits a joint observable.
-
-    The criterion is f^2 + g^2 <= 1, with 1e-12 of tolerance at the
-    boundary so exactly-saturating pairs like (sin t, cos t) pass under
-    floating-point noise.
-    """
-    return pair.f * pair.f + pair.g * pair.g <= 1.0 + 1e-12
-
-
 _PAULIS = np.array(linalg.pauli_triple())
 JOINT_LABELS = ("11", "21", "12", "22")
 _JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked joint observables of the unsharp pairs (f[n], g[n]).
-
-    Returns the (N, 4, 2, 2) effects (I +/- f sigma_x +/- g sigma_z) / 4 in
-    the order of ``JOINT_LABELS``, and the (N,) mask of pairs admitted by
-    f^2 + g^2 <= 1 + 1e-10. Effects are built for every pair; outside the
-    mask their minimum eigenvalue (1 - sqrt(f^2 + g^2)) / 4 is negative.
-    """
+def _pair_arrays(f, g) -> tuple[np.ndarray, np.ndarray]:
     f = np.asarray(f, dtype=float).reshape(-1)
     g = np.asarray(g, dtype=float).reshape(-1)
     if f.shape != g.shape:
         raise DimensionMismatch(f"{f.size} values of f against {g.size} values of g")
+    return f, g
+
+
+def jointly_measurable_stack(f, g) -> np.ndarray:
+    """Which unsharp sigma_x / sigma_z pairs (f[n], g[n]) admit a joint observable.
+
+    The criterion is f^2 + g^2 <= 1, with ``JOINT_BOUNDARY_TOL`` (1e-10) of
+    tolerance at the boundary, so exactly saturating pairs like
+    (sin t, cos t) pass under floating-point noise. Returns an (N,) mask;
+    :func:`joint_xz_effects` admits exactly these pairs.
+    """
+    f, g = _pair_arrays(f, g)
+    return f * f + g * g <= 1.0 + JOINT_BOUNDARY_TOL
+
+
+def jointly_measurable(pair: UnsharpPair) -> bool:
+    """Whether one unsharp pair admits a joint observable; a batch of one of :func:`jointly_measurable_stack`."""
+    return bool(jointly_measurable_stack(pair.f, pair.g)[0])
+
+
+def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked joint observables of the unsharp pairs (f[n], g[n]).
+
+    Returns the (N, 4, 2, 2) effects (I +/- f sigma_x +/- g sigma_z) / 4 in
+    the order of ``JOINT_LABELS``, and the (N,) mask of
+    :func:`jointly_measurable_stack`. Effects are built for every pair;
+    outside the mask their minimum eigenvalue (1 - sqrt(f^2 + g^2)) / 4 is
+    negative.
+    """
+    f, g = _pair_arrays(f, g)
     sx, _, sz = linalg.pauli_triple()
     fx = (f[:, None] * _JOINT_X_SIGNS)[..., None, None]
     gz = (g[:, None] * _JOINT_Z_SIGNS)[..., None, None]
     effects = 0.25 * (linalg.IDENTITY2 + fx * sx + gz * sz)
-    return effects, f * f + g * g <= 1.0 + JOINT_BOUNDARY_TOL
+    return effects, jointly_measurable_stack(f, g)
 
 
 def joint_xz(pair: UnsharpPair) -> DiscretePovm:
@@ -363,7 +376,15 @@ def contrast(p: DiscretePovm) -> float:
     return float(contrast_stack(np.array([e.operator for e in p.effects])[None])[0])
 
 
-def unsharpness(p: DiscretePovm) -> float:
-    """1 - contrast^2; equals the minimum outcome variance over all states."""
-    c = contrast(p)
+def unsharpness_stack(effects) -> np.ndarray:
+    """1 - contrast^2 for an (N, 2, 2, 2) stack of two-outcome qubit POVMs.
+
+    Equals each POVM's minimum outcome variance over all states.
+    """
+    c = contrast_stack(effects)
     return 1.0 - c * c
+
+
+def unsharpness(p: DiscretePovm) -> float:
+    """1 - contrast^2; a batch of one of :func:`unsharpness_stack`."""
+    return float(unsharpness_stack(np.array([e.operator for e in p.effects])[None])[0])

@@ -36,9 +36,6 @@ from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp, No
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
 
-_PAULIS = np.array(linalg.pauli_triple())
-_PAULIS.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -110,11 +107,6 @@ def _variance(ops, rho) -> np.ndarray:
     # Var(A, rho) = <A^2> - <A>^2 over broadcast stacks.
     mean = _trace(ops, rho).real
     return _trace(ops @ ops, rho).real - mean * mean
-
-
-def _bloch_vectors(rho: np.ndarray) -> np.ndarray:
-    # (N, 2, 2) states -> (N, 3) vectors r_k = tr[rho sigma_k].
-    return _trace(_PAULIS, rho[:, None]).real
 
 
 def _density_stack(rhos) -> np.ndarray:
@@ -283,7 +275,7 @@ def triple_relations_stack(rhos) -> list[RelationStack]:
     rho = _density_stack(rhos)
     entropy_sum = sum(_entropies(pauli_pvm(ax), rho) for ax in "xyz")
     variance_sum = sum(_variance(s, rho) for s in linalg.pauli_triple())
-    c = np.minimum(1.0, np.abs(_bloch_vectors(rho)))
+    c = np.minimum(1.0, np.abs(linalg.bloch_from_density_stack(rho)))
     contrast_sum = c[:, 2] ** 2 + c[:, 0] ** 2 + c[:, 1] ** 2
     return [
         make_reports("entropy-triple", entropy_sum, 2.0, "geq"),
@@ -474,8 +466,8 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureStack:
     p2 = _unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (alpha.size, 2):
         raise DimensionMismatch(f"got {alpha.size} amplitude pairs for {len(p1)} and {len(p2)} markers")
-    b1 = _bloch_vectors(_projectors(p1))
-    b2 = _bloch_vectors(_projectors(p2))
+    b1 = linalg.bloch_from_density_stack(_projectors(p1))
+    b2 = linalg.bloch_from_density_stack(_projectors(p2))
     direction, d = _inference(alpha, beta, b1, b2)
     # Reduced photon state of alpha |1>|p1> + beta |2>|p2>.
     rows = np.stack([alpha[:, None] * p1, beta[:, None] * p2], axis=1)

@@ -96,85 +96,93 @@ def check_pauli_algebra() -> CheckResult:
 
 def check_bloch_round_trip(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 101])
-    worst = 0.0
-    for r in _random_bloch_ball(rng, 1000):
-        back = linalg.bloch_from_density(linalg.density_from_bloch(r))
-        worst = max(worst, float(np.max(np.abs(back - r))))
-    return _result("bloch-round-trip", worst, 1e-12)
+    r = _random_bloch_ball(rng, 1000)
+    back = linalg.bloch_from_density_stack(linalg.density_from_bloch_stack(r))
+    return _result("bloch-round-trip", float(np.max(np.abs(back - r))), 1e-12)
 
 
 def check_partial_trace_product(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 102])
-    worst = 0.0
-    for _ in range(100):
-        psi = oracle.haar_vector(rng)
-        phi = oracle.haar_vector(rng)
-        reduced = linalg.partial_trace_probe(np.kron(psi, phi))
-        worst = max(worst, float(np.max(np.abs(reduced - np.outer(psi, psi.conj())))))
+    # Each sample draws psi then phi; one batched draw replays that order.
+    pairs = oracle.haar_vectors(rng, 200).reshape(100, 2, 2)
+    psi, phi = pairs[:, 0], pairs[:, 1]
+    reduced = linalg.partial_trace_probe_stack(linalg.kron_rows(psi, phi))
+    worst = float(np.max(np.abs(reduced - psi[:, :, None] * psi.conj()[:, None, :])))
     return _result("partial-trace-product", worst, 1e-12)
 
 
 def check_eig_reconstruction(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 103])
+    # Samples alternate 2x2 and 4x4, each drawing its real then its
+    # imaginary part: 40 normals per pair of samples, replayed in one draw.
+    z = rng.standard_normal((500, 40))
     worst = 0.0
-    for k in range(1000):
-        n = 2 if k % 2 == 0 else 4
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = 0.5 * (g + g.conj().T)
-        rec = np.zeros((n, n), dtype=complex)
-        for ev, vec in linalg.eig_hermitian(h):
-            rec += ev * np.outer(vec, vec.conj())
+    for n, parts in ((2, z[:, :8]), (4, z[:, 8:])):
+        parts = parts.reshape(500, 2, n, n)
+        g = parts[:, 0] + 1j * parts[:, 1]
+        h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        values, vectors = linalg.eig_hermitian_stack(h)
+        rec = np.zeros_like(h)
+        # Sum lambda_k v_k v_k^dagger in descending order of lambda_k.
+        for k in range(n):
+            v = vectors[:, k]
+            rec += values[:, k, None, None] * (v[:, :, None] * v.conj()[:, None, :])
         worst = max(worst, float(np.max(np.abs(rec - h))))
     return _result("eig-reconstruction", worst, 1e-11)
 
 
 def check_schmidt_separability(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 104])
-    worst = 0.0
-    ok = True
+    # Even samples are products; odd ones draw a weight, then psi and phi.
+    # The draws interleave two distributions, so they stay in a loop.
+    product = np.arange(60) % 2 == 0
+    weights = np.ones(60)
+    psi = np.empty((60, 2), dtype=complex)
+    phi = np.empty((60, 2), dtype=complex)
     for k in range(60):
-        if k % 2 == 0:
-            vec = np.kron(oracle.haar_vector(rng), oracle.haar_vector(rng))
-            expected_variance = 0.0
-        else:
-            w = float(rng.uniform(0.55, 0.95))
-            psi = oracle.haar_vector(rng)
-            phi = oracle.haar_vector(rng)
-            vec = math.sqrt(w) * np.kron(psi, phi) + math.sqrt(1.0 - w) * np.kron(
-                linalg.perp(psi), linalg.perp(phi)
-            )
-            expected_variance = 4.0 * w * (1.0 - w)
-        dec = linalg.schmidt(vec)
-        worst = max(worst, float(np.max(np.abs(dec.reconstruct() - vec))))
-        variance = linalg.adapted_observable_variance(vec)
-        worst = max(worst, abs(variance - expected_variance))
-        truncated = math.sqrt(dec.weight) * np.kron(dec.photon_pair[0], dec.probe_pair[0])
-        is_product = float(np.linalg.norm(vec - truncated)) <= 1e-8
-        if (variance <= 1e-8) != (expected_variance == 0.0) or is_product != (expected_variance == 0.0):
-            ok = False
+        if not product[k]:
+            weights[k] = rng.uniform(0.55, 0.95)
+        psi[k] = oracle.haar_vector(rng)
+        phi[k] = oracle.haar_vector(rng)
+    entangled = np.sqrt(weights)[:, None] * linalg.kron_rows(psi, phi) + np.sqrt(1.0 - weights)[:, None] * linalg.kron_rows(
+        linalg.perp(psi), linalg.perp(phi)
+    )
+    vecs = np.where(product[:, None], linalg.kron_rows(psi, phi), entangled)
+    expected_variance = np.where(product, 0.0, 4.0 * weights * (1.0 - weights))
+    terms = linalg.schmidt_terms(*linalg.schmidt_stack(vecs))
+    variance = linalg.adapted_observable_variance_stack(vecs)
+    worst = max(
+        float(np.max(np.abs(terms.sum(axis=1) - vecs))),
+        float(np.max(np.abs(variance - expected_variance))),
+    )
+    is_product = np.linalg.norm(vecs - terms[:, 0], axis=1) <= 1e-8
+    ok = bool(np.all((variance <= 1e-8) == product) and np.all(is_product == product))
     res = _result("schmidt-separability", worst, 1e-10)
     return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
 
 
 def check_smear_validity(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 105])
+    # Each sample draws an axis, a row count and that many weight rows; the
+    # draws interleave three distributions, so they stay in a loop.
     axes, weights = [], []
     for _ in range(1000):
-        axes.append(_random_unit(rng))
-        rows = int(rng.integers(2, 5))
-        w = rng.random((rows, 2)) + 1e-3
-        w /= w.sum(axis=0, keepdims=True)
-        weights.append(w)
+        axes.append(rng.standard_normal(3))
+        weights.append(rng.random((int(rng.integers(2, 5)), 2)))
+    axes = np.array(axes)
+    axes /= linalg.vector_norms(axes)[:, None]
     sx, sy, sz = linalg.pauli_triple()
     worst = 0.0
     ok = True
     # One smear, one classification and one commutator pass per row count.
     for rows in (2, 3, 4):
         members = [n for n, w in enumerate(weights) if len(w) == rows]
-        a = np.array([axes[n] for n in members])[:, :, None, None]
+        w = np.array([weights[n] for n in members]) + 1e-3
+        w /= w.sum(axis=1, keepdims=True)
+        a = axes[members][:, :, None, None]
         op = a[:, 0] * sx + a[:, 1] * sy + a[:, 2] * sz
         pvms = np.stack([0.5 * (np.eye(2) + op), 0.5 * (np.eye(2) - op)], axis=1)
-        smeared = povm.smear_stack(pvms, np.array([weights[n] for n in members]))
+        smeared = povm.smear_stack(pvms, w)
         ok = ok and bool(povm.classify_effects(smeared).valid.all())
         i, j = np.triu_indices(rows, 1)
         left, right = smeared[:, i], smeared[:, j]
@@ -183,36 +191,50 @@ def check_smear_validity(seed: int) -> CheckResult:
     return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
 
 
+def _random_unsharp_pairs(rng: np.random.Generator, n: int):
+    # Each sample draws an angle, then a squared scale: one batched draw
+    # replays the per-sample order. math.cos and math.sin keep the pairs
+    # independent of numpy's SIMD dispatch. Returns the joint effects of
+    # the pairs and whether all were admitted as valid POVMs.
+    u = rng.random((n, 2))
+    angle = (u[:, 0] * 2.0 * math.pi).tolist()
+    scale = np.sqrt(u[:, 1])
+    f = scale * np.array([math.cos(a) for a in angle])
+    g = scale * np.array([math.sin(a) for a in angle])
+    effects, admitted = povm.joint_xz_effects(f, g)
+    valid = povm.classify_effects(effects).valid
+    return f, g, effects, bool(admitted.all() and valid.all())
+
+
 def check_joint_marginality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 106])
     sx, _, sz = linalg.pauli_triple()
+    f, g, effects, admitted = _random_unsharp_pairs(rng, 200)
     worst = 0.0
-    for _ in range(200):
-        angle = rng.random() * 2.0 * math.pi
-        scale = math.sqrt(rng.random())
-        pair = povm.UnsharpPair(scale * math.cos(angle), scale * math.sin(angle))
-        joint = povm.joint_xz(pair)
-        first = povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING)
-        second = povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING)
-        for sign, label in ((1.0, "1"), (-1.0, "2")):
-            worst = max(
-                worst,
-                float(np.max(np.abs(first.operator(label) - 0.5 * (np.eye(2) + sign * pair.f * sx)))),
-                float(np.max(np.abs(second.operator(label) - 0.5 * (np.eye(2) + sign * pair.g * sz)))),
-            )
-    return _result("joint-marginality", worst, 1e-14)
+    for param, axis, grouping in (
+        (f, sx, povm.JOINT_FIRST_INDEX_GROUPING),
+        (g, sz, povm.JOINT_SECOND_INDEX_GROUPING),
+    ):
+        got = povm.marginal_stack(effects, povm.JOINT_LABELS, grouping)
+        # Outcome "1" carries +param, outcome "2" -param.
+        want = 0.5 * (np.eye(2) + (param[:, None] * np.array([1.0, -1.0]))[..., None, None] * axis)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    res = _result("joint-marginality", worst, 1e-14)
+    return CheckResult(res.name, res.passed and admitted, res.deviation, res.detail)
 
 
 def check_joint_iff_grid() -> CheckResult:
     values = np.linspace(-1.0, 1.0, 101)
-    mismatches = 0
-    # One stacked build and classification per grid row keeps temporaries small.
-    for f in values:
-        effects, admitted = povm.joint_xz_effects(np.full_like(values, f), values)
-        built = admitted & povm.classify_effects(effects).valid
-        admissible = f * f + values * values <= 1.0 + 1e-10
-        measurable = [povm.jointly_measurable(povm.UnsharpPair(float(f), float(g))) for g in values]
-        mismatches += int(np.sum((built != admissible) | (measurable != admissible)))
+    f, g = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
+    admissible = f * f + g * g <= 1.0 + 1e-10
+    built = np.empty(f.shape, dtype=bool)
+    # Stacked builds and classifications in blocks keep temporaries small.
+    for start in range(0, f.size, 1024):
+        block = slice(start, start + 1024)
+        effects, admitted = povm.joint_xz_effects(f[block], g[block])
+        built[block] = admitted & povm.classify_effects(effects).valid
+    measurable = povm.jointly_measurable_stack(f, g)
+    mismatches = int(np.sum((built != admissible) | (measurable != admissible)))
     return _result("joint-iff-grid", float(mismatches), 0.0)
 
 
@@ -255,16 +277,12 @@ def check_contrast_oracle(seed: int) -> CheckResult:
 
 def check_unsharpness_trade_off(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 108])
-    worst = 0.0
-    for _ in range(500):
-        angle = rng.random() * 2.0 * math.pi
-        scale = math.sqrt(rng.random())
-        pair = povm.UnsharpPair(scale * math.cos(angle), scale * math.sin(angle))
-        joint = povm.joint_xz(pair)
-        u_f = povm.unsharpness(povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING))
-        u_g = povm.unsharpness(povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING))
-        worst = max(worst, 1.0 - (u_f + u_g))
-    return _result("unsharpness-trade-off", max(0.0, worst), 1e-12)
+    _, _, effects, admitted = _random_unsharp_pairs(rng, 500)
+    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, povm.JOINT_FIRST_INDEX_GROUPING))
+    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, povm.JOINT_SECOND_INDEX_GROUPING))
+    worst = max(0.0, float(np.max(1.0 - (u_f + u_g))))
+    res = _result("unsharpness-trade-off", worst, 1e-12)
+    return CheckResult(res.name, res.passed and admitted, res.deviation, res.detail)
 
 
 def check_mub_fourier(seed: int) -> CheckResult:
@@ -324,7 +342,7 @@ def check_mz_unitarity(seed: int) -> CheckResult:
 
 def check_marking_unitary(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 111])
-    probes = np.array([[oracle.haar_vector(rng) for _ in range(3)] for _ in range(200)])
+    probes = oracle.haar_vectors(rng, 600).reshape(200, 3, 2)
     u = interferometer.marking_unitary_stack(probes)
     worst = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))))
     for k in (1, 2):
@@ -450,7 +468,7 @@ def check_state_relations(seed: int, samples: int) -> CheckResult:
     pure_dirs = rng.standard_normal((half, 3))
     pure_dirs /= np.linalg.norm(pure_dirs, axis=1, keepdims=True)
     rs = np.concatenate([blochs, pure_dirs])
-    rhos = np.array([linalg.density_from_bloch(r) for r in rs])
+    rhos = linalg.density_from_bloch_stack(rs)
     r2 = np.sum(rs * rs, axis=1)
     report = relations.variance_ur_stack(rhos)
     entropy_triple, var_triple, contrast_triple = relations.triple_relations_stack(rhos)

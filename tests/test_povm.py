@@ -389,6 +389,21 @@ class TestJointXZ:
         assert povm.jointly_measurable(povm.UnsharpPair(1.0, 0.0))
         assert not povm.jointly_measurable(povm.UnsharpPair(0.8, 0.8))
 
+    @pytest.mark.parametrize("excess", [5e-11, 1e-10])
+    def test_boundary_band_is_admitted_as_the_constructor_admits_it(self, excess):
+        # f^2 + g^2 in (1 + 1e-12, 1 + 1e-10]: joint_xz builds a valid POVM,
+        # so the predicate must say the pair is jointly measurable.
+        pair = povm.UnsharpPair(1.0, math.sqrt(excess))
+        assert 1.0 + 1e-12 < pair.f * pair.f + pair.g * pair.g <= 1.0 + 1e-10
+        assert povm.validate(povm.joint_xz(pair)).valid
+        assert povm.jointly_measurable(pair)
+
+    def test_just_outside_the_band_is_rejected_by_both(self):
+        pair = povm.UnsharpPair(1.0, math.sqrt(2e-10))
+        assert not povm.jointly_measurable(pair)
+        with pytest.raises(NotJointlyMeasurable):
+            povm.joint_xz(pair)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 2.0 * math.pi))
     def test_exact_boundary_always_admissible(self, angle):
