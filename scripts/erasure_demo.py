@@ -17,7 +17,7 @@ from mzpovm import extraction, interferometer, linalg, oracle, povm
 def main() -> int:
     config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    scheme = extraction.scheme_for(config)
+    scheme = extraction.schemes_for([config])
     measured = extraction.extract_povm(scheme)
 
     probabilities = oracle.direct_probabilities(scheme, psi)

@@ -81,7 +81,7 @@ def _matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _povm_dict(p: povm.DiscretePovm) -> dict:
-    return {e.label: _matrix(e.operator) for e in p.effects}
+    return {label: _matrix(op) for label, op in zip(p.labels, p.effects)}
 
 
 def _classify(p: povm.DiscretePovm) -> dict:
@@ -178,7 +178,7 @@ def _evaluate(configs, psi: np.ndarray):
 def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
     """The full report for one configuration and input state; a batch of one of the sweep core."""
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    measured = povm.DiscretePovm.from_pairs(zip(labels, effects[0]))
+    measured = povm.DiscretePovm(labels, effects[0])
     rho = linalg.pure_density(psi)
 
     reports = [relations.variance_ur(rho)]
@@ -211,7 +211,7 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         "n": _bloch_list(audit.visibility.direction),
     }
 
-    if len(measured.effects) == 4:
+    if len(labels) == 4:
         grouped = extraction.marginals_of(measured)
         report["marginals"] = {
             "F": {"effects": _povm_dict(grouped.detector), "classification": _classify(grouped.detector)},

@@ -44,10 +44,6 @@ class OrthonormalBasis:
         return self.vectors.shape[0]
 
 
-def standard_basis(n: int) -> OrthonormalBasis:
-    return OrthonormalBasis(np.eye(n, dtype=complex))
-
-
 def fourier_partner(b: OrthonormalBasis) -> OrthonormalBasis:
     """A basis mutually unbiased with ``b``.
 

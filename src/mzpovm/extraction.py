@@ -10,6 +10,11 @@ computed directly from the two basis inputs |i> (x) p0 (exact; no fitting
 from samples). Output probabilities in the evolved state then equal the
 input expectations <psi| E_kl |psi> for every input.
 
+Schemes are held in a :class:`SchemeStack` of N members sharing one
+output label set; a single scheme is a one-member stack, and
+:func:`extract_effects` reads the (N, L, 2, 2) effects of all members in
+one array pass.
+
 The closed forms here are the analytic effect tables of the three marked
 experiments; the extraction route and the closed-form route must agree
 entrywise, which is the central defense against sign and prefactor slips.
@@ -21,7 +26,7 @@ follows from the effects: normalization fixes the prefactor at 1/2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,48 +114,9 @@ def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     raise InvalidScheme(f"scheme {k}: output projections do not sum to the identity")
 
 
-@dataclass(frozen=True)
-class MeasurementScheme:
-    """Unitary coupling, initial probe state, and labeled output projections.
-
-    A batch of one of :class:`SchemeStack`, kept as ``stack``.
-    """
-
-    unitary: np.ndarray
-    probe_init: np.ndarray
-    outputs: tuple[tuple[str, np.ndarray], ...]
-    stack: SchemeStack = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (4, 4):
-            raise InvalidScheme(f"scheme unitary must be 4x4, got {u.shape}")
-        labels = [label for label, _ in self.outputs]
-        ops = [np.asarray(m, dtype=complex) for _, m in self.outputs]
-        if not ops or any(op.shape != (4, 4) for op in ops):
-            raise InvalidScheme("a scheme needs at least one output, each a 4x4 projection")
-        p0 = np.asarray(self.probe_init, dtype=complex).reshape(1, -1)
-        stack = SchemeStack(labels, u[None], p0, np.array(ops)[None])
-        object.__setattr__(self, "unitary", stack.unitaries[0])
-        object.__setattr__(self, "probe_init", stack.probe_init[0])
-        object.__setattr__(self, "outputs", tuple(zip(stack.labels, stack.outputs[0])))
-        object.__setattr__(self, "stack", stack)
-
-
 _DETECTOR_LABELS = ("1", "2")
 _POINTER_LABELS = ("11", "21", "12", "22")
 _DETECTOR_OUTPUTS = np.array([interferometer.detector_projection(k) for k in (1, 2)])
-
-
-def _scheme_arrays(probes: np.ndarray, deltas, pointers: np.ndarray | None):
-    # Labels, unitaries, initial probe states and outputs of N schemes,
-    # unvalidated: SchemeStack and MeasurementScheme each validate once.
-    unitaries = interferometer.total_unitary_stack(probes, deltas)
-    if pointers is None:
-        outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
-        return _DETECTOR_LABELS, unitaries, probes[:, 0], outputs
-    outputs = [interferometer.output_projection_stack(k, pointers[:, l]) for l in (0, 1) for k in (1, 2)]
-    return _POINTER_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1)
 
 
 def build_schemes(probes, deltas, pointers) -> SchemeStack:
@@ -160,44 +126,27 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
     |k><k| (x) |r_l><r_l| labeled 11, 21, 12, 22; without, only the
     detector projections |k><k| (x) I labeled 1, 2.
     """
-    pointers = None if pointers is None else np.asarray(pointers, dtype=complex)
-    return SchemeStack(*_scheme_arrays(np.asarray(probes, dtype=complex), deltas, pointers))
-
-
-def build_scheme(
-    probes: interferometer.ProbeTriple,
-    delta: float,
-    pointers: tuple[np.ndarray, np.ndarray] | None,
-) -> MeasurementScheme:
-    """Assemble one scheme from probes, phase, and an optional pointer basis.
-
-    A batch of one of :func:`build_schemes`.
-    """
-    if pointers is not None:
-        pointers = np.array([[linalg.state_vector(r) for r in pointers]])
-    labels, unitaries, probe_init, outputs = _scheme_arrays(probes.rows()[None], [delta], pointers)
-    return MeasurementScheme(unitaries[0], probe_init[0], tuple(zip(labels, outputs[0])))
+    probes = np.asarray(probes, dtype=complex)
+    unitaries = interferometer.total_unitary_stack(probes, deltas)
+    if pointers is None:
+        outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
+        return SchemeStack(_DETECTOR_LABELS, unitaries, probes[:, 0], outputs)
+    pointers = np.asarray(pointers, dtype=complex)
+    outputs = [interferometer.output_projection_stack(k, pointers[:, l]) for l in (0, 1) for k in (1, 2)]
+    return SchemeStack(_POINTER_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1))
 
 
 def schemes_for(configs) -> SchemeStack:
     """The measurement schemes of configurations that share one readout, as one stack.
 
     Path and interference read the detectors alone; the other experiments
-    add a pointer. One stack cannot mix the two.
+    add a pointer. One stack cannot mix the two. The scheme of a single
+    configuration is the one-member stack ``schemes_for([config])``.
     """
     return build_schemes(
         interferometer.probe_stack(configs),
         [interferometer.effective_delta(c) for c in configs],
         interferometer.pointer_stack(configs),
-    )
-
-
-def scheme_for(config: interferometer.MzConfig) -> MeasurementScheme:
-    """The measurement scheme realizing an experiment configuration."""
-    return build_scheme(
-        interferometer.probes_for(config),
-        interferometer.effective_delta(config),
-        interferometer.pointer_basis(config),
     )
 
 
@@ -215,12 +164,14 @@ def extract_effects(schemes: SchemeStack) -> np.ndarray:
     return np.einsum("nai,nlaj->nlij", w.conj(), mw)
 
 
-def extract_povm(scheme: MeasurementScheme) -> povm.DiscretePovm:
-    """The input POVM a scheme measures, one effect per output label.
+def extract_povm(scheme: SchemeStack) -> povm.DiscretePovm:
+    """The input POVM a one-member scheme stack measures, one effect per output label.
 
     A batch of one of :func:`extract_effects`.
     """
-    return povm.DiscretePovm.from_pairs(zip(scheme.stack.labels, extract_effects(scheme.stack)[0]))
+    if len(scheme) != 1:
+        raise InvalidScheme(f"expected a one-member scheme stack, got {len(scheme)} members")
+    return povm.DiscretePovm(scheme.labels, extract_effects(scheme)[0])
 
 
 @dataclass(frozen=True)
@@ -287,67 +238,41 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
         minus = 0.5 * (ident - sz)
         c2 = math.cos(d / 2.0) ** 2
         s2 = math.sin(d / 2.0) ** 2
-        joint = povm.DiscretePovm.from_pairs(
-            [("11", c2 * plus), ("21", s2 * plus), ("12", s2 * minus), ("22", c2 * minus)]
-        )
-        detector = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, (0, 0, math.cos(d)))), ("2", _half(1.0, (0, 0, -math.cos(d))))]
-        )
-        probe = povm.DiscretePovm.from_pairs([("1", plus), ("2", minus)])
-        coincidence = povm.DiscretePovm.from_pairs([("1", c2 * ident), ("2", s2 * ident)])
-        return ExperimentObservables(joint, detector, probe, coincidence)
-
-    if config.experiment == "erasure":
+        joint = [c2 * plus, s2 * plus, s2 * minus, c2 * minus]
+        detector = [_half(1.0, (0, 0, math.cos(d))), _half(1.0, (0, 0, -math.cos(d)))]
+        probe = [plus, minus]
+        coincidence = [c2 * ident, s2 * ident]
+    elif config.experiment == "erasure":
         g = config.gamma
         n = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), -math.cos(d)])
         m = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), math.cos(d)])
-        joint = povm.DiscretePovm.from_pairs(
-            [
-                ("11", _quarter(1.0, -n)),
-                ("21", _quarter(1.0, n)),
-                ("12", _quarter(1.0, m)),
-                ("22", _quarter(1.0, -m)),
-            ]
-        )
-        detector = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, (0, 0, math.cos(d)))), ("2", _half(1.0, (0, 0, -math.cos(d))))]
-        )
-        probe = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, (0, 0, 0))), ("2", _half(1.0, (0, 0, 0)))]
-        )
+        joint = [_quarter(1.0, -n), _quarter(1.0, n), _quarter(1.0, m), _quarter(1.0, -m)]
+        detector = [_half(1.0, (0, 0, math.cos(d))), _half(1.0, (0, 0, -math.cos(d)))]
+        probe = [_half(1.0, (0, 0, 0)), _half(1.0, (0, 0, 0))]
         fringe = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), 0.0])
-        coincidence = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, -fringe)), ("2", _half(1.0, fringe))]
-        )
-        return ExperimentObservables(joint, detector, probe, coincidence)
-
-    if config.experiment == "quantitative":
+        coincidence = [_half(1.0, -fringe), _half(1.0, fringe)]
+    elif config.experiment == "quantitative":
         t = config.theta
         bias = math.cos(t) * math.cos(d)
         m = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) + math.cos(t)])
         n = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) - math.cos(t)])
-        joint = povm.DiscretePovm.from_pairs(
-            [
-                ("11", _quarter(1.0 + bias, m)),
-                ("21", _quarter(1.0 - bias, -n)),
-                ("12", _quarter(1.0 - bias, n)),
-                ("22", _quarter(1.0 + bias, -m)),
-            ]
-        )
+        joint = [
+            _quarter(1.0 + bias, m),
+            _quarter(1.0 - bias, -n),
+            _quarter(1.0 - bias, n),
+            _quarter(1.0 + bias, -m),
+        ]
         f_vec = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d)])
-        detector = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, f_vec)), ("2", _half(1.0, -f_vec))]
+        detector = [_half(1.0, f_vec), _half(1.0, -f_vec)]
+        probe = [_half(1.0, (0, 0, math.cos(t))), _half(1.0, (0, 0, -math.cos(t)))]
+        coincidence = [_half(1.0 + bias, (0, 0, 0)), _half(1.0 - bias, (0, 0, 0))]
+    else:
+        raise UnsupportedExperiment(
+            f"closed forms exist for marking/erasure/quantitative, not {config.experiment!r}"
         )
-        probe = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0, (0, 0, math.cos(t)))), ("2", _half(1.0, (0, 0, -math.cos(t))))]
-        )
-        coincidence = povm.DiscretePovm.from_pairs(
-            [("1", _half(1.0 + bias, (0, 0, 0))), ("2", _half(1.0 - bias, (0, 0, 0)))]
-        )
-        return ExperimentObservables(joint, detector, probe, coincidence)
-
-    raise UnsupportedExperiment(
-        f"closed forms exist for marking/erasure/quantitative, not {config.experiment!r}"
+    return ExperimentObservables(
+        povm.DiscretePovm(_POINTER_LABELS, joint),
+        *(povm.DiscretePovm(_DETECTOR_LABELS, ops) for ops in (detector, probe, coincidence)),
     )
 
 

@@ -179,16 +179,6 @@ def pointer_stack(configs) -> np.ndarray | None:
     return out
 
 
-def pointer_basis(config: MzConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """Orthonormal probe vectors read out jointly with the detectors.
-
-    Returns None for path/interference, where only the detectors fire. A
-    batch of one of :func:`pointer_stack`.
-    """
-    pointers = pointer_stack([config])
-    return None if pointers is None else (pointers[0, 0], pointers[0, 1])
-
-
 def _marking_blocks(probes: np.ndarray) -> np.ndarray:
     # V_k = |p_k><p0| + |p_k_perp><p0_perp| for k = 1, 2, as (N, 2, 2, 2) [n, k, row, col].
     p0, pk = probes[:, 0, None, None, :], probes[:, 1:, :, None]

@@ -18,7 +18,6 @@ module is thread-safe without qualification.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ _PAULI = {
 
 _PAULI_STACK = _frozen(np.array([_PAULI["x"], _PAULI["y"], _PAULI["z"]]))
 IDENTITY2 = _frozen(np.eye(2, dtype=complex))
-IDENTITY4 = _frozen(np.eye(4, dtype=complex))
 _PLUS_MINUS = _frozen(np.array([1.0, -1.0]))
 
 
@@ -82,19 +80,6 @@ def state_vector(components) -> np.ndarray:
     return _frozen(v.copy())
 
 
-def unit(v) -> np.ndarray:
-    """Normalize ``v``, rejecting near-zero vectors.
-
-    Vectors with norm below 1e-12 are rejected rather than normalized
-    silently; a zero vector at this point always means an upstream bug.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = float(np.linalg.norm(v))
-    if n < ZERO_NORM_GUARD:
-        raise NotNormalized(f"refusing to normalize a vector of norm {n!r}")
-    return _frozen(v / n)
-
-
 def perp(v) -> np.ndarray:
     """The canonical perpendicular of C^2 vectors: (a, b) -> (-conj(b), conj(a)).
 
@@ -119,23 +104,6 @@ def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if dev > tol:
         raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol})")
     return a
-
-
-def density_operator(matrix) -> np.ndarray:
-    """Validate a 2x2 density operator: Hermitian, PSD, trace 1, each to 1e-10."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise NotHermitian(f"density operator must be 2x2, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise NotHermitian("density operator has non-finite entries")
-    m = _require_hermitian(m)
-    tr = float(m.trace().real)
-    if abs(tr - 1.0) > HERMITIAN_TOL:
-        raise NotHermitian(f"density operator trace is {tr!r}, expected 1")
-    lo = float(eigvals_hermitian(m)[-1])
-    if lo < -HERMITIAN_TOL:
-        raise NotHermitian(f"density operator has negative eigenvalue {lo!r}")
-    return _frozen(m.copy())
 
 
 def pure_density(psi) -> np.ndarray:
@@ -202,19 +170,6 @@ def bloch_from_density(rho) -> np.ndarray:
     return bloch_from_density_stack(rho)
 
 
-def state_from_bloch(r) -> np.ndarray:
-    """The pure state with unit Bloch vector ``r``."""
-    r = np.asarray(r, dtype=float).reshape(-1)
-    n = float(np.linalg.norm(r))
-    if abs(n - 1.0) > 1e-9:
-        raise BlochOutOfBall(f"pure states need |r| = 1, got {n!r}")
-    theta = math.acos(min(1.0, max(-1.0, r[2] / n)))
-    phi = math.atan2(r[1], r[0])
-    return _frozen(
-        np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
-    )
-
-
 def bloch_from_state(psi) -> np.ndarray:
     """The Bloch vector of a pure C^2 state."""
     return bloch_from_density(pure_density(psi))
@@ -237,11 +192,6 @@ def variance(a, rho) -> float:
     mean = expectation(a, rho)
     second = float(np.trace(a @ a @ rho).real)
     return second - mean * mean
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product in the fixed photon-slow basis order."""
-    return _frozen(np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
 def vector_norms(v) -> np.ndarray:

@@ -117,13 +117,15 @@ def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray
     return _probabilities(schemes, v[None, :])[:, 0]
 
 
-def direct_probabilities(scheme: extraction.MeasurementScheme, psi) -> dict[str, float]:
-    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0).
+def direct_probabilities(scheme: extraction.SchemeStack, psi) -> dict[str, float]:
+    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0) of a one-member stack.
 
     A batch of one of :func:`direct_probability_stack`.
     """
-    probs = direct_probability_stack(scheme.stack, psi)[0]
-    return {label: float(p) for label, p in zip(scheme.stack.labels, probs)}
+    if len(scheme) != 1:
+        raise InvalidScheme(f"expected a one-member scheme stack, got {len(scheme)} members")
+    probs = direct_probability_stack(scheme, psi)[0]
+    return {label: float(p) for label, p in zip(scheme.labels, probs)}
 
 
 def cross_check_stack(schemes: extraction.SchemeStack, oracle: OracleConfig) -> np.ndarray:

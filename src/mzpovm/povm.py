@@ -1,5 +1,11 @@
 """Discrete POVMs: validation, smearing, marginals, and joint observables.
 
+A POVM is a tuple of outcome labels plus one complex (L, d, d) array of
+effects (:class:`DiscretePovm`). Every operation has one array kernel
+over an (N, L, d, d) stack of N such arrays; the functions that take a
+:class:`DiscretePovm` pass its ``effects`` to that kernel as a batch of
+one.
+
 Label and sign conventions for the unsharp sigma_x / sigma_z joint
 observable follow the display order 11, 21, 12, 22, so that grouping by
 the first index yields the sigma_x marginal F = {(I +/- f sigma_x)/2} and
@@ -30,41 +36,40 @@ JOINT_BOUNDARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Effect:
-    """A labeled Hermitian operator with spectrum in [0, 1]."""
-
-    label: str
-    operator: np.ndarray
-
-
-@dataclass(frozen=True)
 class DiscretePovm:
     """An ordered family of effects; a valid POVM sums to the identity.
 
-    Construction does not validate (classification of broken candidates is
-    itself an operation); library constructors only ever produce valid
-    instances, and :func:`validate` reports exactly what is wrong with
-    anything else.
+    ``effects`` is one complex (L, d, d) array, effect k carrying
+    ``labels[k]``. Construction checks only the shape: a ragged family, a
+    label count that differs from L, or anything but an (L, d, d) array
+    raises ``DimensionMismatch``. It does not validate (classification of broken candidates is itself an
+    operation); library constructors only ever produce valid instances,
+    and :func:`validate` reports exactly what is wrong with anything else.
     """
 
-    effects: tuple[Effect, ...]
+    labels: tuple[str, ...]
+    effects: np.ndarray
 
-    @staticmethod
-    def from_pairs(pairs) -> "DiscretePovm":
-        return DiscretePovm(tuple(Effect(label, np.asarray(op, dtype=complex)) for label, op in pairs))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.effects)
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        ops = self.effects
+        ops = np.atleast_1d(ops) if isinstance(ops, np.ndarray) else [np.asarray(op, dtype=complex) for op in ops]
+        if len(labels) != len(ops):
+            raise DimensionMismatch(f"{len(labels)} labels {labels} for {len(ops)} effects")
+        for label, op in zip(labels, ops):
+            if op.shape != ops[0].shape:
+                raise DimensionMismatch(f"effect {label!r} has shape {op.shape}, expected {ops[0].shape}")
+        ops = np.asarray(ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch(f"expected an (L, d, d) effect array, got shape {ops.shape}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "effects", ops)
 
     def operator(self, label: str) -> np.ndarray:
-        for e in self.effects:
-            if e.label == label:
-                return e.operator
-        raise KeyError(label)
-
-    def dimension(self) -> int:
-        return self.effects[0].operator.shape[0]
+        try:
+            return self.effects[self.labels.index(label)]
+        except ValueError:
+            raise KeyError(label) from None
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     sum_dev = _max_abs(total - ident)
     in_range = (lowest >= -tol) & (highest <= 1.0 + tol)
     valid = (hermitian & in_range).all(axis=1) & (sum_dev <= tol)
-    sharp = valid & (_max_abs(ops @ ops - ops) <= tol).all(axis=1)
+    sharp = valid & (_max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
     mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
     trivial = valid & (_max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
     return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
@@ -147,30 +152,21 @@ def validate(p: DiscretePovm, tol: float = EFFECT_TOL) -> PovmClassification:
     trivial means every effect is a multiple of the identity (its
     statistics carry no information about the state). Failures are
     reported with their magnitudes instead of raising. This is a batch of
-    one of :func:`classify_effects`; effects of the wrong shape are left
-    out of it and reported.
+    one of :func:`classify_effects`.
     """
-    dim = p.dimension()
-    shaped = [e for e in p.effects if e.operator.shape == (dim, dim)]
-    ops = np.array([e.operator for e in shaped], dtype=complex).reshape(1, len(shaped), dim, dim)
-    stack = classify_effects(ops, tol)
+    stack = classify_effects(p.effects[None], tol)
     failures = []
-    k = 0
-    for e in p.effects:
-        if e.operator.shape != (dim, dim):
-            failures.append(f"effect {e.label!r} has shape {e.operator.shape}, expected {(dim, dim)}")
-            continue
+    for k, label in enumerate(p.labels):
         herm_dev = float(stack.hermitian_deviation[0, k])
         lowest = float(stack.lowest[0, k])
         highest = float(stack.highest[0, k])
-        k += 1
         if not herm_dev <= tol:
-            failures.append(f"effect {e.label!r} deviates from Hermitian by {herm_dev:.3e}")
+            failures.append(f"effect {label!r} deviates from Hermitian by {herm_dev:.3e}")
             continue
         if not lowest >= -tol:
-            failures.append(f"effect {e.label!r} has eigenvalue {lowest:.6g} below 0")
+            failures.append(f"effect {label!r} has eigenvalue {lowest:.6g} below 0")
         if not highest <= 1.0 + tol:
-            failures.append(f"effect {e.label!r} has eigenvalue {highest:.6g} above 1")
+            failures.append(f"effect {label!r} has eigenvalue {highest:.6g} above 1")
     sum_dev = float(stack.sum_deviation[0])
     if not sum_dev <= tol:
         failures.append(f"effects sum deviates from identity by {sum_dev:.3e}")
@@ -225,12 +221,8 @@ def smear(sharp: DiscretePovm, w) -> DiscretePovm:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise InvalidStochasticMatrix(f"expected a matrix, got shape {w.shape}")
-    dim = sharp.dimension()
-    if any(e.operator.shape != (dim, dim) for e in sharp.effects):
-        raise NotSharp("smearing requires a valid projection-valued input")
-    projections = np.array([e.operator for e in sharp.effects])
-    effects = smear_stack(projections[None], w[None])[0]
-    return DiscretePovm.from_pairs((str(row + 1), op) for row, op in enumerate(effects))
+    effects = smear_stack(sharp.effects[None], w[None])[0]
+    return DiscretePovm(tuple(str(row + 1) for row in range(len(effects))), effects)
 
 
 def marginal_stack(effects, labels, grouping) -> np.ndarray:
@@ -258,9 +250,7 @@ def marginal_stack(effects, labels, grouping) -> np.ndarray:
 def marginal(p: DiscretePovm, grouping) -> DiscretePovm:
     """Sum grouped effects into a new POVM; a batch of one of :func:`marginal_stack`."""
     items = list(grouping.items()) if isinstance(grouping, dict) else list(grouping)
-    ops = np.array([e.operator for e in p.effects])[None]
-    grouped = marginal_stack(ops, p.labels, items)[0]
-    return DiscretePovm.from_pairs((label, op) for (label, _), op in zip(items, grouped))
+    return DiscretePovm(tuple(label for label, _ in items), marginal_stack(p.effects[None], p.labels, items)[0])
 
 
 _PAULIS = np.array(linalg.pauli_triple())
@@ -325,7 +315,7 @@ def joint_xz(pair: UnsharpPair) -> DiscretePovm:
         raise NotJointlyMeasurable(
             f"f^2 + g^2 = {f * f + g * g!r} > 1: minimum eigenvalue would be negative"
         )
-    return DiscretePovm.from_pairs(zip(JOINT_LABELS, effects[0]))
+    return DiscretePovm(JOINT_LABELS, effects[0])
 
 
 JOINT_FIRST_INDEX_GROUPING = {"1": ("11", "12"), "2": ("21", "22")}
@@ -341,12 +331,6 @@ def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:
     b = np.trace(ops, axis1=-2, axis2=-1).real - 1.0
     u = np.einsum("nij,kji->nk", ops, _PAULIS).real
     return b, u
-
-
-def bias_and_direction(effect: np.ndarray) -> tuple[float, np.ndarray]:
-    """Decompose a qubit effect as ((1 + b) I + u . sigma) / 2."""
-    b, u = bias_and_direction_stack(np.asarray(effect)[None])
-    return float(b[0]), u[0]
 
 
 def contrast_stack(effects) -> np.ndarray:
@@ -371,9 +355,7 @@ def contrast(p: DiscretePovm) -> float:
 
     A batch of one of :func:`contrast_stack`.
     """
-    if len(p.effects) != 2:
-        raise NotTwoOutcome(f"contrast needs exactly two outcomes, got {len(p.effects)}")
-    return float(contrast_stack(np.array([e.operator for e in p.effects])[None])[0])
+    return float(contrast_stack(p.effects[None])[0])
 
 
 def unsharpness_stack(effects) -> np.ndarray:
@@ -387,4 +369,4 @@ def unsharpness_stack(effects) -> np.ndarray:
 
 def unsharpness(p: DiscretePovm) -> float:
     """1 - contrast^2; a batch of one of :func:`unsharpness_stack`."""
-    return float(unsharpness_stack(np.array([e.operator for e in p.effects])[None])[0])
+    return float(unsharpness_stack(p.effects[None])[0])

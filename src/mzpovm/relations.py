@@ -18,8 +18,10 @@ Each audited relation has one array kernel over a stack of states:
 :func:`variance_ur_stack` and :func:`triple_relations_stack` take (N, 2, 2)
 density operators, :func:`entropic_bound_stack` (N, 2) pure states, and
 :func:`erasure_duality_stack` (N,) amplitudes with (N, 2) markers. They
-return :class:`RelationStack` arrays; the scalar functions are batches of
-one that return the same records.
+return :class:`RelationReport` records whose fields are (N,) arrays; the
+scalar functions are batches of one that return the same record with
+Python float and bool fields. POVMs enter as :class:`povm.DiscretePovm`,
+whose ``effects`` array goes to the kernels unconverted.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp, NotTwoOutcome
+from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -43,27 +45,18 @@ class RelationReport:
 
     ``slack`` is lhs - rhs for 'geq' and 'eq', rhs - lhs for 'leq';
     inequalities are satisfied when slack >= -tol, equalities when
-    |slack| <= tol (tol = 1e-9).
+    |slack| <= tol (tol = 1e-9). :func:`make_reports` audits N states at
+    once and fills ``lhs``, ``rhs``, ``satisfied`` and ``slack`` with (N,)
+    arrays; ``report(i)`` is the audit of state i, with Python float and
+    bool fields.
     """
 
     name: str
-    lhs: float
-    rhs: float
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
     kind: str
-    satisfied: bool
-    slack: float
-
-
-@dataclass(frozen=True)
-class RelationStack:
-    """One relation audited over N states: the fields of RelationReport as (N,) arrays."""
-
-    name: str
-    lhs: np.ndarray
-    rhs: np.ndarray
-    kind: str
-    satisfied: np.ndarray
-    slack: np.ndarray
+    satisfied: np.ndarray | bool
+    slack: np.ndarray | float
 
     def report(self, index: int) -> RelationReport:
         return RelationReport(
@@ -76,7 +69,7 @@ class RelationStack:
         )
 
 
-def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> RelationStack:
+def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> RelationReport:
     """Audit lhs against rhs elementwise; rhs may be a scalar bound."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
@@ -91,11 +84,7 @@ def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> Relatio
         ok = np.abs(slack) <= tol
     else:
         raise ValueError(f"kind must be geq, leq or eq, got {kind!r}")
-    return RelationStack(name=name, lhs=lhs, rhs=rhs, kind=kind, satisfied=ok, slack=slack)
-
-
-def make_report(name: str, lhs: float, rhs: float, kind: str, tol: float = EQ_TOL) -> RelationReport:
-    return make_reports(name, [float(lhs)], [float(rhs)], kind, tol).report(0)
+    return RelationReport(name=name, lhs=lhs, rhs=rhs, kind=kind, satisfied=ok, slack=slack)
 
 
 def _trace(ops, rho) -> np.ndarray:
@@ -150,15 +139,11 @@ def _amplitudes(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def _operators(p: povm.DiscretePovm) -> np.ndarray:
-    return np.array([e.operator for e in p.effects])
-
-
 def _projectors(states: np.ndarray) -> np.ndarray:
     return states[:, :, None] * states.conj()[:, None, :]
 
 
-def variance_ur_stack(rhos) -> RelationStack:
+def variance_ur_stack(rhos) -> RelationReport:
     """Variance product relation for sigma_x / sigma_z over an (N, 2, 2) state stack.
 
     lhs = Var(sx) Var(sz); rhs carries the commutator and covariance
@@ -183,7 +168,7 @@ def variance_ur(rho) -> RelationReport:
 
 def _entropies(p: povm.DiscretePovm, rho: np.ndarray) -> np.ndarray:
     # Shannon entropies (bits) of p's outcome distributions over an (N, 2, 2) stack.
-    probs = np.clip(_trace(_operators(p), rho[:, None]).real, 0.0, 1.0)
+    probs = np.clip(_trace(p.effects, rho[:, None]).real, 0.0, 1.0)
     seen = probs > 0.0
     return -np.where(seen, probs * np.log2(np.where(seen, probs, 1.0)), 0.0).sum(axis=1)
 
@@ -201,13 +186,12 @@ def pauli_pvm(axis: str) -> povm.DiscretePovm:
     caller for the life of the process.
     """
     s = linalg.pauli(axis)
-    plus, minus = 0.5 * (linalg.IDENTITY2 + s), 0.5 * (linalg.IDENTITY2 - s)
-    for op in (plus, minus):
-        op.setflags(write=False)
-    return povm.DiscretePovm.from_pairs([("1", plus), ("2", minus)])
+    effects = np.array([0.5 * (linalg.IDENTITY2 + s), 0.5 * (linalg.IDENTITY2 - s)])
+    effects.setflags(write=False)
+    return povm.DiscretePovm(("1", "2"), effects)
 
 
-def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> RelationStack:
+def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> RelationReport:
     """Additive entropic trade-off for two sharp observables over (N, d) pure states.
 
     H(A, psi) + H(B, psi) >= -2 log2 max_{i,k} |<psi|P_i Q_k|psi>| /
@@ -225,12 +209,11 @@ def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> 
     v = _unit_rows(states, "state")
     rho = _projectors(v)
     lhs = _entropies(a, rho) + _entropies(b, rho)
-    ops_a, ops_b = _operators(a), _operators(b)
-    pa = np.einsum("kij,nj->nki", ops_a, v)
-    qb = np.einsum("lij,nj->nli", ops_b, v)
+    pa = np.einsum("kij,nj->nki", a.effects, v)
+    qb = np.einsum("lij,nj->nli", b.effects, v)
     na = np.linalg.norm(pa, axis=2)
     nb = np.linalg.norm(qb, axis=2)
-    overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), ops_a, qb))
+    overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), a.effects, qb))
     kept = (na >= 1e-12)[:, :, None] & (nb >= 1e-12)[:, None, :]
     norms = np.where(kept, na[:, :, None] * nb[:, None, :], 1.0)
     best = np.where(kept, overlap / norms, 0.0).max(axis=(1, 2))
@@ -266,7 +249,7 @@ def contrasts(rho) -> StateContrasts:
     )
 
 
-def triple_relations_stack(rhos) -> list[RelationStack]:
+def triple_relations_stack(rhos) -> list[RelationReport]:
     """The three-observable trade-offs for sigma_x, sigma_y, sigma_z over (N, 2, 2) states.
 
     Entropy sum >= 2 bits, variance sum >= 2 (equal to 3 - |r|^2), and
@@ -357,25 +340,18 @@ def coincidence_povm(p1, p2, pointer_direction) -> povm.DiscretePovm:
     on the input, with H_err its complement.
     """
     r = np.asarray(pointer_direction, dtype=float).reshape(3)
-    if abs(float(np.linalg.norm(r)) - 1.0) > 1e-9:
+    # Written so that a NaN norm fails too: every comparison with NaN is False.
+    if not abs(float(np.linalg.norm(r)) - 1.0) <= 1e-9:
         raise NotNormalized(f"pointer direction must be unit length, got |r| = {np.linalg.norm(r)!r}")
     b1 = linalg.bloch_from_state(p1)
     b2 = linalg.bloch_from_state(p2)
     correct = _coincidence_effect(b1[None], b2[None], r[None])[0]
-    return povm.DiscretePovm.from_pairs([("correct", correct), ("error", linalg.IDENTITY2 - correct)])
+    return povm.DiscretePovm(("correct", "error"), np.array([correct, linalg.IDENTITY2 - correct]))
 
 
 def _two_outcome_variance(first, second, rho) -> np.ndarray:
     diff = _trace(first - second, rho).real
     return 1.0 - diff * diff
-
-
-def outcome_variance(p: povm.DiscretePovm, rho) -> float:
-    """Variance of the +/-1-valued outcome of a two-outcome POVM."""
-    if len(p.effects) != 2:
-        raise NotTwoOutcome(f"need two outcomes, got {len(p.effects)}")
-    rho = np.asarray(rho, dtype=complex)
-    return float(_two_outcome_variance(p.effects[0].operator, p.effects[1].operator, rho))
 
 
 @dataclass(frozen=True)
@@ -440,8 +416,8 @@ class ErasureStack:
     distinguishability: np.ndarray
     visibility: np.ndarray
     visibility_direction: np.ndarray
-    duality: RelationStack
-    variance_tradeoff: RelationStack
+    duality: RelationReport
+    variance_tradeoff: RelationReport
 
     def audit(self, index: int) -> ErasureAudit:
         return ErasureAudit(

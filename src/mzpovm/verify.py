@@ -268,8 +268,8 @@ def check_contrast_oracle(seed: int) -> CheckResult:
         u_len = rng.random()
         b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
         e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
-        p = povm.DiscretePovm.from_pairs([("1", e1), ("2", np.eye(2) - e1)])
-        diff = p.effects[0].operator - p.effects[1].operator
+        p = povm.DiscretePovm(("1", "2"), [e1, np.eye(2) - e1])
+        diff = p.effects[0] - p.effects[1]
         best, _ = oracle.grid_maximize(_contrast_objective(diff), cfg)
         worst = max(worst, abs(best - povm.contrast(p)))
     return _result("contrast-oracle", worst, 1e-6)
@@ -505,16 +505,21 @@ def check_entropic_bound(seed: int, samples: int) -> CheckResult:
 
 def check_erasure_duality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 115])
-    alphas, betas, p1s, p2s = [], [], [], []
+    # Each sample draws a tilt, a weight and a phase, in that order; only
+    # the draws stay in the loop.
+    thetas, weights, phases = [], [], []
     for _ in range(1000):
-        theta = float(rng.uniform(0.0, math.pi / 2.0))
-        weight = rng.random()
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        alphas.append(math.sqrt(weight))
-        betas.append(math.sqrt(1.0 - weight) * np.exp(1j * phase))
-        p1, p2 = interferometer.marker_states(theta)
-        p1s.append(p1)
-        p2s.append(p2)
+        thetas.append(rng.uniform(0.0, math.pi / 2.0))
+        weights.append(rng.random())
+        phases.append(rng.uniform(0.0, 2.0 * math.pi))
+    weights = np.array(weights)
+    alphas = np.sqrt(weights)
+    betas = np.sqrt(1.0 - weights) * np.exp(1j * np.array(phases))
+    # interferometer.marker_states over the list; math.cos and math.sin keep
+    # the markers independent of numpy's SIMD dispatch.
+    c = np.array([math.cos(t / 2.0) for t in thetas], dtype=complex)
+    s = np.array([math.sin(t / 2.0) for t in thetas], dtype=complex)
+    p1s, p2s = np.stack([c, s], axis=1), np.stack([s, c], axis=1)
     audit = relations.erasure_duality_stack(alphas, betas, p1s, p2s)
     worst = float(max(np.max(np.abs(audit.duality.slack)), np.max(np.abs(audit.variance_tradeoff.slack))))
     return _result("erasure-duality", worst, 1e-9)
@@ -593,7 +598,7 @@ def check_determinism(seed: int, samples: int) -> CheckResult:
     second = [oracle.haar_state(seed, i) for i in range(min(samples, 50))]
     identical = all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     config = interferometer.MzConfig("erasure", delta=-math.pi / 2.0, gamma=0.3)
-    scheme = extraction.scheme_for(config)
+    scheme = extraction.schemes_for([config])
     rep1 = repr(oracle.direct_probabilities(scheme, first[0]))
     rep2 = repr(oracle.direct_probabilities(scheme, second[0]))
     return CheckResult("determinism", identical and rep1 == rep2, 0.0 if identical else 1.0)

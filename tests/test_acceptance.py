@@ -38,13 +38,13 @@ def state_sample():
 
 
 def test_criterion_1_path_detection():
-    measured = extraction.extract_povm(extraction.scheme_for(interferometer.MzConfig("path")))
+    measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("path")]))
     dev = max(
         float(np.max(np.abs(measured.operator("1") - 0.5 * (I2 + SZ)))),
         float(np.max(np.abs(measured.operator("2") - 0.5 * (I2 - SZ)))),
     )
     probs = oracle.direct_probabilities(
-        extraction.scheme_for(interferometer.MzConfig("path")), [1, 0]
+        extraction.schemes_for([interferometer.MzConfig("path")]), [1, 0]
     )
     ok = dev <= 1e-12 and abs(probs["1"] - 1.0) <= 1e-12
     conclude(1, ok, f"path detection extracts the sharp path observable (dev {dev:.2e})")
@@ -52,12 +52,12 @@ def test_criterion_1_path_detection():
 
 def test_criterion_2_interference_detection():
     config = interferometer.MzConfig("interference")
-    measured = extraction.extract_povm(extraction.scheme_for(config))
+    measured = extraction.extract_povm(extraction.schemes_for([config]))
     dev = max(
         float(np.max(np.abs(measured.operator("1") - 0.5 * (I2 + SX)))),
         float(np.max(np.abs(measured.operator("2") - 0.5 * (I2 - SX)))),
     )
-    probs = oracle.direct_probabilities(extraction.scheme_for(config), PLUS)
+    probs = oracle.direct_probabilities(extraction.schemes_for([config]), PLUS)
     ok = dev <= 1e-12 and abs(probs["1"] - 1.0) <= 1e-12
     conclude(2, ok, f"interference detection extracts the sharp interference observable (dev {dev:.2e})")
 
@@ -122,7 +122,7 @@ def test_criterion_3_closed_form_audit():
     for experiment, table in tables.items():
         for d, g, t in itertools.product(GRID, repeat=3):
             config = interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
-            measured = extraction.extract_povm(extraction.scheme_for(config))
+            measured = extraction.extract_povm(extraction.schemes_for([config]))
             joint_want, marginal_want = table(d, g, t)
             for label, want in joint_want.items():
                 worst = max(worst, float(np.max(np.abs(measured.operator(label) - want))))
@@ -148,7 +148,7 @@ def test_criterion_4_oracle_probability_reproduction():
 
 def test_criterion_5_erasure_fringes_and_epr_weight():
     config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
-    measured = extraction.extract_povm(extraction.scheme_for(config))
+    measured = extraction.extract_povm(extraction.schemes_for([config]))
     fringes = extraction.conditional_probabilities(measured, "1", PLUS)
     antifringes = extraction.conditional_probabilities(measured, "2", PLUS)
     final = interferometer.final_state(PLUS, interferometer.probes_for(config), config)
@@ -249,7 +249,7 @@ def test_criterion_10_limit_case_complementarity():
     ok = True
     for theta, sharp_marginal in ((0.0, "probe"), (math.pi / 2, "detector")):
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=theta)
-        grouped = extraction.marginals_of(extraction.extract_povm(extraction.scheme_for(config)))
+        grouped = extraction.marginals_of(extraction.extract_povm(extraction.schemes_for([config])))
         detector_cls = povm.validate(grouped.detector, tol=1e-12)
         probe_cls = povm.validate(grouped.probe, tol=1e-12)
         if sharp_marginal == "probe":

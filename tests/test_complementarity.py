@@ -18,7 +18,7 @@ def rotated_qubit_basis(angle: float) -> complementarity.OrthonormalBasis:
 
 class TestOrthonormalBasis:
     def test_standard_basis_accepted(self):
-        complementarity.standard_basis(3)
+        complementarity.OrthonormalBasis(np.eye(3))
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(InvalidBasis):
@@ -31,18 +31,18 @@ class TestOrthonormalBasis:
 
 class TestFourierPartner:
     def test_qubit_standard_basis(self):
-        partner = complementarity.fourier_partner(complementarity.standard_basis(2))
+        partner = complementarity.fourier_partner(complementarity.OrthonormalBasis(np.eye(2)))
         want = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         np.testing.assert_allclose(partner.vectors, want, atol=1e-15)
 
     def test_qutrit_overlaps(self):
-        basis = complementarity.standard_basis(3)
+        basis = complementarity.OrthonormalBasis(np.eye(3))
         partner = complementarity.fourier_partner(basis)
         overlaps = np.abs(basis.vectors.conj() @ partner.vectors.T)
         np.testing.assert_allclose(overlaps, np.full((3, 3), 1 / math.sqrt(3)), atol=1e-12)
 
     def test_double_application_still_unbiased_with_first_output(self):
-        basis = complementarity.standard_basis(4)
+        basis = complementarity.OrthonormalBasis(np.eye(4))
         once = complementarity.fourier_partner(basis)
         twice = complementarity.fourier_partner(once)
         assert complementarity.is_mutually_unbiased(once, twice, tol=1e-10)
@@ -58,16 +58,16 @@ class TestFourierPartner:
 
 class TestMutuallyUnbiased:
     def test_z_and_x_eigenbases(self):
-        z_basis = complementarity.standard_basis(2)
+        z_basis = complementarity.OrthonormalBasis(np.eye(2))
         x_basis = complementarity.OrthonormalBasis(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
         assert complementarity.is_mutually_unbiased(z_basis, x_basis)
 
     def test_basis_not_unbiased_with_itself(self):
-        basis = complementarity.standard_basis(2)
+        basis = complementarity.OrthonormalBasis(np.eye(2))
         assert not complementarity.is_mutually_unbiased(basis, basis)
 
     def test_quarter_rotation_fails(self):
-        z_basis = complementarity.standard_basis(2)
+        z_basis = complementarity.OrthonormalBasis(np.eye(2))
         tilted = rotated_qubit_basis(math.pi / 4)
         overlaps = np.abs(z_basis.vectors.conj() @ tilted.vectors.T)
         assert overlaps[0, 0] == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
@@ -76,7 +76,7 @@ class TestMutuallyUnbiased:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             complementarity.is_mutually_unbiased(
-                complementarity.standard_basis(2), complementarity.standard_basis(3)
+                complementarity.OrthonormalBasis(np.eye(2)), complementarity.OrthonormalBasis(np.eye(3))
             )
 
 

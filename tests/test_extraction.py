@@ -47,13 +47,13 @@ def quantitative_effect_table(delta: float, theta: float) -> dict[str, np.ndarra
 
 class TestExtractSimple:
     def test_path_detection_measures_sharp_path(self):
-        measured = extraction.extract_povm(extraction.scheme_for(interferometer.MzConfig("path")))
+        measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("path")]))
         np.testing.assert_allclose(measured.operator("1"), 0.5 * (I2 + SZ), atol=1e-12)
         np.testing.assert_allclose(measured.operator("2"), 0.5 * (I2 - SZ), atol=1e-12)
 
     def test_interference_detection_measures_sharp_interference(self):
         measured = extraction.extract_povm(
-            extraction.scheme_for(interferometer.MzConfig("interference"))
+            extraction.schemes_for([interferometer.MzConfig("interference")])
         )
         np.testing.assert_allclose(measured.operator("1"), 0.5 * (I2 + SX), atol=1e-12)
         np.testing.assert_allclose(measured.operator("2"), 0.5 * (I2 - SX), atol=1e-12)
@@ -61,7 +61,7 @@ class TestExtractSimple:
     def test_marking_with_marker_pointers_gives_path_fractions(self):
         for delta in GRID:
             config = interferometer.MzConfig("marking", delta=delta)
-            measured = extraction.extract_povm(extraction.scheme_for(config))
+            measured = extraction.extract_povm(extraction.schemes_for([config]))
             for label, want in marking_effect_table(delta).items():
                 np.testing.assert_allclose(measured.operator(label), want, atol=1e-12)
 
@@ -77,7 +77,7 @@ class TestClosedFormAgreement:
         for delta, gamma in itertools.product(GRID, GRID):
             config = interferometer.MzConfig("erasure", delta=delta, gamma=gamma)
             analytic = extraction.closed_form(config)
-            measured = extraction.extract_povm(extraction.scheme_for(config))
+            measured = extraction.extract_povm(extraction.schemes_for([config]))
             for label, want in erasure_effect_table(delta, gamma).items():
                 np.testing.assert_allclose(analytic.joint.operator(label), want, atol=1e-14)
                 np.testing.assert_allclose(measured.operator(label), want, atol=1e-10)
@@ -86,7 +86,7 @@ class TestClosedFormAgreement:
         for delta, theta in itertools.product(GRID, GRID):
             config = interferometer.MzConfig("quantitative", delta=delta, theta=theta)
             analytic = extraction.closed_form(config)
-            measured = extraction.extract_povm(extraction.scheme_for(config))
+            measured = extraction.extract_povm(extraction.schemes_for([config]))
             for label, want in quantitative_effect_table(delta, theta).items():
                 np.testing.assert_allclose(analytic.joint.operator(label), want, atol=1e-14)
                 np.testing.assert_allclose(measured.operator(label), want, atol=1e-10)
@@ -169,47 +169,36 @@ class TestMarginals:
 class TestSchemeValidation:
     def test_non_unitary_rejected(self):
         with pytest.raises(InvalidScheme):
-            extraction.MeasurementScheme(
-                unitary=np.eye(4) * 1.1,
-                probe_init=np.array([1.0, 0.0]),
-                outputs=(("1", np.eye(4)),),
-            )
+            extraction.SchemeStack(("1",), [np.eye(4) * 1.1], [[1.0, 0.0]], [[np.eye(4)]])
 
     def test_non_projection_output_rejected(self):
         with pytest.raises(InvalidScheme):
-            extraction.MeasurementScheme(
-                unitary=np.eye(4),
-                probe_init=np.array([1.0, 0.0]),
-                outputs=(("1", 0.5 * np.eye(4)), ("2", 0.5 * np.eye(4))),
-            )
+            extraction.SchemeStack(("1", "2"), [np.eye(4)], [[1.0, 0.0]], [[0.5 * np.eye(4), 0.5 * np.eye(4)]])
 
     def test_outputs_must_sum_to_identity(self):
         p = np.diag([1.0, 0, 0, 0]).astype(complex)
         with pytest.raises(InvalidScheme):
-            extraction.MeasurementScheme(
-                unitary=np.eye(4), probe_init=np.array([1.0, 0.0]), outputs=(("1", p), ("2", p))
-            )
+            extraction.SchemeStack(("1", "2"), [np.eye(4)], [[1.0, 0.0]], [[p, p]])
 
+
+    def test_single_scheme_calls_take_one_member(self):
+        schemes = extraction.schemes_for([interferometer.MzConfig("path")] * 2)
+        with pytest.raises(InvalidScheme, match="one-member"):
+            extraction.extract_povm(schemes)
+        with pytest.raises(InvalidScheme, match="one-member"):
+            oracle.direct_probabilities(schemes, [1, 0])
 
     def test_nan_unitary_rejected(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         with pytest.raises(InvalidScheme, match="unitarity"):
-            extraction.MeasurementScheme(
-                unitary=np.full((4, 4), np.nan),
-                probe_init=scheme.probe_init,
-                outputs=scheme.outputs,
-            )
+            extraction.SchemeStack(scheme.labels, np.full((1, 4, 4), np.nan), scheme.probe_init, scheme.outputs)
 
     def test_nan_output_projection_rejected(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
-        broken = np.array(scheme.outputs[0][1])
-        broken[0, 0] = np.nan
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
+        broken = np.array(scheme.outputs)
+        broken[0, 0, 0, 0] = np.nan
         with pytest.raises(InvalidScheme, match="'1'"):
-            extraction.MeasurementScheme(
-                unitary=scheme.unitary,
-                probe_init=scheme.probe_init,
-                outputs=(("1", broken), scheme.outputs[1]),
-            )
+            extraction.SchemeStack(scheme.labels, scheme.unitaries, scheme.probe_init, broken)
 
 
 class TestExtractionProperties:
@@ -220,17 +209,17 @@ class TestExtractionProperties:
                 delta=float(rng.uniform(-math.pi, math.pi)),
                 theta=float(rng.uniform(0, math.pi)),
             )
-            measured = extraction.extract_povm(extraction.scheme_for(config))
+            measured = extraction.extract_povm(extraction.schemes_for([config]))
             total = np.zeros((2, 2), dtype=complex)
-            for e in measured.effects:
-                low = min(ev for ev, _ in linalg.eig_hermitian(e.operator))
+            for op in measured.effects:
+                low = min(ev for ev, _ in linalg.eig_hermitian(op))
                 assert low >= -1e-10
-                total = total + e.operator
+                total = total + op
             assert np.max(np.abs(total - I2)) <= 1e-12
 
     def test_probability_reproduction(self, rng):
         config = interferometer.MzConfig("erasure", delta=0.9, gamma=2.2)
-        scheme = extraction.scheme_for(config)
+        scheme = extraction.schemes_for([config])
         measured = extraction.extract_povm(scheme)
         for _ in range(100):
             psi = random_pure(rng)
@@ -246,10 +235,9 @@ class TestExtractionProperties:
             p1, p2 = interferometer.marker_states(theta)
             probes = interferometer.ProbeTriple(p0=np.array([1.0, 0.0]), p1=p1, p2=p2)
             r1 = random_pure(rng)
-            scheme = extraction.build_scheme(probes, delta, (r1, linalg.perp(r1)))
+            scheme = extraction.build_schemes([probes.rows()], [delta], [(r1, linalg.perp(r1))])
             grouped = extraction.marginals_of(extraction.extract_povm(scheme))
-            b1, u1 = povm.bias_and_direction(grouped.probe.operator("1"))
-            b2, u2 = povm.bias_and_direction(grouped.probe.operator("2"))
+            (b1, b2), (u1, u2) = povm.bias_and_direction_stack(grouped.probe.effects)
             assert np.max(np.abs(u1 + u2)) <= 1e-10
             assert abs(b1 + b2) <= 1e-10
             assert abs(u1[0]) <= 1e-10 and abs(u1[1]) <= 1e-10
@@ -258,7 +246,7 @@ class TestExtractionProperties:
 class TestConditionalProbabilities:
     def test_erasure_fringes_and_antifringes(self):
         config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
-        measured = extraction.extract_povm(extraction.scheme_for(config))
+        measured = extraction.extract_povm(extraction.schemes_for([config]))
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         fringes = extraction.conditional_probabilities(measured, "1", plus)
         antifringes = extraction.conditional_probabilities(measured, "2", plus)
@@ -271,7 +259,7 @@ class TestConditionalProbabilities:
         # With a trivial probe marginal the conditioning denominator is 1/2
         # for every input.
         config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.7)
-        measured = extraction.extract_povm(extraction.scheme_for(config))
+        measured = extraction.extract_povm(extraction.schemes_for([config]))
         interference = 0.5 * (I2 + math.cos(0.7) * SX + math.sin(0.7) * SY)
         for _ in range(10):
             psi = random_pure(rng)
@@ -283,6 +271,6 @@ class TestConditionalProbabilities:
         # Sharp probe marginal (path basis) and a path eigenstate starve
         # one probe outcome.
         config = interferometer.MzConfig("marking", delta=0.3)
-        measured = extraction.extract_povm(extraction.scheme_for(config))
+        measured = extraction.extract_povm(extraction.schemes_for([config]))
         with pytest.raises(ZeroProbabilityCondition):
             extraction.conditional_probabilities(measured, "1", np.array([0.0, 1.0]))

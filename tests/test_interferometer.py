@@ -160,7 +160,7 @@ class TestFinalState:
             alpha, beta = psi
             config = interferometer.MzConfig("erasure", delta=delta, gamma=gamma)
             out = interferometer.final_state(psi, interferometer.probes_for(config), config)
-            q1, q2 = interferometer.pointer_basis(config)
+            q1, q2 = interferometer.pointer_stack([config])[0]
             e = np.exp(1j * delta)
             f = np.exp(-1j * gamma)
             scale = 1.0 / (2.0 * math.sqrt(2.0))
@@ -191,7 +191,7 @@ class TestOutputProjection:
 
     def test_erasure_pointer_family_sums_to_identity(self):
         config = interferometer.MzConfig("erasure", gamma=0.9)
-        q1, q2 = interferometer.pointer_basis(config)
+        q1, q2 = interferometer.pointer_stack([config])[0]
         total = sum(
             interferometer.output_projection(k, q) for k in (1, 2) for q in (q1, q2)
         )
@@ -231,8 +231,8 @@ class TestConfig:
             p0=random_pure(rng), p1=random_pure(rng), p2=random_pure(rng)
         )
         delta = 0.8
-        pointer = interferometer.pointer_basis(interferometer.MzConfig("marking"))
-        base_scheme = extraction.build_scheme(probes, delta, pointer)
+        pointer = interferometer.pointer_stack([interferometer.MzConfig("marking")])
+        base_scheme = extraction.build_schemes([probes.rows()], [delta], pointer)
         base = extraction.extract_povm(base_scheme)
         blocks = []
         for pk, phase in ((probes.p1, np.exp(2.2j)), (probes.p2, np.exp(0.4j))):
@@ -243,10 +243,11 @@ class TestConfig:
         alt_mark = np.zeros((4, 4), dtype=complex)
         alt_mark[:2, :2] = blocks[0]
         alt_mark[2:, 2:] = blocks[1]
-        alt_scheme = extraction.MeasurementScheme(
-            unitary=np.kron(interferometer.mz_evolution(delta), np.eye(2)) @ alt_mark,
-            probe_init=probes.p0,
-            outputs=base_scheme.outputs,
+        alt_scheme = extraction.SchemeStack(
+            base_scheme.labels,
+            [np.kron(interferometer.mz_evolution(delta), np.eye(2)) @ alt_mark],
+            base_scheme.probe_init,
+            base_scheme.outputs,
         )
         alt = extraction.extract_povm(alt_scheme)
         for label in base.labels:

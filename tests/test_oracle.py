@@ -55,13 +55,13 @@ class TestHaarStates:
 
 class TestDirectProbabilities:
     def test_path_experiment_on_path_eigenstate(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         probs = oracle.direct_probabilities(scheme, [1, 0])
         assert probs["1"] == pytest.approx(1.0, abs=1e-14)
         assert probs["2"] == pytest.approx(0.0, abs=1e-14)
 
     def test_interference_experiment_on_coherent_input(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("interference"))
+        scheme = extraction.schemes_for([interferometer.MzConfig("interference")])
         probs = oracle.direct_probabilities(scheme, np.array([1, 1]) / math.sqrt(2))
         assert probs["1"] == pytest.approx(1.0, abs=1e-14)
 
@@ -69,7 +69,7 @@ class TestDirectProbabilities:
         # Path eigenstate |1> at delta = 0 lands in outcome (D1, marker 1)
         # with certainty; the joint probability is cos^2(delta/2), i.e. 1,
         # not 1/2 of it.
-        scheme = extraction.scheme_for(interferometer.MzConfig("marking", delta=0.0))
+        scheme = extraction.schemes_for([interferometer.MzConfig("marking", delta=0.0)])
         probs = oracle.direct_probabilities(scheme, [1, 0])
         assert probs["11"] == pytest.approx(1.0, abs=1e-14)
         for label in ("21", "12", "22"):
@@ -77,13 +77,13 @@ class TestDirectProbabilities:
 
     def test_marking_prefactor_at_general_phase(self):
         delta = 0.9
-        scheme = extraction.scheme_for(interferometer.MzConfig("marking", delta=delta))
+        scheme = extraction.schemes_for([interferometer.MzConfig("marking", delta=delta)])
         probs = oracle.direct_probabilities(scheme, [1, 0])
         assert probs["11"] == pytest.approx(math.cos(delta / 2) ** 2, abs=1e-14)
         assert probs["21"] == pytest.approx(math.sin(delta / 2) ** 2, abs=1e-14)
 
     def test_probabilities_sum_to_one(self, rng):
-        scheme = extraction.scheme_for(interferometer.MzConfig("erasure", delta=1.2, gamma=0.5))
+        scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=1.2, gamma=0.5)])
         for i in range(20):
             probs = oracle.direct_probabilities(scheme, oracle.haar_state(5, i))
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -98,7 +98,7 @@ class TestCrossCheck:
 
     def test_corrupted_effect_detected(self):
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=1.0)
-        scheme = extraction.scheme_for(config)
+        scheme = extraction.schemes_for([config])
         measured = extraction.extract_povm(scheme)
         corrupted = {
             label: measured.operator(label) + (0.01 * I2 if label == "11" else 0.0)
@@ -118,7 +118,7 @@ class TestCrossCheck:
         cfg = oracle.OracleConfig(seed=5, samples=100)
         states = [oracle.haar_state(cfg.seed, i) for i in range(cfg.samples)]
         for config in verify.distinct_grid_configs():
-            scheme = extraction.scheme_for(config)
+            scheme = extraction.schemes_for([config])
             measured = extraction.extract_povm(scheme)
             worst = 0.0
             for psi in states:
@@ -135,17 +135,17 @@ class TestCrossCheck:
 
 class TestProbabilityChecks:
     def test_out_of_range_names_the_worst_value(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         states = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]], dtype=complex)
         with pytest.raises(InvalidScheme, match=r"probability 4\.0 for output '1'"):
-            oracle._probabilities(scheme.stack, states)
+            oracle._probabilities(scheme, states)
 
     def test_bad_sum_names_the_worst_total(self):
-        scheme = extraction.scheme_for(interferometer.MzConfig("path"))
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         balanced = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         states = np.array([balanced, (1.0 + 1e-9) * balanced, (1.0 + 1e-10) * balanced])
         with pytest.raises(InvalidScheme, match=r"sum to 1\.000000002"):
-            oracle._probabilities(scheme.stack, states)
+            oracle._probabilities(scheme, states)
 
 
 class TestGridMaximize:

@@ -20,9 +20,7 @@ I2 = np.eye(2, dtype=complex)
 
 
 def two_outcome(f: float, axis=SX) -> povm.DiscretePovm:
-    return povm.DiscretePovm.from_pairs(
-        [("1", 0.5 * (I2 + f * axis)), ("2", 0.5 * (I2 - f * axis))]
-    )
+    return povm.DiscretePovm(("1", "2"), [0.5 * (I2 + f * axis), 0.5 * (I2 - f * axis)])
 
 
 class TestValidate:
@@ -39,9 +37,7 @@ class TestValidate:
         assert cls.valid and not cls.sharp and not cls.trivial
 
     def test_negative_effect_reported(self):
-        broken = povm.DiscretePovm.from_pairs(
-            [("1", 0.75 * I2 + 0.5 * SX), ("2", 0.25 * I2 - 0.5 * SX)]
-        )
+        broken = povm.DiscretePovm(("1", "2"), [0.75 * I2 + 0.5 * SX, 0.25 * I2 - 0.5 * SX])
         cls = povm.validate(broken)
         assert not cls.valid
         assert any("below 0" in failure for failure in cls.failures)
@@ -49,7 +45,7 @@ class TestValidate:
         assert any("-0.25" in failure for failure in cls.failures)
 
     def test_sum_violation_reported(self):
-        broken = povm.DiscretePovm.from_pairs([("1", 0.5 * I2), ("2", 0.4 * I2)])
+        broken = povm.DiscretePovm(("1", "2"), [0.5 * I2, 0.4 * I2])
         cls = povm.validate(broken)
         assert not cls.valid
         assert any("sum deviates" in failure for failure in cls.failures)
@@ -124,7 +120,7 @@ class TestClassifyEffects:
         for n, ops in enumerate(stack):
             want = reference_classification(ops)
             assert (bool(got.valid[n]), bool(got.sharp[n]), bool(got.trivial[n])) == want
-            cls = povm.validate(povm.DiscretePovm.from_pairs(enumerate(ops)))
+            cls = povm.validate(povm.DiscretePovm(tuple(range(len(ops))), ops))
             assert (cls.valid, cls.sharp, cls.trivial) == want
             assert cls.valid == (not cls.failures)
             for j, op in enumerate(ops):
@@ -165,15 +161,21 @@ class TestClassifyEffects:
 
 class TestValidateFailures:
     def test_mismatched_shapes_reported(self):
-        broken = povm.DiscretePovm.from_pairs([("1", I2), ("2", np.zeros((3, 3)))])
-        cls = povm.validate(broken)
-        assert not cls.valid
-        assert cls.failures == ("effect '2' has shape (3, 3), expected (2, 2)",)
+        # A ragged family is rejected at construction, naming the effect.
+        with pytest.raises(DimensionMismatch, match=r"^effect '2' has shape \(3, 3\), expected \(2, 2\)$"):
+            povm.DiscretePovm(("1", "2"), [I2, np.zeros((3, 3))])
+
+    def test_malformed_family_rejected(self):
+        for labels, effects, match in (
+            (("1", "2", "3"), np.array([I2, 0.0 * I2]), "3 labels"),
+            (("1",), np.array(0.5), r"got shape \(1,\)"),
+            (("1", "2"), np.zeros((2, 2, 3)), r"got shape \(2, 2, 3\)"),
+        ):
+            with pytest.raises(DimensionMismatch, match=match):
+                povm.DiscretePovm(labels, effects)
 
     def test_non_hermitian_reported_with_magnitude(self):
-        broken = povm.DiscretePovm.from_pairs(
-            [("1", 0.5 * I2 + np.array([[0, 1e-3], [0, 0]])), ("2", 0.5 * I2)]
-        )
+        broken = povm.DiscretePovm(("1", "2"), [0.5 * I2 + np.array([[0, 1e-3], [0, 0]]), 0.5 * I2])
         cls = povm.validate(broken)
         assert cls.failures == (
             "effect '1' deviates from Hermitian by 1.000e-03",
@@ -181,13 +183,13 @@ class TestValidateFailures:
         )
 
     def test_non_finite_effect_is_invalid(self):
-        broken = povm.DiscretePovm.from_pairs([("1", np.full((2, 2), np.nan)), ("2", I2)])
+        broken = povm.DiscretePovm(("1", "2"), [np.full((2, 2), np.nan), I2])
         cls = povm.validate(broken)
         assert not cls.valid
         assert cls.failures == ("effect '1' deviates from Hermitian by nan",)
 
     def test_above_one_reported(self):
-        broken = povm.DiscretePovm.from_pairs([("1", 1.5 * I2), ("2", -0.5 * I2)])
+        broken = povm.DiscretePovm(("1", "2"), [1.5 * I2, -0.5 * I2])
         cls = povm.validate(broken)
         assert cls.failures == (
             "effect '1' has eigenvalue 1.5 above 1",
@@ -218,15 +220,13 @@ class TestSmear:
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             op = axis[0] * SX + axis[1] * SY + axis[2] * SZ
-            pvm = povm.DiscretePovm.from_pairs(
-                [("1", 0.5 * (I2 + op)), ("2", 0.5 * (I2 - op))]
-            )
+            pvm = povm.DiscretePovm(("1", "2"), [0.5 * (I2 + op), 0.5 * (I2 - op)])
             rows = int(rng.integers(2, 5))
             w = rng.random((rows, 2)) + 1e-3
             w /= w.sum(axis=0, keepdims=True)
             smeared = povm.smear(pvm, w)
             assert povm.validate(smeared).valid
-            ops = [e.operator for e in smeared.effects]
+            ops = smeared.effects
             for i in range(len(ops)):
                 for j in range(i + 1, len(ops)):
                     assert np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])) <= 1e-12
@@ -356,7 +356,7 @@ class TestJointXZ:
         cls = povm.validate(joint)
         assert cls.valid
         lowest = min(
-            ev for e in joint.effects for ev, _ in linalg.eig_hermitian(e.operator)
+            ev for op in joint.effects for ev, _ in linalg.eig_hermitian(op)
         )
         assert lowest == pytest.approx(0.0, abs=1e-12)
 
@@ -426,7 +426,7 @@ class TestContrastUnsharpness:
 
     def test_biased_contrast(self):
         # Effects c I and (1 - c) I: contrast |2c - 1| with no direction term.
-        p = povm.DiscretePovm.from_pairs([("1", 0.8 * I2), ("2", 0.2 * I2)])
+        p = povm.DiscretePovm(("1", "2"), [0.8 * I2, 0.2 * I2])
         assert povm.contrast(p) == pytest.approx(0.6, abs=1e-14)
 
     def test_wrong_outcome_count(self):
@@ -442,7 +442,7 @@ class TestContrastUnsharpness:
         # Grid-minimize the outcome variance over the Bloch sphere and
         # compare with 1 - contrast^2.
         p = two_outcome(0.6)
-        diff = p.effects[0].operator - p.effects[1].operator
+        diff = p.effects[0] - p.effects[1]
         cfg = oracle.OracleConfig(seed=3, samples=1)
         best, _ = oracle.grid_maximize(
             lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)), cfg
@@ -457,9 +457,9 @@ class TestContrastUnsharpness:
             u_len = rng.random()
             b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
             e1 = 0.5 * ((1.0 + b) * I2 + u_len * (direction[0] * SX + direction[1] * SY + direction[2] * SZ))
-            p = povm.DiscretePovm.from_pairs([("1", e1), ("2", I2 - e1)])
+            p = povm.DiscretePovm(("1", "2"), [e1, I2 - e1])
             assert povm.validate(p).valid
-            diff = p.effects[0].operator - p.effects[1].operator
+            diff = p.effects[0] - p.effects[1]
             best, _ = oracle.grid_maximize(
                 lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)),
                 cfg,

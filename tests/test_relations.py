@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mzpovm import complementarity, interferometer, linalg, oracle, povm, relations
-from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp, NotTwoOutcome
+from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
 from conftest import random_bloch_in_ball, random_pure
 
@@ -87,7 +87,8 @@ class TestEntropicBound:
         assert report.rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_direction_exceeds_bound(self):
-        psi = linalg.state_from_bloch(np.array([1.0, 1.0, 1.0]) / math.sqrt(3))
+        # The pure state along (1, 1, 1) / sqrt 3: the top eigenvector of its projector.
+        psi = linalg.eig_hermitian(linalg.density_from_bloch(np.array([1.0, 1.0, 1.0]) / math.sqrt(3)))[0][1]
         report = relations.entropic_bound(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
         )
@@ -111,9 +112,7 @@ class TestEntropicBound:
             assert report.slack >= -1e-9
 
     def test_unsharp_observable_rejected(self):
-        blurred = povm.DiscretePovm.from_pairs(
-            [("1", 0.5 * (I2 + 0.5 * SX)), ("2", 0.5 * (I2 - 0.5 * SX))]
-        )
+        blurred = povm.DiscretePovm(("1", "2"), [0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)])
         with pytest.raises(NotSharp):
             relations.entropic_bound(blurred, relations.pauli_pvm("z"), [1, 0])
 
@@ -260,17 +259,16 @@ class TestCoincidencePovm:
             if direction is None:
                 direction = np.array([0.0, 0.0, 1.0])
             h = relations.coincidence_povm(p1, p2, direction)
-            var = relations.outcome_variance(h, linalg.pure_density([alpha, beta]))
+            # Variance of the +/-1-valued outcome: 1 - <H_corr - H_err>^2.
+            bias = np.trace((h.operator("correct") - h.operator("error")) @ linalg.pure_density([alpha, beta])).real
+            var = 1.0 - bias**2
             assert var == pytest.approx(1.0 - result.distinguishability**2, abs=1e-12)
 
     def test_non_unit_pointer_rejected(self):
-        with pytest.raises(NotNormalized):
-            relations.coincidence_povm([1, 0], [0, 1], [0, 0, 2])
+        for direction in ([0, 0, 2], [np.nan] * 3, [np.inf, 0, 0]):
+            with pytest.raises(NotNormalized):
+                relations.coincidence_povm([1, 0], [0, 1], direction)
 
-    def test_outcome_variance_needs_two_outcomes(self):
-        joint = povm.joint_xz(povm.UnsharpPair(0.5, 0.5))
-        with pytest.raises(NotTwoOutcome):
-            relations.outcome_variance(joint, np.eye(2) / 2)
 
 
 class TestVisibility:
@@ -374,28 +372,27 @@ class TestErasureDuality:
         p1, p2 = interferometer.marker_states(0.9)
         h = relations.coincidence_povm(p1, p2, [1.0, 0.0, 0.0])
         rho_e = linalg.partial_trace_probe(relations.marked_state(PLUS[0], PLUS[1], p1, p2))
-        off_sum = relations.outcome_variance(h, linalg.pure_density(PLUS)) + linalg.variance(
-            SY, rho_e
-        )
+        bias = np.trace((h.operator("correct") - h.operator("error")) @ linalg.pure_density(PLUS)).real
+        off_sum = 1.0 - bias**2 + linalg.variance(SY, rho_e)
         print(f"off-optimum variance sum: {off_sum!r}")
 
 
 class TestReportMechanics:
     def test_geq_slack_sign(self):
-        report = relations.make_report("demo", 2.0, 1.0, "geq")
+        report = relations.make_reports("demo", [2.0], [1.0], "geq").report(0)
         assert report.satisfied and report.slack == 1.0
 
     def test_leq_slack_sign(self):
-        report = relations.make_report("demo", 2.0, 1.0, "leq")
+        report = relations.make_reports("demo", [2.0], [1.0], "leq").report(0)
         assert not report.satisfied and report.slack == -1.0
 
     def test_eq_tolerance(self):
-        assert relations.make_report("demo", 1.0 + 5e-10, 1.0, "eq").satisfied
-        assert not relations.make_report("demo", 1.0 + 5e-9, 1.0, "eq").satisfied
+        assert relations.make_reports("demo", [1.0 + 5e-10], [1.0], "eq").report(0).satisfied
+        assert not relations.make_reports("demo", [1.0 + 5e-9], [1.0], "eq").report(0).satisfied
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            relations.make_report("demo", 1.0, 1.0, "approx")
+            relations.make_reports("demo", [1.0], [1.0], "approx")
 
 
 # Per-state reference formulas for the stacked kernels: the scalar routes
@@ -511,8 +508,7 @@ class TestStackedKernels:
         for a, b in (("z", "x"), ("x", "y"), ("z", "z")):
             pvm_a, pvm_b = relations.pauli_pvm(a), relations.pauli_pvm(b)
             stack = relations.entropic_bound_stack(pvm_a, pvm_b, states)
-            ops_a = [e.operator for e in pvm_a.effects]
-            ops_b = [e.operator for e in pvm_b.effects]
+            ops_a, ops_b = list(pvm_a.effects), list(pvm_b.effects)
             want = np.array([reference_entropic_bound(ops_a, ops_b, psi) for psi in states])
             np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
             # The bound divides |<psi|P Q|psi>| by |P psi| |Q psi|, which
@@ -524,8 +520,8 @@ class TestStackedKernels:
         computational = [np.diag(row).astype(complex) for row in np.eye(3)]
         fourier = complementarity.fourier_partner(complementarity.OrthonormalBasis(np.eye(3)))
         rotated = [np.outer(v, v.conj()) for v in fourier.vectors]
-        pvm_a = povm.DiscretePovm.from_pairs(zip("123", computational))
-        pvm_b = povm.DiscretePovm.from_pairs(zip("123", rotated))
+        pvm_a = povm.DiscretePovm(tuple("123"), computational)
+        pvm_b = povm.DiscretePovm(tuple("123"), rotated)
         z = rng.standard_normal((50, 6))
         states = z[:, 0::2] + 1j * z[:, 1::2]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -610,13 +606,13 @@ class TestStackedKernels:
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
         relations.entropic_bound(z_pvm, x_pvm, [1, 0])
         assert calls == []
-        copy = povm.DiscretePovm.from_pairs([(e.label, e.operator) for e in z_pvm.effects])
+        copy = povm.DiscretePovm(z_pvm.labels, z_pvm.effects.copy())
         relations.entropic_bound_stack(copy, x_pvm, np.array(EIGENSTATES, dtype=complex))
         assert calls == [copy]  # once per kernel call, not once per state
 
     def test_cached_pauli_pvms_are_write_protected(self):
         with pytest.raises(ValueError):
-            relations.pauli_pvm("x").effects[0].operator[0, 0] = 2.0
+            relations.pauli_pvm("x").effects[0, 0, 0] = 2.0
 
     def test_stack_inputs_are_validated(self):
         with pytest.raises(NotNormalized):

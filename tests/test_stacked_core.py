@@ -53,12 +53,17 @@ def _reference_effects(unitary, p0, outputs):
     return np.array(effects)
 
 
+def _reference_pointers(config):
+    pointers = interferometer.pointer_stack([config])
+    return None if pointers is None else pointers[0]
+
+
 def _reference_config_effects(config):
     probes = interferometer.probes_for(config)
     unitary = _reference_total_unitary(
         probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
     )
-    return _reference_effects(unitary, probes.p0, _reference_outputs(interferometer.pointer_basis(config)))
+    return _reference_effects(unitary, probes.p0, _reference_outputs(_reference_pointers(config)))
 
 
 def _groups():
@@ -96,11 +101,11 @@ class TestStackedExtraction:
             schemes = extraction.schemes_for(configs)
             effects = extraction.extract_effects(schemes)
             for n in (0, len(configs) - 1):
-                scheme = extraction.scheme_for(configs[n])
-                assert scheme.unitary.tobytes() == schemes.unitaries[n].tobytes()
+                scheme = extraction.schemes_for([configs[n]])
+                assert scheme.unitaries[0].tobytes() == schemes.unitaries[n].tobytes()
                 measured = extraction.extract_povm(scheme)
                 assert measured.labels == schemes.labels
-                assert np.array([e.operator for e in measured.effects]).tobytes() == effects[n].tobytes()
+                assert measured.effects.tobytes() == effects[n].tobytes()
 
     def test_stacks_reject_mixed_readouts(self):
         configs = [interferometer.MzConfig("path"), interferometer.MzConfig("marking")]
@@ -120,7 +125,7 @@ class TestStackedOracle:
                 unitary = _reference_total_unitary(
                     probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
                 )
-                outputs = _reference_outputs(interferometer.pointer_basis(config))
+                outputs = _reference_outputs(_reference_pointers(config))
                 for s, psi in enumerate(states):
                     final = unitary @ np.kron(psi, probes.p0)
                     want = [np.vdot(final, m @ final).real for m in outputs]
@@ -189,14 +194,14 @@ class TestStackedValidator:
 
 def _scalar_sweep_row(config, psi):
     # The per-step route: one scheme, POVM, probability table and audit per step.
-    scheme = extraction.scheme_for(config)
+    scheme = extraction.schemes_for([config])
     measured = extraction.extract_povm(scheme)
     probabilities = oracle.direct_probabilities(scheme, psi)
     probes = interferometer.probes_for(config)
     audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), probes.p1, probes.p2)
     row = {"D": audit.inference.distinguishability, "V_e": audit.visibility.value,
            "duality_slack": audit.duality.slack}
-    if len(measured.effects) == 4:
+    if len(measured.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
         grouped = extraction.marginals_of(measured)
         row["F_contrast"] = povm.contrast(grouped.detector)
@@ -313,11 +318,11 @@ class TestPovmStacks:
             extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.7, gamma=g) for g in (0.1, 2.0)])
         )
         for n in range(2):
-            joint = povm.DiscretePovm.from_pairs(zip(("11", "21", "12", "22"), effects[n]))
+            joint = povm.DiscretePovm(("11", "21", "12", "22"), effects[n])
             for grouping in (extraction.DETECTOR_GROUPING, extraction.COINCIDENCE_GROUPING):
                 stacked = povm.marginal_stack(effects, joint.labels, grouping)[n]
                 scalar = povm.marginal(joint, grouping)
-                assert np.array_equal(stacked, [e.operator for e in scalar.effects])
+                assert np.array_equal(stacked, scalar.effects)
 
     def test_marginal_stack_rejects_a_non_partition(self):
         with pytest.raises(NotAPartition):

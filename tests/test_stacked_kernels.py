@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import interferometer, linalg, oracle, povm, verify
+from mzpovm import interferometer, linalg, oracle, povm, relations, verify
 from mzpovm.errors import BlochOutOfBall, NotHermitian, NotNormalized
 
 from conftest import random_hermitian
@@ -543,6 +543,26 @@ class TestDrawReplay:
         probes = np.array([[_reference_haar_vector(rng) for _ in range(3)] for _ in range(200)])
         assert calls[0][0].tobytes() == probes.tobytes()
 
+
+    def test_erasure_duality(self, monkeypatch, seed):
+        calls = _spy(monkeypatch, relations, "erasure_duality_stack")
+        assert verify.check_erasure_duality(seed).passed
+        # The old loop: per-sample square roots, phases and marker states.
+        rng = np.random.default_rng([seed, 115])
+        alphas, betas, p1s, p2s = [], [], [], []
+        for _ in range(1000):
+            theta = float(rng.uniform(0.0, math.pi / 2.0))
+            weight = rng.random()
+            phase = float(rng.uniform(0.0, 2.0 * math.pi))
+            alphas.append(math.sqrt(weight))
+            betas.append(math.sqrt(1.0 - weight) * np.exp(1j * phase))
+            p1, p2 = interferometer.marker_states(theta)
+            p1s.append(p1)
+            p2s.append(p2)
+        (args,) = calls
+        # The kernel reads amplitudes and markers as complex arrays.
+        for got, want in zip(args, (alphas, betas, p1s, p2s)):
+            assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
     def test_smear_validity(self, monkeypatch, seed):
         calls = _spy(monkeypatch, povm, "smear_stack")
