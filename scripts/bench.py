@@ -11,9 +11,10 @@ processes, median of 5 after one untimed warm-up, of ``import mzpovm``,
 first of each pair alternating too, so a slow phase of a shared host falls
 on both sides; ``summary`` then gives, per workload and end-to-end metric,
 the median and quartiles of each side, their ratio and the pairs the
-checkout won, and the per-layer call counts of the traced ``verify``
-suite that differ. Each checkout runs its own ``perfbench`` on its own
-``src``.
+checkout won, the per-layer counts of the traced ``verify`` suite that
+differ (calls, objective evaluations and the ratios) and the traced
+seconds of every ``verify`` check on each side. Each checkout runs its
+own ``perfbench`` on its own ``src``.
 
     python scripts/bench.py --pr <number> --baseline <parent checkout> --pairs 10
 """
@@ -31,6 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 30.0
 WORKLOADS = ("run", "verify", "sweep")
 END_TO_END = ("call_ms", "setup_s", "peak_rss_mb")
+# Per-layer metrics that count work rather than time it.
+COUNT_SUFFIXES = (".calls", ".objective_evals", ".accept_ratio", ".distinct_ratio")
 COMMANDS = {
     "import": ["-c", "import mzpovm"],
     "run": ["-m", "mzpovm", "run", "--experiment", "erasure", "--delta", "-1.5707963267948966",
@@ -80,13 +83,19 @@ def summarize(runs: dict, traced: dict) -> dict:
                 entry["pairs"] = len(base)
             summary[f"{workload}.{metric}"] = entry
     if "baseline" in traced:
-        # Per-layer call counts of one traced verify suite that differ between the sides.
         base, change = (traced[side]["result"]["metrics"] for side in ("baseline", "checkout"))
-        summary["verify_trace_calls"] = {
-            name: {"baseline": base[name]["value"], "checkout": change[name]["value"]}
+        # Per-layer counts of one traced verify suite that differ between the sides.
+        summary["verify_trace_counts"] = {
+            name: {"baseline": base[name]["value"], "checkout": change.get(name, {}).get("value")}
             for name in sorted(base)
-            if name.endswith(".calls") and base[name]["value"] != change.get(name, {}).get("value")
+            if name.endswith(COUNT_SUFFIXES) and base[name]["value"] != change.get(name, {}).get("value")
         }
+    # Traced seconds of each verify check, per side, to name the check that moved.
+    summary["verify_trace_check_s"] = {
+        name: {side: traced[side]["result"]["metrics"].get(name, {}).get("value") for side in traced}
+        for name in sorted(traced["checkout"]["result"]["metrics"])
+        if name.startswith("verify.") and name.endswith(".s")
+    }
     return summary
 
 

@@ -3,7 +3,10 @@
 Nothing here trusts a closed form. Output probabilities are evaluated
 directly in the evolved compound state; random inputs replay exactly from
 a seed; optima over the Bloch sphere come from a lattice sweep plus step
-halving. Probabilities are always computed exactly, never estimated from
+halving, run for N objectives in lockstep: an objective is called on a
+stack of points with the index of the search each belongs to, and every
+lattice point and pattern step of every search is evaluated.
+Probabilities are always computed exactly, never estimated from
 simulated counts.
 
 Reproducibility contract: random pure states are two standard complex
@@ -151,84 +154,119 @@ def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
 
 
 @functools.lru_cache(maxsize=4)
-def _coarse_lattice(step: float) -> tuple[np.ndarray, ...]:
-    # The latitude/longitude points in sweep order, as write-protected
-    # (3,) arrays. theta and phi grow by repeated addition of step, and
+def _coarse_lattice(step: float) -> np.ndarray:
+    # The latitude/longitude points in sweep order, as one write-protected
+    # (P, 3) array. theta and phi grow by repeated addition of step, and
     # that rounding fixes which points the sweep visits.
     points = []
     theta = 0.0
     while theta <= math.pi + 1e-12:
         phi = 0.0
         while phi < 2.0 * math.pi - 1e-12:
-            point = np.array(_bloch(theta, phi))
-            point.setflags(write=False)
-            points.append(point)
+            points.append(_bloch(theta, phi))
             # Poles are a single point; one longitude suffices there.
             if theta <= 1e-12 or theta >= math.pi - 1e-12:
                 break
             phi += step
         theta += step
-    return tuple(points)
+    lattice = np.array(points)
+    lattice.setflags(write=False)
+    return lattice
 
 
-def _cross(u, v) -> tuple[float, float, float]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # u x v row by row, each component one difference of two products, so
+    # a row's result does not depend on the rows beside it.
+    return np.stack([
+        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
+    ], axis=1)
 
 
-def _unit(v) -> tuple[float, float, float]:
-    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    return (v[0] / n, v[1] / n, v[2] / n)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # Each norm sums x^2, y^2 and z^2 in that order, as one vector's would.
+    squares = v * v
+    return v / np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
 
 
-def _tangent_frame(r) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    axis = (0.0, 0.0, 1.0) if abs(r[2]) <= 0.9 else (1.0, 0.0, 0.0)
-    t1 = _unit(_cross(r, axis))
-    return t1, _cross(r, t1)
+def _tangent_frames(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Two tangent directions at each row of r, crossed off an axis far from it.
+    axis = np.where((np.abs(r[:, 2]) <= 0.9)[:, None], (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    t1 = _unit_rows(_cross_rows(r, axis))
+    return t1, _cross_rows(r, t1)
 
 
-_PATTERN = tuple((a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0) if (a, b) != (0.0, 0.0))
+# The eight pattern steps, as coefficients (a, b) of the two tangent
+# directions, shaped (8, 1, 1) so that one product scales an (N, 3) frame.
+_PATTERN_A, _PATTERN_B = (
+    np.array(c)[:, None, None]
+    for c in zip(*((a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0) if (a, b) != (0.0, 0.0)))
+)
 
 
-def grid_maximize(objective, oracle: OracleConfig) -> tuple[float, np.ndarray]:
-    """Maximize a function of a unit Bloch vector over the sphere.
+def grid_maximize_stack(objective, count: int, oracle: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``count`` functions of a unit Bloch vector over the sphere, in lockstep.
 
-    Coarse latitude/longitude sweep at ``grid_resolution``, then twenty
-    halving rounds of local pattern search. The refinement steps in a
-    tangent frame of the current point (renormalizing), which has no pole
-    pathology. For the linear and quadratic objectives used here the
-    result is within 1e-6 of the true maximum.
+    Each search is a coarse latitude/longitude sweep at
+    ``grid_resolution``, then twenty halving rounds of local pattern
+    search. The refinement steps in a tangent frame of the current point
+    (renormalizing), which has no pole pathology. For the linear and
+    quadratic objectives used here the result is within 1e-6 of the true
+    maximum. Returns the (count,) best values and the (count, 3)
+    maximizers.
 
-    Brute force throughout: ``objective`` is called on one (3,) array at
-    a time and must return a real number. The coarse lattice is built
-    once per resolution and cached; the refinement keeps the current
-    point and its tangent frame as Python floats, so a step costs one
-    small array and one objective call.
+    Brute force throughout: ``objective(points, rows)`` gets a (..., 3)
+    array of points and an int array ``rows``, broadcasting against
+    ``points.shape[:-1]``, that names the search each point belongs to; it
+    returns the real values in that broadcast shape. The coarse lattice
+    is built once per resolution, cached write-protected, and passed as
+    one (1, P, 3) array with ``rows`` of shape (count, 1). Every row
+    evaluates every lattice point and keeps its first strict maximum; NaN
+    is never accepted. In refinement each row keeps its tangent frame for
+    a whole pass, and at each of the eight pattern steps the candidates
+    of all rows still improving in the round are evaluated in one call; a
+    row that accepts moves before its next step. Each row thus runs the
+    same floating-point operations in the same order as a search of its
+    own.
     """
     step = oracle.grid_resolution
     lattice = _coarse_lattice(step)
-    best_value = -math.inf
-    best = lattice[0]
-    for candidate in lattice:
-        value = float(objective(candidate))
-        if value > best_value:
-            best_value = value
-            best = candidate
-    r = best.tolist()
+    rows = np.arange(count)
+    values = np.broadcast_to(np.asarray(objective(lattice[None], rows[:, None]), dtype=float), (count, len(lattice)))
+    values = np.where(np.isnan(values), -np.inf, values)
+    first = np.argmax(values, axis=1)
+    best_value = values[rows, first]
+    best = lattice[first]
     for _ in range(20):
         step *= 0.5
-        improved = True
-        while improved:
-            improved = False
-            (u1, u2, u3), (v1, v2, v3) = _tangent_frame(r)
-            for a, b in _PATTERN:
-                moved = (r[0] + step * (a * u1 + b * v1),
-                         r[1] + step * (a * u2 + b * v2),
-                         r[2] + step * (a * u3 + b * v3))
-                candidate = np.array(_unit(moved))
-                value = float(objective(candidate))
-                if value > best_value:
-                    best_value = value
-                    best = candidate
-                    r = candidate.tolist()
-                    improved = True
-    return best_value, np.array(best)
+        active = rows
+        while active.size:
+            r, value_r = best[active], best_value[active]
+            u, v = _tangent_frames(r)
+            improved = np.zeros(active.size, dtype=bool)
+            for move in step * (_PATTERN_A * u + _PATTERN_B * v):
+                candidate = _unit_rows(r + move)
+                value = np.asarray(objective(candidate, active), dtype=float)
+                accept = value > value_r
+                r = np.where(accept[:, None], candidate, r)
+                value_r = np.where(accept, value, value_r)
+                improved |= accept
+            best[active], best_value[active] = r, value_r
+            active = active[improved]
+    return best_value, best
+
+
+def grid_maximize(objective, oracle: OracleConfig) -> tuple[float, np.ndarray]:
+    """Maximize one function of a unit Bloch vector; a batch of one of :func:`grid_maximize_stack`.
+
+    ``objective`` is called on one (3,) array at a time, in the order of
+    a per-point search, and must return a real number; lattice points
+    come write-protected from the cache.
+    """
+
+    def one_point_at_a_time(points, rows):
+        return np.array([float(objective(r)) for r in points.reshape(-1, 3)]).reshape(points.shape[:-1])
+
+    value, best = grid_maximize_stack(one_point_at_a_time, 1, oracle)
+    return float(value[0]), best[0]

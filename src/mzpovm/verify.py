@@ -52,6 +52,20 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
+    # Generator.uniform(low, high) from random() draws u, scaled the way
+    # numpy scales one draw, so a batched draw replays interleaved calls.
+    return low + (high - low) * u
+
+
+def _marker_stacks(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    # interferometer.marker_states over a list of tilts; math.cos and
+    # math.sin keep the markers independent of numpy's SIMD dispatch.
+    c = np.array([math.cos(t / 2.0) for t in thetas], dtype=complex)
+    s = np.array([math.sin(t / 2.0) for t in thetas], dtype=complex)
+    return np.stack([c, s], axis=1), np.stack([s, c], axis=1)
+
+
 def distinct_grid_configs() -> list[interferometer.MzConfig]:
     # Configurations that differ only in angles an experiment ignores
     # build byte-identical schemes; evaluating one representative per
@@ -239,22 +253,22 @@ def check_joint_iff_grid() -> CheckResult:
 
 
 def _contrast_objective(diff: np.ndarray):
-    """r -> |tr[rho(r) diff]| for a 2x2 ``diff``, on floats.
+    """(points, rows) -> |tr[rho(r) diff_n]| for an (N, 2, 2) stack ``diff``, n = rows.
 
     With rho(r) = (I + r . sigma) / 2 written out entrywise,
     tr[rho(r) diff] = c0 + cx x + cy y + cz z. The coefficients are read
-    off the matrix entries, not from ``povm.bias_and_direction``, which the
-    closed form under test is built on.
+    off the matrix entries, not from ``povm.bias_and_direction_stack``,
+    which the closed form under test is built on.
     """
-    (d00, d01), (d10, d11) = diff.tolist()
-    c0 = 0.5 * (d00 + d11).real
-    cx = 0.5 * (d01 + d10).real
-    cy = 0.5 * (d10 - d01).imag
-    cz = 0.5 * (d00 - d11).real
+    re, im = diff.real, diff.imag
+    c0 = 0.5 * (re[:, 0, 0] + re[:, 1, 1])
+    cx = 0.5 * (re[:, 0, 1] + re[:, 1, 0])
+    cy = 0.5 * (im[:, 1, 0] - im[:, 0, 1])
+    cz = 0.5 * (re[:, 0, 0] - re[:, 1, 1])
 
-    def objective(r):
-        x, y, z = r.tolist()
-        return abs(c0 + cx * x + cy * y + cz * z)
+    def objective(points, rows):
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        return np.abs(c0[rows] + cx[rows] * x + cy[rows] * y + cz[rows] * z)
 
     return objective
 
@@ -262,17 +276,21 @@ def _contrast_objective(diff: np.ndarray):
 def check_contrast_oracle(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
     cfg = oracle.OracleConfig(seed=seed, samples=1, grid_resolution=math.pi / 16.0)
-    worst = 0.0
+    # Each sample draws a direction, a length and a bias; the draws
+    # interleave two distributions, so they stay in a loop.
+    u_dir, u_len, bias = [], [], []
     for _ in range(50):
-        u_dir = _random_unit(rng)
-        u_len = rng.random()
-        b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
-        e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
-        p = povm.DiscretePovm(("1", "2"), [e1, np.eye(2) - e1])
-        diff = p.effects[0] - p.effects[1]
-        best, _ = oracle.grid_maximize(_contrast_objective(diff), cfg)
-        worst = max(worst, abs(best - povm.contrast(p)))
-    return _result("contrast-oracle", worst, 1e-6)
+        u_dir.append(_random_unit(rng))
+        u_len.append(rng.random())
+        bias.append(rng.random())
+    u_dir = np.array(u_dir)
+    u_len = np.array(u_len)[:, None, None]
+    b = (1.0 - u_len) * (2.0 * np.array(bias)[:, None, None] - 1.0)
+    along = sum(u_dir[:, i, None, None] * s for i, s in enumerate(linalg.pauli_triple()))
+    e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * along)
+    effects = np.stack([e1, np.eye(2) - e1], axis=1)
+    best, _ = oracle.grid_maximize_stack(_contrast_objective(effects[:, 0] - effects[:, 1]), len(effects), cfg)
+    return _result("contrast-oracle", float(np.max(np.abs(best - povm.contrast_stack(effects)))), 1e-6)
 
 
 def check_unsharpness_trade_off(seed: int) -> CheckResult:
@@ -505,21 +523,14 @@ def check_entropic_bound(seed: int, samples: int) -> CheckResult:
 
 def check_erasure_duality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 115])
-    # Each sample draws a tilt, a weight and a phase, in that order; only
-    # the draws stay in the loop.
-    thetas, weights, phases = [], [], []
-    for _ in range(1000):
-        thetas.append(rng.uniform(0.0, math.pi / 2.0))
-        weights.append(rng.random())
-        phases.append(rng.uniform(0.0, 2.0 * math.pi))
-    weights = np.array(weights)
+    # Each sample draws a tilt, a weight and a phase, in that order: one
+    # batched draw replays them.
+    u = rng.random((1000, 3))
+    thetas = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist()
+    weights, phases = u[:, 1], _uniform(0.0, 2.0 * math.pi, u[:, 2])
     alphas = np.sqrt(weights)
-    betas = np.sqrt(1.0 - weights) * np.exp(1j * np.array(phases))
-    # interferometer.marker_states over the list; math.cos and math.sin keep
-    # the markers independent of numpy's SIMD dispatch.
-    c = np.array([math.cos(t / 2.0) for t in thetas], dtype=complex)
-    s = np.array([math.sin(t / 2.0) for t in thetas], dtype=complex)
-    p1s, p2s = np.stack([c, s], axis=1), np.stack([s, c], axis=1)
+    betas = np.sqrt(1.0 - weights) * np.exp(1j * phases)
+    p1s, p2s = _marker_stacks(thetas)
     audit = relations.erasure_duality_stack(alphas, betas, p1s, p2s)
     worst = float(max(np.max(np.abs(audit.duality.slack)), np.max(np.abs(audit.variance_tradeoff.slack))))
     return _result("erasure-duality", worst, 1e-9)
@@ -545,28 +556,34 @@ def check_limit_complementarity() -> CheckResult:
 
 
 def _correct_prob_objective(evidence: np.ndarray):
-    """r -> (1 + r . evidence) / 2, the success probability of the pointer guess along r."""
-    ex, ey, ez = evidence.tolist()
+    """(points, rows) -> (1 + r . evidence_n) / 2, the success probability of the pointer guess along r."""
+    ex, ey, ez = evidence.T
 
-    def objective(r):
-        x, y, z = r.tolist()
-        return 0.5 * (1.0 + (x * ex + y * ey + z * ez))
+    def objective(points, rows):
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        return 0.5 * (1.0 + (x * ex[rows] + y * ey[rows] + z * ez[rows]))
 
     return objective
 
 
-def _equatorial_objective(rho_e: np.ndarray):
-    """r -> |tr[rho_e (n . sigma)]| for the unit equatorial direction n along (x, y)."""
-    sx, sy, _ = linalg.pauli_triple()
-    ex = float(np.trace(rho_e @ sx).real)
-    ey = float(np.trace(rho_e @ sy).real)
+def _planar_norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # math.hypot point by point: numpy.hypot rounds differently from it in
+    # about one case in 200.
+    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    def objective(r):
-        x, y, _ = r.tolist()
-        planar = math.hypot(x, y)
-        if planar < 1e-12:
-            return 0.0
-        return abs(ex * (x / planar) + ey * (y / planar))
+
+def _equatorial_objective(rho_e: np.ndarray):
+    """(points, rows) -> |tr[rho_e,n (m . sigma)]| for the unit equatorial direction m along (x, y)."""
+    sx, sy, _ = linalg.pauli_triple()
+    ex = np.trace(rho_e @ sx, axis1=-2, axis2=-1).real
+    ey = np.trace(rho_e @ sy, axis1=-2, axis2=-1).real
+
+    def objective(points, rows):
+        x, y = points[..., 0], points[..., 1]
+        planar = _planar_norms(x, y)
+        polar = planar < 1e-12
+        planar = np.where(polar, 1.0, planar)
+        return np.where(polar, 0.0, np.abs(ex[rows] * (x / planar) + ey[rows] * (y / planar)))
 
     return objective
 
@@ -574,22 +591,24 @@ def _equatorial_objective(rho_e: np.ndarray):
 def check_grid_maximize_agreement(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 116])
     cfg = oracle.OracleConfig(seed=seed, samples=1)
-    worst = 0.0
-    for _ in range(50):
-        theta = float(rng.uniform(0.0, math.pi / 2.0))
-        weight = rng.random()
-        alpha = math.sqrt(weight)
-        beta = math.sqrt(1.0 - weight)
-        p1, p2 = interferometer.marker_states(theta)
-        b1, b2 = linalg.bloch_from_state(p1), linalg.bloch_from_state(p2)
-        evidence = alpha**2 * b1 - beta**2 * b2
-        best, _ = oracle.grid_maximize(_correct_prob_objective(evidence), cfg)
-        inference = relations.distinguishability(alpha, beta, p1, p2)
-        worst = max(worst, abs(best - inference.max_correct_probability))
-
-        rho_e = linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
-        best_v, _ = oracle.grid_maximize(_equatorial_objective(rho_e), cfg)
-        worst = max(worst, abs(best_v - relations.visibility_reduced(rho_e).value))
+    # Each sample draws a tilt, then a weight: one batched draw replays them.
+    u = rng.random((50, 2))
+    thetas, weights = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist(), u[:, 1]
+    alpha, beta = np.sqrt(weights), np.sqrt(1.0 - weights)
+    p1, p2 = _marker_stacks(thetas)
+    b1 = linalg.bloch_from_density_stack(p1[:, :, None] * p1.conj()[:, None, :])
+    b2 = linalg.bloch_from_density_stack(p2[:, :, None] * p2.conj()[:, None, :])
+    evidence = alpha[:, None] ** 2 * b1 - beta[:, None] ** 2 * b2
+    best, _ = oracle.grid_maximize_stack(_correct_prob_objective(evidence), len(u), cfg)
+    marked = np.concatenate([alpha[:, None] * p1, beta[:, None] * p2], axis=1)
+    rho_e = linalg.partial_trace_probe_stack(marked)
+    best_v, _ = oracle.grid_maximize_stack(_equatorial_objective(rho_e), len(u), cfg)
+    # The closed forms under test: L = (1 + D) / 2 and V_e, from the erasure audit.
+    audit = relations.erasure_duality_stack(alpha, beta, p1, p2)
+    worst = max(
+        float(np.max(np.abs(best - 0.5 * (1.0 + audit.distinguishability)))),
+        float(np.max(np.abs(best_v - audit.visibility))),
+    )
     return _result("grid-maximize-agreement", worst, 1e-6)
 
 

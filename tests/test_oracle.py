@@ -238,6 +238,60 @@ def reference_grid_maximize(objective, cfg):
     return best_value, best
 
 
+def _float_unit(v):
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _float_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def float_reference_grid_maximize(objective, cfg):
+    """The per-point search on Python floats, as ``grid_maximize`` ran it
+    before it became a batch of one: the bit-for-bit reference.
+
+    ``reference_grid_maximize`` normalizes with ``numpy.linalg.norm``, which
+    rounds differently from the square root of the summed squares, so it
+    agrees with this loop only to 1e-15.
+    """
+    step = cfg.grid_resolution
+    best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
+    theta = 0.0
+    while theta <= math.pi + 1e-12:
+        phi = 0.0
+        while phi < 2.0 * math.pi - 1e-12:
+            candidate = _reference_bloch(theta, phi)
+            value = float(objective(candidate))
+            if value > best_value:
+                best_value, best = value, candidate
+            if theta <= 1e-12 or theta >= math.pi - 1e-12:
+                break
+            phi += step
+        theta += step
+    r = best.tolist()
+    for _ in range(20):
+        step *= 0.5
+        improved = True
+        while improved:
+            improved = False
+            axis = (0.0, 0.0, 1.0) if abs(r[2]) <= 0.9 else (1.0, 0.0, 0.0)
+            t1 = _float_unit(_float_cross(r, axis))
+            (u1, u2, u3), (v1, v2, v3) = t1, _float_cross(r, t1)
+            for a in (-1.0, 0.0, 1.0):
+                for b in (-1.0, 0.0, 1.0):
+                    if a == 0.0 and b == 0.0:
+                        continue
+                    moved = (r[0] + step * (a * u1 + b * v1),
+                             r[1] + step * (a * u2 + b * v2),
+                             r[2] + step * (a * u3 + b * v3))
+                    candidate = np.array(_float_unit(moved))
+                    value = float(objective(candidate))
+                    if value > best_value:
+                        best_value, best, r, improved = value, candidate, candidate.tolist(), True
+    return best_value, np.array(best)
+
+
 def _counted(objective):
     calls = []
 
@@ -266,57 +320,122 @@ def _reference_equatorial(rho_e):
     return equatorial
 
 
-def _suite_objective_pairs(seed, count):
-    """The objectives of the contrast-oracle and grid-maximize-agreement checks,
-    as (reference formula, the check's float-level objective) on the same draws."""
+def _suite_inputs(seed, count):
+    """The per-search inputs of the contrast-oracle and grid-maximize-agreement
+    checks, replayed one sample at a time: the contrast-oracle ``diff``
+    matrices, the evidence vectors and the reduced states rho_e."""
     rng = np.random.default_rng([seed, 107])
+    diffs = []
     for _ in range(count):
         u_dir = rng.standard_normal(3)
         u_dir /= np.linalg.norm(u_dir)
         u_len = rng.random()
         b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
         e1 = 0.5 * ((1.0 + b) * I2 + u_len * (u_dir[0] * SX + u_dir[1] * SY + u_dir[2] * SZ))
-        diff = e1 - (I2 - e1)
-        yield _reference_contrast(diff), verify._contrast_objective(diff)
+        diffs.append(e1 - (I2 - e1))
     rng = np.random.default_rng([seed, 116])
+    evidences, reduced = [], []
     for _ in range(count):
         theta = float(rng.uniform(0.0, math.pi / 2.0))
         weight = rng.random()
         alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
         p1, p2 = interferometer.marker_states(theta)
-        evidence = alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2)
-        yield _reference_correct_prob(evidence), verify._correct_prob_objective(evidence)
-        rho_e = linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
-        yield _reference_equatorial(rho_e), verify._equatorial_objective(rho_e)
+        evidences.append(alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2))
+        reduced.append(linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2)))
+    return np.array(diffs), np.array(evidences), np.array(reduced)
 
 
 def _suite_objectives(seed, count):
     """The reference formulas of the suite's objectives."""
-    for reference, _ in _suite_objective_pairs(seed, count):
-        yield reference
+    diffs, evidences, reduced = _suite_inputs(seed, count)
+    yield from map(_reference_contrast, diffs)
+    for evidence, rho_e in zip(evidences, reduced):
+        yield _reference_correct_prob(evidence)
+        yield _reference_equatorial(rho_e)
+
+
+# Copies of the suite's per-point objectives on Python floats, as verify
+# wrote them before its searches were stacked.
+def _float_contrast(diff):
+    (d00, d01), (d10, d11) = diff.tolist()
+    c0 = 0.5 * (d00 + d11).real
+    cx = 0.5 * (d01 + d10).real
+    cy = 0.5 * (d10 - d01).imag
+    cz = 0.5 * (d00 - d11).real
+
+    def objective(r):
+        x, y, z = r.tolist()
+        return abs(c0 + cx * x + cy * y + cz * z)
+
+    return objective
+
+
+def _float_correct_prob(evidence):
+    ex, ey, ez = evidence.tolist()
+
+    def objective(r):
+        x, y, z = r.tolist()
+        return 0.5 * (1.0 + (x * ex + y * ey + z * ez))
+
+    return objective
+
+
+def _float_equatorial(rho_e):
+    ex = float(np.trace(rho_e @ SX).real)
+    ey = float(np.trace(rho_e @ SY).real)
+
+    def objective(r):
+        x, y, _ = r.tolist()
+        planar = math.hypot(x, y)
+        if planar < 1e-12:
+            return 0.0
+        return abs(ex * (x / planar) + ey * (y / planar))
+
+    return objective
+
+
+def _suite_stacks(diffs, evidences, reduced):
+    """(stacked objective, per-row reference formulas, per-row float objectives) of each kind."""
+    return [
+        (verify._contrast_objective(diffs), [*map(_reference_contrast, diffs)], [*map(_float_contrast, diffs)]),
+        (verify._correct_prob_objective(evidences), [*map(_reference_correct_prob, evidences)],
+         [*map(_float_correct_prob, evidences)]),
+        (verify._equatorial_objective(reduced), [*map(_reference_equatorial, reduced)],
+         [*map(_float_equatorial, reduced)]),
+    ]
 
 
 class TestSuiteObjectives:
-    def test_float_objectives_match_reference_formulas(self, rng):
+    def test_stacked_objectives_match_reference_formulas(self, rng):
         extra = rng.standard_normal((2000, 3))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        points = [*oracle._coarse_lattice(math.pi / 16.0), *extra]
-        pairs = [*_suite_objective_pairs(42, 4), *_suite_objective_pairs(7, 4)]
+        points = np.concatenate([oracle._coarse_lattice(math.pi / 16.0), extra])
+        inputs = zip(_suite_inputs(42, 4), _suite_inputs(7, 4))
+        stacks = _suite_stacks(*(np.concatenate(pair) for pair in inputs))
         # The suite's markers are real, so its evidence vectors and reduced
         # states have no y part; generic inputs cover that term.
+        diffs, evidences, rhos = [], [], []
         for _ in range(4):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            diff = 0.5 * (g + g.conj().T)
-            evidence = rng.standard_normal(3)
-            rho = linalg.density_from_bloch(0.9 * extra[rng.integers(2000)])
-            pairs += [
-                (_reference_contrast(diff), verify._contrast_objective(diff)),
-                (_reference_correct_prob(evidence), verify._correct_prob_objective(evidence)),
-                (_reference_equatorial(rho), verify._equatorial_objective(rho)),
-            ]
-        for reference, objective in pairs:
-            worst = max(abs(objective(r) - reference(r)) for r in points)
-            assert worst <= 1e-15
+            diffs.append(0.5 * (g + g.conj().T))
+            evidences.append(rng.standard_normal(3))
+            rhos.append(linalg.density_from_bloch(0.9 * extra[rng.integers(2000)]))
+        stacks += _suite_stacks(np.array(diffs), np.array(evidences), np.array(rhos))
+        for objective, references, _ in stacks:
+            values = objective(points[None], np.arange(len(references))[:, None])
+            assert values.shape == (len(references), len(points))
+            for row, reference in zip(values, references):
+                worst = max(abs(v - reference(r)) for v, r in zip(row.tolist(), points))
+                assert worst <= 1e-15
+
+    def test_stacked_objectives_match_the_float_objectives_bit_for_bit(self, rng):
+        extra = rng.standard_normal((500, 3))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        points = np.concatenate([oracle._coarse_lattice(math.pi / 16.0), extra, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        for objective, _, floats in _suite_stacks(*_suite_inputs(42, 6)):
+            values = objective(points[None], np.arange(len(floats))[:, None])
+            want = np.array([[f(r) for r in points] for f in floats])
+            assert values.tobytes() == want.tobytes()
 
 
 class TestGridMaximizeAgainstReference:
@@ -366,3 +485,134 @@ class TestGridMaximizeAgainstReference:
         best, argmax = oracle.grid_maximize(lambda r: -float(r[2]), cfg)
         argmax[0] = 5.0
         assert oracle.grid_maximize(lambda r: -float(r[2]), cfg)[0] == best
+
+
+def _stack_of(objectives):
+    """A stacked objective whose row n calls ``objectives[n]`` on each of its points."""
+
+    def stacked(points, rows):
+        shape = np.broadcast_shapes(points.shape[:-1], np.shape(rows))
+        rows = np.broadcast_to(rows, shape).ravel()
+        points = np.broadcast_to(points, shape + (3,)).reshape(-1, 3)
+        return np.array([float(objectives[n](r)) for n, r in zip(rows, points)]).reshape(shape)
+
+    return stacked
+
+
+def _unit_test_objectives(rng):
+    """The per-point objectives of ``TestGridMaximizeAgainstReference::test_unit_test_objectives``."""
+    rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
+
+    def equatorial(r):
+        planar = math.hypot(r[0], r[1])
+        if planar < 1e-12:
+            return 0.0
+        return abs(float(np.trace(rho @ ((r[0] * SX + r[1] * SY) / planar)).real))
+
+    objectives = [
+        lambda r: float(np.trace(linalg.density_from_bloch(r) @ (0.6 * SX)).real),
+        equatorial,
+        lambda r: 0.25,
+    ]
+    for _ in range(5):
+        target = rng.standard_normal(3)
+        target /= np.linalg.norm(target)
+        objectives.append(lambda r, t=target: float(r @ t))
+    return objectives
+
+
+# Objectives that give up: no value at all, nothing above -inf, NaN on half
+# the sphere, and +inf on a cap.
+DEGENERATE_OBJECTIVES = [
+    lambda r: math.nan,
+    lambda r: -math.inf,
+    lambda r: math.nan if r[2] > 0.0 else float(r[0]),
+    lambda r: math.inf if r[0] > 0.9 else float(r[1]),
+]
+
+
+class TestGridMaximizeStack:
+    def assert_rows_match_float_reference(self, values, argmax, objectives, cfg):
+        assert values.shape == (len(objectives),) and argmax.shape == (len(objectives), 3)
+        for value, r, objective in zip(values, argmax, objectives):
+            want, want_argmax = float_reference_grid_maximize(objective, cfg)
+            assert value == want or (math.isnan(value) and math.isnan(want))
+            assert r.tobytes() == want_argmax.tobytes()
+
+    @pytest.mark.parametrize("seed", (42, 7, 1))
+    def test_suite_searches_match_the_float_reference(self, seed):
+        cfg = oracle.OracleConfig(seed=seed, samples=1)
+        for objective, _, floats in _suite_stacks(*_suite_inputs(seed, 50)):
+            values, argmax = oracle.grid_maximize_stack(objective, len(floats), cfg)
+            self.assert_rows_match_float_reference(values, argmax, floats, cfg)
+
+    @pytest.mark.parametrize("resolution", (math.pi / 16.0, math.pi / 8.0, 0.1))
+    def test_unit_test_objectives_match_the_float_reference(self, rng, resolution):
+        cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=resolution)
+        objectives = _unit_test_objectives(rng)
+        counted = [_counted(objective) for objective in objectives]
+        values, argmax = oracle.grid_maximize_stack(_stack_of([f for f, _ in counted]), len(objectives), cfg)
+        self.assert_rows_match_float_reference(values, argmax, objectives, cfg)
+        # Every lattice point and pattern step of every row is evaluated.
+        for objective, (_, calls) in zip(objectives, counted):
+            slow, slow_calls = _counted(objective)
+            float_reference_grid_maximize(slow, cfg)
+            assert len(calls) == len(slow_calls)
+
+    def test_degenerate_objectives_behave_as_per_point(self):
+        cfg = oracle.OracleConfig(seed=1, samples=1)
+        values, argmax = oracle.grid_maximize_stack(_stack_of(DEGENERATE_OBJECTIVES), len(DEGENERATE_OBJECTIVES), cfg)
+        self.assert_rows_match_float_reference(values, argmax, DEGENERATE_OBJECTIVES, cfg)
+        lattice = oracle._coarse_lattice(cfg.grid_resolution)
+        for row in (0, 1):
+            assert values[row] == -math.inf and argmax[row].tobytes() == lattice[0].tobytes()
+        assert values[3] == math.inf
+        for objective, value in zip(DEGENERATE_OBJECTIVES, values):
+            assert oracle.grid_maximize(objective, cfg)[0] == value or math.isnan(value)
+
+    def test_scalar_valued_objective_broadcasts(self):
+        cfg = oracle.OracleConfig(seed=1, samples=1)
+        values, argmax = oracle.grid_maximize_stack(lambda points, rows: 0.25, 3, cfg)
+        assert values.tolist() == [0.25] * 3
+        assert argmax.tobytes() == np.repeat(oracle._coarse_lattice(cfg.grid_resolution)[:1], 3, axis=0).tobytes()
+
+    def test_each_row_of_a_mixed_stack_equals_its_stack_of_one(self, rng):
+        cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=math.pi / 8.0)
+        diffs, evidences, reduced = _suite_inputs(3, 2)
+        objectives = [*_unit_test_objectives(rng), *DEGENERATE_OBJECTIVES, *map(_float_contrast, diffs),
+                      *map(_float_correct_prob, evidences), *map(_float_equatorial, reduced)]
+        rng.shuffle(objectives)
+        values, argmax = oracle.grid_maximize_stack(_stack_of(objectives), len(objectives), cfg)
+        for n, objective in enumerate(objectives):
+            value, r = oracle.grid_maximize_stack(_stack_of([objective]), 1, cfg)
+            assert values[n : n + 1].tobytes() == value.tobytes()
+            assert argmax[n : n + 1].tobytes() == r.tobytes()
+
+    def test_lattice_is_passed_once_and_read_only(self):
+        cfg = oracle.OracleConfig(seed=1, samples=1)
+        lattice = oracle._coarse_lattice(cfg.grid_resolution)
+        calls = []
+
+        def objective(points, rows):
+            calls.append((points, rows))
+            return points[..., 2] * (rows + 1.0)
+
+        oracle.grid_maximize_stack(objective, 5, cfg)
+        points, rows = calls[0]
+        assert points.shape == (1, len(lattice), 3) and not points.flags.writeable
+        assert np.shares_memory(points, lattice)
+        assert rows.tolist() == [[0], [1], [2], [3], [4]]
+        # Refinement passes the candidates of the rows still improving, in order.
+        for points, rows in calls[1:]:
+            assert points.shape == (len(rows), 3) and np.all(np.diff(rows) > 0)
+
+    def test_batch_of_one_calls_the_objective_as_often_as_the_per_point_loop(self):
+        cfg = oracle.OracleConfig(seed=1, samples=1)
+        for objective in (*DEGENERATE_OBJECTIVES, _float_contrast(_suite_inputs(42, 1)[0][0])):
+            fast, fast_calls = _counted(objective)
+            slow, slow_calls = _counted(objective)
+            got = oracle.grid_maximize(fast, cfg)
+            want = float_reference_grid_maximize(slow, cfg)
+            assert len(fast_calls) == len(slow_calls)
+            assert got[1].tobytes() == want[1].tobytes()
+

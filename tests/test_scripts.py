@@ -1,5 +1,7 @@
-"""The example scripts under ``scripts/`` run and print what they always printed."""
+"""The example scripts under ``scripts/`` run and print what they always printed,
+and the benchmark recorder summarizes runs as documented."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -54,3 +56,77 @@ def test_duality_sweep_prints_the_cli_sweep():
     assert cli.returncode == 0, cli.stderr
     assert done.stdout == cli.stdout
     assert len(done.stdout.splitlines()) == 8
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _run_record(**metrics):
+    return {"result": {"metrics": {name: {"value": value} for name, value in metrics.items()}}}
+
+
+class TestBenchSummary:
+    bench = _load_bench()
+
+    def synthetic(self, sides):
+        # Three pairs per workload: the checkout reads 0.5x, 1.2x and 0.9x of the baseline call_ms.
+        runs = {}
+        for side in sides:
+            scale = (0.5, 1.2, 0.9) if side == "checkout" else (1.0, 1.0, 1.0)
+            runs[side] = {
+                workload: [_run_record(call_ms=10.0 * (k + 1) * s, setup_s=0.25, peak_rss_mb=40.0)
+                           for k, s in enumerate(scale)]
+                for workload in self.bench.WORKLOADS
+            }
+        traced = {
+            "baseline": _run_record(**{
+                "oracle.grid_maximize.calls": 150.0, "oracle.grid_maximize.self_us": 300.0,
+                "oracle.grid_maximize.objective_evals": 106724.0, "oracle.grid_maximize.accept_ratio": 0.1,
+                "linalg.schmidt.calls": 1.0, "extraction.schemes_for.distinct_ratio": 1.0,
+                "verify.check_contrast_oracle.s": 0.030, "verify.extraction_grid_checks.s": 0.010,
+                "verify.self_s": 0.2, "trace.overhead_ratio": 1.1,
+            }),
+            "checkout": _run_record(**{
+                "oracle.grid_maximize.calls": 0.0, "oracle.grid_maximize.self_us": 0.0,
+                "oracle.grid_maximize.objective_evals": 0.0, "oracle.grid_maximize.accept_ratio": 0.0,
+                "linalg.schmidt.calls": 1.0, "extraction.schemes_for.distinct_ratio": 1.0,
+                "verify.check_contrast_oracle.s": 0.015, "verify.extraction_grid_checks.s": 0.010,
+                "verify.self_s": 0.1, "trace.overhead_ratio": 1.2,
+            }),
+        }
+        return runs, {side: traced[side] for side in sides}
+
+    def test_pairs_ratios_and_quartiles(self):
+        summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
+        entry = summary["verify.call_ms"]
+        # Baseline 10, 20, 30; checkout 5, 24, 27.
+        assert entry["baseline"] == {"median": 20.0, "q1": 15.0, "q3": 25.0}
+        assert entry["checkout"] == {"median": 24.0, "q1": 14.5, "q3": 25.5}
+        assert entry["ratio"] == 24.0 / 20.0
+        assert (entry["checkout_better"], entry["pairs"]) == (2, 3)
+        # Ties count for neither side.
+        assert summary["run.setup_s"]["checkout_better"] == 0
+
+    def test_every_differing_count_is_diffed(self):
+        summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
+        assert summary["verify_trace_counts"] == {
+            "oracle.grid_maximize.accept_ratio": {"baseline": 0.1, "checkout": 0.0},
+            "oracle.grid_maximize.calls": {"baseline": 150.0, "checkout": 0.0},
+            "oracle.grid_maximize.objective_evals": {"baseline": 106724.0, "checkout": 0.0},
+        }
+
+    def test_check_seconds_of_both_sides_are_listed(self):
+        summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
+        assert summary["verify_trace_check_s"] == {
+            "verify.check_contrast_oracle.s": {"baseline": 0.030, "checkout": 0.015},
+            "verify.extraction_grid_checks.s": {"baseline": 0.010, "checkout": 0.010},
+        }
+
+    def test_checkout_alone(self):
+        summary = self.bench.summarize(*self.synthetic(("checkout",)))
+        assert "ratio" not in summary["verify.call_ms"] and "verify_trace_counts" not in summary
+        assert summary["verify_trace_check_s"]["verify.check_contrast_oracle.s"] == {"checkout": 0.015}

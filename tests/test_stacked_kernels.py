@@ -564,6 +564,48 @@ class TestDrawReplay:
         for got, want in zip(args, (alphas, betas, p1s, p2s)):
             assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
+    def test_contrast_oracle(self, monkeypatch, seed):
+        calls = _spy(monkeypatch, povm, "contrast_stack")
+        diffs = _spy(monkeypatch, verify, "_contrast_objective")
+        assert verify.check_contrast_oracle(seed).passed
+        # The old loop: one two-outcome POVM and its diff per sample.
+        rng = np.random.default_rng([seed, 107])
+        effects = []
+        for _ in range(50):
+            u_dir = verify._random_unit(rng)
+            u_len = rng.random()
+            b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
+            e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
+            effects.append(povm.DiscretePovm(("1", "2"), [e1, np.eye(2) - e1]).effects)
+        effects = np.array(effects)
+        assert calls[0][0].tobytes() == effects.tobytes()
+        assert diffs[0][0].tobytes() == np.array([e[0] - e[1] for e in effects]).tobytes()
+
+    def test_grid_maximize_agreement(self, monkeypatch, seed):
+        calls = _spy(monkeypatch, relations, "erasure_duality_stack")
+        evidence = _spy(monkeypatch, verify, "_correct_prob_objective")
+        reduced = _spy(monkeypatch, verify, "_equatorial_objective")
+        assert verify.check_grid_maximize_agreement(seed).passed
+        # The old loop: per-sample draws, square roots, markers, evidence and reduced state.
+        rng = np.random.default_rng([seed, 116])
+        alphas, betas, p1s, p2s, evidences, rhos = [], [], [], [], [], []
+        for _ in range(50):
+            theta = float(rng.uniform(0.0, math.pi / 2.0))
+            weight = rng.random()
+            alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
+            p1, p2 = interferometer.marker_states(theta)
+            evidences.append(alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2))
+            rhos.append(linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2)))
+            alphas.append(alpha)
+            betas.append(beta)
+            p1s.append(p1)
+            p2s.append(p2)
+        (args,) = calls
+        for got, want in zip(args, (alphas, betas, p1s, p2s)):
+            assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
+        assert evidence[0][0].tobytes() == np.array(evidences).tobytes()
+        assert reduced[0][0].tobytes() == np.array(rhos).tobytes()
+
     def test_smear_validity(self, monkeypatch, seed):
         calls = _spy(monkeypatch, povm, "smear_stack")
         assert verify.check_smear_validity(seed).passed
