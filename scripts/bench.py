@@ -14,7 +14,8 @@ the median and quartiles of each side, their ratio and the pairs the
 checkout won, the per-layer counts of the traced ``verify`` suite that
 differ (calls, objective evaluations and the ratios) and the traced
 seconds of every ``verify`` check on each side. Each checkout runs its
-own ``perfbench`` on its own ``src``.
+own ``perfbench`` on its own ``src``. ``src_lines`` gives the line count
+of each side's ``src/mzpovm/*.py``, and in ``summary`` the net change.
 
     python scripts/bench.py --pr <number> --baseline <parent checkout> --pairs 10
 """
@@ -60,6 +61,11 @@ def wall_seconds(root: Path, command: str) -> float:
     return time.perf_counter() - start
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the package source ``src/mzpovm/*.py``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mzpovm").glob("*.py"))
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -67,8 +73,10 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, traced: dict) -> dict:
-    summary = {}
+def summarize(runs: dict, traced: dict, lines: dict) -> dict:
+    summary = {"src_lines": dict(lines)}
+    if "baseline" in lines:
+        summary["src_lines"]["net"] = lines["checkout"] - lines["baseline"]
     for workload in WORKLOADS:
         for metric in END_TO_END:
             sides = {
@@ -134,6 +142,7 @@ def main() -> int:
         for rep in range(5):
             for side in alternating(rep):
                 walls[side][command].append(wall_seconds(roots[side], command))
+    lines = {side: src_lines(roots[side]) for side in roots}
     report = {
         "pr": args.pr,
         "perfbench_seconds": SECONDS,
@@ -142,7 +151,8 @@ def main() -> int:
         "wall_s": {
             side: {c: {"median": statistics.median(v), "runs": v} for c, v in walls[side].items()} for side in roots
         },
-        "summary": summarize(runs, traced),
+        "src_lines": lines,
+        "summary": summarize(runs, traced, lines),
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

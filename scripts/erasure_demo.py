@@ -35,7 +35,9 @@ def main() -> int:
         conditional = extraction.conditional_probabilities(measured, probe_label, psi)
         print(f"  probe {probe_label}: D1 -> {conditional['1']:.6f}, D2 -> {conditional['2']:.6f}")
 
-    final = interferometer.final_state(psi, interferometer.probes_for(config), config)
+    final = interferometer.final_state_stack(
+        psi, interferometer.probe_stack([config]), [interferometer.effective_delta(config)]
+    )[0]
     decomposition = linalg.schmidt(final)
     print(f"\ntotal output state entanglement weight: {decomposition.weight:.6f} (1/2 = maximal)")
     return 0

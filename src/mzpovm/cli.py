@@ -165,8 +165,10 @@ def _evaluate(configs, psi: np.ndarray):
     # The stacked core of run and sweep for N configurations and one input:
     # output labels, (N, L, 2, 2) effects, (N, L) direct probabilities and
     # the erasure duality audit of each configuration's markers.
-    schemes = extraction.schemes_for(configs)
     probes = interferometer.probe_stack(configs)
+    schemes = extraction.build_schemes(
+        probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
+    )
     n = len(configs)
     audit = relations.erasure_duality_stack(
         np.full(n, psi[0]), np.full(n, psi[1]), probes[:, 1], probes[:, 2]
@@ -199,16 +201,16 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         "povm_classification": _classify(measured),
     }
 
-    audit = audits.audit(0)
+    audit = audits.report(0)
     reports.extend([audit.duality, audit.variance_tradeoff])
     report["distinguishability"] = {
-        "D": audit.inference.distinguishability,
-        "L": audit.inference.max_correct_probability,
-        "r0": _bloch_list(audit.inference.pointer_direction),
+        "D": audit.distinguishability,
+        "L": 0.5 * (1.0 + audit.distinguishability),
+        "r0": _bloch_list(audit.pointer_direction),
     }
     report["visibility"] = {
-        "V_e": audit.visibility.value,
-        "n": _bloch_list(audit.visibility.direction),
+        "V_e": audit.visibility,
+        "n": _bloch_list(audit.visibility_direction),
     }
 
     if len(labels) == 4:
@@ -368,8 +370,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             from . import verify
 
-            if args.samples < 1:
-                raise UsageError("--samples must be at least 1")
+            if not 1 <= args.samples <= 100000:
+                raise UsageError("--samples must lie in [1, 100000]")
             if not args.tol > 0.0:
                 raise UsageError("--tol must be positive")
             results = verify.run_all(seed=args.seed, samples=args.samples, tol=args.tol)

@@ -1,8 +1,9 @@
 """Mach-Zehnder optical elements, path-marking coupling and evolved states.
 
 One code path covers all five experiments; they differ only in the probe
-triple (neutral and marker states), the pointer basis read out on the
-probe, and the effective interferometer phase:
+triple (the neutral state p0 and the markers p1, p2, held as one (3, 2)
+array of rows), the pointer basis read out on the probe, and the
+effective interferometer phase:
 
 ====================  ====================  =======================  ==========
 experiment            markers               pointer basis            phase
@@ -19,6 +20,9 @@ ignored: those two experiments are *defined* by their phase settings.
 The composite evolution (beam splitters, mirrors, phase shifter) is taken
 as one authoritative unitary; element-by-element phase bookkeeping is
 narrative only.
+
+The marking kernels take the (N, 3, 2) probe rows of :func:`probe_stack`,
+which copies the four shared, write-protected fixed triples.
 """
 
 from __future__ import annotations
@@ -64,23 +68,6 @@ class MzConfig:
         for name in ("delta", "gamma", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise UnsupportedExperiment(f"angle {name} must be finite")
-
-
-@dataclass(frozen=True)
-class ProbeTriple:
-    """Neutral probe state p0 and the marker states p1, p2 (all unit)."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p0", "p1", "p2"):
-            object.__setattr__(self, name, linalg.state_vector(getattr(self, name)))
-
-    def rows(self) -> np.ndarray:
-        """The triple as one (3, 2) array: p0, p1, p2."""
-        return np.array([self.p0, self.p1, self.p2])
 
 
 def effective_delta(config: MzConfig) -> float:
@@ -131,20 +118,13 @@ def marker_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 _Q1 = linalg.state_vector([1.0, 0.0])
 _Q2 = linalg.state_vector([0.0, 1.0])
-_UNMARKED = ProbeTriple(p0=_Q1, p1=_Q1, p2=_Q1)
-_MARKED = ProbeTriple(p0=_Q1, p1=_Q1, p2=_Q2)
+_UNMARKED = np.array([_Q1, _Q1, _Q1])
+_MARKED = np.array([_Q1, _Q1, _Q2])
+_UNMARKED.setflags(write=False)
+_MARKED.setflags(write=False)
 # Every experiment but quantitative uses one fixed triple; quantitative
 # tilts its markers by theta.
-_FIXED_PROBES = {"path": _UNMARKED, "interference": _UNMARKED, "marking": _MARKED, "erasure": _MARKED}
-_FIXED_ROWS = {name: triple.rows() for name, triple in _FIXED_PROBES.items()}
-
-
-def probes_for(config: MzConfig) -> ProbeTriple:
-    """The probe triple each experiment uses (shared, immutable for all but quantitative)."""
-    fixed = _FIXED_PROBES.get(config.experiment)
-    if fixed is not None:
-        return fixed
-    return ProbeTriple(_Q1, *marker_states(config.theta))
+_FIXED_ROWS = {"path": _UNMARKED, "interference": _UNMARKED, "marking": _MARKED, "erasure": _MARKED}
 
 
 def probe_stack(configs) -> np.ndarray:
@@ -201,11 +181,6 @@ def marking_unitary_stack(probes) -> np.ndarray:
     return out.reshape(-1, 4, 4)
 
 
-def marking_unitary(probes: ProbeTriple) -> np.ndarray:
-    """The path-marking coupling of one triple; see :func:`marking_unitary_stack`."""
-    return marking_unitary_stack(probes.rows()[None])[0]
-
-
 def total_unitary_stack(probes, deltas) -> np.ndarray:
     """Marking followed by the interferometer, (U_MZ (x) I) . U_mark, as (N, 4, 4).
 
@@ -216,11 +191,6 @@ def total_unitary_stack(probes, deltas) -> np.ndarray:
     blocks = _marking_blocks(np.asarray(probes, dtype=complex))
     mz = mz_evolution_stack(deltas)
     return np.einsum("nak,nkbd->nabkd", mz, blocks).reshape(-1, 4, 4)
-
-
-def total_unitary(probes: ProbeTriple, delta: float) -> np.ndarray:
-    """Marking followed by the interferometer for one triple; see :func:`total_unitary_stack`."""
-    return total_unitary_stack(probes.rows()[None], [delta])[0]
 
 
 def final_state_stack(psi, probes, deltas) -> np.ndarray:
@@ -234,11 +204,6 @@ def final_state_stack(psi, probes, deltas) -> np.ndarray:
     probes = np.asarray(probes, dtype=complex)
     inputs = (v[:, None] * probes[:, 0, None, :]).reshape(-1, 4)
     return np.einsum("nab,nb->na", total_unitary_stack(probes, deltas), inputs)
-
-
-def final_state(psi, probes: ProbeTriple, config: MzConfig) -> np.ndarray:
-    """Total output vector for input psi; a batch of one of :func:`final_state_stack`."""
-    return final_state_stack(psi, probes.rows()[None], [effective_delta(config)])[0]
 
 
 def _photon_index(k: int) -> int:

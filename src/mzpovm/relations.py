@@ -16,12 +16,15 @@ the verification suite) can audit rather than recompute. Quantities:
 
 Each audited relation has one array kernel over a stack of states:
 :func:`variance_ur_stack` and :func:`triple_relations_stack` take (N, 2, 2)
-density operators, :func:`entropic_bound_stack` (N, 2) pure states, and
-:func:`erasure_duality_stack` (N,) amplitudes with (N, 2) markers. They
-return :class:`RelationReport` records whose fields are (N,) arrays; the
-scalar functions are batches of one that return the same record with
-Python float and bool fields. POVMs enter as :class:`povm.DiscretePovm`,
-whose ``effects`` array goes to the kernels unconverted.
+density operators and :func:`entropic_bound_stack` (N, 2) pure states;
+they return :class:`RelationReport` records whose fields are (N,) arrays.
+:func:`erasure_duality_stack` takes (N,) amplitudes with (N, 2) markers
+and returns one :class:`ErasureAudit` whose fields are arrays, its two
+equalities among them as :class:`RelationReport` records. On both records
+``report(i)`` is the audit of state i with Python float and bool fields,
+and the scalar functions are batches of one that return it. POVMs enter
+as :class:`povm.DiscretePovm`, whose ``effects`` array goes to the
+kernels unconverted.
 """
 
 from __future__ import annotations
@@ -272,53 +275,16 @@ def triple_relations(rho) -> list[RelationReport]:
     return [s.report(0) for s in triple_relations_stack(np.asarray(rho, dtype=complex)[None])]
 
 
-@dataclass(frozen=True)
-class DistinguishabilityResult:
-    """Optimal path inference from the probe.
-
-    ``pointer_direction`` is the Bloch direction of the optimal probe
-    readout (None when every direction performs equally, i.e. the marker
-    evidence vanishes), ``max_correct_probability`` the success
-    probability L it achieves, and ``distinguishability`` D = 2L - 1.
-    """
-
-    pointer_direction: np.ndarray | None
-    max_correct_probability: float
-    distinguishability: float
-
-
 def _inference(alpha, beta, b1, b2) -> tuple[np.ndarray, np.ndarray]:
     # Optimal pointer directions ((N, 3), NaN rows where the evidence
-    # vanishes) and distinguishabilities D over a stack.
+    # vanishes) and D = 2L - 1 = |evidence| = sqrt(1 - 4 |alpha beta <p1|p2>|^2)
+    # over a stack, for evidence |alpha|^2 P1 - |beta|^2 P2 (marker Bloch vectors).
     evidence = _weight(alpha)[:, None] * b1 - _weight(beta)[:, None] * b2
     strength = np.linalg.norm(evidence, axis=1)
     resolved = strength >= DEGENERATE_DIRECTION_TOL
     direction = np.where(resolved[:, None], evidence / np.where(resolved, strength, 1.0)[:, None], np.nan)
     # Rounding can push |evidence| past 1.
     return direction, np.where(resolved, np.minimum(1.0, strength), 0.0)
-
-
-def _inference_result(direction: np.ndarray, d: float) -> DistinguishabilityResult:
-    return DistinguishabilityResult(
-        pointer_direction=None if np.isnan(direction[0]) else direction,
-        max_correct_probability=0.5 * (1.0 + float(d)),
-        distinguishability=float(d),
-    )
-
-
-def distinguishability(alpha, beta, p1, p2) -> DistinguishabilityResult:
-    """Best correct-path-inference probability from the marker states.
-
-    The evidence vector is |alpha|^2 P1 - |beta|^2 P2 (full-length Bloch
-    vectors of the markers); reading the probe along its direction gives
-    L = (1 + |evidence|) / 2 and D = 2L - 1, which coincides with
-    sqrt(1 - 4 |alpha|^2 |beta|^2 |<p1|p2>|^2).
-    """
-    alpha, beta = _amplitudes(alpha, beta)
-    b1 = linalg.bloch_from_state(p1)[None]
-    b2 = linalg.bloch_from_state(p2)[None]
-    direction, d = _inference(alpha, beta, b1, b2)
-    return _inference_result(direction[0], d[0])
 
 
 def _coincidence_effect(b1, b2, r) -> np.ndarray:
@@ -396,39 +362,39 @@ def marked_state(alpha, beta, p1, p2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErasureAudit:
-    """Distinguishability/visibility trade-off audited at the optima."""
+    """Distinguishability/visibility trade-off audited at the optima.
 
-    inference: DistinguishabilityResult
-    visibility: VisibilityResult
-    duality: RelationReport
-    variance_tradeoff: RelationReport
-
-
-@dataclass(frozen=True)
-class ErasureStack:
-    """:func:`erasure_duality` over N inputs, as arrays.
-
-    ``pointer_direction`` (N, 3) has NaN rows where the marker evidence
-    vanishes; ``visibility`` and ``distinguishability`` have shape (N,).
+    ``pointer_direction`` is the Bloch direction of the optimal probe
+    readout, ``distinguishability`` D = 2L - 1 for the success probability
+    L it achieves, ``visibility`` V_e the best interference contrast of the
+    reduced photon state and ``visibility_direction`` the equatorial
+    direction attaining it. :func:`erasure_duality_stack` fills them with
+    arrays over N inputs: pointer_direction (N, 3) with NaN rows where the
+    marker evidence vanishes, D and V_e (N,). ``report(i)`` is the audit of
+    input i, with Python floats and pointer_direction None where the
+    evidence vanishes.
     """
 
-    pointer_direction: np.ndarray
-    distinguishability: np.ndarray
-    visibility: np.ndarray
+    pointer_direction: np.ndarray | None
+    distinguishability: np.ndarray | float
+    visibility: np.ndarray | float
     visibility_direction: np.ndarray
     duality: RelationReport
     variance_tradeoff: RelationReport
 
-    def audit(self, index: int) -> ErasureAudit:
+    def report(self, index: int) -> ErasureAudit:
+        direction = self.pointer_direction[index]
         return ErasureAudit(
-            inference=_inference_result(self.pointer_direction[index], self.distinguishability[index]),
-            visibility=VisibilityResult(float(self.visibility[index]), self.visibility_direction[index]),
+            pointer_direction=None if np.isnan(direction[0]) else direction,
+            distinguishability=float(self.distinguishability[index]),
+            visibility=float(self.visibility[index]),
+            visibility_direction=self.visibility_direction[index],
             duality=self.duality.report(index),
             variance_tradeoff=self.variance_tradeoff.report(index),
         )
 
 
-def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureStack:
+def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     """Audit D^2 + V_e^2 = 1 and its variance form over (N,) amplitudes and (N, 2) markers.
 
     Both equalities are evaluated at the optima: the coincidence POVM at
@@ -456,7 +422,7 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureStack:
     sx, sy, _ = linalg.pauli_triple()
     s_n = n[:, 0, None, None] * sx + n[:, 1, None, None] * sy
     var_interference = _variance(s_n, rho_e)
-    return ErasureStack(
+    return ErasureAudit(
         pointer_direction=direction,
         distinguishability=d,
         visibility=vis,
@@ -469,10 +435,5 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureStack:
 
 
 def erasure_duality(alpha, beta, p1, p2) -> ErasureAudit:
-    """Audit D^2 + V_e^2 = 1 and the variance form of the same trade-off for one input.
-
-    See :func:`erasure_duality_stack`.
-    """
-    return erasure_duality_stack(
-        [alpha], [beta], np.reshape(p1, (1, -1)), np.reshape(p2, (1, -1))
-    ).audit(0)
+    """Audit D^2 + V_e^2 = 1 and its variance form for one input; see :func:`erasure_duality_stack`."""
+    return erasure_duality_stack([alpha], [beta], np.reshape(p1, (1, -1)), np.reshape(p2, (1, -1))).report(0)

@@ -490,7 +490,8 @@ class TestFuzzedArguments:
             st.integers(max_value=-1).map(lambda v: f"--seed={v}"),
             st.text(max_size=6).filter(_not_a_seed).map(lambda t: f"--seed={t}"),
             st.integers(max_value=0).map(lambda v: f"--samples={v}"),
-            st.sampled_from(["--samples=1.5", "--samples=x", "--samples="]),
+            st.integers(min_value=100_001).map(lambda v: f"--samples={v}"),
+            st.sampled_from(["--samples=1.5", "--samples=x", "--samples=", "--samples=100001"]),
             st.floats(max_value=0.0).map(lambda v: f"--tol={v!r}"),
             st.sampled_from(["--tol=nan", "--tol=x", "--tol=", "--bogus", "extra"]),
         ),

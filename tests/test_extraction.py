@@ -233,9 +233,8 @@ class TestExtractionProperties:
             theta = float(rng.uniform(0, math.pi / 2))
             delta = float(rng.uniform(-math.pi, math.pi))
             p1, p2 = interferometer.marker_states(theta)
-            probes = interferometer.ProbeTriple(p0=np.array([1.0, 0.0]), p1=p1, p2=p2)
             r1 = random_pure(rng)
-            scheme = extraction.build_schemes([probes.rows()], [delta], [(r1, linalg.perp(r1))])
+            scheme = extraction.build_schemes([[[1.0, 0.0], p1, p2]], [delta], [(r1, linalg.perp(r1))])
             grouped = extraction.marginals_of(extraction.extract_povm(scheme))
             (b1, b2), (u1, u2) = povm.bias_and_direction_stack(grouped.probe.effects)
             assert np.max(np.abs(u1 + u2)) <= 1e-10

@@ -60,67 +60,57 @@ class TestMarkerStates:
 class TestMarkingUnitary:
     def test_no_marking_acts_as_identity_on_neutral_inputs(self, rng):
         p0 = random_pure(rng)
-        probes = interferometer.ProbeTriple(p0=p0, p1=p0, p2=p0)
-        u = interferometer.marking_unitary(probes)
+        u = interferometer.marking_unitary_stack([[p0, p0, p0]])[0]
         np.testing.assert_allclose(u, np.eye(4), atol=1e-12)
 
     def test_orthogonal_markers_entangle(self):
-        probes = interferometer.probes_for(interferometer.MzConfig("marking"))
-        u = interferometer.marking_unitary(probes)
+        p0, p1, p2 = interferometer.probe_stack([interferometer.MzConfig("marking")])[0]
+        u = interferometer.marking_unitary_stack([[p0, p1, p2]])[0]
         alpha, beta = 0.6, 0.8
-        out = u @ np.kron([alpha, beta], probes.p0)
-        want = alpha * np.kron([1, 0], probes.p1) + beta * np.kron([0, 1], probes.p2)
+        out = u @ np.kron([alpha, beta], p0)
+        want = alpha * np.kron([1, 0], p1) + beta * np.kron([0, 1], p2)
         np.testing.assert_allclose(out, want, atol=1e-14)
 
     def test_unitarity_and_action_for_random_probes(self, rng):
-        for _ in range(200):
-            probes = interferometer.ProbeTriple(
-                p0=random_pure(rng), p1=random_pure(rng), p2=random_pure(rng)
-            )
-            u = interferometer.marking_unitary(probes)
+        probes = np.array([[random_pure(rng), random_pure(rng), random_pure(rng)] for _ in range(200)])
+        for u, (p0, p1, p2) in zip(interferometer.marking_unitary_stack(probes), probes):
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-            for k, pk in ((1, probes.p1), (2, probes.p2)):
+            for k, pk in ((1, p1), (2, p2)):
                 e = np.zeros(2)
                 e[k - 1] = 1.0
-                np.testing.assert_allclose(u @ np.kron(e, probes.p0), np.kron(e, pk), atol=1e-12)
+                np.testing.assert_allclose(u @ np.kron(e, p0), np.kron(e, pk), atol=1e-12)
 
     def test_two_completions_agree_on_neutral_inputs(self, rng):
-        probes = interferometer.ProbeTriple(
-            p0=random_pure(rng), p1=random_pure(rng), p2=random_pure(rng)
-        )
-        u = interferometer.marking_unitary(probes)
+        p0, p1, p2 = random_pure(rng), random_pure(rng), random_pure(rng)
+        u = interferometer.marking_unitary_stack([[p0, p1, p2]])[0]
         # Alternative completion: arbitrary phases on the perp channel.
         blocks = []
-        for pk, phase in ((probes.p1, np.exp(0.7j)), (probes.p2, np.exp(-1.1j))):
-            blocks.append(
-                np.outer(pk, probes.p0.conj())
-                + phase * np.outer(linalg.perp(pk), linalg.perp(probes.p0).conj())
-            )
+        for pk, phase in ((p1, np.exp(0.7j)), (p2, np.exp(-1.1j))):
+            blocks.append(np.outer(pk, p0.conj()) + phase * np.outer(linalg.perp(pk), linalg.perp(p0).conj()))
         alt = np.zeros((4, 4), dtype=complex)
         alt[:2, :2] = blocks[0]
         alt[2:, 2:] = blocks[1]
         for _ in range(10):
             psi = random_pure(rng)
-            inp = np.kron(psi, probes.p0)
+            inp = np.kron(psi, p0)
             np.testing.assert_allclose(u @ inp, alt @ inp, atol=1e-12)
 
 
 class TestFinalState:
     def test_path_experiment_is_minus_input(self, rng):
         config = interferometer.MzConfig("path")
-        probes = interferometer.probes_for(config)
+        probes = interferometer.probe_stack([config])
         psi = random_pure(rng)
-        out = interferometer.final_state(psi, probes, config)
-        np.testing.assert_allclose(out, -np.kron(psi, probes.p0), atol=1e-14)
+        (out,) = interferometer.final_state_stack(psi, probes, [interferometer.effective_delta(config)])
+        np.testing.assert_allclose(out, -np.kron(psi, probes[0, 0]), atol=1e-14)
 
     def test_erasure_epr_form(self):
         # Balanced input, orthogonal markers, delta = -pi/2: the output is
         # a phase times [(|1>-|2>)|p1> + (|1>+|2>)|p2>] / 2, Schmidt
         # weight exactly one half.
         config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
-        probes = interferometer.probes_for(config)
         psi = np.array([1.0, 1.0]) / math.sqrt(2)
-        out = interferometer.final_state(psi, probes, config)
+        (out,) = interferometer.final_state_stack(psi, interferometer.probe_stack([config]), [-math.pi / 2])
         want = (
             -(1 - 1j)
             / math.sqrt(2)
@@ -138,7 +128,7 @@ class TestFinalState:
             psi = random_pure(rng)
             alpha, beta = psi
             config = interferometer.MzConfig("quantitative", delta=delta, theta=theta)
-            out = interferometer.final_state(psi, interferometer.probes_for(config), config)
+            (out,) = interferometer.final_state_stack(psi, interferometer.probe_stack([config]), [delta])
             e = np.exp(1j * delta)
             c, s = math.cos(theta / 2), math.sin(theta / 2)
             want = np.array(
@@ -159,7 +149,7 @@ class TestFinalState:
             psi = random_pure(rng)
             alpha, beta = psi
             config = interferometer.MzConfig("erasure", delta=delta, gamma=gamma)
-            out = interferometer.final_state(psi, interferometer.probes_for(config), config)
+            (out,) = interferometer.final_state_stack(psi, interferometer.probe_stack([config]), [delta])
             q1, q2 = interferometer.pointer_stack([config])[0]
             e = np.exp(1j * delta)
             f = np.exp(-1j * gamma)
@@ -178,10 +168,14 @@ class TestFinalState:
     def test_norm_preserved_over_grid(self):
         psi = np.array([0.6, 0.8j])
         for experiment in interferometer.EXPERIMENTS:
-            for d, g, t in itertools.product(GRID, repeat=3):
-                config = interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
-                out = interferometer.final_state(psi, interferometer.probes_for(config), config)
-                assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+            configs = [
+                interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
+                for d, g, t in itertools.product(GRID, repeat=3)
+            ]
+            deltas = [interferometer.effective_delta(c) for c in configs]
+            out = interferometer.final_state_stack(psi, interferometer.probe_stack(configs), deltas)
+            assert out.shape == (len(configs), 4)
+            assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
 
 
 class TestOutputProjection:
@@ -227,19 +221,14 @@ class TestConfig:
     def test_completion_independent_extraction(self, rng):
         # The measured POVM depends on the coupling only through its action
         # on neutral inputs: alternative completions extract identically.
-        probes = interferometer.ProbeTriple(
-            p0=random_pure(rng), p1=random_pure(rng), p2=random_pure(rng)
-        )
+        p0, p1, p2 = random_pure(rng), random_pure(rng), random_pure(rng)
         delta = 0.8
         pointer = interferometer.pointer_stack([interferometer.MzConfig("marking")])
-        base_scheme = extraction.build_schemes([probes.rows()], [delta], pointer)
+        base_scheme = extraction.build_schemes([[p0, p1, p2]], [delta], pointer)
         base = extraction.extract_povm(base_scheme)
         blocks = []
-        for pk, phase in ((probes.p1, np.exp(2.2j)), (probes.p2, np.exp(0.4j))):
-            blocks.append(
-                np.outer(pk, probes.p0.conj())
-                + phase * np.outer(linalg.perp(pk), linalg.perp(probes.p0).conj())
-            )
+        for pk, phase in ((p1, np.exp(2.2j)), (p2, np.exp(0.4j))):
+            blocks.append(np.outer(pk, p0.conj()) + phase * np.outer(linalg.perp(pk), linalg.perp(p0).conj()))
         alt_mark = np.zeros((4, 4), dtype=complex)
         alt_mark[:2, :2] = blocks[0]
         alt_mark[2:, 2:] = blocks[1]

@@ -186,41 +186,43 @@ class TestDistinguishability:
     def test_orthogonal_markers_fully_distinguishable(self, rng):
         for _ in range(10):
             psi = random_pure(rng)
-            result = relations.distinguishability(psi[0], psi[1], [1, 0], [0, 1])
-            assert result.distinguishability == pytest.approx(1.0, abs=1e-12)
+            audit = relations.erasure_duality(psi[0], psi[1], [1, 0], [0, 1])
+            assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_input_tilted_markers(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
-        result = relations.distinguishability(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
-        assert result.distinguishability == pytest.approx(0.5, abs=1e-12)
+        audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
+        assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
 
     def test_path_eigenstate_always_distinguishable(self):
         p1, p2 = interferometer.marker_states(1.1)
-        result = relations.distinguishability(1.0, 0.0, p1, p2)
-        assert result.distinguishability == pytest.approx(1.0, abs=1e-12)
+        audit = relations.erasure_duality(1.0, 0.0, p1, p2)
+        assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_identity(self, rng):
         for _ in range(200):
             psi = random_pure(rng)
             theta = float(rng.uniform(0, math.pi / 2))
             p1, p2 = interferometer.marker_states(theta)
-            result = relations.distinguishability(psi[0], psi[1], p1, p2)
+            audit = relations.erasure_duality(psi[0], psi[1], p1, p2)
             overlap = abs(np.vdot(p1, p2))
             want = math.sqrt(1 - 4 * abs(psi[0]) ** 2 * abs(psi[1]) ** 2 * overlap**2)
-            assert result.distinguishability == pytest.approx(want, abs=1e-12)
-            assert result.distinguishability == pytest.approx(
-                2 * result.max_correct_probability - 1, abs=1e-12
-            )
+            assert audit.distinguishability == pytest.approx(want, abs=1e-12)
+            # D = 2L - 1 for the success probability L of the coincidence
+            # POVM read along the optimal pointer direction.
+            h = relations.coincidence_povm(p1, p2, audit.pointer_direction)
+            success = linalg.expectation(h.operator("correct"), linalg.pure_density(psi))
+            assert audit.distinguishability == pytest.approx(2 * success - 1, abs=1e-12)
 
     def test_degenerate_direction_flagged(self):
         p1, p2 = interferometer.marker_states(math.pi / 2)
-        result = relations.distinguishability(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
-        assert result.pointer_direction is None
-        assert result.distinguishability == 0.0
+        audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
+        assert audit.pointer_direction is None
+        assert audit.distinguishability == 0.0
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(NotNormalized):
-            relations.distinguishability(1.0, 1.0, [1, 0], [0, 1])
+            relations.erasure_duality(1.0, 1.0, [1, 0], [0, 1])
 
 
 class TestCoincidencePovm:
@@ -254,7 +256,7 @@ class TestCoincidencePovm:
             weight = float(rng.random())
             alpha, beta = math.sqrt(weight), math.sqrt(1 - weight)
             p1, p2 = interferometer.marker_states(theta)
-            result = relations.distinguishability(alpha, beta, p1, p2)
+            result = relations.erasure_duality(alpha, beta, p1, p2)
             direction = result.pointer_direction
             if direction is None:
                 direction = np.array([0.0, 0.0, 1.0])
@@ -317,14 +319,14 @@ class TestErasureDuality:
     def test_worked_point(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
         audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
-        assert audit.inference.distinguishability == pytest.approx(0.5, abs=1e-12)
-        assert audit.visibility.value == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
+        assert audit.visibility == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         assert audit.duality.satisfied and abs(audit.duality.slack) <= 1e-12
 
     def test_orthogonal_markers(self):
         audit = relations.erasure_duality(PLUS[0], PLUS[1], [1, 0], [0, 1])
-        assert audit.inference.distinguishability == pytest.approx(1.0, abs=1e-12)
-        assert audit.visibility.value == pytest.approx(0.0, abs=1e-12)
+        assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
+        assert audit.visibility == pytest.approx(0.0, abs=1e-12)
         assert audit.duality.satisfied
 
     def test_lopsided_amplitudes(self):
@@ -567,18 +569,15 @@ class TestStackedKernels:
         np.testing.assert_array_equal(stack.visibility_direction[-1], [1.0, 0.0, 0.0])
         for i, args in enumerate(zip(alphas, betas, p1s, p2s)):
             pointer, d, v_e, n, duality, tradeoff = reference_erasure(*args)
-            audit = stack.audit(i)
+            audit = stack.report(i)
             if pointer is None:
-                assert audit.inference.pointer_direction is None
+                assert audit.pointer_direction is None
             else:
                 # Compared as evidence vectors: normalizing a short one magnifies rounding.
-                np.testing.assert_allclose(
-                    audit.inference.pointer_direction * d, pointer * d, rtol=0, atol=1e-15
-                )
-            assert audit.inference.distinguishability == pytest.approx(d, abs=1e-15)
-            assert audit.inference.max_correct_probability == pytest.approx(0.5 * (1.0 + d), abs=1e-15)
-            assert audit.visibility.value == pytest.approx(v_e, abs=1e-15)
-            np.testing.assert_allclose(audit.visibility.direction, n, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(audit.pointer_direction * d, pointer * d, rtol=0, atol=1e-15)
+            assert audit.distinguishability == pytest.approx(d, abs=1e-15)
+            assert audit.visibility == pytest.approx(v_e, abs=1e-15)
+            np.testing.assert_allclose(audit.visibility_direction, n, rtol=0, atol=1e-15)
             assert audit.duality.lhs == pytest.approx(duality, abs=1e-15)
             assert audit.variance_tradeoff.lhs == pytest.approx(tradeoff, abs=1e-15)
 
@@ -593,6 +592,15 @@ class TestStackedKernels:
         assert relations.entropic_bound(z_pvm, x_pvm, psi) == relations.entropic_bound_stack(
             z_pvm, x_pvm, psi[None]
         ).report(0)
+        # Field by field: == on records with array fields is ambiguous.
+        p1, p2 = interferometer.marker_states(0.7)
+        audit = relations.erasure_duality(psi[0], psi[1], p1, p2)
+        row = relations.erasure_duality_stack(psi[:1], psi[1:], p1[None], p2[None]).report(0)
+        assert type(audit.distinguishability) is type(audit.visibility) is float
+        assert (audit.distinguishability, audit.visibility) == (row.distinguishability, row.visibility)
+        assert audit.pointer_direction.tobytes() == row.pointer_direction.tobytes()
+        assert audit.visibility_direction.tobytes() == row.visibility_direction.tobytes()
+        assert (audit.duality, audit.variance_tradeoff) == (row.duality, row.variance_tradeoff)
 
     def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
         calls = []

@@ -98,7 +98,8 @@ class TestBenchSummary:
                 "verify.self_s": 0.1, "trace.overhead_ratio": 1.2,
             }),
         }
-        return runs, {side: traced[side] for side in sides}
+        lines = {"baseline": 3419, "checkout": 3347}
+        return runs, {side: traced[side] for side in sides}, {side: lines[side] for side in sides}
 
     def test_pairs_ratios_and_quartiles(self):
         summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
@@ -130,3 +131,18 @@ class TestBenchSummary:
         summary = self.bench.summarize(*self.synthetic(("checkout",)))
         assert "ratio" not in summary["verify.call_ms"] and "verify_trace_counts" not in summary
         assert summary["verify_trace_check_s"]["verify.check_contrast_oracle.s"] == {"checkout": 0.015}
+        assert summary["src_lines"] == {"checkout": 3347}
+
+    def test_net_source_lines(self):
+        summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
+        assert summary["src_lines"] == {"baseline": 3419, "checkout": 3347, "net": -72}
+
+
+def test_src_lines_counts_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "mzpovm"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # no final newline: wc -l counts 1
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not = 'counted'\n")
+    assert TestBenchSummary.bench.src_lines(tmp_path) == 4

@@ -58,12 +58,9 @@ def _reference_pointers(config):
     return None if pointers is None else pointers[0]
 
 
-def _reference_config_effects(config):
-    probes = interferometer.probes_for(config)
-    unitary = _reference_total_unitary(
-        probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
-    )
-    return _reference_effects(unitary, probes.p0, _reference_outputs(_reference_pointers(config)))
+def _reference_config_effects(config, probes):
+    unitary = _reference_total_unitary(*probes, interferometer.effective_delta(config))
+    return _reference_effects(unitary, probes[0], _reference_outputs(_reference_pointers(config)))
 
 
 def _groups():
@@ -75,8 +72,8 @@ class TestStackedExtraction:
         checked = 0
         for configs in _groups():
             effects = extraction.extract_effects(extraction.schemes_for(configs))
-            for config, got in zip(configs, effects):
-                np.testing.assert_allclose(got, _reference_config_effects(config), rtol=0, atol=TOL)
+            for config, probes, got in zip(configs, interferometer.probe_stack(configs), effects):
+                np.testing.assert_allclose(got, _reference_config_effects(config, probes), rtol=0, atol=TOL)
                 checked += 1
         assert checked == 138
 
@@ -120,14 +117,11 @@ class TestStackedOracle:
             schemes = extraction.schemes_for(configs)
             probs = oracle._probabilities(schemes, states)
             assert probs.shape == (len(configs), 20, len(schemes.labels))
-            for n, config in enumerate(configs):
-                probes = interferometer.probes_for(config)
-                unitary = _reference_total_unitary(
-                    probes.p0, probes.p1, probes.p2, interferometer.effective_delta(config)
-                )
+            for n, (config, probes) in enumerate(zip(configs, interferometer.probe_stack(configs))):
+                unitary = _reference_total_unitary(*probes, interferometer.effective_delta(config))
                 outputs = _reference_outputs(_reference_pointers(config))
                 for s, psi in enumerate(states):
-                    final = unitary @ np.kron(psi, probes.p0)
+                    final = unitary @ np.kron(psi, probes[0])
                     want = [np.vdot(final, m @ final).real for m in outputs]
                     np.testing.assert_allclose(probs[n, s], want, rtol=0, atol=TOL)
 
@@ -197,10 +191,9 @@ def _scalar_sweep_row(config, psi):
     scheme = extraction.schemes_for([config])
     measured = extraction.extract_povm(scheme)
     probabilities = oracle.direct_probabilities(scheme, psi)
-    probes = interferometer.probes_for(config)
-    audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), probes.p1, probes.p2)
-    row = {"D": audit.inference.distinguishability, "V_e": audit.visibility.value,
-           "duality_slack": audit.duality.slack}
+    _, p1, p2 = interferometer.probe_stack([config])[0]
+    audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), p1, p2)
+    row = {"D": audit.distinguishability, "V_e": audit.visibility, "duality_slack": audit.duality.slack}
     if len(measured.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
         grouped = extraction.marginals_of(measured)
@@ -238,6 +231,20 @@ class TestSweepRows:
         monkeypatch.setattr(cli, "SWEEP_STACK", 4096)
         assert split == list(cli.sweep_rows(configs, psi, "gamma"))
 
+    def test_one_probe_stack_per_chunk(self, rng, monkeypatch):
+        calls = []
+        original = interferometer.probe_stack
+
+        def counting(configs):
+            calls.append(len(configs))
+            return original(configs)
+
+        monkeypatch.setattr(interferometer, "probe_stack", counting)
+        monkeypatch.setattr(cli, "SWEEP_STACK", 7)
+        configs = cli.sweep_configs(interferometer.MzConfig("quantitative", delta=0.4), "theta", 0.0, 1.5, 23)
+        assert len(list(cli.sweep_rows(configs, random_pure(rng), "theta"))) == 23
+        assert calls == [7, 7, 7, 2]
+
     def test_run_report_is_a_batch_of_one_of_the_sweep_core(self, rng):
         psi = random_pure(rng)
         config = interferometer.MzConfig("quantitative", delta=0.8, theta=0.5)
@@ -261,19 +268,32 @@ class TestInterferometerStacks:
             )
             np.testing.assert_allclose(marking[n], _reference_marking_unitary(*triples[n]), rtol=0, atol=TOL)
 
-    def test_probe_stack_matches_probes_for(self):
+    def test_probe_stack_matches_literal_triples(self):
+        unmarked, marked = [E1, E1, E1], [E1, E1, E2]
+        fixed = {"path": unmarked, "interference": unmarked, "marking": marked, "erasure": marked}
         configs = verify.distinct_grid_configs()
         stacked = interferometer.probe_stack(configs)
+        assert stacked.shape == (len(configs), 3, 2) and stacked.dtype == complex
         for config, rows in zip(configs, stacked):
-            assert rows.tobytes() == interferometer.probes_for(config).rows().tobytes()
+            if config.experiment in fixed:
+                want = np.array(fixed[config.experiment])
+            else:
+                want = np.array([E1, *interferometer.marker_states(config.theta)])
+            assert rows.tobytes() == want.tobytes()
 
     def test_fixed_probe_triples_are_shared(self):
         for experiment in ("path", "interference", "marking", "erasure"):
-            first = interferometer.probes_for(interferometer.MzConfig(experiment, delta=0.1))
-            assert interferometer.probes_for(interferometer.MzConfig(experiment, delta=2.0)) is first
-            assert not first.p1.flags.writeable
-        quantitative = interferometer.MzConfig("quantitative", theta=0.4)
-        assert interferometer.probes_for(quantitative) is not interferometer.probes_for(quantitative)
+            fixed = interferometer._FIXED_ROWS[experiment]
+            assert fixed.shape == (3, 2) and not fixed.flags.writeable
+            with pytest.raises(ValueError):
+                fixed[1, 0] = 0.0
+        assert interferometer._FIXED_ROWS["path"] is interferometer._FIXED_ROWS["interference"]
+        assert interferometer._FIXED_ROWS["marking"] is interferometer._FIXED_ROWS["erasure"]
+        configs = [interferometer.MzConfig(e, theta=0.4) for e in interferometer.EXPERIMENTS]
+        stacked = interferometer.probe_stack(configs)
+        assert stacked.flags.owndata and stacked.flags.writeable
+        stacked[0, 1] = 0.0  # an owned copy: the shared rows are untouched
+        assert interferometer._FIXED_ROWS["path"][1, 0] == 1.0
 
     def test_final_state_validates_its_input_once(self, monkeypatch):
         calls = []
@@ -284,10 +304,11 @@ class TestInterferometerStacks:
             return original(v)
 
         monkeypatch.setattr(linalg, "state_vector", counting)
-        config = interferometer.MzConfig("erasure", delta=0.3, gamma=0.2)
-        out = interferometer.final_state([0.6, 0.8j], interferometer.probes_for(config), config)
+        configs = [interferometer.MzConfig("erasure", delta=0.3, gamma=0.2)] * 3
+        out = interferometer.final_state_stack([0.6, 0.8j], interferometer.probe_stack(configs), [0.3] * 3)
         assert len(calls) == 1
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+        assert out.shape == (3, 4)
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-15
 
     def test_perp_of_a_stack_is_rowwise(self, rng):
         rows = np.array([random_pure(rng) for _ in range(10)])
