@@ -38,8 +38,8 @@ def main() -> int:
     final = interferometer.final_state_stack(
         psi, interferometer.probe_stack([config]), [interferometer.effective_delta(config)]
     )[0]
-    decomposition = linalg.schmidt(final)
-    print(f"\ntotal output state entanglement weight: {decomposition.weight:.6f} (1/2 = maximal)")
+    weight = linalg.schmidt_stack(final[None])[0][0]
+    print(f"\ntotal output state entanglement weight: {weight:.6f} (1/2 = maximal)")
     return 0
 
 

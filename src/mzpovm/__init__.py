@@ -10,7 +10,7 @@ sampling, Bloch-sphere grid optimization) validates every closed form.
 
 import importlib
 
-from . import cli, complementarity, errors, extraction, interferometer, linalg, oracle, povm, relations
+from . import cli, errors, extraction, interferometer, linalg, oracle, povm, relations
 
 __all__ = [
     "cli",
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # The invariant suite is imported on first use, so `run` and `sweep`
-    # do not compile it.
-    if name == "verify":
-        return importlib.import_module(".verify", __name__)
+    # The invariant suite and complementarity, which only it calls, are
+    # imported on first use, so `run` and `sweep` do not compile them.
+    if name in ("complementarity", "verify"):
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

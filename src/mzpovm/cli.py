@@ -126,10 +126,15 @@ def _load_config(args) -> dict:
 
 
 def _angle(name: str, value) -> float:
-    try:
-        return float(value or 0.0)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config field {name!r} must be a number, got {value!r}") from None
+    # Only null or an absent field means 0; a bool is not a number here.
+    if value is None:
+        return 0.0
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise UsageError(f"config field {name!r} must be a number, got {value!r}")
 
 
 def _config_from_args(args, file_fields: dict) -> interferometer.MzConfig:
@@ -340,16 +345,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             file_fields = _load_config(args)
             config = _config_from_args(args, file_fields)
             psi = _input_from_args(args, file_fields)
+        if args.command == "run":
             print(render_json(evaluate_run(config, psi)))
             return 0
         if args.command == "sweep":
-            file_fields = _load_config(args)
-            config = _config_from_args(args, file_fields)
-            psi = _input_from_args(args, file_fields)
             if not args.start < args.stop:
                 raise UsageError("--from must be strictly below --to")
             if not 2 <= args.steps <= 100000:
@@ -377,10 +380,7 @@ def main(argv=None) -> int:
             results = verify.run_all(seed=args.seed, samples=args.samples, tol=args.tol)
             print(verify.format_table(results, args.seed, args.samples, args.tol))
             return 0 if all(r.passed for r in results) else 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MzPovmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (UsageError, MzPovmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

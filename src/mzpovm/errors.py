@@ -29,10 +29,6 @@ class NotAPartition(MzPovmError):
     """A grouping does not partition the outcome labels."""
 
 
-class NotJointlyMeasurable(MzPovmError):
-    """The requested unsharp pair admits no joint observable."""
-
-
 class NotTwoOutcome(MzPovmError):
     """An operation defined for two-outcome POVMs got something else."""
 

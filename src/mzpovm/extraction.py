@@ -115,7 +115,6 @@ def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
 
 
 _DETECTOR_LABELS = ("1", "2")
-_POINTER_LABELS = ("11", "21", "12", "22")
 _DETECTOR_OUTPUTS = np.array([interferometer.detector_projection(k) for k in (1, 2)])
 
 
@@ -133,7 +132,7 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
         return SchemeStack(_DETECTOR_LABELS, unitaries, probes[:, 0], outputs)
     pointers = np.asarray(pointers, dtype=complex)
     outputs = [interferometer.output_projection_stack(k, pointers[:, l]) for l in (0, 1) for k in (1, 2)]
-    return SchemeStack(_POINTER_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1))
+    return SchemeStack(povm.JOINT_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1))
 
 
 def schemes_for(configs) -> SchemeStack:
@@ -271,7 +270,7 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
             f"closed forms exist for marking/erasure/quantitative, not {config.experiment!r}"
         )
     return ExperimentObservables(
-        povm.DiscretePovm(_POINTER_LABELS, joint),
+        povm.DiscretePovm(povm.JOINT_LABELS, joint),
         *(povm.DiscretePovm(_DETECTOR_LABELS, ops) for ops in (detector, probe, coincidence)),
     )
 

@@ -98,14 +98,6 @@ def mz_evolution_stack(deltas) -> np.ndarray:
     return 0.5 * out
 
 
-def mz_evolution(delta: float) -> np.ndarray:
-    """Photon unitary for the full interferometer passage at phase delta.
-
-    A batch of one of :func:`mz_evolution_stack`.
-    """
-    return mz_evolution_stack([delta])[0]
-
-
 def marker_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Marker states tilted by theta from the probe poles toward +x.
 
@@ -219,11 +211,6 @@ def output_projection_stack(k: int, pointers) -> np.ndarray:
     out = np.zeros((len(r), 2, 2, 2, 2), dtype=complex)
     out[:, i, :, i, :] = r[:, :, None] * r.conj()[:, None, :]
     return out.reshape(-1, 4, 4)
-
-
-def output_projection(k: int, pointer) -> np.ndarray:
-    """The compound projection |k><k| (x) |pointer><pointer|, k in {1, 2}."""
-    return output_projection_stack(k, linalg.state_vector(pointer)[None])[0]
 
 
 def detector_projection(k: int) -> np.ndarray:

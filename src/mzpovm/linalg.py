@@ -18,8 +18,6 @@ module is thread-safe without qualification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BlochOutOfBall, NotHermitian, NotNormalized
@@ -170,11 +168,6 @@ def bloch_from_density(rho) -> np.ndarray:
     return bloch_from_density_stack(rho)
 
 
-def bloch_from_state(psi) -> np.ndarray:
-    """The Bloch vector of a pure C^2 state."""
-    return bloch_from_density(pure_density(psi))
-
-
 def expectation(a, rho) -> float:
     """tr[A rho] for Hermitian A; the imaginary residue must stay below 1e-10."""
     a = _require_hermitian(a)
@@ -227,22 +220,10 @@ def _compound_rows(psi) -> np.ndarray:
     return v
 
 
-def _compound_row(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape != (4,):
-        raise NotNormalized(f"expected a 4-component compound vector, got shape {v.shape}")
-    return v[None]
-
-
 def partial_trace_probe_stack(psi) -> np.ndarray:
     """Reduced photon states (probe traced out) of an (N, 4) stack of unit photon-probe vectors."""
     c = _compound_rows(psi).reshape(-1, 2, 2)
     return _frozen(c @ c.conj().swapaxes(-1, -2))
-
-
-def partial_trace_probe(psi) -> np.ndarray:
-    """Reduced photon state of a photon-probe vector; a batch of one of :func:`partial_trace_probe_stack`."""
-    return partial_trace_probe_stack(_compound_row(psi))[0]
 
 
 # ----------------------------------------------------------------------
@@ -313,29 +294,6 @@ def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(values), _frozen(vectors)
 
 
-def eig_hermitian(a) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Parameters
-    ----------
-    a
-        Square Hermitian matrix, dimension at most 16.
-
-    Returns
-    -------
-    list of (eigenvalue, eigenvector) pairs, eigenvalues descending. Each
-    eigenvector's global phase makes its largest component real positive.
-    The reconstruction  sum_k  lambda_k v_k v_k^dagger  reproduces ``a`` to
-    1e-11 in max norm. A batch of one of :func:`eig_hermitian_stack`.
-    """
-    a = _require_hermitian(a)
-    n = a.shape[0]
-    if n > MAX_DIMENSION:
-        raise NotHermitian(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    values, vectors = eig_hermitian_stack(a)
-    return [(float(values[k]), vectors[k]) for k in range(n)]
-
-
 def eigvals_hermitian(a) -> np.ndarray:
     """Descending eigenvalues of the Hermitian part of every matrix in a stack.
 
@@ -357,25 +315,6 @@ def eigvals_hermitian(a) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Biorthogonal (Schmidt) decomposition of photon-probe vectors.
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Psi = sqrt(w) psi1 x phi1 + sqrt(1-w) psi2 x phi2, with w >= 1/2.
-
-    Both the photon pair (psi1, psi2) and the probe pair (phi1, phi2) are
-    orthonormal. Separable vectors have w = 1.
-    """
-
-    weight: float
-    photon_pair: tuple[np.ndarray, np.ndarray]
-    probe_pair: tuple[np.ndarray, np.ndarray]
-
-    def reconstruct(self) -> np.ndarray:
-        terms = schmidt_terms(
-            np.array([self.weight]), np.array([self.photon_pair]), np.array([self.probe_pair])
-        )
-        return terms[0].sum(axis=0)
 
 
 def schmidt_stack(psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,19 +344,6 @@ def schmidt_stack(psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # A snapped second probe direction is unconstrained; pick the canonical perp.
     phi2 = np.where(snap[:, None], perp(phi1), phi2)
     return _frozen(w), photon, _frozen(np.stack([phi1, phi2], axis=1))
-
-
-def schmidt(psi) -> SchmidtDecomposition:
-    """Biorthogonal decomposition of one unit photon-probe vector.
-
-    A batch of one of :func:`schmidt_stack`.
-    """
-    w, photon, probe = schmidt_stack(_compound_row(psi))
-    return SchmidtDecomposition(
-        weight=float(w[0]),
-        photon_pair=(photon[0, 0], photon[0, 1]),
-        probe_pair=(probe[0, 0], probe[0, 1]),
-    )
 
 
 def schmidt_terms(weights, photon, probe) -> np.ndarray:
@@ -455,8 +381,3 @@ def adapted_observable_variance_stack(psi) -> np.ndarray:
     mean = (bra @ sv)[:, 0, 0].real
     second = (bra @ (s @ sv))[:, 0, 0].real
     return _frozen(second - mean * mean)
-
-
-def adapted_observable_variance(psi) -> float:
-    """A batch of one of :func:`adapted_observable_variance_stack`."""
-    return float(adapted_observable_variance_stack(_compound_row(psi))[0])

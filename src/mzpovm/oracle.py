@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extraction, interferometer, linalg
+from . import extraction, linalg
 from .errors import InvalidScheme
 
 
@@ -144,11 +144,6 @@ def cross_check_stack(schemes: extraction.SchemeStack, oracle: OracleConfig) -> 
     return np.abs(direct - predicted).max(axis=(1, 2))
 
 
-def cross_check(config: interferometer.MzConfig, oracle: OracleConfig) -> float:
-    """Max deviation of one configuration; a batch of one of :func:`cross_check_stack`."""
-    return float(cross_check_stack(extraction.schemes_for([config]), oracle)[0])
-
-
 def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
     return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
 
@@ -255,18 +250,3 @@ def grid_maximize_stack(objective, count: int, oracle: OracleConfig) -> tuple[np
             best[active], best_value[active] = r, value_r
             active = active[improved]
     return best_value, best
-
-
-def grid_maximize(objective, oracle: OracleConfig) -> tuple[float, np.ndarray]:
-    """Maximize one function of a unit Bloch vector; a batch of one of :func:`grid_maximize_stack`.
-
-    ``objective`` is called on one (3,) array at a time, in the order of
-    a per-point search, and must return a real number; lattice points
-    come write-protected from the cache.
-    """
-
-    def one_point_at_a_time(points, rows):
-        return np.array([float(objective(r)) for r in points.reshape(-1, 3)]).reshape(points.shape[:-1])
-
-    value, best = grid_maximize_stack(one_point_at_a_time, 1, oracle)
-    return float(value[0]), best[0]

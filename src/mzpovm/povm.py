@@ -2,14 +2,16 @@
 
 A POVM is a tuple of outcome labels plus one complex (L, d, d) array of
 effects (:class:`DiscretePovm`). Every operation has one array kernel
-over an (N, L, d, d) stack of N such arrays; the functions that take a
-:class:`DiscretePovm` pass its ``effects`` to that kernel as a batch of
-one.
+over an (N, L, d, d) stack of N such arrays. A function that takes one
+:class:`DiscretePovm` (:func:`validate`, :func:`marginal`,
+:func:`contrast`) exists because the CLI or ``verify`` calls it, and
+passes its ``effects`` to the kernel as a batch of one.
 
-Label and sign conventions for the unsharp sigma_x / sigma_z joint
-observable follow the display order 11, 21, 12, 22, so that grouping by
-the first index yields the sigma_x marginal F = {(I +/- f sigma_x)/2} and
-grouping by the second index yields the sigma_z marginal
+The unsharp sigma_x / sigma_z joint observables of
+:func:`joint_xz_effects` follow the order of ``JOINT_LABELS``, 11, 21,
+12, 22, so that ``extraction.DETECTOR_GROUPING`` (the first index) yields
+the sigma_x marginal F = {(I +/- f sigma_x)/2} and
+``extraction.PROBE_GROUPING`` (the second index) the sigma_z marginal
 G = {(I +/- g sigma_z)/2}. Keeping one fixed order removes a silent
 transposition bug class.
 """
@@ -25,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     InvalidStochasticMatrix,
     NotAPartition,
-    NotJointlyMeasurable,
     NotSharp,
     NotTwoOutcome,
 )
@@ -70,18 +71,6 @@ class DiscretePovm:
             return self.effects[self.labels.index(label)]
         except ValueError:
             raise KeyError(label) from None
-
-
-@dataclass(frozen=True)
-class UnsharpPair:
-    """Sharpness parameters of the smeared sigma_x / sigma_z pair."""
-
-    f: float
-    g: float
-
-    def __post_init__(self):
-        if not (abs(self.f) <= 1.0 and abs(self.g) <= 1.0):
-            raise ValueError(f"|f| and |g| must not exceed 1, got {self.f}, {self.g}")
 
 
 @dataclass(frozen=True)
@@ -211,20 +200,6 @@ def smear_stack(projections, w) -> np.ndarray:
     return np.einsum("nlk,nkij->nlij", w, ops)
 
 
-def smear(sharp: DiscretePovm, w) -> DiscretePovm:
-    """Coarse-grain a PVM through a stochastic matrix: E_l = sum_k w[l, k] P_k.
-
-    The result is always a valid, commutative POVM representing an
-    approximate measurement of the sharp input. A batch of one of
-    :func:`smear_stack`.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise InvalidStochasticMatrix(f"expected a matrix, got shape {w.shape}")
-    effects = smear_stack(sharp.effects[None], w[None])[0]
-    return DiscretePovm(tuple(str(row + 1) for row in range(len(effects))), effects)
-
-
 def marginal_stack(effects, labels, grouping) -> np.ndarray:
     """Sum grouped effects over an (N, L, d, d) stack whose effects carry ``labels``.
 
@@ -279,11 +254,6 @@ def jointly_measurable_stack(f, g) -> np.ndarray:
     return f * f + g * g <= 1.0 + JOINT_BOUNDARY_TOL
 
 
-def jointly_measurable(pair: UnsharpPair) -> bool:
-    """Whether one unsharp pair admits a joint observable; a batch of one of :func:`jointly_measurable_stack`."""
-    return bool(jointly_measurable_stack(pair.f, pair.g)[0])
-
-
 def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
     """Stacked joint observables of the unsharp pairs (f[n], g[n]).
 
@@ -299,27 +269,6 @@ def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
     gz = (g[:, None] * _JOINT_Z_SIGNS)[..., None, None]
     effects = 0.25 * (linalg.IDENTITY2 + fx * sx + gz * sz)
     return effects, jointly_measurable_stack(f, g)
-
-
-def joint_xz(pair: UnsharpPair) -> DiscretePovm:
-    """The four-outcome joint observable of the unsharp sigma_x / sigma_z pair.
-
-    Effects are (I +/- f sigma_x +/- g sigma_z) / 4 labeled 11, 21, 12, 22;
-    the minimum eigenvalue is (1 - sqrt(f^2 + g^2)) / 4, so the
-    construction exists exactly on the admissible disk. A batch of one of
-    :func:`joint_xz_effects`.
-    """
-    effects, admitted = joint_xz_effects(pair.f, pair.g)
-    if not admitted[0]:
-        f, g = pair.f, pair.g
-        raise NotJointlyMeasurable(
-            f"f^2 + g^2 = {f * f + g * g!r} > 1: minimum eigenvalue would be negative"
-        )
-    return DiscretePovm(JOINT_LABELS, effects[0])
-
-
-JOINT_FIRST_INDEX_GROUPING = {"1": ("11", "12"), "2": ("21", "22")}
-JOINT_SECOND_INDEX_GROUPING = {"1": ("11", "21"), "2": ("12", "22")}
 
 
 def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:
@@ -365,8 +314,3 @@ def unsharpness_stack(effects) -> np.ndarray:
     """
     c = contrast_stack(effects)
     return 1.0 - c * c
-
-
-def unsharpness(p: DiscretePovm) -> float:
-    """1 - contrast^2; a batch of one of :func:`unsharpness_stack`."""
-    return float(unsharpness_stack(p.effects[None])[0])

@@ -9,10 +9,10 @@ the verification suite) can audit rather than recompute. Quantities:
   relation expresses positivity of the state.
 * Shannon entropies of POVM outcome distributions (base 2).
 * contrasts C_P = |<sz>|, C_I = |<sx>| (or |<sy>|) and visibility 2r.
-* distinguishability D = 2L - 1 from the optimal probe pointer, the
-  coincidence POVM behind it, and the reduced-state visibility V_e, with
-  the pure-state identities D^2 + V_e^2 = 1 and Var(H, psi) + Var(s_n,
-  rho_e) = 1 at the respective optima.
+* distinguishability D = 2L - 1 from the optimal probe pointer, and the
+  reduced-state visibility V_e, with the pure-state identities
+  D^2 + V_e^2 = 1 and Var(H, psi) + Var(s_n, rho_e) = 1 at the respective
+  optima, H being the coincidence POVM read along that pointer.
 
 Each audited relation has one array kernel over a stack of states:
 :func:`variance_ur_stack` and :func:`triple_relations_stack` take (N, 2, 2)
@@ -21,10 +21,11 @@ they return :class:`RelationReport` records whose fields are (N,) arrays.
 :func:`erasure_duality_stack` takes (N,) amplitudes with (N, 2) markers
 and returns one :class:`ErasureAudit` whose fields are arrays, its two
 equalities among them as :class:`RelationReport` records. On both records
-``report(i)`` is the audit of state i with Python float and bool fields,
-and the scalar functions are batches of one that return it. POVMs enter
-as :class:`povm.DiscretePovm`, whose ``effects`` array goes to the
-kernels unconverted.
+``report(i)`` is the audit of state i with Python float and bool fields.
+:func:`variance_ur`, :func:`entropic_bound` and :func:`triple_relations`
+are batches of one that return it, because ``mzpovm run`` audits one
+state. POVMs enter as :class:`povm.DiscretePovm`, whose ``effects`` array
+goes to the kernels unconverted.
 """
 
 from __future__ import annotations
@@ -295,37 +296,9 @@ def _coincidence_effect(b1, b2, r) -> np.ndarray:
     return 0.5 * ((1.0 + bias)[:, None, None] * linalg.IDENTITY2 + axis[:, None, None] * linalg.pauli("z"))
 
 
-def coincidence_povm(p1, p2, pointer_direction) -> povm.DiscretePovm:
-    """The two-outcome input POVM of path-inference coincidence counting.
-
-    Reading the probe along the Bloch direction r and checking it against
-    a sharp path detection measures
-
-        H_corr = ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
-
-    on the input, with H_err its complement.
-    """
-    r = np.asarray(pointer_direction, dtype=float).reshape(3)
-    # Written so that a NaN norm fails too: every comparison with NaN is False.
-    if not abs(float(np.linalg.norm(r)) - 1.0) <= 1e-9:
-        raise NotNormalized(f"pointer direction must be unit length, got |r| = {np.linalg.norm(r)!r}")
-    b1 = linalg.bloch_from_state(p1)
-    b2 = linalg.bloch_from_state(p2)
-    correct = _coincidence_effect(b1[None], b2[None], r[None])[0]
-    return povm.DiscretePovm(("correct", "error"), np.array([correct, linalg.IDENTITY2 - correct]))
-
-
 def _two_outcome_variance(first, second, rho) -> np.ndarray:
     diff = _trace(first - second, rho).real
     return 1.0 - diff * diff
-
-
-@dataclass(frozen=True)
-class VisibilityResult:
-    """Maximal interference contrast of a state over equatorial directions."""
-
-    value: float
-    direction: np.ndarray
 
 
 def _visibility(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,28 +309,6 @@ def _visibility(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value = np.where(coherent, np.minimum(1.0, 2.0 * np.abs(off)), 0.0)
     direction = np.stack([np.cos(angle), np.sin(angle), np.zeros(angle.shape)], axis=1)
     return value, direction
-
-
-def visibility_reduced(rho_e) -> VisibilityResult:
-    """Best interference contrast available in a (reduced) photon state.
-
-    Maximizes |tr(rho s_n)| over equatorial n = (cos d, sin d, 0); the
-    maximum is twice the off-diagonal magnitude, attained where the phase
-    of n cancels the off-diagonal phase.
-    """
-    rho = np.asarray(rho_e, dtype=complex)
-    value, direction = _visibility(rho[0, 1].reshape(1))
-    return VisibilityResult(float(value[0]), direction[0])
-
-
-def marked_state(alpha, beta, p1, p2) -> np.ndarray:
-    """The photon-probe vector alpha |1>|p1> + beta |2>|p2>."""
-    (alpha,), (beta,) = _amplitudes(alpha, beta)
-    v1 = linalg.state_vector(p1)
-    v2 = linalg.state_vector(p2)
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0], dtype=complex)
-    return linalg.state_vector(alpha * np.kron(e1, v1) + beta * np.kron(e2, v2))
 
 
 @dataclass(frozen=True)
@@ -432,8 +383,3 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
             "coincidence-visibility-variance", var_coincidence + var_interference, 1.0, "eq"
         ),
     )
-
-
-def erasure_duality(alpha, beta, p1, p2) -> ErasureAudit:
-    """Audit D^2 + V_e^2 = 1 and its variance form for one input; see :func:`erasure_duality_stack`."""
-    return erasure_duality_stack([alpha], [beta], np.reshape(p1, (1, -1)), np.reshape(p2, (1, -1))).report(0)

@@ -226,8 +226,8 @@ def check_joint_marginality(seed: int) -> CheckResult:
     f, g, effects, admitted = _random_unsharp_pairs(rng, 200)
     worst = 0.0
     for param, axis, grouping in (
-        (f, sx, povm.JOINT_FIRST_INDEX_GROUPING),
-        (g, sz, povm.JOINT_SECOND_INDEX_GROUPING),
+        (f, sx, extraction.DETECTOR_GROUPING),
+        (g, sz, extraction.PROBE_GROUPING),
     ):
         got = povm.marginal_stack(effects, povm.JOINT_LABELS, grouping)
         # Outcome "1" carries +param, outcome "2" -param.
@@ -296,8 +296,8 @@ def check_contrast_oracle(seed: int) -> CheckResult:
 def check_unsharpness_trade_off(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 108])
     _, _, effects, admitted = _random_unsharp_pairs(rng, 500)
-    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, povm.JOINT_FIRST_INDEX_GROUPING))
-    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, povm.JOINT_SECOND_INDEX_GROUPING))
+    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
+    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
     worst = max(0.0, float(np.max(1.0 - (u_f + u_g))))
     res = _result("unsharpness-trade-off", worst, 1e-12)
     return CheckResult(res.name, res.passed and admitted, res.deviation, res.detail)

@@ -26,3 +26,15 @@ def random_bloch_in_ball(rng) -> np.ndarray:
 def random_hermitian(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)
+
+
+def stack_of(objectives):
+    """A stacked objective whose row n calls ``objectives[n]`` on each of its points."""
+
+    def stacked(points, rows):
+        shape = np.broadcast_shapes(points.shape[:-1], np.shape(rows))
+        rows = np.broadcast_to(rows, shape).ravel()
+        points = np.broadcast_to(points, shape + (3,)).reshape(-1, 3)
+        return np.array([float(objectives[n](r)) for n, r in zip(rows, points)]).reshape(shape)
+
+    return stacked

@@ -141,7 +141,7 @@ def test_criterion_4_oracle_probability_reproduction():
     # Configurations identical after dropping inert angles build the same
     # scheme; one representative per distinct scheme is exhaustive.
     for config in verify.distinct_grid_configs():
-        worst = max(worst, oracle.cross_check(config, cfg))
+        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for([config]), cfg)[0]))
     ok = worst <= 1e-12
     conclude(4, ok, f"direct and extracted probabilities agree (max dev {worst:.2e})")
 
@@ -154,7 +154,7 @@ def test_criterion_5_erasure_fringes_and_epr_weight():
     final = interferometer.final_state_stack(
         PLUS, interferometer.probe_stack([config]), [interferometer.effective_delta(config)]
     )[0]
-    weight = linalg.schmidt(final).weight
+    weight = linalg.schmidt_stack(final[None])[0][0]
     ok = (
         abs(fringes["1"] - 1.0) <= 1e-12
         and abs(fringes["2"]) <= 1e-12
@@ -166,24 +166,13 @@ def test_criterion_5_erasure_fringes_and_epr_weight():
 
 
 def test_criterion_6_joint_measurability_grid():
-    values = np.linspace(-1.0, 1.0, 101)
-    ok = True
-    for f in values:
-        for g in values:
-            admissible = f * f + g * g <= 1.0 + 1e-10
-            pair = povm.UnsharpPair(float(f), float(g))
-            try:
-                joint = povm.joint_xz(pair)
-                built = povm.validate(joint).valid
-            except Exception:
-                built = False
-            if built != admissible:
-                ok = False
-            if admissible:
-                u_f = povm.unsharpness(povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING))
-                u_g = povm.unsharpness(povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING))
-                if u_f + u_g < 1.0 - 1e-12:
-                    ok = False
+    f, g = (v.ravel() for v in np.meshgrid(np.linspace(-1.0, 1.0, 101), np.linspace(-1.0, 1.0, 101)))
+    admissible = f * f + g * g <= 1.0 + 1e-10
+    effects, admitted = povm.joint_xz_effects(f, g)
+    built = admitted & povm.classify_effects(effects).valid
+    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
+    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
+    ok = bool((built == admissible).all() and (u_f + u_g >= 1.0 - 1e-12)[admissible].all())
     conclude(6, ok, "joint observable exists exactly on the unit disk; unsharpness trade-off holds")
 
 
@@ -226,20 +215,18 @@ def test_criterion_8_entropic_relations(state_sample):
 
 def test_criterion_9_quantitative_erasure():
     rng = np.random.default_rng(42)
-    ok = True
+    inputs = []
     for _ in range(1000):
         theta = float(rng.uniform(0.0, math.pi / 2))
         weight = float(rng.random())
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         alpha = math.sqrt(weight)
         beta = math.sqrt(1.0 - weight) * np.exp(1j * phase)
-        p1, p2 = interferometer.marker_states(theta)
-        audit = relations.erasure_duality(alpha, beta, p1, p2)
-        if abs(audit.duality.slack) > 1e-9 or abs(audit.variance_tradeoff.slack) > 1e-9:
-            ok = False
-    worked = relations.erasure_duality(
-        1 / math.sqrt(2), 1 / math.sqrt(2), *interferometer.marker_states(math.pi / 3)
-    )
+        inputs.append((alpha, beta, *interferometer.marker_states(theta)))
+    audit = relations.erasure_duality_stack(*zip(*inputs))
+    ok = bool((np.abs(audit.duality.slack) <= 1e-9).all() and (np.abs(audit.variance_tradeoff.slack) <= 1e-9).all())
+    p1, p2 = interferometer.marker_states(math.pi / 3)
+    worked = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
     if abs(worked.distinguishability - 0.5) > 1e-12:
         ok = False
     if abs(worked.visibility - math.sqrt(3) / 2) > 1e-12:

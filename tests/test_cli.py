@@ -139,10 +139,15 @@ class TestUsageErrors:
         return err
 
     def test_non_numeric_config_angle(self, capsys, tmp_path):
+        # Only null or an absent field means 0; a bool is not a number.
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps({"experiment": "marking", "delta": "abc"}))
-        err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
-        assert "delta" in err
+        for delta in ("abc", [], {}, "", False, True):
+            config_path.write_text(json.dumps({"experiment": "marking", "delta": delta}))
+            err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
+            assert "delta" in err
+        config_path.write_text(json.dumps({"experiment": "marking", "delta": None}))
+        code, out, _ = run_cli(capsys, "run", "--config", str(config_path))
+        assert code == 0 and json.loads(out)["config"]["delta"] == 0.0
 
     def test_non_numeric_config_input(self, capsys, tmp_path):
         config_path = tmp_path / "cfg.json"

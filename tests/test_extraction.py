@@ -212,7 +212,7 @@ class TestExtractionProperties:
             measured = extraction.extract_povm(extraction.schemes_for([config]))
             total = np.zeros((2, 2), dtype=complex)
             for op in measured.effects:
-                low = min(ev for ev, _ in linalg.eig_hermitian(op))
+                low = linalg.eig_hermitian_stack(op)[0].min()
                 assert low >= -1e-10
                 total = total + op
             assert np.max(np.abs(total - I2)) <= 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mzpovm import extraction, interferometer, linalg
-from mzpovm.errors import NotNormalized, UnsupportedExperiment
+from mzpovm.errors import InvalidScheme, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -14,24 +14,23 @@ GRID = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, math.pi / 2, 
 
 class TestMzEvolution:
     def test_zero_phase_is_global_sign(self):
-        np.testing.assert_allclose(interferometer.mz_evolution(0.0), -np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(interferometer.mz_evolution_stack([0.0])[0], -np.eye(2), atol=1e-15)
 
     def test_quarter_phase_sends_plus_to_first_output(self):
-        u = interferometer.mz_evolution(-math.pi / 2)
+        u = interferometer.mz_evolution_stack([-math.pi / 2])[0]
         out = u @ (np.array([1.0, 1.0]) / math.sqrt(2))
         assert abs(out[1]) <= 1e-15
         assert abs(abs(out[0]) - 1.0) <= 1e-15
 
     def test_unitary_for_random_phases(self, rng):
-        for delta in rng.uniform(-2 * math.pi, 2 * math.pi, 1000):
-            u = interferometer.mz_evolution(float(delta))
-            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-14
+        u = interferometer.mz_evolution_stack(rng.uniform(-2 * math.pi, 2 * math.pi, 1000))
+        assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-14
 
     def test_interference_output_state(self, rng):
         # At delta = -pi/2 the output is a global phase times
         # alpha (|1>-|2>)/sqrt2 + beta (|1>+|2>)/sqrt2.
         alpha, beta = 0.6, 0.8
-        u = interferometer.mz_evolution(-math.pi / 2)
+        u = interferometer.mz_evolution_stack([-math.pi / 2])[0]
         got = u @ np.array([alpha, beta])
         want = (
             -(1 - 1j)
@@ -118,7 +117,7 @@ class TestFinalState:
             * (np.kron([1, -1], [1, 0]) + np.kron([1, 1], [0, 1]))
         )
         np.testing.assert_allclose(out, want, atol=1e-14)
-        assert linalg.schmidt(out).weight == pytest.approx(0.5, abs=1e-14)
+        assert linalg.schmidt_stack(out[None])[0][0] == pytest.approx(0.5, abs=1e-14)
 
     def test_quantitative_matches_component_formulas(self, rng):
         # Literal expansion of the tilted-marker output state.
@@ -180,24 +179,25 @@ class TestFinalState:
 
 class TestOutputProjection:
     def test_first_detector_first_pointer(self):
-        got = interferometer.output_projection(1, [1.0, 0.0])
-        np.testing.assert_array_equal(got, np.diag([1.0, 0, 0, 0]))
+        got = interferometer.output_projection_stack(1, [[1.0, 0.0]])
+        np.testing.assert_array_equal(got, [np.diag([1.0, 0, 0, 0])])
 
     def test_erasure_pointer_family_sums_to_identity(self):
         config = interferometer.MzConfig("erasure", gamma=0.9)
-        q1, q2 = interferometer.pointer_stack([config])[0]
-        total = sum(
-            interferometer.output_projection(k, q) for k in (1, 2) for q in (q1, q2)
-        )
+        pointers = interferometer.pointer_stack([config])[0]
+        total = sum(interferometer.output_projection_stack(k, pointers).sum(axis=0) for k in (1, 2))
         np.testing.assert_allclose(total, np.eye(4), atol=1e-14)
 
     def test_non_unit_pointer_rejected(self):
-        with pytest.raises(NotNormalized):
-            interferometer.output_projection(1, [1.0, 1.0])
+        # The projections take pointer rows as given; the scheme built on them rejects them.
+        pointers = np.array([[[1.0, 1.0], [1.0, -1.0]]], dtype=complex)
+        probes = interferometer.probe_stack([interferometer.MzConfig("marking")])
+        with pytest.raises(InvalidScheme, match="deviates from a projection"):
+            extraction.build_schemes(probes, [0.0], pointers)
 
     def test_bad_detector_index(self):
         with pytest.raises(ValueError):
-            interferometer.output_projection(3, [1.0, 0.0])
+            interferometer.output_projection_stack(3, [[1.0, 0.0]])
 
 
 class TestConfig:
@@ -234,7 +234,7 @@ class TestConfig:
         alt_mark[2:, 2:] = blocks[1]
         alt_scheme = extraction.SchemeStack(
             base_scheme.labels,
-            [np.kron(interferometer.mz_evolution(delta), np.eye(2)) @ alt_mark],
+            [np.kron(interferometer.mz_evolution_stack([delta])[0], np.eye(2)) @ alt_mark],
             base_scheme.probe_init,
             base_scheme.outputs,
         )

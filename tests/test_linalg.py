@@ -116,83 +116,74 @@ class TestTensorAndPartialTrace:
         for _ in range(100):
             psi = random_pure(rng)
             phi = random_pure(rng)
-            reduced = linalg.partial_trace_probe(np.kron(psi, phi))
+            reduced = linalg.partial_trace_probe_stack(np.kron(psi, phi)[None])[0]
             np.testing.assert_allclose(reduced, np.outer(psi, psi.conj()), atol=1e-12)
 
     def test_orthogonal_markers_give_maximally_mixed(self):
         vec = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        np.testing.assert_allclose(linalg.partial_trace_probe(vec), np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(linalg.partial_trace_probe_stack(vec[None])[0], np.eye(2) / 2, atol=1e-15)
 
     def test_tilted_markers_off_diagonal(self):
         theta = math.pi / 3
         p1 = np.array([math.cos(theta / 2), math.sin(theta / 2)])
         p2 = np.array([math.sin(theta / 2), math.cos(theta / 2)])
         vec = (np.kron([1, 0], p1) + np.kron([0, 1], p2)) / math.sqrt(2)
-        reduced = linalg.partial_trace_probe(vec)
+        reduced = linalg.partial_trace_probe_stack(vec[None])[0]
         assert abs(reduced[0, 1]) == pytest.approx(math.sqrt(3) / 4, abs=1e-12)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
-            linalg.partial_trace_probe(np.array([1.0, 0, 0, 1.0]))
+            linalg.partial_trace_probe_stack(np.array([[1.0, 0, 0, 1.0]]))
 
 
 class TestEigHermitian:
     def test_sigma_z(self):
-        (lam1, v1), (lam2, v2) = linalg.eig_hermitian(linalg.pauli("z"))
-        assert (lam1, lam2) == (1.0, -1.0)
+        values, (v1, v2) = linalg.eig_hermitian_stack(linalg.pauli("z"))
+        assert values.tolist() == [1.0, -1.0]
         np.testing.assert_allclose(np.abs(v1), [1, 0])
         np.testing.assert_allclose(np.abs(v2), [0, 1])
 
     def test_degenerate_identity(self):
-        pairs = linalg.eig_hermitian(np.eye(2) / 2)
-        assert [ev for ev, _ in pairs] == [0.5, 0.5]
+        values, _ = linalg.eig_hermitian_stack(np.eye(2) / 2)
+        assert values.tolist() == [0.5, 0.5]
 
     def test_closed_form_example(self):
         a = 0.25 * (np.eye(2) + linalg.pauli("x") + linalg.pauli("z"))
-        evs = [ev for ev, _ in linalg.eig_hermitian(a)]
+        evs, _ = linalg.eig_hermitian_stack(a)
         np.testing.assert_allclose(evs, [(1 + math.sqrt(2)) / 4, (1 - math.sqrt(2)) / 4], atol=1e-14)
 
     def test_reconstruction_bound(self, rng):
         for k in range(1000):
             n = 2 if k % 2 == 0 else 4
             h = random_hermitian(rng, n)
-            rec = sum(ev * np.outer(v, v.conj()) for ev, v in linalg.eig_hermitian(h))
+            rec = sum(ev * np.outer(v, v.conj()) for ev, v in zip(*linalg.eig_hermitian_stack(h)))
             assert np.max(np.abs(rec - h)) <= 1e-11
 
     def test_eigenvalues_match_numpy_oracle(self, rng):
         for k in range(200):
             n = 2 if k % 2 == 0 else 4
             h = random_hermitian(rng, n)
-            ours = sorted(ev for ev, _ in linalg.eig_hermitian(h))
+            ours = sorted(linalg.eig_hermitian_stack(h)[0])
             np.testing.assert_allclose(ours, np.linalg.eigvalsh(h), atol=1e-12)
 
     def test_eigenvectors_orthonormal(self, rng):
         for _ in range(100):
             h = random_hermitian(rng, 4)
-            vecs = np.array([v for _, v in linalg.eig_hermitian(h)])
+            _, vecs = linalg.eig_hermitian_stack(h)
             np.testing.assert_allclose(vecs.conj() @ vecs.T, np.eye(4), atol=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
-            linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_larger_dimensions_keep_the_contract(self, rng, n):
         for _ in range(20):
             h = random_hermitian(rng, n)
-            pairs = linalg.eig_hermitian(h)
-            evs = [ev for ev, _ in pairs]
-            assert evs == sorted(evs, reverse=True)
-            for _, v in pairs:
+            evs, vecs = linalg.eig_hermitian_stack(h)
+            assert evs.tolist() == sorted(evs, reverse=True)
+            assert not vecs.flags.writeable
+            for v in vecs:
                 k = int(np.argmax(np.abs(v)))
                 assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
-                assert not v.flags.writeable
-            rec = sum(ev * np.outer(v, v.conj()) for ev, v in pairs)
+            rec = sum(ev * np.outer(v, v.conj()) for ev, v in zip(evs, vecs))
             assert np.max(np.abs(rec - h)) <= 1e-11
-
-    def test_dimension_above_sixteen_rejected(self):
-        with pytest.raises(NotHermitian):
-            linalg.eig_hermitian(np.eye(17))
 
 
 class TestEigvalsHermitian:
@@ -209,7 +200,7 @@ class TestEigvalsHermitian:
         stack = np.array([random_hermitian(rng, 2) for _ in range(50)])
         got = linalg.eigvals_hermitian(stack)
         for h, evs in zip(stack, got):
-            np.testing.assert_allclose(evs, [ev for ev, _ in linalg.eig_hermitian(h)], atol=1e-15)
+            np.testing.assert_allclose(evs, linalg.eig_hermitian_stack(h)[0], atol=1e-15)
 
     def test_uses_the_hermitian_part(self):
         a = np.array([[0.0, 2.0], [0.0, 0.0]])
@@ -227,13 +218,13 @@ class TestSchmidt:
     def test_product_state_has_weight_one(self, rng):
         for _ in range(20):
             vec = np.kron(random_pure(rng), random_pure(rng))
-            dec = linalg.schmidt(vec)
-            assert dec.weight == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(dec.reconstruct() - vec)) <= 1e-10
+            w, photon, probe = linalg.schmidt_stack(vec[None])
+            assert w[0] == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(linalg.schmidt_terms(w, photon, probe)[0].sum(axis=0) - vec)) <= 1e-10
 
     def test_balanced_entangled_state_has_weight_half(self):
         vec = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        assert linalg.schmidt(vec).weight == pytest.approx(0.5, abs=1e-14)
+        assert linalg.schmidt_stack(vec[None])[0][0] == pytest.approx(0.5, abs=1e-14)
 
     def test_tilted_marker_weight(self, rng):
         # alpha = beta = 1/sqrt(2) with marker overlap sin(theta) gives
@@ -242,60 +233,62 @@ class TestSchmidt:
             p1 = np.array([math.cos(theta / 2), math.sin(theta / 2)])
             p2 = np.array([math.sin(theta / 2), math.cos(theta / 2)])
             vec = (np.kron([1, 0], p1) + np.kron([0, 1], p2)) / math.sqrt(2)
-            dec = linalg.schmidt(vec)
-            assert dec.weight == pytest.approx(0.5 * (1 + math.sin(theta)), abs=1e-12)
+            w = linalg.schmidt_stack(vec[None])[0]
+            assert w[0] == pytest.approx(0.5 * (1 + math.sin(theta)), abs=1e-12)
 
     def test_pairs_orthonormal_and_reconstruction(self, rng):
         for _ in range(100):
             vec = random_pure4(rng)
-            dec = linalg.schmidt(vec)
-            for pair in (dec.photon_pair, dec.probe_pair):
-                gram = np.array([[np.vdot(a, b) for b in pair] for a in pair])
-                np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-            assert np.max(np.abs(dec.reconstruct() - vec)) <= 1e-10
-            assert dec.weight >= 0.5 - 1e-12
+            w, photon, probe = linalg.schmidt_stack(vec[None])
+            for pair in (photon[0], probe[0]):
+                np.testing.assert_allclose(pair.conj() @ pair.T, np.eye(2), atol=1e-10)
+            assert np.max(np.abs(linalg.schmidt_terms(w, photon, probe)[0].sum(axis=0) - vec)) <= 1e-10
+            assert w[0] >= 0.5 - 1e-12
 
     def test_degenerate_case_deterministic(self):
-        vec = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        first = linalg.schmidt(vec)
-        second = linalg.schmidt(vec)
-        assert first.weight == second.weight
-        for a, b in zip(first.photon_pair + first.probe_pair, second.photon_pair + second.probe_pair):
+        vec = np.array([[1, 0, 0, 1]]) / math.sqrt(2)
+        first = linalg.schmidt_stack(vec)
+        second = linalg.schmidt_stack(vec)
+        for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
-            linalg.schmidt(np.array([1.0, 0, 0, 1.0]))
+            linalg.schmidt_stack(np.array([[1.0, 0, 0, 1.0]]))
+
+
+def _adapted_variance(vec) -> float:
+    return float(linalg.adapted_observable_variance_stack(vec[None])[0])
 
 
 class TestAdaptedObservable:
     def test_product_state_has_definite_outcome(self, rng):
         vec = np.kron(random_pure(rng), random_pure(rng))
-        assert linalg.adapted_observable_variance(vec) == pytest.approx(0.0, abs=1e-10)
+        assert _adapted_variance(vec) == pytest.approx(0.0, abs=1e-10)
 
     def test_balanced_entangled_state(self):
         vec = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        assert linalg.adapted_observable_variance(vec) == pytest.approx(1.0, abs=1e-12)
+        assert _adapted_variance(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_three_quarters(self, rng):
         psi, phi = random_pure(rng), random_pure(rng)
         vec = math.sqrt(0.75) * np.kron(psi, phi) + 0.5 * np.kron(
             linalg.perp(psi), linalg.perp(phi)
         )
-        assert linalg.adapted_observable_variance(vec) == pytest.approx(0.75, abs=1e-12)
+        assert _adapted_variance(vec) == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_variance_iff_product(self, rng):
         for _ in range(50):
             product = np.kron(random_pure(rng), random_pure(rng))
-            assert linalg.adapted_observable_variance(product) <= 1e-8
+            assert _adapted_variance(product) <= 1e-8
             w = rng.uniform(0.55, 0.95)
             psi, phi = random_pure(rng), random_pure(rng)
             entangled = math.sqrt(w) * np.kron(psi, phi) + math.sqrt(1 - w) * np.kron(
                 linalg.perp(psi), linalg.perp(phi)
             )
-            assert linalg.adapted_observable_variance(entangled) > 1e-8
-            dec = linalg.schmidt(entangled)
-            truncated = math.sqrt(dec.weight) * np.kron(dec.photon_pair[0], dec.probe_pair[0])
+            assert _adapted_variance(entangled) > 1e-8
+            weight, photon, probe = linalg.schmidt_stack(entangled[None])
+            truncated = math.sqrt(weight[0]) * np.kron(photon[0, 0], probe[0, 0])
             assert np.linalg.norm(entangled - truncated) > 1e-8
 
 

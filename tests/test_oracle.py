@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg, oracle, relations, verify
+from mzpovm import extraction, interferometer, linalg, oracle, verify
 from mzpovm.errors import InvalidScheme
+
+from conftest import stack_of
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -94,7 +96,7 @@ class TestCrossCheck:
         cfg = oracle.OracleConfig(seed=9, samples=100)
         for experiment in interferometer.EXPERIMENTS:
             config = interferometer.MzConfig(experiment, delta=0.4, gamma=1.0, theta=0.7)
-            assert oracle.cross_check(config, cfg) <= 1e-12
+            assert oracle.cross_check_stack(extraction.schemes_for([config]), cfg)[0] <= 1e-12
 
     def test_corrupted_effect_detected(self):
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=1.0)
@@ -125,12 +127,13 @@ class TestCrossCheck:
                 for label, p in oracle.direct_probabilities(scheme, psi).items():
                     predicted = float(np.vdot(psi, measured.operator(label) @ psi).real)
                     worst = max(worst, abs(p - predicted))
-            assert abs(oracle.cross_check(config, cfg) - worst) <= 1e-15
+            assert abs(oracle.cross_check_stack(scheme, cfg)[0] - worst) <= 1e-15
 
     def test_deterministic_given_seed(self):
         cfg = oracle.OracleConfig(seed=21, samples=30)
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=0.6)
-        assert repr(oracle.cross_check(config, cfg)) == repr(oracle.cross_check(config, cfg))
+        scheme = extraction.schemes_for([config])
+        assert oracle.cross_check_stack(scheme, cfg).tobytes() == oracle.cross_check_stack(scheme, cfg).tobytes()
 
 
 class TestProbabilityChecks:
@@ -156,7 +159,7 @@ class TestGridMaximize:
         def objective(r):
             return float(np.trace(linalg.density_from_bloch(r) @ effect_diff).real)
 
-        best, argmax = oracle.grid_maximize(objective, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
         assert best == pytest.approx(0.6, abs=1e-6)
         np.testing.assert_allclose(argmax, [1.0, 0.0, 0.0], atol=1e-3)
 
@@ -171,26 +174,27 @@ class TestGridMaximize:
             n = (r[0] / planar, r[1] / planar)
             return abs(float(np.trace(rho @ (n[0] * SX + n[1] * SY)).real))
 
-        best, _ = oracle.grid_maximize(objective, cfg)
+        (best,), _ = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
         assert best == pytest.approx(0.6, abs=1e-6)
 
     def test_constant_objective(self):
         cfg = oracle.OracleConfig(seed=1, samples=1)
-        best, argmax = oracle.grid_maximize(lambda r: 0.25, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([lambda r: 0.25]), 1, cfg)
         assert best == 0.25
         assert abs(np.linalg.norm(argmax) - 1.0) <= 1e-12
 
     def test_off_axis_linear_objective(self, rng):
         cfg = oracle.OracleConfig(seed=1, samples=1)
+        targets, scales = [], []
         for _ in range(20):
             target = rng.standard_normal(3)
-            target /= np.linalg.norm(target)
-            scale = float(rng.uniform(0.1, 1.0))
-            best, argmax = oracle.grid_maximize(
-                lambda r, t=target, s=scale: s * float(r @ t), cfg
-            )
-            assert best == pytest.approx(scale, abs=1e-6)
-            assert float(argmax @ target) >= 1.0 - 1e-5
+            targets.append(target / np.linalg.norm(target))
+            scales.append(float(rng.uniform(0.1, 1.0)))
+        objectives = [lambda r, t=t, s=s: s * float(r @ t) for t, s in zip(targets, scales)]
+        best, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        for value, r, target, scale in zip(best, argmax, targets, scales):
+            assert value == pytest.approx(scale, abs=1e-6)
+            assert float(r @ target) >= 1.0 - 1e-5
 
 
 def _reference_bloch(theta, phi):
@@ -248,8 +252,8 @@ def _float_cross(u, v):
 
 
 def float_reference_grid_maximize(objective, cfg):
-    """The per-point search on Python floats, as ``grid_maximize`` ran it
-    before it became a batch of one: the bit-for-bit reference.
+    """The per-point search on Python floats, as the oracle ran it before
+    its searches were stacked: the bit-for-bit reference.
 
     ``reference_grid_maximize`` normalizes with ``numpy.linalg.norm``, which
     rounds differently from the square root of the summed squares, so it
@@ -340,8 +344,9 @@ def _suite_inputs(seed, count):
         weight = rng.random()
         alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
         p1, p2 = interferometer.marker_states(theta)
-        evidences.append(alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2))
-        reduced.append(linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2)))
+        b1, b2 = linalg.bloch_from_density_stack(np.array([np.outer(p, p.conj()) for p in (p1, p2)]))
+        evidences.append(alpha**2 * b1 - beta**2 * b2)
+        reduced.append(linalg.partial_trace_probe_stack(np.concatenate([alpha * p1, beta * p2])[None])[0])
     return np.array(diffs), np.array(evidences), np.array(reduced)
 
 
@@ -442,7 +447,7 @@ class TestGridMaximizeAgainstReference:
     def assert_same_search(self, objective, cfg):
         fast, fast_calls = _counted(objective)
         slow, slow_calls = _counted(objective)
-        best, argmax = oracle.grid_maximize(fast, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([fast]), 1, cfg)
         want, want_argmax = reference_grid_maximize(slow, cfg)
         assert len(fast_calls) == len(slow_calls)
         assert best == pytest.approx(want, abs=1e-15)
@@ -479,24 +484,12 @@ class TestGridMaximizeAgainstReference:
     def test_cached_lattice_is_read_only_and_result_is_owned(self):
         cfg = oracle.OracleConfig()
         seen = []
-        oracle.grid_maximize(lambda r: seen.append(r) or 0.0, cfg)
+        oracle.grid_maximize_stack(stack_of([lambda r: seen.append(r) or 0.0]), 1, cfg)
         with pytest.raises(ValueError):
             seen[0][0] = 5.0
-        best, argmax = oracle.grid_maximize(lambda r: -float(r[2]), cfg)
-        argmax[0] = 5.0
-        assert oracle.grid_maximize(lambda r: -float(r[2]), cfg)[0] == best
-
-
-def _stack_of(objectives):
-    """A stacked objective whose row n calls ``objectives[n]`` on each of its points."""
-
-    def stacked(points, rows):
-        shape = np.broadcast_shapes(points.shape[:-1], np.shape(rows))
-        rows = np.broadcast_to(rows, shape).ravel()
-        points = np.broadcast_to(points, shape + (3,)).reshape(-1, 3)
-        return np.array([float(objectives[n](r)) for n, r in zip(rows, points)]).reshape(shape)
-
-    return stacked
+        best, argmax = oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1, cfg)
+        argmax[0, 0] = 5.0
+        assert oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1, cfg)[0] == best
 
 
 def _unit_test_objectives(rng):
@@ -551,7 +544,7 @@ class TestGridMaximizeStack:
         cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=resolution)
         objectives = _unit_test_objectives(rng)
         counted = [_counted(objective) for objective in objectives]
-        values, argmax = oracle.grid_maximize_stack(_stack_of([f for f, _ in counted]), len(objectives), cfg)
+        values, argmax = oracle.grid_maximize_stack(stack_of([f for f, _ in counted]), len(objectives), cfg)
         self.assert_rows_match_float_reference(values, argmax, objectives, cfg)
         # Every lattice point and pattern step of every row is evaluated.
         for objective, (_, calls) in zip(objectives, counted):
@@ -561,14 +554,14 @@ class TestGridMaximizeStack:
 
     def test_degenerate_objectives_behave_as_per_point(self):
         cfg = oracle.OracleConfig(seed=1, samples=1)
-        values, argmax = oracle.grid_maximize_stack(_stack_of(DEGENERATE_OBJECTIVES), len(DEGENERATE_OBJECTIVES), cfg)
+        values, argmax = oracle.grid_maximize_stack(stack_of(DEGENERATE_OBJECTIVES), len(DEGENERATE_OBJECTIVES), cfg)
         self.assert_rows_match_float_reference(values, argmax, DEGENERATE_OBJECTIVES, cfg)
         lattice = oracle._coarse_lattice(cfg.grid_resolution)
         for row in (0, 1):
             assert values[row] == -math.inf and argmax[row].tobytes() == lattice[0].tobytes()
         assert values[3] == math.inf
         for objective, value in zip(DEGENERATE_OBJECTIVES, values):
-            assert oracle.grid_maximize(objective, cfg)[0] == value or math.isnan(value)
+            assert oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)[0] == value or math.isnan(value)
 
     def test_scalar_valued_objective_broadcasts(self):
         cfg = oracle.OracleConfig(seed=1, samples=1)
@@ -582,9 +575,9 @@ class TestGridMaximizeStack:
         objectives = [*_unit_test_objectives(rng), *DEGENERATE_OBJECTIVES, *map(_float_contrast, diffs),
                       *map(_float_correct_prob, evidences), *map(_float_equatorial, reduced)]
         rng.shuffle(objectives)
-        values, argmax = oracle.grid_maximize_stack(_stack_of(objectives), len(objectives), cfg)
+        values, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
         for n, objective in enumerate(objectives):
-            value, r = oracle.grid_maximize_stack(_stack_of([objective]), 1, cfg)
+            value, r = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
             assert values[n : n + 1].tobytes() == value.tobytes()
             assert argmax[n : n + 1].tobytes() == r.tobytes()
 
@@ -611,8 +604,8 @@ class TestGridMaximizeStack:
         for objective in (*DEGENERATE_OBJECTIVES, _float_contrast(_suite_inputs(42, 1)[0][0])):
             fast, fast_calls = _counted(objective)
             slow, slow_calls = _counted(objective)
-            got = oracle.grid_maximize(fast, cfg)
+            got = oracle.grid_maximize_stack(stack_of([fast]), 1, cfg)
             want = float_reference_grid_maximize(slow, cfg)
             assert len(fast_calls) == len(slow_calls)
-            assert got[1].tobytes() == want[1].tobytes()
+            assert got[1][0].tobytes() == want[1].tobytes()
 

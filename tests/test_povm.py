@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzpovm import linalg, oracle, povm
+from mzpovm import extraction, linalg, oracle, povm
 from mzpovm.errors import (
     DimensionMismatch,
     InvalidStochasticMatrix,
     NotAPartition,
-    NotJointlyMeasurable,
     NotSharp,
     NotTwoOutcome,
 )
+
+from conftest import stack_of
 
 SX, SY, SZ = linalg.pauli_triple()
 I2 = np.eye(2, dtype=complex)
@@ -21,6 +22,14 @@ I2 = np.eye(2, dtype=complex)
 
 def two_outcome(f: float, axis=SX) -> povm.DiscretePovm:
     return povm.DiscretePovm(("1", "2"), [0.5 * (I2 + f * axis), 0.5 * (I2 - f * axis)])
+
+
+def joint_povm(f: float, g: float) -> povm.DiscretePovm:
+    return povm.DiscretePovm(povm.JOINT_LABELS, povm.joint_xz_effects(f, g)[0][0])
+
+
+def smear_one(sharp: povm.DiscretePovm, w) -> np.ndarray:
+    return povm.smear_stack(sharp.effects[None], np.asarray(w)[None])[0]
 
 
 class TestValidate:
@@ -202,17 +211,17 @@ class TestSmear:
         # The classic bit-flip smearing with parameter f.
         f = 0.6
         w = 0.5 * np.array([[1 + f, 1 - f], [1 - f, 1 + f]])
-        got = povm.smear(two_outcome(1.0, SX), w)
-        np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + f * SX), atol=1e-14)
-        np.testing.assert_allclose(got.operator("2"), 0.5 * (I2 - f * SX), atol=1e-14)
+        got = smear_one(two_outcome(1.0, SX), w)
+        np.testing.assert_allclose(got[0], 0.5 * (I2 + f * SX), atol=1e-14)
+        np.testing.assert_allclose(got[1], 0.5 * (I2 - f * SX), atol=1e-14)
 
     def test_identity_matrix_preserves_input(self):
-        got = povm.smear(two_outcome(1.0, SZ), np.eye(2))
-        np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + SZ), atol=1e-15)
+        got = smear_one(two_outcome(1.0, SZ), np.eye(2))
+        np.testing.assert_allclose(got[0], 0.5 * (I2 + SZ), atol=1e-15)
 
     def test_uniform_matrix_gives_trivial(self):
-        got = povm.smear(two_outcome(1.0, SX), 0.5 * np.ones((2, 2)))
-        cls = povm.validate(got)
+        got = smear_one(two_outcome(1.0, SX), 0.5 * np.ones((2, 2)))
+        cls = povm.validate(povm.DiscretePovm(("1", "2"), got))
         assert cls.valid and cls.trivial
 
     def test_output_valid_and_commutative(self, rng):
@@ -224,28 +233,27 @@ class TestSmear:
             rows = int(rng.integers(2, 5))
             w = rng.random((rows, 2)) + 1e-3
             w /= w.sum(axis=0, keepdims=True)
-            smeared = povm.smear(pvm, w)
-            assert povm.validate(smeared).valid
-            ops = smeared.effects
+            ops = smear_one(pvm, w)
+            assert povm.classify_effects(ops[None]).valid[0]
             for i in range(len(ops)):
                 for j in range(i + 1, len(ops)):
                     assert np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])) <= 1e-12
 
     def test_wrong_column_count(self):
         with pytest.raises(DimensionMismatch):
-            povm.smear(two_outcome(1.0, SZ), np.ones((2, 3)) / 2)
+            smear_one(two_outcome(1.0, SZ), np.ones((2, 3)) / 2)
 
     def test_bad_column_sums(self):
         with pytest.raises(InvalidStochasticMatrix):
-            povm.smear(two_outcome(1.0, SZ), np.array([[0.7, 0.7], [0.7, 0.7]]))
+            smear_one(two_outcome(1.0, SZ), np.array([[0.7, 0.7], [0.7, 0.7]]))
 
     def test_negative_entries(self):
         with pytest.raises(InvalidStochasticMatrix):
-            povm.smear(two_outcome(1.0, SZ), np.array([[1.2, 0.0], [-0.2, 1.0]]))
+            smear_one(two_outcome(1.0, SZ), np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
     def test_unsharp_input_rejected(self):
         with pytest.raises(NotSharp):
-            povm.smear(two_outcome(0.5), np.eye(2))
+            smear_one(two_outcome(0.5), np.eye(2))
 
 
 def random_pvm_stack(rng, n: int) -> np.ndarray:
@@ -316,48 +324,42 @@ class TestSmearStack:
 
 class TestMarginal:
     def test_first_index_grouping_recovers_x_marginal(self):
-        pair = povm.UnsharpPair(0.6, 0.3)
-        joint = povm.joint_xz(pair)
-        got = povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING)
+        got = povm.marginal(joint_povm(0.6, 0.3), extraction.DETECTOR_GROUPING)
         np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + 0.6 * SX), atol=1e-14)
         np.testing.assert_allclose(got.operator("2"), 0.5 * (I2 - 0.6 * SX), atol=1e-14)
 
     def test_second_index_grouping_recovers_z_marginal(self):
-        pair = povm.UnsharpPair(0.6, 0.3)
-        joint = povm.joint_xz(pair)
-        got = povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING)
+        got = povm.marginal(joint_povm(0.6, 0.3), extraction.PROBE_GROUPING)
         np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + 0.3 * SZ), atol=1e-14)
         np.testing.assert_allclose(got.operator("2"), 0.5 * (I2 - 0.3 * SZ), atol=1e-14)
 
     def test_singleton_grouping_is_identity(self):
-        joint = povm.joint_xz(povm.UnsharpPair(0.5, 0.5))
+        joint = joint_povm(0.5, 0.5)
         got = povm.marginal(joint, {label: (label,) for label in joint.labels})
         for label in joint.labels:
             np.testing.assert_array_equal(got.operator(label), joint.operator(label))
 
     def test_non_partition_rejected(self):
-        joint = povm.joint_xz(povm.UnsharpPair(0.5, 0.5))
+        joint = joint_povm(0.5, 0.5)
         with pytest.raises(NotAPartition):
             povm.marginal(joint, {"a": ("11", "21"), "b": ("12", "11")})
 
 
 class TestJointXZ:
     def test_sharp_x_trivial_z_limit(self):
-        joint = povm.joint_xz(povm.UnsharpPair(1.0, 0.0))
-        x_marginal = povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING)
-        z_marginal = povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING)
+        joint = joint_povm(1.0, 0.0)
+        x_marginal = povm.marginal(joint, extraction.DETECTOR_GROUPING)
+        z_marginal = povm.marginal(joint, extraction.PROBE_GROUPING)
         assert povm.validate(x_marginal).sharp
         assert povm.validate(z_marginal).trivial
         np.testing.assert_allclose(joint.operator("11"), 0.25 * (I2 + SX), atol=1e-15)
         np.testing.assert_allclose(joint.operator("12"), 0.25 * (I2 + SX), atol=1e-15)
 
     def test_boundary_pair_still_valid(self):
-        joint = povm.joint_xz(povm.UnsharpPair(1 / math.sqrt(2), 1 / math.sqrt(2)))
+        joint = joint_povm(1 / math.sqrt(2), 1 / math.sqrt(2))
         cls = povm.validate(joint)
         assert cls.valid
-        lowest = min(
-            ev for op in joint.effects for ev, _ in linalg.eig_hermitian(op)
-        )
+        lowest = linalg.eig_hermitian_stack(joint.effects)[0].min()
         assert lowest == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_of_one_matches_stacked_builder(self, rng):
@@ -366,52 +368,43 @@ class TestJointXZ:
         effects, admitted = povm.joint_xz_effects(f, g)
         assert effects.shape == (40, 4, 2, 2)
         for n in range(40):
-            pair = povm.UnsharpPair(float(f[n]), float(g[n]))
             assert admitted[n] == (f[n] ** 2 + g[n] ** 2 <= 1.0 + povm.JOINT_BOUNDARY_TOL)
-            if not admitted[n]:
-                with pytest.raises(NotJointlyMeasurable):
-                    povm.joint_xz(pair)
-                continue
-            joint = povm.joint_xz(pair)
-            assert joint.labels == povm.JOINT_LABELS
-            for k, label in enumerate(joint.labels):
-                np.testing.assert_array_equal(joint.operator(label), effects[n, k])
+            one, one_admitted = povm.joint_xz_effects(float(f[n]), float(g[n]))
+            assert one_admitted.tolist() == [admitted[n]]
+            np.testing.assert_array_equal(one[0], effects[n])
+            assert povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, one[0])).valid == admitted[n]
 
     def test_stacked_builder_rejects_unpaired_arrays(self):
         with pytest.raises(DimensionMismatch):
             povm.joint_xz_effects([0.1, 0.2], [0.3])
 
     def test_inadmissible_pair_rejected(self):
-        with pytest.raises(NotJointlyMeasurable):
-            povm.joint_xz(povm.UnsharpPair(0.8, 0.8))
+        effects, admitted = povm.joint_xz_effects(0.8, 0.8)
+        assert not admitted[0]
+        assert not povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, effects[0])).valid
 
     def test_jointly_measurable_examples(self):
-        assert povm.jointly_measurable(povm.UnsharpPair(1.0, 0.0))
-        assert not povm.jointly_measurable(povm.UnsharpPair(0.8, 0.8))
+        assert povm.jointly_measurable_stack([1.0, 0.8], [0.0, 0.8]).tolist() == [True, False]
 
     @pytest.mark.parametrize("excess", [5e-11, 1e-10])
     def test_boundary_band_is_admitted_as_the_constructor_admits_it(self, excess):
-        # f^2 + g^2 in (1 + 1e-12, 1 + 1e-10]: joint_xz builds a valid POVM,
+        # f^2 + g^2 in (1 + 1e-12, 1 + 1e-10]: the builder makes a valid POVM,
         # so the predicate must say the pair is jointly measurable.
-        pair = povm.UnsharpPair(1.0, math.sqrt(excess))
-        assert 1.0 + 1e-12 < pair.f * pair.f + pair.g * pair.g <= 1.0 + 1e-10
-        assert povm.validate(povm.joint_xz(pair)).valid
-        assert povm.jointly_measurable(pair)
+        f, g = 1.0, math.sqrt(excess)
+        assert 1.0 + 1e-12 < f * f + g * g <= 1.0 + 1e-10
+        effects, admitted = povm.joint_xz_effects(f, g)
+        assert povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, effects[0])).valid
+        assert admitted[0] and povm.jointly_measurable_stack(f, g)[0]
 
     def test_just_outside_the_band_is_rejected_by_both(self):
-        pair = povm.UnsharpPair(1.0, math.sqrt(2e-10))
-        assert not povm.jointly_measurable(pair)
-        with pytest.raises(NotJointlyMeasurable):
-            povm.joint_xz(pair)
+        f, g = 1.0, math.sqrt(2e-10)
+        assert not povm.jointly_measurable_stack(f, g)[0]
+        assert not povm.joint_xz_effects(f, g)[1][0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 2.0 * math.pi))
     def test_exact_boundary_always_admissible(self, angle):
-        assert povm.jointly_measurable(povm.UnsharpPair(math.sin(angle), math.cos(angle)))
-
-    def test_pair_out_of_square_rejected(self):
-        with pytest.raises(ValueError):
-            povm.UnsharpPair(1.2, 0.0)
+        assert povm.jointly_measurable_stack(math.sin(angle), math.cos(angle))[0]
 
 
 class TestContrastUnsharpness:
@@ -431,12 +424,11 @@ class TestContrastUnsharpness:
 
     def test_wrong_outcome_count(self):
         with pytest.raises(NotTwoOutcome):
-            povm.contrast(povm.joint_xz(povm.UnsharpPair(0.5, 0.5)))
+            povm.contrast(joint_povm(0.5, 0.5))
 
     def test_unsharpness_examples(self):
-        assert povm.unsharpness(two_outcome(1.0)) == pytest.approx(0.0, abs=1e-14)
-        assert povm.unsharpness(two_outcome(0.0)) == pytest.approx(1.0, abs=1e-14)
-        assert povm.unsharpness(two_outcome(0.6)) == pytest.approx(0.64, abs=1e-14)
+        got = povm.unsharpness_stack(np.array([two_outcome(f).effects for f in (1.0, 0.0, 0.6)]))
+        np.testing.assert_allclose(got, [0.0, 1.0, 0.64], rtol=0, atol=1e-14)
 
     def test_unsharpness_is_minimal_outcome_variance(self):
         # Grid-minimize the outcome variance over the Bloch sphere and
@@ -444,13 +436,14 @@ class TestContrastUnsharpness:
         p = two_outcome(0.6)
         diff = p.effects[0] - p.effects[1]
         cfg = oracle.OracleConfig(seed=3, samples=1)
-        best, _ = oracle.grid_maximize(
-            lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)), cfg
+        (best,), _ = oracle.grid_maximize_stack(
+            stack_of([lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))]), 1, cfg
         )
-        assert 1.0 - best**2 == pytest.approx(povm.unsharpness(p), abs=1e-6)
+        assert 1.0 - best**2 == pytest.approx(povm.unsharpness_stack(p.effects[None])[0], abs=1e-6)
 
     def test_contrast_matches_grid_oracle(self, rng):
         cfg = oracle.OracleConfig(seed=4, samples=1)
+        povms, objectives = [], []
         for _ in range(50):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
@@ -460,18 +453,21 @@ class TestContrastUnsharpness:
             p = povm.DiscretePovm(("1", "2"), [e1, I2 - e1])
             assert povm.validate(p).valid
             diff = p.effects[0] - p.effects[1]
-            best, _ = oracle.grid_maximize(
-                lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)),
-                cfg,
-            )
-            assert best == pytest.approx(povm.contrast(p), abs=1e-6)
+            povms.append(p)
+            objectives.append(lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)))
+        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        for value, p in zip(best, povms):
+            assert value == pytest.approx(povm.contrast(p), abs=1e-6)
 
     def test_unsharpness_sum_bound_on_admissible_pairs(self, rng):
+        f, g = [], []
         for _ in range(200):
             angle = rng.random() * 2.0 * math.pi
             scale = math.sqrt(rng.random())
-            pair = povm.UnsharpPair(scale * math.cos(angle), scale * math.sin(angle))
-            joint = povm.joint_xz(pair)
-            u_f = povm.unsharpness(povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING))
-            u_g = povm.unsharpness(povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING))
-            assert u_f + u_g >= 1.0 - 1e-12
+            f.append(scale * math.cos(angle))
+            g.append(scale * math.sin(angle))
+        effects, admitted = povm.joint_xz_effects(f, g)
+        assert admitted.all()
+        u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
+        u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
+        assert np.all(u_f + u_g >= 1.0 - 1e-12)

@@ -6,7 +6,7 @@ import pytest
 from mzpovm import complementarity, interferometer, linalg, oracle, povm, relations
 from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
-from conftest import random_bloch_in_ball, random_pure
+from conftest import random_bloch_in_ball, random_pure, stack_of
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -88,7 +88,7 @@ class TestEntropicBound:
 
     def test_diagonal_direction_exceeds_bound(self):
         # The pure state along (1, 1, 1) / sqrt 3: the top eigenvector of its projector.
-        psi = linalg.eig_hermitian(linalg.density_from_bloch(np.array([1.0, 1.0, 1.0]) / math.sqrt(3)))[0][1]
+        psi = linalg.eig_hermitian_stack(linalg.density_from_bloch(np.array([1.0, 1.0, 1.0]) / math.sqrt(3)))[1][0]
         report = relations.entropic_bound(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
         )
@@ -182,126 +182,132 @@ class TestContrasts:
         assert c.path**2 + c.interference_x**2 == pytest.approx(1.0, abs=1e-14)
 
 
+def reduced_state(alpha, beta, p1, p2) -> np.ndarray:
+    """The photon state of alpha |1>|p1> + beta |2>|p2>, probe traced out."""
+    return linalg.partial_trace_probe_stack(np.concatenate([alpha * np.asarray(p1), beta * np.asarray(p2)])[None])[0]
+
+
+def pointer_success(alpha, beta, p1, p2, r) -> float:
+    """Direct route to L: read the probe along r, guess path 1 on +r and path 2 on -r."""
+    plus = linalg.density_from_bloch(r)
+    return float(abs(alpha) ** 2 * np.vdot(p1, plus @ p1).real + abs(beta) ** 2 * np.vdot(p2, (I2 - plus) @ p2).real)
+
+
 class TestDistinguishability:
     def test_orthogonal_markers_fully_distinguishable(self, rng):
-        for _ in range(10):
-            psi = random_pure(rng)
-            audit = relations.erasure_duality(psi[0], psi[1], [1, 0], [0, 1])
-            assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
+        psi = np.array([random_pure(rng) for _ in range(10)])
+        audit = relations.erasure_duality_stack(psi[:, 0], psi[:, 1], [[1, 0]] * 10, [[0, 1]] * 10)
+        np.testing.assert_allclose(audit.distinguishability, 1.0, rtol=0, atol=1e-12)
 
     def test_balanced_input_tilted_markers(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
-        audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
         assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
 
     def test_path_eigenstate_always_distinguishable(self):
         p1, p2 = interferometer.marker_states(1.1)
-        audit = relations.erasure_duality(1.0, 0.0, p1, p2)
+        audit = relations.erasure_duality_stack([1.0], [0.0], [p1], [p2]).report(0)
         assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_identity(self, rng):
+        inputs = []
         for _ in range(200):
             psi = random_pure(rng)
             theta = float(rng.uniform(0, math.pi / 2))
-            p1, p2 = interferometer.marker_states(theta)
-            audit = relations.erasure_duality(psi[0], psi[1], p1, p2)
+            inputs.append((psi[0], psi[1], *interferometer.marker_states(theta)))
+        audits = relations.erasure_duality_stack(*zip(*inputs))
+        for i, (alpha, beta, p1, p2) in enumerate(inputs):
+            audit = audits.report(i)
             overlap = abs(np.vdot(p1, p2))
-            want = math.sqrt(1 - 4 * abs(psi[0]) ** 2 * abs(psi[1]) ** 2 * overlap**2)
+            want = math.sqrt(1 - 4 * abs(alpha) ** 2 * abs(beta) ** 2 * overlap**2)
             assert audit.distinguishability == pytest.approx(want, abs=1e-12)
-            # D = 2L - 1 for the success probability L of the coincidence
-            # POVM read along the optimal pointer direction.
-            h = relations.coincidence_povm(p1, p2, audit.pointer_direction)
-            success = linalg.expectation(h.operator("correct"), linalg.pure_density(psi))
+            # D = 2L - 1 for the success probability L of the probe readout
+            # along the optimal pointer direction.
+            success = pointer_success(alpha, beta, p1, p2, audit.pointer_direction)
             assert audit.distinguishability == pytest.approx(2 * success - 1, abs=1e-12)
 
     def test_degenerate_direction_flagged(self):
         p1, p2 = interferometer.marker_states(math.pi / 2)
-        audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
         assert audit.pointer_direction is None
         assert audit.distinguishability == 0.0
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(NotNormalized):
-            relations.erasure_duality(1.0, 1.0, [1, 0], [0, 1])
+            relations.erasure_duality_stack([1.0], [1.0], [[1, 0]], [[0, 1]])
 
 
 class TestCoincidencePovm:
     def test_orthogonal_markers_aligned_pointer_gives_certainty(self):
-        h = relations.coincidence_povm([1, 0], [0, 1], [0, 0, 1])
-        np.testing.assert_allclose(h.operator("correct"), I2, atol=1e-14)
-        np.testing.assert_allclose(h.operator("error"), np.zeros((2, 2)), atol=1e-14)
-        # Direct route: |alpha|^2 |<r1|p1>|^2 + |beta|^2 |<r2|p2>|^2 = 1.
-        for alpha, beta in ((1.0, 0.0), (0.6, 0.8)):
-            rho = linalg.pure_density([alpha, beta])
-            assert linalg.expectation(h.operator("correct"), rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identical_markers_at_transverse_pointer_is_chance(self):
-        p1, p2 = interferometer.marker_states(math.pi / 2)
-        h = relations.coincidence_povm(p1, p2, [0, 0, 1])
-        # Markers along +x, pointer along z: coincidence at chance level.
-        np.testing.assert_allclose(h.operator("correct"), 0.5 * I2, atol=1e-14)
+        audits = relations.erasure_duality_stack([1.0, 0.6], [0.0, 0.8], [[1, 0]] * 2, [[0, 1]] * 2)
+        for i, (alpha, beta) in enumerate(((1.0, 0.0), (0.6, 0.8))):
+            audit = audits.report(i)
+            np.testing.assert_allclose(audit.pointer_direction, [0.0, 0.0, 1.0], atol=1e-14)
+            # Direct route: |alpha|^2 |<r1|p1>|^2 + |beta|^2 |<r2|p2>|^2 = 1.
+            success = pointer_success(alpha, beta, np.array([1, 0]), np.array([0, 1]), audit.pointer_direction)
+            assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_markers_general_form(self):
+        # Identical markers carry no path evidence beyond the amplitudes:
+        # the pointer lies along their Bloch vector and D = ||alpha|^2 - |beta|^2|.
         p1, p2 = interferometer.marker_states(math.pi / 2)
-        r = np.array([1.0, 0.0, 0.0])
-        h = relations.coincidence_povm(p1, p2, r)
-        b1 = linalg.bloch_from_state(p1)
-        np.testing.assert_allclose(
-            h.operator("correct"), 0.5 * (I2 + float(r @ b1) * SZ), atol=1e-14
-        )
+        alphas, betas = [0.8, 0.6], [0.6, 0.8]
+        audits = relations.erasure_duality_stack(alphas, betas, [p1, p1], [p2, p2])
+        b1 = linalg.bloch_from_density(np.outer(p1, p1.conj()))
+        for i, (alpha, beta) in enumerate(zip(alphas, betas)):
+            audit = audits.report(i)
+            sign = 1.0 if alpha > beta else -1.0
+            np.testing.assert_allclose(audit.pointer_direction, sign * b1, atol=1e-14)
+            assert audit.distinguishability == pytest.approx(abs(alpha**2 - beta**2), abs=1e-14)
 
     def test_variance_matches_distinguishability(self, rng):
+        inputs = []
         for _ in range(100):
             theta = float(rng.uniform(0, math.pi / 2))
             weight = float(rng.random())
-            alpha, beta = math.sqrt(weight), math.sqrt(1 - weight)
-            p1, p2 = interferometer.marker_states(theta)
-            result = relations.erasure_duality(alpha, beta, p1, p2)
+            inputs.append((math.sqrt(weight), math.sqrt(1 - weight), *interferometer.marker_states(theta)))
+        audits = relations.erasure_duality_stack(*zip(*inputs))
+        for i, (alpha, beta, p1, p2) in enumerate(inputs):
+            result = audits.report(i)
             direction = result.pointer_direction
             if direction is None:
                 direction = np.array([0.0, 0.0, 1.0])
-            h = relations.coincidence_povm(p1, p2, direction)
             # Variance of the +/-1-valued outcome: 1 - <H_corr - H_err>^2.
-            bias = np.trace((h.operator("correct") - h.operator("error")) @ linalg.pure_density([alpha, beta])).real
+            bias = 2.0 * pointer_success(alpha, beta, p1, p2, direction) - 1.0
             var = 1.0 - bias**2
             assert var == pytest.approx(1.0 - result.distinguishability**2, abs=1e-12)
-
-    def test_non_unit_pointer_rejected(self):
-        for direction in ([0, 0, 2], [np.nan] * 3, [np.inf, 0, 0]):
-            with pytest.raises(NotNormalized):
-                relations.coincidence_povm([1, 0], [0, 1], direction)
-
 
 
 class TestVisibility:
     def test_orthogonal_markers_kill_visibility(self):
-        rho_e = linalg.partial_trace_probe(relations.marked_state(PLUS[0], PLUS[1], [1, 0], [0, 1]))
-        assert relations.visibility_reduced(rho_e).value == pytest.approx(0.0, abs=1e-14)
+        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]]).report(0)
+        assert audit.visibility == pytest.approx(0.0, abs=1e-14)
 
     def test_balanced_input_visibility_is_overlap(self):
-        for theta in (0.3, 1.0, math.pi / 2):
-            p1, p2 = interferometer.marker_states(theta)
-            rho_e = linalg.partial_trace_probe(relations.marked_state(PLUS[0], PLUS[1], p1, p2))
-            assert relations.visibility_reduced(rho_e).value == pytest.approx(
-                math.sin(theta), abs=1e-12
-            )
+        thetas = (0.3, 1.0, math.pi / 2)
+        p1s, p2s = zip(*map(interferometer.marker_states, thetas))
+        audit = relations.erasure_duality_stack([PLUS[0]] * 3, [PLUS[1]] * 3, p1s, p2s)
+        np.testing.assert_allclose(audit.visibility, np.sin(thetas), rtol=0, atol=1e-12)
 
     def test_unmarked_coherent_state_has_unit_visibility(self):
-        rho = linalg.pure_density(PLUS)
-        result = relations.visibility_reduced(rho)
-        assert result.value == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(result.direction, [1.0, 0.0, 0.0], atol=1e-12)
+        result = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[1, 0]]).report(0)
+        assert result.visibility == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(result.visibility_direction, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_optimal_direction_attains_the_maximum(self, rng):
         cfg = oracle.OracleConfig(seed=11, samples=1)
+        inputs = []
         for _ in range(10):
             psi = random_pure(rng)
             theta = float(rng.uniform(0.1, math.pi / 2))
-            p1, p2 = interferometer.marker_states(theta)
-            rho_e = linalg.partial_trace_probe(relations.marked_state(psi[0], psi[1], p1, p2))
-            result = relations.visibility_reduced(rho_e)
-            s_n = result.direction[0] * SX + result.direction[1] * SY
-            assert abs(linalg.expectation(s_n, rho_e)) == pytest.approx(result.value, abs=1e-12)
+            inputs.append((psi[0], psi[1], *interferometer.marker_states(theta)))
+        audits = relations.erasure_duality_stack(*zip(*inputs))
+        objectives = []
+        for i, args in enumerate(inputs):
+            rho_e = reduced_state(*args)
+            result = audits.report(i)
+            s_n = result.visibility_direction[0] * SX + result.visibility_direction[1] * SY
+            assert abs(linalg.expectation(s_n, rho_e)) == pytest.approx(result.visibility, abs=1e-12)
 
             def equatorial(r, rho_e=rho_e):
                 planar = math.hypot(r[0], r[1])
@@ -311,20 +317,21 @@ class TestVisibility:
                     float(np.trace(rho_e @ ((r[0] * SX + r[1] * SY) / planar)).real)
                 )
 
-            best, _ = oracle.grid_maximize(equatorial, cfg)
-            assert best <= result.value + 1e-9
+            objectives.append(equatorial)
+        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        assert (best <= audits.visibility + 1e-9).all()
 
 
 class TestErasureDuality:
     def test_worked_point(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
-        audit = relations.erasure_duality(1 / math.sqrt(2), 1 / math.sqrt(2), p1, p2)
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
         assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
         assert audit.visibility == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         assert audit.duality.satisfied and abs(audit.duality.slack) <= 1e-12
 
     def test_orthogonal_markers(self):
-        audit = relations.erasure_duality(PLUS[0], PLUS[1], [1, 0], [0, 1])
+        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]]).report(0)
         assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
         assert audit.visibility == pytest.approx(0.0, abs=1e-12)
         assert audit.duality.satisfied
@@ -333,21 +340,22 @@ class TestErasureDuality:
         alpha = 0.9
         beta = math.sqrt(1 - alpha**2)
         p1, p2 = interferometer.marker_states(0.8)
-        audit = relations.erasure_duality(alpha, beta, p1, p2)
+        audit = relations.erasure_duality_stack([alpha], [beta], [p1], [p2]).report(0)
         assert abs(audit.duality.slack) <= 1e-9
         assert abs(audit.variance_tradeoff.slack) <= 1e-9
 
     def test_random_sweep(self, rng):
+        inputs = []
         for _ in range(300):
             theta = float(rng.uniform(0, math.pi / 2))
             weight = float(rng.random())
             phase = float(rng.uniform(0, 2 * math.pi))
             alpha = math.sqrt(weight)
             beta = math.sqrt(1 - weight) * np.exp(1j * phase)
-            p1, p2 = interferometer.marker_states(theta)
-            audit = relations.erasure_duality(alpha, beta, p1, p2)
-            assert abs(audit.duality.slack) <= 1e-9
-            assert abs(audit.variance_tradeoff.slack) <= 1e-9
+            inputs.append((alpha, beta, *interferometer.marker_states(theta)))
+        audit = relations.erasure_duality_stack(*zip(*inputs))
+        assert (np.abs(audit.duality.slack) <= 1e-9).all()
+        assert (np.abs(audit.variance_tradeoff.slack) <= 1e-9).all()
 
     def test_mixed_marker_preparations_fall_below_equality(self):
         # Classically mixing two marker choices gives D^2 + V_e^2 < 1:
@@ -357,26 +365,15 @@ class TestErasureDuality:
         pairs = [interferometer.marker_states(0.2), interferometer.marker_states(1.3)]
         weights = (0.5, 0.5)
         evidence = sum(
-            w * (abs(alpha) ** 2 * linalg.bloch_from_state(p1) - abs(beta) ** 2 * linalg.bloch_from_state(p2))
+            w * (abs(alpha) ** 2 * linalg.bloch_from_density(np.outer(p1, p1.conj()))
+                 - abs(beta) ** 2 * linalg.bloch_from_density(np.outer(p2, p2.conj())))
             for w, (p1, p2) in zip(weights, pairs)
         )
-        mixed_rho = sum(
-            w * linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2))
-            for w, (p1, p2) in zip(weights, pairs)
-        )
+        mixed_rho = sum(w * reduced_state(alpha, beta, p1, p2) for w, (p1, p2) in zip(weights, pairs))
         d_mixed = float(np.linalg.norm(evidence))
-        v_mixed = relations.visibility_reduced(mixed_rho).value
+        # V_e of any photon state is twice its coherence |rho_01|.
+        v_mixed = 2.0 * abs(mixed_rho[0, 1])
         assert d_mixed**2 + v_mixed**2 < 1.0 - 1e-3
-
-    def test_off_optimum_sum_reported_not_asserted(self):
-        # Away from the optimal pointer/interference directions the
-        # variance sum exceeds 1; report one value for the record.
-        p1, p2 = interferometer.marker_states(0.9)
-        h = relations.coincidence_povm(p1, p2, [1.0, 0.0, 0.0])
-        rho_e = linalg.partial_trace_probe(relations.marked_state(PLUS[0], PLUS[1], p1, p2))
-        bias = np.trace((h.operator("correct") - h.operator("error")) @ linalg.pure_density(PLUS)).real
-        off_sum = 1.0 - bias**2 + linalg.variance(SY, rho_e)
-        print(f"off-optimum variance sum: {off_sum!r}")
 
 
 class TestReportMechanics:
@@ -451,7 +448,7 @@ def reference_entropic_bound(ops_a, ops_b, psi):
 
 def reference_erasure(alpha, beta, p1, p2):
     """(pointer direction or None, D, V_e, visibility direction, D^2 + V_e^2, variance sum)."""
-    b1, b2 = linalg.bloch_from_state(p1), linalg.bloch_from_state(p2)
+    b1, b2 = (linalg.bloch_from_density(np.outer(p, np.conj(p))) for p in (p1, p2))
     evidence = abs(alpha) ** 2 * b1 - abs(beta) ** 2 * b2
     strength = float(np.linalg.norm(evidence))
     if strength < 1e-12:
@@ -459,7 +456,7 @@ def reference_erasure(alpha, beta, p1, p2):
     else:
         pointer, d = evidence / strength, min(1.0, strength)
     marked = alpha * np.kron([1.0, 0.0], p1) + beta * np.kron([0.0, 1.0], p2)
-    rho_e = linalg.partial_trace_probe(linalg.state_vector(marked))
+    rho_e = linalg.partial_trace_probe_stack(linalg.state_vector(marked)[None])[0]
     off = complex(rho_e[0, 1])
     if abs(off) < 1e-15:
         v_e, n = 0.0, np.array([1.0, 0.0, 0.0])
@@ -592,15 +589,6 @@ class TestStackedKernels:
         assert relations.entropic_bound(z_pvm, x_pvm, psi) == relations.entropic_bound_stack(
             z_pvm, x_pvm, psi[None]
         ).report(0)
-        # Field by field: == on records with array fields is ambiguous.
-        p1, p2 = interferometer.marker_states(0.7)
-        audit = relations.erasure_duality(psi[0], psi[1], p1, p2)
-        row = relations.erasure_duality_stack(psi[:1], psi[1:], p1[None], p2[None]).report(0)
-        assert type(audit.distinguishability) is type(audit.visibility) is float
-        assert (audit.distinguishability, audit.visibility) == (row.distinguishability, row.visibility)
-        assert audit.pointer_direction.tobytes() == row.pointer_direction.tobytes()
-        assert audit.visibility_direction.tobytes() == row.visibility_direction.tobytes()
-        assert (audit.duality, audit.variance_tradeoff) == (row.duality, row.variance_tradeoff)
 
     def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
         calls = []

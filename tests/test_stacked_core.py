@@ -30,7 +30,7 @@ def _reference_marking_unitary(p0, p1, p2):
 
 
 def _reference_total_unitary(p0, p1, p2, delta):
-    mz = interferometer.mz_evolution(delta)
+    mz = interferometer.mz_evolution_stack([delta])[0]
     return np.kron(mz, np.eye(2, dtype=complex)) @ _reference_marking_unitary(p0, p1, p2)
 
 
@@ -130,7 +130,8 @@ class TestStackedOracle:
         for configs in _groups():
             stacked = oracle.cross_check_stack(extraction.schemes_for(configs), cfg)
             for n in (0, len(configs) // 2, len(configs) - 1):
-                assert abs(stacked[n] - oracle.cross_check(configs[n], cfg)) <= TOL
+                alone = oracle.cross_check_stack(extraction.schemes_for([configs[n]]), cfg)[0]
+                assert abs(stacked[n] - alone) <= TOL
 
     def test_out_of_range_names_scheme_and_state(self):
         schemes = extraction.schemes_for([interferometer.MzConfig("path")] * 3)
@@ -192,7 +193,7 @@ def _scalar_sweep_row(config, psi):
     measured = extraction.extract_povm(scheme)
     probabilities = oracle.direct_probabilities(scheme, psi)
     _, p1, p2 = interferometer.probe_stack([config])[0]
-    audit = relations.erasure_duality(complex(psi[0]), complex(psi[1]), p1, p2)
+    audit = relations.erasure_duality_stack([complex(psi[0])], [complex(psi[1])], [p1], [p2]).report(0)
     row = {"D": audit.distinguishability, "V_e": audit.visibility, "duality_slack": audit.duality.slack}
     if len(measured.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import interferometer, linalg, oracle, povm, relations, verify
+from mzpovm import extraction, interferometer, linalg, oracle, povm, relations, verify
 from mzpovm.errors import BlochOutOfBall, NotHermitian, NotNormalized
 
 from conftest import random_hermitian
@@ -219,11 +219,12 @@ class TestEigHermitianStack:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_scalar_is_a_batch_of_one(self, rng, n):
+        # One (n, n) matrix decomposes exactly as the one-member stack holding it.
         h = random_hermitian(rng, n)
         values, vectors = linalg.eig_hermitian_stack(h[None])
-        pairs = linalg.eig_hermitian(h)
-        np.testing.assert_array_equal([ev for ev, _ in pairs], values[0])
-        np.testing.assert_array_equal([v for _, v in pairs], vectors[0])
+        alone_values, alone_vectors = linalg.eig_hermitian_stack(h)
+        np.testing.assert_array_equal(alone_values, values[0])
+        np.testing.assert_array_equal(alone_vectors, vectors[0])
 
     def test_non_square_rejected(self):
         with pytest.raises(NotHermitian):
@@ -357,14 +358,16 @@ class TestSchmidtStack:
         np.testing.assert_array_equal(product, np.arange(len(vecs)) < 50)
 
     def test_scalar_is_a_batch_of_one(self, rng):
-        v = _entangled(rng, 0.7)
-        weights, photon, probe = linalg.schmidt_stack(v[None])
-        dec = linalg.schmidt(v)
-        assert dec.weight == weights[0]
-        np.testing.assert_array_equal(dec.photon_pair, photon[0])
-        np.testing.assert_array_equal(dec.probe_pair, probe[0])
-        np.testing.assert_array_equal(dec.reconstruct(), linalg.schmidt_terms(weights, photon, probe)[0].sum(axis=0))
-        assert linalg.adapted_observable_variance(v) == linalg.adapted_observable_variance_stack(v[None])[0]
+        # A one-member stack decomposes its vector exactly as row 1 of a larger stack.
+        vecs = np.array([_product(rng), _entangled(rng, 0.7), _entangled(rng, 0.6)])
+        weights, photon, probe = linalg.schmidt_stack(vecs)
+        alone = linalg.schmidt_stack(vecs[1:2])
+        for got, want in zip(alone, (weights, photon, probe)):
+            np.testing.assert_array_equal(got[0], want[1])
+        np.testing.assert_array_equal(
+            linalg.schmidt_terms(*alone)[0], linalg.schmidt_terms(weights, photon, probe)[1]
+        )
+        assert linalg.adapted_observable_variance_stack(vecs[1:2])[0] == linalg.adapted_observable_variance_stack(vecs)[1]
 
     def test_adapted_observable_has_plus_minus_one_on_schmidt_products(self, rng):
         v = _entangled(rng, 0.8)
@@ -406,7 +409,6 @@ class TestJointlyMeasurableStack:
         f, g = rng.uniform(-1.0, 1.0, (2, 500))
         _, admitted = povm.joint_xz_effects(f, g)
         np.testing.assert_array_equal(povm.jointly_measurable_stack(f, g), admitted)
-        assert [povm.jointly_measurable(povm.UnsharpPair(a, b)) for a, b in zip(f, g)] == admitted.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -428,25 +430,26 @@ def _spy(monkeypatch, module, name):
 
 def _old_unsharp_loop(rng, n):
     # The old per-sample loop of the joint-marginality and unsharpness
-    # checks, on the scalar API: the pairs, and the worst marginal and
+    # checks, one pair at a time: the pairs, and the worst marginal and
     # trade-off deviations.
     sx, _, sz = linalg.pauli_triple()
     pairs, marginal_worst, trade_worst = [], 0.0, 0.0
     for _ in range(n):
         angle = rng.random() * 2.0 * math.pi
         scale = math.sqrt(rng.random())
-        pair = povm.UnsharpPair(scale * math.cos(angle), scale * math.sin(angle))
-        pairs.append((pair.f, pair.g))
-        joint = povm.joint_xz(pair)
-        first = povm.marginal(joint, povm.JOINT_FIRST_INDEX_GROUPING)
-        second = povm.marginal(joint, povm.JOINT_SECOND_INDEX_GROUPING)
+        f, g = scale * math.cos(angle), scale * math.sin(angle)
+        pairs.append((f, g))
+        joint = povm.DiscretePovm(povm.JOINT_LABELS, povm.joint_xz_effects(f, g)[0][0])
+        first = povm.marginal(joint, extraction.DETECTOR_GROUPING)
+        second = povm.marginal(joint, extraction.PROBE_GROUPING)
         for sign, label in ((1.0, "1"), (-1.0, "2")):
             marginal_worst = max(
                 marginal_worst,
-                float(np.max(np.abs(first.operator(label) - 0.5 * (np.eye(2) + sign * pair.f * sx)))),
-                float(np.max(np.abs(second.operator(label) - 0.5 * (np.eye(2) + sign * pair.g * sz)))),
+                float(np.max(np.abs(first.operator(label) - 0.5 * (np.eye(2) + sign * f * sx)))),
+                float(np.max(np.abs(second.operator(label) - 0.5 * (np.eye(2) + sign * g * sz)))),
             )
-        trade_worst = max(trade_worst, 1.0 - (povm.unsharpness(first) + povm.unsharpness(second)))
+        u_f, u_g = (povm.unsharpness_stack(m.effects[None])[0] for m in (first, second))
+        trade_worst = max(trade_worst, 1.0 - (u_f + u_g))
     return np.array(pairs), marginal_worst, max(0.0, trade_worst)
 
 
@@ -594,8 +597,9 @@ class TestDrawReplay:
             weight = rng.random()
             alpha, beta = math.sqrt(weight), math.sqrt(1.0 - weight)
             p1, p2 = interferometer.marker_states(theta)
-            evidences.append(alpha**2 * linalg.bloch_from_state(p1) - beta**2 * linalg.bloch_from_state(p2))
-            rhos.append(linalg.partial_trace_probe(relations.marked_state(alpha, beta, p1, p2)))
+            b1, b2 = (linalg.bloch_from_density_stack(np.outer(p, p.conj())) for p in (p1, p2))
+            evidences.append(alpha**2 * b1 - beta**2 * b2)
+            rhos.append(linalg.partial_trace_probe_stack(np.concatenate([alpha * p1, beta * p2])[None])[0])
             alphas.append(alpha)
             betas.append(beta)
             p1s.append(p1)

@@ -83,13 +83,16 @@ class TestTableFormat:
 
 class TestLazyImport:
     def test_package_and_cli_run_leave_verify_unloaded(self):
+        # Neither the suite nor complementarity, which only the suite calls,
+        # loads for a run; each loads on first attribute access.
         code = (
             "import contextlib, io, sys, mzpovm\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert mzpovm.cli.main(['run', '--experiment', 'path']) == 0\n"
-            "assert 'mzpovm.verify' not in sys.modules\n"
-            "assert callable(mzpovm.verify.run_all)\n"
-            "assert 'mzpovm.verify' in sys.modules\n"
+            "for name, attribute in (('complementarity', 'meet'), ('verify', 'run_all')):\n"
+            "    assert 'mzpovm.' + name not in sys.modules, name\n"
+            "    assert callable(getattr(getattr(mzpovm, name), attribute))\n"
+            "    assert 'mzpovm.' + name in sys.modules, name\n"
         )
         src = str(Path(mzpovm.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
