@@ -10,10 +10,13 @@ processes, median of 5 after one untimed warm-up, of ``import mzpovm``,
 2000``. With ``--baseline`` the two checkouts alternate run by run, the
 first of each pair alternating too, so a slow phase of a shared host falls
 on both sides; ``summary`` then gives, per workload and end-to-end metric,
-the median and quartiles of each side, their ratio and the pairs the
-checkout won, the per-layer counts of the traced ``verify`` suite that
-differ (calls, objective evaluations and the ratios) and the traced
-seconds of every ``verify`` check on each side. Each checkout runs its
+the median and quartiles of each side, their ratio, the pairs the
+checkout won and ``claim_met``, whether that is a gain by the rule for
+claiming one (better in at least 90% of the pairs, and a gap between the
+medians wider than the baseline's interquartile range); then the
+per-layer counts of the traced ``verify`` suite that differ (calls,
+objective evaluations and the ratios) and the traced seconds of every
+``verify`` check on each side. Each checkout runs its
 own ``perfbench`` on its own ``src``. ``src_lines`` gives the line count
 of each side's ``src/mzpovm/*.py``, and in ``summary`` the net change.
 
@@ -89,6 +92,12 @@ def summarize(runs: dict, traced: dict, lines: dict) -> dict:
                 entry["ratio"] = entry["checkout"]["median"] / entry["baseline"]["median"]
                 entry["checkout_better"] = sum(c < b for b, c in zip(base, change))
                 entry["pairs"] = len(base)
+                # Every end-to-end metric here is better lower. A gain counts when the
+                # checkout wins at least 90% of the pairs and the medians differ by
+                # more than the baseline's interquartile range.
+                gap = entry["baseline"]["median"] - entry["checkout"]["median"]
+                spread = entry["baseline"]["q3"] - entry["baseline"]["q1"]
+                entry["claim_met"] = 10 * entry["checkout_better"] >= 9 * len(base) and gap > spread
             summary[f"{workload}.{metric}"] = entry
     if "baseline" in traced:
         base, change = (traced[side]["result"]["metrics"] for side in ("baseline", "checkout"))

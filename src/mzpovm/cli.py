@@ -64,7 +64,8 @@ def _parse_input(text: str) -> np.ndarray:
     if not all(math.isfinite(x) for x in reals):
         raise UsageError(f"--input fields must be finite, got {text!r}")
     v = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
-    n = float(np.linalg.norm(v))
+    # numpy.linalg.norm(v), without its argument handling.
+    n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     if abs(n * n - 1.0) > 1e-6:
         raise UsageError(f"input state squared norm {n * n!r} deviates from 1 by more than 1e-6")
     if abs(n * n - 1.0) > 1e-10:
@@ -72,46 +73,25 @@ def _parse_input(text: str) -> np.ndarray:
     return v / n
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(values: np.ndarray) -> list:
+    # Complex entries as nested [re, im] lists, from one .tolist() of the interleaved parts.
+    values = np.ascontiguousarray(values, dtype=complex)
+    return values.view(float).reshape(values.shape + (2,)).tolist()
 
 
-def _matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_pair(complex(m[i, j])) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
-def _povm_dict(p: povm.DiscretePovm) -> dict:
-    return {label: _matrix(op) for label, op in zip(p.labels, p.effects)}
-
-
-def _classify(p: povm.DiscretePovm) -> dict:
-    cls = povm.validate(p)
-    if not cls.valid:
-        kind = "invalid"
-    elif cls.trivial:
-        kind = "trivial"
-    elif cls.sharp:
-        kind = "sharp"
-    else:
-        kind = "unsharp"
-    return {"valid": cls.valid, "sharp": cls.sharp, "trivial": cls.trivial, "kind": kind}
+def _classifications(effects: np.ndarray) -> list[dict]:
+    # The verdicts on an (N, K, d, d) stack of candidate POVMs, from one classification pass.
+    stack = povm.classify_effects(effects)
+    return [
+        {"valid": v, "sharp": s, "trivial": t, "kind": "trivial" if t else "sharp" if s else "unsharp" if v else "invalid"}
+        for v, s, t in zip(stack.valid.tolist(), stack.sharp.tolist(), stack.trivial.tolist())
+    ]
 
 
 def _report_dict(r: relations.RelationReport) -> dict:
-    return {
-        "name": r.name,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "kind": r.kind,
-        "satisfied": r.satisfied,
-        "slack": r.slack,
-    }
-
-
-def _bloch_list(v) -> list[float] | None:
-    if v is None:
-        return None
-    return [float(x) for x in v]
+    # The audit of the first state of a stacked record.
+    return {"name": r.name, "lhs": float(r.lhs[0]), "rhs": float(r.rhs[0]), "kind": r.kind,
+            "satisfied": bool(r.satisfied[0]), "slack": float(r.slack[0])}
 
 
 def _load_config(args) -> dict:
@@ -158,8 +138,11 @@ def _input_from_args(args, file_fields: dict) -> np.ndarray:
     if text is None and "input" in file_fields:
         reals = file_fields["input"]
         try:
+            # Exactly four JSON numbers; a bool is not a number here.
+            if not (type(reals) is list and len(reals) == 4 and {type(x) for x in reals} <= {int, float}):
+                raise TypeError
             text = ",".join(str(float(x)) for x in reals)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise UsageError(f"config field 'input' must list 4 numbers, got {reals!r}") from None
     if text is None:
         text = "0.7071067811865476,0,0.7071067811865476,0"
@@ -176,7 +159,7 @@ def _evaluate(configs, psi: np.ndarray):
     )
     n = len(configs)
     audit = relations.erasure_duality_stack(
-        np.full(n, psi[0]), np.full(n, psi[1]), probes[:, 1], probes[:, 2]
+        np.repeat(psi[:1], n), np.repeat(psi[1:], n), probes[:, 1], probes[:, 2]
     )
     probabilities = oracle.direct_probability_stack(schemes, psi)
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
@@ -185,62 +168,119 @@ def _evaluate(configs, psi: np.ndarray):
 def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
     """The full report for one configuration and input state; a batch of one of the sweep core."""
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    measured = povm.DiscretePovm(labels, effects[0])
-    rho = linalg.pure_density(psi)
-
-    reports = [relations.variance_ur(rho)]
-    reports.append(relations.entropic_bound(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi))
-    reports.extend(relations.triple_relations(rho))
+    variance_product, *triple = relations.state_relations_stack(linalg.pure_density(psi)[None])
+    entropy_pair = relations.entropic_bound_stack(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
+    reports = [variance_product, entropy_pair, *triple, audits.duality, audits.variance_tradeoff]
+    d, pointer = float(audits.distinguishability[0]), audits.pointer_direction[0]
 
     report: dict = {
-        "config": {
-            "experiment": config.experiment,
-            "delta": config.delta,
-            "gamma": config.gamma,
-            "theta": config.theta,
-            "effective_delta": interferometer.effective_delta(config),
-        },
-        "input": [_complex_pair(complex(psi[0])), _complex_pair(complex(psi[1]))],
-        "probabilities": {label: float(p) for label, p in zip(labels, probabilities[0])},
-        "povm": _povm_dict(measured),
-        "povm_classification": _classify(measured),
+        "config": {"experiment": config.experiment, "delta": config.delta, "gamma": config.gamma,
+                   "theta": config.theta, "effective_delta": interferometer.effective_delta(config)},
+        "input": _pairs(psi),
+        "probabilities": dict(zip(labels, probabilities[0].tolist())),
+        "povm": dict(zip(labels, _pairs(effects[0]))),
+        # No pointer direction (NaN) where the marker evidence vanishes.
+        "distinguishability": {"D": d, "L": 0.5 * (1.0 + d), "r0": None if np.isnan(pointer[0]) else pointer.tolist()},
+        "visibility": {"V_e": float(audits.visibility[0]), "n": audits.visibility_direction[0].tolist()},
     }
 
-    audit = audits.report(0)
-    reports.extend([audit.duality, audit.variance_tradeoff])
-    report["distinguishability"] = {
-        "D": audit.distinguishability,
-        "L": 0.5 * (1.0 + audit.distinguishability),
-        "r0": _bloch_list(audit.pointer_direction),
-    }
-    report["visibility"] = {
-        "V_e": audit.visibility,
-        "n": _bloch_list(audit.visibility_direction),
-    }
-
-    if len(labels) == 4:
-        grouped = extraction.marginals_of(measured)
+    if len(labels) == 2:
+        report["povm_classification"] = _classifications(effects)[0]
+    else:
+        groupings = (extraction.DETECTOR_GROUPING, extraction.PROBE_GROUPING, extraction.COINCIDENCE_GROUPING)
+        marginals = np.concatenate([povm.marginal_stack(effects, labels, g) for g in groupings])
+        # Zero effects change no verdict, so F, G and H padded to four effects
+        # share the joint POVM's classification pass.
+        candidates = np.zeros((4, 4, 2, 2), dtype=complex)
+        candidates[0], candidates[1:, :2] = effects[0], marginals
+        report["povm_classification"], *verdicts = _classifications(candidates)
         report["marginals"] = {
-            "F": {"effects": _povm_dict(grouped.detector), "classification": _classify(grouped.detector)},
-            "G": {"effects": _povm_dict(grouped.probe), "classification": _classify(grouped.probe)},
-            "H": {"effects": _povm_dict(grouped.coincidence), "classification": _classify(grouped.coincidence)},
+            name: {"effects": dict(zip(grouping, entries)), "classification": verdict}
+            for name, grouping, entries, verdict in zip("FGH", groupings, _pairs(marginals), verdicts)
         }
-        conditional = {}
+        measured = povm.DiscretePovm(labels, effects[0])
+        conditional = report["conditional_probabilities"] = {}
         for probe_label in ("1", "2"):
             try:
-                conditional[probe_label] = extraction.conditional_probabilities(
-                    measured, probe_label, psi
-                )
+                conditional[probe_label] = extraction.conditional_probabilities(measured, probe_label, psi)
             except ZeroProbabilityCondition:
                 conditional[probe_label] = None
-        report["conditional_probabilities"] = conditional
 
     report["relations"] = [_report_dict(r) for r in reports]
     return report
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOATS_ONLY = frozenset({float})
+
+
+class _FloatTexts(dict):
+    # The JSON text of each float of one report, one repr per value; zeros
+    # are not kept, since 0.0 and -0.0 are one key with two texts.
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x) if x - x == 0.0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+        if x:
+            self[x] = text
+        return text
+
+
+def _scalar_text(value, texts: _FloatTexts) -> str:
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return int.__repr__(value) if isinstance(value, int) else texts[value]
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key, texts: _FloatTexts) -> str:
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _ESCAPE(key) if isinstance(key, str) else '"' + _scalar_text(key, texts) + '"'
+
+
+def _write(value, newline: str, texts: _FloatTexts, out: list) -> None:
+    # Append the JSON text of value to out; newline is a line break plus
+    # the indentation of the line value starts on.
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening = "{" + inner
+        for key, item in sorted(value.items()):
+            head = opening + (_ESCAPE(key) if type(key) is str else _key_text(key, texts)) + ": "
+            opening = "," + inner
+            if type(item) is float:
+                out.append(head + texts[item])
+            elif type(item) is str:
+                out.append(head + _ESCAPE(item))
+            elif item is None or type(item) is bool:
+                out.append(head + ("null" if item is None else "true" if item else "false"))
+            else:
+                out.append(head)
+                _write(item, inner, texts, out)
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        if value and _FLOATS_ONLY.issuperset(map(type, value)):
+            # A list of floats, such as an [re, im] pair, is one join.
+            return out.append("[" + inner + ("," + inner).join(map(texts.__getitem__, value)) + newline + "]")
+        opening, deeper = "[" + inner, inner + "  "
+        for item in value:
+            if type(item) is list and item and _FLOATS_ONLY.issuperset(map(type, item)):
+                out.append(opening + "[" + deeper + ("," + deeper).join(map(texts.__getitem__, item)) + inner + "]")
+            else:
+                out.append(opening)
+                _write(item, inner, texts, out)
+            opening = "," + inner
+        out.append(newline + "]" if value else "[]")
+    else:
+        out.append(texts[value] if type(value) is float else _scalar_text(value, texts))
+
+
+def render_json(report) -> str:
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``, written in one pass."""
+    out: list[str] = []
+    _write(report, "\n", _FloatTexts(), out)
+    return "".join(out)
 
 
 def _fmt(value) -> str:

@@ -78,22 +78,21 @@ class SchemeStack:
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=(-2, -1))
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1))
 
 
 def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     # Every check is "not value <= tol", which rejects NaN: every
     # comparison with NaN is False.
     unitarity = _max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
-    norms = np.linalg.norm(p0, axis=1)
+    norms = np.sqrt(np.add.reduce((p0.conj() * p0).real, axis=1))
     idempotency = _max_abs(m @ m - m)
     hermiticity = _max_abs(m - m.conj().swapaxes(-1, -2))
-    total = _max_abs(m.sum(axis=1) - np.eye(4))
+    total = _max_abs(np.add.reduce(m, axis=1) - np.eye(4))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
     bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
     bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)
-    bad_total = ~(total <= SCHEME_PROJECTION_TOL)
-    bad = bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total
+    bad = bad_unitary | bad_probe | np.logical_or.reduce(bad_output, axis=1) | ~(total <= SCHEME_PROJECTION_TOL)
     if not bad.any():
         return
     k = int(np.argmax(bad))
@@ -130,9 +129,9 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
     if pointers is None:
         outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
         return SchemeStack(_DETECTOR_LABELS, unitaries, probes[:, 0], outputs)
-    pointers = np.asarray(pointers, dtype=complex)
-    outputs = [interferometer.output_projection_stack(k, pointers[:, l]) for l in (0, 1) for k in (1, 2)]
-    return SchemeStack(povm.JOINT_LABELS, unitaries, probes[:, 0], np.stack(outputs, axis=1))
+    # [n, l, k - 1] is |k><k| (x) |r_l><r_l|: label index 2 l + k - 1.
+    outputs = np.stack([interferometer.output_projection_stack(k, pointers) for k in (1, 2)], axis=2)
+    return SchemeStack(povm.JOINT_LABELS, unitaries, probes[:, 0], outputs.reshape(-1, 4, 4, 4))
 
 
 def schemes_for(configs) -> SchemeStack:
@@ -283,13 +282,10 @@ def conditional_probabilities(joint: povm.DiscretePovm, probe_label: str, psi) -
     """
     v = linalg.state_vector(psi)
     members = PROBE_GROUPING[probe_label]
-    denom = sum(float(np.vdot(v, joint.operator(m) @ v).real) for m in members)
+    joint_probabilities = [float(np.vdot(v, joint.operator(m) @ v).real) for m in members]
+    denom = sum(joint_probabilities)
     if denom <= 1e-12:
         raise ZeroProbabilityCondition(
             f"probe outcome {probe_label!r} has probability {denom!r} in this state"
         )
-    out = {}
-    for m in members:
-        detector = m[0]
-        out[detector] = float(np.vdot(v, joint.operator(m) @ v).real) / denom
-    return out
+    return {m[0]: p / denom for m, p in zip(members, joint_probabilities)}

@@ -141,20 +141,20 @@ def pointer_stack(configs) -> np.ndarray | None:
     if any(detector_only):
         raise UnsupportedExperiment("one stack cannot mix detector-only and pointer readouts")
     out = np.empty((len(configs), 2, 2), dtype=complex)
-    out[:] = np.eye(2)
+    out[:] = linalg.IDENTITY2
     erasure = [n for n, c in enumerate(configs) if c.experiment == "erasure"]
     if erasure:
         phase = np.exp(1j * np.array([configs[n].gamma for n in erasure]))
-        one = np.ones_like(phase)
-        out[erasure, 0] = np.stack([one, phase], axis=-1) / math.sqrt(2.0)
-        out[erasure, 1] = np.stack([one, -phase], axis=-1) / math.sqrt(2.0)
+        out[erasure, :, 0] = 1.0 / math.sqrt(2.0)
+        out[erasure, 0, 1] = phase / math.sqrt(2.0)
+        out[erasure, 1, 1] = -phase / math.sqrt(2.0)
     return out
 
 
 def _marking_blocks(probes: np.ndarray) -> np.ndarray:
     # V_k = |p_k><p0| + |p_k_perp><p0_perp| for k = 1, 2, as (N, 2, 2, 2) [n, k, row, col].
-    p0, pk = probes[:, 0, None, None, :], probes[:, 1:, :, None]
-    return pk * p0.conj() + linalg.perp(probes[:, 1:])[..., None] * linalg.perp(p0).conj()
+    p0, pk, perps = probes[:, 0, None, None, :], probes[:, 1:, :, None], linalg.perp(probes)
+    return pk * p0.conj() + perps[:, 1:, :, None] * perps[:, 0, None, None, :].conj()
 
 
 def marking_unitary_stack(probes) -> np.ndarray:
@@ -205,12 +205,12 @@ def _photon_index(k: int) -> int:
 
 
 def output_projection_stack(k: int, pointers) -> np.ndarray:
-    """The compound projections |k><k| (x) |r><r| for (N, 2) pointer rows r, as (N, 4, 4)."""
+    """The compound projections |k><k| (x) |r><r| for (..., 2) pointer rows r, as (..., 4, 4)."""
     i = _photon_index(k)
     r = np.asarray(pointers, dtype=complex)
-    out = np.zeros((len(r), 2, 2, 2, 2), dtype=complex)
-    out[:, i, :, i, :] = r[:, :, None] * r.conj()[:, None, :]
-    return out.reshape(-1, 4, 4)
+    out = np.zeros(r.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+    out[..., i, :, i, :] = r[..., :, None] * r.conj()[..., None, :]
+    return out.reshape(r.shape[:-1] + (4, 4))
 
 
 def detector_projection(k: int) -> np.ndarray:

@@ -70,9 +70,9 @@ def state_vector(components) -> np.ndarray:
         than 1e-10.
     """
     v = np.asarray(components, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v.view(float))):
+    n = float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))  # numpy.linalg.norm(v)'s arithmetic
+    if not np.isfinite(n) and not np.isfinite(v.view(float)).all():  # a finite norm has finite parts
         raise NotNormalized("state vector has non-finite components")
-    n = float(np.linalg.norm(v))
     if abs(n - 1.0) > NORM_TOL:
         raise NotNormalized(f"state vector norm is {n!r}, expected 1 within {NORM_TOL}")
     return _frozen(v.copy())
@@ -86,7 +86,7 @@ def perp(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError("perp is defined for two-component vectors only")
-    return _frozen(np.stack([-v[..., 1].conj(), v[..., 0].conj()], axis=-1))
+    return _frozen(np.concatenate([-v[..., 1:].conj(), v[..., :1].conj()], axis=-1))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

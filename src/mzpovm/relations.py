@@ -15,17 +15,18 @@ the verification suite) can audit rather than recompute. Quantities:
   optima, H being the coincidence POVM read along that pointer.
 
 Each audited relation has one array kernel over a stack of states:
-:func:`variance_ur_stack` and :func:`triple_relations_stack` take (N, 2, 2)
-density operators and :func:`entropic_bound_stack` (N, 2) pure states;
-they return :class:`RelationReport` records whose fields are (N,) arrays.
+:func:`state_relations_stack` audits the variance product and the three
+sigma_x / sigma_y / sigma_z trade-offs of (N, 2, 2) density operators
+from one validation and one pass of traces, and
+:func:`entropic_bound_stack` takes (N, 2) pure states; they return
+:class:`RelationReport` records whose fields are (N,) arrays.
 :func:`erasure_duality_stack` takes (N,) amplitudes with (N, 2) markers
 and returns one :class:`ErasureAudit` whose fields are arrays, its two
 equalities among them as :class:`RelationReport` records. On both records
-``report(i)`` is the audit of state i with Python float and bool fields.
-:func:`variance_ur`, :func:`entropic_bound` and :func:`triple_relations`
-are batches of one that return it, because ``mzpovm run`` audits one
-state. POVMs enter as :class:`povm.DiscretePovm`, whose ``effects`` array
-goes to the kernels unconverted.
+``report(i)`` is the audit of state i with Python float and bool fields;
+``mzpovm run`` audits its one state as a batch of one. POVMs enter as
+:class:`povm.DiscretePovm`, whose ``effects`` array goes to the kernels
+unconverted.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
+_X, _Y, _Z = linalg.pauli_triple()
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class RelationReport:
 def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> RelationReport:
     """Audit lhs against rhs elementwise; rhs may be a scalar bound."""
     lhs = np.asarray(lhs, dtype=float)
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
+    rhs = np.full(lhs.shape, rhs, dtype=float)
     if kind == "geq":
         slack = lhs - rhs
         ok = slack >= -tol
@@ -96,17 +98,11 @@ def _trace(ops, rho) -> np.ndarray:
     return np.einsum("...ij,...ji->...", ops, rho)
 
 
-def _variance(ops, rho) -> np.ndarray:
-    # Var(A, rho) = <A^2> - <A>^2 over broadcast stacks.
-    mean = _trace(ops, rho).real
-    return _trace(ops @ ops, rho).real - mean * mean
-
-
 def _density_stack(rhos) -> np.ndarray:
     rho = np.asarray(rhos, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (2, 2):
         raise NotHermitian(f"expected an (N, 2, 2) stack of states, got shape {rho.shape}")
-    dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
+    dev = float(np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=None, initial=0.0))
     if not dev <= linalg.HERMITIAN_TOL:
         raise NotHermitian(f"state deviates from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
     return rho
@@ -116,11 +112,12 @@ def _unit_rows(states, what: str) -> np.ndarray:
     v = np.asarray(states, dtype=complex)
     if v.ndim != 2:
         raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= linalg.NORM_TOL))
-    if bad.size:
+    norms = np.sqrt(np.add.reduce((v.conj() * v).real, axis=1))
+    unit = np.abs(norms - 1.0) <= linalg.NORM_TOL
+    if not unit.all():
+        bad = int(np.argmin(unit))
         raise NotNormalized(
-            f"{what} {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {linalg.NORM_TOL}"
+            f"{what} {bad} has norm {float(norms[bad])!r}, expected 1 within {linalg.NORM_TOL}"
         )
     return v
 
@@ -132,54 +129,37 @@ def _weight(amplitude: np.ndarray) -> np.ndarray:
 
 
 def _amplitudes(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
+    # The (N, 2) rows (alpha, beta), checked for unit norm, and their weights.
     alpha = np.asarray(alphas, dtype=complex).reshape(-1)
     beta = np.asarray(betas, dtype=complex).reshape(-1)
     if alpha.shape != beta.shape:
         raise DimensionMismatch(f"got {alpha.size} alpha and {beta.size} beta amplitudes")
-    norm2 = _weight(alpha) + _weight(beta)
-    bad = ~(np.abs(norm2 - 1.0) <= linalg.NORM_TOL)
-    if bad.any():
-        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {float(norm2[bad][0])!r}, expected 1")
-    return alpha, beta
+    rows = np.empty((alpha.size, 2), dtype=complex)
+    rows[:, 0], rows[:, 1] = alpha, beta
+    weights = _weight(rows)
+    norm2 = weights[:, 0] + weights[:, 1]
+    unit = np.abs(norm2 - 1.0) <= linalg.NORM_TOL
+    if not unit.all():
+        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {float(norm2[np.argmin(unit)])!r}, expected 1")
+    return rows, weights
 
 
 def _projectors(states: np.ndarray) -> np.ndarray:
-    return states[:, :, None] * states.conj()[:, None, :]
+    # |v><v| for every vector along the last axis of a stack.
+    return states[..., :, None] * states.conj()[..., None, :]
 
 
-def variance_ur_stack(rhos) -> RelationReport:
-    """Variance product relation for sigma_x / sigma_z over an (N, 2, 2) state stack.
-
-    lhs = Var(sx) Var(sz); rhs carries the commutator and covariance
-    terms. lhs - rhs reduces to 1 - |r|^2, so equality holds exactly on
-    pure states.
-    """
-    rho = _density_stack(rhos)
-    sx, _, sz = linalg.pauli_triple()
-    lhs = _variance(sx, rho) * _variance(sz, rho)
-    comm = _trace(sx @ sz - sz @ sx, rho)
-    anti = _trace(sx @ sz + sz @ sx, rho).real
-    mx = _trace(sx, rho).real
-    mz = _trace(sz, rho).real
-    rhs = 0.25 * np.abs(comm) ** 2 + 0.25 * (anti - 2.0 * mx * mz) ** 2
-    return make_reports("variance-product-xz", lhs, rhs, "geq", tol=1e-12)
-
-
-def variance_ur(rho) -> RelationReport:
-    """Variance product relation for one state; see :func:`variance_ur_stack`."""
-    return variance_ur_stack(np.asarray(rho, dtype=complex)[None]).report(0)
-
-
-def _entropies(p: povm.DiscretePovm, rho: np.ndarray) -> np.ndarray:
-    # Shannon entropies (bits) of p's outcome distributions over an (N, 2, 2) stack.
-    probs = np.clip(_trace(p.effects, rho[:, None]).real, 0.0, 1.0)
+def _plogp(traces: np.ndarray) -> np.ndarray:
+    # p log2 p of the probabilities p = tr[E rho] (real traces clipped to [0, 1]),
+    # 0 where p = 0; an entropy (bits) is minus the sum over one distribution.
+    probs = np.minimum(np.maximum(traces, 0.0), 1.0)
     seen = probs > 0.0
-    return -np.where(seen, probs * np.log2(np.where(seen, probs, 1.0)), 0.0).sum(axis=1)
+    return np.where(seen, probs * np.log2(probs + ~seen), 0.0)
 
 
 def shannon_entropy(p: povm.DiscretePovm, rho) -> float:
     """Shannon entropy (bits) of a POVM's outcome distribution in a state."""
-    return float(_entropies(p, np.asarray(rho, dtype=complex)[None])[0])
+    return float(-_plogp(_trace(p.effects, np.asarray(rho, dtype=complex)).real).sum())
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,25 +191,21 @@ def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> 
         if not (cls.valid and cls.sharp):
             raise NotSharp("the entropic bound applies to projection-valued observables")
     v = _unit_rows(states, "state")
-    rho = _projectors(v)
-    lhs = _entropies(a, rho) + _entropies(b, rho)
-    pa = np.einsum("kij,nj->nki", a.effects, v)
-    qb = np.einsum("lij,nj->nli", b.effects, v)
-    na = np.linalg.norm(pa, axis=2)
-    nb = np.linalg.norm(qb, axis=2)
+    effects, split = np.concatenate([a.effects, b.effects]), len(a.effects)
+    terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
+    lhs = -np.add.reduce(terms[:, :split], axis=-1) - np.add.reduce(terms[:, split:], axis=-1)
+    projected = np.einsum("kij,nj->nki", effects, v)
+    # numpy.linalg.norm(projected, axis=2)'s arithmetic, without its argument handling.
+    lengths = np.sqrt(np.add.reduce((projected.conj() * projected).real, axis=2))
+    na, nb, qb = lengths[:, :split], lengths[:, split:], projected[:, split:]
     overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), a.effects, qb))
     kept = (na >= 1e-12)[:, :, None] & (nb >= 1e-12)[:, None, :]
     norms = np.where(kept, na[:, :, None] * nb[:, None, :], 1.0)
-    best = np.where(kept, overlap / norms, 0.0).max(axis=(1, 2))
+    best = np.maximum.reduce(np.where(kept, overlap / norms, 0.0), axis=(1, 2))
     found = best > 0.0
     rhs = np.full(best.shape, math.inf)
     rhs[found] = -2.0 * np.log2(best[found])
     return make_reports("entropy-pair", lhs, rhs, "geq")
-
-
-def entropic_bound(a: povm.DiscretePovm, b: povm.DiscretePovm, psi) -> RelationReport:
-    """Additive entropic trade-off in one pure state; see :func:`entropic_bound_stack`."""
-    return entropic_bound_stack(a, b, np.asarray(psi, dtype=complex).reshape(1, -1)).report(0)
 
 
 @dataclass(frozen=True)
@@ -253,61 +229,63 @@ def contrasts(rho) -> StateContrasts:
     )
 
 
-def triple_relations_stack(rhos) -> list[RelationReport]:
-    """The three-observable trade-offs for sigma_x, sigma_y, sigma_z over (N, 2, 2) states.
+# The (12, 2, 2) operators the state relations trace: I (every Pauli squared), sx, sy,
+# sz, [sx, sz], {sx, sz} and the pauli_pvm effects of sx, sy and sz.
+_STATE_OPERATORS = np.array([
+    linalg.IDENTITY2, _X, _Y, _Z, _X @ _Z - _Z @ _X, _X @ _Z + _Z @ _X,
+    *(effect for axis in "xyz" for effect in pauli_pvm(axis).effects),
+])
+_STATE_OPERATORS.setflags(write=False)
 
-    Entropy sum >= 2 bits, variance sum >= 2 (equal to 3 - |r|^2), and
-    squared-contrast sum <= 1 (equal to |r|^2).
+
+def state_relations_stack(rhos) -> list[RelationReport]:
+    """Four state relations over (N, 2, 2) states, validated once, from one pass of traces.
+
+    variance-product-xz: Var(sx) Var(sz) >= the commutator and covariance
+    terms, lhs - rhs = 1 - |r|^2 (equality on pure states); entropy-triple:
+    the sx, sy, sz entropy sum >= 2 bits; variance-triple: their variance sum
+    >= 2 (= 3 - |r|^2); contrast-triple: the squared-contrast sum <= 1 (= |r|^2).
     """
     rho = _density_stack(rhos)
-    entropy_sum = sum(_entropies(pauli_pvm(ax), rho) for ax in "xyz")
-    variance_sum = sum(_variance(s, rho) for s in linalg.pauli_triple())
-    c = np.minimum(1.0, np.abs(linalg.bloch_from_density_stack(rho)))
+    traces = _trace(_STATE_OPERATORS, rho[:, None])
+    real = traces.real
+    bloch = real[:, 1:4]
+    variances = real[:, :1] - bloch * bloch
+    lhs = variances[:, 0] * variances[:, 2]
+    mx, mz = bloch[:, 0], bloch[:, 2]
+    rhs = 0.25 * np.abs(traces[:, 4]) ** 2 + 0.25 * (real[:, 5] - 2.0 * mx * mz) ** 2
+    entropies = -np.add.reduce(_plogp(real[:, 6:]).reshape(-1, 3, 2), axis=-1)
+    c = np.minimum(1.0, np.abs(bloch))
     contrast_sum = c[:, 2] ** 2 + c[:, 0] ** 2 + c[:, 1] ** 2
     return [
-        make_reports("entropy-triple", entropy_sum, 2.0, "geq"),
-        make_reports("variance-triple", variance_sum, 2.0, "geq", tol=1e-12),
+        make_reports("variance-product-xz", lhs, rhs, "geq", tol=1e-12),
+        make_reports("entropy-triple", sum(entropies.T), 2.0, "geq"),
+        make_reports("variance-triple", sum(variances.T), 2.0, "geq", tol=1e-12),
         make_reports("contrast-triple", contrast_sum, 1.0, "leq", tol=1e-12),
     ]
 
 
-def triple_relations(rho) -> list[RelationReport]:
-    """The three-observable trade-offs for one state; see :func:`triple_relations_stack`."""
-    return [s.report(0) for s in triple_relations_stack(np.asarray(rho, dtype=complex)[None])]
-
-
-def _inference(alpha, beta, b1, b2) -> tuple[np.ndarray, np.ndarray]:
+def _inference(weights, b1, b2) -> tuple[np.ndarray, np.ndarray]:
     # Optimal pointer directions ((N, 3), NaN rows where the evidence
     # vanishes) and D = 2L - 1 = |evidence| = sqrt(1 - 4 |alpha beta <p1|p2>|^2)
-    # over a stack, for evidence |alpha|^2 P1 - |beta|^2 P2 (marker Bloch vectors).
-    evidence = _weight(alpha)[:, None] * b1 - _weight(beta)[:, None] * b2
-    strength = np.linalg.norm(evidence, axis=1)
+    # for evidence |alpha|^2 P1 - |beta|^2 P2 from (N, 2) weights.
+    evidence = weights[:, :1] * b1 - weights[:, 1:] * b2
+    strength = np.sqrt(np.add.reduce(evidence * evidence, axis=-1))
     resolved = strength >= DEGENERATE_DIRECTION_TOL
     direction = np.where(resolved[:, None], evidence / np.where(resolved, strength, 1.0)[:, None], np.nan)
     # Rounding can push |evidence| past 1.
     return direction, np.where(resolved, np.minimum(1.0, strength), 0.0)
 
 
-def _coincidence_effect(b1, b2, r) -> np.ndarray:
-    # The 'correct' effects ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
-    # for (N, 3) marker Bloch vectors and pointer directions.
-    bias = 0.5 * np.einsum("nk,nk->n", r, b1 - b2)
-    axis = 0.5 * np.einsum("nk,nk->n", r, b1 + b2)
-    return 0.5 * ((1.0 + bias)[:, None, None] * linalg.IDENTITY2 + axis[:, None, None] * linalg.pauli("z"))
-
-
-def _two_outcome_variance(first, second, rho) -> np.ndarray:
-    diff = _trace(first - second, rho).real
-    return 1.0 - diff * diff
-
-
 def _visibility(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Values 2|rho_01| and (N, 3) optimal equatorial directions for a stack
     # of off-diagonal elements; below 1e-15 the value is 0 along +x.
-    coherent = np.abs(off) >= 1e-15
-    angle = np.where(coherent, -np.angle(off), 0.0)
-    value = np.where(coherent, np.minimum(1.0, 2.0 * np.abs(off)), 0.0)
-    direction = np.stack([np.cos(angle), np.sin(angle), np.zeros(angle.shape)], axis=1)
+    size = np.abs(off)
+    coherent = size >= 1e-15
+    angle = np.where(coherent, -np.arctan2(off.imag, off.real), 0.0)
+    value = np.where(coherent, np.minimum(1.0, 2.0 * size), 0.0)
+    direction = np.zeros((len(off), 3))
+    direction[:, 0], direction[:, 1] = np.cos(angle), np.sin(angle)
     return value, direction
 
 
@@ -354,25 +332,32 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     mixed across marker choices break the equality down to an inequality,
     which callers can probe by mixing reports.
     """
-    alpha, beta = _amplitudes(alphas, betas)
-    p1 = _unit_rows(p1s, "marker state")
-    p2 = _unit_rows(p2s, "marker state")
-    if not p1.shape == p2.shape == (alpha.size, 2):
-        raise DimensionMismatch(f"got {alpha.size} amplitude pairs for {len(p1)} and {len(p2)} markers")
-    b1 = linalg.bloch_from_density_stack(_projectors(p1))
-    b2 = linalg.bloch_from_density_stack(_projectors(p2))
-    direction, d = _inference(alpha, beta, b1, b2)
+    amplitudes, weights = _amplitudes(alphas, betas)
+    p1 = np.asarray(p1s, dtype=complex)
+    p2 = np.asarray(p2s, dtype=complex)
+    if not p1.shape == p2.shape == (len(amplitudes), 2):
+        raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
+    # markers[n, k] is the marker of path k + 1 for input n.
+    markers = _unit_rows(np.concatenate([p1, p2]), "marker state").reshape(2, -1, 2).swapaxes(0, 1)
+    bloch = linalg.bloch_from_density_stack(_projectors(markers))
+    b1, b2 = bloch[:, 0], bloch[:, 1]
+    direction, d = _inference(weights, b1, b2)
     # Reduced photon state of alpha |1>|p1> + beta |2>|p2>.
-    rows = np.stack([alpha[:, None] * p1, beta[:, None] * p2], axis=1)
+    rows = amplitudes[:, :, None] * markers
     rho_e = rows @ rows.conj().swapaxes(-1, -2)
     vis, n = _visibility(rho_e[:, 0, 1])
-    pointer = np.where(np.isnan(direction), [0.0, 0.0, 1.0], direction)
-    correct = _coincidence_effect(b1, b2, pointer)
-    psi_in = np.stack([alpha, beta], axis=1)
-    var_coincidence = _two_outcome_variance(correct, linalg.IDENTITY2 - correct, _projectors(psi_in))
-    sx, sy, _ = linalg.pauli_triple()
-    s_n = n[:, 0, None, None] * sx + n[:, 1, None, None] * sy
-    var_interference = _variance(s_n, rho_e)
+    # The 'correct' coincidence effect ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
+    # along the pointer r (sigma_z where there is none) is diagonal, c00 and c11.
+    pointer = np.where(np.isnan(direction), (0.0, 0.0, 1.0), direction)
+    bias = 1.0 + 0.5 * np.einsum("nk,nk->n", pointer, b1 - b2)
+    axis = 0.5 * np.einsum("nk,nk->n", pointer, b1 + b2)
+    c00, c11 = 0.5 * (bias + axis), 0.5 * (bias - axis)
+    r = (amplitudes * amplitudes.conj()).real
+    diff = (c00 - (1.0 - c00)) * r[:, 0] + (c11 - (1.0 - c11)) * r[:, 1]
+    var_coincidence = 1.0 - diff * diff
+    s_n = n[:, 0, None, None] * _X + n[:, 1, None, None] * _Y
+    mean = _trace(s_n, rho_e).real
+    var_interference = _trace(s_n @ s_n, rho_e).real - mean * mean  # Var(s_n, rho_e)
     return ErasureAudit(
         pointer_direction=direction,
         distinguishability=d,

@@ -488,8 +488,7 @@ def check_state_relations(seed: int, samples: int) -> CheckResult:
     rs = np.concatenate([blochs, pure_dirs])
     rhos = linalg.density_from_bloch_stack(rs)
     r2 = np.sum(rs * rs, axis=1)
-    report = relations.variance_ur_stack(rhos)
-    entropy_triple, var_triple, contrast_triple = relations.triple_relations_stack(rhos)
+    report, entropy_triple, var_triple, contrast_triple = relations.state_relations_stack(rhos)
     worst = max(
         float(np.max(np.abs(report.slack - (1.0 - r2)))),
         float(np.max(np.abs(var_triple.lhs - (3.0 - r2)))),

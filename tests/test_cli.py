@@ -155,6 +155,15 @@ class TestUsageErrors:
         err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
         assert "input" in err
 
+    def test_config_input_must_list_four_numbers(self, capsys, tmp_path):
+        # Bools taken as numbers, a string read one character at a time and a
+        # dict's keys would each run as the state (1, 0).
+        config_path = tmp_path / "cfg.json"
+        for reals in ([True, False, "0", "0"], "1000", {"1": 0, "0": 0, "0.0": 0, "-0": 0}, [1, 0, 0]):
+            config_path.write_text(json.dumps({"experiment": "marking", "input": reals}))
+            err = self.assert_usage_error(capsys, "run", "--config", str(config_path))
+            assert "config field 'input' must list 4 numbers" in err
+
     def test_config_that_is_not_an_object(self, capsys, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text("[1, 2]")
@@ -510,3 +519,63 @@ class TestFuzzedArguments:
             code, err = _fuzz_main(["verify", *valid, malformed], b"")
         assert code == 2, err
         assert "Traceback" not in err
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1])
+_ANY_TEXT = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(["\x00\x1f\x7f", "é ", "\ud83d", '"\\/'])
+
+
+def _renderable():
+    floats = st.floats() | _SPECIAL_FLOATS
+    scalar = st.none() | st.booleans() | st.integers() | floats | _ANY_TEXT
+    float_lists = st.lists(floats, min_size=1, max_size=4)
+
+    def nested(children):
+        return (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_ANY_TEXT, children, max_size=4)
+            | st.lists(float_lists, max_size=3)
+        )
+
+    return st.recursive(scalar | float_lists, nested, max_leaves=24)
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(value, sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_renderable())
+    @example(value={"x": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16], "é\n": ["\x00", {}, [], ()]})
+    @example(value=[[0.0, -0.0], [0.5, 0.5], [[1.0], [2.0, 3.0]], (0.25, 0.25)])
+    def test_matches_json_dumps(self, value):
+        assert cli.render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=st.one_of(
+            st.lists(st.integers(), max_size=4),
+            st.lists(st.floats() | _SPECIAL_FLOATS, max_size=4),
+            st.lists(st.booleans(), max_size=2),
+            st.lists(st.none(), max_size=1),
+        ),
+        value=st.floats() | st.integers(),
+    )
+    def test_non_string_keys_match_json_dumps(self, keys, value):
+        report = {key: value for key in keys}
+        assert cli.render_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), 1j, {1, 2}, b"x", bytearray(b"x")])
+    def test_unsupported_values_raise_type_error(self, value):
+        for report in (value, [0.5, value], {"a": value}, {"a": [value]}):
+            with pytest.raises(TypeError):
+                json.dumps(report, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                cli.render_json(report)
+
+    def test_unsupported_keys_raise_type_error(self):
+        for report in ({(1, 2): 0.5}, {"a": {frozenset(): 1}}):
+            with pytest.raises(TypeError):
+                json.dumps(report, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                cli.render_json(report)

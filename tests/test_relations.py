@@ -13,39 +13,47 @@ SX, SY, SZ = linalg.pauli_triple()
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 
+def state_reports(rho):
+    """The four records of state_relations_stack for one state, as Python scalars."""
+    return [r.report(0) for r in relations.state_relations_stack(np.asarray(rho, dtype=complex)[None])]
+
+
+def entropic_report(a, b, psi):
+    """entropic_bound_stack on one pure state, as Python scalars."""
+    return relations.entropic_bound_stack(a, b, np.asarray(psi, dtype=complex).reshape(1, -1)).report(0)
+
+
 class TestVarianceUr:
     def test_eigenstate_saturates_at_zero(self):
-        report = relations.variance_ur(linalg.pure_density([1, 0]))
+        report = state_reports(linalg.pure_density([1, 0]))[0]
         assert report.lhs == pytest.approx(0.0, abs=1e-14)
         assert report.rhs == pytest.approx(0.0, abs=1e-14)
         assert report.satisfied
 
     def test_maximally_mixed(self):
-        report = relations.variance_ur(np.eye(2) / 2)
+        report = state_reports(np.eye(2) / 2)[0]
         assert report.lhs == pytest.approx(1.0, abs=1e-14)
         assert report.rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_equatorial_pure_state_saturates(self):
-        report = relations.variance_ur(linalg.density_from_bloch([0.6, 0.0, 0.8]))
+        report = state_reports(linalg.density_from_bloch([0.6, 0.0, 0.8]))[0]
         assert report.lhs == pytest.approx(0.2304, abs=1e-12)
         assert report.rhs == pytest.approx(0.2304, abs=1e-12)
 
     def test_rhs_equals_commutator_covariance_identity(self, rng):
         # The bound always evaluates to <sy>^2 + <sx>^2 <sz>^2, and the gap
         # to the left side is exactly 1 - |r|^2.
-        for _ in range(500):
-            r = random_bloch_in_ball(rng)
-            report = relations.variance_ur(linalg.density_from_bloch(r))
-            assert report.rhs == pytest.approx(r[1] ** 2 + r[0] ** 2 * r[2] ** 2, abs=1e-12)
-            assert report.slack == pytest.approx(1.0 - float(r @ r), abs=1e-12)
-            assert report.slack >= -1e-12
+        r = np.array([random_bloch_in_ball(rng) for _ in range(500)])
+        report = relations.state_relations_stack(linalg.density_from_bloch_stack(r))[0]
+        np.testing.assert_allclose(report.rhs, r[:, 1] ** 2 + r[:, 0] ** 2 * r[:, 2] ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.slack, 1.0 - np.sum(r * r, axis=1), rtol=0, atol=1e-12)
+        assert (report.slack >= -1e-12).all()
 
     def test_equality_exactly_on_pure_states(self, rng):
-        for _ in range(200):
-            direction = rng.standard_normal(3)
-            direction /= np.linalg.norm(direction)
-            report = relations.variance_ur(linalg.density_from_bloch(direction))
-            assert abs(report.slack) <= 1e-10
+        directions = rng.standard_normal((200, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        report = relations.state_relations_stack(linalg.density_from_bloch_stack(directions))[0]
+        assert (np.abs(report.slack) <= 1e-10).all()
 
     def test_holds_on_ten_thousand_random_states(self):
         rng = np.random.default_rng(2718)
@@ -53,10 +61,10 @@ class TestVarianceUr:
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         radii = np.ones(10000)
         radii[:5000] = rng.random(5000) ** (1.0 / 3.0)
-        for r in directions * radii[:, None]:
-            report = relations.variance_ur(linalg.density_from_bloch(r))
-            assert report.slack >= -1e-12
-            assert report.slack == pytest.approx(1.0 - float(r @ r), abs=1e-10)
+        r = directions * radii[:, None]
+        report = relations.state_relations_stack(linalg.density_from_bloch_stack(r))[0]
+        assert (report.slack >= -1e-12).all()
+        np.testing.assert_allclose(report.slack, 1.0 - np.sum(r * r, axis=1), rtol=0, atol=1e-10)
 
 
 class TestShannonEntropy:
@@ -80,7 +88,7 @@ class TestShannonEntropy:
 
 class TestEntropicBound:
     def test_eigenstate_saturates_one_bit(self):
-        report = relations.entropic_bound(
+        report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), [1, 0]
         )
         assert report.lhs == pytest.approx(1.0, abs=1e-12)
@@ -89,14 +97,14 @@ class TestEntropicBound:
     def test_diagonal_direction_exceeds_bound(self):
         # The pure state along (1, 1, 1) / sqrt 3: the top eigenvector of its projector.
         psi = linalg.eig_hermitian_stack(linalg.density_from_bloch(np.array([1.0, 1.0, 1.0]) / math.sqrt(3)))[1][0]
-        report = relations.entropic_bound(
+        report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
         )
         assert report.rhs == pytest.approx(1.0, abs=1e-12)
         assert report.lhs > 1.0
 
     def test_identical_observables_have_zero_bound(self):
-        report = relations.entropic_bound(
+        report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("z"), [1, 0]
         )
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
@@ -105,7 +113,7 @@ class TestEntropicBound:
     def test_bound_state_independent_for_unbiased_pair(self, rng):
         for _ in range(200):
             psi = random_pure(rng)
-            report = relations.entropic_bound(
+            report = entropic_report(
                 relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
             )
             assert report.rhs == pytest.approx(1.0, abs=1e-9)
@@ -114,7 +122,7 @@ class TestEntropicBound:
     def test_unsharp_observable_rejected(self):
         blurred = povm.DiscretePovm(("1", "2"), [0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)])
         with pytest.raises(NotSharp):
-            relations.entropic_bound(blurred, relations.pauli_pvm("z"), [1, 0])
+            entropic_report(blurred, relations.pauli_pvm("z"), [1, 0])
 
     def test_holds_on_ten_thousand_random_pure_states(self):
         rng = np.random.default_rng(3141)
@@ -122,45 +130,36 @@ class TestEntropicBound:
         states = z[:, 0::2] + 1j * z[:, 1::2]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
-        lowest = math.inf
-        for psi in states:
-            report = relations.entropic_bound(z_pvm, x_pvm, psi)
-            assert report.slack >= -1e-9
-            lowest = min(lowest, report.lhs)
-        for eigenstate in ([1, 0], [0, 1], [1, 1] / np.sqrt(2), [1, -1] / np.sqrt(2)):
-            report = relations.entropic_bound(z_pvm, x_pvm, np.asarray(eigenstate))
-            assert report.slack >= -1e-9
-            lowest = min(lowest, report.lhs)
-        assert lowest == pytest.approx(1.0, abs=1e-3)
+        eigenstates = np.array([[1, 0], [0, 1], [1, 1] / np.sqrt(2), [1, -1] / np.sqrt(2)])
+        report = relations.entropic_bound_stack(z_pvm, x_pvm, np.vstack([states, eigenstates]))
+        assert (report.slack >= -1e-9).all()
+        assert float(report.lhs.min()) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestTripleRelations:
     def test_pure_state_saturations(self, rng):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        entropic, variances, squares = relations.triple_relations(
-            linalg.density_from_bloch(direction)
-        )
+        _, entropic, variances, squares = state_reports(linalg.density_from_bloch(direction))
         assert variances.lhs == pytest.approx(2.0, abs=1e-12)
         assert squares.lhs == pytest.approx(1.0, abs=1e-12)
         assert entropic.lhs >= 2.0 - 1e-9
 
     def test_maximally_mixed_values(self):
-        entropic, variances, squares = relations.triple_relations(np.eye(2) / 2)
+        _, entropic, variances, squares = state_reports(np.eye(2) / 2)
         assert entropic.lhs == pytest.approx(3.0, abs=1e-12)
         assert variances.lhs == pytest.approx(3.0, abs=1e-12)
         assert squares.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_eigenstate_entropy_triple_saturates(self):
-        entropic, _, _ = relations.triple_relations(linalg.pure_density([1, 0]))
+        entropic = state_reports(linalg.pure_density([1, 0]))[1]
         assert entropic.lhs == pytest.approx(2.0, abs=1e-12)
 
     def test_identities_on_mixed_states(self, rng):
-        for _ in range(300):
-            r = random_bloch_in_ball(rng)
-            _, variances, squares = relations.triple_relations(linalg.density_from_bloch(r))
-            assert variances.lhs == pytest.approx(3.0 - float(r @ r), abs=1e-12)
-            assert squares.lhs == pytest.approx(float(r @ r), abs=1e-12)
+        r = np.array([random_bloch_in_ball(rng) for _ in range(300)])
+        _, _, variances, squares = relations.state_relations_stack(linalg.density_from_bloch_stack(r))
+        np.testing.assert_allclose(variances.lhs, 3.0 - np.sum(r * r, axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(squares.lhs, np.sum(r * r, axis=1), rtol=0, atol=1e-12)
 
 
 class TestContrasts:
@@ -484,7 +483,7 @@ def sample_states(rng):
 class TestStackedKernels:
     def test_variance_ur_stack_matches_per_state_reference(self, rng):
         rhos = sample_states(rng)
-        stack = relations.variance_ur_stack(rhos)
+        stack = relations.state_relations_stack(rhos)[0]
         want = np.array([reference_variance_ur(rho) for rho in rhos])
         np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(stack.rhs, want[:, 1], rtol=0, atol=1e-15)
@@ -493,7 +492,7 @@ class TestStackedKernels:
 
     def test_triple_relations_stack_matches_per_state_reference(self, rng):
         rhos = sample_states(rng)
-        entropic, variances, squares = relations.triple_relations_stack(rhos)
+        _, entropic, variances, squares = relations.state_relations_stack(rhos)
         want = np.array([reference_triple(rho) for rho in rhos])
         for got, column in ((entropic, 0), (variances, 1), (squares, 2)):
             np.testing.assert_allclose(got.lhs, want[:, column], rtol=0, atol=1e-15)
@@ -578,17 +577,15 @@ class TestStackedKernels:
             assert audit.duality.lhs == pytest.approx(duality, abs=1e-15)
             assert audit.variance_tradeoff.lhs == pytest.approx(tradeoff, abs=1e-15)
 
-    def test_scalar_functions_are_batches_of_one(self, rng):
+    def test_state_records_name_their_relations(self, rng):
         rho = linalg.density_from_bloch(random_bloch_in_ball(rng))
-        assert relations.variance_ur(rho) == relations.variance_ur_stack(rho[None]).report(0)
-        assert relations.triple_relations(rho) == [
-            s.report(0) for s in relations.triple_relations_stack(rho[None])
+        records = relations.state_relations_stack(rho[None])
+        assert [(r.name, r.kind) for r in records] == [
+            ("variance-product-xz", "geq"),
+            ("entropy-triple", "geq"),
+            ("variance-triple", "geq"),
+            ("contrast-triple", "leq"),
         ]
-        psi = random_pure(rng)
-        z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
-        assert relations.entropic_bound(z_pvm, x_pvm, psi) == relations.entropic_bound_stack(
-            z_pvm, x_pvm, psi[None]
-        ).report(0)
 
     def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
         calls = []
@@ -600,7 +597,7 @@ class TestStackedKernels:
 
         monkeypatch.setattr(povm, "validate", counting_validate)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
-        relations.entropic_bound(z_pvm, x_pvm, [1, 0])
+        relations.entropic_bound_stack(z_pvm, x_pvm, np.array([[1.0, 0.0]]))
         assert calls == []
         copy = povm.DiscretePovm(z_pvm.labels, z_pvm.effects.copy())
         relations.entropic_bound_stack(copy, x_pvm, np.array(EIGENSTATES, dtype=complex))
@@ -616,9 +613,9 @@ class TestStackedKernels:
                 relations.pauli_pvm("z"), relations.pauli_pvm("x"), np.array([[1.0, 0.0], [1.0, 1.0]])
             )
         with pytest.raises(NotHermitian):
-            relations.variance_ur_stack(np.array([[[0.5, 0.5], [0.0, 0.5]]]))
+            relations.state_relations_stack(np.array([[[0.5, 0.5], [0.0, 0.5]]]))
         with pytest.raises(NotHermitian):
-            relations.triple_relations_stack(np.full((1, 2, 2), np.nan))
+            relations.state_relations_stack(np.full((1, 2, 2), np.nan))
         with pytest.raises(NotNormalized):
             relations.erasure_duality_stack([1.0, 0.6], [0.0, 0.6], [[1, 0], [1, 0]], [[0, 1], [0, 1]])
         with pytest.raises(NotNormalized):

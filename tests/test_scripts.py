@@ -133,6 +133,38 @@ class TestBenchSummary:
         assert summary["verify_trace_check_s"]["verify.check_contrast_oracle.s"] == {"checkout": 0.015}
         assert summary["src_lines"] == {"checkout": 3347}
 
+    def claim(self, baseline, checkout):
+        # call_ms of every workload from two lists of per-pair values.
+        runs = {
+            side: {workload: [_run_record(call_ms=v, setup_s=0.25, peak_rss_mb=40.0) for v in values]
+                   for workload in self.bench.WORKLOADS}
+            for side, values in (("baseline", baseline), ("checkout", checkout))
+        }
+        traced = {side: _run_record() for side in runs}
+        return self.bench.summarize(runs, traced, {"baseline": 100, "checkout": 100})["run.call_ms"]
+
+    def test_claim_met_when_nine_in_ten_pairs_win_beyond_the_spread(self):
+        baseline = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+        checkout = [0.60, 0.61, 0.59, 0.62, 0.60, 0.58, 0.61, 0.60, 0.59, 1.10]
+        entry = self.claim(baseline, checkout)
+        assert (entry["checkout_better"], entry["pairs"]) == (9, 10)
+        assert entry["claim_met"] is True
+
+    def test_eight_wins_in_ten_pairs_is_no_claim(self):
+        baseline = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+        checkout = [0.60, 0.61, 0.59, 0.62, 0.60, 0.58, 0.61, 0.60, 1.10, 1.10]
+        entry = self.claim(baseline, checkout)
+        assert entry["checkout_better"] == 8
+        assert entry["claim_met"] is False
+
+    def test_gap_inside_the_baseline_spread_is_no_claim(self):
+        baseline = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        checkout = [v - 0.5 for v in baseline]
+        entry = self.claim(baseline, checkout)
+        assert entry["checkout_better"] == 10
+        assert entry["baseline"]["q3"] - entry["baseline"]["q1"] == 4.5
+        assert entry["claim_met"] is False
+
     def test_net_source_lines(self):
         summary = self.bench.summarize(*self.synthetic(("baseline", "checkout")))
         assert summary["src_lines"] == {"baseline": 3419, "checkout": 3347, "net": -72}
