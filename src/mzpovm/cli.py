@@ -214,72 +214,62 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOATS_ONLY = frozenset({float})
 
 
-class _FloatTexts(dict):
-    # The JSON text of each float of one report, one repr per value; zeros
-    # are not kept, since 0.0 and -0.0 are one key with two texts.
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x) if x - x == 0.0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-        if x:
-            self[x] = text
-        return text
+def _float_text(x: float) -> str:
+    # json.dumps' text of a float: its repr, or NaN, Infinity, -Infinity.
+    return float.__repr__(x) if x - x == 0.0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _scalar_text(value, texts: _FloatTexts) -> str:
+def _scalar_text(value) -> str:
+    if isinstance(value, float):
+        return _float_text(value)
     if isinstance(value, str):
         return _ESCAPE(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return int.__repr__(value) if isinstance(value, int) else texts[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _key_text(key, texts: _FloatTexts) -> str:
+def _key_text(key) -> str:
     if key is not None and not isinstance(key, (str, int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _ESCAPE(key) if isinstance(key, str) else '"' + _scalar_text(key, texts) + '"'
+    return _ESCAPE(key) if isinstance(key, str) else '"' + _scalar_text(key) + '"'
 
 
-def _write(value, newline: str, texts: _FloatTexts, out: list) -> None:
+def _write(value, newline: str, out: list) -> None:
     # Append the JSON text of value to out; newline is a line break plus
     # the indentation of the line value starts on.
     inner = newline + "  "
     if isinstance(value, dict):
         opening = "{" + inner
         for key, item in sorted(value.items()):
-            head = opening + (_ESCAPE(key) if type(key) is str else _key_text(key, texts)) + ": "
-            opening = "," + inner
-            if type(item) is float:
-                out.append(head + texts[item])
-            elif type(item) is str:
-                out.append(head + _ESCAPE(item))
-            elif item is None or type(item) is bool:
-                out.append(head + ("null" if item is None else "true" if item else "false"))
-            else:
+            head = opening + (_ESCAPE(key) if type(key) is str else _key_text(key)) + ": "
+            if isinstance(item, (dict, list, tuple)):
                 out.append(head)
-                _write(item, inner, texts, out)
+                _write(item, inner, out)
+            else:
+                out.append(head + _scalar_text(item))
+            opening = "," + inner
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         if value and _FLOATS_ONLY.issuperset(map(type, value)):
             # A list of floats, such as an [re, im] pair, is one join.
-            return out.append("[" + inner + ("," + inner).join(map(texts.__getitem__, value)) + newline + "]")
-        opening, deeper = "[" + inner, inner + "  "
+            return out.append("[" + inner + ("," + inner).join(map(_float_text, value)) + newline + "]")
+        opening = "[" + inner
         for item in value:
-            if type(item) is list and item and _FLOATS_ONLY.issuperset(map(type, item)):
-                out.append(opening + "[" + deeper + ("," + deeper).join(map(texts.__getitem__, item)) + inner + "]")
-            else:
-                out.append(opening)
-                _write(item, inner, texts, out)
+            out.append(opening)
+            _write(item, inner, out)
             opening = "," + inner
         out.append(newline + "]" if value else "[]")
     else:
-        out.append(texts[value] if type(value) is float else _scalar_text(value, texts))
+        out.append(_scalar_text(value))
 
 
 def render_json(report) -> str:
     """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``, written in one pass."""
     out: list[str] = []
-    _write(report, "\n", _FloatTexts(), out)
+    _write(report, "\n", out)
     return "".join(out)
 
 

@@ -78,21 +78,22 @@ class SchemeStack:
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(np.abs(a), axis=(-2, -1))
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     # Every check is "not value <= tol", which rejects NaN: every
     # comparison with NaN is False.
     unitarity = _max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
-    norms = np.sqrt(np.add.reduce((p0.conj() * p0).real, axis=1))
+    norms = np.sqrt((p0.conj() * p0).real.sum(axis=1))  # numpy.linalg.norm(p0, axis=1)'s arithmetic
     idempotency = _max_abs(m @ m - m)
     hermiticity = _max_abs(m - m.conj().swapaxes(-1, -2))
-    total = _max_abs(np.add.reduce(m, axis=1) - np.eye(4))
+    total = _max_abs(m.sum(axis=1) - np.eye(4))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
     bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
     bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)
-    bad = bad_unitary | bad_probe | np.logical_or.reduce(bad_output, axis=1) | ~(total <= SCHEME_PROJECTION_TOL)
+    bad_total = ~(total <= SCHEME_PROJECTION_TOL)
+    bad = bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total
     if not bad.any():
         return
     k = int(np.argmax(bad))

@@ -93,15 +93,15 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
     inputs = states[None, :, :, None] * schemes.probe_init[:, None, None, :]
     final = inputs.reshape(len(schemes), -1, 4) @ schemes.unitaries.swapaxes(-1, -2)
     probs = np.einsum("nsa,nlab,nsb->nsl", final.conj(), schemes.outputs, final).real
-    if not (np.minimum.reduce(probs, axis=None) >= -1e-12 and np.maximum.reduce(probs, axis=None) <= 1.0 + 1e-12):
+    if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
         n, s, l = np.unravel_index(np.argmax(np.abs(probs - 0.5)), probs.shape)
         raise InvalidScheme(
             f"scheme {n}, state {s}: probability {float(probs[n, s, l])!r} "
             f"for output {schemes.labels[l]!r} is out of range"
         )
-    totals = np.add.reduce(probs, axis=2)
-    if not np.maximum.reduce(np.abs(totals - 1.0), axis=None) <= 1e-12:
-        n, s = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
+    totals = probs.sum(axis=2)
+    n, s = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
+    if not abs(totals[n, s] - 1.0) <= 1e-12:
         raise InvalidScheme(
             f"scheme {n}, state {s}: probabilities sum to {float(totals[n, s])!r}, expected 1"
         )

@@ -103,7 +103,7 @@ class StackClassification:
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(np.abs(a), axis=(-2, -1))
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
@@ -123,13 +123,13 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     evs = linalg.eigvals_hermitian(ops)
     lowest, highest = evs[..., -1], evs[..., 0]
     hermitian = herm_dev <= tol
-    total = np.add.reduce(np.where(hermitian[..., None, None], ops, 0.0), axis=1)
+    total = np.where(hermitian[..., None, None], ops, 0.0).sum(axis=1)
     sum_dev = _max_abs(total - ident)
     in_range = (lowest >= -tol) & (highest <= 1.0 + tol)
-    valid = np.logical_and.reduce(hermitian & in_range, axis=1) & (sum_dev <= tol)
-    sharp = valid & np.logical_and.reduce(_max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol, axis=1)
-    mean = np.add.reduce(ops.diagonal(axis1=-2, axis2=-1), axis=-1) / dim
-    trivial = valid & np.logical_and.reduce(_max_abs(ops - mean[..., None, None] * ident) <= tol, axis=1)
+    valid = (hermitian & in_range).all(axis=1) & (sum_dev <= tol)
+    sharp = valid & (_max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
+    mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
+    trivial = valid & (_max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
     return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
 
 

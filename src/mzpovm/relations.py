@@ -102,7 +102,7 @@ def _density_stack(rhos) -> np.ndarray:
     rho = np.asarray(rhos, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (2, 2):
         raise NotHermitian(f"expected an (N, 2, 2) stack of states, got shape {rho.shape}")
-    dev = float(np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=None, initial=0.0))
+    dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= linalg.HERMITIAN_TOL:
         raise NotHermitian(f"state deviates from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
     return rho
@@ -112,7 +112,7 @@ def _unit_rows(states, what: str) -> np.ndarray:
     v = np.asarray(states, dtype=complex)
     if v.ndim != 2:
         raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
-    norms = np.sqrt(np.add.reduce((v.conj() * v).real, axis=1))
+    norms = np.sqrt((v.conj() * v).real.sum(axis=1))
     unit = np.abs(norms - 1.0) <= linalg.NORM_TOL
     if not unit.all():
         bad = int(np.argmin(unit))
@@ -193,15 +193,15 @@ def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> 
     v = _unit_rows(states, "state")
     effects, split = np.concatenate([a.effects, b.effects]), len(a.effects)
     terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
-    lhs = -np.add.reduce(terms[:, :split], axis=-1) - np.add.reduce(terms[:, split:], axis=-1)
+    lhs = -terms[:, :split].sum(axis=-1) - terms[:, split:].sum(axis=-1)
     projected = np.einsum("kij,nj->nki", effects, v)
     # numpy.linalg.norm(projected, axis=2)'s arithmetic, without its argument handling.
-    lengths = np.sqrt(np.add.reduce((projected.conj() * projected).real, axis=2))
+    lengths = np.sqrt((projected.conj() * projected).real.sum(axis=2))
     na, nb, qb = lengths[:, :split], lengths[:, split:], projected[:, split:]
     overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), a.effects, qb))
     kept = (na >= 1e-12)[:, :, None] & (nb >= 1e-12)[:, None, :]
     norms = np.where(kept, na[:, :, None] * nb[:, None, :], 1.0)
-    best = np.maximum.reduce(np.where(kept, overlap / norms, 0.0), axis=(1, 2))
+    best = np.where(kept, overlap / norms, 0.0).max(axis=(1, 2))
     found = best > 0.0
     rhs = np.full(best.shape, math.inf)
     rhs[found] = -2.0 * np.log2(best[found])
@@ -254,7 +254,7 @@ def state_relations_stack(rhos) -> list[RelationReport]:
     lhs = variances[:, 0] * variances[:, 2]
     mx, mz = bloch[:, 0], bloch[:, 2]
     rhs = 0.25 * np.abs(traces[:, 4]) ** 2 + 0.25 * (real[:, 5] - 2.0 * mx * mz) ** 2
-    entropies = -np.add.reduce(_plogp(real[:, 6:]).reshape(-1, 3, 2), axis=-1)
+    entropies = -_plogp(real[:, 6:]).reshape(-1, 3, 2).sum(axis=-1)
     c = np.minimum(1.0, np.abs(bloch))
     contrast_sum = c[:, 2] ** 2 + c[:, 0] ** 2 + c[:, 1] ** 2
     return [
@@ -270,7 +270,7 @@ def _inference(weights, b1, b2) -> tuple[np.ndarray, np.ndarray]:
     # vanishes) and D = 2L - 1 = |evidence| = sqrt(1 - 4 |alpha beta <p1|p2>|^2)
     # for evidence |alpha|^2 P1 - |beta|^2 P2 from (N, 2) weights.
     evidence = weights[:, :1] * b1 - weights[:, 1:] * b2
-    strength = np.sqrt(np.add.reduce(evidence * evidence, axis=-1))
+    strength = np.sqrt((evidence * evidence).sum(axis=-1))
     resolved = strength >= DEGENERATE_DIRECTION_TOL
     direction = np.where(resolved[:, None], evidence / np.where(resolved, strength, 1.0)[:, None], np.nan)
     # Rounding can push |evidence| past 1.
@@ -333,12 +333,12 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     which callers can probe by mixing reports.
     """
     amplitudes, weights = _amplitudes(alphas, betas)
-    p1 = np.asarray(p1s, dtype=complex)
-    p2 = np.asarray(p2s, dtype=complex)
+    p1 = _unit_rows(p1s, "marker state")
+    p2 = _unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (len(amplitudes), 2):
         raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
     # markers[n, k] is the marker of path k + 1 for input n.
-    markers = _unit_rows(np.concatenate([p1, p2]), "marker state").reshape(2, -1, 2).swapaxes(0, 1)
+    markers = np.stack([p1, p2], axis=1)
     bloch = linalg.bloch_from_density_stack(_projectors(markers))
     b1, b2 = bloch[:, 0], bloch[:, 1]
     direction, d = _inference(weights, b1, b2)

@@ -622,3 +622,7 @@ class TestStackedKernels:
             relations.erasure_duality_stack([1.0], [0.0], [[1, 1]], [[0, 1]])
         with pytest.raises(DimensionMismatch):
             relations.erasure_duality_stack([1.0, 0.0], [0.0, 1.0], [[1, 0]], [[0, 1]])
+        with pytest.raises(DimensionMismatch):
+            relations.erasure_duality_stack([1.0], [0.0], 1.0, [[0, 1]])
+        with pytest.raises(NotNormalized, match="marker state 0 has norm"):
+            relations.erasure_duality_stack([1.0], [0.0], [[1, 0]], [[1, 1]])
