@@ -77,18 +77,14 @@ class SchemeStack:
         return len(self.unitaries)
 
 
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=(-2, -1))
-
-
 def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     # Every check is "not value <= tol", which rejects NaN: every
     # comparison with NaN is False.
-    unitarity = _max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
+    unitarity = linalg.max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
     norms = np.sqrt((p0.conj() * p0).real.sum(axis=1))  # numpy.linalg.norm(p0, axis=1)'s arithmetic
-    idempotency = _max_abs(m @ m - m)
-    hermiticity = _max_abs(m - m.conj().swapaxes(-1, -2))
-    total = _max_abs(m.sum(axis=1) - np.eye(4))
+    idempotency = linalg.max_abs(m @ m - m)
+    hermiticity = linalg.max_abs(m - m.conj().swapaxes(-1, -2))
+    total = linalg.max_abs(m.sum(axis=1) - np.eye(4))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
     bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
     bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)

@@ -60,8 +60,21 @@ def pauli_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _PAULI["x"], _PAULI["y"], _PAULI["z"]
 
 
+def check_unit_rows(v: np.ndarray, what: str) -> np.ndarray:
+    """Return an (N, d) complex stack after checking that every row is a unit vector.
+
+    Raises ``NotNormalized`` naming the first row (``what`` and its index)
+    whose norm deviates from 1 by more than 1e-10, or is not finite.
+    """
+    norms = np.sqrt((v.conj() * v).real.sum(axis=1))
+    if not np.abs(norms - 1.0).max(initial=0.0) <= NORM_TOL:
+        k = int(np.argmin(np.abs(norms - 1.0) <= NORM_TOL))
+        raise NotNormalized(f"{what} {k} has norm {float(norms[k])!r}, expected 1 within {NORM_TOL}")
+    return v
+
+
 def state_vector(components) -> np.ndarray:
-    """Validate and return a unit state vector.
+    """Validate and return a unit state vector, checked as a batch of one by :func:`check_unit_rows`.
 
     Raises
     ------
@@ -70,11 +83,7 @@ def state_vector(components) -> np.ndarray:
         than 1e-10.
     """
     v = np.asarray(components, dtype=complex).reshape(-1)
-    n = float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))  # numpy.linalg.norm(v)'s arithmetic
-    if not np.isfinite(n) and not np.isfinite(v.view(float)).all():  # a finite norm has finite parts
-        raise NotNormalized("state vector has non-finite components")
-    if abs(n - 1.0) > NORM_TOL:
-        raise NotNormalized(f"state vector norm is {n!r}, expected 1 within {NORM_TOL}")
+    check_unit_rows(v[None], "state vector")
     return _frozen(v.copy())
 
 
@@ -92,6 +101,11 @@ def perp(v) -> np.ndarray:
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     a = np.asarray(a)
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+
+
+def max_abs(a: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each matrix of a (..., m, n) stack, shape (...)."""
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -163,11 +177,6 @@ def bloch_from_density_stack(rho) -> np.ndarray:
     return _frozen(np.einsum("kij,...ji->...k", _PAULI_STACK, rho).real)
 
 
-def bloch_from_density(rho) -> np.ndarray:
-    """The Bloch vector of one state; a batch of one of :func:`bloch_from_density_stack`."""
-    return bloch_from_density_stack(rho)
-
-
 def expectation(a, rho) -> float:
     """tr[A rho] for Hermitian A; the imaginary residue must stay below 1e-10."""
     a = _require_hermitian(a)
@@ -212,12 +221,7 @@ def _compound_rows(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 4:
         raise NotNormalized(f"expected an (N, 4) stack of compound vectors, got shape {v.shape}")
-    n = vector_norms(v)
-    bad = np.flatnonzero(~(np.abs(n - 1.0) <= NORM_TOL))
-    if bad.size:
-        k = bad[0]
-        raise NotNormalized(f"compound vector {k} norm is {float(n[k])!r}, expected 1")
-    return v
+    return check_unit_rows(v, "compound vector")
 
 
 def partial_trace_probe_stack(psi) -> np.ndarray:

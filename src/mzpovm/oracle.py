@@ -2,12 +2,12 @@
 
 Nothing here trusts a closed form. Output probabilities are evaluated
 directly in the evolved compound state; random inputs replay exactly from
-a seed; optima over the Bloch sphere come from a lattice sweep plus step
-halving, run for N objectives in lockstep: an objective is called on a
-stack of points with the index of the search each belongs to, and every
-lattice point and pattern step of every search is evaluated.
-Probabilities are always computed exactly, never estimated from
-simulated counts.
+a seed; optima over the Bloch sphere come from a lattice sweep at
+``GRID_RESOLUTION`` plus step halving, run for N objectives in lockstep:
+an objective is called on a stack of points with the index of the search
+each belongs to, and every lattice point and pattern step of every search
+is evaluated. Probabilities are always computed exactly, never estimated
+from simulated counts.
 
 Reproducibility contract: random pure states are two standard complex
 Gaussians normalized (Haar-uniform on the qubit), drawn from numpy's
@@ -20,46 +20,32 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import extraction, linalg
 from .errors import InvalidScheme
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    seed: int = 42
-    samples: int = 100
-    grid_resolution: float = math.pi / 16.0
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0.0 < self.grid_resolution <= math.pi / 8.0:
-            raise ValueError(f"grid_resolution must lie in (0, pi/8], got {self.grid_resolution}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+# Latitude/longitude step of the coarse sweep that starts every search.
+GRID_RESOLUTION = math.pi / 16.0
 
 
-def haar_vectors(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
-    """``count`` Haar-random unit vectors of C^dim drawn from ``rng``, shape (count, dim).
+def haar_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-random unit qubit vectors drawn from ``rng``, shape (count, 2).
 
-    Draws 2 * dim standard normals per vector, pairs them as (re, im) and
+    Draws 4 standard normals per vector, pairs them as (re, im) and
     normalizes each row. The package's one random-state sampler: row n
     equals the n-th of ``count`` successive :func:`haar_vector` draws bit
     for bit, and seeded draws replay bit for bit.
     """
-    z = rng.standard_normal((count, 2 * dim))
+    z = rng.standard_normal((count, 4))
     v = z[:, 0::2] + 1j * z[:, 1::2]
     return v / linalg.vector_norms(v)[:, None]
 
 
-def haar_vector(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """One Haar-random unit vector of C^dim; a batch of one of :func:`haar_vectors`."""
-    return haar_vectors(rng, 1, dim)[0]
+def haar_vector(rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random unit qubit vector; a batch of one of :func:`haar_vectors`."""
+    return haar_vectors(rng, 1)[0]
 
 
 def haar_state(seed: int, index: int) -> np.ndarray:
@@ -131,14 +117,18 @@ def direct_probabilities(scheme: extraction.SchemeStack, psi) -> dict[str, float
     return {label: float(p) for label, p in zip(scheme.labels, probs)}
 
 
-def cross_check_stack(schemes: extraction.SchemeStack, oracle: OracleConfig) -> np.ndarray:
+def cross_check_stack(schemes: extraction.SchemeStack, seed: int, samples: int) -> np.ndarray:
     """Per scheme, the max deviation |direct - <psi|E|psi>| over random inputs and outcomes.
 
-    All schemes and inputs go through the direct route in one stacked
-    call. The caller asserts against ``oracle.tolerance``; this only reports.
+    The inputs are the first ``samples`` Haar states for ``seed`` (at
+    least one). All schemes and inputs go through the direct route in one
+    stacked call. This only reports; the caller compares the deviations
+    with its own bound.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     effects = extraction.extract_effects(schemes)
-    states = random_states(oracle.seed, oracle.samples)
+    states = random_states(seed, samples)
     direct = _probabilities(schemes, states)
     predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
     return np.abs(direct - predicted).max(axis=(1, 2))
@@ -200,11 +190,11 @@ _PATTERN_A, _PATTERN_B = (
 )
 
 
-def grid_maximize_stack(objective, count: int, oracle: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
+def grid_maximize_stack(objective, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximize ``count`` functions of a unit Bloch vector over the sphere, in lockstep.
 
     Each search is a coarse latitude/longitude sweep at
-    ``grid_resolution``, then twenty halving rounds of local pattern
+    ``GRID_RESOLUTION``, then twenty halving rounds of local pattern
     search. The refinement steps in a tangent frame of the current point
     (renormalizing), which has no pole pathology. For the linear and
     quadratic objectives used here the result is within 1e-6 of the true
@@ -215,7 +205,7 @@ def grid_maximize_stack(objective, count: int, oracle: OracleConfig) -> tuple[np
     array of points and an int array ``rows``, broadcasting against
     ``points.shape[:-1]``, that names the search each point belongs to; it
     returns the real values in that broadcast shape. The coarse lattice
-    is built once per resolution, cached write-protected, and passed as
+    is built once, cached write-protected, and passed as
     one (1, P, 3) array with ``rows`` of shape (count, 1). Every row
     evaluates every lattice point and keeps its first strict maximum; NaN
     is never accepted. In refinement each row keeps its tangent frame for
@@ -225,7 +215,7 @@ def grid_maximize_stack(objective, count: int, oracle: OracleConfig) -> tuple[np
     same floating-point operations in the same order as a search of its
     own.
     """
-    step = oracle.grid_resolution
+    step = GRID_RESOLUTION
     lattice = _coarse_lattice(step)
     rows = np.arange(count)
     values = np.broadcast_to(np.asarray(objective(lattice[None], rows[:, None]), dtype=float), (count, len(lattice)))

@@ -102,10 +102,6 @@ class StackClassification:
     sum_deviation: np.ndarray
 
 
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=(-2, -1))
-
-
 def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     """Classify an (N, K, d, d) stack of candidate POVMs in one array pass.
 
@@ -119,17 +115,17 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
         raise DimensionMismatch(f"expected an (N, K, d, d) effect stack, got shape {ops.shape}")
     dim = ops.shape[-1]
     ident = np.eye(dim)
-    herm_dev = _max_abs(ops - ops.conj().swapaxes(-1, -2))
+    herm_dev = linalg.max_abs(ops - ops.conj().swapaxes(-1, -2))
     evs = linalg.eigvals_hermitian(ops)
     lowest, highest = evs[..., -1], evs[..., 0]
     hermitian = herm_dev <= tol
     total = np.where(hermitian[..., None, None], ops, 0.0).sum(axis=1)
-    sum_dev = _max_abs(total - ident)
+    sum_dev = linalg.max_abs(total - ident)
     in_range = (lowest >= -tol) & (highest <= 1.0 + tol)
     valid = (hermitian & in_range).all(axis=1) & (sum_dev <= tol)
-    sharp = valid & (_max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
+    sharp = valid & (linalg.max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
     mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
-    trivial = valid & (_max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
+    trivial = valid & (linalg.max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
     return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
 
 

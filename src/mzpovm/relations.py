@@ -112,14 +112,7 @@ def _unit_rows(states, what: str) -> np.ndarray:
     v = np.asarray(states, dtype=complex)
     if v.ndim != 2:
         raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
-    norms = np.sqrt((v.conj() * v).real.sum(axis=1))
-    unit = np.abs(norms - 1.0) <= linalg.NORM_TOL
-    if not unit.all():
-        bad = int(np.argmin(unit))
-        raise NotNormalized(
-            f"{what} {bad} has norm {float(norms[bad])!r}, expected 1 within {linalg.NORM_TOL}"
-        )
-    return v
+    return linalg.check_unit_rows(v, what)
 
 
 def _weight(amplitude: np.ndarray) -> np.ndarray:
@@ -220,7 +213,7 @@ class StateContrasts:
 
 def contrasts(rho) -> StateContrasts:
     """C_P = |<sz>|, C_Ix = |<sx>|, C_Iy = |<sy>|, V = sqrt(<sx>^2 + <sy>^2)."""
-    r = linalg.bloch_from_density(rho)
+    r = linalg.bloch_from_density_stack(rho)
     return StateContrasts(
         path=min(1.0, abs(float(r[2]))),
         interference_x=min(1.0, abs(float(r[0]))),

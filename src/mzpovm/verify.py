@@ -36,8 +36,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, deviation: float, bound: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(deviation <= bound), deviation=float(deviation), detail=detail)
+def _result(name: str, deviation: float, bound: float, ok: bool = True, detail: str = "") -> CheckResult:
+    # ``ok`` carries a check's verdicts other than the bound on its deviation.
+    return CheckResult(name=name, passed=bool(deviation <= bound and ok), deviation=float(deviation), detail=detail)
 
 
 def _random_bloch_ball(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -171,8 +172,7 @@ def check_schmidt_separability(seed: int) -> CheckResult:
     )
     is_product = np.linalg.norm(vecs - terms[:, 0], axis=1) <= 1e-8
     ok = bool(np.all((variance <= 1e-8) == product) and np.all(is_product == product))
-    res = _result("schmidt-separability", worst, 1e-10)
-    return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
+    return _result("schmidt-separability", worst, 1e-10, ok)
 
 
 def check_smear_validity(seed: int) -> CheckResult:
@@ -201,8 +201,7 @@ def check_smear_validity(seed: int) -> CheckResult:
         i, j = np.triu_indices(rows, 1)
         left, right = smeared[:, i], smeared[:, j]
         worst = max(worst, float(np.max(np.abs(left @ right - right @ left))))
-    res = _result("smear-commutative", worst, 1e-12)
-    return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
+    return _result("smear-commutative", worst, 1e-12, ok)
 
 
 def _random_unsharp_pairs(rng: np.random.Generator, n: int):
@@ -233,8 +232,7 @@ def check_joint_marginality(seed: int) -> CheckResult:
         # Outcome "1" carries +param, outcome "2" -param.
         want = 0.5 * (np.eye(2) + (param[:, None] * np.array([1.0, -1.0]))[..., None, None] * axis)
         worst = max(worst, float(np.max(np.abs(got - want))))
-    res = _result("joint-marginality", worst, 1e-14)
-    return CheckResult(res.name, res.passed and admitted, res.deviation, res.detail)
+    return _result("joint-marginality", worst, 1e-14, admitted)
 
 
 def check_joint_iff_grid() -> CheckResult:
@@ -275,7 +273,6 @@ def _contrast_objective(diff: np.ndarray):
 
 def check_contrast_oracle(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
-    cfg = oracle.OracleConfig(seed=seed, samples=1, grid_resolution=math.pi / 16.0)
     # Each sample draws a direction, a length and a bias; the draws
     # interleave two distributions, so they stay in a loop.
     u_dir, u_len, bias = [], [], []
@@ -289,7 +286,7 @@ def check_contrast_oracle(seed: int) -> CheckResult:
     along = sum(u_dir[:, i, None, None] * s for i, s in enumerate(linalg.pauli_triple()))
     e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * along)
     effects = np.stack([e1, np.eye(2) - e1], axis=1)
-    best, _ = oracle.grid_maximize_stack(_contrast_objective(effects[:, 0] - effects[:, 1]), len(effects), cfg)
+    best, _ = oracle.grid_maximize_stack(_contrast_objective(effects[:, 0] - effects[:, 1]), len(effects))
     return _result("contrast-oracle", float(np.max(np.abs(best - povm.contrast_stack(effects)))), 1e-6)
 
 
@@ -299,8 +296,7 @@ def check_unsharpness_trade_off(seed: int) -> CheckResult:
     u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
     u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
     worst = max(0.0, float(np.max(1.0 - (u_f + u_g))))
-    res = _result("unsharpness-trade-off", worst, 1e-12)
-    return CheckResult(res.name, res.passed and admitted, res.deviation, res.detail)
+    return _result("unsharpness-trade-off", worst, 1e-12, admitted)
 
 
 def check_mub_fourier(seed: int) -> CheckResult:
@@ -448,10 +444,9 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
 
 
 def check_probability_reproduction(seed: int, samples: int, tol: float) -> CheckResult:
-    cfg = oracle.OracleConfig(seed=seed, samples=samples)
     worst = 0.0
     for configs in _readout_groups(distinct_grid_configs()):
-        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for(configs), cfg).max()))
+        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for(configs), seed, samples).max()))
     return _result("probability-reproduction", worst, tol)
 
 
@@ -499,8 +494,7 @@ def check_state_relations(seed: int, samples: int) -> CheckResult:
         and np.all(contrast_triple.lhs <= 1.0 + 1e-12)
         and np.all(entropy_triple.lhs >= 2.0 - 1e-9)
     )
-    res = _result("state-relations", worst, 1e-10)
-    return CheckResult(res.name, res.passed and ok, res.deviation, res.detail)
+    return _result("state-relations", worst, 1e-10, ok)
 
 
 def check_entropic_bound(seed: int, samples: int) -> CheckResult:
@@ -508,16 +502,13 @@ def check_entropic_bound(seed: int, samples: int) -> CheckResult:
     sx_pvm = relations.pauli_pvm("x")
     rng = np.random.default_rng([seed, 117])
     count = max(2000, 20 * samples)
-    z = rng.standard_normal((count, 4))
-    states = z[:, 0::2] + 1j * z[:, 1::2]
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states = oracle.haar_vectors(rng, count)
     eigenstates = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                    np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)]
     report = relations.entropic_bound_stack(sz_pvm, sx_pvm, np.vstack([states, eigenstates]))
     worst_violation = max(0.0, float(np.max(-report.slack)))
     lowest = float(np.min(report.lhs))
-    passed = worst_violation <= 1e-9 and abs(lowest - 1.0) <= 1e-3
-    return CheckResult("entropic-bound", passed, worst_violation, f"min lhs {lowest:.6f}")
+    return _result("entropic-bound", worst_violation, 1e-9, abs(lowest - 1.0) <= 1e-3, f"min lhs {lowest:.6f}")
 
 
 def check_erasure_duality(seed: int) -> CheckResult:
@@ -589,7 +580,6 @@ def _equatorial_objective(rho_e: np.ndarray):
 
 def check_grid_maximize_agreement(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 116])
-    cfg = oracle.OracleConfig(seed=seed, samples=1)
     # Each sample draws a tilt, then a weight: one batched draw replays them.
     u = rng.random((50, 2))
     thetas, weights = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist(), u[:, 1]
@@ -598,10 +588,10 @@ def check_grid_maximize_agreement(seed: int) -> CheckResult:
     b1 = linalg.bloch_from_density_stack(p1[:, :, None] * p1.conj()[:, None, :])
     b2 = linalg.bloch_from_density_stack(p2[:, :, None] * p2.conj()[:, None, :])
     evidence = alpha[:, None] ** 2 * b1 - beta[:, None] ** 2 * b2
-    best, _ = oracle.grid_maximize_stack(_correct_prob_objective(evidence), len(u), cfg)
+    best, _ = oracle.grid_maximize_stack(_correct_prob_objective(evidence), len(u))
     marked = np.concatenate([alpha[:, None] * p1, beta[:, None] * p2], axis=1)
     rho_e = linalg.partial_trace_probe_stack(marked)
-    best_v, _ = oracle.grid_maximize_stack(_equatorial_objective(rho_e), len(u), cfg)
+    best_v, _ = oracle.grid_maximize_stack(_equatorial_objective(rho_e), len(u))
     # The closed forms under test: L = (1 + D) / 2 and V_e, from the erasure audit.
     audit = relations.erasure_duality_stack(alpha, beta, p1, p2)
     worst = max(
@@ -619,7 +609,7 @@ def check_determinism(seed: int, samples: int) -> CheckResult:
     scheme = extraction.schemes_for([config])
     rep1 = repr(oracle.direct_probabilities(scheme, first[0]))
     rep2 = repr(oracle.direct_probabilities(scheme, second[0]))
-    return CheckResult("determinism", identical and rep1 == rep2, 0.0 if identical else 1.0)
+    return _result("determinism", 0.0 if identical else 1.0, 0.0, rep1 == rep2)
 
 
 def run_all(seed: int = 42, samples: int = 100, tol: float = 1e-10) -> list[CheckResult]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mzpovm import oracle
+from mzpovm import linalg, oracle
 
 
 @pytest.fixture
@@ -14,7 +14,9 @@ def random_pure(rng) -> np.ndarray:
 
 
 def random_pure4(rng) -> np.ndarray:
-    return oracle.haar_vector(rng, 4)
+    z = rng.standard_normal(8)
+    v = z[0::2] + 1j * z[1::2]
+    return v / linalg.vector_norms(v)
 
 
 def random_bloch_in_ball(rng) -> np.ndarray:

@@ -136,12 +136,11 @@ def test_criterion_3_closed_form_audit():
 
 
 def test_criterion_4_oracle_probability_reproduction():
-    cfg = oracle.OracleConfig(seed=42, samples=100, tolerance=1e-12)
     worst = 0.0
     # Configurations identical after dropping inert angles build the same
     # scheme; one representative per distinct scheme is exhaustive.
     for config in verify.distinct_grid_configs():
-        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for([config]), cfg)[0]))
+        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for([config]), 42, 100)[0]))
     ok = worst <= 1e-12
     conclude(4, ok, f"direct and extracted probabilities agree (max dev {worst:.2e})")
 

@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 digests of ``run`` reports and ``sweep`` CSV over a seeded corpus.
+"""Golden outputs: SHA-256 digests of ``run`` reports and ``sweep`` CSV over a seeded corpus,
+and of ``verify`` tables.
 
 The corpus covers all five experiments, flag and ``--config`` requests,
 ``--degrees``, the angles 0 and +/-pi, and basis inputs for which the
@@ -38,13 +39,26 @@ SWEEP_DIGESTS = {
     ("erasure", "delta"): "e7283bcc1f6b5fc51de9ea6dcfae6c4cd72e308a5dbc900fc7f86ee03d035245",
     ("marking", "delta"): "c9ce18f33a8e7282c62581fd33d5823d4200c8334f71ff2bfd772b302660c6d3",
 }
+# (exit code, digest of standard output) of ``verify`` at three seeds, and at a
+# tolerance below the noise floor, where three rows fail.
+VERIFY_DIGESTS = {
+    ("--seed=42",): (0, "4be4ec0afa33f1f90f8704088e33024ed09ddb9e3e726c0f78224ba8e114f204"),
+    ("--seed=7",): (0, "892fc01b6113825694e6798fa76d074002fc5eda716a671079e6a64f77017fcc"),
+    ("--seed=1",): (0, "e65f24c96fd0773aed0619e75fd2b717207de5efb003017dc6515e1387175d15"),
+    ("--seed=42", "--tol=1e-16"): (1, "617fa8a4ca69ba333c6d25effe8e0b469cbfc9beeca5b34d3bd875f437d70b43"),
+}
 
 
-def _main(argv) -> bytes:
+def _call(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
+    return code, out.getvalue()
+
+
+def _main(argv) -> bytes:
+    code, out = _call(argv)
+    return f"{code}\n{out}".encode()
 
 
 def _input(reals) -> str:
@@ -117,3 +131,11 @@ def test_run_reports_match_golden_digest(tmp_path):
 def test_sweep_csv_matches_golden_digests():
     got = {pair: hashlib.sha256(_main(sweep_argv(*pair))).hexdigest() for pair in SWEEP_PAIRS}
     assert got == SWEEP_DIGESTS
+
+
+def test_verify_tables_match_golden_digests():
+    got = {}
+    for args in VERIFY_DIGESTS:
+        code, out = _call(["verify", *args])
+        got[args] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == VERIFY_DIGESTS

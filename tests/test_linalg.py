@@ -54,13 +54,13 @@ class TestBloch:
         for _ in range(1000):
             r = random_bloch_in_ball(rng)
             np.testing.assert_allclose(
-                linalg.bloch_from_density(linalg.density_from_bloch(r)), r, atol=1e-12
+                linalg.bloch_from_density_stack(linalg.density_from_bloch(r)), r, atol=1e-12
             )
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*[st.floats(-0.577, 0.577) for _ in range(3)]))
     def test_round_trip_hypothesis(self, r):
-        back = linalg.bloch_from_density(linalg.density_from_bloch(r))
+        back = linalg.bloch_from_density_stack(linalg.density_from_bloch(r))
         assert np.max(np.abs(back - np.asarray(r))) <= 1e-12
 
 
@@ -300,6 +300,17 @@ class TestConstructors:
     def test_state_vector_rejects_non_finite(self):
         with pytest.raises(NotNormalized):
             linalg.state_vector([np.nan, 0.0])
+
+    @pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0], [1.0 + 2e-10, 0.0]])
+    def test_unit_row_check_names_the_first_bad_row(self, bad):
+        rows = np.array([[1.0, 0.0], [0.6, 0.8j], bad, [1.0, 1.0]], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(NotNormalized, match="^row 2 has norm"):
+            linalg.check_unit_rows(rows, "row")
+
+    def test_unit_row_check_passes_unit_rows_through(self):
+        rows = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0 + 5e-11, 0.0]])
+        assert linalg.check_unit_rows(rows, "row") is rows
+        assert linalg.check_unit_rows(np.empty((0, 3), dtype=complex), "row").shape == (0, 3)
 
     def test_perp_is_orthogonal(self, rng):
         v = random_pure(rng)

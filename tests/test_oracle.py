@@ -14,19 +14,12 @@ SX, SY, SZ = linalg.pauli_triple()
 
 class TestConfig:
     def test_defaults_valid(self):
-        oracle.OracleConfig()
+        assert oracle.GRID_RESOLUTION == math.pi / 16.0
 
     def test_bad_samples(self):
-        with pytest.raises(ValueError):
-            oracle.OracleConfig(samples=0)
-
-    def test_bad_resolution(self):
-        with pytest.raises(ValueError):
-            oracle.OracleConfig(grid_resolution=1.0)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            oracle.OracleConfig(tolerance=0.0)
+        scheme = extraction.schemes_for([interferometer.MzConfig("path")])
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            oracle.cross_check_stack(scheme, 42, 0)
 
 
 class TestHaarStates:
@@ -93,10 +86,9 @@ class TestDirectProbabilities:
 
 class TestCrossCheck:
     def test_exactness_on_sample_configs(self):
-        cfg = oracle.OracleConfig(seed=9, samples=100)
         for experiment in interferometer.EXPERIMENTS:
             config = interferometer.MzConfig(experiment, delta=0.4, gamma=1.0, theta=0.7)
-            assert oracle.cross_check_stack(extraction.schemes_for([config]), cfg)[0] <= 1e-12
+            assert oracle.cross_check_stack(extraction.schemes_for([config]), 9, 100)[0] <= 1e-12
 
     def test_corrupted_effect_detected(self):
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=1.0)
@@ -117,8 +109,7 @@ class TestCrossCheck:
 
     def test_stacked_route_matches_per_state_loop_on_the_grid(self):
         # Reference: one direct_probabilities call and one <psi|E|psi> per state.
-        cfg = oracle.OracleConfig(seed=5, samples=100)
-        states = [oracle.haar_state(cfg.seed, i) for i in range(cfg.samples)]
+        states = [oracle.haar_state(5, i) for i in range(100)]
         for config in verify.distinct_grid_configs():
             scheme = extraction.schemes_for([config])
             measured = extraction.extract_povm(scheme)
@@ -127,13 +118,12 @@ class TestCrossCheck:
                 for label, p in oracle.direct_probabilities(scheme, psi).items():
                     predicted = float(np.vdot(psi, measured.operator(label) @ psi).real)
                     worst = max(worst, abs(p - predicted))
-            assert abs(oracle.cross_check_stack(scheme, cfg)[0] - worst) <= 1e-15
+            assert abs(oracle.cross_check_stack(scheme, 5, 100)[0] - worst) <= 1e-15
 
     def test_deterministic_given_seed(self):
-        cfg = oracle.OracleConfig(seed=21, samples=30)
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=0.6)
         scheme = extraction.schemes_for([config])
-        assert oracle.cross_check_stack(scheme, cfg).tobytes() == oracle.cross_check_stack(scheme, cfg).tobytes()
+        assert oracle.cross_check_stack(scheme, 21, 30).tobytes() == oracle.cross_check_stack(scheme, 21, 30).tobytes()
 
 
 class TestProbabilityChecks:
@@ -153,18 +143,16 @@ class TestProbabilityChecks:
 
 class TestGridMaximize:
     def test_linear_contrast_objective(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
         effect_diff = 0.6 * SX
 
         def objective(r):
             return float(np.trace(linalg.density_from_bloch(r) @ effect_diff).real)
 
-        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([objective]), 1)
         assert best == pytest.approx(0.6, abs=1e-6)
         np.testing.assert_allclose(argmax, [1.0, 0.0, 0.0], atol=1e-3)
 
     def test_equatorial_visibility_objective(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
         rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
 
         def objective(r):
@@ -174,24 +162,22 @@ class TestGridMaximize:
             n = (r[0] / planar, r[1] / planar)
             return abs(float(np.trace(rho @ (n[0] * SX + n[1] * SY)).real))
 
-        (best,), _ = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
+        (best,), _ = oracle.grid_maximize_stack(stack_of([objective]), 1)
         assert best == pytest.approx(0.6, abs=1e-6)
 
     def test_constant_objective(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
-        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([lambda r: 0.25]), 1, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([lambda r: 0.25]), 1)
         assert best == 0.25
         assert abs(np.linalg.norm(argmax) - 1.0) <= 1e-12
 
     def test_off_axis_linear_objective(self, rng):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
         targets, scales = [], []
         for _ in range(20):
             target = rng.standard_normal(3)
             targets.append(target / np.linalg.norm(target))
             scales.append(float(rng.uniform(0.1, 1.0)))
         objectives = [lambda r, t=t, s=s: s * float(r @ t) for t, s in zip(targets, scales)]
-        best, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        best, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))
         for value, r, target, scale in zip(best, argmax, targets, scales):
             assert value == pytest.approx(scale, abs=1e-6)
             assert float(r @ target) >= 1.0 - 1e-5
@@ -208,9 +194,9 @@ def _reference_frame(r):
     return t1, np.cross(r, t1)
 
 
-def reference_grid_maximize(objective, cfg):
+def reference_grid_maximize(objective):
     """The lattice sweep and pattern search on numpy vectors, one step at a time."""
-    step = cfg.grid_resolution
+    step = oracle.GRID_RESOLUTION
     best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
     theta = 0.0
     while theta <= math.pi + 1e-12:
@@ -251,7 +237,7 @@ def _float_cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def float_reference_grid_maximize(objective, cfg):
+def float_reference_grid_maximize(objective):
     """The per-point search on Python floats, as the oracle ran it before
     its searches were stacked: the bit-for-bit reference.
 
@@ -259,7 +245,7 @@ def float_reference_grid_maximize(objective, cfg):
     rounds differently from the square root of the summed squares, so it
     agrees with this loop only to 1e-15.
     """
-    step = cfg.grid_resolution
+    step = oracle.GRID_RESOLUTION
     best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
     theta = 0.0
     while theta <= math.pi + 1e-12:
@@ -444,21 +430,20 @@ class TestSuiteObjectives:
 
 
 class TestGridMaximizeAgainstReference:
-    def assert_same_search(self, objective, cfg):
+    def assert_same_search(self, objective):
         fast, fast_calls = _counted(objective)
         slow, slow_calls = _counted(objective)
-        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([fast]), 1, cfg)
-        want, want_argmax = reference_grid_maximize(slow, cfg)
+        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([fast]), 1)
+        want, want_argmax = reference_grid_maximize(slow)
         assert len(fast_calls) == len(slow_calls)
         assert best == pytest.approx(want, abs=1e-15)
         np.testing.assert_allclose(argmax, want_argmax, rtol=0, atol=1e-15)
 
     def test_suite_objectives(self):
-        cfg = oracle.OracleConfig(seed=42, samples=1)
         for objective in _suite_objectives(42, 8):
-            self.assert_same_search(objective, cfg)
+            self.assert_same_search(objective)
 
-    def test_unit_test_objectives(self, rng):
+    def test_unit_test_objectives(self, rng, monkeypatch):
         rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
 
         def equatorial(r):
@@ -477,19 +462,18 @@ class TestGridMaximizeAgainstReference:
             target /= np.linalg.norm(target)
             objectives.append(lambda r, t=target: float(r @ t))
         for resolution in (math.pi / 16.0, math.pi / 8.0, 0.1):
-            cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=resolution)
+            monkeypatch.setattr(oracle, "GRID_RESOLUTION", resolution)
             for objective in objectives:
-                self.assert_same_search(objective, cfg)
+                self.assert_same_search(objective)
 
     def test_cached_lattice_is_read_only_and_result_is_owned(self):
-        cfg = oracle.OracleConfig()
         seen = []
-        oracle.grid_maximize_stack(stack_of([lambda r: seen.append(r) or 0.0]), 1, cfg)
+        oracle.grid_maximize_stack(stack_of([lambda r: seen.append(r) or 0.0]), 1)
         with pytest.raises(ValueError):
             seen[0][0] = 5.0
-        best, argmax = oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1, cfg)
+        best, argmax = oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)
         argmax[0, 0] = 5.0
-        assert oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1, cfg)[0] == best
+        assert oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)[0] == best
 
 
 def _unit_test_objectives(rng):
@@ -525,72 +509,68 @@ DEGENERATE_OBJECTIVES = [
 
 
 class TestGridMaximizeStack:
-    def assert_rows_match_float_reference(self, values, argmax, objectives, cfg):
+    def assert_rows_match_float_reference(self, values, argmax, objectives):
         assert values.shape == (len(objectives),) and argmax.shape == (len(objectives), 3)
         for value, r, objective in zip(values, argmax, objectives):
-            want, want_argmax = float_reference_grid_maximize(objective, cfg)
+            want, want_argmax = float_reference_grid_maximize(objective)
             assert value == want or (math.isnan(value) and math.isnan(want))
             assert r.tobytes() == want_argmax.tobytes()
 
     @pytest.mark.parametrize("seed", (42, 7, 1))
     def test_suite_searches_match_the_float_reference(self, seed):
-        cfg = oracle.OracleConfig(seed=seed, samples=1)
         for objective, _, floats in _suite_stacks(*_suite_inputs(seed, 50)):
-            values, argmax = oracle.grid_maximize_stack(objective, len(floats), cfg)
-            self.assert_rows_match_float_reference(values, argmax, floats, cfg)
+            values, argmax = oracle.grid_maximize_stack(objective, len(floats))
+            self.assert_rows_match_float_reference(values, argmax, floats)
 
     @pytest.mark.parametrize("resolution", (math.pi / 16.0, math.pi / 8.0, 0.1))
-    def test_unit_test_objectives_match_the_float_reference(self, rng, resolution):
-        cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=resolution)
+    def test_unit_test_objectives_match_the_float_reference(self, rng, resolution, monkeypatch):
+        monkeypatch.setattr(oracle, "GRID_RESOLUTION", resolution)
         objectives = _unit_test_objectives(rng)
         counted = [_counted(objective) for objective in objectives]
-        values, argmax = oracle.grid_maximize_stack(stack_of([f for f, _ in counted]), len(objectives), cfg)
-        self.assert_rows_match_float_reference(values, argmax, objectives, cfg)
+        values, argmax = oracle.grid_maximize_stack(stack_of([f for f, _ in counted]), len(objectives))
+        self.assert_rows_match_float_reference(values, argmax, objectives)
         # Every lattice point and pattern step of every row is evaluated.
         for objective, (_, calls) in zip(objectives, counted):
             slow, slow_calls = _counted(objective)
-            float_reference_grid_maximize(slow, cfg)
+            float_reference_grid_maximize(slow)
             assert len(calls) == len(slow_calls)
 
     def test_degenerate_objectives_behave_as_per_point(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
-        values, argmax = oracle.grid_maximize_stack(stack_of(DEGENERATE_OBJECTIVES), len(DEGENERATE_OBJECTIVES), cfg)
-        self.assert_rows_match_float_reference(values, argmax, DEGENERATE_OBJECTIVES, cfg)
-        lattice = oracle._coarse_lattice(cfg.grid_resolution)
+        values, argmax = oracle.grid_maximize_stack(stack_of(DEGENERATE_OBJECTIVES), len(DEGENERATE_OBJECTIVES))
+        self.assert_rows_match_float_reference(values, argmax, DEGENERATE_OBJECTIVES)
+        lattice = oracle._coarse_lattice(oracle.GRID_RESOLUTION)
         for row in (0, 1):
             assert values[row] == -math.inf and argmax[row].tobytes() == lattice[0].tobytes()
         assert values[3] == math.inf
         for objective, value in zip(DEGENERATE_OBJECTIVES, values):
-            assert oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)[0] == value or math.isnan(value)
+            assert oracle.grid_maximize_stack(stack_of([objective]), 1)[0] == value or math.isnan(value)
 
     def test_scalar_valued_objective_broadcasts(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
-        values, argmax = oracle.grid_maximize_stack(lambda points, rows: 0.25, 3, cfg)
+        values, argmax = oracle.grid_maximize_stack(lambda points, rows: 0.25, 3)
         assert values.tolist() == [0.25] * 3
-        assert argmax.tobytes() == np.repeat(oracle._coarse_lattice(cfg.grid_resolution)[:1], 3, axis=0).tobytes()
+        assert argmax.tobytes() == np.repeat(oracle._coarse_lattice(oracle.GRID_RESOLUTION)[:1], 3, axis=0).tobytes()
 
-    def test_each_row_of_a_mixed_stack_equals_its_stack_of_one(self, rng):
-        cfg = oracle.OracleConfig(seed=1, samples=1, grid_resolution=math.pi / 8.0)
+    def test_each_row_of_a_mixed_stack_equals_its_stack_of_one(self, rng, monkeypatch):
+        monkeypatch.setattr(oracle, "GRID_RESOLUTION", math.pi / 8.0)
         diffs, evidences, reduced = _suite_inputs(3, 2)
         objectives = [*_unit_test_objectives(rng), *DEGENERATE_OBJECTIVES, *map(_float_contrast, diffs),
                       *map(_float_correct_prob, evidences), *map(_float_equatorial, reduced)]
         rng.shuffle(objectives)
-        values, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        values, argmax = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))
         for n, objective in enumerate(objectives):
-            value, r = oracle.grid_maximize_stack(stack_of([objective]), 1, cfg)
+            value, r = oracle.grid_maximize_stack(stack_of([objective]), 1)
             assert values[n : n + 1].tobytes() == value.tobytes()
             assert argmax[n : n + 1].tobytes() == r.tobytes()
 
     def test_lattice_is_passed_once_and_read_only(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
-        lattice = oracle._coarse_lattice(cfg.grid_resolution)
+        lattice = oracle._coarse_lattice(oracle.GRID_RESOLUTION)
         calls = []
 
         def objective(points, rows):
             calls.append((points, rows))
             return points[..., 2] * (rows + 1.0)
 
-        oracle.grid_maximize_stack(objective, 5, cfg)
+        oracle.grid_maximize_stack(objective, 5)
         points, rows = calls[0]
         assert points.shape == (1, len(lattice), 3) and not points.flags.writeable
         assert np.shares_memory(points, lattice)
@@ -600,12 +580,11 @@ class TestGridMaximizeStack:
             assert points.shape == (len(rows), 3) and np.all(np.diff(rows) > 0)
 
     def test_batch_of_one_calls_the_objective_as_often_as_the_per_point_loop(self):
-        cfg = oracle.OracleConfig(seed=1, samples=1)
         for objective in (*DEGENERATE_OBJECTIVES, _float_contrast(_suite_inputs(42, 1)[0][0])):
             fast, fast_calls = _counted(objective)
             slow, slow_calls = _counted(objective)
-            got = oracle.grid_maximize_stack(stack_of([fast]), 1, cfg)
-            want = float_reference_grid_maximize(slow, cfg)
+            got = oracle.grid_maximize_stack(stack_of([fast]), 1)
+            want = float_reference_grid_maximize(slow)
             assert len(fast_calls) == len(slow_calls)
             assert got[1][0].tobytes() == want[1].tobytes()
 

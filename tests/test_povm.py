@@ -435,14 +435,12 @@ class TestContrastUnsharpness:
         # compare with 1 - contrast^2.
         p = two_outcome(0.6)
         diff = p.effects[0] - p.effects[1]
-        cfg = oracle.OracleConfig(seed=3, samples=1)
         (best,), _ = oracle.grid_maximize_stack(
-            stack_of([lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))]), 1, cfg
+            stack_of([lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))]), 1
         )
         assert 1.0 - best**2 == pytest.approx(povm.unsharpness_stack(p.effects[None])[0], abs=1e-6)
 
     def test_contrast_matches_grid_oracle(self, rng):
-        cfg = oracle.OracleConfig(seed=4, samples=1)
         povms, objectives = [], []
         for _ in range(50):
             direction = rng.standard_normal(3)
@@ -455,7 +453,7 @@ class TestContrastUnsharpness:
             diff = p.effects[0] - p.effects[1]
             povms.append(p)
             objectives.append(lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)))
-        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))
         for value, p in zip(best, povms):
             assert value == pytest.approx(povm.contrast(p), abs=1e-6)
 

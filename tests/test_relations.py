@@ -252,7 +252,7 @@ class TestCoincidencePovm:
         p1, p2 = interferometer.marker_states(math.pi / 2)
         alphas, betas = [0.8, 0.6], [0.6, 0.8]
         audits = relations.erasure_duality_stack(alphas, betas, [p1, p1], [p2, p2])
-        b1 = linalg.bloch_from_density(np.outer(p1, p1.conj()))
+        b1 = linalg.bloch_from_density_stack(np.outer(p1, p1.conj()))
         for i, (alpha, beta) in enumerate(zip(alphas, betas)):
             audit = audits.report(i)
             sign = 1.0 if alpha > beta else -1.0
@@ -294,7 +294,6 @@ class TestVisibility:
         np.testing.assert_allclose(result.visibility_direction, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_optimal_direction_attains_the_maximum(self, rng):
-        cfg = oracle.OracleConfig(seed=11, samples=1)
         inputs = []
         for _ in range(10):
             psi = random_pure(rng)
@@ -317,7 +316,7 @@ class TestVisibility:
                 )
 
             objectives.append(equatorial)
-        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives), cfg)
+        best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))
         assert (best <= audits.visibility + 1e-9).all()
 
 
@@ -364,8 +363,8 @@ class TestErasureDuality:
         pairs = [interferometer.marker_states(0.2), interferometer.marker_states(1.3)]
         weights = (0.5, 0.5)
         evidence = sum(
-            w * (abs(alpha) ** 2 * linalg.bloch_from_density(np.outer(p1, p1.conj()))
-                 - abs(beta) ** 2 * linalg.bloch_from_density(np.outer(p2, p2.conj())))
+            w * (abs(alpha) ** 2 * linalg.bloch_from_density_stack(np.outer(p1, p1.conj()))
+                 - abs(beta) ** 2 * linalg.bloch_from_density_stack(np.outer(p2, p2.conj())))
             for w, (p1, p2) in zip(weights, pairs)
         )
         mixed_rho = sum(w * reduced_state(alpha, beta, p1, p2) for w, (p1, p2) in zip(weights, pairs))
@@ -417,7 +416,7 @@ def reference_variance_ur(rho):
 
 def reference_triple(rho):
     pvms = [[0.5 * (I2 + s), 0.5 * (I2 - s)] for s in (SX, SY, SZ)]
-    r = linalg.bloch_from_density(rho)
+    r = linalg.bloch_from_density_stack(rho)
     c = [min(1.0, abs(float(x))) for x in r]
     return (
         sum(reference_entropy(ops, rho) for ops in pvms),
@@ -447,7 +446,7 @@ def reference_entropic_bound(ops_a, ops_b, psi):
 
 def reference_erasure(alpha, beta, p1, p2):
     """(pointer direction or None, D, V_e, visibility direction, D^2 + V_e^2, variance sum)."""
-    b1, b2 = (linalg.bloch_from_density(np.outer(p, np.conj(p))) for p in (p1, p2))
+    b1, b2 = (linalg.bloch_from_density_stack(np.outer(p, np.conj(p))) for p in (p1, p2))
     evidence = abs(alpha) ** 2 * b1 - abs(beta) ** 2 * b2
     strength = float(np.linalg.norm(evidence))
     if strength < 1e-12:

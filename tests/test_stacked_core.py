@@ -126,11 +126,10 @@ class TestStackedOracle:
                     np.testing.assert_allclose(probs[n, s], want, rtol=0, atol=TOL)
 
     def test_cross_check_stack_matches_the_scalar_cross_check(self):
-        cfg = oracle.OracleConfig(seed=5, samples=30)
         for configs in _groups():
-            stacked = oracle.cross_check_stack(extraction.schemes_for(configs), cfg)
+            stacked = oracle.cross_check_stack(extraction.schemes_for(configs), 5, 30)
             for n in (0, len(configs) // 2, len(configs) - 1):
-                alone = oracle.cross_check_stack(extraction.schemes_for([configs[n]]), cfg)[0]
+                alone = oracle.cross_check_stack(extraction.schemes_for([configs[n]]), 5, 30)[0]
                 assert abs(stacked[n] - alone) <= TOL
 
     def test_out_of_range_names_scheme_and_state(self):

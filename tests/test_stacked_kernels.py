@@ -276,7 +276,7 @@ class TestBlochStacks:
         r = verify._random_bloch_ball(rng, 1)[0]
         np.testing.assert_array_equal(linalg.density_from_bloch(r), linalg.density_from_bloch_stack(r[None])[0])
         rho = linalg.density_from_bloch(r)
-        np.testing.assert_array_equal(linalg.bloch_from_density(rho), linalg.bloch_from_density_stack(rho[None])[0])
+        np.testing.assert_array_equal(linalg.bloch_from_density_stack(rho), linalg.bloch_from_density_stack(rho[None])[0])
 
 
 class TestKronRows:
@@ -299,7 +299,7 @@ class TestPartialTraceStack:
     @pytest.mark.parametrize("bad", [np.array([1.0, 0.0, 0.0, 1.0]), np.array([np.nan, 0.0, 0.0, 1.0])])
     def test_bad_member_is_named(self, rng, bad):
         vecs = np.array([_product(rng), _product(rng), bad, _product(rng)])
-        with pytest.raises(NotNormalized, match="compound vector 2 norm"):
+        with pytest.raises(NotNormalized, match="compound vector 2 has norm"):
             linalg.partial_trace_probe_stack(vecs)
 
     def test_shape_rejected(self):
@@ -379,9 +379,9 @@ class TestSchmidtStack:
 
     def test_bad_member_is_named(self, rng):
         vecs = np.array([_product(rng), np.array([1.0, 0.0, 0.0, 1.0])])
-        with pytest.raises(NotNormalized, match="compound vector 1 norm"):
+        with pytest.raises(NotNormalized, match="compound vector 1 has norm"):
             linalg.schmidt_stack(vecs)
-        with pytest.raises(NotNormalized, match="compound vector 1 norm"):
+        with pytest.raises(NotNormalized, match="compound vector 1 has norm"):
             linalg.adapted_observable_variance_stack(vecs)
 
 
@@ -391,11 +391,10 @@ class TestSchmidtStack:
 
 
 class TestHaarVectors:
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_rows_replay_successive_draws(self, dim):
-        got = oracle.haar_vectors(np.random.default_rng(11), 300, dim)
+    def test_rows_replay_successive_draws(self):
+        got = oracle.haar_vectors(np.random.default_rng(11), 300)
         rng = np.random.default_rng(11)
-        want = np.array([_reference_haar_vector(rng, dim) for _ in range(300)])
+        want = np.array([_reference_haar_vector(rng) for _ in range(300)])
         assert got.tobytes() == want.tobytes()
 
     def test_scalar_is_a_batch_of_one(self):
