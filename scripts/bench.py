@@ -19,6 +19,12 @@ objective evaluations and the ratios) and the traced seconds of every
 ``verify`` check on each side. Each checkout runs its
 own ``perfbench`` on its own ``src``. ``src_lines`` gives the line count
 of each side's ``src/mzpovm/*.py``, and in ``summary`` the net change.
+``inprocess`` times the suite without perfbench's ticks: in each of
+``INPROCESS_ROUNDS`` rounds, the two sides alternating, a fresh child on
+the side's ``src`` runs ``verify.run_all(42)`` once untimed and then
+``INPROCESS_REPEATS`` times, each check of ``verify`` timing itself;
+``summary`` keeps each side's best and median suite time and each
+check's minimum, with their ratios.
 
     python scripts/bench.py --pr <number> --baseline <parent checkout> --pairs 10
 """
@@ -46,6 +52,66 @@ COMMANDS = {
     "sweep": ["-m", "mzpovm", "sweep", "--experiment", "quantitative", "--delta", "-1.5707963267948966",
               "--param", "theta", "--from", "0", "--to", "1.5", "--steps", "2000"],
 }
+
+
+INPROCESS_ROUNDS = 8
+INPROCESS_REPEATS = 3
+# Run by a fresh interpreter on one checkout's src; prints one JSON line with
+# the seconds of each timed run_all(42) and of each check in it.
+INPROCESS_CHILD = """
+import json, sys, time
+from mzpovm import verify
+
+runs = []
+
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        runs[-1]["check_s"][name] = time.perf_counter() - start
+        return result
+    return wrapper
+
+
+verify.run_all(42)
+for name in dir(verify):
+    if name.startswith("check_") or name == "extraction_grid_checks":
+        setattr(verify, name, timed(name, getattr(verify, name)))
+for _ in range(int(sys.argv[1])):
+    runs.append({"check_s": {}})
+    start = time.perf_counter()
+    verify.run_all(42)
+    runs[-1]["run_all_s"] = time.perf_counter() - start
+print(json.dumps(runs))
+"""
+
+
+def inprocess(root: Path) -> list[dict]:
+    """The timed ``run_all(42)`` runs of one fresh child on ``root``'s src."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-c", INPROCESS_CHILD, str(INPROCESS_REPEATS)]
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def summarize_inprocess(timings: dict) -> dict:
+    """Best and median ``run_all(42)`` seconds and each check's minimum seconds per side, with ratios to the baseline.
+
+    The median sits beside the best because one child that happens to run
+    in a fast phase of a shared host sets its side's best alone.
+    """
+    best = {side: min(run["run_all_s"] for run in runs) for side, runs in timings.items()}
+    median = {side: statistics.median(run["run_all_s"] for run in runs) for side, runs in timings.items()}
+    names = sorted({name for runs in timings.values() for run in runs for name in run["check_s"]})
+    checks = {
+        name: {side: min(run["check_s"][name] for run in runs) for side, runs in timings.items()}
+        for name in names
+    }
+    if "baseline" in timings:
+        for entry in (best, median, *checks.values()):
+            entry["ratio"] = entry["checkout"] / entry["baseline"]
+    return {"inprocess.run_all_s": best, "inprocess.run_all_median_s": median, "inprocess.check_min_s": checks}
 
 
 def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -151,6 +217,10 @@ def main() -> int:
         for rep in range(5):
             for side in alternating(rep):
                 walls[side][command].append(wall_seconds(roots[side], command))
+    timings = {side: [] for side in roots}
+    for rep in range(INPROCESS_ROUNDS):
+        for side in alternating(rep):
+            timings[side].extend(inprocess(roots[side]))
     lines = {side: src_lines(roots[side]) for side in roots}
     report = {
         "pr": args.pr,
@@ -160,8 +230,9 @@ def main() -> int:
         "wall_s": {
             side: {c: {"median": statistics.median(v), "runs": v} for c, v in walls[side].items()} for side in roots
         },
+        "inprocess": timings,
         "src_lines": lines,
-        "summary": summarize(runs, traced, lines),
+        "summary": {**summarize(runs, traced, lines), **summarize_inprocess(timings)},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -18,6 +18,12 @@ one array pass.
 The closed forms here are the analytic effect tables of the three marked
 experiments; the extraction route and the closed-form route must agree
 entrywise, which is the central defense against sign and prefactor slips.
+:func:`closed_form_stack` gives them for N configurations of one
+experiment as (N, 4, 2, 2) joint and (N, 2, 2, 2) marginal arrays, and
+:func:`closed_form` is its batch of one; neither calls an interferometer
+or extraction kernel. Stacks are (N, ..., d, d) at every public boundary;
+validation reduces over the matrix axes members-last (``linalg.max_abs``,
+``linalg.hermitian_deviation``).
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -83,7 +89,7 @@ def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     unitarity = linalg.max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
     norms = np.sqrt((p0.conj() * p0).real.sum(axis=1))  # numpy.linalg.norm(p0, axis=1)'s arithmetic
     idempotency = linalg.max_abs(m @ m - m)
-    hermiticity = linalg.max_abs(m - m.conj().swapaxes(-1, -2))
+    hermiticity = linalg.hermitian_deviation(m)
     total = linalg.max_abs(m.sum(axis=1) - np.eye(4))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
     bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
@@ -194,19 +200,48 @@ def marginals_of(joint: povm.DiscretePovm) -> ExperimentObservables:
     )
 
 
-def _half(coeff: float, vec) -> np.ndarray:
-    # (coeff I + vec . sigma) / 2 written out entrywise on Python floats.
-    x, y, z = (float(c) for c in vec)
-    return np.array([[0.5 * (coeff + z), complex(0.5 * x, -0.5 * y)],
-                     [complex(0.5 * x, 0.5 * y), 0.5 * (coeff - z)]])
+def _half(coeff, vec) -> np.ndarray:
+    # (coeff I + vec . sigma) / 2 with coeff and the parts x, y, z of vec
+    # broadcast to a shape S, shape S + (2, 2), written out entrywise with
+    # the IEEE operations the same expression takes on Python floats.
+    x, y, z = vec
+    out = np.empty(np.broadcast(coeff, x, y, z).shape + (2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0] = 0.5 * (coeff + z)
+    re[..., 0, 1] = re[..., 1, 0] = 0.5 * x
+    re[..., 1, 1] = 0.5 * (coeff - z)
+    im[..., 0, 0] = im[..., 1, 1] = 0.0
+    im[..., 0, 1] = -0.5 * y
+    im[..., 1, 0] = 0.5 * y
+    return out
 
 
-def _quarter(coeff: float, vec) -> np.ndarray:
+def _quarter(coeff, vec) -> np.ndarray:
     return 0.5 * _half(coeff, vec)
 
 
-def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
-    """Analytic joint POVM and marginals for the three marked experiments.
+# Signs of the two marginal outcomes, and the joint sign patterns; a
+# product with +/-1 negates exactly, signed zeros included.
+_PM = np.array([1.0, -1.0])
+_PMPM = np.array([1.0, -1.0, 1.0, -1.0])
+_MPPM = np.array([-1.0, 1.0, 1.0, -1.0])
+_PMMP = np.array([1.0, -1.0, -1.0, 1.0])
+_ZEROS = np.array([0.0, -0.0, 0.0, -0.0])
+_PLUS = 0.5 * (linalg.IDENTITY2 + linalg.pauli("z"))
+_MINUS = 0.5 * (linalg.IDENTITY2 - linalg.pauli("z"))
+_MARKING_JOINT = np.array([_PLUS, _PLUS, _MINUS, _MINUS])
+_MARKING_PROBE = np.array([_PLUS, _MINUS])
+
+
+def closed_form_stack(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic joint effects and marginals of N configurations of one marked experiment.
+
+    Returns the (N, 4, 2, 2) joint effects in the order of
+    ``povm.JOINT_LABELS`` and the (N, 2, 2, 2) detector (F), probe (G) and
+    coincidence (H) effects, outcomes "1" and "2". The angles are read
+    with ``math.cos`` and ``math.sin`` per configuration, and each entry
+    is formed from them alone, so a member does not depend on the rest of
+    the stack.
 
     marking:       E_k1 and E_k2 are fractions of the path projections,
                    weighted cos^2(delta/2) / sin^2(delta/2); F is the path
@@ -224,50 +259,56 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
                    interference-path mixture, G the path observable
                    smeared by cos(theta), H trivial with bias
                    cos(theta) cos(delta).
+
+    Raises ``UnsupportedExperiment`` for path or interference, and for a
+    stack that is empty or mixes experiments.
     """
-    d = config.delta
-    if config.experiment == "marking":
-        ident = np.eye(2, dtype=complex)
-        sz = linalg.pauli("z")
-        plus = 0.5 * (ident + sz)
-        minus = 0.5 * (ident - sz)
-        c2 = math.cos(d / 2.0) ** 2
-        s2 = math.sin(d / 2.0) ** 2
-        joint = [c2 * plus, s2 * plus, s2 * minus, c2 * minus]
-        detector = [_half(1.0, (0, 0, math.cos(d))), _half(1.0, (0, 0, -math.cos(d)))]
-        probe = [plus, minus]
-        coincidence = [c2 * ident, s2 * ident]
-    elif config.experiment == "erasure":
-        g = config.gamma
-        n = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), -math.cos(d)])
-        m = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), math.cos(d)])
-        joint = [_quarter(1.0, -n), _quarter(1.0, n), _quarter(1.0, m), _quarter(1.0, -m)]
-        detector = [_half(1.0, (0, 0, math.cos(d))), _half(1.0, (0, 0, -math.cos(d)))]
-        probe = [_half(1.0, (0, 0, 0)), _half(1.0, (0, 0, 0))]
-        fringe = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), 0.0])
-        coincidence = [_half(1.0, -fringe), _half(1.0, fringe)]
-    elif config.experiment == "quantitative":
-        t = config.theta
-        bias = math.cos(t) * math.cos(d)
-        m = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) + math.cos(t)])
-        n = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) - math.cos(t)])
-        joint = [
-            _quarter(1.0 + bias, m),
-            _quarter(1.0 - bias, -n),
-            _quarter(1.0 - bias, n),
-            _quarter(1.0 + bias, -m),
-        ]
-        f_vec = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d)])
-        detector = [_half(1.0, f_vec), _half(1.0, -f_vec)]
-        probe = [_half(1.0, (0, 0, math.cos(t))), _half(1.0, (0, 0, -math.cos(t)))]
-        coincidence = [_half(1.0 + bias, (0, 0, 0)), _half(1.0 - bias, (0, 0, 0))]
+    experiments = sorted({c.experiment for c in configs})
+    if len(experiments) != 1:
+        raise UnsupportedExperiment(f"a closed-form stack takes one experiment, got {experiments}")
+    experiment = experiments[0]
+    if experiment not in ("marking", "erasure", "quantitative"):
+        raise UnsupportedExperiment(f"closed forms exist for marking/erasure/quantitative, not {experiment!r}")
+    d = [c.delta for c in configs]
+    cd = np.array([math.cos(a) for a in d])[:, None]
+    detector_z = cd * _PM
+    if experiment == "marking":
+        c2 = np.array([math.cos(a / 2.0) ** 2 for a in d])
+        s2 = np.array([math.sin(a / 2.0) ** 2 for a in d])
+        joint = np.stack([c2, s2, s2, c2], axis=1)[..., None, None] * _MARKING_JOINT
+        detector = _half(1.0, (0.0, 0.0, detector_z))
+        probe = np.broadcast_to(_MARKING_PROBE, (len(d), 2, 2, 2)).copy()
+        coincidence = np.stack([c2, s2], axis=1)[..., None, None] * linalg.IDENTITY2
+    elif experiment == "erasure":
+        sd = np.array([math.sin(a) for a in d])[:, None]
+        x = sd * np.array([math.cos(c.gamma) for c in configs])[:, None]
+        y = sd * np.array([math.sin(c.gamma) for c in configs])[:, None]
+        # -n, n, m, -m with n = (x, y, -cos d) and m = (x, y, cos d).
+        joint = _quarter(1.0, (x * _MPPM, y * _MPPM, cd * _PMPM))
+        detector = _half(1.0, (0.0, 0.0, detector_z))
+        probe = _half(1.0, (0.0, 0.0, np.zeros((len(d), 2))))
+        # -fringe and fringe with fringe = (x, y, 0).
+        coincidence = _half(1.0, (-x * _PM, -y * _PM, 0.0))
     else:
-        raise UnsupportedExperiment(
-            f"closed forms exist for marking/erasure/quantitative, not {config.experiment!r}"
-        )
+        t = [c.theta for c in configs]
+        ct = np.array([math.cos(a) for a in t])[:, None]
+        x = -np.array([math.sin(a) for a in d])[:, None] * np.array([math.sin(a) for a in t])[:, None]
+        bias = ct * cd
+        # m, -n, n, -m with m = (x, 0, cos d + cos t) and n = (x, 0, cos d - cos t).
+        joint = _quarter(1.0 + bias * _PMMP, (x * _PMPM, _ZEROS, (cd + ct * _PMMP) * _PMPM))
+        # f and -f with f = (x, 0, cos d); the y parts of v and -v are 0 and -0.
+        detector = _half(1.0, (x * _PM, _ZEROS[:2], detector_z))
+        probe = _half(1.0, (0.0, 0.0, ct * _PM))
+        coincidence = _half(1.0 + bias * _PM, (0.0, 0.0, 0.0))
+    return joint, detector, probe, coincidence
+
+
+def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
+    """Analytic joint POVM and marginals of one configuration; a batch of one of :func:`closed_form_stack`."""
+    joint, *marginals = closed_form_stack([config])
     return ExperimentObservables(
-        povm.DiscretePovm(povm.JOINT_LABELS, joint),
-        *(povm.DiscretePovm(_DETECTOR_LABELS, ops) for ops in (detector, probe, coincidence)),
+        povm.DiscretePovm(povm.JOINT_LABELS, joint[0]),
+        *(povm.DiscretePovm(_DETECTOR_LABELS, ops[0]) for ops in marginals),
     )
 
 

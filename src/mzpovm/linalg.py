@@ -98,21 +98,37 @@ def perp(v) -> np.ndarray:
     return _frozen(np.concatenate([-v[..., 1:].conj(), v[..., :1].conj()], axis=-1))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def max_abs(a: np.ndarray) -> np.ndarray:
-    """The largest absolute entry of each matrix of a (..., m, n) stack, shape (...)."""
-    return np.abs(a).max(axis=(-2, -1))
+    """The largest absolute entry of each matrix of a (..., m, n) stack, shape (...).
+
+    The absolute values are written members-last, (n, m, ...) with the
+    leading axes reversed, so the reduction loops along the members
+    rather than over one small matrix at a time.
+    """
+    return np.abs(a.T, order="C").max(axis=(0, 1)).T
+
+
+def hermitian_deviation(a) -> np.ndarray:
+    """max |A - A^dagger| of each matrix of a (..., d, d) stack, shape (...).
+
+    The differences are written members-last, as in :func:`max_abs`.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"expected a stack of square matrices, got shape {a.shape}")
+    t = a.T
+    return np.abs(np.subtract(t, t.conj().swapaxes(0, 1), order="C")).max(axis=(0, 1)).T
+
+
+def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    return bool(hermitian_deviation(a) <= tol)
 
 
 def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    dev = float(hermitian_deviation(a))
     if dev > tol:
         raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol})")
     return a

@@ -7,6 +7,11 @@ over an (N, L, d, d) stack of N such arrays. A function that takes one
 :func:`contrast`) exists because the CLI or ``verify`` calls it, and
 passes its ``effects`` to the kernel as a batch of one.
 
+Stacks are (N, ..., d, d) at every public boundary. A kernel that reduces
+over the matrix axes works members-last: :func:`classify_effects` makes
+one (d, d, K, N) copy of its stack, so each numpy pass loops along the
+members rather than over one small matrix at a time.
+
 The unsharp sigma_x / sigma_z joint observables of
 :func:`joint_xz_effects` follow the order of ``JOINT_LABELS``, 11, 21,
 12, 22, so that ``extraction.DETECTOR_GROUPING`` (the first index) yields
@@ -114,18 +119,23 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     if ops.ndim != 4 or ops.shape[-1] != ops.shape[-2]:
         raise DimensionMismatch(f"expected an (N, K, d, d) effect stack, got shape {ops.shape}")
     dim = ops.shape[-1]
-    ident = np.eye(dim)
-    herm_dev = linalg.max_abs(ops - ops.conj().swapaxes(-1, -2))
+    herm_dev = linalg.hermitian_deviation(ops)
     evs = linalg.eigvals_hermitian(ops)
     lowest, highest = evs[..., -1], evs[..., 0]
-    hermitian = herm_dev <= tol
-    total = np.where(hermitian[..., None, None], ops, 0.0).sum(axis=1)
-    sum_dev = linalg.max_abs(total - ident)
-    in_range = (lowest >= -tol) & (highest <= 1.0 + tol)
-    valid = (hermitian & in_range).all(axis=1) & (sum_dev <= tol)
-    sharp = valid & (linalg.max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
-    mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
-    trivial = valid & (linalg.max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
+    # One members-last copy: t[i, j, k, n] is entry (i, j) of effect k of
+    # member n, so every pass below loops along the members and reduces
+    # over leading axes.
+    t = np.ascontiguousarray(ops.transpose(2, 3, 1, 0))
+    ident = np.eye(dim)[:, :, None, None]
+    hermitian = herm_dev.T <= tol
+    total = np.where(hermitian, t, 0.0).sum(axis=2)
+    sum_dev = np.abs(total - ident[..., 0]).max(axis=(0, 1))
+    in_range = ((lowest >= -tol) & (highest <= 1.0 + tol)).T
+    valid = (hermitian & in_range).all(axis=0) & (sum_dev <= tol)
+    square = (t[:, :, None] * t[None]).sum(axis=1)
+    sharp = valid & (np.abs(square - t).max(axis=(0, 1)) <= tol).all(axis=0)
+    mean = t.reshape(dim * dim, *t.shape[2:])[:: dim + 1].sum(axis=0) / dim
+    trivial = valid & (np.abs(t - mean * ident).max(axis=(0, 1)) <= tol).all(axis=0)
     return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
 
 
@@ -228,6 +238,8 @@ _PAULIS = np.array(linalg.pauli_triple())
 JOINT_LABELS = ("11", "21", "12", "22")
 _JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+# I, sigma_x and sigma_z as (2, 2, 1, 1) operands of members-last products.
+_IDENTITY_ML, _SX_ML, _SZ_ML = (op[:, :, None, None] for op in (linalg.IDENTITY2, *_PAULIS[::2]))
 
 
 def _pair_arrays(f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +269,14 @@ def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
     the order of ``JOINT_LABELS``, and the (N,) mask of
     :func:`jointly_measurable_stack`. Effects are built for every pair;
     outside the mask their minimum eigenvalue (1 - sqrt(f^2 + g^2)) / 4 is
-    negative.
+    negative. The effects are built members-last, (2, 2, 4, N), and
+    returned as an (N, 4, 2, 2) view of that array.
     """
     f, g = _pair_arrays(f, g)
-    sx, _, sz = linalg.pauli_triple()
-    fx = (f[:, None] * _JOINT_X_SIGNS)[..., None, None]
-    gz = (g[:, None] * _JOINT_Z_SIGNS)[..., None, None]
-    effects = 0.25 * (linalg.IDENTITY2 + fx * sx + gz * sz)
-    return effects, jointly_measurable_stack(f, g)
+    fx = _JOINT_X_SIGNS[:, None] * f
+    gz = _JOINT_Z_SIGNS[:, None] * g
+    effects = 0.25 * (_IDENTITY_ML + fx * _SX_ML + gz * _SZ_ML)
+    return effects.transpose(3, 2, 0, 1), jointly_measurable_stack(f, g)
 
 
 def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,7 @@ def _density_stack(rhos) -> np.ndarray:
     rho = np.asarray(rhos, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (2, 2):
         raise NotHermitian(f"expected an (N, 2, 2) stack of states, got shape {rho.shape}")
-    dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
+    dev = float(linalg.hermitian_deviation(rho).max(initial=0.0))
     if not dev <= linalg.HERMITIAN_TOL:
         raise NotHermitian(f"state deviates from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
     return rho

@@ -425,17 +425,18 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
         norm_worst = max(norm_worst, float(np.max(np.abs(effects.sum(axis=1) - np.eye(2)))))
         if configs[0].experiment in interferometer.DETECTOR_ONLY:
             continue
-        analytic = [extraction.closed_form(c) for c in configs]
-        for field, grouping in (
-            ("joint", None),
-            ("detector", extraction.DETECTOR_GROUPING),
-            ("probe", extraction.PROBE_GROUPING),
-            ("coincidence", extraction.COINCIDENCE_GROUPING),
-        ):
-            measured = effects if grouping is None else povm.marginal_stack(effects, schemes.labels, grouping)
-            labels = schemes.labels if grouping is None else tuple(grouping)
-            want = np.array([[getattr(a, field).operator(label) for label in labels] for a in analytic])
-            agree_worst = max(agree_worst, float(np.max(np.abs(measured - want))))
+        # Joint effects in the order of the scheme labels, then the F, G and H
+        # marginals, against the closed forms of each experiment's run of configs.
+        measured = [effects] + [
+            povm.marginal_stack(effects, schemes.labels, grouping)
+            for grouping in (extraction.DETECTOR_GROUPING, extraction.PROBE_GROUPING, extraction.COINCIDENCE_GROUPING)
+        ]
+        analytic = [
+            extraction.closed_form_stack(list(run))
+            for _, run in itertools.groupby(configs, key=lambda c: c.experiment)
+        ]
+        for got, *runs in zip(measured, *analytic):
+            agree_worst = max(agree_worst, float(np.max(np.abs(got - np.concatenate(runs)))))
     return [
         _result("extraction-positivity", psd_worst, 1e-10),
         _result("extraction-normalization", norm_worst, max(tol, 0.0)),

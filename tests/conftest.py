@@ -9,6 +9,19 @@ def rng():
     return np.random.default_rng(20240901)
 
 
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bits; a NaN matches any NaN, every other value its exact bits (signed zeros too)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype.kind in "fc":
+        got, want = (np.ascontiguousarray(a).view(float) for a in (got, want))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    else:
+        assert np.array_equal(got, want)
+
+
 def random_pure(rng) -> np.ndarray:
     return oracle.haar_vector(rng)
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg, oracle, povm
+from mzpovm import extraction, interferometer, linalg, oracle, povm, verify
 from mzpovm.errors import InvalidScheme, UnsupportedExperiment, ZeroProbabilityCondition
 
-from conftest import random_pure
+from conftest import assert_same_bits, random_pure
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -105,6 +105,110 @@ class TestClosedFormAgreement:
     def test_unsupported_experiment(self):
         with pytest.raises(UnsupportedExperiment):
             extraction.closed_form(interferometer.MzConfig("path"))
+
+
+def _reference_half(coeff, vec):
+    # The entrywise (coeff I + vec . sigma) / 2 on Python floats that the
+    # scalar closed form was built from.
+    x, y, z = (float(c) for c in vec)
+    return np.array([[0.5 * (coeff + z), complex(0.5 * x, -0.5 * y)],
+                     [complex(0.5 * x, 0.5 * y), 0.5 * (coeff - z)]])
+
+
+def _reference_quarter(coeff, vec):
+    return 0.5 * _reference_half(coeff, vec)
+
+
+def _reference_closed_form(config):
+    """The (4, 2, 2) joint and three (2, 2, 2) marginal effects of one config, one Python call per entry."""
+    d = config.delta
+    if config.experiment == "marking":
+        ident = np.eye(2, dtype=complex)
+        plus = 0.5 * (ident + SZ)
+        minus = 0.5 * (ident - SZ)
+        c2 = math.cos(d / 2.0) ** 2
+        s2 = math.sin(d / 2.0) ** 2
+        joint = [c2 * plus, s2 * plus, s2 * minus, c2 * minus]
+        detector = [_reference_half(1.0, (0, 0, math.cos(d))), _reference_half(1.0, (0, 0, -math.cos(d)))]
+        probe = [plus, minus]
+        coincidence = [c2 * ident, s2 * ident]
+    elif config.experiment == "erasure":
+        g = config.gamma
+        n = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), -math.cos(d)])
+        m = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), math.cos(d)])
+        joint = [_reference_quarter(1.0, -n), _reference_quarter(1.0, n),
+                 _reference_quarter(1.0, m), _reference_quarter(1.0, -m)]
+        detector = [_reference_half(1.0, (0, 0, math.cos(d))), _reference_half(1.0, (0, 0, -math.cos(d)))]
+        probe = [_reference_half(1.0, (0, 0, 0)), _reference_half(1.0, (0, 0, 0))]
+        fringe = np.array([math.sin(d) * math.cos(g), math.sin(d) * math.sin(g), 0.0])
+        coincidence = [_reference_half(1.0, -fringe), _reference_half(1.0, fringe)]
+    else:
+        t = config.theta
+        bias = math.cos(t) * math.cos(d)
+        m = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) + math.cos(t)])
+        n = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d) - math.cos(t)])
+        joint = [_reference_quarter(1.0 + bias, m), _reference_quarter(1.0 - bias, -n),
+                 _reference_quarter(1.0 - bias, n), _reference_quarter(1.0 + bias, -m)]
+        f_vec = np.array([-math.sin(d) * math.sin(t), 0.0, math.cos(d)])
+        detector = [_reference_half(1.0, f_vec), _reference_half(1.0, -f_vec)]
+        probe = [_reference_half(1.0, (0, 0, math.cos(t))), _reference_half(1.0, (0, 0, -math.cos(t)))]
+        coincidence = [_reference_half(1.0 + bias, (0, 0, 0)), _reference_half(1.0 - bias, (0, 0, 0))]
+    return tuple(np.array(ops, dtype=complex) for ops in (joint, detector, probe, coincidence))
+
+
+def _random_configs(rng, experiment, count):
+    # Uniform angles in [-2 pi, 2 pi], about a third of them replaced by 0, -0, +/-pi/2 or +/-pi.
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, (count, 3))
+    special = rng.random((count, 3)) < 0.3
+    angles[special] = rng.choice([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi], special.sum())
+    return [interferometer.MzConfig(experiment, *map(float, row)) for row in angles]
+
+
+class TestClosedFormStack:
+    def assert_matches_reference(self, configs):
+        stacked = extraction.closed_form_stack(configs)
+        assert [a.shape for a in stacked] == [(len(configs), 4, 2, 2)] + [(len(configs), 2, 2, 2)] * 3
+        for n, config in enumerate(configs):
+            for got, want in zip(stacked, _reference_closed_form(config)):
+                assert_same_bits(got[n], want)
+
+    def test_grid_configs(self):
+        grid = [c for c in verify.distinct_grid_configs() if c.experiment not in interferometer.DETECTOR_ONLY]
+        assert len(grid) == 136
+        for _, run in itertools.groupby(grid, key=lambda c: c.experiment):
+            self.assert_matches_reference(list(run))
+
+    @pytest.mark.parametrize("experiment, count", [("marking", 666), ("erasure", 667), ("quantitative", 667)])
+    def test_random_configs(self, rng, experiment, count):
+        self.assert_matches_reference(_random_configs(rng, experiment, count))
+
+    @pytest.mark.parametrize("experiment", ["marking", "erasure", "quantitative"])
+    def test_closed_form_is_a_batch_of_one(self, rng, experiment):
+        configs = _random_configs(rng, experiment, 20)
+        stacked = extraction.closed_form_stack(configs)
+        for n, config in enumerate(configs):
+            one = extraction.closed_form(config)
+            assert isinstance(one, extraction.ExperimentObservables)
+            fields = (one.joint, one.detector, one.probe, one.coincidence)
+            assert [p.labels for p in fields] == [povm.JOINT_LABELS] + [("1", "2")] * 3
+            for p, got, want in zip(fields, stacked, _reference_closed_form(config)):
+                assert_same_bits(p.effects, got[n])
+                assert_same_bits(p.effects, want)
+
+    @pytest.mark.parametrize("experiment", ["path", "interference"])
+    def test_unread_experiments_raise(self, experiment):
+        config = interferometer.MzConfig(experiment, delta=0.3)
+        with pytest.raises(UnsupportedExperiment, match=f"not '{experiment}'"):
+            extraction.closed_form(config)
+        with pytest.raises(UnsupportedExperiment, match=f"not '{experiment}'"):
+            extraction.closed_form_stack([config, config])
+
+    def test_mixed_or_empty_stacks_raise(self):
+        mixed = [interferometer.MzConfig("marking", delta=0.3), interferometer.MzConfig("erasure", delta=0.3)]
+        with pytest.raises(UnsupportedExperiment, match=r"one experiment, got \['erasure', 'marking'\]"):
+            extraction.closed_form_stack(mixed)
+        with pytest.raises(UnsupportedExperiment, match=r"one experiment, got \[\]"):
+            extraction.closed_form_stack([])
 
 
 class TestMarginals:

@@ -170,6 +170,51 @@ class TestBenchSummary:
         assert summary["src_lines"] == {"baseline": 3419, "checkout": 3347, "net": -72}
 
 
+def _suite(total, **checks):
+    return {"run_all_s": total, "check_s": checks}
+
+
+class TestInprocessSummary:
+    bench = TestBenchSummary.bench
+
+    def test_best_suite_and_check_minimums_with_ratios(self):
+        timings = {
+            "baseline": [_suite(0.20, check_a=0.040, extraction_grid_checks=0.018),
+                         _suite(0.19, check_a=0.042, extraction_grid_checks=0.017),
+                         _suite(0.14, check_a=0.043, extraction_grid_checks=0.019)],
+            "checkout": [_suite(0.16, check_a=0.014, extraction_grid_checks=0.006),
+                         _suite(0.15, check_a=0.012, extraction_grid_checks=0.009),
+                         _suite(0.17, check_a=0.015, extraction_grid_checks=0.007)],
+        }
+        summary = self.bench.summarize_inprocess(timings)
+        assert summary["inprocess.run_all_s"] == {"baseline": 0.14, "checkout": 0.15, "ratio": 0.15 / 0.14}
+        # One fast baseline run moves the best, not the median.
+        assert summary["inprocess.run_all_median_s"] == {"baseline": 0.19, "checkout": 0.16, "ratio": 0.16 / 0.19}
+        # Each check's minimum comes from whichever run was fastest for it.
+        assert summary["inprocess.check_min_s"] == {
+            "check_a": {"baseline": 0.040, "checkout": 0.012, "ratio": 0.012 / 0.040},
+            "extraction_grid_checks": {"baseline": 0.017, "checkout": 0.006, "ratio": 0.006 / 0.017},
+        }
+
+    def test_checkout_alone(self):
+        summary = self.bench.summarize_inprocess({"checkout": [_suite(0.2, check_a=0.01), _suite(0.3, check_a=0.02)]})
+        assert summary == {
+            "inprocess.run_all_s": {"checkout": 0.2},
+            "inprocess.run_all_median_s": {"checkout": 0.25},
+            "inprocess.check_min_s": {"check_a": {"checkout": 0.01}},
+        }
+
+    def test_child_times_every_check_of_the_suite(self):
+        runs = self.bench.inprocess(ROOT)
+        assert len(runs) == self.bench.INPROCESS_REPEATS
+        from mzpovm import verify
+
+        names = {name for name in dir(verify) if name.startswith("check_")} | {"extraction_grid_checks"}
+        for run in runs:
+            assert set(run["check_s"]) == names
+            assert 0.0 < sum(run["check_s"].values()) <= run["run_all_s"]
+
+
 def test_src_lines_counts_package_modules_as_wc_does(tmp_path):
     package = tmp_path / "src" / "mzpovm"
     (package / "sub").mkdir(parents=True)
