@@ -25,10 +25,10 @@ def main() -> int:
     for label, p in probabilities.items():
         print(f"  {label}: {p:.6f}")
 
-    grouped = extraction.marginals_of(measured)
+    contrasts = povm.contrast_stack(povm.joint_marginals(measured.effects[None])[0])
     print("\nmarginal contrasts:")
-    for name, marginal in (("detector", grouped.detector), ("probe", grouped.probe), ("coincidence", grouped.coincidence)):
-        print(f"  {name}: {povm.contrast(marginal):.6f}")
+    for name, contrast in zip(("detector", "probe", "coincidence"), contrasts):
+        print(f"  {name}: {contrast:.6f}")
 
     print("\ndetector statistics conditional on each probe outcome:")
     for probe_label in ("1", "2"):

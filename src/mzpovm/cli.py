@@ -99,7 +99,10 @@ def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     with open(args.config, encoding="utf-8") as fh:
-        fields = json.load(fh)
+        try:
+            fields = json.load(fh)
+        except RecursionError:
+            raise UsageError("config file nests too deeply to parse") from None
     if not isinstance(fields, dict):
         raise UsageError(f"config file must hold a JSON object, got {type(fields).__name__}")
     return fields
@@ -187,16 +190,15 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
     if len(labels) == 2:
         report["povm_classification"] = _classifications(effects)[0]
     else:
-        groupings = (extraction.DETECTOR_GROUPING, extraction.PROBE_GROUPING, extraction.COINCIDENCE_GROUPING)
-        marginals = np.concatenate([povm.marginal_stack(effects, labels, g) for g in groupings])
+        marginals = povm.joint_marginals(effects)[0]
         # Zero effects change no verdict, so F, G and H padded to four effects
         # share the joint POVM's classification pass.
         candidates = np.zeros((4, 4, 2, 2), dtype=complex)
         candidates[0], candidates[1:, :2] = effects[0], marginals
         report["povm_classification"], *verdicts = _classifications(candidates)
         report["marginals"] = {
-            name: {"effects": dict(zip(grouping, entries)), "classification": verdict}
-            for name, grouping, entries, verdict in zip("FGH", groupings, _pairs(marginals), verdicts)
+            name: {"effects": dict(zip(("1", "2"), entries)), "classification": verdict}
+            for name, entries, verdict in zip("FGH", _pairs(marginals), verdicts)
         }
         measured = povm.DiscretePovm(labels, effects[0])
         conditional = report["conditional_probabilities"] = {}
@@ -305,14 +307,9 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
             "duality_slack": audit.duality.slack,
         }
         if len(labels) == 4:
-            for label in ("11", "12", "21", "22"):
-                columns["p" + label] = probabilities[:, labels.index(label)]
-            for column, grouping in (
-                ("F_contrast", extraction.DETECTOR_GROUPING),
-                ("G_contrast", extraction.PROBE_GROUPING),
-                ("H_contrast", extraction.COINCIDENCE_GROUPING),
-            ):
-                columns[column] = povm.contrast_stack(povm.marginal_stack(effects, labels, grouping))
+            columns.update(("p" + label, p) for label, p in zip(labels, probabilities.T))
+            contrasts = povm.contrast_stack(povm.joint_marginals(effects).reshape(-1, 2, 2, 2)).reshape(-1, 3)
+            columns.update(zip(("F_contrast", "G_contrast", "H_contrast"), contrasts.T))
         else:
             columns["F_contrast"] = povm.contrast_stack(effects)
         for n in range(len(chunk)):

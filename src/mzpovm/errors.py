@@ -25,10 +25,6 @@ class InvalidStochasticMatrix(MzPovmError):
     """A smearing matrix has negative entries or non-unit column sums."""
 
 
-class NotAPartition(MzPovmError):
-    """A grouping does not partition the outcome labels."""
-
-
 class NotTwoOutcome(MzPovmError):
     """An operation defined for two-outcome POVMs got something else."""
 

@@ -21,7 +21,8 @@ entrywise, which is the central defense against sign and prefactor slips.
 :func:`closed_form_stack` gives them for N configurations of one
 experiment as (N, 4, 2, 2) joint and (N, 2, 2, 2) marginal arrays, and
 :func:`closed_form` is its batch of one; neither calls an interferometer
-or extraction kernel. Stacks are (N, ..., d, d) at every public boundary;
+or extraction kernel. The F, G and H marginals of an extracted joint POVM
+come from ``povm.joint_marginals``. Stacks are (N, ..., d, d) at every public boundary;
 validation reduces over the matrix axes members-last (``linalg.max_abs``,
 ``linalg.hermitian_deviation``).
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
@@ -41,11 +42,6 @@ from .errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroPro
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
-
-DETECTOR_GROUPING = {"1": ("11", "12"), "2": ("21", "22")}
-PROBE_GROUPING = {"1": ("11", "21"), "2": ("12", "22")}
-COINCIDENCE_GROUPING = {"1": ("11", "22"), "2": ("12", "21")}
-
 
 @dataclass(frozen=True)
 class SchemeStack:
@@ -177,27 +173,17 @@ def extract_povm(scheme: SchemeStack) -> povm.DiscretePovm:
 
 @dataclass(frozen=True)
 class ExperimentObservables:
-    """A four-outcome joint POVM with its three grouped marginals.
+    """A four-outcome joint POVM with its three marginals.
 
     ``detector`` sums over the probe index (the F marginal), ``probe``
     sums over the detector index (G), and ``coincidence`` groups equal
-    against unequal index pairs (H).
+    against unequal index pairs (H), as ``povm.joint_marginals`` sums them.
     """
 
     joint: povm.DiscretePovm
     detector: povm.DiscretePovm
     probe: povm.DiscretePovm
     coincidence: povm.DiscretePovm
-
-
-def marginals_of(joint: povm.DiscretePovm) -> ExperimentObservables:
-    """Group a four-outcome joint POVM into its three standard marginals."""
-    return ExperimentObservables(
-        joint=joint,
-        detector=povm.marginal(joint, DETECTOR_GROUPING),
-        probe=povm.marginal(joint, PROBE_GROUPING),
-        coincidence=povm.marginal(joint, COINCIDENCE_GROUPING),
-    )
 
 
 def _half(coeff, vec) -> np.ndarray:
@@ -316,14 +302,17 @@ def conditional_probabilities(joint: povm.DiscretePovm, probe_label: str, psi) -
     """Detector probabilities conditional on one probe outcome.
 
     prob(D_k | probe = l) = <psi| E_kl |psi> / <psi| G_l |psi>, where G_l
-    sums the joint effects over the detector index.
+    sums the joint effects over the detector index. ``joint`` lists its
+    effects in the order of ``povm.JOINT_LABELS``. An unknown
+    ``probe_label`` raises ``KeyError``.
     """
     v = linalg.state_vector(psi)
-    members = PROBE_GROUPING[probe_label]
-    joint_probabilities = [float(np.vdot(v, joint.operator(m) @ v).real) for m in members]
+    # Outcome l of the probe marginal G sums E_1l and E_2l, in that order.
+    members = povm.MARGINAL_PAIRS[1, {"1": 0, "2": 1}[probe_label]]
+    joint_probabilities = [float(np.vdot(v, joint.effects[k] @ v).real) for k in members]
     denom = sum(joint_probabilities)
     if denom <= 1e-12:
         raise ZeroProbabilityCondition(
             f"probe outcome {probe_label!r} has probability {denom!r} in this state"
         )
-    return {m[0]: p / denom for m, p in zip(members, joint_probabilities)}
+    return {"1": joint_probabilities[0] / denom, "2": joint_probabilities[1] / denom}

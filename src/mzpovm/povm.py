@@ -2,23 +2,22 @@
 
 A POVM is a tuple of outcome labels plus one complex (L, d, d) array of
 effects (:class:`DiscretePovm`). Every operation has one array kernel
-over an (N, L, d, d) stack of N such arrays. A function that takes one
-:class:`DiscretePovm` (:func:`validate`, :func:`marginal`,
-:func:`contrast`) exists because the CLI or ``verify`` calls it, and
-passes its ``effects`` to the kernel as a batch of one.
+over an (N, L, d, d) stack of N such arrays; :func:`validate`, which
+names the failures of one :class:`DiscretePovm`, passes its ``effects``
+to the kernel as a batch of one.
 
 Stacks are (N, ..., d, d) at every public boundary. A kernel that reduces
 over the matrix axes works members-last: :func:`classify_effects` makes
 one (d, d, K, N) copy of its stack, so each numpy pass loops along the
 members rather than over one small matrix at a time.
 
-The unsharp sigma_x / sigma_z joint observables of
-:func:`joint_xz_effects` follow the order of ``JOINT_LABELS``, 11, 21,
-12, 22, so that ``extraction.DETECTOR_GROUPING`` (the first index) yields
-the sigma_x marginal F = {(I +/- f sigma_x)/2} and
-``extraction.PROBE_GROUPING`` (the second index) the sigma_z marginal
-G = {(I +/- g sigma_z)/2}. Keeping one fixed order removes a silent
-transposition bug class.
+Every four-outcome joint POVM, measured or built, lists its effects in
+the order of ``JOINT_LABELS``, 11, 21, 12, 22 (detector index first).
+:func:`joint_marginals` holds the one index table that sums them into the
+detector marginal F (first index), the probe marginal G (second index)
+and the coincidence marginal H (11 + 22 against 12 + 21). For the joint
+observables of :func:`joint_xz_effects`, F is {(I +/- f sigma_x)/2} and
+G is {(I +/- g sigma_z)/2}.
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    InvalidStochasticMatrix,
-    NotAPartition,
-    NotSharp,
-    NotTwoOutcome,
-)
+from .errors import DimensionMismatch, InvalidStochasticMatrix, NotSharp, NotTwoOutcome
 
 EFFECT_TOL = 1e-10
 STOCHASTIC_TOL = 1e-12
@@ -206,36 +199,12 @@ def smear_stack(projections, w) -> np.ndarray:
     return np.einsum("nlk,nkij->nlij", w, ops)
 
 
-def marginal_stack(effects, labels, grouping) -> np.ndarray:
-    """Sum grouped effects over an (N, L, d, d) stack whose effects carry ``labels``.
-
-    ``grouping`` maps each output label to the member labels it absorbs
-    and must partition ``labels`` exactly. Returns (N, K, d, d), one effect
-    per output label in the order of ``grouping``.
-    """
-    items = list(grouping.items()) if isinstance(grouping, dict) else list(grouping)
-    seen = [m for _, members in items for m in members]
-    if sorted(seen) != sorted(labels):
-        raise NotAPartition(
-            f"grouping covers {sorted(seen)} but the POVM has outcomes {sorted(labels)}"
-        )
-    ops = np.asarray(effects, dtype=complex)
-    index = {label: k for k, label in enumerate(labels)}
-    out = np.zeros((len(ops), len(items)) + ops.shape[2:], dtype=complex)
-    for k, (_, members) in enumerate(items):
-        for m in members:
-            out[:, k] += ops[:, index[m]]
-    return out
-
-
-def marginal(p: DiscretePovm, grouping) -> DiscretePovm:
-    """Sum grouped effects into a new POVM; a batch of one of :func:`marginal_stack`."""
-    items = list(grouping.items()) if isinstance(grouping, dict) else list(grouping)
-    return DiscretePovm(tuple(label for label, _ in items), marginal_stack(p.effects[None], p.labels, items)[0])
-
-
 _PAULIS = np.array(linalg.pauli_triple())
 JOINT_LABELS = ("11", "21", "12", "22")
+# [m, o] holds the two JOINT_LABELS indices summed into outcome o ("1", "2")
+# of marginal m: F = 11+12 | 21+22, G = 11+21 | 12+22, H = 11+22 | 12+21.
+MARGINAL_PAIRS = np.array([[[0, 2], [1, 3]], [[0, 1], [2, 3]], [[0, 3], [2, 1]]])
+MARGINAL_PAIRS.flags.writeable = False
 _JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 # I, sigma_x and sigma_z as (2, 2, 1, 1) operands of members-last products.
@@ -279,6 +248,21 @@ def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
     return effects.transpose(3, 2, 0, 1), jointly_measurable_stack(f, g)
 
 
+def joint_marginals(effects) -> np.ndarray:
+    """The F, G and H marginals of an (N, 4, d, d) stack of joint POVMs, as (N, 3, 2, d, d).
+
+    The effects follow the order of ``JOINT_LABELS``. Row 0 is the
+    detector marginal F, row 1 the probe marginal G and row 2 the
+    coincidence marginal H, each with outcomes "1" and "2". Each pair is
+    summed as 0.0 + first + second, so a sum of two zeros is +0.0 whatever
+    their signs. Any other shape raises ``DimensionMismatch``.
+    """
+    ops = np.asarray(effects, dtype=complex)
+    if ops.ndim != 4 or ops.shape[1] != 4 or ops.shape[2] != ops.shape[3]:
+        raise DimensionMismatch(f"expected an (N, 4, d, d) joint effect stack, got shape {ops.shape}")
+    return 0.0 + ops[:, MARGINAL_PAIRS[..., 0]] + ops[:, MARGINAL_PAIRS[..., 1]]
+
+
 def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:
     """Decompose an (N, 2, 2) stack of qubit effects as ((1 + b) I + u . sigma) / 2.
 
@@ -305,14 +289,6 @@ def contrast_stack(effects) -> np.ndarray:
     # |u| as one dot product per row, the way numpy.linalg.norm sums one vector.
     length = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
     return np.minimum(1.0, np.maximum(0.0, np.abs(b) + length))
-
-
-def contrast(p: DiscretePovm) -> float:
-    """Maximal statistical contrast of a two-outcome POVM over all states.
-
-    A batch of one of :func:`contrast_stack`.
-    """
-    return float(contrast_stack(p.effects[None])[0])
 
 
 def unsharpness_stack(effects) -> np.ndarray:

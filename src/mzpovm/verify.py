@@ -223,12 +223,9 @@ def check_joint_marginality(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 106])
     sx, _, sz = linalg.pauli_triple()
     f, g, effects, admitted = _random_unsharp_pairs(rng, 200)
+    marginals = povm.joint_marginals(effects)
     worst = 0.0
-    for param, axis, grouping in (
-        (f, sx, extraction.DETECTOR_GROUPING),
-        (g, sz, extraction.PROBE_GROUPING),
-    ):
-        got = povm.marginal_stack(effects, povm.JOINT_LABELS, grouping)
+    for param, axis, got in ((f, sx, marginals[:, 0]), (g, sz, marginals[:, 1])):
         # Outcome "1" carries +param, outcome "2" -param.
         want = 0.5 * (np.eye(2) + (param[:, None] * np.array([1.0, -1.0]))[..., None, None] * axis)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -293,8 +290,7 @@ def check_contrast_oracle(seed: int) -> CheckResult:
 def check_unsharpness_trade_off(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 108])
     _, _, effects, admitted = _random_unsharp_pairs(rng, 500)
-    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
-    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
+    u_f, u_g, _ = povm.unsharpness_stack(povm.joint_marginals(effects).reshape(-1, 2, 2, 2)).reshape(-1, 3).T
     worst = max(0.0, float(np.max(1.0 - (u_f + u_g))))
     return _result("unsharpness-trade-off", worst, 1e-12, admitted)
 
@@ -427,10 +423,7 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
             continue
         # Joint effects in the order of the scheme labels, then the F, G and H
         # marginals, against the closed forms of each experiment's run of configs.
-        measured = [effects] + [
-            povm.marginal_stack(effects, schemes.labels, grouping)
-            for grouping in (extraction.DETECTOR_GROUPING, extraction.PROBE_GROUPING, extraction.COINCIDENCE_GROUPING)
-        ]
+        measured = [effects, *povm.joint_marginals(effects).swapaxes(0, 1)]
         analytic = [
             extraction.closed_form_stack(list(run))
             for _, run in itertools.groupby(configs, key=lambda c: c.experiment)
@@ -464,7 +457,7 @@ def check_pointer_freedom(seed: int) -> CheckResult:
         interferometer.probe_stack(configs), [c.delta for c in configs], pointers
     )
     effects = extraction.extract_effects(schemes)
-    probe = povm.marginal_stack(effects, schemes.labels, extraction.PROBE_GROUPING)
+    probe = povm.joint_marginals(effects)[:, 1]
     b, u = povm.bias_and_direction_stack(probe.reshape(-1, 2, 2))
     b, u = b.reshape(-1, 2), u.reshape(-1, 2, 3)
     worst = max(
@@ -528,21 +521,13 @@ def check_erasure_duality(seed: int) -> CheckResult:
 
 
 def check_limit_complementarity() -> CheckResult:
-    failures = 0
-    sharp_g = extraction.closed_form(
-        interferometer.MzConfig("quantitative", delta=-math.pi / 2.0, theta=0.0)
-    )
-    cls_f = povm.validate(sharp_g.detector, tol=1e-12)
-    cls_g = povm.validate(sharp_g.probe, tol=1e-12)
-    if not (cls_f.valid and cls_f.trivial and cls_g.valid and cls_g.sharp):
-        failures += 1
-    sharp_f = extraction.closed_form(
-        interferometer.MzConfig("quantitative", delta=-math.pi / 2.0, theta=math.pi / 2.0)
-    )
-    cls_f = povm.validate(sharp_f.detector, tol=1e-12)
-    cls_g = povm.validate(sharp_f.probe, tol=1e-12)
-    if not (cls_f.valid and cls_f.sharp and cls_g.valid and cls_g.trivial):
-        failures += 1
+    # theta = 0 makes the probe marginal G sharp and the detector marginal F
+    # trivial; theta = pi/2 the reverse. Sharp and trivial imply valid.
+    configs = [interferometer.MzConfig("quantitative", delta=-math.pi / 2.0, theta=t) for t in (0.0, math.pi / 2.0)]
+    _, detector, probe, _ = extraction.closed_form_stack(configs)
+    f = povm.classify_effects(detector, tol=1e-12)
+    g = povm.classify_effects(probe, tol=1e-12)
+    failures = int(not (f.trivial[0] and g.sharp[0])) + int(not (f.sharp[1] and g.trivial[1]))
     return _result("limit-complementarity", float(failures), 0.0)
 
 

@@ -126,10 +126,10 @@ def test_criterion_3_closed_form_audit():
             joint_want, marginal_want = table(d, g, t)
             for label, want in joint_want.items():
                 worst = max(worst, float(np.max(np.abs(measured.operator(label) - want))))
-            grouped = extraction.marginals_of(measured)
-            for name, group in (("F", grouped.detector), ("G", grouped.probe), ("H", grouped.coincidence)):
-                for label, want in marginal_want[name].items():
-                    worst = max(worst, float(np.max(np.abs(group.operator(label) - want))))
+            grouped = povm.joint_marginals(measured.effects[None])[0]
+            for name, group in zip("FGH", grouped):
+                for effect, label in zip(group, ("1", "2")):
+                    worst = max(worst, float(np.max(np.abs(effect - marginal_want[name][label]))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 10.0
     conclude(3, ok, f"closed-form audit over the full angle grid (dev {worst:.2e}, {elapsed:.1f}s)")
@@ -169,8 +169,8 @@ def test_criterion_6_joint_measurability_grid():
     admissible = f * f + g * g <= 1.0 + 1e-10
     effects, admitted = povm.joint_xz_effects(f, g)
     built = admitted & povm.classify_effects(effects).valid
-    u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
-    u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
+    grouped = povm.joint_marginals(effects)
+    u_f, u_g = povm.unsharpness_stack(grouped[:, 0]), povm.unsharpness_stack(grouped[:, 1])
     ok = bool((built == admissible).all() and (u_f + u_g >= 1.0 - 1e-12)[admissible].all())
     conclude(6, ok, "joint observable exists exactly on the unit disk; unsharpness trade-off holds")
 
@@ -237,9 +237,10 @@ def test_criterion_10_limit_case_complementarity():
     ok = True
     for theta, sharp_marginal in ((0.0, "probe"), (math.pi / 2, "detector")):
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=theta)
-        grouped = extraction.marginals_of(extraction.extract_povm(extraction.schemes_for([config])))
-        detector_cls = povm.validate(grouped.detector, tol=1e-12)
-        probe_cls = povm.validate(grouped.probe, tol=1e-12)
+        effects = extraction.extract_effects(extraction.schemes_for([config]))
+        detector, probe, _ = (povm.DiscretePovm(("1", "2"), m) for m in povm.joint_marginals(effects)[0])
+        detector_cls = povm.validate(detector, tol=1e-12)
+        probe_cls = povm.validate(probe, tol=1e-12)
         if sharp_marginal == "probe":
             if not (probe_cls.valid and probe_cls.sharp and detector_cls.valid and detector_cls.trivial):
                 ok = False

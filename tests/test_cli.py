@@ -172,6 +172,15 @@ class TestUsageErrors:
         )
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+    def test_deeply_nested_config_file(self, capsys, tmp_path, opening, closing):
+        # Nesting past the interpreter's recursion limit is a usage error,
+        # not a RecursionError traceback.
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(opening * 100_000 + "0" + closing * 100_000)
+        err = self.assert_usage_error(capsys, "run", "--experiment", "path", "--config", str(config_path))
+        assert err.count("\n") == 1 and "nests too deeply" in err
+
     def test_negative_seed_rejected_at_parse_time(self, capsys, monkeypatch):
         def fail(**kwargs):
             raise AssertionError("the suite must not start")

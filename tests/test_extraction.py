@@ -11,6 +11,7 @@ from conftest import assert_same_bits, random_pure
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
+PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 GRID = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi)
 
 
@@ -260,14 +261,9 @@ class TestMarginals:
     def test_grouping_of_joint_reproduces_closed_marginals(self):
         config = interferometer.MzConfig("erasure", delta=0.5, gamma=1.1)
         analytic = extraction.closed_form(config)
-        grouped = extraction.marginals_of(analytic.joint)
-        for got, want in (
-            (grouped.detector, analytic.detector),
-            (grouped.probe, analytic.probe),
-            (grouped.coincidence, analytic.coincidence),
-        ):
-            for label in got.labels:
-                np.testing.assert_allclose(got.operator(label), want.operator(label), atol=1e-14)
+        grouped = povm.joint_marginals(analytic.joint.effects[None])[0]
+        for got, want in zip(grouped, (analytic.detector, analytic.probe, analytic.coincidence)):
+            np.testing.assert_allclose(got, want.effects, atol=1e-14)
 
 
 class TestSchemeValidation:
@@ -339,8 +335,8 @@ class TestExtractionProperties:
             p1, p2 = interferometer.marker_states(theta)
             r1 = random_pure(rng)
             scheme = extraction.build_schemes([[[1.0, 0.0], p1, p2]], [delta], [(r1, linalg.perp(r1))])
-            grouped = extraction.marginals_of(extraction.extract_povm(scheme))
-            (b1, b2), (u1, u2) = povm.bias_and_direction_stack(grouped.probe.effects)
+            probe = povm.joint_marginals(extraction.extract_effects(scheme))[0, 1]
+            (b1, b2), (u1, u2) = povm.bias_and_direction_stack(probe)
             assert np.max(np.abs(u1 + u2)) <= 1e-10
             assert abs(b1 + b2) <= 1e-10
             assert abs(u1[0]) <= 1e-10 and abs(u1[1]) <= 1e-10
@@ -377,3 +373,9 @@ class TestConditionalProbabilities:
         measured = extraction.extract_povm(extraction.schemes_for([config]))
         with pytest.raises(ZeroProbabilityCondition):
             extraction.conditional_probabilities(measured, "1", np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("probe_label", ["0", "3", "11", 1])
+    def test_unknown_probe_label_raises_key_error(self, probe_label):
+        measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)]))
+        with pytest.raises(KeyError):
+            extraction.conditional_probabilities(measured, probe_label, PLUS)

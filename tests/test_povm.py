@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzpovm import extraction, linalg, oracle, povm
+from mzpovm import linalg, oracle, povm
 from mzpovm.errors import (
     DimensionMismatch,
     InvalidStochasticMatrix,
-    NotAPartition,
     NotSharp,
     NotTwoOutcome,
 )
@@ -26,6 +25,15 @@ def two_outcome(f: float, axis=SX) -> povm.DiscretePovm:
 
 def joint_povm(f: float, g: float) -> povm.DiscretePovm:
     return povm.DiscretePovm(povm.JOINT_LABELS, povm.joint_xz_effects(f, g)[0][0])
+
+
+def contrast(p: povm.DiscretePovm) -> float:
+    return float(povm.contrast_stack(p.effects[None])[0])
+
+
+def marginals(p: povm.DiscretePovm) -> np.ndarray:
+    # The (3, 2, 2, 2) F, G and H marginals of one joint POVM.
+    return povm.joint_marginals(p.effects[None])[0]
 
 
 def smear_one(sharp: povm.DiscretePovm, w) -> np.ndarray:
@@ -324,32 +332,31 @@ class TestSmearStack:
 
 class TestMarginal:
     def test_first_index_grouping_recovers_x_marginal(self):
-        got = povm.marginal(joint_povm(0.6, 0.3), extraction.DETECTOR_GROUPING)
-        np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + 0.6 * SX), atol=1e-14)
-        np.testing.assert_allclose(got.operator("2"), 0.5 * (I2 - 0.6 * SX), atol=1e-14)
+        got = marginals(joint_povm(0.6, 0.3))[0]
+        np.testing.assert_allclose(got[0], 0.5 * (I2 + 0.6 * SX), atol=1e-14)
+        np.testing.assert_allclose(got[1], 0.5 * (I2 - 0.6 * SX), atol=1e-14)
 
     def test_second_index_grouping_recovers_z_marginal(self):
-        got = povm.marginal(joint_povm(0.6, 0.3), extraction.PROBE_GROUPING)
-        np.testing.assert_allclose(got.operator("1"), 0.5 * (I2 + 0.3 * SZ), atol=1e-14)
-        np.testing.assert_allclose(got.operator("2"), 0.5 * (I2 - 0.3 * SZ), atol=1e-14)
+        got = marginals(joint_povm(0.6, 0.3))[1]
+        np.testing.assert_allclose(got[0], 0.5 * (I2 + 0.3 * SZ), atol=1e-14)
+        np.testing.assert_allclose(got[1], 0.5 * (I2 - 0.3 * SZ), atol=1e-14)
 
-    def test_singleton_grouping_is_identity(self):
-        joint = joint_povm(0.5, 0.5)
-        got = povm.marginal(joint, {label: (label,) for label in joint.labels})
-        for label in joint.labels:
-            np.testing.assert_array_equal(got.operator(label), joint.operator(label))
+    def test_coincidence_marginal_pairs_equal_against_unequal_indices(self):
+        joint = joint_povm(0.6, 0.3)
+        got = marginals(joint)[2]
+        np.testing.assert_array_equal(got[0], joint.operator("11") + joint.operator("22"))
+        np.testing.assert_array_equal(got[1], joint.operator("12") + joint.operator("21"))
 
-    def test_non_partition_rejected(self):
-        joint = joint_povm(0.5, 0.5)
-        with pytest.raises(NotAPartition):
-            povm.marginal(joint, {"a": ("11", "21"), "b": ("12", "11")})
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 3, 2, 2), (1, 2, 2, 2), (1, 4, 2, 3), (1, 1, 4, 2, 2)])
+    def test_joint_marginals_reject_other_shapes(self, shape):
+        with pytest.raises(DimensionMismatch, match="joint effect stack"):
+            povm.joint_marginals(np.zeros(shape))
 
 
 class TestJointXZ:
     def test_sharp_x_trivial_z_limit(self):
         joint = joint_povm(1.0, 0.0)
-        x_marginal = povm.marginal(joint, extraction.DETECTOR_GROUPING)
-        z_marginal = povm.marginal(joint, extraction.PROBE_GROUPING)
+        x_marginal, z_marginal, _ = (povm.DiscretePovm(("1", "2"), m) for m in marginals(joint))
         assert povm.validate(x_marginal).sharp
         assert povm.validate(z_marginal).trivial
         np.testing.assert_allclose(joint.operator("11"), 0.25 * (I2 + SX), atol=1e-15)
@@ -409,22 +416,22 @@ class TestJointXZ:
 
 class TestContrastUnsharpness:
     def test_unbiased_pair_contrast_is_sharpness(self):
-        assert povm.contrast(two_outcome(0.6)) == pytest.approx(0.6, abs=1e-14)
+        assert contrast(two_outcome(0.6)) == pytest.approx(0.6, abs=1e-14)
 
     def test_sharp_pvm_contrast_one(self):
-        assert povm.contrast(two_outcome(1.0, SZ)) == pytest.approx(1.0, abs=1e-14)
+        assert contrast(two_outcome(1.0, SZ)) == pytest.approx(1.0, abs=1e-14)
 
     def test_trivial_contrast_zero(self):
-        assert povm.contrast(two_outcome(0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert contrast(two_outcome(0.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_biased_contrast(self):
         # Effects c I and (1 - c) I: contrast |2c - 1| with no direction term.
         p = povm.DiscretePovm(("1", "2"), [0.8 * I2, 0.2 * I2])
-        assert povm.contrast(p) == pytest.approx(0.6, abs=1e-14)
+        assert contrast(p) == pytest.approx(0.6, abs=1e-14)
 
     def test_wrong_outcome_count(self):
         with pytest.raises(NotTwoOutcome):
-            povm.contrast(joint_povm(0.5, 0.5))
+            contrast(joint_povm(0.5, 0.5))
 
     def test_unsharpness_examples(self):
         got = povm.unsharpness_stack(np.array([two_outcome(f).effects for f in (1.0, 0.0, 0.6)]))
@@ -455,7 +462,7 @@ class TestContrastUnsharpness:
             objectives.append(lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)))
         best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))
         for value, p in zip(best, povms):
-            assert value == pytest.approx(povm.contrast(p), abs=1e-6)
+            assert value == pytest.approx(contrast(p), abs=1e-6)
 
     def test_unsharpness_sum_bound_on_admissible_pairs(self, rng):
         f, g = [], []
@@ -466,6 +473,6 @@ class TestContrastUnsharpness:
             g.append(scale * math.sin(angle))
         effects, admitted = povm.joint_xz_effects(f, g)
         assert admitted.all()
-        u_f = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.DETECTOR_GROUPING))
-        u_g = povm.unsharpness_stack(povm.marginal_stack(effects, povm.JOINT_LABELS, extraction.PROBE_GROUPING))
+        grouped = povm.joint_marginals(effects)
+        u_f, u_g = povm.unsharpness_stack(grouped[:, 0]), povm.unsharpness_stack(grouped[:, 1])
         assert np.all(u_f + u_g >= 1.0 - 1e-12)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
-from mzpovm.errors import InvalidScheme, NotAPartition, NotNormalized, UnsupportedExperiment
+from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -196,12 +196,10 @@ def _scalar_sweep_row(config, psi):
     row = {"D": audit.distinguishability, "V_e": audit.visibility, "duality_slack": audit.duality.slack}
     if len(measured.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
-        grouped = extraction.marginals_of(measured)
-        row["F_contrast"] = povm.contrast(grouped.detector)
-        row["G_contrast"] = povm.contrast(grouped.probe)
-        row["H_contrast"] = povm.contrast(grouped.coincidence)
+        contrasts = povm.contrast_stack(povm.joint_marginals(measured.effects[None])[0])
+        row.update(zip(("F_contrast", "G_contrast", "H_contrast"), contrasts.tolist()))
     else:
-        row["F_contrast"] = povm.contrast(measured)
+        row["F_contrast"] = float(povm.contrast_stack(measured.effects[None])[0])
     return row
 
 
@@ -333,21 +331,48 @@ class TestClosedFormEntries:
             assert np.array_equal(extraction._quarter(coeff, np.array(vec)), 0.5 * want)
 
 
+# The F, G and H groupings of the joint labels 11, 21, 12, 22, and the
+# label-keyed summation the fixed-index joint marginals replaced.
+_REFERENCE_GROUPINGS = (
+    {"1": ("11", "12"), "2": ("21", "22")},
+    {"1": ("11", "21"), "2": ("12", "22")},
+    {"1": ("11", "22"), "2": ("12", "21")},
+)
+
+
+def _reference_joint_marginals(effects):
+    index = {label: k for k, label in enumerate(povm.JOINT_LABELS)}
+    out = np.zeros((len(effects), 3, 2) + effects.shape[2:], dtype=complex)
+    for m, grouping in enumerate(_REFERENCE_GROUPINGS):
+        for o, members in enumerate(grouping.values()):
+            for label in members:
+                out[:, m, o] += effects[:, index[label]]
+    return out
+
+
 class TestPovmStacks:
-    def test_marginal_stack_matches_marginal(self, rng):
+    def test_joint_marginals_match_their_batch_of_one(self):
         effects = extraction.extract_effects(
             extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.7, gamma=g) for g in (0.1, 2.0)])
         )
+        stacked = povm.joint_marginals(effects)
         for n in range(2):
-            joint = povm.DiscretePovm(("11", "21", "12", "22"), effects[n])
-            for grouping in (extraction.DETECTOR_GROUPING, extraction.COINCIDENCE_GROUPING):
-                stacked = povm.marginal_stack(effects, joint.labels, grouping)[n]
-                scalar = povm.marginal(joint, grouping)
-                assert np.array_equal(stacked, scalar.effects)
+            assert np.array_equal(stacked[n], povm.joint_marginals(effects[n:n + 1])[0])
 
-    def test_marginal_stack_rejects_a_non_partition(self):
-        with pytest.raises(NotAPartition):
-            povm.marginal_stack(np.zeros((1, 2, 2, 2)), ("1", "2"), {"1": ("1",)})
+    def test_joint_marginals_match_the_label_keyed_sum_bit_for_bit(self, rng):
+        # Real and imaginary parts drawn from signed zeros, +/-1 and normal
+        # draws, so sums of two zeros of either sign occur in every position.
+        parts = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(200, 4, 2, 2, 2))
+        drawn = rng.random(parts.shape) < 0.3
+        parts[drawn] = rng.standard_normal(int(drawn.sum()))
+        effects = parts.view(complex)[..., 0]
+        assert povm.joint_marginals(effects).tobytes() == _reference_joint_marginals(effects).tobytes()
+
+    def test_joint_marginals_of_the_extraction_grid_match_bit_for_bit(self):
+        configs = [c for c in verify.distinct_grid_configs() if c.experiment not in interferometer.DETECTOR_ONLY]
+        effects = extraction.extract_effects(extraction.schemes_for(configs))
+        assert effects.shape[1] == 4
+        assert povm.joint_marginals(effects).tobytes() == _reference_joint_marginals(effects).tobytes()
 
     def test_contrast_stack_matches_the_bias_direction_formula(self, rng):
         firsts = []

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg, oracle, povm, relations, verify
+from mzpovm import interferometer, linalg, oracle, povm, relations, verify
 from mzpovm.errors import BlochOutOfBall, NotHermitian, NotNormalized
 
 from conftest import random_hermitian
@@ -438,16 +438,14 @@ def _old_unsharp_loop(rng, n):
         scale = math.sqrt(rng.random())
         f, g = scale * math.cos(angle), scale * math.sin(angle)
         pairs.append((f, g))
-        joint = povm.DiscretePovm(povm.JOINT_LABELS, povm.joint_xz_effects(f, g)[0][0])
-        first = povm.marginal(joint, extraction.DETECTOR_GROUPING)
-        second = povm.marginal(joint, extraction.PROBE_GROUPING)
-        for sign, label in ((1.0, "1"), (-1.0, "2")):
+        first, second, _ = povm.joint_marginals(povm.joint_xz_effects(f, g)[0])[0]
+        for sign, k in ((1.0, 0), (-1.0, 1)):
             marginal_worst = max(
                 marginal_worst,
-                float(np.max(np.abs(first.operator(label) - 0.5 * (np.eye(2) + sign * f * sx)))),
-                float(np.max(np.abs(second.operator(label) - 0.5 * (np.eye(2) + sign * g * sz)))),
+                float(np.max(np.abs(first[k] - 0.5 * (np.eye(2) + sign * f * sx)))),
+                float(np.max(np.abs(second[k] - 0.5 * (np.eye(2) + sign * g * sz)))),
             )
-        u_f, u_g = (povm.unsharpness_stack(m.effects[None])[0] for m in (first, second))
+        u_f, u_g = (povm.unsharpness_stack(m[None])[0] for m in (first, second))
         trade_worst = max(trade_worst, 1.0 - (u_f + u_g))
     return np.array(pairs), marginal_worst, max(0.0, trade_worst)
 

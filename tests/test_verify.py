@@ -17,6 +17,18 @@ class TestCheckResults:
         results = verify.extraction_grid_checks(1e-10)
         assert all(r.passed for r in results)
 
+    def test_limit_complementarity_counts_each_wrong_limit(self, monkeypatch):
+        # Swapping F and G makes each limit report the wrong marginal sharp.
+        original = extraction.closed_form_stack
+
+        def swapped(configs):
+            joint, detector, probe, coincidence = original(configs)
+            return joint, probe, detector, coincidence
+
+        monkeypatch.setattr(extraction, "closed_form_stack", swapped)
+        result = verify.check_limit_complementarity()
+        assert not result.passed and result.deviation == 2.0
+
     def test_injected_perturbation_detected(self, monkeypatch):
         # Corrupt one extracted effect by the smallest shift the contract
         # promises to flag; the oracle cross-check must catch it. The
