@@ -18,14 +18,14 @@ def main() -> int:
     config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     scheme = extraction.schemes_for([config])
-    measured = extraction.extract_povm(scheme)
+    measured = extraction.extract_effects(scheme)[0]
 
     probabilities = oracle.direct_probabilities(scheme, psi)
     print("joint outcome probabilities (detector, probe):")
     for label, p in probabilities.items():
         print(f"  {label}: {p:.6f}")
 
-    contrasts = povm.contrast_stack(povm.joint_marginals(measured.effects[None])[0])
+    contrasts = povm.contrast_stack(povm.joint_marginals(measured[None])[0])
     print("\nmarginal contrasts:")
     for name, contrast in zip(("detector", "probe", "coincidence"), contrasts):
         print(f"  {name}: {contrast:.6f}")

@@ -64,8 +64,9 @@ def _parse_input(text: str) -> np.ndarray:
     if not all(math.isfinite(x) for x in reals):
         raise UsageError(f"--input fields must be finite, got {text!r}")
     v = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
-    # numpy.linalg.norm(v), without its argument handling.
-    n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    # numpy.linalg.norm(v) without its argument handling; an overflow to inf fails the check below.
+    with np.errstate(over="ignore"):
+        n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     if abs(n * n - 1.0) > 1e-6:
         raise UsageError(f"input state squared norm {n * n!r} deviates from 1 by more than 1e-6")
     if abs(n * n - 1.0) > 1e-10:
@@ -200,11 +201,10 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
             name: {"effects": dict(zip(("1", "2"), entries)), "classification": verdict}
             for name, entries, verdict in zip("FGH", _pairs(marginals), verdicts)
         }
-        measured = povm.DiscretePovm(labels, effects[0])
         conditional = report["conditional_probabilities"] = {}
         for probe_label in ("1", "2"):
             try:
-                conditional[probe_label] = extraction.conditional_probabilities(measured, probe_label, psi)
+                conditional[probe_label] = extraction.conditional_probabilities(effects[0], probe_label, psi)
             except ZeroProbabilityCondition:
                 conditional[probe_label] = None
 

@@ -20,11 +20,11 @@ experiments; the extraction route and the closed-form route must agree
 entrywise, which is the central defense against sign and prefactor slips.
 :func:`closed_form_stack` gives them for N configurations of one
 experiment as (N, 4, 2, 2) joint and (N, 2, 2, 2) marginal arrays, and
-:func:`closed_form` is its batch of one; neither calls an interferometer
-or extraction kernel. The F, G and H marginals of an extracted joint POVM
-come from ``povm.joint_marginals``. Stacks are (N, ..., d, d) at every public boundary;
-validation reduces over the matrix axes members-last (``linalg.max_abs``,
-``linalg.hermitian_deviation``).
+:func:`closed_form` is its batch of one, kept for the benchmark's sweep
+gate; neither calls an interferometer or extraction kernel. The F, G and
+H marginals of an extracted joint POVM come from ``povm.joint_marginals``.
+Stacks are (N, ..., d, d) at every public boundary; validation reduces
+over the matrix axes members-last (``linalg.max_abs``, ``linalg.hermitian_deviation``).
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -161,19 +161,9 @@ def extract_effects(schemes: SchemeStack) -> np.ndarray:
     return np.einsum("nai,nlaj->nlij", w.conj(), mw)
 
 
-def extract_povm(scheme: SchemeStack) -> povm.DiscretePovm:
-    """The input POVM a one-member scheme stack measures, one effect per output label.
-
-    A batch of one of :func:`extract_effects`.
-    """
-    if len(scheme) != 1:
-        raise InvalidScheme(f"expected a one-member scheme stack, got {len(scheme)} members")
-    return povm.DiscretePovm(scheme.labels, extract_effects(scheme)[0])
-
-
 @dataclass(frozen=True)
 class ExperimentObservables:
-    """A four-outcome joint POVM with its three marginals.
+    """The joint POVM and three marginals :func:`closed_form` returns, kept for the benchmark's sweep gate.
 
     ``detector`` sums over the probe index (the F marginal), ``probe``
     sums over the detector index (G), and ``coincidence`` groups equal
@@ -290,7 +280,11 @@ def closed_form_stack(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
-    """Analytic joint POVM and marginals of one configuration; a batch of one of :func:`closed_form_stack`."""
+    """Analytic joint POVM and marginals of one configuration; a batch of one of :func:`closed_form_stack`.
+
+    Only the benchmark's sweep gate calls it; once that gate reads :func:`closed_form_stack`,
+    this function, :class:`ExperimentObservables` and ``povm.DiscretePovm`` can go.
+    """
     joint, *marginals = closed_form_stack([config])
     return ExperimentObservables(
         povm.DiscretePovm(povm.JOINT_LABELS, joint[0]),
@@ -298,18 +292,18 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
     )
 
 
-def conditional_probabilities(joint: povm.DiscretePovm, probe_label: str, psi) -> dict[str, float]:
+def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
     """Detector probabilities conditional on one probe outcome.
 
     prob(D_k | probe = l) = <psi| E_kl |psi> / <psi| G_l |psi>, where G_l
-    sums the joint effects over the detector index. ``joint`` lists its
-    effects in the order of ``povm.JOINT_LABELS``. An unknown
-    ``probe_label`` raises ``KeyError``.
+    sums the joint effects over the detector index. ``joint`` is a
+    (4, d, d) effect array in the order of ``povm.JOINT_LABELS``. An
+    unknown ``probe_label`` raises ``KeyError``.
     """
     v = linalg.state_vector(psi)
     # Outcome l of the probe marginal G sums E_1l and E_2l, in that order.
     members = povm.MARGINAL_PAIRS[1, {"1": 0, "2": 1}[probe_label]]
-    joint_probabilities = [float(np.vdot(v, joint.effects[k] @ v).real) for k in members]
+    joint_probabilities = [float(np.vdot(v, joint[k] @ v).real) for k in members]
     denom = sum(joint_probabilities)
     if denom <= 1e-12:
         raise ZeroProbabilityCondition(

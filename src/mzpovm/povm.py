@@ -1,10 +1,8 @@
 """Discrete POVMs: validation, smearing, marginals, and joint observables.
 
-A POVM is a tuple of outcome labels plus one complex (L, d, d) array of
-effects (:class:`DiscretePovm`). Every operation has one array kernel
-over an (N, L, d, d) stack of N such arrays; :func:`validate`, which
-names the failures of one :class:`DiscretePovm`, passes its ``effects``
-to the kernel as a batch of one.
+A POVM is one complex (L, d, d) array of effects, outcome k being
+effect k. Every operation has one array kernel over an (N, L, d, d)
+stack of N such arrays, and a single POVM is a batch of one.
 
 Stacks are (N, ..., d, d) at every public boundary. A kernel that reduces
 over the matrix axes works members-last: :func:`classify_effects` makes
@@ -22,7 +20,7 @@ G is {(I +/- g sigma_z)/2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +34,12 @@ JOINT_BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscretePovm:
-    """An ordered family of effects; a valid POVM sums to the identity.
+    """Outcome labels with one complex (L, d, d) effect array, effect k carrying ``labels[k]``.
 
-    ``effects`` is one complex (L, d, d) array, effect k carrying
-    ``labels[k]``. Construction checks only the shape: a ragged family, a
-    label count that differs from L, or anything but an (L, d, d) array
-    raises ``DimensionMismatch``. It does not validate (classification of broken candidates is itself an
-    operation); library constructors only ever produce valid instances,
-    and :func:`validate` reports exactly what is wrong with anything else.
+    No kernel takes one. It stays only as what ``extraction.closed_form``
+    returns for the benchmark's sweep gate, which reads :meth:`operator`.
+    Construction checks only the shape: a ragged family, a label count
+    other than L, or anything but an (L, d, d) array raises ``DimensionMismatch``.
     """
 
     labels: tuple[str, ...]
@@ -72,14 +68,6 @@ class DiscretePovm:
 
 
 @dataclass(frozen=True)
-class PovmClassification:
-    valid: bool
-    sharp: bool
-    trivial: bool
-    failures: tuple[str, ...] = field(default=())
-
-
-@dataclass(frozen=True)
 class StackClassification:
     """Verdicts on an (N, K, d, d) stack of N candidate K-effect POVMs.
 
@@ -103,10 +91,10 @@ class StackClassification:
 def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     """Classify an (N, K, d, d) stack of candidate POVMs in one array pass.
 
-    Same criteria as :func:`validate`: a candidate is valid when every
-    effect is Hermitian with spectrum in [0, 1] and the effects sum to the
-    identity; a valid candidate is sharp when every effect is a projection
-    and trivial when every effect is a multiple of the identity.
+    A candidate is valid when every effect is Hermitian with spectrum in
+    [0, 1] and the effects sum to the identity; a valid candidate is sharp
+    when every effect is a projection and trivial when every effect is a
+    multiple of the identity. Any shape but (N, K, d, d) raises ``DimensionMismatch``.
     """
     ops = np.asarray(effects, dtype=complex)
     if ops.ndim != 4 or ops.shape[-1] != ops.shape[-2]:
@@ -130,37 +118,6 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     mean = t.reshape(dim * dim, *t.shape[2:])[:: dim + 1].sum(axis=0) / dim
     trivial = valid & (np.abs(t - mean * ident).max(axis=(0, 1)) <= tol).all(axis=0)
     return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
-
-
-def validate(p: DiscretePovm, tol: float = EFFECT_TOL) -> PovmClassification:
-    """Classify a candidate POVM as valid / sharp (PVM) / trivial.
-
-    Valid means every effect is Hermitian with spectrum in [0, 1] and the
-    effects sum to the identity. Sharp means every effect is a projection;
-    trivial means every effect is a multiple of the identity (its
-    statistics carry no information about the state). Failures are
-    reported with their magnitudes instead of raising. This is a batch of
-    one of :func:`classify_effects`.
-    """
-    stack = classify_effects(p.effects[None], tol)
-    failures = []
-    for k, label in enumerate(p.labels):
-        herm_dev = float(stack.hermitian_deviation[0, k])
-        lowest = float(stack.lowest[0, k])
-        highest = float(stack.highest[0, k])
-        if not herm_dev <= tol:
-            failures.append(f"effect {label!r} deviates from Hermitian by {herm_dev:.3e}")
-            continue
-        if not lowest >= -tol:
-            failures.append(f"effect {label!r} has eigenvalue {lowest:.6g} below 0")
-        if not highest <= 1.0 + tol:
-            failures.append(f"effect {label!r} has eigenvalue {highest:.6g} above 1")
-    sum_dev = float(stack.sum_deviation[0])
-    if not sum_dev <= tol:
-        failures.append(f"effects sum deviates from identity by {sum_dev:.3e}")
-    if failures:
-        return PovmClassification(valid=False, sharp=False, trivial=False, failures=tuple(failures))
-    return PovmClassification(valid=True, sharp=bool(stack.sharp[0]), trivial=bool(stack.trivial[0]))
 
 
 def smear_stack(projections, w) -> np.ndarray:

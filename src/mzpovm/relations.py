@@ -25,8 +25,7 @@ and returns one :class:`ErasureAudit` whose fields are arrays, its two
 equalities among them as :class:`RelationReport` records. On both records
 ``report(i)`` is the audit of state i with Python float and bool fields;
 ``mzpovm run`` audits its one state as a batch of one. POVMs enter as
-:class:`povm.DiscretePovm`, whose ``effects`` array goes to the kernels
-unconverted.
+(L, d, d) effect arrays, effect k being outcome k.
 """
 
 from __future__ import annotations
@@ -150,48 +149,50 @@ def _plogp(traces: np.ndarray) -> np.ndarray:
     return np.where(seen, probs * np.log2(probs + ~seen), 0.0)
 
 
-def shannon_entropy(p: povm.DiscretePovm, rho) -> float:
-    """Shannon entropy (bits) of a POVM's outcome distribution in a state."""
-    return float(-_plogp(_trace(p.effects, np.asarray(rho, dtype=complex)).real).sum())
+def shannon_entropy(effects, rho) -> float:
+    """Shannon entropy (bits) of the outcome distribution of an (L, d, d) POVM in a state."""
+    return float(-_plogp(_trace(effects, np.asarray(rho, dtype=complex)).real).sum())
 
 
 @functools.lru_cache(maxsize=None)
-def pauli_pvm(axis: str) -> povm.DiscretePovm:
-    """The spectral measure {(I + s)/2, (I - s)/2} of a Pauli operator.
+def pauli_pvm(axis: str) -> np.ndarray:
+    """The spectral measure {(I + s)/2, (I - s)/2} of a Pauli operator, as (2, 2, 2) effects.
 
-    Cached and write-protected, so the same sharp instance serves every
+    Cached and write-protected, so the same sharp array serves every
     caller for the life of the process.
     """
     s = linalg.pauli(axis)
     effects = np.array([0.5 * (linalg.IDENTITY2 + s), 0.5 * (linalg.IDENTITY2 - s)])
     effects.setflags(write=False)
-    return povm.DiscretePovm(("1", "2"), effects)
+    return effects
 
 
-def entropic_bound_stack(a: povm.DiscretePovm, b: povm.DiscretePovm, states) -> RelationReport:
+def entropic_bound_stack(a, b, states) -> RelationReport:
     """Additive entropic trade-off for two sharp observables over (N, d) pure states.
 
+    ``a`` and ``b`` are (La, d, d) and (Lb, d, d) effect arrays, checked
+    for sharpness once per call (any other shape raises ``DimensionMismatch``).
     H(A, psi) + H(B, psi) >= -2 log2 max_{i,k} |<psi|P_i Q_k|psi>| /
     (|P_i psi| |Q_k psi|); terms whose norms fall below 1e-12 are excluded
     from the maximum. For rank-1 mutually unbiased pairs the bound is one
-    bit for every state. Sharpness is checked once per call.
+    bit for every state.
     """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     for p in (a, b):
         # The cached Pauli PVMs are sharp by construction and immutable.
         if any(p is pauli_pvm(axis) for axis in "xyz"):
             continue
-        cls = povm.validate(p)
-        if not (cls.valid and cls.sharp):
+        if not povm.classify_effects(p[None]).sharp[0]:
             raise NotSharp("the entropic bound applies to projection-valued observables")
     v = _unit_rows(states, "state")
-    effects, split = np.concatenate([a.effects, b.effects]), len(a.effects)
+    effects, split = np.concatenate([a, b]), len(a)
     terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
     lhs = -terms[:, :split].sum(axis=-1) - terms[:, split:].sum(axis=-1)
     projected = np.einsum("kij,nj->nki", effects, v)
     # numpy.linalg.norm(projected, axis=2)'s arithmetic, without its argument handling.
     lengths = np.sqrt((projected.conj() * projected).real.sum(axis=2))
     na, nb, qb = lengths[:, :split], lengths[:, split:], projected[:, split:]
-    overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), a.effects, qb))
+    overlap = np.abs(np.einsum("ni,kij,nlj->nkl", v.conj(), a, qb))
     kept = (na >= 1e-12)[:, :, None] & (nb >= 1e-12)[:, None, :]
     norms = np.where(kept, na[:, :, None] * nb[:, None, :], 1.0)
     best = np.where(kept, overlap / norms, 0.0).max(axis=(1, 2))
@@ -226,7 +227,7 @@ def contrasts(rho) -> StateContrasts:
 # sz, [sx, sz], {sx, sz} and the pauli_pvm effects of sx, sy and sz.
 _STATE_OPERATORS = np.array([
     linalg.IDENTITY2, _X, _Y, _Z, _X @ _Z - _Z @ _X, _X @ _Z + _Z @ _X,
-    *(effect for axis in "xyz" for effect in pauli_pvm(axis).effects),
+    *(effect for axis in "xyz" for effect in pauli_pvm(axis)),
 ])
 _STATE_OPERATORS.setflags(write=False)
 

@@ -38,10 +38,10 @@ def state_sample():
 
 
 def test_criterion_1_path_detection():
-    measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("path")]))
+    measured = extraction.extract_effects(extraction.schemes_for([interferometer.MzConfig("path")]))[0]
     dev = max(
-        float(np.max(np.abs(measured.operator("1") - 0.5 * (I2 + SZ)))),
-        float(np.max(np.abs(measured.operator("2") - 0.5 * (I2 - SZ)))),
+        float(np.max(np.abs(measured[0] - 0.5 * (I2 + SZ)))),
+        float(np.max(np.abs(measured[1] - 0.5 * (I2 - SZ)))),
     )
     probs = oracle.direct_probabilities(
         extraction.schemes_for([interferometer.MzConfig("path")]), [1, 0]
@@ -52,10 +52,10 @@ def test_criterion_1_path_detection():
 
 def test_criterion_2_interference_detection():
     config = interferometer.MzConfig("interference")
-    measured = extraction.extract_povm(extraction.schemes_for([config]))
+    measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
     dev = max(
-        float(np.max(np.abs(measured.operator("1") - 0.5 * (I2 + SX)))),
-        float(np.max(np.abs(measured.operator("2") - 0.5 * (I2 - SX)))),
+        float(np.max(np.abs(measured[0] - 0.5 * (I2 + SX)))),
+        float(np.max(np.abs(measured[1] - 0.5 * (I2 - SX)))),
     )
     probs = oracle.direct_probabilities(extraction.schemes_for([config]), PLUS)
     ok = dev <= 1e-12 and abs(probs["1"] - 1.0) <= 1e-12
@@ -122,11 +122,11 @@ def test_criterion_3_closed_form_audit():
     for experiment, table in tables.items():
         for d, g, t in itertools.product(GRID, repeat=3):
             config = interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t)
-            measured = extraction.extract_povm(extraction.schemes_for([config]))
+            measured = extraction.extract_effects(extraction.schemes_for([config]))
             joint_want, marginal_want = table(d, g, t)
             for label, want in joint_want.items():
-                worst = max(worst, float(np.max(np.abs(measured.operator(label) - want))))
-            grouped = povm.joint_marginals(measured.effects[None])[0]
+                worst = max(worst, float(np.max(np.abs(measured[0, povm.JOINT_LABELS.index(label)] - want))))
+            grouped = povm.joint_marginals(measured)[0]
             for name, group in zip("FGH", grouped):
                 for effect, label in zip(group, ("1", "2")):
                     worst = max(worst, float(np.max(np.abs(effect - marginal_want[name][label]))))
@@ -147,7 +147,7 @@ def test_criterion_4_oracle_probability_reproduction():
 
 def test_criterion_5_erasure_fringes_and_epr_weight():
     config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
-    measured = extraction.extract_povm(extraction.schemes_for([config]))
+    measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
     fringes = extraction.conditional_probabilities(measured, "1", PLUS)
     antifringes = extraction.conditional_probabilities(measured, "2", PLUS)
     final = interferometer.final_state_stack(
@@ -238,15 +238,11 @@ def test_criterion_10_limit_case_complementarity():
     for theta, sharp_marginal in ((0.0, "probe"), (math.pi / 2, "detector")):
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=theta)
         effects = extraction.extract_effects(extraction.schemes_for([config]))
-        detector, probe, _ = (povm.DiscretePovm(("1", "2"), m) for m in povm.joint_marginals(effects)[0])
-        detector_cls = povm.validate(detector, tol=1e-12)
-        probe_cls = povm.validate(probe, tol=1e-12)
-        if sharp_marginal == "probe":
-            if not (probe_cls.valid and probe_cls.sharp and detector_cls.valid and detector_cls.trivial):
-                ok = False
-        else:
-            if not (detector_cls.valid and detector_cls.sharp and probe_cls.valid and probe_cls.trivial):
-                ok = False
+        # Rows 0 and 1: the detector (F) and probe (G) marginals.
+        cls = povm.classify_effects(povm.joint_marginals(effects)[0], tol=1e-12)
+        sharp, trivial = (1, 0) if sharp_marginal == "probe" else (0, 1)
+        if not (cls.valid[sharp] and cls.sharp[sharp] and cls.valid[trivial] and cls.trivial[trivial]):
+            ok = False
     conclude(10, ok, "sharp path marking kills interference and vice versa, exactly")
 
 

@@ -200,6 +200,24 @@ class TestUsageErrors:
             )
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "config"])
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_overflowing_input_is_one_error_line(self, capsys, tmp_path, command, action):
+        # The squared norm of (1e308, 1e308) overflows to inf: a usage error
+        # with one stderr line, and no numpy overflow warning before it.
+        argv = ["run", "--experiment", "erasure", "--input", "1e308,0,1e308,0"]
+        if command == "sweep":
+            argv[0:1] = ["sweep", "--param", "delta", "--from", "0", "--to", "1", "--steps", "3"]
+        elif command == "config":
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps({"experiment": "erasure", "input": [1e308, 0, 1e308, 0]}))
+            argv = ["run", "--config", str(config_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            err = self.assert_usage_error(capsys, *argv)
+        assert caught == []
+        assert err == "error: input state squared norm inf deviates from 1 by more than 1e-6\n"
+
     def test_config_file_read_once(self, capsys, tmp_path, monkeypatch):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"experiment": "path", "input": [1, 0, 0, 0]}))

@@ -48,23 +48,23 @@ def quantitative_effect_table(delta: float, theta: float) -> dict[str, np.ndarra
 
 class TestExtractSimple:
     def test_path_detection_measures_sharp_path(self):
-        measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("path")]))
-        np.testing.assert_allclose(measured.operator("1"), 0.5 * (I2 + SZ), atol=1e-12)
-        np.testing.assert_allclose(measured.operator("2"), 0.5 * (I2 - SZ), atol=1e-12)
+        measured = extraction.extract_effects(extraction.schemes_for([interferometer.MzConfig("path")]))[0]
+        np.testing.assert_allclose(measured[0], 0.5 * (I2 + SZ), atol=1e-12)
+        np.testing.assert_allclose(measured[1], 0.5 * (I2 - SZ), atol=1e-12)
 
     def test_interference_detection_measures_sharp_interference(self):
-        measured = extraction.extract_povm(
+        measured = extraction.extract_effects(
             extraction.schemes_for([interferometer.MzConfig("interference")])
-        )
-        np.testing.assert_allclose(measured.operator("1"), 0.5 * (I2 + SX), atol=1e-12)
-        np.testing.assert_allclose(measured.operator("2"), 0.5 * (I2 - SX), atol=1e-12)
+        )[0]
+        np.testing.assert_allclose(measured[0], 0.5 * (I2 + SX), atol=1e-12)
+        np.testing.assert_allclose(measured[1], 0.5 * (I2 - SX), atol=1e-12)
 
     def test_marking_with_marker_pointers_gives_path_fractions(self):
         for delta in GRID:
             config = interferometer.MzConfig("marking", delta=delta)
-            measured = extraction.extract_povm(extraction.schemes_for([config]))
+            measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
             for label, want in marking_effect_table(delta).items():
-                np.testing.assert_allclose(measured.operator(label), want, atol=1e-12)
+                np.testing.assert_allclose(measured[povm.JOINT_LABELS.index(label)], want, atol=1e-12)
 
 
 class TestClosedFormAgreement:
@@ -78,19 +78,19 @@ class TestClosedFormAgreement:
         for delta, gamma in itertools.product(GRID, GRID):
             config = interferometer.MzConfig("erasure", delta=delta, gamma=gamma)
             analytic = extraction.closed_form(config)
-            measured = extraction.extract_povm(extraction.schemes_for([config]))
+            measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
             for label, want in erasure_effect_table(delta, gamma).items():
                 np.testing.assert_allclose(analytic.joint.operator(label), want, atol=1e-14)
-                np.testing.assert_allclose(measured.operator(label), want, atol=1e-10)
+                np.testing.assert_allclose(measured[povm.JOINT_LABELS.index(label)], want, atol=1e-10)
 
     def test_quantitative_table(self):
         for delta, theta in itertools.product(GRID, GRID):
             config = interferometer.MzConfig("quantitative", delta=delta, theta=theta)
             analytic = extraction.closed_form(config)
-            measured = extraction.extract_povm(extraction.schemes_for([config]))
+            measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
             for label, want in quantitative_effect_table(delta, theta).items():
                 np.testing.assert_allclose(analytic.joint.operator(label), want, atol=1e-14)
-                np.testing.assert_allclose(measured.operator(label), want, atol=1e-10)
+                np.testing.assert_allclose(measured[povm.JOINT_LABELS.index(label)], want, atol=1e-10)
 
     def test_marking_reduces_to_quantitative_at_zero_tilt(self):
         for delta in GRID:
@@ -284,8 +284,6 @@ class TestSchemeValidation:
     def test_single_scheme_calls_take_one_member(self):
         schemes = extraction.schemes_for([interferometer.MzConfig("path")] * 2)
         with pytest.raises(InvalidScheme, match="one-member"):
-            extraction.extract_povm(schemes)
-        with pytest.raises(InvalidScheme, match="one-member"):
             oracle.direct_probabilities(schemes, [1, 0])
 
     def test_nan_unitary_rejected(self):
@@ -309,9 +307,9 @@ class TestExtractionProperties:
                 delta=float(rng.uniform(-math.pi, math.pi)),
                 theta=float(rng.uniform(0, math.pi)),
             )
-            measured = extraction.extract_povm(extraction.schemes_for([config]))
+            measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
             total = np.zeros((2, 2), dtype=complex)
-            for op in measured.effects:
+            for op in measured:
                 low = linalg.eig_hermitian_stack(op)[0].min()
                 assert low >= -1e-10
                 total = total + op
@@ -320,12 +318,12 @@ class TestExtractionProperties:
     def test_probability_reproduction(self, rng):
         config = interferometer.MzConfig("erasure", delta=0.9, gamma=2.2)
         scheme = extraction.schemes_for([config])
-        measured = extraction.extract_povm(scheme)
+        measured = extraction.extract_effects(scheme)[0]
         for _ in range(100):
             psi = random_pure(rng)
             direct = oracle.direct_probabilities(scheme, psi)
             for label, p in direct.items():
-                predicted = float(np.vdot(psi, measured.operator(label) @ psi).real)
+                predicted = float(np.vdot(psi, measured[scheme.labels.index(label)] @ psi).real)
                 assert abs(p - predicted) <= 1e-12
 
     def test_probe_marginal_is_path_type_for_any_pointer_pair(self, rng):
@@ -345,7 +343,7 @@ class TestExtractionProperties:
 class TestConditionalProbabilities:
     def test_erasure_fringes_and_antifringes(self):
         config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.0)
-        measured = extraction.extract_povm(extraction.schemes_for([config]))
+        measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         fringes = extraction.conditional_probabilities(measured, "1", plus)
         antifringes = extraction.conditional_probabilities(measured, "2", plus)
@@ -358,7 +356,7 @@ class TestConditionalProbabilities:
         # With a trivial probe marginal the conditioning denominator is 1/2
         # for every input.
         config = interferometer.MzConfig("erasure", delta=-math.pi / 2, gamma=0.7)
-        measured = extraction.extract_povm(extraction.schemes_for([config]))
+        measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
         interference = 0.5 * (I2 + math.cos(0.7) * SX + math.sin(0.7) * SY)
         for _ in range(10):
             psi = random_pure(rng)
@@ -370,12 +368,13 @@ class TestConditionalProbabilities:
         # Sharp probe marginal (path basis) and a path eigenstate starve
         # one probe outcome.
         config = interferometer.MzConfig("marking", delta=0.3)
-        measured = extraction.extract_povm(extraction.schemes_for([config]))
+        measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
         with pytest.raises(ZeroProbabilityCondition):
             extraction.conditional_probabilities(measured, "1", np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("probe_label", ["0", "3", "11", 1])
     def test_unknown_probe_label_raises_key_error(self, probe_label):
-        measured = extraction.extract_povm(extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)]))
+        config = interferometer.MzConfig("erasure", delta=0.4)
+        measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
         with pytest.raises(KeyError):
             extraction.conditional_probabilities(measured, probe_label, PLUS)

@@ -225,7 +225,7 @@ class TestConfig:
         delta = 0.8
         pointer = interferometer.pointer_stack([interferometer.MzConfig("marking")])
         base_scheme = extraction.build_schemes([[p0, p1, p2]], [delta], pointer)
-        base = extraction.extract_povm(base_scheme)
+        base = extraction.extract_effects(base_scheme)[0]
         blocks = []
         for pk, phase in ((p1, np.exp(2.2j)), (p2, np.exp(0.4j))):
             blocks.append(np.outer(pk, p0.conj()) + phase * np.outer(linalg.perp(pk), linalg.perp(p0).conj()))
@@ -238,6 +238,5 @@ class TestConfig:
             base_scheme.probe_init,
             base_scheme.outputs,
         )
-        alt = extraction.extract_povm(alt_scheme)
-        for label in base.labels:
-            np.testing.assert_allclose(base.operator(label), alt.operator(label), atol=1e-12)
+        alt = extraction.extract_effects(alt_scheme)[0]
+        np.testing.assert_allclose(base, alt, atol=1e-12)

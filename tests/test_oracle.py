@@ -93,10 +93,10 @@ class TestCrossCheck:
     def test_corrupted_effect_detected(self):
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=1.0)
         scheme = extraction.schemes_for([config])
-        measured = extraction.extract_povm(scheme)
+        measured = extraction.extract_effects(scheme)[0]
         corrupted = {
-            label: measured.operator(label) + (0.01 * I2 if label == "11" else 0.0)
-            for label in measured.labels
+            label: effect + (0.01 * I2 if label == "11" else 0.0)
+            for label, effect in zip(scheme.labels, measured)
         }
         worst = 0.0
         for i in range(100):
@@ -112,11 +112,11 @@ class TestCrossCheck:
         states = [oracle.haar_state(5, i) for i in range(100)]
         for config in verify.distinct_grid_configs():
             scheme = extraction.schemes_for([config])
-            measured = extraction.extract_povm(scheme)
+            measured = extraction.extract_effects(scheme)[0]
             worst = 0.0
             for psi in states:
                 for label, p in oracle.direct_probabilities(scheme, psi).items():
-                    predicted = float(np.vdot(psi, measured.operator(label) @ psi).real)
+                    predicted = float(np.vdot(psi, measured[scheme.labels.index(label)] @ psi).real)
                     worst = max(worst, abs(p - predicted))
             assert abs(oracle.cross_check_stack(scheme, 5, 100)[0] - worst) <= 1e-15
 

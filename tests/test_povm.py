@@ -19,53 +19,59 @@ SX, SY, SZ = linalg.pauli_triple()
 I2 = np.eye(2, dtype=complex)
 
 
-def two_outcome(f: float, axis=SX) -> povm.DiscretePovm:
-    return povm.DiscretePovm(("1", "2"), [0.5 * (I2 + f * axis), 0.5 * (I2 - f * axis)])
+def two_outcome(f: float, axis=SX) -> np.ndarray:
+    return np.array([0.5 * (I2 + f * axis), 0.5 * (I2 - f * axis)])
 
 
-def joint_povm(f: float, g: float) -> povm.DiscretePovm:
-    return povm.DiscretePovm(povm.JOINT_LABELS, povm.joint_xz_effects(f, g)[0][0])
+def joint_povm(f: float, g: float) -> np.ndarray:
+    return povm.joint_xz_effects(f, g)[0][0]
 
 
-def contrast(p: povm.DiscretePovm) -> float:
-    return float(povm.contrast_stack(p.effects[None])[0])
+def contrast(p: np.ndarray) -> float:
+    return float(povm.contrast_stack(p[None])[0])
 
 
-def marginals(p: povm.DiscretePovm) -> np.ndarray:
+def marginals(p: np.ndarray) -> np.ndarray:
     # The (3, 2, 2, 2) F, G and H marginals of one joint POVM.
-    return povm.joint_marginals(p.effects[None])[0]
+    return povm.joint_marginals(p[None])[0]
 
 
-def smear_one(sharp: povm.DiscretePovm, w) -> np.ndarray:
-    return povm.smear_stack(sharp.effects[None], np.asarray(w)[None])[0]
+def smear_one(sharp: np.ndarray, w) -> np.ndarray:
+    return povm.smear_stack(sharp[None], np.asarray(w)[None])[0]
+
+
+def joint_effect(joint: np.ndarray, label: str) -> np.ndarray:
+    return joint[povm.JOINT_LABELS.index(label)]
 
 
 class TestValidate:
+    """One POVM is classified as a batch of one of ``classify_effects``."""
+
     def test_sigma_z_spectral_measure_is_sharp(self):
-        cls = povm.validate(two_outcome(1.0, SZ))
-        assert cls.valid and cls.sharp and not cls.trivial
+        cls = povm.classify_effects(two_outcome(1.0, SZ)[None])
+        assert cls.valid[0] and cls.sharp[0] and not cls.trivial[0]
 
     def test_zero_sharpness_is_trivial(self):
-        cls = povm.validate(two_outcome(0.0))
-        assert cls.valid and cls.trivial and not cls.sharp
+        cls = povm.classify_effects(two_outcome(0.0)[None])
+        assert cls.valid[0] and cls.trivial[0] and not cls.sharp[0]
 
     def test_intermediate_sharpness_is_unsharp(self):
-        cls = povm.validate(two_outcome(0.7))
-        assert cls.valid and not cls.sharp and not cls.trivial
+        cls = povm.classify_effects(two_outcome(0.7)[None])
+        assert cls.valid[0] and not cls.sharp[0] and not cls.trivial[0]
 
     def test_negative_effect_reported(self):
-        broken = povm.DiscretePovm(("1", "2"), [0.75 * I2 + 0.5 * SX, 0.25 * I2 - 0.5 * SX])
-        cls = povm.validate(broken)
-        assert not cls.valid
-        assert any("below 0" in failure for failure in cls.failures)
-        # The offending eigenvalue is -(1/4).
-        assert any("-0.25" in failure for failure in cls.failures)
+        broken = np.array([0.75 * I2 + 0.5 * SX, 0.25 * I2 - 0.5 * SX])
+        cls = povm.classify_effects(broken[None])
+        assert not cls.valid[0]
+        # The second effect has the offending eigenvalue -(1/4).
+        assert not cls.lowest[0, 1] >= -povm.EFFECT_TOL
+        assert cls.lowest[0, 1] == pytest.approx(-0.25, abs=1e-12)
 
     def test_sum_violation_reported(self):
-        broken = povm.DiscretePovm(("1", "2"), [0.5 * I2, 0.4 * I2])
-        cls = povm.validate(broken)
-        assert not cls.valid
-        assert any("sum deviates" in failure for failure in cls.failures)
+        broken = np.array([0.5 * I2, 0.4 * I2])
+        cls = povm.classify_effects(broken[None])
+        assert not cls.valid[0]
+        assert not cls.sum_deviation[0] <= povm.EFFECT_TOL
 
 
 def reference_classification(ops, tol=1e-10):
@@ -137,9 +143,8 @@ class TestClassifyEffects:
         for n, ops in enumerate(stack):
             want = reference_classification(ops)
             assert (bool(got.valid[n]), bool(got.sharp[n]), bool(got.trivial[n])) == want
-            cls = povm.validate(povm.DiscretePovm(tuple(range(len(ops))), ops))
-            assert (cls.valid, cls.sharp, cls.trivial) == want
-            assert cls.valid == (not cls.failures)
+            one = povm.classify_effects(ops[None])
+            assert (bool(one.valid[0]), bool(one.sharp[0]), bool(one.trivial[0])) == want
             for j, op in enumerate(ops):
                 evs = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
                 assert got.lowest[n, j] == pytest.approx(evs[0], abs=1e-12)
@@ -164,7 +169,7 @@ class TestClassifyEffects:
         assert np.max(np.abs(got.lowest.min(axis=1))) <= 1e-12
 
     def test_non_hermitian_effect_left_out_of_the_sum(self):
-        # As in validate: the sum runs over the effects that are Hermitian.
+        # The sum runs over the effects that are Hermitian.
         stack = np.array([[0.5 * I2 + 1e-6 * np.array([[0, 1], [0, 0]]), 0.5 * I2]])
         got = povm.classify_effects(stack)
         assert not got.valid[0]
@@ -192,26 +197,26 @@ class TestValidateFailures:
                 povm.DiscretePovm(labels, effects)
 
     def test_non_hermitian_reported_with_magnitude(self):
-        broken = povm.DiscretePovm(("1", "2"), [0.5 * I2 + np.array([[0, 1e-3], [0, 0]]), 0.5 * I2])
-        cls = povm.validate(broken)
-        assert cls.failures == (
-            "effect '1' deviates from Hermitian by 1.000e-03",
-            "effects sum deviates from identity by 5.000e-01",
-        )
+        broken = np.array([0.5 * I2 + np.array([[0, 1e-3], [0, 0]]), 0.5 * I2])
+        cls = povm.classify_effects(broken[None])
+        assert not cls.valid[0]
+        assert cls.hermitian_deviation[0].tolist() == [pytest.approx(1e-3), 0.0]
+        assert cls.sum_deviation[0] == pytest.approx(0.5)
 
     def test_non_finite_effect_is_invalid(self):
-        broken = povm.DiscretePovm(("1", "2"), [np.full((2, 2), np.nan), I2])
-        cls = povm.validate(broken)
-        assert not cls.valid
-        assert cls.failures == ("effect '1' deviates from Hermitian by nan",)
+        broken = np.array([np.full((2, 2), np.nan), I2])
+        cls = povm.classify_effects(broken[None])
+        assert not cls.valid[0]
+        assert np.isnan(cls.hermitian_deviation[0, 0])
+        assert cls.hermitian_deviation[0, 1] <= povm.EFFECT_TOL
 
     def test_above_one_reported(self):
-        broken = povm.DiscretePovm(("1", "2"), [1.5 * I2, -0.5 * I2])
-        cls = povm.validate(broken)
-        assert cls.failures == (
-            "effect '1' has eigenvalue 1.5 above 1",
-            "effect '2' has eigenvalue -0.5 below 0",
-        )
+        broken = np.array([1.5 * I2, -0.5 * I2])
+        cls = povm.classify_effects(broken[None])
+        assert not cls.valid[0]
+        assert cls.highest[0, 0] == pytest.approx(1.5) and cls.lowest[0, 0] >= -povm.EFFECT_TOL
+        assert cls.lowest[0, 1] == pytest.approx(-0.5) and cls.highest[0, 1] <= 1.0 + povm.EFFECT_TOL
+        assert cls.sum_deviation[0] <= povm.EFFECT_TOL
 
 
 class TestSmear:
@@ -229,15 +234,15 @@ class TestSmear:
 
     def test_uniform_matrix_gives_trivial(self):
         got = smear_one(two_outcome(1.0, SX), 0.5 * np.ones((2, 2)))
-        cls = povm.validate(povm.DiscretePovm(("1", "2"), got))
-        assert cls.valid and cls.trivial
+        cls = povm.classify_effects(got[None])
+        assert cls.valid[0] and cls.trivial[0]
 
     def test_output_valid_and_commutative(self, rng):
         for _ in range(300):
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             op = axis[0] * SX + axis[1] * SY + axis[2] * SZ
-            pvm = povm.DiscretePovm(("1", "2"), [0.5 * (I2 + op), 0.5 * (I2 - op)])
+            pvm = np.array([0.5 * (I2 + op), 0.5 * (I2 - op)])
             rows = int(rng.integers(2, 5))
             w = rng.random((rows, 2)) + 1e-3
             w /= w.sum(axis=0, keepdims=True)
@@ -344,8 +349,8 @@ class TestMarginal:
     def test_coincidence_marginal_pairs_equal_against_unequal_indices(self):
         joint = joint_povm(0.6, 0.3)
         got = marginals(joint)[2]
-        np.testing.assert_array_equal(got[0], joint.operator("11") + joint.operator("22"))
-        np.testing.assert_array_equal(got[1], joint.operator("12") + joint.operator("21"))
+        np.testing.assert_array_equal(got[0], joint_effect(joint, "11") + joint_effect(joint, "22"))
+        np.testing.assert_array_equal(got[1], joint_effect(joint, "12") + joint_effect(joint, "21"))
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 3, 2, 2), (1, 2, 2, 2), (1, 4, 2, 3), (1, 1, 4, 2, 2)])
     def test_joint_marginals_reject_other_shapes(self, shape):
@@ -356,17 +361,17 @@ class TestMarginal:
 class TestJointXZ:
     def test_sharp_x_trivial_z_limit(self):
         joint = joint_povm(1.0, 0.0)
-        x_marginal, z_marginal, _ = (povm.DiscretePovm(("1", "2"), m) for m in marginals(joint))
-        assert povm.validate(x_marginal).sharp
-        assert povm.validate(z_marginal).trivial
-        np.testing.assert_allclose(joint.operator("11"), 0.25 * (I2 + SX), atol=1e-15)
-        np.testing.assert_allclose(joint.operator("12"), 0.25 * (I2 + SX), atol=1e-15)
+        cls = povm.classify_effects(marginals(joint))
+        assert cls.sharp[0]
+        assert cls.trivial[1]
+        np.testing.assert_allclose(joint_effect(joint, "11"), 0.25 * (I2 + SX), atol=1e-15)
+        np.testing.assert_allclose(joint_effect(joint, "12"), 0.25 * (I2 + SX), atol=1e-15)
 
     def test_boundary_pair_still_valid(self):
         joint = joint_povm(1 / math.sqrt(2), 1 / math.sqrt(2))
-        cls = povm.validate(joint)
-        assert cls.valid
-        lowest = linalg.eig_hermitian_stack(joint.effects)[0].min()
+        cls = povm.classify_effects(joint[None])
+        assert cls.valid[0]
+        lowest = linalg.eig_hermitian_stack(joint)[0].min()
         assert lowest == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_of_one_matches_stacked_builder(self, rng):
@@ -379,7 +384,7 @@ class TestJointXZ:
             one, one_admitted = povm.joint_xz_effects(float(f[n]), float(g[n]))
             assert one_admitted.tolist() == [admitted[n]]
             np.testing.assert_array_equal(one[0], effects[n])
-            assert povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, one[0])).valid == admitted[n]
+            assert povm.classify_effects(one).valid[0] == admitted[n]
 
     def test_stacked_builder_rejects_unpaired_arrays(self):
         with pytest.raises(DimensionMismatch):
@@ -388,7 +393,7 @@ class TestJointXZ:
     def test_inadmissible_pair_rejected(self):
         effects, admitted = povm.joint_xz_effects(0.8, 0.8)
         assert not admitted[0]
-        assert not povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, effects[0])).valid
+        assert not povm.classify_effects(effects).valid[0]
 
     def test_jointly_measurable_examples(self):
         assert povm.jointly_measurable_stack([1.0, 0.8], [0.0, 0.8]).tolist() == [True, False]
@@ -400,7 +405,7 @@ class TestJointXZ:
         f, g = 1.0, math.sqrt(excess)
         assert 1.0 + 1e-12 < f * f + g * g <= 1.0 + 1e-10
         effects, admitted = povm.joint_xz_effects(f, g)
-        assert povm.validate(povm.DiscretePovm(povm.JOINT_LABELS, effects[0])).valid
+        assert povm.classify_effects(effects).valid[0]
         assert admitted[0] and povm.jointly_measurable_stack(f, g)[0]
 
     def test_just_outside_the_band_is_rejected_by_both(self):
@@ -426,7 +431,7 @@ class TestContrastUnsharpness:
 
     def test_biased_contrast(self):
         # Effects c I and (1 - c) I: contrast |2c - 1| with no direction term.
-        p = povm.DiscretePovm(("1", "2"), [0.8 * I2, 0.2 * I2])
+        p = np.array([0.8 * I2, 0.2 * I2])
         assert contrast(p) == pytest.approx(0.6, abs=1e-14)
 
     def test_wrong_outcome_count(self):
@@ -434,18 +439,18 @@ class TestContrastUnsharpness:
             contrast(joint_povm(0.5, 0.5))
 
     def test_unsharpness_examples(self):
-        got = povm.unsharpness_stack(np.array([two_outcome(f).effects for f in (1.0, 0.0, 0.6)]))
+        got = povm.unsharpness_stack(np.array([two_outcome(f) for f in (1.0, 0.0, 0.6)]))
         np.testing.assert_allclose(got, [0.0, 1.0, 0.64], rtol=0, atol=1e-14)
 
     def test_unsharpness_is_minimal_outcome_variance(self):
         # Grid-minimize the outcome variance over the Bloch sphere and
         # compare with 1 - contrast^2.
         p = two_outcome(0.6)
-        diff = p.effects[0] - p.effects[1]
+        diff = p[0] - p[1]
         (best,), _ = oracle.grid_maximize_stack(
             stack_of([lambda r: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real))]), 1
         )
-        assert 1.0 - best**2 == pytest.approx(povm.unsharpness_stack(p.effects[None])[0], abs=1e-6)
+        assert 1.0 - best**2 == pytest.approx(povm.unsharpness_stack(p[None])[0], abs=1e-6)
 
     def test_contrast_matches_grid_oracle(self, rng):
         povms, objectives = [], []
@@ -455,9 +460,9 @@ class TestContrastUnsharpness:
             u_len = rng.random()
             b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
             e1 = 0.5 * ((1.0 + b) * I2 + u_len * (direction[0] * SX + direction[1] * SY + direction[2] * SZ))
-            p = povm.DiscretePovm(("1", "2"), [e1, I2 - e1])
-            assert povm.validate(p).valid
-            diff = p.effects[0] - p.effects[1]
+            p = np.array([e1, I2 - e1])
+            assert povm.classify_effects(p[None]).valid[0]
+            diff = p[0] - p[1]
             povms.append(p)
             objectives.append(lambda r, diff=diff: abs(float(np.trace(linalg.density_from_bloch(r) @ diff).real)))
         best, _ = oracle.grid_maximize_stack(stack_of(objectives), len(objectives))

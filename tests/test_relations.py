@@ -120,9 +120,11 @@ class TestEntropicBound:
             assert report.slack >= -1e-9
 
     def test_unsharp_observable_rejected(self):
-        blurred = povm.DiscretePovm(("1", "2"), [0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)])
+        blurred = np.array([0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)])
         with pytest.raises(NotSharp):
             entropic_report(blurred, relations.pauli_pvm("z"), [1, 0])
+        with pytest.raises(NotSharp):
+            entropic_report(relations.pauli_pvm("z"), blurred, [1, 0])
 
     def test_holds_on_ten_thousand_random_pure_states(self):
         rng = np.random.default_rng(3141)
@@ -505,7 +507,7 @@ class TestStackedKernels:
         for a, b in (("z", "x"), ("x", "y"), ("z", "z")):
             pvm_a, pvm_b = relations.pauli_pvm(a), relations.pauli_pvm(b)
             stack = relations.entropic_bound_stack(pvm_a, pvm_b, states)
-            ops_a, ops_b = list(pvm_a.effects), list(pvm_b.effects)
+            ops_a, ops_b = list(pvm_a), list(pvm_b)
             want = np.array([reference_entropic_bound(ops_a, ops_b, psi) for psi in states])
             np.testing.assert_allclose(stack.lhs, want[:, 0], rtol=0, atol=1e-15)
             # The bound divides |<psi|P Q|psi>| by |P psi| |Q psi|, which
@@ -517,8 +519,7 @@ class TestStackedKernels:
         computational = [np.diag(row).astype(complex) for row in np.eye(3)]
         fourier = complementarity.fourier_partner(complementarity.OrthonormalBasis(np.eye(3)))
         rotated = [np.outer(v, v.conj()) for v in fourier.vectors]
-        pvm_a = povm.DiscretePovm(tuple("123"), computational)
-        pvm_b = povm.DiscretePovm(tuple("123"), rotated)
+        pvm_a, pvm_b = np.array(computational), np.array(rotated)
         z = rng.standard_normal((50, 6))
         states = z[:, 0::2] + 1j * z[:, 1::2]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -588,29 +589,38 @@ class TestStackedKernels:
 
     def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
         calls = []
-        original = povm.validate
+        original = povm.classify_effects
 
-        def counting_validate(p, *args, **kwargs):
-            calls.append(p)
-            return original(p, *args, **kwargs)
+        def counting_classify(effects, *args, **kwargs):
+            calls.append(effects)
+            return original(effects, *args, **kwargs)
 
-        monkeypatch.setattr(povm, "validate", counting_validate)
+        monkeypatch.setattr(povm, "classify_effects", counting_classify)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
         relations.entropic_bound_stack(z_pvm, x_pvm, np.array([[1.0, 0.0]]))
         assert calls == []
-        copy = povm.DiscretePovm(z_pvm.labels, z_pvm.effects.copy())
+        copy = z_pvm.copy()
         relations.entropic_bound_stack(copy, x_pvm, np.array(EIGENSTATES, dtype=complex))
-        assert calls == [copy]  # once per kernel call, not once per state
+        # Once per kernel call, not once per state, as a batch of one.
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], copy[None])
 
     def test_cached_pauli_pvms_are_write_protected(self):
-        with pytest.raises(ValueError):
-            relations.pauli_pvm("x").effects[0, 0, 0] = 2.0
+        for axis in "xyz":
+            pvm = relations.pauli_pvm(axis)
+            assert pvm.shape == (2, 2, 2)
+            assert relations.pauli_pvm(axis) is pvm
+            with pytest.raises(ValueError):
+                pvm[0, 0, 0] = 2.0
 
     def test_stack_inputs_are_validated(self):
         with pytest.raises(NotNormalized):
             relations.entropic_bound_stack(
                 relations.pauli_pvm("z"), relations.pauli_pvm("x"), np.array([[1.0, 0.0], [1.0, 1.0]])
             )
+        # An observable must be an (L, d, d) effect array, not one matrix.
+        with pytest.raises(DimensionMismatch):
+            relations.entropic_bound_stack(SZ, relations.pauli_pvm("x"), np.array([[1.0, 0.0]]))
         with pytest.raises(NotHermitian):
             relations.state_relations_stack(np.array([[[0.5, 0.5], [0.0, 0.5]]]))
         with pytest.raises(NotHermitian):

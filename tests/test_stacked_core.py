@@ -100,9 +100,8 @@ class TestStackedExtraction:
             for n in (0, len(configs) - 1):
                 scheme = extraction.schemes_for([configs[n]])
                 assert scheme.unitaries[0].tobytes() == schemes.unitaries[n].tobytes()
-                measured = extraction.extract_povm(scheme)
-                assert measured.labels == schemes.labels
-                assert measured.effects.tobytes() == effects[n].tobytes()
+                assert scheme.labels == schemes.labels
+                assert extraction.extract_effects(scheme)[0].tobytes() == effects[n].tobytes()
 
     def test_stacks_reject_mixed_readouts(self):
         configs = [interferometer.MzConfig("path"), interferometer.MzConfig("marking")]
@@ -189,17 +188,17 @@ class TestStackedValidator:
 def _scalar_sweep_row(config, psi):
     # The per-step route: one scheme, POVM, probability table and audit per step.
     scheme = extraction.schemes_for([config])
-    measured = extraction.extract_povm(scheme)
+    measured = extraction.extract_effects(scheme)[0]
     probabilities = oracle.direct_probabilities(scheme, psi)
     _, p1, p2 = interferometer.probe_stack([config])[0]
     audit = relations.erasure_duality_stack([complex(psi[0])], [complex(psi[1])], [p1], [p2]).report(0)
     row = {"D": audit.distinguishability, "V_e": audit.visibility, "duality_slack": audit.duality.slack}
-    if len(measured.labels) == 4:
+    if len(scheme.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
-        contrasts = povm.contrast_stack(povm.joint_marginals(measured.effects[None])[0])
+        contrasts = povm.contrast_stack(povm.joint_marginals(measured[None])[0])
         row.update(zip(("F_contrast", "G_contrast", "H_contrast"), contrasts.tolist()))
     else:
-        row["F_contrast"] = float(povm.contrast_stack(measured.effects[None])[0])
+        row["F_contrast"] = float(povm.contrast_stack(measured[None])[0])
     return row
 
 

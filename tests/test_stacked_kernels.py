@@ -576,7 +576,7 @@ class TestDrawReplay:
             u_len = rng.random()
             b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
             e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
-            effects.append(povm.DiscretePovm(("1", "2"), [e1, np.eye(2) - e1]).effects)
+            effects.append(np.array([e1, np.eye(2) - e1], dtype=complex))
         effects = np.array(effects)
         assert calls[0][0].tobytes() == effects.tobytes()
         assert diffs[0][0].tobytes() == np.array([e[0] - e[1] for e in effects]).tobytes()

@@ -32,7 +32,7 @@ class TestCheckResults:
     def test_injected_perturbation_detected(self, monkeypatch):
         # Corrupt one extracted effect by the smallest shift the contract
         # promises to flag; the oracle cross-check must catch it. The
-        # stacked kernel behind extract_povm is patched, so every scheme of
+        # stacked kernel extract_effects is patched, so every scheme of
         # every stack has its first effect shifted.
         original = extraction.extract_effects
 
