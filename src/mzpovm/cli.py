@@ -16,6 +16,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Angles are radians; pass --degrees to convert every angle flag at parse
 time. Complex numbers serialize as [re, im] pairs, matrices row-major.
+
+Who checks what on a run or sweep: ``evaluate_run`` and ``sweep_rows``
+check the photon input once, the stacked core the probe markers once;
+the scheme stack and the direct probabilities keep their own checks, and
+the relation, probability and conditional kernels run as unchecked cores.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import extraction, interferometer, linalg, oracle, povm, relations
-from .errors import MzPovmError, ZeroProbabilityCondition
+from .errors import DimensionMismatch, MzPovmError, ZeroProbabilityCondition
 
 SWEEP_COLUMNS = [
     "param_value",
@@ -153,27 +158,39 @@ def _input_from_args(args, file_fields: dict) -> np.ndarray:
     return _parse_input(text)
 
 
-def _evaluate(configs, psi: np.ndarray):
-    # The stacked core of run and sweep for N configurations and one input:
-    # output labels, (N, L, 2, 2) effects, (N, L) direct probabilities and
-    # the erasure duality audit of each configuration's markers.
+def _photon_input(psi) -> np.ndarray:
+    # The one check of a run or sweep input: a unit two-component vector.
+    v = linalg.state_vector(psi)
+    if v.shape != (2,):
+        raise DimensionMismatch(f"the input must be a two-component photon state, got {v.size} components")
+    return v
+
+
+def _evaluate(configs, v: np.ndarray):
+    # The stacked core of run and sweep for N configurations and one checked
+    # input v: output labels, (N, L, 2, 2) effects, (N, L) direct
+    # probabilities and the erasure duality audit of each configuration's
+    # markers, which are checked here, once.
     probes = interferometer.probe_stack(configs)
+    markers = probes[:, 1:]
+    linalg.check_unit_rows(markers.reshape(-1, 2), "marker state")
     schemes = extraction.build_schemes(
         probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
     )
-    n = len(configs)
-    audit = relations.erasure_duality_stack(
-        np.repeat(psi[:1], n), np.repeat(psi[1:], n), probes[:, 1], probes[:, 2]
-    )
-    probabilities = oracle.direct_probability_stack(schemes, psi)
+    audit = relations.erasure_duality_core(v[None], markers)
+    probabilities = oracle.direct_probability_core(schemes, v)
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
 
 
 def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
-    """The full report for one configuration and input state; a batch of one of the sweep core."""
+    """The full report for one configuration and input state; a batch of one of the sweep core.
+
+    ``psi`` is checked once, here, and every part of the report uses that checked vector.
+    """
+    psi = _photon_input(psi)
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    variance_product, *triple = relations.state_relations_stack(linalg.pure_density(psi)[None])
-    entropy_pair = relations.entropic_bound_stack(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
+    variance_product, *triple = relations.state_relations_core(np.outer(psi, psi.conj())[None])
+    entropy_pair = relations.entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
     reports = [variance_product, entropy_pair, *triple, audits.duality, audits.variance_tradeoff]
     d, pointer = float(audits.distinguishability[0]), audits.pointer_direction[0]
 
@@ -184,7 +201,8 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         "probabilities": dict(zip(labels, probabilities[0].tolist())),
         "povm": dict(zip(labels, _pairs(effects[0]))),
         # No pointer direction (NaN) where the marker evidence vanishes.
-        "distinguishability": {"D": d, "L": 0.5 * (1.0 + d), "r0": None if np.isnan(pointer[0]) else pointer.tolist()},
+        "distinguishability": {"D": d, "L": 0.5 * (1.0 + d),
+                               "r0": None if math.isnan(pointer[0]) else pointer.tolist()},
         "visibility": {"V_e": float(audits.visibility[0]), "n": audits.visibility_direction[0].tolist()},
     }
 
@@ -204,7 +222,7 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         conditional = report["conditional_probabilities"] = {}
         for probe_label in ("1", "2"):
             try:
-                conditional[probe_label] = extraction.conditional_probabilities(effects[0], probe_label, psi)
+                conditional[probe_label] = extraction.conditional_probabilities_core(effects[0], probe_label, psi)
             except ZeroProbabilityCondition:
                 conditional[probe_label] = None
 
@@ -294,9 +312,10 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
     """One CSV row of probabilities, contrasts and duality data per configuration.
 
     Up to ``SWEEP_STACK`` steps at a time go through the stacked core as
-    one stack.
+    one stack; ``psi`` is checked once, before the first.
     """
-    state_contrast = relations.contrasts(linalg.pure_density(psi))
+    psi = _photon_input(psi)
+    state_contrast = relations.contrasts(np.outer(psi, psi.conj()))
     for first in range(0, len(configs), SWEEP_STACK):
         chunk = configs[first:first + SWEEP_STACK]
         labels, effects, probabilities, audit = _evaluate(chunk, psi)

@@ -23,8 +23,11 @@ experiment as (N, 4, 2, 2) joint and (N, 2, 2, 2) marginal arrays, and
 :func:`closed_form` is its batch of one, kept for the benchmark's sweep
 gate; neither calls an interferometer or extraction kernel. The F, G and
 H marginals of an extracted joint POVM come from ``povm.joint_marginals``.
-Stacks are (N, ..., d, d) at every public boundary; validation reduces
-over the matrix axes members-last (``linalg.max_abs``, ``linalg.hermitian_deviation``).
+Stacks are (N, ..., d, d) at every public boundary. A valid
+``SchemeStack`` costs one maximum per defect; only a failing one is
+reduced per member (``linalg.max_abs``) to name the first bad member.
+:func:`conditional_probabilities` checks its input, then calls
+:func:`conditional_probabilities_core`, which ``cli`` calls directly.
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -42,6 +45,7 @@ from .errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroPro
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
+_IDENTITY4 = np.eye(4)
 
 @dataclass(frozen=True)
 class SchemeStack:
@@ -81,20 +85,28 @@ class SchemeStack:
 
 def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
     # Every check is "not value <= tol", which rejects NaN: every
-    # comparison with NaN is False.
-    unitarity = linalg.max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))
+    # comparison with NaN is False. On success each matrix defect takes
+    # one maximum over the whole stack; only a failure reduces it per
+    # member to name the first bad one.
+    unitarity = u.conj().swapaxes(-1, -2) @ u - _IDENTITY4
     norms = np.sqrt((p0.conj() * p0).real.sum(axis=1))  # numpy.linalg.norm(p0, axis=1)'s arithmetic
-    idempotency = linalg.max_abs(m @ m - m)
+    idempotency = m @ m - m
     hermiticity = linalg.hermitian_deviation(m)
-    total = linalg.max_abs(m.sum(axis=1) - np.eye(4))
+    total = m.sum(axis=1) - _IDENTITY4
+    if (
+        np.abs(unitarity).max(initial=0.0) <= SCHEME_UNITARY_TOL
+        and np.abs(norms - 1.0).max(initial=0.0) <= linalg.NORM_TOL
+        and np.abs(idempotency).max(initial=0.0) <= SCHEME_PROJECTION_TOL
+        and hermiticity.max(initial=0.0) <= linalg.HERMITIAN_TOL
+        and np.abs(total).max(initial=0.0) <= SCHEME_PROJECTION_TOL
+    ):
+        return
+    unitarity, idempotency, total = map(linalg.max_abs, (unitarity, idempotency, total))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
     bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
     bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)
     bad_total = ~(total <= SCHEME_PROJECTION_TOL)
-    bad = bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
+    k = int(np.argmax(bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total))
     if bad_unitary[k]:
         raise InvalidScheme(
             f"scheme {k}: unitarity defect {unitarity[k]:.3e} exceeds {SCHEME_UNITARY_TOL}"
@@ -128,8 +140,11 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
     if pointers is None:
         outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
         return SchemeStack(_DETECTOR_LABELS, unitaries, probes[:, 0], outputs)
-    # [n, l, k - 1] is |k><k| (x) |r_l><r_l|: label index 2 l + k - 1.
-    outputs = np.stack([interferometer.output_projection_stack(k, pointers) for k in (1, 2)], axis=2)
+    # outputs[n, l, k - 1, i, a, j, b] is entry (i a, j b) of |k><k| (x) |r_l><r_l|:
+    # label index 2 l + k - 1, written for both k into one array.
+    pointers = np.asarray(pointers, dtype=complex)
+    outputs = np.zeros((len(probes), 2, 2, 2, 2, 2, 2), dtype=complex)
+    outputs[:, :, 0, 0, :, 0, :] = outputs[:, :, 1, 1, :, 1, :] = pointers[..., :, None] * pointers.conj()[..., None, :]
     return SchemeStack(povm.JOINT_LABELS, unitaries, probes[:, 0], outputs.reshape(-1, 4, 4, 4))
 
 
@@ -300,7 +315,11 @@ def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
     (4, d, d) effect array in the order of ``povm.JOINT_LABELS``. An
     unknown ``probe_label`` raises ``KeyError``.
     """
-    v = linalg.state_vector(psi)
+    return conditional_probabilities_core(joint, probe_label, linalg.state_vector(psi))
+
+
+def conditional_probabilities_core(joint, probe_label: str, v: np.ndarray) -> dict[str, float]:
+    """:func:`conditional_probabilities` for a complex unit vector ``v`` the caller has checked."""
     # Outcome l of the probe marginal G sums E_1l and E_2l, in that order.
     members = povm.MARGINAL_PAIRS[1, {"1": 0, "2": 1}[probe_label]]
     joint_probabilities = [float(np.vdot(v, joint[k] @ v).real) for k in members]

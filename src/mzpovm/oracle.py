@@ -14,6 +14,10 @@ Gaussians normalized (Haar-uniform on the qubit), drawn from numpy's
 PCG64 generator seeded with the entropy pair (seed, sample_index). The
 per-sample seeding is counter-based, so parallel and serial evaluation
 orders agree bit for bit.
+
+Who checks what: :func:`direct_probability_stack` checks its input, then
+calls :func:`direct_probability_core`, which ``cli`` calls with the state
+it checked once. Every route checks the probabilities' range and sums.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
             f"for output {schemes.labels[l]!r} is out of range"
         )
     totals = probs.sum(axis=2)
-    n, s = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
-    if not abs(totals[n, s] - 1.0) <= 1e-12:
+    deviation = np.abs(totals - 1.0)
+    if not deviation.max() <= 1e-12:
+        n, s = np.unravel_index(np.argmax(deviation), deviation.shape)
         raise InvalidScheme(
             f"scheme {n}, state {s}: probabilities sum to {float(totals[n, s])!r}, expected 1"
         )
@@ -103,6 +108,11 @@ def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray
     v = linalg.state_vector(psi)
     if v.shape != (2,):
         raise InvalidScheme("the input must be a two-component photon state")
+    return direct_probability_core(schemes, v)
+
+
+def direct_probability_core(schemes: extraction.SchemeStack, v: np.ndarray) -> np.ndarray:
+    """:func:`direct_probability_stack` for a (2,) unit input the caller checked; the probability checks still run."""
     return _probabilities(schemes, v[None, :])[:, 0]
 
 

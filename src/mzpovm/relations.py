@@ -26,6 +26,10 @@ equalities among them as :class:`RelationReport` records. On both records
 ``report(i)`` is the audit of state i with Python float and bool fields;
 ``mzpovm run`` audits its one state as a batch of one. POVMs enter as
 (L, d, d) effect arrays, effect k being outcome k.
+
+Who checks what: each public kernel checks its inputs, then calls its
+core (``*_core``), which checks nothing; ``cli`` checks a run's state and
+markers once and calls the cores.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
 _X, _Y, _Z = linalg.pauli_triple()
+_SIGMA_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ def _weight(amplitude: np.ndarray) -> np.ndarray:
     return np.hypot(amplitude.real, amplitude.imag) ** 2
 
 
-def _amplitudes(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
-    # The (N, 2) rows (alpha, beta), checked for unit norm, and their weights.
+def _amplitudes(alphas, betas) -> np.ndarray:
+    # The (N, 2) rows (alpha, beta), checked for unit norm.
     alpha = np.asarray(alphas, dtype=complex).reshape(-1)
     beta = np.asarray(betas, dtype=complex).reshape(-1)
     if alpha.shape != beta.shape:
@@ -133,7 +138,7 @@ def _amplitudes(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
     unit = np.abs(norm2 - 1.0) <= linalg.NORM_TOL
     if not unit.all():
         raise NotNormalized(f"|alpha|^2 + |beta|^2 = {float(norm2[np.argmin(unit)])!r}, expected 1")
-    return rows, weights
+    return rows
 
 
 def _projectors(states: np.ndarray) -> np.ndarray:
@@ -185,6 +190,15 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
         if not povm.classify_effects(p[None]).sharp[0]:
             raise NotSharp("the entropic bound applies to projection-valued observables")
     v = _unit_rows(states, "state")
+    if not a.shape[-1] == b.shape[-1] == v.shape[1]:
+        raise DimensionMismatch(
+            f"observables on C^{a.shape[-1]} and C^{b.shape[-1]} and states in C^{v.shape[1]} must share one dimension"
+        )
+    return entropic_bound_core(a, b, v)
+
+
+def entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
+    """:func:`entropic_bound_stack` for sharp (La, d, d), (Lb, d, d) arrays and (N, d) unit rows the caller checked."""
     effects, split = np.concatenate([a, b]), len(a)
     terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
     lhs = -terms[:, :split].sum(axis=-1) - terms[:, split:].sum(axis=-1)
@@ -240,7 +254,11 @@ def state_relations_stack(rhos) -> list[RelationReport]:
     the sx, sy, sz entropy sum >= 2 bits; variance-triple: their variance sum
     >= 2 (= 3 - |r|^2); contrast-triple: the squared-contrast sum <= 1 (= |r|^2).
     """
-    rho = _density_stack(rhos)
+    return state_relations_core(_density_stack(rhos))
+
+
+def state_relations_core(rho: np.ndarray) -> list[RelationReport]:
+    """:func:`state_relations_stack` on an (N, 2, 2) complex stack of states the caller has checked."""
     traces = _trace(_STATE_OPERATORS, rho[:, None])
     real = traces.real
     bloch = real[:, 1:4]
@@ -326,13 +344,22 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     mixed across marker choices break the equality down to an inequality,
     which callers can probe by mixing reports.
     """
-    amplitudes, weights = _amplitudes(alphas, betas)
+    amplitudes = _amplitudes(alphas, betas)
     p1 = _unit_rows(p1s, "marker state")
     p2 = _unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (len(amplitudes), 2):
         raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
-    # markers[n, k] is the marker of path k + 1 for input n.
-    markers = np.stack([p1, p2], axis=1)
+    return erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
+
+
+def erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> ErasureAudit:
+    """:func:`erasure_duality_stack` for unit rows the caller checked.
+
+    ``markers[n, k]`` is the marker of path k + 1 for input n, (N, 2, 2);
+    ``amplitudes`` holds the rows (alpha, beta), (N, 2) or (1, 2) for one
+    input shared by every marker pair.
+    """
+    weights = _weight(amplitudes)
     bloch = linalg.bloch_from_density_stack(_projectors(markers))
     b1, b2 = bloch[:, 0], bloch[:, 1]
     direction, d = _inference(weights, b1, b2)
@@ -342,7 +369,7 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     vis, n = _visibility(rho_e[:, 0, 1])
     # The 'correct' coincidence effect ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
     # along the pointer r (sigma_z where there is none) is diagonal, c00 and c11.
-    pointer = np.where(np.isnan(direction), (0.0, 0.0, 1.0), direction)
+    pointer = np.where(np.isnan(direction), _SIGMA_Z_AXIS, direction)
     bias = 1.0 + 0.5 * np.einsum("nk,nk->n", pointer, b1 - b2)
     axis = 0.5 * np.einsum("nk,nk->n", pointer, b1 + b2)
     c00, c11 = 0.5 * (bias + axis), 0.5 * (bias - axis)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mzpovm import extraction, interferometer, linalg, oracle, povm, verify
-from mzpovm.errors import InvalidScheme, UnsupportedExperiment, ZeroProbabilityCondition
+from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
 
 from conftest import assert_same_bits, random_pure
 
@@ -371,6 +371,14 @@ class TestConditionalProbabilities:
         measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
         with pytest.raises(ZeroProbabilityCondition):
             extraction.conditional_probabilities(measured, "1", np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.0, 0.9], [math.nan, 0.0]])
+    def test_non_unit_input_rejected_before_the_label(self, psi):
+        config = interferometer.MzConfig("erasure", delta=0.4)
+        measured = extraction.extract_effects(extraction.schemes_for([config]))[0]
+        for probe_label in ("1", "3"):
+            with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
+                extraction.conditional_probabilities(measured, probe_label, psi)
 
     @pytest.mark.parametrize("probe_label", ["0", "3", "11", 1])
     def test_unknown_probe_label_raises_key_error(self, probe_label):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mzpovm import extraction, interferometer, linalg, oracle, verify
-from mzpovm.errors import InvalidScheme
+from mzpovm.errors import InvalidScheme, NotNormalized
 
 from conftest import stack_of
 
@@ -132,6 +132,22 @@ class TestProbabilityChecks:
         states = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]], dtype=complex)
         with pytest.raises(InvalidScheme, match=r"probability 4\.0 for output '1'"):
             oracle._probabilities(scheme, states)
+
+    def test_out_of_range_names_the_scheme_state_and_output(self):
+        # Scheme 1 (path) on state 1 (2|1>) gives p1 = 4, the farthest from [0, 1].
+        schemes = extraction.schemes_for([interferometer.MzConfig("interference"), interferometer.MzConfig("path")])
+        states = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
+        message = r"^scheme 1, state 1: probability 4\.0 for output '1' is out of range$"
+        with pytest.raises(InvalidScheme, match=message):
+            oracle._probabilities(schemes, states)
+
+    @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.0, 1.1], [math.nan, 0.0]])
+    def test_direct_route_rejects_a_non_unit_input(self, psi):
+        scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)])
+        with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
+            oracle.direct_probability_stack(scheme, psi)
+        with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
+            oracle.direct_probabilities(scheme, psi)
 
     def test_bad_sum_names_the_worst_total(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])

@@ -6,7 +6,7 @@ import pytest
 from mzpovm import complementarity, interferometer, linalg, oracle, povm, relations
 from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
-from conftest import random_bloch_in_ball, random_pure, stack_of
+from conftest import assert_same_bits, random_bloch_in_ball, random_pure, stack_of
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -635,3 +635,41 @@ class TestStackedKernels:
             relations.erasure_duality_stack([1.0], [0.0], 1.0, [[0, 1]])
         with pytest.raises(NotNormalized, match="marker state 0 has norm"):
             relations.erasure_duality_stack([1.0], [0.0], [[1, 0]], [[1, 1]])
+
+    def test_entropic_bound_rejects_observables_of_different_dimensions(self):
+        computational3 = np.array([np.diag(row).astype(complex) for row in np.eye(3)])
+        with pytest.raises(DimensionMismatch, match="C\\^2 and C\\^3"):
+            relations.entropic_bound_stack(relations.pauli_pvm("z"), computational3, [[1, 0]])
+
+    def test_entropic_bound_rejects_states_of_another_dimension(self):
+        z_pvm = relations.pauli_pvm("z")
+        with pytest.raises(DimensionMismatch, match="states in C\\^3"):
+            relations.entropic_bound_stack(z_pvm, z_pvm, [[1, 0, 0]])
+
+    def test_cores_give_the_public_kernels_bits(self, rng):
+        # Each public kernel is its checks followed by its core.
+        def same_report_bits(got, want):
+            for field in ("lhs", "rhs", "slack", "satisfied"):
+                assert_same_bits(getattr(got, field), getattr(want, field))
+
+        states = np.array([random_pure(rng) for _ in range(40)] + EIGENSTATES, dtype=complex)
+        rhos = states[:, :, None] * states.conj()[:, None, :]
+        for got, want in zip(relations.state_relations_core(rhos), relations.state_relations_stack(rhos)):
+            same_report_bits(got, want)
+        z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
+        same_report_bits(
+            relations.entropic_bound_core(z_pvm, x_pvm, states), relations.entropic_bound_stack(z_pvm, x_pvm, states)
+        )
+        # One (1, 2) amplitude row broadcasts against every marker pair.
+        thetas = rng.uniform(0.0, math.pi / 2.0, len(states))
+        markers = np.array([interferometer.marker_states(float(t)) for t in thetas])
+        n = len(markers)
+        for psi in states[:3]:
+            got = relations.erasure_duality_core(psi[None], markers)
+            want = relations.erasure_duality_stack(
+                np.repeat(psi[:1], n), np.repeat(psi[1:], n), markers[:, 0], markers[:, 1]
+            )
+            for field in ("pointer_direction", "distinguishability", "visibility", "visibility_direction"):
+                assert_same_bits(getattr(got, field), getattr(want, field))
+            same_report_bits(got.duality, want.duality)
+            same_report_bits(got.variance_tradeoff, want.variance_tradeoff)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
-from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment
+from mzpovm.errors import DimensionMismatch, InvalidScheme, NotNormalized, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -251,6 +251,43 @@ class TestSweepRows:
             assert report["probabilities"][label] == row["p" + label]
         assert report["distinguishability"]["D"] == row["D"]
         assert report["visibility"]["V_e"] == row["V_e"]
+
+
+class TestInputCheckedOnce:
+    """A run or sweep checks its input at the entry; the kernel cores behind it trust it."""
+
+    @pytest.mark.parametrize("experiment", interferometer.EXPERIMENTS)
+    def test_a_run_report_makes_two_unit_norm_checks(self, rng, monkeypatch, experiment):
+        calls = []
+        original = linalg.check_unit_rows
+
+        def counting(v, what):
+            calls.append(what)
+            return original(v, what)
+
+        monkeypatch.setattr(linalg, "check_unit_rows", counting)
+        cli.evaluate_run(interferometer.MzConfig(experiment, delta=0.4, gamma=1.1, theta=0.6), random_pure(rng))
+        # The photon state once, and the (N, 2) marker rows once.
+        assert calls == ["state vector", "marker state"]
+
+    @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.6, 0.6j], [math.nan, 0.0], [math.inf, 0.0], [1.0, math.nan]])
+    @pytest.mark.parametrize("experiment", ["path", "quantitative"])
+    def test_run_and_sweep_reject_a_bad_input_passed_directly(self, psi, experiment):
+        config = interferometer.MzConfig(experiment, delta=0.4, theta=0.6)
+        configs = cli.sweep_configs(config, "delta", 0.0, 1.0, 3)
+        # An infinite component makes the norm NaN, with a RuntimeWarning on the way.
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotNormalized):
+                cli.evaluate_run(config, np.array(psi, dtype=complex))
+            with pytest.raises(NotNormalized):
+                next(cli.sweep_rows(configs, np.array(psi, dtype=complex), "delta"))
+
+    def test_run_and_sweep_reject_an_input_of_another_dimension(self):
+        config = interferometer.MzConfig("erasure", delta=0.4)
+        with pytest.raises(DimensionMismatch, match="two-component"):
+            cli.evaluate_run(config, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match="two-component"):
+            next(cli.sweep_rows([config], np.array([1.0, 0.0, 0.0]), "delta"))
 
 
 class TestInterferometerStacks:
