@@ -17,10 +17,18 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 Angles are radians; pass --degrees to convert every angle flag at parse
 time. Complex numbers serialize as [re, im] pairs, matrices row-major.
 
-Who checks what on a run or sweep: ``evaluate_run`` and ``sweep_rows``
-check the photon input once, the stacked core the probe markers once;
-the scheme stack and the direct probabilities keep their own checks, and
-the relation, probability and conditional kernels run as unchecked cores.
+Who checks what on a run or sweep (the package states this here only):
+``evaluate_run`` and ``sweep_rows`` check the photon input once with
+``oracle.photon_state``, and the stacked core checks every probe marker
+row in one ``linalg.check_unit_rows`` call. The route then calls the
+private cores behind ``relations.state_relations_stack``,
+``entropic_bound_stack`` and ``erasure_duality_stack``,
+``oracle.direct_probability_stack`` and
+``extraction.conditional_probabilities``; each of those public kernels is
+its checks followed by its core, and a core checks nothing. The
+``SchemeStack`` validation and the probabilities' range and sum checks
+still run on every request. A check added to one of those kernels must
+be added here too, or run and sweep skip it.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import extraction, interferometer, linalg, oracle, povm, relations
-from .errors import DimensionMismatch, MzPovmError, ZeroProbabilityCondition
+from .errors import MzPovmError, ZeroProbabilityCondition
 
 SWEEP_COLUMNS = [
     "param_value",
@@ -158,14 +166,6 @@ def _input_from_args(args, file_fields: dict) -> np.ndarray:
     return _parse_input(text)
 
 
-def _photon_input(psi) -> np.ndarray:
-    # The one check of a run or sweep input: a unit two-component vector.
-    v = linalg.state_vector(psi)
-    if v.shape != (2,):
-        raise DimensionMismatch(f"the input must be a two-component photon state, got {v.size} components")
-    return v
-
-
 def _evaluate(configs, v: np.ndarray):
     # The stacked core of run and sweep for N configurations and one checked
     # input v: output labels, (N, L, 2, 2) effects, (N, L) direct
@@ -177,8 +177,8 @@ def _evaluate(configs, v: np.ndarray):
     schemes = extraction.build_schemes(
         probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
     )
-    audit = relations.erasure_duality_core(v[None], markers)
-    probabilities = oracle.direct_probability_core(schemes, v)
+    audit = relations._erasure_duality_core(v[None], markers)
+    probabilities = oracle._direct_probability_core(schemes, v)
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
 
 
@@ -187,10 +187,10 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
 
     ``psi`` is checked once, here, and every part of the report uses that checked vector.
     """
-    psi = _photon_input(psi)
+    psi = oracle.photon_state(psi)
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    variance_product, *triple = relations.state_relations_core(np.outer(psi, psi.conj())[None])
-    entropy_pair = relations.entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
+    variance_product, *triple = relations._state_relations_core(np.outer(psi, psi.conj())[None])
+    entropy_pair = relations._entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
     reports = [variance_product, entropy_pair, *triple, audits.duality, audits.variance_tradeoff]
     d, pointer = float(audits.distinguishability[0]), audits.pointer_direction[0]
 
@@ -201,8 +201,7 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         "probabilities": dict(zip(labels, probabilities[0].tolist())),
         "povm": dict(zip(labels, _pairs(effects[0]))),
         # No pointer direction (NaN) where the marker evidence vanishes.
-        "distinguishability": {"D": d, "L": 0.5 * (1.0 + d),
-                               "r0": None if math.isnan(pointer[0]) else pointer.tolist()},
+        "distinguishability": {"D": d, "L": 0.5 * (1.0 + d), "r0": None if np.isnan(pointer[0]) else pointer.tolist()},
         "visibility": {"V_e": float(audits.visibility[0]), "n": audits.visibility_direction[0].tolist()},
     }
 
@@ -222,7 +221,7 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         conditional = report["conditional_probabilities"] = {}
         for probe_label in ("1", "2"):
             try:
-                conditional[probe_label] = extraction.conditional_probabilities_core(effects[0], probe_label, psi)
+                conditional[probe_label] = extraction._conditional_probabilities_core(effects[0], probe_label, psi)
             except ZeroProbabilityCondition:
                 conditional[probe_label] = None
 
@@ -314,7 +313,7 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
     Up to ``SWEEP_STACK`` steps at a time go through the stacked core as
     one stack; ``psi`` is checked once, before the first.
     """
-    psi = _photon_input(psi)
+    psi = oracle.photon_state(psi)
     state_contrast = relations.contrasts(np.outer(psi, psi.conj()))
     for first in range(0, len(configs), SWEEP_STACK):
         chunk = configs[first:first + SWEEP_STACK]

@@ -26,8 +26,8 @@ H marginals of an extracted joint POVM come from ``povm.joint_marginals``.
 Stacks are (N, ..., d, d) at every public boundary. A valid
 ``SchemeStack`` costs one maximum per defect; only a failing one is
 reduced per member (``linalg.max_abs``) to name the first bad member.
-:func:`conditional_probabilities` checks its input, then calls
-:func:`conditional_probabilities_core`, which ``cli`` calls directly.
+:func:`conditional_probabilities` checks its input, then calls a private
+core; the ``cli`` module docstring says which checks a run makes.
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -140,11 +140,8 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
     if pointers is None:
         outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
         return SchemeStack(_DETECTOR_LABELS, unitaries, probes[:, 0], outputs)
-    # outputs[n, l, k - 1, i, a, j, b] is entry (i a, j b) of |k><k| (x) |r_l><r_l|:
-    # label index 2 l + k - 1, written for both k into one array.
-    pointers = np.asarray(pointers, dtype=complex)
-    outputs = np.zeros((len(probes), 2, 2, 2, 2, 2, 2), dtype=complex)
-    outputs[:, :, 0, 0, :, 0, :] = outputs[:, :, 1, 1, :, 1, :] = pointers[..., :, None] * pointers.conj()[..., None, :]
+    # [n, l, k - 1] is |k><k| (x) |r_l><r_l|: label index 2 l + k - 1.
+    outputs = interferometer.output_projection_stack(pointers)
     return SchemeStack(povm.JOINT_LABELS, unitaries, probes[:, 0], outputs.reshape(-1, 4, 4, 4))
 
 
@@ -315,10 +312,10 @@ def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
     (4, d, d) effect array in the order of ``povm.JOINT_LABELS``. An
     unknown ``probe_label`` raises ``KeyError``.
     """
-    return conditional_probabilities_core(joint, probe_label, linalg.state_vector(psi))
+    return _conditional_probabilities_core(joint, probe_label, linalg.state_vector(psi))
 
 
-def conditional_probabilities_core(joint, probe_label: str, v: np.ndarray) -> dict[str, float]:
+def _conditional_probabilities_core(joint, probe_label: str, v: np.ndarray) -> dict[str, float]:
     """:func:`conditional_probabilities` for a complex unit vector ``v`` the caller has checked."""
     # Outcome l of the probe marginal G sums E_1l and E_2l, in that order.
     members = povm.MARGINAL_PAIRS[1, {"1": 0, "2": 1}[probe_label]]

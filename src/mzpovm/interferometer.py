@@ -204,13 +204,16 @@ def _photon_index(k: int) -> int:
     return k - 1
 
 
-def output_projection_stack(k: int, pointers) -> np.ndarray:
-    """The compound projections |k><k| (x) |r><r| for (..., 2) pointer rows r, as (..., 4, 4)."""
-    i = _photon_index(k)
+def output_projection_stack(pointers) -> np.ndarray:
+    """The compound projections |k><k| (x) |r><r| for (..., 2) pointer rows r, as (..., 2, 4, 4).
+
+    Entry [..., k - 1] is the projection for detector k; both are written
+    into one array.
+    """
     r = np.asarray(pointers, dtype=complex)
-    out = np.zeros(r.shape[:-1] + (2, 2, 2, 2), dtype=complex)
-    out[..., i, :, i, :] = r[..., :, None] * r.conj()[..., None, :]
-    return out.reshape(r.shape[:-1] + (4, 4))
+    out = np.zeros(r.shape[:-1] + (2, 2, 2, 2, 2), dtype=complex)
+    out[..., 0, 0, :, 0, :] = out[..., 1, 1, :, 1, :] = r[..., :, None] * r.conj()[..., None, :]
+    return out.reshape(r.shape[:-1] + (2, 4, 4))
 
 
 def detector_projection(k: int) -> np.ndarray:

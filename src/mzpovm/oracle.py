@@ -15,9 +15,9 @@ PCG64 generator seeded with the entropy pair (seed, sample_index). The
 per-sample seeding is counter-based, so parallel and serial evaluation
 orders agree bit for bit.
 
-Who checks what: :func:`direct_probability_stack` checks its input, then
-calls :func:`direct_probability_core`, which ``cli`` calls with the state
-it checked once. Every route checks the probabilities' range and sums.
+:func:`direct_probability_stack` checks its input with
+:func:`photon_state`, then calls a private core; the ``cli`` module
+docstring says which checks a run makes.
 """
 
 from __future__ import annotations
@@ -99,19 +99,24 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
     return probs
 
 
+def photon_state(psi) -> np.ndarray:
+    """The checked (2,) unit vector of a photon input; any other length raises ``InvalidScheme``."""
+    v = linalg.state_vector(psi)
+    if v.shape != (2,):
+        raise InvalidScheme("the input must be a two-component photon state")
+    return v
+
+
 def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray:
     """Output probabilities of one input in every scheme of a stack, as (N, L).
 
     Computed with no reference to any extracted POVM; this is the
     independent route against which extraction is checked.
     """
-    v = linalg.state_vector(psi)
-    if v.shape != (2,):
-        raise InvalidScheme("the input must be a two-component photon state")
-    return direct_probability_core(schemes, v)
+    return _direct_probability_core(schemes, photon_state(psi))
 
 
-def direct_probability_core(schemes: extraction.SchemeStack, v: np.ndarray) -> np.ndarray:
+def _direct_probability_core(schemes: extraction.SchemeStack, v: np.ndarray) -> np.ndarray:
     """:func:`direct_probability_stack` for a (2,) unit input the caller checked; the probability checks still run."""
     return _probabilities(schemes, v[None, :])[:, 0]
 

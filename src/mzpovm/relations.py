@@ -27,9 +27,8 @@ equalities among them as :class:`RelationReport` records. On both records
 ``mzpovm run`` audits its one state as a batch of one. POVMs enter as
 (L, d, d) effect arrays, effect k being outcome k.
 
-Who checks what: each public kernel checks its inputs, then calls its
-core (``*_core``), which checks nothing; ``cli`` checks a run's state and
-markers once and calls the cores.
+Each public kernel checks its inputs, then calls a private core; the
+``cli`` module docstring says which checks a run makes.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
 _X, _Y, _Z = linalg.pauli_triple()
-_SIGMA_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,10 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
         raise DimensionMismatch(
             f"observables on C^{a.shape[-1]} and C^{b.shape[-1]} and states in C^{v.shape[1]} must share one dimension"
         )
-    return entropic_bound_core(a, b, v)
+    return _entropic_bound_core(a, b, v)
 
 
-def entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
+def _entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
     """:func:`entropic_bound_stack` for sharp (La, d, d), (Lb, d, d) arrays and (N, d) unit rows the caller checked."""
     effects, split = np.concatenate([a, b]), len(a)
     terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
@@ -254,10 +252,10 @@ def state_relations_stack(rhos) -> list[RelationReport]:
     the sx, sy, sz entropy sum >= 2 bits; variance-triple: their variance sum
     >= 2 (= 3 - |r|^2); contrast-triple: the squared-contrast sum <= 1 (= |r|^2).
     """
-    return state_relations_core(_density_stack(rhos))
+    return _state_relations_core(_density_stack(rhos))
 
 
-def state_relations_core(rho: np.ndarray) -> list[RelationReport]:
+def _state_relations_core(rho: np.ndarray) -> list[RelationReport]:
     """:func:`state_relations_stack` on an (N, 2, 2) complex stack of states the caller has checked."""
     traces = _trace(_STATE_OPERATORS, rho[:, None])
     real = traces.real
@@ -349,10 +347,10 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     p2 = _unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (len(amplitudes), 2):
         raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
-    return erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
+    return _erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
 
 
-def erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> ErasureAudit:
+def _erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> ErasureAudit:
     """:func:`erasure_duality_stack` for unit rows the caller checked.
 
     ``markers[n, k]`` is the marker of path k + 1 for input n, (N, 2, 2);
@@ -369,7 +367,7 @@ def erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> Erasure
     vis, n = _visibility(rho_e[:, 0, 1])
     # The 'correct' coincidence effect ((1 + r.(P1 - P2)/2) I + (r.(P1 + P2)/2) sz) / 2
     # along the pointer r (sigma_z where there is none) is diagonal, c00 and c11.
-    pointer = np.where(np.isnan(direction), _SIGMA_Z_AXIS, direction)
+    pointer = np.where(np.isnan(direction), (0.0, 0.0, 1.0), direction)
     bias = 1.0 + 0.5 * np.einsum("nk,nk->n", pointer, b1 - b2)
     axis = 0.5 * np.einsum("nk,nk->n", pointer, b1 + b2)
     c00, c11 = 0.5 * (bias + axis), 0.5 * (bias - axis)

@@ -179,13 +179,13 @@ class TestFinalState:
 
 class TestOutputProjection:
     def test_first_detector_first_pointer(self):
-        got = interferometer.output_projection_stack(1, [[1.0, 0.0]])
-        np.testing.assert_array_equal(got, [np.diag([1.0, 0, 0, 0])])
+        got = interferometer.output_projection_stack([[1.0, 0.0]])
+        np.testing.assert_array_equal(got, [[np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 1.0, 0])]])
 
     def test_erasure_pointer_family_sums_to_identity(self):
         config = interferometer.MzConfig("erasure", gamma=0.9)
         pointers = interferometer.pointer_stack([config])[0]
-        total = sum(interferometer.output_projection_stack(k, pointers).sum(axis=0) for k in (1, 2))
+        total = interferometer.output_projection_stack(pointers).sum(axis=(0, 1))
         np.testing.assert_allclose(total, np.eye(4), atol=1e-14)
 
     def test_non_unit_pointer_rejected(self):
@@ -197,7 +197,7 @@ class TestOutputProjection:
 
     def test_bad_detector_index(self):
         with pytest.raises(ValueError):
-            interferometer.output_projection_stack(3, [[1.0, 0.0]])
+            interferometer.detector_projection(3)
 
 
 class TestConfig:

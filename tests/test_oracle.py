@@ -149,6 +149,11 @@ class TestProbabilityChecks:
         with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
             oracle.direct_probabilities(scheme, psi)
 
+    def test_direct_route_rejects_an_input_of_another_dimension(self):
+        scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)])
+        with pytest.raises(InvalidScheme, match="^the input must be a two-component photon state$"):
+            oracle.direct_probability_stack(scheme, [1.0, 0.0, 0.0])
+
     def test_bad_sum_names_the_worst_total(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         balanced = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)

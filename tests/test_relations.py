@@ -654,18 +654,18 @@ class TestStackedKernels:
 
         states = np.array([random_pure(rng) for _ in range(40)] + EIGENSTATES, dtype=complex)
         rhos = states[:, :, None] * states.conj()[:, None, :]
-        for got, want in zip(relations.state_relations_core(rhos), relations.state_relations_stack(rhos)):
+        for got, want in zip(relations._state_relations_core(rhos), relations.state_relations_stack(rhos)):
             same_report_bits(got, want)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
         same_report_bits(
-            relations.entropic_bound_core(z_pvm, x_pvm, states), relations.entropic_bound_stack(z_pvm, x_pvm, states)
+            relations._entropic_bound_core(z_pvm, x_pvm, states), relations.entropic_bound_stack(z_pvm, x_pvm, states)
         )
         # One (1, 2) amplitude row broadcasts against every marker pair.
         thetas = rng.uniform(0.0, math.pi / 2.0, len(states))
         markers = np.array([interferometer.marker_states(float(t)) for t in thetas])
         n = len(markers)
         for psi in states[:3]:
-            got = relations.erasure_duality_core(psi[None], markers)
+            got = relations._erasure_duality_core(psi[None], markers)
             want = relations.erasure_duality_stack(
                 np.repeat(psi[:1], n), np.repeat(psi[1:], n), markers[:, 0], markers[:, 1]
             )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
-from mzpovm.errors import DimensionMismatch, InvalidScheme, NotNormalized, UnsupportedExperiment
+from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -283,11 +283,29 @@ class TestInputCheckedOnce:
                 next(cli.sweep_rows(configs, np.array(psi, dtype=complex), "delta"))
 
     def test_run_and_sweep_reject_an_input_of_another_dimension(self):
+        # The same check, and the same error, as oracle.direct_probability_stack.
         config = interferometer.MzConfig("erasure", delta=0.4)
-        with pytest.raises(DimensionMismatch, match="two-component"):
+        with pytest.raises(InvalidScheme, match="two-component"):
             cli.evaluate_run(config, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(DimensionMismatch, match="two-component"):
+        with pytest.raises(InvalidScheme, match="two-component"):
             next(cli.sweep_rows([config], np.array([1.0, 0.0, 0.0]), "delta"))
+
+    def test_run_and_sweep_reject_non_unit_markers(self, monkeypatch):
+        # The marker check the relation kernels make runs once on the route instead.
+        original = interferometer.probe_stack
+
+        def stretched(configs):
+            probes = original(configs).copy()
+            probes[-1, 2] *= 1.1
+            return probes
+
+        monkeypatch.setattr(interferometer, "probe_stack", stretched)
+        config = interferometer.MzConfig("erasure", delta=0.4, gamma=0.7)
+        configs = cli.sweep_configs(config, "delta", 0.0, 1.0, 3)
+        with pytest.raises(NotNormalized, match="^marker state 1 has norm 1.1"):
+            cli.evaluate_run(config, np.array([1.0, 0.0]))
+        with pytest.raises(NotNormalized, match="^marker state 5 has norm 1.1"):
+            next(cli.sweep_rows(configs, np.array([1.0, 0.0]), "delta"))
 
 
 class TestInterferometerStacks:
