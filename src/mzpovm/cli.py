@@ -12,15 +12,16 @@ sweep   Emit plot-ready CSV, one row per step of delta, gamma or theta.
         a note on standard error.
 verify  Run the full invariant suite and print a pass/fail table.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure (a check fails or raises), 2 usage error.
 
 Angles are radians; pass --degrees to convert every angle flag at parse
 time. Complex numbers serialize as [re, im] pairs, matrices row-major.
 
 Who checks what on a run or sweep (the package states this here only):
 ``evaluate_run`` and ``sweep_rows`` check the photon input once with
-``oracle.photon_state``, and the stacked core checks every probe marker
-row in one ``linalg.check_unit_rows`` call. The route then calls the
+``interferometer.photon_state``, the one photon-input check, and the
+stacked core checks every probe marker row in one
+``linalg.check_unit_rows`` call. The route then calls the
 private cores behind ``relations.state_relations_stack``,
 ``entropic_bound_stack`` and ``erasure_duality_stack``,
 ``oracle.direct_probability_stack`` and
@@ -187,9 +188,9 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
 
     ``psi`` is checked once, here, and every part of the report uses that checked vector.
     """
-    psi = oracle.photon_state(psi)
+    psi = interferometer.photon_state(psi)
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    variance_product, *triple = relations._state_relations_core(np.outer(psi, psi.conj())[None])
+    variance_product, *triple = relations._state_relations_core(linalg.projectors(psi[None]))
     entropy_pair = relations._entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
     reports = [variance_product, entropy_pair, *triple, audits.duality, audits.variance_tradeoff]
     d, pointer = float(audits.distinguishability[0]), audits.pointer_direction[0]
@@ -313,8 +314,8 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
     Up to ``SWEEP_STACK`` steps at a time go through the stacked core as
     one stack; ``psi`` is checked once, before the first.
     """
-    psi = oracle.photon_state(psi)
-    state_contrast = relations.contrasts(np.outer(psi, psi.conj()))
+    psi = interferometer.photon_state(psi)
+    state_contrast = relations.contrasts(linalg.projectors(psi))
     for first in range(0, len(configs), SWEEP_STACK):
         chunk = configs[first:first + SWEEP_STACK]
         labels, effects, probabilities, audit = _evaluate(chunk, psi)
@@ -422,7 +423,12 @@ def main(argv=None) -> int:
                 raise UsageError("--samples must lie in [1, 100000]")
             if not args.tol > 0.0:
                 raise UsageError("--tol must be positive")
-            results = verify.run_all(seed=args.seed, samples=args.samples, tol=args.tol)
+            try:
+                results = verify.run_all(seed=args.seed, samples=args.samples, tol=args.tol)
+            except MzPovmError as exc:
+                # A library error inside a check is a verification failure, not a usage error.
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 1
             print(verify.format_table(results, args.seed, args.samples, args.tol))
             return 0 if all(r.passed for r in results) else 1
     except (UsageError, MzPovmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -125,7 +125,8 @@ def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
 
 
 _DETECTOR_LABELS = ("1", "2")
-_DETECTOR_OUTPUTS = np.array([interferometer.detector_projection(k) for k in (1, 2)])
+# |k><k| (x) I for k = 1, 2: the pointer projections along the identity's rows, summed.
+_DETECTOR_OUTPUTS = interferometer.output_projection_stack(linalg.IDENTITY2).sum(axis=0)
 
 
 def build_schemes(probes, deltas, pointers) -> SchemeStack:
@@ -188,26 +189,6 @@ class ExperimentObservables:
     coincidence: povm.DiscretePovm
 
 
-def _half(coeff, vec) -> np.ndarray:
-    # (coeff I + vec . sigma) / 2 with coeff and the parts x, y, z of vec
-    # broadcast to a shape S, shape S + (2, 2), written out entrywise with
-    # the IEEE operations the same expression takes on Python floats.
-    x, y, z = vec
-    out = np.empty(np.broadcast(coeff, x, y, z).shape + (2, 2), dtype=complex)
-    re, im = out.real, out.imag
-    re[..., 0, 0] = 0.5 * (coeff + z)
-    re[..., 0, 1] = re[..., 1, 0] = 0.5 * x
-    re[..., 1, 1] = 0.5 * (coeff - z)
-    im[..., 0, 0] = im[..., 1, 1] = 0.0
-    im[..., 0, 1] = -0.5 * y
-    im[..., 1, 0] = 0.5 * y
-    return out
-
-
-def _quarter(coeff, vec) -> np.ndarray:
-    return 0.5 * _half(coeff, vec)
-
-
 # Signs of the two marginal outcomes, and the joint sign patterns; a
 # product with +/-1 negates exactly, signed zeros included.
 _PM = np.array([1.0, -1.0])
@@ -264,7 +245,7 @@ def closed_form_stack(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         c2 = np.array([math.cos(a / 2.0) ** 2 for a in d])
         s2 = np.array([math.sin(a / 2.0) ** 2 for a in d])
         joint = np.stack([c2, s2, s2, c2], axis=1)[..., None, None] * _MARKING_JOINT
-        detector = _half(1.0, (0.0, 0.0, detector_z))
+        detector = linalg.bloch_operators(1.0, (0.0, 0.0, detector_z))
         probe = np.broadcast_to(_MARKING_PROBE, (len(d), 2, 2, 2)).copy()
         coincidence = np.stack([c2, s2], axis=1)[..., None, None] * linalg.IDENTITY2
     elif experiment == "erasure":
@@ -272,22 +253,22 @@ def closed_form_stack(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         x = sd * np.array([math.cos(c.gamma) for c in configs])[:, None]
         y = sd * np.array([math.sin(c.gamma) for c in configs])[:, None]
         # -n, n, m, -m with n = (x, y, -cos d) and m = (x, y, cos d).
-        joint = _quarter(1.0, (x * _MPPM, y * _MPPM, cd * _PMPM))
-        detector = _half(1.0, (0.0, 0.0, detector_z))
-        probe = _half(1.0, (0.0, 0.0, np.zeros((len(d), 2))))
+        joint = 0.5 * linalg.bloch_operators(1.0, (x * _MPPM, y * _MPPM, cd * _PMPM))
+        detector = linalg.bloch_operators(1.0, (0.0, 0.0, detector_z))
+        probe = linalg.bloch_operators(1.0, (0.0, 0.0, np.zeros((len(d), 2))))
         # -fringe and fringe with fringe = (x, y, 0).
-        coincidence = _half(1.0, (-x * _PM, -y * _PM, 0.0))
+        coincidence = linalg.bloch_operators(1.0, (-x * _PM, -y * _PM, 0.0))
     else:
         t = [c.theta for c in configs]
         ct = np.array([math.cos(a) for a in t])[:, None]
         x = -np.array([math.sin(a) for a in d])[:, None] * np.array([math.sin(a) for a in t])[:, None]
         bias = ct * cd
         # m, -n, n, -m with m = (x, 0, cos d + cos t) and n = (x, 0, cos d - cos t).
-        joint = _quarter(1.0 + bias * _PMMP, (x * _PMPM, _ZEROS, (cd + ct * _PMMP) * _PMPM))
+        joint = 0.5 * linalg.bloch_operators(1.0 + bias * _PMMP, (x * _PMPM, _ZEROS, (cd + ct * _PMMP) * _PMPM))
         # f and -f with f = (x, 0, cos d); the y parts of v and -v are 0 and -0.
-        detector = _half(1.0, (x * _PM, _ZEROS[:2], detector_z))
-        probe = _half(1.0, (0.0, 0.0, ct * _PM))
-        coincidence = _half(1.0 + bias * _PM, (0.0, 0.0, 0.0))
+        detector = linalg.bloch_operators(1.0, (x * _PM, _ZEROS[:2], detector_z))
+        probe = linalg.bloch_operators(1.0, (0.0, 0.0, ct * _PM))
+        coincidence = linalg.bloch_operators(1.0 + bias * _PM, (0.0, 0.0, 0.0))
     return joint, detector, probe, coincidence
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotNormalized, UnsupportedExperiment
+from .errors import InvalidScheme, UnsupportedExperiment
 
 EXPERIMENTS = ("path", "interference", "marking", "erasure", "quantitative")
 # The angles each experiment's scheme reads; it ignores the others.
@@ -185,23 +185,23 @@ def total_unitary_stack(probes, deltas) -> np.ndarray:
     return np.einsum("nak,nkbd->nabkd", mz, blocks).reshape(-1, 4, 4)
 
 
+def photon_state(psi) -> np.ndarray:
+    """The checked (2,) unit vector of a photon input; any other length raises ``InvalidScheme``."""
+    v = linalg.state_vector(psi)
+    if v.shape != (2,):
+        raise InvalidScheme("the input must be a two-component photon state")
+    return v
+
+
 def final_state_stack(psi, probes, deltas) -> np.ndarray:
     """Total output vectors (U_MZ (x) I) U_mark (psi (x) p0) for one input, as (N, 4).
 
-    ``psi`` is validated once for the whole stack.
+    ``psi`` is checked once for the whole stack, by :func:`photon_state`.
     """
-    v = linalg.state_vector(psi)
-    if v.shape != (2,):
-        raise NotNormalized("the photon input must be a two-component state")
+    v = photon_state(psi)
     probes = np.asarray(probes, dtype=complex)
     inputs = (v[:, None] * probes[:, 0, None, :]).reshape(-1, 4)
     return np.einsum("nab,nb->na", total_unitary_stack(probes, deltas), inputs)
-
-
-def _photon_index(k: int) -> int:
-    if k not in (1, 2):
-        raise ValueError(f"detector index must be 1 or 2, got {k!r}")
-    return k - 1
 
 
 def output_projection_stack(pointers) -> np.ndarray:
@@ -212,13 +212,5 @@ def output_projection_stack(pointers) -> np.ndarray:
     """
     r = np.asarray(pointers, dtype=complex)
     out = np.zeros(r.shape[:-1] + (2, 2, 2, 2, 2), dtype=complex)
-    out[..., 0, 0, :, 0, :] = out[..., 1, 1, :, 1, :] = r[..., :, None] * r.conj()[..., None, :]
+    out[..., 0, 0, :, 0, :] = out[..., 1, 1, :, 1, :] = linalg.projectors(r)
     return out.reshape(r.shape[:-1] + (2, 4, 4))
-
-
-def detector_projection(k: int) -> np.ndarray:
-    """The detector-only projection |k><k| (x) I, k in {1, 2}."""
-    i = _photon_index(k)
-    photon = np.zeros((2, 2), dtype=complex)
-    photon[i, i] = 1.0
-    return np.kron(photon, np.eye(2, dtype=complex))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BlochOutOfBall, NotHermitian, NotNormalized
+from .errors import BlochOutOfBall, DimensionMismatch, NotHermitian, NotNormalized
 
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -60,13 +60,18 @@ def pauli_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _PAULI["x"], _PAULI["y"], _PAULI["z"]
 
 
-def check_unit_rows(v: np.ndarray, what: str) -> np.ndarray:
+@np.errstate(over="ignore")
+def check_unit_rows(v, what: str) -> np.ndarray:
     """Return an (N, d) complex stack after checking that every row is a unit vector.
 
-    Raises ``NotNormalized`` naming the first row (``what`` and its index)
-    whose norm deviates from 1 by more than 1e-10, or is not finite.
+    Anything but an (N, d) stack raises ``DimensionMismatch``. ``NotNormalized``
+    names the first row (``what`` and its index) whose norm deviates from 1 by
+    more than 1e-10; a norm past the largest float reads inf, with no warning.
     """
-    norms = np.sqrt((v.conj() * v).real.sum(axis=1))
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2:
+        raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
+    norms = np.hypot.reduce(np.abs(v), axis=1)
     if not np.abs(norms - 1.0).max(initial=0.0) <= NORM_TOL:
         k = int(np.argmin(np.abs(norms - 1.0) <= NORM_TOL))
         raise NotNormalized(f"{what} {k} has norm {float(norms[k])!r}, expected 1 within {NORM_TOL}")
@@ -74,14 +79,7 @@ def check_unit_rows(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def state_vector(components) -> np.ndarray:
-    """Validate and return a unit state vector, checked as a batch of one by :func:`check_unit_rows`.
-
-    Raises
-    ------
-    NotNormalized
-        If any component is non-finite or the norm deviates from 1 by more
-        than 1e-10.
-    """
+    """A write-protected copy of a unit state vector, checked as a batch of one by :func:`check_unit_rows`."""
     v = np.asarray(components, dtype=complex).reshape(-1)
     check_unit_rows(v[None], "state vector")
     return _frozen(v.copy())
@@ -134,10 +132,26 @@ def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
-def pure_density(psi) -> np.ndarray:
-    """The projection |psi><psi| of a unit vector."""
-    v = state_vector(psi)
-    return _frozen(np.outer(v, v.conj()))
+def projectors(states) -> np.ndarray:
+    """The projections |v><v| of every vector along the last axis of a stack, shape (..., d, d)."""
+    v = np.asarray(states, dtype=complex)
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def bloch_operators(coeff, vec) -> np.ndarray:
+    """The operators (coeff I + vec . sigma) / 2, coeff and the parts x, y, z of vec broadcast to a shape S.
+
+    Shape S + (2, 2); each entry takes the IEEE operations of the same expression on Python floats.
+    """
+    x, y, z = vec
+    out = np.zeros(np.broadcast(coeff, x, y, z).shape + (2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0] = 0.5 * (coeff + z)
+    re[..., 0, 1] = re[..., 1, 0] = 0.5 * x
+    re[..., 1, 1] = 0.5 * (coeff - z)
+    im[..., 0, 1] = -0.5 * y
+    im[..., 1, 0] = 0.5 * y
+    return out
 
 
 def density_from_bloch_stack(r) -> np.ndarray:
@@ -162,14 +176,7 @@ def density_from_bloch_stack(r) -> np.ndarray:
         if not finite[k]:
             raise BlochOutOfBall(f"Bloch vector {k} must be 3 finite reals, got {r[k]!r}")
         raise BlochOutOfBall(f"Bloch vector {k}: |r| = {float(n[k])!r} lies outside the Bloch ball")
-    out = np.zeros((len(r), 2, 2), dtype=complex)
-    re, im = out.real, out.imag
-    re[:, 0, 0] = 0.5 * (1.0 + z)
-    re[:, 1, 1] = 0.5 * (1.0 - z)
-    re[:, 0, 1] = re[:, 1, 0] = 0.5 * x
-    im[:, 0, 1] = -0.5 * y
-    im[:, 1, 0] = 0.5 * y
-    return _frozen(out)
+    return _frozen(bloch_operators(1.0, (x, y, z)))
 
 
 def density_from_bloch(r) -> np.ndarray:
@@ -385,8 +392,7 @@ def adapted_observable_stack(psi) -> np.ndarray:
     outcome is definite exactly when the vector is separable.
     """
     _, photon, probe = schmidt_stack(psi)
-    p = photon[..., :, None] * photon.conj()[..., None, :]
-    q = probe[..., :, None] * probe.conj()[..., None, :]
+    p, q = projectors(photon), projectors(probe)
     # kron(p_k, q_k) for each term k: rows (i, a), columns (j, b).
     kron = (p[:, :, :, None, :, None] * q[:, :, None, :, None, :]).reshape(-1, 2, 4, 4)
     return _frozen(kron[:, 0] - kron[:, 1])

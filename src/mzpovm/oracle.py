@@ -16,8 +16,8 @@ per-sample seeding is counter-based, so parallel and serial evaluation
 orders agree bit for bit.
 
 :func:`direct_probability_stack` checks its input with
-:func:`photon_state`, then calls a private core; the ``cli`` module
-docstring says which checks a run makes.
+``interferometer.photon_state``, the one photon-input check, then calls a
+private core; the ``cli`` module docstring says which checks a run makes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from . import extraction, linalg
+from . import extraction, interferometer, linalg
 from .errors import InvalidScheme
 
 # Latitude/longitude step of the coarse sweep that starts every search.
@@ -99,21 +99,13 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
     return probs
 
 
-def photon_state(psi) -> np.ndarray:
-    """The checked (2,) unit vector of a photon input; any other length raises ``InvalidScheme``."""
-    v = linalg.state_vector(psi)
-    if v.shape != (2,):
-        raise InvalidScheme("the input must be a two-component photon state")
-    return v
-
-
 def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray:
     """Output probabilities of one input in every scheme of a stack, as (N, L).
 
     Computed with no reference to any extracted POVM; this is the
     independent route against which extraction is checked.
     """
-    return _direct_probability_core(schemes, photon_state(psi))
+    return _direct_probability_core(schemes, interferometer.photon_state(psi))
 
 
 def _direct_probability_core(schemes: extraction.SchemeStack, v: np.ndarray) -> np.ndarray:

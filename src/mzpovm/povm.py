@@ -156,7 +156,6 @@ def smear_stack(projections, w) -> np.ndarray:
     return np.einsum("nlk,nkij->nlij", w, ops)
 
 
-_PAULIS = np.array(linalg.pauli_triple())
 JOINT_LABELS = ("11", "21", "12", "22")
 # [m, o] holds the two JOINT_LABELS indices summed into outcome o ("1", "2")
 # of marginal m: F = 11+12 | 21+22, G = 11+21 | 12+22, H = 11+22 | 12+21.
@@ -165,7 +164,7 @@ MARGINAL_PAIRS.flags.writeable = False
 _JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 # I, sigma_x and sigma_z as (2, 2, 1, 1) operands of members-last products.
-_IDENTITY_ML, _SX_ML, _SZ_ML = (op[:, :, None, None] for op in (linalg.IDENTITY2, *_PAULIS[::2]))
+_IDENTITY_ML, _SX_ML, _SZ_ML = (op[:, :, None, None] for op in (linalg.IDENTITY2, linalg.pauli("x"), linalg.pauli("z")))
 
 
 def _pair_arrays(f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +222,10 @@ def joint_marginals(effects) -> np.ndarray:
 def bias_and_direction_stack(effects) -> tuple[np.ndarray, np.ndarray]:
     """Decompose an (N, 2, 2) stack of qubit effects as ((1 + b) I + u . sigma) / 2.
 
-    Returns b with shape (N,) and u with shape (N, 3).
+    Returns b with shape (N,) and u = ``linalg.bloch_from_density_stack(effects)``, shape (N, 3).
     """
     ops = np.asarray(effects, dtype=complex)
-    b = np.trace(ops, axis1=-2, axis2=-1).real - 1.0
-    u = np.einsum("nij,kji->nk", ops, _PAULIS).real
-    return b, u
+    return np.trace(ops, axis1=-2, axis2=-1).real - 1.0, linalg.bloch_from_density_stack(ops)
 
 
 def contrast_stack(effects) -> np.ndarray:

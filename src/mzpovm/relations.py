@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
+from .errors import DimensionMismatch, NotHermitian, NotSharp
 
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -110,13 +110,6 @@ def _density_stack(rhos) -> np.ndarray:
     return rho
 
 
-def _unit_rows(states, what: str) -> np.ndarray:
-    v = np.asarray(states, dtype=complex)
-    if v.ndim != 2:
-        raise DimensionMismatch(f"expected an (N, d) stack of {what}s, got shape {v.shape}")
-    return linalg.check_unit_rows(v, what)
-
-
 def _weight(amplitude: np.ndarray) -> np.ndarray:
     # |a|^2 through hypot, which rounds like abs() of a Python complex: a
     # batch of one then matches scalar arithmetic on the same amplitudes.
@@ -129,19 +122,7 @@ def _amplitudes(alphas, betas) -> np.ndarray:
     beta = np.asarray(betas, dtype=complex).reshape(-1)
     if alpha.shape != beta.shape:
         raise DimensionMismatch(f"got {alpha.size} alpha and {beta.size} beta amplitudes")
-    rows = np.empty((alpha.size, 2), dtype=complex)
-    rows[:, 0], rows[:, 1] = alpha, beta
-    weights = _weight(rows)
-    norm2 = weights[:, 0] + weights[:, 1]
-    unit = np.abs(norm2 - 1.0) <= linalg.NORM_TOL
-    if not unit.all():
-        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {float(norm2[np.argmin(unit)])!r}, expected 1")
-    return rows
-
-
-def _projectors(states: np.ndarray) -> np.ndarray:
-    # |v><v| for every vector along the last axis of a stack.
-    return states[..., :, None] * states.conj()[..., None, :]
+    return linalg.check_unit_rows(np.stack([alpha, beta], axis=1), "amplitude pair")
 
 
 def _plogp(traces: np.ndarray) -> np.ndarray:
@@ -187,7 +168,7 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
             continue
         if not povm.classify_effects(p[None]).sharp[0]:
             raise NotSharp("the entropic bound applies to projection-valued observables")
-    v = _unit_rows(states, "state")
+    v = linalg.check_unit_rows(states, "state")
     if not a.shape[-1] == b.shape[-1] == v.shape[1]:
         raise DimensionMismatch(
             f"observables on C^{a.shape[-1]} and C^{b.shape[-1]} and states in C^{v.shape[1]} must share one dimension"
@@ -198,7 +179,7 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
 def _entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
     """:func:`entropic_bound_stack` for sharp (La, d, d), (Lb, d, d) arrays and (N, d) unit rows the caller checked."""
     effects, split = np.concatenate([a, b]), len(a)
-    terms = _plogp(_trace(effects, _projectors(v)[:, None]).real)
+    terms = _plogp(_trace(effects, linalg.projectors(v)[:, None]).real)
     lhs = -terms[:, :split].sum(axis=-1) - terms[:, split:].sum(axis=-1)
     projected = np.einsum("kij,nj->nki", effects, v)
     # numpy.linalg.norm(projected, axis=2)'s arithmetic, without its argument handling.
@@ -343,8 +324,8 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     which callers can probe by mixing reports.
     """
     amplitudes = _amplitudes(alphas, betas)
-    p1 = _unit_rows(p1s, "marker state")
-    p2 = _unit_rows(p2s, "marker state")
+    p1 = linalg.check_unit_rows(p1s, "marker state")
+    p2 = linalg.check_unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (len(amplitudes), 2):
         raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
     return _erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
@@ -358,7 +339,7 @@ def _erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> Erasur
     input shared by every marker pair.
     """
     weights = _weight(amplitudes)
-    bloch = linalg.bloch_from_density_stack(_projectors(markers))
+    bloch = linalg.bloch_from_density_stack(linalg.projectors(markers))
     b1, b2 = bloch[:, 0], bloch[:, 1]
     direction, d = _inference(weights, b1, b2)
     # Reduced photon state of alpha |1>|p1> + beta |2>|p2>.

@@ -122,7 +122,7 @@ def check_partial_trace_product(seed: int) -> CheckResult:
     pairs = oracle.haar_vectors(rng, 200).reshape(100, 2, 2)
     psi, phi = pairs[:, 0], pairs[:, 1]
     reduced = linalg.partial_trace_probe_stack(linalg.kron_rows(psi, phi))
-    worst = float(np.max(np.abs(reduced - psi[:, :, None] * psi.conj()[:, None, :])))
+    worst = float(np.max(np.abs(reduced - linalg.projectors(psi))))
     return _result("partial-trace-product", worst, 1e-12)
 
 
@@ -140,8 +140,7 @@ def check_eig_reconstruction(seed: int) -> CheckResult:
         rec = np.zeros_like(h)
         # Sum lambda_k v_k v_k^dagger in descending order of lambda_k.
         for k in range(n):
-            v = vectors[:, k]
-            rec += values[:, k, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+            rec += values[:, k, None, None] * linalg.projectors(vectors[:, k])
         worst = max(worst, float(np.max(np.abs(rec - h))))
     return _result("eig-reconstruction", worst, 1e-11)
 
@@ -571,8 +570,8 @@ def check_grid_maximize_agreement(seed: int) -> CheckResult:
     thetas, weights = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist(), u[:, 1]
     alpha, beta = np.sqrt(weights), np.sqrt(1.0 - weights)
     p1, p2 = _marker_stacks(thetas)
-    b1 = linalg.bloch_from_density_stack(p1[:, :, None] * p1.conj()[:, None, :])
-    b2 = linalg.bloch_from_density_stack(p2[:, :, None] * p2.conj()[:, None, :])
+    b1 = linalg.bloch_from_density_stack(linalg.projectors(p1))
+    b2 = linalg.bloch_from_density_stack(linalg.projectors(p2))
     evidence = alpha[:, None] ** 2 * b1 - beta[:, None] ** 2 * b2
     best, _ = oracle.grid_maximize_stack(_correct_prob_objective(evidence), len(u))
     marked = np.concatenate([alpha[:, None] * p1, beta[:, None] * p2], axis=1)

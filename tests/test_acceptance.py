@@ -204,7 +204,7 @@ def test_criterion_8_entropic_relations(state_sample):
         if h["x"] + h["y"] + h["z"] < 2.0 - 1e-9:
             ok = False
     for eigenstate in ([1, 0], [0, 1]):
-        rho = linalg.pure_density(eigenstate)
+        rho = linalg.projectors(eigenstate)
         pair = relations.shannon_entropy(pvms["z"], rho) + relations.shannon_entropy(pvms["x"], rho)
         triple = pair + relations.shannon_entropy(pvms["y"], rho)
         if abs(pair - 1.0) > 1e-9 or abs(triple - 2.0) > 1e-9:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzpovm import cli, interferometer, verify
+from mzpovm.errors import InvalidScheme
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +388,16 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--tol", "0")
         assert code == 2
         assert "tol" in err
+
+    def test_a_library_error_inside_a_check_is_a_verification_failure(self, capsys, monkeypatch):
+        def broken(seed):
+            raise InvalidScheme("scheme 0: unitarity defect 1.000e+00 exceeds 1e-12")
+
+        monkeypatch.setattr(verify, "check_marking_unitary", broken)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1
+        assert out == ""
+        assert err == "error: InvalidScheme: scheme 0: unitarity defect 1.000e+00 exceeds 1e-12\n"
 
 
 class TestRepeatedCalls:

@@ -138,14 +138,14 @@ class TestProbabilisticComplementarity:
 class TestValueComplementarityLimit:
     def test_z_eigenstates_uniform_over_x_outcomes(self):
         for eigenstate in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            rho = linalg.pure_density(eigenstate)
+            rho = linalg.projectors(eigenstate)
             for sign in (1.0, -1.0):
                 prob = linalg.expectation(0.5 * (I2 + sign * SX), rho)
                 assert prob == pytest.approx(0.5, abs=1e-12)
 
     def test_x_eigenstates_uniform_over_z_outcomes(self):
         for eigenstate in (np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)):
-            rho = linalg.pure_density(eigenstate)
+            rho = linalg.projectors(eigenstate)
             for sign in (1.0, -1.0):
                 prob = linalg.expectation(0.5 * (I2 + sign * SZ), rho)
                 assert prob == pytest.approx(0.5, abs=1e-12)

@@ -361,7 +361,7 @@ class TestConditionalProbabilities:
         for _ in range(10):
             psi = random_pure(rng)
             got = extraction.conditional_probabilities(measured, "1", psi)
-            rho = linalg.pure_density(psi)
+            rho = linalg.projectors(psi)
             assert got["1"] == pytest.approx(linalg.expectation(interference, rho), abs=1e-12)
 
     def test_zero_probability_condition_raises(self):

@@ -195,10 +195,6 @@ class TestOutputProjection:
         with pytest.raises(InvalidScheme, match="deviates from a projection"):
             extraction.build_schemes(probes, [0.0], pointers)
 
-    def test_bad_detector_index(self):
-        with pytest.raises(ValueError):
-            interferometer.detector_projection(3)
-
 
 class TestConfig:
     def test_unknown_experiment_rejected(self):

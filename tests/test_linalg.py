@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzpovm import linalg
-from mzpovm.errors import BlochOutOfBall, NotHermitian, NotNormalized
+from mzpovm.errors import BlochOutOfBall, DimensionMismatch, NotHermitian, NotNormalized
 
 from conftest import random_bloch_in_ball, random_hermitian, random_pure, random_pure4
 
@@ -66,7 +66,7 @@ class TestBloch:
 
 class TestExpectationVariance:
     def test_sigma_z_on_eigenstate(self):
-        rho = linalg.pure_density([1, 0])
+        rho = linalg.projectors([1, 0])
         assert linalg.expectation(linalg.pauli("z"), rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_pauli_expectation_is_bloch_component(self, rng):
@@ -85,11 +85,11 @@ class TestExpectationVariance:
             linalg.expectation(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
 
     def test_variance_zero_on_eigenstate(self):
-        rho = linalg.pure_density([1, 0])
+        rho = linalg.projectors([1, 0])
         assert linalg.variance(linalg.pauli("z"), rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_variance_one_for_unbiased_direction(self):
-        rho = linalg.pure_density([1, 0])
+        rho = linalg.projectors([1, 0])
         assert linalg.variance(linalg.pauli("x"), rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_variance_matches_one_minus_component_squared(self):
@@ -304,8 +304,14 @@ class TestConstructors:
     @pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0], [1.0 + 2e-10, 0.0]])
     def test_unit_row_check_names_the_first_bad_row(self, bad):
         rows = np.array([[1.0, 0.0], [0.6, 0.8j], bad, [1.0, 1.0]], dtype=complex)
-        with np.errstate(invalid="ignore"), pytest.raises(NotNormalized, match="^row 2 has norm"):
+        with pytest.raises(NotNormalized, match="^row 2 has norm"):
             linalg.check_unit_rows(rows, "row")
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [[[1.0, 0.0]]], 1.0])
+    def test_unit_row_check_takes_only_a_stack_of_rows(self, bad):
+        with pytest.raises(DimensionMismatch, match=r"^expected an \(N, d\) stack of rows"):
+            linalg.check_unit_rows(bad, "row")
+        assert linalg.check_unit_rows([[1, 0], [0, 1j]], "row").dtype == complex
 
     def test_unit_row_check_passes_unit_rows_through(self):
         rows = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0 + 5e-11, 0.0]])

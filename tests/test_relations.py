@@ -25,7 +25,7 @@ def entropic_report(a, b, psi):
 
 class TestVarianceUr:
     def test_eigenstate_saturates_at_zero(self):
-        report = state_reports(linalg.pure_density([1, 0]))[0]
+        report = state_reports(linalg.projectors([1, 0]))[0]
         assert report.lhs == pytest.approx(0.0, abs=1e-14)
         assert report.rhs == pytest.approx(0.0, abs=1e-14)
         assert report.satisfied
@@ -70,7 +70,7 @@ class TestVarianceUr:
 class TestShannonEntropy:
     def test_eigenstate_has_zero_entropy(self):
         assert relations.shannon_entropy(
-            relations.pauli_pvm("z"), linalg.pure_density([1, 0])
+            relations.pauli_pvm("z"), linalg.projectors([1, 0])
         ) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_has_one_bit(self):
@@ -154,7 +154,7 @@ class TestTripleRelations:
         assert squares.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_eigenstate_entropy_triple_saturates(self):
-        entropic = state_reports(linalg.pure_density([1, 0]))[1]
+        entropic = state_reports(linalg.projectors([1, 0]))[1]
         assert entropic.lhs == pytest.approx(2.0, abs=1e-12)
 
     def test_identities_on_mixed_states(self, rng):
@@ -166,11 +166,11 @@ class TestTripleRelations:
 
 class TestContrasts:
     def test_path_eigenstate(self):
-        c = relations.contrasts(linalg.pure_density([1, 0]))
+        c = relations.contrasts(linalg.projectors([1, 0]))
         assert (c.path, c.interference_x, c.interference_y, c.visibility) == (1.0, 0.0, 0.0, 0.0)
 
     def test_interference_eigenstate(self):
-        c = relations.contrasts(linalg.pure_density(PLUS))
+        c = relations.contrasts(linalg.projectors(PLUS))
         assert c.path == pytest.approx(0.0, abs=1e-14)
         assert c.interference_x == pytest.approx(1.0, abs=1e-14)
         assert c.visibility == pytest.approx(1.0, abs=1e-14)
@@ -236,6 +236,11 @@ class TestDistinguishability:
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(NotNormalized):
             relations.erasure_duality_stack([1.0], [1.0], [[1, 0]], [[0, 1]])
+
+    def test_the_first_unnormalized_amplitude_pair_is_named(self):
+        alphas, betas = [1.0, 0.6, 0.6, 1.0], [0.0, 0.8j, 0.9, 1.0]
+        with pytest.raises(NotNormalized, match="^amplitude pair 2 has norm"):
+            relations.erasure_duality_stack(alphas, betas, [[1, 0]] * 4, [[0, 1]] * 4)
 
 
 class TestCoincidencePovm:
@@ -477,8 +482,8 @@ EIGENSTATES = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), PLUS, np.array([1.0, 
 def sample_states(rng):
     """Random mixed states, random pure states and the sigma_z / sigma_x eigenstates."""
     mixed = [linalg.density_from_bloch(random_bloch_in_ball(rng)) for _ in range(200)]
-    pure = [linalg.pure_density(random_pure(rng)) for _ in range(200)]
-    return np.array(mixed + pure + [linalg.pure_density(v) for v in EIGENSTATES])
+    pure = [linalg.projectors(random_pure(rng)) for _ in range(200)]
+    return np.array(mixed + pure + [linalg.projectors(v) for v in EIGENSTATES])
 
 
 class TestStackedKernels:

@@ -7,6 +7,7 @@ here, so the stacked arrays always have an independent route to agree with.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,12 +276,22 @@ class TestInputCheckedOnce:
     def test_run_and_sweep_reject_a_bad_input_passed_directly(self, psi, experiment):
         config = interferometer.MzConfig(experiment, delta=0.4, theta=0.6)
         configs = cli.sweep_configs(config, "delta", 0.0, 1.0, 3)
-        # An infinite component makes the norm NaN, with a RuntimeWarning on the way.
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NotNormalized):
-                cli.evaluate_run(config, np.array(psi, dtype=complex))
-            with pytest.raises(NotNormalized):
-                next(cli.sweep_rows(configs, np.array(psi, dtype=complex), "delta"))
+        with pytest.raises(NotNormalized):
+            cli.evaluate_run(config, np.array(psi, dtype=complex))
+        with pytest.raises(NotNormalized):
+            next(cli.sweep_rows(configs, np.array(psi, dtype=complex), "delta"))
+
+    @pytest.mark.parametrize("psi", [[math.inf, 0.0], [1e200, 0.0]])
+    def test_infinite_and_huge_inputs_are_rejected_without_a_numpy_warning(self, psi):
+        v = np.array(psi, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized, match="^state 0 has norm"):
+                linalg.check_unit_rows(v[None], "state")
+            with pytest.raises(NotNormalized, match="^state 0 has norm"):
+                relations.entropic_bound_stack(relations.pauli_pvm("z"), relations.pauli_pvm("x"), v[None])
+            with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
+                cli.evaluate_run(interferometer.MzConfig("erasure", delta=0.4), v)
 
     def test_run_and_sweep_reject_an_input_of_another_dimension(self):
         # The same check, and the same error, as oracle.direct_probability_stack.
@@ -289,6 +300,18 @@ class TestInputCheckedOnce:
             cli.evaluate_run(config, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(InvalidScheme, match="two-component"):
             next(cli.sweep_rows([config], np.array([1.0, 0.0, 0.0]), "delta"))
+
+    def test_every_route_rejects_an_input_of_another_dimension_alike(self):
+        # interferometer.photon_state is the one photon-input check.
+        config = interferometer.MzConfig("erasure", delta=0.4)
+        psi = np.array([1.0, 0.0, 0.0])
+        message = "^the input must be a two-component photon state$"
+        with pytest.raises(InvalidScheme, match=message):
+            interferometer.final_state_stack(psi, interferometer.probe_stack([config]), [0.4])
+        with pytest.raises(InvalidScheme, match=message):
+            oracle.direct_probability_stack(extraction.schemes_for([config]), psi)
+        with pytest.raises(InvalidScheme, match=message):
+            cli.evaluate_run(config, psi)
 
     def test_run_and_sweep_reject_non_unit_markers(self, monkeypatch):
         # The marker check the relation kernels make runs once on the route instead.
@@ -380,9 +403,8 @@ class TestClosedFormEntries:
         cases = [(1.0, (0, 0, 0)), (1.0, (0.0, -0.0, 1.0)), (0.0, (-1.0, 0.0, 0.0))]
         cases += [(float(c), tuple(v)) for c, v in zip(rng.uniform(-2, 2, 500), rng.standard_normal((500, 3)))]
         for coeff, vec in cases:
-            got, want = extraction._half(coeff, np.array(vec)), _reference_half(coeff, np.array(vec))
+            got, want = linalg.bloch_operators(coeff, np.array(vec)), _reference_half(coeff, np.array(vec))
             assert np.array_equal(got, want), (coeff, vec)
-            assert np.array_equal(extraction._quarter(coeff, np.array(vec)), 0.5 * want)
 
 
 # The F, G and H groupings of the joint labels 11, 21, 12, 22, and the
