@@ -101,6 +101,8 @@ def probabilistically_complementary(p, q) -> bool:
     True iff P ^ Q = P ^ (I-Q) = (I-P) ^ Q = O, i.e. no state makes one
     observable certain while the other is certain on any outcome set. The
     projections must differ from O and I for the notion to apply.
+    Each meet is nonzero exactly when the sum of its pair has an eigenvalue
+    2 within ``MEET_EIGENVALUE_TOL``, so eigenvalues alone decide.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -110,5 +112,5 @@ def probabilistically_complementary(p, q) -> bool:
         if not 0.5 < tr < 1.5:
             raise NotAProjection(f"need a rank-1 qubit projection, got trace {tr!r}")
     ident = np.eye(2, dtype=complex)
-    meets = _meet_stack(np.array([p, p, ident - p]), np.array([q, ident - q, q]), MEET_EIGENVALUE_TOL)
-    return not float(np.max(np.abs(meets))) > 1e-9
+    sums = np.array([p, p, ident - p]) + np.array([q, ident - q, q])
+    return not bool(np.any(linalg.eigvals_hermitian(sums) >= 2.0 - MEET_EIGENVALUE_TOL))

@@ -32,6 +32,8 @@ from .errors import InvalidScheme
 
 # Latitude/longitude step of the coarse sweep that starts every search.
 GRID_RESOLUTION = math.pi / 16.0
+# Inputs per pass of a cross-check: bounds the temporaries of a large sample.
+CROSS_CHECK_STACK = 128
 
 
 def haar_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -74,11 +76,12 @@ def random_states(seed: int, count: int) -> np.ndarray:
     return states
 
 
-def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.ndarray:
+def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray, first: int = 0) -> np.ndarray:
     """p[n, s, l] = <Psi| M_l |Psi> with Psi = U_n (psi_s (x) p0_n), as (N, S, L).
 
     Every p must lie in [0, 1] and the p of each scheme and state must sum
-    to 1; a failure names the scheme, the state and the output.
+    to 1; a failure names the scheme, the state (counted from ``first``)
+    and the output.
     """
     inputs = states[None, :, :, None] * schemes.probe_init[:, None, None, :]
     final = inputs.reshape(len(schemes), -1, 4) @ schemes.unitaries.swapaxes(-1, -2)
@@ -86,7 +89,7 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
     if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
         n, s, l = np.unravel_index(np.argmax(np.abs(probs - 0.5)), probs.shape)
         raise InvalidScheme(
-            f"scheme {n}, state {s}: probability {float(probs[n, s, l])!r} "
+            f"scheme {n}, state {first + s}: probability {float(probs[n, s, l])!r} "
             f"for output {schemes.labels[l]!r} is out of range"
         )
     totals = probs.sum(axis=2)
@@ -94,7 +97,7 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray) -> np.nd
     if not deviation.max() <= 1e-12:
         n, s = np.unravel_index(np.argmax(deviation), deviation.shape)
         raise InvalidScheme(
-            f"scheme {n}, state {s}: probabilities sum to {float(totals[n, s])!r}, expected 1"
+            f"scheme {n}, state {first + s}: probabilities sum to {float(totals[n, s])!r}, expected 1"
         )
     return probs
 
@@ -128,17 +131,21 @@ def cross_check_stack(schemes: extraction.SchemeStack, seed: int, samples: int) 
     """Per scheme, the max deviation |direct - <psi|E|psi>| over random inputs and outcomes.
 
     The inputs are the first ``samples`` Haar states for ``seed`` (at
-    least one). All schemes and inputs go through the direct route in one
-    stacked call. This only reports; the caller compares the deviations
-    with its own bound.
+    least one). All schemes go through the direct route together, in
+    passes of at most ``CROSS_CHECK_STACK`` inputs. This only reports; the
+    caller compares the deviations with its own bound.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     effects = extraction.extract_effects(schemes)
     states = random_states(seed, samples)
-    direct = _probabilities(schemes, states)
-    predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
-    return np.abs(direct - predicted).max(axis=(1, 2))
+    worst = []
+    for first in range(0, samples, CROSS_CHECK_STACK):
+        chunk = states[first:first + CROSS_CHECK_STACK]
+        direct = _probabilities(schemes, chunk, first)
+        predicted = np.einsum("si,nlij,sj->nsl", chunk.conj(), effects, chunk).real
+        worst.append(np.abs(direct - predicted).max(axis=(1, 2)))
+    return np.max(worst, axis=0)
 
 
 def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
@@ -169,11 +176,11 @@ def _coarse_lattice(step: float) -> np.ndarray:
 def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # u x v row by row, each component one difference of two products, so
     # a row's result does not depend on the rows beside it.
-    return np.stack([
-        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
-        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
-        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
-    ], axis=1)
+    out = np.empty_like(u)
+    out[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    out[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    out[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    return out
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -241,8 +248,8 @@ def grid_maximize_stack(objective, count: int) -> tuple[np.ndarray, np.ndarray]:
                 candidate = _unit_rows(r + move)
                 value = np.asarray(objective(candidate, active), dtype=float)
                 accept = value > value_r
-                r = np.where(accept[:, None], candidate, r)
-                value_r = np.where(accept, value, value_r)
+                np.copyto(r, candidate, where=accept[:, None])
+                np.copyto(value_r, value, where=accept)
                 improved |= accept
             best[active], best_value[active] = r, value_r
             active = active[improved]

@@ -16,6 +16,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,10 @@ from . import complementarity, extraction, interferometer, linalg, oracle, povm,
 
 ANGLE_GRID = (0.0, math.pi / 6.0, -math.pi / 6.0, math.pi / 4.0, -math.pi / 4.0,
               math.pi / 2.0, -math.pi / 2.0, math.pi)
+# States per pass of the relation kernels: bounds the temporaries of a large
+# sample. At the default samples each relation check is one pass (the
+# entropic bound evaluates 2,004 states).
+RELATION_STACK = 2048
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,16 @@ def _result(name: str, deviation: float, bound: float, ok: bool = True, detail: 
     return CheckResult(name=name, passed=bool(deviation <= bound and ok), deviation=float(deviation), detail=detail)
 
 
-def _random_bloch_ball(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     direction = rng.standard_normal((n, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radius = rng.random(n) ** (1.0 / 3.0)
-    return direction * radius[:, None]
+    return direction
+
+
+def _random_bloch_ball(rng: np.random.Generator, n: int) -> np.ndarray:
+    ball = _random_directions(rng, n)
+    ball *= (rng.random(n) ** (1.0 / 3.0))[:, None]
+    return ball
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -67,13 +77,15 @@ def _marker_stacks(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([c, s], axis=1), np.stack([s, c], axis=1)
 
 
-def distinct_grid_configs() -> list[interferometer.MzConfig]:
+@functools.cache
+def distinct_grid_configs() -> tuple[interferometer.MzConfig, ...]:
     # Configurations that differ only in angles an experiment ignores
     # build byte-identical schemes; evaluating one representative per
     # distinct scheme keeps grid sweeps exhaustive without duplicate work.
     # The key holds only the angles the experiment reads (path and
-    # interference pin delta), so each representative is built once.
-    configs: list[interferometer.MzConfig] = []
+    # interference pin delta), so each representative is built once. A
+    # constant of ANGLE_GRID, built once per process.
+    configs = []
     seen = set()
     for experiment in interferometer.EXPERIMENTS:
         read = interferometer.ANGLES_READ[experiment]
@@ -87,7 +99,7 @@ def distinct_grid_configs() -> list[interferometer.MzConfig]:
             if key not in seen:
                 seen.add(key)
                 configs.append(interferometer.MzConfig(experiment, delta=d, gamma=g, theta=t))
-    return configs
+    return tuple(configs)
 
 
 def _readout_groups(configs) -> list[list[interferometer.MzConfig]]:
@@ -309,19 +321,15 @@ def check_mub_fourier(seed: int) -> CheckResult:
 
 
 def check_projection_meets() -> CheckResult:
-    # Spectral form of the meet rule, vectorized over the sweep: two
-    # rank-1 qubit projections share an eigenvalue-2 direction of P + Q
-    # exactly when they coincide.
+    # Spectral form of the meet rule over a 180 x 360 latitude/longitude
+    # sweep against the fixed z axis: two rank-1 qubit projections share
+    # an eigenvalue-2 direction of P + Q exactly when they coincide. The
+    # overlap depends on the latitude alone, so each latitude is evaluated
+    # once and its verdict counts for all of its longitudes.
     thetas = np.linspace(0.0, math.pi, 180)
     phis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    directions = np.stack(
-        [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1
-    ).reshape(-1, 3)
-    fixed = np.array([0.0, 0.0, 1.0])
-    cos_angle = directions @ fixed
     # tr(PQ) = (1 + cos angle) / 2 for rank-1 projections.
-    overlap = 0.5 * (1.0 + cos_angle)
+    overlap = 0.5 * (1.0 + np.cos(thetas))
     predicted = (overlap > 1e-9) & (overlap < 1.0 - 1e-9)
     # Meet-based evaluation: lambda_max(P+Q) = 1 + |cos(angle/2)| via the
     # closed form; an eigenvalue-2 appears only at angle 0 for P^Q, and
@@ -329,11 +337,16 @@ def check_projection_meets() -> CheckResult:
     lam_pq = 1.0 + np.sqrt(np.clip(overlap, 0.0, 1.0))
     lam_pqc = 1.0 + np.sqrt(np.clip(1.0 - overlap, 0.0, 1.0))
     spectral = ~((lam_pq >= 2.0 - 1e-8) | (lam_pqc >= 2.0 - 1e-8))
-    mismatches = int(np.sum(spectral != predicted))
-    # API route on a subsample, including the exact coincidence cases.
+    mismatches = len(phis) * int(np.sum(spectral != predicted))
+    # API route on every 2000th grid point, latitude-major; k = 0 is the
+    # coincident pole.
+    k = np.arange(0, len(thetas) * len(phis), 2000)
+    t, p = thetas[k // len(phis)], phis[k % len(phis)]
+    directions = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    fixed = np.array([0.0, 0.0, 1.0])
     p_op = 0.5 * (np.eye(2, dtype=complex) + linalg.pauli("z"))
-    for k in range(0, len(directions), 2000):
-        d = directions[k] / np.linalg.norm(directions[k])
+    for d in directions:
+        d = d / np.linalg.norm(d)
         q_op = linalg.density_from_bloch(d)  # rank-1 projection for unit d
         got = complementarity.probabilistically_complementary(p_op, q_op)
         ov = 0.5 * (1.0 + float(d @ fixed))
@@ -470,24 +483,27 @@ def check_pointer_freedom(seed: int) -> CheckResult:
 def check_state_relations(seed: int, samples: int) -> CheckResult:
     rng = np.random.default_rng([seed, 114])
     half = max(1000, 10 * samples)
-    blochs = _random_bloch_ball(rng, half)
-    pure_dirs = rng.standard_normal((half, 3))
-    pure_dirs /= np.linalg.norm(pure_dirs, axis=1, keepdims=True)
-    rs = np.concatenate([blochs, pure_dirs])
-    rhos = linalg.density_from_bloch_stack(rs)
-    r2 = np.sum(rs * rs, axis=1)
-    report, entropy_triple, var_triple, contrast_triple = relations.state_relations_stack(rhos)
-    worst = max(
-        float(np.max(np.abs(report.slack - (1.0 - r2)))),
-        float(np.max(np.abs(var_triple.lhs - (3.0 - r2)))),
-        float(np.max(np.abs(contrast_triple.lhs - r2))),
-    )
-    ok = bool(
-        np.all(report.slack >= -1e-12)
-        and np.all(contrast_triple.lhs <= 1.0 + 1e-12)
-        and np.all(entropy_triple.lhs >= 2.0 - 1e-9)
-    )
-    return _result("state-relations", worst, 1e-10, ok)
+    # Mixed states fill the ball, then pure states cover its surface. Per
+    # pass: the slack, variance and contrast deviations, and the verdict.
+    blochs = np.concatenate([_random_bloch_ball(rng, half), _random_directions(rng, half)])
+    parts = []
+    for first in range(0, len(blochs), RELATION_STACK):
+        rs = blochs[first:first + RELATION_STACK]
+        r2 = np.sum(rs * rs, axis=1)
+        report, entropy_triple, var_triple, contrast_triple = relations.state_relations_stack(
+            linalg.density_from_bloch_stack(rs)
+        )
+        parts.append((
+            np.max(np.abs(report.slack - (1.0 - r2))),
+            np.max(np.abs(var_triple.lhs - (3.0 - r2))),
+            np.max(np.abs(contrast_triple.lhs - r2)),
+            np.all(report.slack >= -1e-12)
+            and np.all(contrast_triple.lhs <= 1.0 + 1e-12)
+            and np.all(entropy_triple.lhs >= 2.0 - 1e-9),
+        ))
+    *deviations, verdicts = zip(*parts)
+    worst = max(float(np.max(d)) for d in deviations)
+    return _result("state-relations", worst, 1e-10, all(verdicts))
 
 
 def check_entropic_bound(seed: int, samples: int) -> CheckResult:
@@ -495,12 +511,20 @@ def check_entropic_bound(seed: int, samples: int) -> CheckResult:
     sx_pvm = relations.pauli_pvm("x")
     rng = np.random.default_rng([seed, 117])
     count = max(2000, 20 * samples)
-    states = oracle.haar_vectors(rng, count)
     eigenstates = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                    np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)]
-    report = relations.entropic_bound_stack(sz_pvm, sx_pvm, np.vstack([states, eigenstates]))
-    worst_violation = max(0.0, float(np.max(-report.slack)))
-    lowest = float(np.min(report.lhs))
+    # Each pass draws its states, as one draw of all would; the
+    # eigenstates join the last. Per pass: the worst violation, lowest lhs.
+    parts = []
+    for first in range(0, count, RELATION_STACK):
+        states = oracle.haar_vectors(rng, min(RELATION_STACK, count - first))
+        if first + RELATION_STACK >= count:
+            states = np.vstack([states, eigenstates])
+        report = relations.entropic_bound_stack(sz_pvm, sx_pvm, states)
+        parts.append((np.max(-report.slack), np.min(report.lhs)))
+    violations, lows = zip(*parts)
+    worst_violation = max(0.0, float(np.max(violations)))
+    lowest = float(np.min(lows))
     return _result("entropic-bound", worst_violation, 1e-9, abs(lowest - 1.0) <= 1e-3, f"min lhs {lowest:.6f}")
 
 

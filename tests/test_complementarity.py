@@ -135,6 +135,34 @@ class TestProbabilisticComplementarity:
                 assert complementarity.probabilistically_complementary(p, q) == want
 
 
+class TestMeetVerdict:
+    """The eigenvalue verdict of probabilistically_complementary is the meet definition."""
+
+    @staticmethod
+    def meets_vanish(p, q) -> bool:
+        # No meet of (P, Q), (P, I - Q) or (I - P, Q) has an entry above 1e-9.
+        pairs = ((p, q), (p, I2 - q), (I2 - p, q))
+        return all(np.max(np.abs(complementarity.meet(a, b))) <= 1e-9 for a, b in pairs)
+
+    def test_verdict_equals_the_meet_definition(self, rng):
+        directions = rng.standard_normal((1000, 2, 3))
+        pairs = [tuple(directions[n]) for n in range(1000)]
+        for a in rng.standard_normal((40, 3)):
+            a = a / np.linalg.norm(a)
+            pairs += [(a, a), (a, -a)]
+            for eps in (1e-5, 1e-9):
+                pairs += [(a, a + eps * rng.standard_normal(3)), (a, -a + eps * rng.standard_normal(3))]
+        verdicts = []
+        for a, b in pairs:
+            p = linalg.density_from_bloch(a / np.linalg.norm(a))
+            q = linalg.density_from_bloch(b / np.linalg.norm(b))
+            verdict = complementarity.probabilistically_complementary(p, q)
+            assert verdict == self.meets_vanish(p, q)
+            verdicts.append(verdict)
+        # Both verdicts occur: random pairs are complementary, coincident ones are not.
+        assert set(verdicts) == {True, False}
+
+
 class TestValueComplementarityLimit:
     def test_z_eigenstates_uniform_over_x_outcomes(self):
         for eigenstate in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):

@@ -125,6 +125,20 @@ class TestCrossCheck:
         scheme = extraction.schemes_for([config])
         assert oracle.cross_check_stack(scheme, 21, 30).tobytes() == oracle.cross_check_stack(scheme, 21, 30).tobytes()
 
+    def test_passes_match_one_shot_reference(self):
+        # 600 samples take several passes of CROSS_CHECK_STACK inputs; the
+        # reference evaluates all of them in one array pass.
+        samples = 600
+        assert samples > 2 * oracle.CROSS_CHECK_STACK
+        states = oracle.random_states(4, samples)
+        for configs in verify._readout_groups(verify.distinct_grid_configs()):
+            schemes = extraction.schemes_for(configs)
+            effects = extraction.extract_effects(schemes)
+            direct = oracle._probabilities(schemes, states)
+            predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
+            want = np.abs(direct - predicted).max(axis=(1, 2))
+            assert oracle.cross_check_stack(schemes, 4, samples).tobytes() == want.tobytes()
+
 
 class TestProbabilityChecks:
     def test_out_of_range_names_the_worst_value(self):
@@ -153,6 +167,13 @@ class TestProbabilityChecks:
         scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)])
         with pytest.raises(InvalidScheme, match="^the input must be a two-component photon state$"):
             oracle.direct_probability_stack(scheme, [1.0, 0.0, 0.0])
+
+    def test_a_later_pass_names_the_state_by_its_sample_index(self):
+        schemes = extraction.schemes_for([interferometer.MzConfig("interference"), interferometer.MzConfig("path")])
+        states = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
+        message = r"^scheme 1, state 301: probability 4\.0 for output '1' is out of range$"
+        with pytest.raises(InvalidScheme, match=message):
+            oracle._probabilities(schemes, states, 300)
 
     def test_bad_sum_names_the_worst_total(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])

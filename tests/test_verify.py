@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mzpovm
 from mzpovm import extraction, verify
@@ -78,6 +80,34 @@ class TestCheckResults:
         assert experiments == {"path", "interference", "marking", "erasure", "quantitative"}
         # 1 + 1 + 8 deltas + 64 (delta, gamma) + 64 (delta, theta)
         assert len(configs) == 138
+
+    def test_distinct_grid_configs_are_one_tuple_per_process(self):
+        # A constant of ANGLE_GRID: every grid check of a suite reads the same tuple.
+        configs = verify.distinct_grid_configs()
+        assert type(configs) is tuple and len(configs) == 138
+        assert verify.distinct_grid_configs() is configs
+
+
+class TestLargeSamples:
+    """Memory of the sample-driven checks stays bounded as ``samples`` grows."""
+
+    @staticmethod
+    def traced_peak(check, samples: int) -> int:
+        check(samples)  # warm caches, so only the check's own temporaries count
+        tracemalloc.start()
+        try:
+            check(samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("check", [
+        lambda samples: verify.check_probability_reproduction(42, samples, 1e-10),
+        lambda samples: verify.check_state_relations(42, samples),
+        lambda samples: verify.check_entropic_bound(42, samples),
+    ], ids=["probability-reproduction", "state-relations", "entropic-bound"])
+    def test_traced_peak_at_2000_samples_within_3x_of_100(self, check):
+        assert self.traced_peak(check, 2000) <= 3 * self.traced_peak(check, 100)
 
 
 class TestTableFormat:
