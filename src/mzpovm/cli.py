@@ -19,9 +19,9 @@ time. Complex numbers serialize as [re, im] pairs, matrices row-major.
 
 Who checks what on a run or sweep (the package states this here only):
 ``evaluate_run`` and ``sweep_rows`` check the photon input once with
-``interferometer.photon_state``, the one photon-input check, and the
-stacked core checks every probe marker row in one
-``linalg.check_unit_rows`` call. The route then calls the
+``interferometer.photon_state``, the one photon-input check, and
+``extraction.build_schemes`` checks every probe row, p0 and markers, in
+one ``linalg.check_unit_rows`` call. The route then calls the
 private cores behind ``relations.state_relations_stack``,
 ``entropic_bound_stack`` and ``erasure_duality_stack``,
 ``oracle.direct_probability_stack`` and
@@ -171,14 +171,12 @@ def _evaluate(configs, v: np.ndarray):
     # The stacked core of run and sweep for N configurations and one checked
     # input v: output labels, (N, L, 2, 2) effects, (N, L) direct
     # probabilities and the erasure duality audit of each configuration's
-    # markers, which are checked here, once.
+    # markers, which build_schemes checks with the rest of the probe rows.
     probes = interferometer.probe_stack(configs)
-    markers = probes[:, 1:]
-    linalg.check_unit_rows(markers.reshape(-1, 2), "marker state")
     schemes = extraction.build_schemes(
         probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
     )
-    audit = relations._erasure_duality_core(v[None], markers)
+    audit = relations._erasure_duality_core(v[None], probes[:, 1:])
     probabilities = oracle._direct_probability_core(schemes, v)
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
 

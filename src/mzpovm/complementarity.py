@@ -35,7 +35,7 @@ class OrthonormalBasis:
             raise InvalidBasis(f"dimension {v.shape[0]} exceeds {linalg.MAX_DIMENSION}")
         gram = v.conj() @ v.T
         dev = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
-        if dev > BASIS_TOL:
+        if not dev <= BASIS_TOL:
             raise InvalidBasis(f"Gram matrix deviates from identity by {dev:.3e}")
         object.__setattr__(self, "vectors", v)
 

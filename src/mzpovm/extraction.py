@@ -20,14 +20,16 @@ experiments; the extraction route and the closed-form route must agree
 entrywise, which is the central defense against sign and prefactor slips.
 :func:`closed_form_stack` gives them for N configurations of one
 experiment as (N, 4, 2, 2) joint and (N, 2, 2, 2) marginal arrays, and
-:func:`closed_form` is its batch of one, kept for the benchmark's sweep
-gate; neither calls an interferometer or extraction kernel. The F, G and
-H marginals of an extracted joint POVM come from ``povm.joint_marginals``.
-Stacks are (N, ..., d, d) at every public boundary. A valid
-``SchemeStack`` costs one maximum per defect; only a failing one is
-reduced per member (``linalg.max_abs``) to name the first bad member.
-:func:`conditional_probabilities` checks its input, then calls a private
-core; the ``cli`` module docstring says which checks a run makes.
+:func:`closed_form` gives row 0 of its joint effects, for the benchmark's
+sweep gate alone; neither calls an interferometer or extraction kernel.
+The F, G and H marginals of an extracted joint POVM come from
+``povm.joint_marginals``. Stacks are (N, ..., d, d) at every public
+boundary. :func:`build_schemes` checks its probe rows before it builds a
+unitary. A valid ``SchemeStack`` costs one maximum per defect; only a
+failing one is reduced per member (``linalg.max_abs``) to name the first
+bad member. :func:`conditional_probabilities` checks its input, then
+calls a private core; the ``cli`` module docstring says which checks a
+run makes.
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interferometer, linalg, povm
-from .errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
+from .errors import InvalidScheme, NotHermitian, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
@@ -134,9 +136,12 @@ def build_schemes(probes, deltas, pointers) -> SchemeStack:
 
     With pointer pairs the outputs are the four compound projections
     |k><k| (x) |r_l><r_l| labeled 11, 21, 12, 22; without, only the
-    detector projections |k><k| (x) I labeled 1, 2.
+    detector projections |k><k| (x) I labeled 1, 2. Every probe row, p0 and
+    markers, is checked in one ``linalg.check_unit_rows`` call before any
+    unitary is built; ``NotNormalized`` names row 3 n + k, row k of triple n.
     """
     probes = np.asarray(probes, dtype=complex)
+    linalg.check_unit_rows(probes.reshape(-1, probes.shape[-1]), "probe state")
     unitaries = interferometer.total_unitary_stack(probes, deltas)
     if pointers is None:
         outputs = np.broadcast_to(_DETECTOR_OUTPUTS, (len(probes), 2, 4, 4))
@@ -176,17 +181,9 @@ def extract_effects(schemes: SchemeStack) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentObservables:
-    """The joint POVM and three marginals :func:`closed_form` returns, kept for the benchmark's sweep gate.
-
-    ``detector`` sums over the probe index (the F marginal), ``probe``
-    sums over the detector index (G), and ``coincidence`` groups equal
-    against unequal index pairs (H), as ``povm.joint_marginals`` sums them.
-    """
+    """The joint POVM :func:`closed_form` returns, kept for the benchmark's sweep gate."""
 
     joint: povm.DiscretePovm
-    detector: povm.DiscretePovm
-    probe: povm.DiscretePovm
-    coincidence: povm.DiscretePovm
 
 
 # Signs of the two marginal outcomes, and the joint sign patterns; a
@@ -273,16 +270,12 @@ def closed_form_stack(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
-    """Analytic joint POVM and marginals of one configuration; a batch of one of :func:`closed_form_stack`.
+    """Analytic joint POVM of one configuration: row 0 of :func:`closed_form_stack` of ``[config]``.
 
     Only the benchmark's sweep gate calls it; once that gate reads :func:`closed_form_stack`,
     this function, :class:`ExperimentObservables` and ``povm.DiscretePovm`` can go.
     """
-    joint, *marginals = closed_form_stack([config])
-    return ExperimentObservables(
-        povm.DiscretePovm(povm.JOINT_LABELS, joint[0]),
-        *(povm.DiscretePovm(_DETECTOR_LABELS, ops[0]) for ops in marginals),
-    )
+    return ExperimentObservables(povm.DiscretePovm(povm.JOINT_LABELS, closed_form_stack([config])[0][0]))
 
 
 def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
@@ -290,9 +283,14 @@ def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
 
     prob(D_k | probe = l) = <psi| E_kl |psi> / <psi| G_l |psi>, where G_l
     sums the joint effects over the detector index. ``joint`` is a
-    (4, d, d) effect array in the order of ``povm.JOINT_LABELS``. An
-    unknown ``probe_label`` raises ``KeyError``.
+    (4, d, d) effect array in the order of ``povm.JOINT_LABELS``; one that
+    is not Hermitian within ``linalg.HERMITIAN_TOL`` (NaN included) raises
+    ``NotHermitian``. An unknown ``probe_label`` raises ``KeyError``.
     """
+    joint = np.asarray(joint, dtype=complex)
+    dev = float(linalg.hermitian_deviation(joint).max(initial=0.0))
+    if not dev <= linalg.HERMITIAN_TOL:
+        raise NotHermitian(f"joint effects deviate from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
     return _conditional_probabilities_core(joint, probe_label, linalg.state_vector(psi))
 
 

@@ -15,7 +15,8 @@ the order of ``JOINT_LABELS``, 11, 21, 12, 22 (detector index first).
 detector marginal F (first index), the probe marginal G (second index)
 and the coincidence marginal H (11 + 22 against 12 + 21). For the joint
 observables of :func:`joint_xz_effects`, F is {(I +/- f sigma_x)/2} and
-G is {(I +/- g sigma_z)/2}.
+G is {(I +/- g sigma_z)/2}. :class:`DiscretePovm` only labels the effects
+of the closed-form joint POVM that the benchmark's sweep gate reads.
 """
 
 from __future__ import annotations
@@ -34,37 +35,13 @@ JOINT_BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscretePovm:
-    """Outcome labels with one complex (L, d, d) effect array, effect k carrying ``labels[k]``.
-
-    No kernel takes one. It stays only as what ``extraction.closed_form``
-    returns for the benchmark's sweep gate, which reads :meth:`operator`.
-    Construction checks only the shape: a ragged family, a label count
-    other than L, or anything but an (L, d, d) array raises ``DimensionMismatch``.
-    """
+    """Outcome labels with one complex (L, d, d) effect array, effect k carrying ``labels[k]``; nothing is checked."""
 
     labels: tuple[str, ...]
     effects: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        ops = self.effects
-        ops = np.atleast_1d(ops) if isinstance(ops, np.ndarray) else [np.asarray(op, dtype=complex) for op in ops]
-        if len(labels) != len(ops):
-            raise DimensionMismatch(f"{len(labels)} labels {labels} for {len(ops)} effects")
-        for label, op in zip(labels, ops):
-            if op.shape != ops[0].shape:
-                raise DimensionMismatch(f"effect {label!r} has shape {op.shape}, expected {ops[0].shape}")
-        ops = np.asarray(ops, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise DimensionMismatch(f"expected an (L, d, d) effect array, got shape {ops.shape}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "effects", ops)
-
     def operator(self, label: str) -> np.ndarray:
-        try:
-            return self.effects[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(label) from None
+        return self.effects[self.labels.index(label)]
 
 
 @dataclass(frozen=True)

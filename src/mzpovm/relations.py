@@ -22,10 +22,10 @@ from one validation and one pass of traces, and
 :class:`RelationReport` records whose fields are (N,) arrays.
 :func:`erasure_duality_stack` takes (N,) amplitudes with (N, 2) markers
 and returns one :class:`ErasureAudit` whose fields are arrays, its two
-equalities among them as :class:`RelationReport` records. On both records
-``report(i)`` is the audit of state i with Python float and bool fields;
-``mzpovm run`` audits its one state as a batch of one. POVMs enter as
-(L, d, d) effect arrays, effect k being outcome k.
+equalities among them as :class:`RelationReport` records. Entry i of each
+array is the audit of state i; ``mzpovm run`` audits its one state as a
+batch of one and reads entry 0. POVMs enter as (L, d, d) effect arrays,
+effect k being outcome k.
 
 Each public kernel checks its inputs, then calls a private core; the
 ``cli`` module docstring says which checks a run makes.
@@ -55,26 +55,15 @@ class RelationReport:
     inequalities are satisfied when slack >= -tol, equalities when
     |slack| <= tol (tol = 1e-9). :func:`make_reports` audits N states at
     once and fills ``lhs``, ``rhs``, ``satisfied`` and ``slack`` with (N,)
-    arrays; ``report(i)`` is the audit of state i, with Python float and
-    bool fields.
+    arrays.
     """
 
     name: str
-    lhs: np.ndarray | float
-    rhs: np.ndarray | float
+    lhs: np.ndarray
+    rhs: np.ndarray
     kind: str
-    satisfied: np.ndarray | bool
-    slack: np.ndarray | float
-
-    def report(self, index: int) -> RelationReport:
-        return RelationReport(
-            name=self.name,
-            lhs=float(self.lhs[index]),
-            rhs=float(self.rhs[index]),
-            kind=self.kind,
-            satisfied=bool(self.satisfied[index]),
-            slack=float(self.slack[index]),
-        )
+    satisfied: np.ndarray
+    slack: np.ndarray
 
 
 def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> RelationReport:
@@ -206,8 +195,11 @@ class StateContrasts:
 
 
 def contrasts(rho) -> StateContrasts:
-    """C_P = |<sz>|, C_Ix = |<sx>|, C_Iy = |<sy>|, V = sqrt(<sx>^2 + <sy>^2)."""
-    r = linalg.bloch_from_density_stack(rho)
+    """C_P = |<sz>|, C_Ix = |<sx>|, C_Iy = |<sy>|, V = sqrt(<sx>^2 + <sy>^2).
+
+    ``rho`` is one 2x2 state; a non-Hermitian or NaN one raises ``NotHermitian``.
+    """
+    r = linalg.bloch_from_density_stack(_density_stack(np.asarray(rho, dtype=complex)[None]))[0]
     return StateContrasts(
         path=min(1.0, abs(float(r[2]))),
         interference_x=min(1.0, abs(float(r[0]))),
@@ -290,28 +282,15 @@ class ErasureAudit:
     reduced photon state and ``visibility_direction`` the equatorial
     direction attaining it. :func:`erasure_duality_stack` fills them with
     arrays over N inputs: pointer_direction (N, 3) with NaN rows where the
-    marker evidence vanishes, D and V_e (N,). ``report(i)`` is the audit of
-    input i, with Python floats and pointer_direction None where the
-    evidence vanishes.
+    marker evidence vanishes, D and V_e (N,), visibility_direction (N, 3).
     """
 
-    pointer_direction: np.ndarray | None
-    distinguishability: np.ndarray | float
-    visibility: np.ndarray | float
+    pointer_direction: np.ndarray
+    distinguishability: np.ndarray
+    visibility: np.ndarray
     visibility_direction: np.ndarray
     duality: RelationReport
     variance_tradeoff: RelationReport
-
-    def report(self, index: int) -> ErasureAudit:
-        direction = self.pointer_direction[index]
-        return ErasureAudit(
-            pointer_direction=None if np.isnan(direction[0]) else direction,
-            distinguishability=float(self.distinguishability[index]),
-            visibility=float(self.visibility[index]),
-            visibility_direction=self.visibility_direction[index],
-            duality=self.duality.report(index),
-            variance_tradeoff=self.variance_tradeoff.report(index),
-        )
 
 
 def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:

@@ -184,17 +184,16 @@ class TestClosedFormStack:
         self.assert_matches_reference(_random_configs(rng, experiment, count))
 
     @pytest.mark.parametrize("experiment", ["marking", "erasure", "quantitative"])
-    def test_closed_form_is_a_batch_of_one(self, rng, experiment):
+    def test_closed_form_joint_is_row_zero_of_a_stack_of_one(self, rng, experiment):
+        # The one read the benchmark's sweep gate makes: closed_form(config).joint.operator(label).
         configs = _random_configs(rng, experiment, 20)
-        stacked = extraction.closed_form_stack(configs)
+        stacked = extraction.closed_form_stack(configs)[0]
         for n, config in enumerate(configs):
-            one = extraction.closed_form(config)
-            assert isinstance(one, extraction.ExperimentObservables)
-            fields = (one.joint, one.detector, one.probe, one.coincidence)
-            assert [p.labels for p in fields] == [povm.JOINT_LABELS] + [("1", "2")] * 3
-            for p, got, want in zip(fields, stacked, _reference_closed_form(config)):
-                assert_same_bits(p.effects, got[n])
-                assert_same_bits(p.effects, want)
+            joint = extraction.closed_form(config).joint
+            one = extraction.closed_form_stack([config])[0][0]
+            for k, label in enumerate(povm.JOINT_LABELS):
+                assert_same_bits(joint.operator(label), one[k])
+                assert_same_bits(joint.operator(label), stacked[n, k])
 
     @pytest.mark.parametrize("experiment", ["path", "interference"])
     def test_unread_experiments_raise(self, experiment):
@@ -215,55 +214,36 @@ class TestClosedFormStack:
 class TestMarginals:
     def test_marking_marginals(self):
         delta = 0.7
-        analytic = extraction.closed_form(interferometer.MzConfig("marking", delta=delta))
-        np.testing.assert_allclose(
-            analytic.detector.operator("1"), 0.5 * (I2 + math.cos(delta) * SZ), atol=1e-14
-        )
-        np.testing.assert_allclose(analytic.probe.operator("1"), 0.5 * (I2 + SZ), atol=1e-14)
-        np.testing.assert_allclose(
-            analytic.coincidence.operator("1"), math.cos(delta / 2) ** 2 * I2, atol=1e-14
-        )
+        _, detector, probe, coincidence = extraction.closed_form_stack([interferometer.MzConfig("marking", delta=delta)])
+        np.testing.assert_allclose(detector[0, 0], 0.5 * (I2 + math.cos(delta) * SZ), atol=1e-14)
+        np.testing.assert_allclose(probe[0, 0], 0.5 * (I2 + SZ), atol=1e-14)
+        np.testing.assert_allclose(coincidence[0, 0], math.cos(delta / 2) ** 2 * I2, atol=1e-14)
 
     def test_erasure_marginals(self):
         delta, gamma = -0.9, 0.4
-        analytic = extraction.closed_form(
-            interferometer.MzConfig("erasure", delta=delta, gamma=gamma)
+        _, detector, probe, coincidence = extraction.closed_form_stack(
+            [interferometer.MzConfig("erasure", delta=delta, gamma=gamma)]
         )
-        np.testing.assert_allclose(
-            analytic.detector.operator("2"), 0.5 * (I2 - math.cos(delta) * SZ), atol=1e-14
-        )
-        np.testing.assert_allclose(analytic.probe.operator("1"), 0.5 * I2, atol=1e-14)
+        np.testing.assert_allclose(detector[0, 1], 0.5 * (I2 - math.cos(delta) * SZ), atol=1e-14)
+        np.testing.assert_allclose(probe[0, 0], 0.5 * I2, atol=1e-14)
         fringe = math.sin(delta) * (math.cos(gamma) * SX + math.sin(gamma) * SY)
-        np.testing.assert_allclose(
-            analytic.coincidence.operator("1"), 0.5 * (I2 - fringe), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            analytic.coincidence.operator("2"), 0.5 * (I2 + fringe), atol=1e-14
-        )
+        np.testing.assert_allclose(coincidence[0, 0], 0.5 * (I2 - fringe), atol=1e-14)
+        np.testing.assert_allclose(coincidence[0, 1], 0.5 * (I2 + fringe), atol=1e-14)
 
     def test_quantitative_marginals(self):
         delta, theta = -math.pi / 2, 0.8
-        analytic = extraction.closed_form(
-            interferometer.MzConfig("quantitative", delta=delta, theta=theta)
+        _, detector, probe, coincidence = extraction.closed_form_stack(
+            [interferometer.MzConfig("quantitative", delta=delta, theta=theta)]
         )
+        np.testing.assert_allclose(detector[0, 0], 0.5 * (I2 + math.sin(theta) * SX), atol=1e-14)
+        np.testing.assert_allclose(probe[0, 0], 0.5 * (I2 + math.cos(theta) * SZ), atol=1e-14)
         np.testing.assert_allclose(
-            analytic.detector.operator("1"), 0.5 * (I2 + math.sin(theta) * SX), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            analytic.probe.operator("1"), 0.5 * (I2 + math.cos(theta) * SZ), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            analytic.coincidence.operator("1"),
-            0.5 * (1 + math.cos(theta) * math.cos(delta)) * I2,
-            atol=1e-14,
+            coincidence[0, 0], 0.5 * (1 + math.cos(theta) * math.cos(delta)) * I2, atol=1e-14
         )
 
     def test_grouping_of_joint_reproduces_closed_marginals(self):
-        config = interferometer.MzConfig("erasure", delta=0.5, gamma=1.1)
-        analytic = extraction.closed_form(config)
-        grouped = povm.joint_marginals(analytic.joint.effects[None])[0]
-        for got, want in zip(grouped, (analytic.detector, analytic.probe, analytic.coincidence)):
-            np.testing.assert_allclose(got, want.effects, atol=1e-14)
+        joint, *marginals = extraction.closed_form_stack([interferometer.MzConfig("erasure", delta=0.5, gamma=1.1)])
+        np.testing.assert_allclose(povm.joint_marginals(joint)[0], np.stack(marginals, axis=1)[0], atol=1e-14)
 
 
 class TestSchemeValidation:

@@ -182,20 +182,6 @@ class TestClassifyEffects:
 
 
 class TestValidateFailures:
-    def test_mismatched_shapes_reported(self):
-        # A ragged family is rejected at construction, naming the effect.
-        with pytest.raises(DimensionMismatch, match=r"^effect '2' has shape \(3, 3\), expected \(2, 2\)$"):
-            povm.DiscretePovm(("1", "2"), [I2, np.zeros((3, 3))])
-
-    def test_malformed_family_rejected(self):
-        for labels, effects, match in (
-            (("1", "2", "3"), np.array([I2, 0.0 * I2]), "3 labels"),
-            (("1",), np.array(0.5), r"got shape \(1,\)"),
-            (("1", "2"), np.zeros((2, 2, 3)), r"got shape \(2, 2, 3\)"),
-        ):
-            with pytest.raises(DimensionMismatch, match=match):
-                povm.DiscretePovm(labels, effects)
-
     def test_non_hermitian_reported_with_magnitude(self):
         broken = np.array([0.5 * I2 + np.array([[0, 1e-3], [0, 0]]), 0.5 * I2])
         cls = povm.classify_effects(broken[None])

@@ -3,7 +3,9 @@
 Every module-level public function or class in ``src/mzpovm/*.py`` must be
 referenced outside its own definition by code in ``src/``, ``scripts/`` or
 ``perfbench/``. References from the tests do not count; README names the
-four that stay for the tests alone.
+four that stay for the tests alone. Every public method or property of a
+public class must likewise be read as an attribute outside its own
+definition; dunder methods are exempt, and no method is kept for the tests.
 """
 
 from __future__ import annotations
@@ -34,14 +36,32 @@ def _referenced_names(node) -> set[str]:
     return names
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    # How many top-level statements of src/, scripts/ and perfbench/ reference each name.
-    statements = {}
+def _attribute_reads(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _sources() -> dict[Path, ast.Module]:
+    # The parsed code of src/, scripts/ and perfbench/.
+    trees = {}
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if any(part.startswith(".") for part in path.relative_to(ROOT).parts):
                 continue  # scratch copies, such as perfbench/.work
-            statements[path] = [(node, _referenced_names(node)) for node in ast.parse(path.read_text(encoding="utf-8")).body]
+            trees[path] = ast.parse(path.read_text(encoding="utf-8"))
+    return trees
+
+
+def _public_classes(trees):
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield path.stem, node
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = _sources()
+    # How many top-level statements of src/, scripts/ and perfbench/ reference each name.
+    statements = {path: [(node, _referenced_names(node)) for node in tree.body] for path, tree in trees.items()}
     counts = Counter(name for nodes in statements.values() for _, names in nodes for name in names)
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -51,4 +71,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             # A reference inside the definition itself does not count.
             if (path.stem, node.name) not in KEPT_FOR_THE_TESTS and counts[node.name] == (node.name in names):
                 unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_and_property_has_a_reader_outside_the_tests():
+    trees = _sources()
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, cls in _public_classes(trees):
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue  # fields, and private or dunder methods
+            # A read inside the method itself, such as a recursive call, does not count.
+            if reads[node.name] == _attribute_reads(node)[node.name]:
+                unused.append(f"{module}.{cls.name}.{node.name}")
     assert unused == []

@@ -14,31 +14,31 @@ PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 
 def state_reports(rho):
-    """The four records of state_relations_stack for one state, as Python scalars."""
-    return [r.report(0) for r in relations.state_relations_stack(np.asarray(rho, dtype=complex)[None])]
+    """The four records of state_relations_stack for a batch of one state; entry 0 is its audit."""
+    return relations.state_relations_stack(np.asarray(rho, dtype=complex)[None])
 
 
 def entropic_report(a, b, psi):
-    """entropic_bound_stack on one pure state, as Python scalars."""
-    return relations.entropic_bound_stack(a, b, np.asarray(psi, dtype=complex).reshape(1, -1)).report(0)
+    """entropic_bound_stack on a batch of one pure state; entry 0 is its audit."""
+    return relations.entropic_bound_stack(a, b, np.asarray(psi, dtype=complex).reshape(1, -1))
 
 
 class TestVarianceUr:
     def test_eigenstate_saturates_at_zero(self):
         report = state_reports(linalg.projectors([1, 0]))[0]
-        assert report.lhs == pytest.approx(0.0, abs=1e-14)
-        assert report.rhs == pytest.approx(0.0, abs=1e-14)
-        assert report.satisfied
+        assert report.lhs[0] == pytest.approx(0.0, abs=1e-14)
+        assert report.rhs[0] == pytest.approx(0.0, abs=1e-14)
+        assert report.satisfied[0]
 
     def test_maximally_mixed(self):
         report = state_reports(np.eye(2) / 2)[0]
-        assert report.lhs == pytest.approx(1.0, abs=1e-14)
-        assert report.rhs == pytest.approx(0.0, abs=1e-14)
+        assert report.lhs[0] == pytest.approx(1.0, abs=1e-14)
+        assert report.rhs[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_equatorial_pure_state_saturates(self):
         report = state_reports(linalg.density_from_bloch([0.6, 0.0, 0.8]))[0]
-        assert report.lhs == pytest.approx(0.2304, abs=1e-12)
-        assert report.rhs == pytest.approx(0.2304, abs=1e-12)
+        assert report.lhs[0] == pytest.approx(0.2304, abs=1e-12)
+        assert report.rhs[0] == pytest.approx(0.2304, abs=1e-12)
 
     def test_rhs_equals_commutator_covariance_identity(self, rng):
         # The bound always evaluates to <sy>^2 + <sx>^2 <sz>^2, and the gap
@@ -91,8 +91,8 @@ class TestEntropicBound:
         report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), [1, 0]
         )
-        assert report.lhs == pytest.approx(1.0, abs=1e-12)
-        assert report.rhs == pytest.approx(1.0, abs=1e-12)
+        assert report.lhs[0] == pytest.approx(1.0, abs=1e-12)
+        assert report.rhs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_direction_exceeds_bound(self):
         # The pure state along (1, 1, 1) / sqrt 3: the top eigenvector of its projector.
@@ -100,15 +100,15 @@ class TestEntropicBound:
         report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
         )
-        assert report.rhs == pytest.approx(1.0, abs=1e-12)
-        assert report.lhs > 1.0
+        assert report.rhs[0] == pytest.approx(1.0, abs=1e-12)
+        assert report.lhs[0] > 1.0
 
     def test_identical_observables_have_zero_bound(self):
         report = entropic_report(
             relations.pauli_pvm("z"), relations.pauli_pvm("z"), [1, 0]
         )
-        assert report.lhs == pytest.approx(0.0, abs=1e-12)
-        assert report.rhs == pytest.approx(0.0, abs=1e-12)
+        assert report.lhs[0] == pytest.approx(0.0, abs=1e-12)
+        assert report.rhs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bound_state_independent_for_unbiased_pair(self, rng):
         for _ in range(200):
@@ -116,8 +116,8 @@ class TestEntropicBound:
             report = entropic_report(
                 relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi
             )
-            assert report.rhs == pytest.approx(1.0, abs=1e-9)
-            assert report.slack >= -1e-9
+            assert report.rhs[0] == pytest.approx(1.0, abs=1e-9)
+            assert report.slack[0] >= -1e-9
 
     def test_unsharp_observable_rejected(self):
         blurred = np.array([0.5 * (I2 + 0.5 * SX), 0.5 * (I2 - 0.5 * SX)])
@@ -143,19 +143,19 @@ class TestTripleRelations:
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         _, entropic, variances, squares = state_reports(linalg.density_from_bloch(direction))
-        assert variances.lhs == pytest.approx(2.0, abs=1e-12)
-        assert squares.lhs == pytest.approx(1.0, abs=1e-12)
-        assert entropic.lhs >= 2.0 - 1e-9
+        assert variances.lhs[0] == pytest.approx(2.0, abs=1e-12)
+        assert squares.lhs[0] == pytest.approx(1.0, abs=1e-12)
+        assert entropic.lhs[0] >= 2.0 - 1e-9
 
     def test_maximally_mixed_values(self):
         _, entropic, variances, squares = state_reports(np.eye(2) / 2)
-        assert entropic.lhs == pytest.approx(3.0, abs=1e-12)
-        assert variances.lhs == pytest.approx(3.0, abs=1e-12)
-        assert squares.lhs == pytest.approx(0.0, abs=1e-12)
+        assert entropic.lhs[0] == pytest.approx(3.0, abs=1e-12)
+        assert variances.lhs[0] == pytest.approx(3.0, abs=1e-12)
+        assert squares.lhs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_eigenstate_entropy_triple_saturates(self):
         entropic = state_reports(linalg.projectors([1, 0]))[1]
-        assert entropic.lhs == pytest.approx(2.0, abs=1e-12)
+        assert entropic.lhs[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_identities_on_mixed_states(self, rng):
         r = np.array([random_bloch_in_ball(rng) for _ in range(300)])
@@ -202,13 +202,13 @@ class TestDistinguishability:
 
     def test_balanced_input_tilted_markers(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
-        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
-        assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2])
+        assert audit.distinguishability[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_path_eigenstate_always_distinguishable(self):
         p1, p2 = interferometer.marker_states(1.1)
-        audit = relations.erasure_duality_stack([1.0], [0.0], [p1], [p2]).report(0)
-        assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
+        audit = relations.erasure_duality_stack([1.0], [0.0], [p1], [p2])
+        assert audit.distinguishability[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_identity(self, rng):
         inputs = []
@@ -218,20 +218,19 @@ class TestDistinguishability:
             inputs.append((psi[0], psi[1], *interferometer.marker_states(theta)))
         audits = relations.erasure_duality_stack(*zip(*inputs))
         for i, (alpha, beta, p1, p2) in enumerate(inputs):
-            audit = audits.report(i)
             overlap = abs(np.vdot(p1, p2))
             want = math.sqrt(1 - 4 * abs(alpha) ** 2 * abs(beta) ** 2 * overlap**2)
-            assert audit.distinguishability == pytest.approx(want, abs=1e-12)
+            assert audits.distinguishability[i] == pytest.approx(want, abs=1e-12)
             # D = 2L - 1 for the success probability L of the probe readout
             # along the optimal pointer direction.
-            success = pointer_success(alpha, beta, p1, p2, audit.pointer_direction)
-            assert audit.distinguishability == pytest.approx(2 * success - 1, abs=1e-12)
+            success = pointer_success(alpha, beta, p1, p2, audits.pointer_direction[i])
+            assert audits.distinguishability[i] == pytest.approx(2 * success - 1, abs=1e-12)
 
     def test_degenerate_direction_flagged(self):
         p1, p2 = interferometer.marker_states(math.pi / 2)
-        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
-        assert audit.pointer_direction is None
-        assert audit.distinguishability == 0.0
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2])
+        assert np.isnan(audit.pointer_direction[0]).all()
+        assert audit.distinguishability[0] == 0.0
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(NotNormalized):
@@ -247,10 +246,9 @@ class TestCoincidencePovm:
     def test_orthogonal_markers_aligned_pointer_gives_certainty(self):
         audits = relations.erasure_duality_stack([1.0, 0.6], [0.0, 0.8], [[1, 0]] * 2, [[0, 1]] * 2)
         for i, (alpha, beta) in enumerate(((1.0, 0.0), (0.6, 0.8))):
-            audit = audits.report(i)
-            np.testing.assert_allclose(audit.pointer_direction, [0.0, 0.0, 1.0], atol=1e-14)
+            np.testing.assert_allclose(audits.pointer_direction[i], [0.0, 0.0, 1.0], atol=1e-14)
             # Direct route: |alpha|^2 |<r1|p1>|^2 + |beta|^2 |<r2|p2>|^2 = 1.
-            success = pointer_success(alpha, beta, np.array([1, 0]), np.array([0, 1]), audit.pointer_direction)
+            success = pointer_success(alpha, beta, np.array([1, 0]), np.array([0, 1]), audits.pointer_direction[i])
             assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_markers_general_form(self):
@@ -261,10 +259,9 @@ class TestCoincidencePovm:
         audits = relations.erasure_duality_stack(alphas, betas, [p1, p1], [p2, p2])
         b1 = linalg.bloch_from_density_stack(np.outer(p1, p1.conj()))
         for i, (alpha, beta) in enumerate(zip(alphas, betas)):
-            audit = audits.report(i)
             sign = 1.0 if alpha > beta else -1.0
-            np.testing.assert_allclose(audit.pointer_direction, sign * b1, atol=1e-14)
-            assert audit.distinguishability == pytest.approx(abs(alpha**2 - beta**2), abs=1e-14)
+            np.testing.assert_allclose(audits.pointer_direction[i], sign * b1, atol=1e-14)
+            assert audits.distinguishability[i] == pytest.approx(abs(alpha**2 - beta**2), abs=1e-14)
 
     def test_variance_matches_distinguishability(self, rng):
         inputs = []
@@ -274,20 +271,19 @@ class TestCoincidencePovm:
             inputs.append((math.sqrt(weight), math.sqrt(1 - weight), *interferometer.marker_states(theta)))
         audits = relations.erasure_duality_stack(*zip(*inputs))
         for i, (alpha, beta, p1, p2) in enumerate(inputs):
-            result = audits.report(i)
-            direction = result.pointer_direction
-            if direction is None:
+            direction = audits.pointer_direction[i]
+            if np.isnan(direction[0]):
                 direction = np.array([0.0, 0.0, 1.0])
             # Variance of the +/-1-valued outcome: 1 - <H_corr - H_err>^2.
             bias = 2.0 * pointer_success(alpha, beta, p1, p2, direction) - 1.0
             var = 1.0 - bias**2
-            assert var == pytest.approx(1.0 - result.distinguishability**2, abs=1e-12)
+            assert var == pytest.approx(1.0 - audits.distinguishability[i] ** 2, abs=1e-12)
 
 
 class TestVisibility:
     def test_orthogonal_markers_kill_visibility(self):
-        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]]).report(0)
-        assert audit.visibility == pytest.approx(0.0, abs=1e-14)
+        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]])
+        assert audit.visibility[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_balanced_input_visibility_is_overlap(self):
         thetas = (0.3, 1.0, math.pi / 2)
@@ -296,9 +292,9 @@ class TestVisibility:
         np.testing.assert_allclose(audit.visibility, np.sin(thetas), rtol=0, atol=1e-12)
 
     def test_unmarked_coherent_state_has_unit_visibility(self):
-        result = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[1, 0]]).report(0)
-        assert result.visibility == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(result.visibility_direction, [1.0, 0.0, 0.0], atol=1e-12)
+        result = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[1, 0]])
+        assert result.visibility[0] == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(result.visibility_direction[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_optimal_direction_attains_the_maximum(self, rng):
         inputs = []
@@ -310,9 +306,9 @@ class TestVisibility:
         objectives = []
         for i, args in enumerate(inputs):
             rho_e = reduced_state(*args)
-            result = audits.report(i)
-            s_n = result.visibility_direction[0] * SX + result.visibility_direction[1] * SY
-            assert abs(linalg.expectation(s_n, rho_e)) == pytest.approx(result.visibility, abs=1e-12)
+            n = audits.visibility_direction[i]
+            s_n = n[0] * SX + n[1] * SY
+            assert abs(linalg.expectation(s_n, rho_e)) == pytest.approx(audits.visibility[i], abs=1e-12)
 
             def equatorial(r, rho_e=rho_e):
                 planar = math.hypot(r[0], r[1])
@@ -330,24 +326,24 @@ class TestVisibility:
 class TestErasureDuality:
     def test_worked_point(self):
         p1, p2 = interferometer.marker_states(math.pi / 3)
-        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2]).report(0)
-        assert audit.distinguishability == pytest.approx(0.5, abs=1e-12)
-        assert audit.visibility == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-        assert audit.duality.satisfied and abs(audit.duality.slack) <= 1e-12
+        audit = relations.erasure_duality_stack([1 / math.sqrt(2)], [1 / math.sqrt(2)], [p1], [p2])
+        assert audit.distinguishability[0] == pytest.approx(0.5, abs=1e-12)
+        assert audit.visibility[0] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert audit.duality.satisfied[0] and abs(audit.duality.slack[0]) <= 1e-12
 
     def test_orthogonal_markers(self):
-        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]]).report(0)
-        assert audit.distinguishability == pytest.approx(1.0, abs=1e-12)
-        assert audit.visibility == pytest.approx(0.0, abs=1e-12)
-        assert audit.duality.satisfied
+        audit = relations.erasure_duality_stack([PLUS[0]], [PLUS[1]], [[1, 0]], [[0, 1]])
+        assert audit.distinguishability[0] == pytest.approx(1.0, abs=1e-12)
+        assert audit.visibility[0] == pytest.approx(0.0, abs=1e-12)
+        assert audit.duality.satisfied[0]
 
     def test_lopsided_amplitudes(self):
         alpha = 0.9
         beta = math.sqrt(1 - alpha**2)
         p1, p2 = interferometer.marker_states(0.8)
-        audit = relations.erasure_duality_stack([alpha], [beta], [p1], [p2]).report(0)
-        assert abs(audit.duality.slack) <= 1e-9
-        assert abs(audit.variance_tradeoff.slack) <= 1e-9
+        audit = relations.erasure_duality_stack([alpha], [beta], [p1], [p2])
+        assert abs(audit.duality.slack[0]) <= 1e-9
+        assert abs(audit.variance_tradeoff.slack[0]) <= 1e-9
 
     def test_random_sweep(self, rng):
         inputs = []
@@ -383,16 +379,16 @@ class TestErasureDuality:
 
 class TestReportMechanics:
     def test_geq_slack_sign(self):
-        report = relations.make_reports("demo", [2.0], [1.0], "geq").report(0)
-        assert report.satisfied and report.slack == 1.0
+        report = relations.make_reports("demo", [2.0], [1.0], "geq")
+        assert report.satisfied[0] and report.slack[0] == 1.0
 
     def test_leq_slack_sign(self):
-        report = relations.make_reports("demo", [2.0], [1.0], "leq").report(0)
-        assert not report.satisfied and report.slack == -1.0
+        report = relations.make_reports("demo", [2.0], [1.0], "leq")
+        assert not report.satisfied[0] and report.slack[0] == -1.0
 
     def test_eq_tolerance(self):
-        assert relations.make_reports("demo", [1.0 + 5e-10], [1.0], "eq").report(0).satisfied
-        assert not relations.make_reports("demo", [1.0 + 5e-9], [1.0], "eq").report(0).satisfied
+        assert relations.make_reports("demo", [1.0 + 5e-10], [1.0], "eq").satisfied[0]
+        assert not relations.make_reports("demo", [1.0 + 5e-9], [1.0], "eq").satisfied[0]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -570,17 +566,16 @@ class TestStackedKernels:
         np.testing.assert_array_equal(stack.visibility_direction[-1], [1.0, 0.0, 0.0])
         for i, args in enumerate(zip(alphas, betas, p1s, p2s)):
             pointer, d, v_e, n, duality, tradeoff = reference_erasure(*args)
-            audit = stack.report(i)
             if pointer is None:
-                assert audit.pointer_direction is None
+                assert np.isnan(stack.pointer_direction[i]).all()
             else:
                 # Compared as evidence vectors: normalizing a short one magnifies rounding.
-                np.testing.assert_allclose(audit.pointer_direction * d, pointer * d, rtol=0, atol=1e-15)
-            assert audit.distinguishability == pytest.approx(d, abs=1e-15)
-            assert audit.visibility == pytest.approx(v_e, abs=1e-15)
-            np.testing.assert_allclose(audit.visibility_direction, n, rtol=0, atol=1e-15)
-            assert audit.duality.lhs == pytest.approx(duality, abs=1e-15)
-            assert audit.variance_tradeoff.lhs == pytest.approx(tradeoff, abs=1e-15)
+                np.testing.assert_allclose(stack.pointer_direction[i] * d, pointer * d, rtol=0, atol=1e-15)
+            assert stack.distinguishability[i] == pytest.approx(d, abs=1e-15)
+            assert stack.visibility[i] == pytest.approx(v_e, abs=1e-15)
+            np.testing.assert_allclose(stack.visibility_direction[i], n, rtol=0, atol=1e-15)
+            assert stack.duality.lhs[i] == pytest.approx(duality, abs=1e-15)
+            assert stack.variance_tradeoff.lhs[i] == pytest.approx(tradeoff, abs=1e-15)
 
     def test_state_records_name_their_relations(self, rng):
         rho = linalg.density_from_bloch(random_bloch_in_ball(rng))

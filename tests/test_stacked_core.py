@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
-from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment
+from mzpovm import cli, complementarity, extraction, interferometer, linalg, oracle, povm, relations, verify
+from mzpovm.errors import InvalidBasis, InvalidScheme, NotHermitian, NotNormalized, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -192,8 +192,8 @@ def _scalar_sweep_row(config, psi):
     measured = extraction.extract_effects(scheme)[0]
     probabilities = oracle.direct_probabilities(scheme, psi)
     _, p1, p2 = interferometer.probe_stack([config])[0]
-    audit = relations.erasure_duality_stack([complex(psi[0])], [complex(psi[1])], [p1], [p2]).report(0)
-    row = {"D": audit.distinguishability, "V_e": audit.visibility, "duality_slack": audit.duality.slack}
+    audit = relations.erasure_duality_stack([complex(psi[0])], [complex(psi[1])], [p1], [p2])
+    row = {"D": audit.distinguishability[0], "V_e": audit.visibility[0], "duality_slack": audit.duality.slack[0]}
     if len(scheme.labels) == 4:
         row.update({"p" + label: probabilities[label] for label in ("11", "12", "21", "22")})
         contrasts = povm.contrast_stack(povm.joint_marginals(measured[None])[0])
@@ -268,8 +268,8 @@ class TestInputCheckedOnce:
 
         monkeypatch.setattr(linalg, "check_unit_rows", counting)
         cli.evaluate_run(interferometer.MzConfig(experiment, delta=0.4, gamma=1.1, theta=0.6), random_pure(rng))
-        # The photon state once, and the (N, 2) marker rows once.
-        assert calls == ["state vector", "marker state"]
+        # The photon state once, and the (3 N, 2) probe rows once.
+        assert calls == ["state vector", "probe state"]
 
     @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.6, 0.6j], [math.nan, 0.0], [math.inf, 0.0], [1.0, math.nan]])
     @pytest.mark.parametrize("experiment", ["path", "quantitative"])
@@ -314,7 +314,7 @@ class TestInputCheckedOnce:
             cli.evaluate_run(config, psi)
 
     def test_run_and_sweep_reject_non_unit_markers(self, monkeypatch):
-        # The marker check the relation kernels make runs once on the route instead.
+        # The marker check the relation kernels make runs once on the route, with the other probe rows.
         original = interferometer.probe_stack
 
         def stretched(configs):
@@ -325,10 +325,30 @@ class TestInputCheckedOnce:
         monkeypatch.setattr(interferometer, "probe_stack", stretched)
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=0.7)
         configs = cli.sweep_configs(config, "delta", 0.0, 1.0, 3)
-        with pytest.raises(NotNormalized, match="^marker state 1 has norm 1.1"):
+        with pytest.raises(NotNormalized, match="^probe state 2 has norm 1.1"):
             cli.evaluate_run(config, np.array([1.0, 0.0]))
-        with pytest.raises(NotNormalized, match="^marker state 5 has norm 1.1"):
+        with pytest.raises(NotNormalized, match="^probe state 8 has norm 1.1"):
             next(cli.sweep_rows(configs, np.array([1.0, 0.0]), "delta"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: extraction.build_schemes([[[math.inf, 0.0], E1, E2]], [0.0], None), NotNormalized,
+         "^probe state 0 has norm inf"),
+        (lambda: relations.contrasts(np.full((2, 2), math.nan)), NotHermitian, "^state deviates from Hermitian by nan"),
+        (lambda: extraction.conditional_probabilities(np.full((4, 2, 2), math.nan), "1", E1), NotHermitian,
+         "^joint effects deviate from Hermitian by nan"),
+        (lambda: complementarity.OrthonormalBasis(np.full((2, 2), math.nan)), InvalidBasis,
+         "^Gram matrix deviates from identity by nan"),
+    ],
+    ids=["infinite-probe", "nan-state-contrasts", "nan-joint-conditional", "nan-basis"],
+)
+def test_a_bad_library_input_raises_a_named_error_without_a_numpy_warning(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestInterferometerStacks:
