@@ -13,10 +13,14 @@ Every four-outcome joint POVM, measured or built, lists its effects in
 the order of ``JOINT_LABELS``, 11, 21, 12, 22 (detector index first).
 :func:`joint_marginals` holds the one index table that sums them into the
 detector marginal F (first index), the probe marginal G (second index)
-and the coincidence marginal H (11 + 22 against 12 + 21). For the joint
-observables of :func:`joint_xz_effects`, F is {(I +/- f sigma_x)/2} and
-G is {(I +/- g sigma_z)/2}. :class:`DiscretePovm` only labels the effects
-of the closed-form joint POVM that the benchmark's sweep gate reads.
+and the coincidence marginal H (11 + 22 against 12 + 21). One kernel,
+:func:`joint_pair_effects`, builds the joint observable of any pair of
+unbiased qubit effects given by their Bloch vectors a and b, with F
+{(I +/- a . sigma)/2} and G {(I +/- b . sigma)/2}. It admits the pair by
+Busch's criterion |a + b| + |a - b| <= 2, with ``JOINT_BOUNDARY_TOL`` of
+tolerance on the sum; an unsharp sigma_x / sigma_z pair (f x, g z) is the
+case f^2 + g^2 <= 1. :class:`DiscretePovm` only labels the effects of the
+closed-form joint POVM that the benchmark's sweep gate reads.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class StackClassification:
     sum_deviation: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     """Classify an (N, K, d, d) stack of candidate POVMs in one array pass.
 
@@ -138,47 +143,38 @@ JOINT_LABELS = ("11", "21", "12", "22")
 # of marginal m: F = 11+12 | 21+22, G = 11+21 | 12+22, H = 11+22 | 12+21.
 MARGINAL_PAIRS = np.array([[[0, 2], [1, 3]], [[0, 1], [2, 3]], [[0, 3], [2, 1]]])
 MARGINAL_PAIRS.flags.writeable = False
-_JOINT_X_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-_JOINT_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-# I, sigma_x and sigma_z as (2, 2, 1, 1) operands of members-last products.
-_IDENTITY_ML, _SX_ML, _SZ_ML = (op[:, :, None, None] for op in (linalg.IDENTITY2, linalg.pauli("x"), linalg.pauli("z")))
+# The sign j of each label's first index and k of its second, as (4, 1) columns.
+_J, _K = (np.array([[1.0] if label[i] == "1" else [-1.0] for label in JOINT_LABELS]) for i in (0, 1))
 
 
-def _pair_arrays(f, g) -> tuple[np.ndarray, np.ndarray]:
-    f = np.asarray(f, dtype=float).reshape(-1)
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if f.shape != g.shape:
-        raise DimensionMismatch(f"{f.size} values of f against {g.size} values of g")
-    return f, g
+@np.errstate(over="ignore", invalid="ignore")
+def joint_pair_effects(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Busch's joint observables of the unbiased qubit pairs with (N, 3) Bloch vectors a and b.
 
-
-def jointly_measurable_stack(f, g) -> np.ndarray:
-    """Which unsharp sigma_x / sigma_z pairs (f[n], g[n]) admit a joint observable.
-
-    The criterion is f^2 + g^2 <= 1, with ``JOINT_BOUNDARY_TOL`` (1e-10) of
-    tolerance at the boundary, so exactly saturating pairs like
-    (sin t, cos t) pass under floating-point noise. Returns an (N,) mask;
-    :func:`joint_xz_effects` admits exactly these pairs.
+    Returns the (N, 4, 2, 2) effects G_jk = [(1 + jk c0) I + (j a + k b) . sigma] / 4,
+    c0 = (|a + b| - |a - b|) / 2 and j, k the signs of a label's indices,
+    in the order of ``JOINT_LABELS``, and the (N,) mask |a + b| + |a - b|
+    <= 2 + ``JOINT_BOUNDARY_TOL``. Each effect's lowest eigenvalue is
+    (2 - |a + b| - |a - b|) / 8; a non-finite pair reads False, with no
+    warning. Other shapes raise ``DimensionMismatch``. The effects are an
+    (N, 4, 2, 2) view of a members-last (2, 2, 4, N) array.
     """
-    f, g = _pair_arrays(f, g)
-    return f * f + g * g <= 1.0 + JOINT_BOUNDARY_TOL
-
-
-def joint_xz_effects(f, g) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked joint observables of the unsharp pairs (f[n], g[n]).
-
-    Returns the (N, 4, 2, 2) effects (I +/- f sigma_x +/- g sigma_z) / 4 in
-    the order of ``JOINT_LABELS``, and the (N,) mask of
-    :func:`jointly_measurable_stack`. Effects are built for every pair;
-    outside the mask their minimum eigenvalue (1 - sqrt(f^2 + g^2)) / 4 is
-    negative. The effects are built members-last, (2, 2, 4, N), and
-    returned as an (N, 4, 2, 2) view of that array.
-    """
-    f, g = _pair_arrays(f, g)
-    fx = _JOINT_X_SIGNS[:, None] * f
-    gz = _JOINT_Z_SIGNS[:, None] * g
-    effects = 0.25 * (_IDENTITY_ML + fx * _SX_ML + gz * _SZ_ML)
-    return effects.transpose(3, 2, 0, 1), jointly_measurable_stack(f, g)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3 or a.shape != b.shape:
+        raise DimensionMismatch(f"expected two (N, 3) stacks of Bloch vectors, got shapes {a.shape} and {b.shape}")
+    # v[:, n] = j a + k b of label n; labels 11 and 12 carry a + b and a - b.
+    x, y, z = v = a.T[:, None] * _J + b.T[:, None] * _K
+    plus, minus = np.sqrt((v[:, ::2] * v[:, ::2]).sum(axis=0))
+    coeff = 1.0 + _J * _K * (0.5 * (plus - minus))
+    effects = np.zeros((2, 2, 4, len(a)), dtype=complex)
+    re, im = effects.real, effects.imag
+    re[0, 0] = 0.25 * (coeff + z)
+    re[0, 1] = re[1, 0] = 0.25 * x
+    re[1, 1] = 0.25 * (coeff - z)
+    im[0, 1] = -0.25 * y
+    im[1, 0] = 0.25 * y
+    return effects.transpose(3, 2, 0, 1), plus + minus <= 2.0 + JOINT_BOUNDARY_TOL
 
 
 def joint_marginals(effects) -> np.ndarray:

@@ -123,8 +123,11 @@ def _plogp(traces: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(effects, rho) -> float:
-    """Shannon entropy (bits) of the outcome distribution of an (L, d, d) POVM in a state."""
-    return float(-_plogp(_trace(effects, np.asarray(rho, dtype=complex)).real).sum())
+    """Shannon entropy (bits) of the outcome distribution of an (L, 2, 2) POVM in a 2x2 state.
+
+    A state that is not Hermitian within ``linalg.HERMITIAN_TOL`` (NaN included) raises ``NotHermitian``.
+    """
+    return float(-_plogp(_trace(effects, _density_stack(np.asarray(rho, dtype=complex)[None])[0]).real).sum())
 
 
 @functools.lru_cache(maxsize=None)

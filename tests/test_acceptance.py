@@ -167,7 +167,7 @@ def test_criterion_5_erasure_fringes_and_epr_weight():
 def test_criterion_6_joint_measurability_grid():
     f, g = (v.ravel() for v in np.meshgrid(np.linspace(-1.0, 1.0, 101), np.linspace(-1.0, 1.0, 101)))
     admissible = f * f + g * g <= 1.0 + 1e-10
-    effects, admitted = povm.joint_xz_effects(f, g)
+    effects, admitted = povm.joint_pair_effects(f[:, None] * (1.0, 0.0, 0.0), g[:, None] * (0.0, 0.0, 1.0))
     built = admitted & povm.classify_effects(effects).valid
     grouped = povm.joint_marginals(effects)
     u_f, u_g = povm.unsharpness_stack(grouped[:, 0]), povm.unsharpness_stack(grouped[:, 1])

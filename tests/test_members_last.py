@@ -46,11 +46,17 @@ def _reference_classify(effects, tol=TOL):
     return povm.StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
 
 
-def _reference_joint_xz_effects(f, g):
-    sx, _, sz = linalg.pauli_triple()
-    fx = (np.asarray(f, dtype=float)[:, None] * povm._JOINT_X_SIGNS)[..., None, None]
-    gz = (np.asarray(g, dtype=float)[:, None] * povm._JOINT_Z_SIGNS)[..., None, None]
-    return 0.25 * (linalg.IDENTITY2 + fx * sx + gz * sz)
+def _reference_joint_pair_effects(a, b):
+    # G_jk = ((1 + jk c0) I + v . sigma) / 4, v = j a + k b, one label at a time over
+    # trailing axes. linalg.bloch_operators halves its halved arguments; halving is
+    # exact, so each entry rounds as the kernel's quarter of the same sum.
+    plus, minus = (np.sqrt(np.sum(s**2, axis=1)) for s in (a + b, a - b))
+    out = []
+    for label in povm.JOINT_LABELS:
+        j, k = (1.0 if index == "1" else -1.0 for index in label)
+        v = j * a + k * b
+        out.append(linalg.bloch_operators(0.5 * (1.0 + j * k * (0.5 * (plus - minus))), 0.5 * v.T))
+    return np.stack(out, axis=1)
 
 
 def assert_same_classification(got, want):
@@ -142,8 +148,7 @@ class TestClassification:
         assert_same_classification(povm.classify_effects(empty), _reference_classify(empty))
 
     def test_projections_and_multiples_of_the_identity(self, rng):
-        f, g = rng.uniform(-1, 1, (2, 64))
-        effects, _ = povm.joint_xz_effects(f, g)
+        effects, _ = povm.joint_pair_effects(*rng.uniform(-0.7, 0.7, (2, 64, 3)))
         sx, _, sz = linalg.pauli_triple()
         pvm = np.array([[0.5 * (np.eye(2) + s), 0.5 * (np.eye(2) - s)] for s in (sx, sz)])
         trivial = np.array([[w * np.eye(2), (1 - w) * np.eye(2)] for w in rng.random(8)])
@@ -192,10 +197,12 @@ class TestClassification:
 
 
 class TestJointEffects:
-    def test_members_last_build_matches_the_broadcast_sum(self, rng):
-        f = np.concatenate([rng.uniform(-1, 1, 300), [0.0, -0.0, 1.0, -1.0]])
-        g = np.concatenate([rng.uniform(-1, 1, 300), [-0.0, 0.0, -1.0, 1.0]])
-        effects, _ = povm.joint_xz_effects(f, g)
-        assert_same_bits(effects, _reference_joint_xz_effects(f, g))
-        one, _ = povm.joint_xz_effects(f[:1], g[:1])
-        assert_same_bits(one, _reference_joint_xz_effects(f[:1], g[:1]))
+    def test_members_last_build_matches_the_trailing_axis_form(self, rng):
+        a = np.concatenate([rng.uniform(-1, 1, (300, 3)), [[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0], [0.6, 0.0, 0.0]]])
+        b = np.concatenate([rng.uniform(-1, 1, (300, 3)), [[-0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, -0.0, 0.8]]])
+        effects, _ = povm.joint_pair_effects(a, b)
+        assert_same_bits(effects, _reference_joint_pair_effects(a, b))
+        # A view of a (2, 2, 4, N) array: the members-last copy classify_effects makes is free.
+        assert effects.transpose(2, 3, 1, 0).flags.c_contiguous
+        one, _ = povm.joint_pair_effects(a[:1], b[:1])
+        assert_same_bits(one, _reference_joint_pair_effects(a[:1], b[:1]))

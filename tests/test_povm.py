@@ -23,8 +23,14 @@ def two_outcome(f: float, axis=SX) -> np.ndarray:
     return np.array([0.5 * (I2 + f * axis), 0.5 * (I2 - f * axis)])
 
 
+def xz_pairs(f, g) -> tuple[np.ndarray, np.ndarray]:
+    # joint_pair_effects of the unsharp sigma_x / sigma_z pairs (f[n] x, g[n] z).
+    f, g = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (f, g))
+    return povm.joint_pair_effects(f[:, None] * (1.0, 0.0, 0.0), g[:, None] * (0.0, 0.0, 1.0))
+
+
 def joint_povm(f: float, g: float) -> np.ndarray:
-    return povm.joint_xz_effects(f, g)[0][0]
+    return xz_pairs(f, g)[0][0]
 
 
 def contrast(p: np.ndarray) -> float:
@@ -161,7 +167,7 @@ class TestClassifyEffects:
 
     def test_boundary_pairs_are_valid(self):
         angles = np.linspace(0.0, 2.0 * math.pi, 97)
-        effects, admitted = povm.joint_xz_effects(np.cos(angles), np.sin(angles))
+        effects, admitted = xz_pairs(np.cos(angles), np.sin(angles))
         got = povm.classify_effects(effects)
         assert admitted.all() and got.valid.all()
         for ops in effects:
@@ -344,7 +350,15 @@ class TestMarginal:
             povm.joint_marginals(np.zeros(shape))
 
 
-class TestJointXZ:
+def random_ball(rng, n: int) -> np.ndarray:
+    direction = rng.standard_normal((n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return direction * rng.random((n, 1)) ** (1.0 / 3.0)
+
+
+class TestJointPairEffects:
+    """Busch's joint observable of an unbiased pair, and the sigma_x / sigma_z pairs as its special case."""
+
     def test_sharp_x_trivial_z_limit(self):
         joint = joint_povm(1.0, 0.0)
         cls = povm.classify_effects(marginals(joint))
@@ -352,6 +366,16 @@ class TestJointXZ:
         assert cls.trivial[1]
         np.testing.assert_allclose(joint_effect(joint, "11"), 0.25 * (I2 + SX), atol=1e-15)
         np.testing.assert_allclose(joint_effect(joint, "12"), 0.25 * (I2 + SX), atol=1e-15)
+
+    def test_xz_pairs_are_the_unit_disk_effects(self, rng):
+        # For f x and g z the norms |a +/- b| round alike, so c0 is exactly 0 and the
+        # effects equal (I +/- f sigma_x +/- g sigma_z) / 4; only signs of zeros may differ.
+        f, g = rng.uniform(-1.0, 1.0, (2, 200))
+        effects, _ = xz_pairs(f, g)
+        j = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+        k = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+        want = 0.25 * (I2 + j * f[:, None, None, None] * SX + k * g[:, None, None, None] * SZ)
+        np.testing.assert_array_equal(effects, want)
 
     def test_boundary_pair_still_valid(self):
         joint = joint_povm(1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -363,46 +387,65 @@ class TestJointXZ:
     def test_batch_of_one_matches_stacked_builder(self, rng):
         f = rng.uniform(-1.0, 1.0, 40)
         g = rng.uniform(-1.0, 1.0, 40)
-        effects, admitted = povm.joint_xz_effects(f, g)
+        effects, admitted = xz_pairs(f, g)
         assert effects.shape == (40, 4, 2, 2)
         for n in range(40):
             assert admitted[n] == (f[n] ** 2 + g[n] ** 2 <= 1.0 + povm.JOINT_BOUNDARY_TOL)
-            one, one_admitted = povm.joint_xz_effects(float(f[n]), float(g[n]))
+            one, one_admitted = xz_pairs(float(f[n]), float(g[n]))
             assert one_admitted.tolist() == [admitted[n]]
             np.testing.assert_array_equal(one[0], effects[n])
             assert povm.classify_effects(one).valid[0] == admitted[n]
 
-    def test_stacked_builder_rejects_unpaired_arrays(self):
-        with pytest.raises(DimensionMismatch):
-            povm.joint_xz_effects([0.1, 0.2], [0.3])
+    @pytest.mark.parametrize("a, b", [((2, 3), (1, 3)), ((3,), (3,)), ((2, 2), (2, 2)), ((1, 2, 3), (1, 2, 3))])
+    def test_stacked_builder_rejects_other_shapes(self, a, b):
+        with pytest.raises(DimensionMismatch, match="Bloch vectors"):
+            povm.joint_pair_effects(np.zeros(a), np.zeros(b))
 
     def test_inadmissible_pair_rejected(self):
-        effects, admitted = povm.joint_xz_effects(0.8, 0.8)
+        effects, admitted = xz_pairs(0.8, 0.8)
         assert not admitted[0]
         assert not povm.classify_effects(effects).valid[0]
 
     def test_jointly_measurable_examples(self):
-        assert povm.jointly_measurable_stack([1.0, 0.8], [0.0, 0.8]).tolist() == [True, False]
+        assert xz_pairs([1.0, 0.8], [0.0, 0.8])[1].tolist() == [True, False]
 
     @pytest.mark.parametrize("excess", [5e-11, 1e-10])
     def test_boundary_band_is_admitted_as_the_constructor_admits_it(self, excess):
         # f^2 + g^2 in (1 + 1e-12, 1 + 1e-10]: the builder makes a valid POVM,
-        # so the predicate must say the pair is jointly measurable.
+        # and the sum 2 sqrt(f^2 + g^2) stays within 1e-10 of 2, so the pair is admitted.
         f, g = 1.0, math.sqrt(excess)
         assert 1.0 + 1e-12 < f * f + g * g <= 1.0 + 1e-10
-        effects, admitted = povm.joint_xz_effects(f, g)
+        effects, admitted = xz_pairs(f, g)
         assert povm.classify_effects(effects).valid[0]
-        assert admitted[0] and povm.jointly_measurable_stack(f, g)[0]
+        assert admitted[0]
 
-    def test_just_outside_the_band_is_rejected_by_both(self):
+    def test_just_outside_the_band_is_rejected(self):
         f, g = 1.0, math.sqrt(2e-10)
-        assert not povm.jointly_measurable_stack(f, g)[0]
-        assert not povm.joint_xz_effects(f, g)[1][0]
+        assert not xz_pairs(f, g)[1][0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 2.0 * math.pi))
     def test_exact_boundary_always_admissible(self, angle):
-        assert povm.jointly_measurable_stack(math.sin(angle), math.cos(angle))[0]
+        assert xz_pairs(math.sin(angle), math.cos(angle))[1][0]
+
+    def test_marginals_are_the_pair(self, rng):
+        # F is {(I +/- a . sigma)/2} and G {(I +/- b . sigma)/2}, whatever the angle between a and b.
+        a, b = random_ball(rng, 300), random_ball(rng, 300)
+        grouped = povm.joint_marginals(povm.joint_pair_effects(a, b)[0])
+        for row, v in ((0, a), (1, b)):
+            bias, direction = povm.bias_and_direction_stack(grouped[:, row, 0])
+            np.testing.assert_allclose(bias, 0.0, atol=1e-15)
+            np.testing.assert_allclose(direction, v, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grouped[:, row, 0] + grouped[:, row, 1], np.broadcast_to(I2, (300, 2, 2)), atol=1e-15)
+
+    def test_lowest_eigenvalue_is_the_slack_of_the_sum(self, rng):
+        a, b = random_ball(rng, 300), random_ball(rng, 300)
+        effects, admitted = povm.joint_pair_effects(a, b)
+        total = np.linalg.norm(a + b, axis=1) + np.linalg.norm(a - b, axis=1)
+        got = povm.classify_effects(effects)
+        np.testing.assert_allclose(got.lowest, np.broadcast_to(((2.0 - total) / 8.0)[:, None], (300, 4)), atol=1e-15)
+        assert admitted.any() and not admitted.all()
+        np.testing.assert_array_equal(got.valid, admitted)
 
 
 class TestContrastUnsharpness:
@@ -462,7 +505,7 @@ class TestContrastUnsharpness:
             scale = math.sqrt(rng.random())
             f.append(scale * math.cos(angle))
             g.append(scale * math.sin(angle))
-        effects, admitted = povm.joint_xz_effects(f, g)
+        effects, admitted = xz_pairs(f, g)
         assert admitted.all()
         grouped = povm.joint_marginals(effects)
         u_f, u_g = povm.unsharpness_stack(grouped[:, 0]), povm.unsharpness_stack(grouped[:, 1])

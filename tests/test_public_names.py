@@ -5,7 +5,8 @@ referenced outside its own definition by code in ``src/``, ``scripts/`` or
 ``perfbench/``. References from the tests do not count; README names the
 four that stay for the tests alone. Every public method or property of a
 public class must likewise be read as an attribute outside its own
-definition; dunder methods are exempt, and no method is kept for the tests.
+definition and outside every other unused method; dunder methods are
+exempt, and no method is kept for the tests.
 """
 
 from __future__ import annotations
@@ -74,15 +75,49 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def _unused_methods(classes, trees) -> list[str]:
+    """The public methods of ``classes``, (module, ClassDef) pairs, that nothing in ``trees`` reads.
+
+    Reads are attribute names. A read inside the method itself, such as a
+    recursive call, does not count, nor does a read inside a method already
+    found unused; so the search repeats until it finds no more.
+    """
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    methods = {
+        f"{module}.{cls.name}.{node.name}": node
+        for module, cls in classes
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")  # not fields, private or dunder methods
+    }
+    unused: set[str] = set()
+    while True:
+        dead = sum((_attribute_reads(methods[name]) for name in unused), Counter())
+        found = {
+            name
+            for name, node in methods.items()
+            if reads[node.name] == (dead + (Counter() if name in unused else _attribute_reads(node)))[node.name]
+        }
+        if found == unused:
+            return sorted(unused)
+        unused = found
+
+
 def test_every_public_method_and_property_has_a_reader_outside_the_tests():
     trees = _sources()
-    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
-    unused = []
-    for module, cls in _public_classes(trees):
-        for node in cls.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue  # fields, and private or dunder methods
-            # A read inside the method itself, such as a recursive call, does not count.
-            if reads[node.name] == _attribute_reads(node)[node.name]:
-                unused.append(f"{module}.{cls.name}.{node.name}")
-    assert unused == []
+    assert _unused_methods(list(_public_classes(trees)), trees.values()) == []
+
+
+def test_a_method_read_only_by_an_unused_method_is_unused():
+    source = ast.parse(
+        "class A:\n"
+        "    def report(self):\n"
+        "        return self.kept()\n"
+        "    def kept(self):\n"
+        "        return 1\n"
+        "class B:\n"
+        "    def report(self):\n"
+        "        return A().report()\n"
+        "A().kept()\n"
+    )
+    classes = [("m", node) for node in source.body if isinstance(node, ast.ClassDef)]
+    assert _unused_methods(classes, [source]) == ["m.A.report", "m.B.report"]

@@ -85,6 +85,11 @@ class TestShannonEntropy:
             h, abs=1e-14
         )
 
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(4) / 4])
+    def test_non_hermitian_nan_or_non_qubit_state_raises(self, bad):
+        with pytest.raises(NotHermitian):
+            relations.shannon_entropy(relations.pauli_pvm("z"), bad)
+
 
 class TestEntropicBound:
     def test_eigenstate_saturates_one_bit(self):

@@ -403,11 +403,29 @@ class TestHaarVectors:
         assert a.tobytes() == b.tobytes()
 
 
-class TestJointlyMeasurableStack:
-    def test_mask_is_the_constructor_mask(self, rng):
+def _xz(f, g):
+    # The Bloch vectors f x and g z of sigma_x / sigma_z pairs, as verify passes them.
+    f, g = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (f, g))
+    return f[:, None] * (1.0, 0.0, 0.0), g[:, None] * (0.0, 0.0, 1.0)
+
+
+def _xz_of(call):
+    # The (N, 2) pairs (f, g) of one joint_pair_effects call on f x and g z.
+    a, b = call
+    assert not a[:, 1:].any() and not b[:, :2].any()
+    return np.stack([a[:, 0], b[:, 2]], axis=1)
+
+
+class TestJointPairMask:
+    def test_mask_is_the_disk_criterion_on_xz_pairs(self, rng):
+        # Busch's sum 2 sqrt(f^2 + g^2) <= 2 + 1e-10 reads as f^2 + g^2 <= 1 + 1e-10,
+        # on random pairs and on pairs within 3e-10 of the unit circle.
         f, g = rng.uniform(-1.0, 1.0, (2, 500))
-        _, admitted = povm.joint_xz_effects(f, g)
-        np.testing.assert_array_equal(povm.jointly_measurable_stack(f, g), admitted)
+        angle, excess = rng.uniform(0.0, 2.0 * math.pi, 500), rng.uniform(-3e-10, 3e-10, 500)
+        f = np.concatenate([f, (1.0 + excess) * np.cos(angle)])
+        g = np.concatenate([g, (1.0 + excess) * np.sin(angle)])
+        _, admitted = povm.joint_pair_effects(*_xz(f, g))
+        np.testing.assert_array_equal(admitted, f * f + g * g <= 1.0 + 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +456,7 @@ def _old_unsharp_loop(rng, n):
         scale = math.sqrt(rng.random())
         f, g = scale * math.cos(angle), scale * math.sin(angle)
         pairs.append((f, g))
-        first, second, _ = povm.joint_marginals(povm.joint_xz_effects(f, g)[0])[0]
+        first, second, _ = povm.joint_marginals(povm.joint_pair_effects(*_xz(f, g))[0])[0]
         for sign, k in ((1.0, 0), (-1.0, 1)):
             marginal_worst = max(
                 marginal_worst,
@@ -511,17 +529,17 @@ class TestDrawReplay:
         assert abs(result.deviation - worst) <= TOL and result.passed
 
     def test_joint_marginality(self, monkeypatch, seed):
-        calls = _spy(monkeypatch, povm, "joint_xz_effects")
+        calls = _spy(monkeypatch, povm, "joint_pair_effects")
         result = verify.check_joint_marginality(seed)
         pairs, worst, _ = _old_unsharp_loop(np.random.default_rng([seed, 106]), 200)
-        np.testing.assert_array_equal(np.array(calls[0]).T, pairs)
+        np.testing.assert_array_equal(_xz_of(calls[0]), pairs)
         assert result.deviation == worst and result.passed
 
     def test_unsharpness_trade_off(self, monkeypatch, seed):
-        calls = _spy(monkeypatch, povm, "joint_xz_effects")
+        calls = _spy(monkeypatch, povm, "joint_pair_effects")
         result = verify.check_unsharpness_trade_off(seed)
         pairs, _, worst = _old_unsharp_loop(np.random.default_rng([seed, 108]), 500)
-        np.testing.assert_array_equal(np.array(calls[0]).T, pairs)
+        np.testing.assert_array_equal(_xz_of(calls[0]), pairs)
         assert result.deviation == worst and result.passed
 
     def test_state_relations(self, monkeypatch, seed):
@@ -629,11 +647,10 @@ class TestDrawReplay:
 
 
 def test_joint_iff_grid_covers_the_grid(monkeypatch):
-    calls = _spy(monkeypatch, povm, "jointly_measurable_stack")
+    calls = _spy(monkeypatch, povm, "joint_pair_effects")
     assert verify.check_joint_iff_grid().passed
     values = np.linspace(-1.0, 1.0, 101)
-    f, g = calls[-1]
-    pairs = sorted(zip(f.tolist(), g.tolist()))
+    pairs = sorted(map(tuple, np.concatenate([_xz_of(call) for call in calls]).tolist()))
     assert pairs == sorted((a, b) for a in values.tolist() for b in values.tolist())
 
 
