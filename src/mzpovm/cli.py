@@ -419,8 +419,8 @@ def main(argv=None) -> int:
 
             if not 1 <= args.samples <= 100000:
                 raise UsageError("--samples must lie in [1, 100000]")
-            if not args.tol > 0.0:
-                raise UsageError("--tol must be positive")
+            if not 0.0 < args.tol < math.inf:
+                raise UsageError("--tol must be positive and finite")
             try:
                 results = verify.run_all(seed=args.seed, samples=args.samples, tol=args.tol)
             except MzPovmError as exc:

@@ -65,33 +65,9 @@ def is_mutually_unbiased(a: OrthonormalBasis, b: OrthonormalBasis, tol: float = 
     return bool(np.max(np.abs(overlaps - 1.0 / np.sqrt(a.dimension))) <= tol)
 
 
-def meet(p, q, tol: float = MEET_EIGENVALUE_TOL) -> np.ndarray:
-    """Projection onto range(P) intersect range(Q), dimensions up to 4.
-
-    Computed from the eigenvalue-2 subspace of P + Q; works for arbitrary
-    projections even though rank-1 qubit meets are trivially zero unless
-    the projections coincide.
-    """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    _require_projection(p)
-    _require_projection(q)
-    return _meet_stack(p[None], q[None], tol)[0]
-
-
-def _meet_stack(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    # Meets of (N, d, d) stacks of projections: the sum of v v^dagger over
-    # the eigenvectors of P + Q whose eigenvalue is 2 within tol.
-    values, vectors = linalg.eig_hermitian_stack(p + q)
-    kept = (values >= 2.0 - tol)[..., None]
-    return np.einsum("nki,nkj->nij", np.where(kept, vectors, 0.0), vectors.conj())
-
-
 def _require_projection(p: np.ndarray):
     dev = float(np.max(np.abs(p @ p - p)))
-    if dev > PROJECTION_TOL or not linalg.is_hermitian(p):
+    if dev > PROJECTION_TOL or not linalg.hermitian_deviation(p) <= linalg.HERMITIAN_TOL:
         raise NotAProjection(f"operator deviates from a projection by {dev:.3e}")
 
 

@@ -118,20 +118,6 @@ def hermitian_deviation(a) -> np.ndarray:
     return np.abs(np.subtract(t, t.conj().swapaxes(0, 1), order="C")).max(axis=(0, 1)).T
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(hermitian_deviation(a) <= tol)
-
-
-def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    dev = float(hermitian_deviation(a))
-    if dev > tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol})")
-    return a
-
-
 def projectors(states) -> np.ndarray:
     """The projections |v><v| of every vector along the last axis of a stack, shape (..., d, d)."""
     v = np.asarray(states, dtype=complex)
@@ -198,25 +184,6 @@ def bloch_from_density_stack(rho) -> np.ndarray:
     if rho.shape[-2:] != (2, 2):
         raise NotHermitian(f"expected a stack of 2x2 states, got shape {rho.shape}")
     return _frozen(np.einsum("kij,...ji->...k", _PAULI_STACK, rho).real)
-
-
-def expectation(a, rho) -> float:
-    """tr[A rho] for Hermitian A; the imaginary residue must stay below 1e-10."""
-    a = _require_hermitian(a)
-    rho = np.asarray(rho, dtype=complex)
-    val = complex(np.trace(a @ rho))
-    if abs(val.imag) >= HERMITIAN_TOL:
-        raise NotHermitian(f"expectation has imaginary part {val.imag!r}")
-    return float(val.real)
-
-
-def variance(a, rho) -> float:
-    """Var(A, rho) = <A^2> - <A>^2; for Pauli operators this is 1 - r_k^2."""
-    a = _require_hermitian(a)
-    rho = np.asarray(rho, dtype=complex)
-    mean = expectation(a, rho)
-    second = float(np.trace(a @ a @ rho).real)
-    return second - mean * mean
 
 
 def vector_norms(v) -> np.ndarray:

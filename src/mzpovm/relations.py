@@ -122,14 +122,6 @@ def _plogp(traces: np.ndarray) -> np.ndarray:
     return np.where(seen, probs * np.log2(probs + ~seen), 0.0)
 
 
-def shannon_entropy(effects, rho) -> float:
-    """Shannon entropy (bits) of the outcome distribution of an (L, 2, 2) POVM in a 2x2 state.
-
-    A state that is not Hermitian within ``linalg.HERMITIAN_TOL`` (NaN included) raises ``NotHermitian``.
-    """
-    return float(-_plogp(_trace(effects, _density_stack(np.asarray(rho, dtype=complex)[None])[0]).real).sum())
-
-
 @functools.lru_cache(maxsize=None)
 def pauli_pvm(axis: str) -> np.ndarray:
     """The spectral measure {(I + s)/2, (I - s)/2} of a Pauli operator, as (2, 2, 2) effects.

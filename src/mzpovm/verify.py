@@ -102,12 +102,15 @@ def distinct_grid_configs() -> tuple[interferometer.MzConfig, ...]:
     return tuple(configs)
 
 
-def _readout_groups(configs) -> list[list[interferometer.MzConfig]]:
-    # One scheme stack holds one readout: detectors alone (two outputs)
-    # or detectors with a probe pointer (four outputs).
-    detector_only = [c for c in configs if c.experiment in interferometer.DETECTOR_ONLY]
-    with_pointer = [c for c in configs if c.experiment not in interferometer.DETECTOR_ONLY]
-    return [group for group in (detector_only, with_pointer) if group]
+def grid_schemes() -> list[tuple[list[interferometer.MzConfig], extraction.SchemeStack]]:
+    """The :func:`distinct_grid_configs` by readout, each group with its scheme stack; :func:`run_all` builds them once.
+
+    One scheme stack holds one readout: detectors alone (two outputs) or
+    detectors with a probe pointer (four outputs).
+    """
+    detector_only = [c for c in distinct_grid_configs() if c.experiment in interferometer.DETECTOR_ONLY]
+    with_pointer = [c for c in distinct_grid_configs() if c.experiment not in interferometer.DETECTOR_ONLY]
+    return [(group, extraction.schemes_for(group)) for group in (detector_only, with_pointer)]
 
 
 def check_pauli_algebra() -> CheckResult:
@@ -420,13 +423,12 @@ def check_completion_independence(seed: int) -> CheckResult:
     return _result("completion-independence", float(np.max(np.abs(base - alt))), 1e-12)
 
 
-def extraction_grid_checks(tol: float) -> list[CheckResult]:
-    """Positivity, normalization and closed-form agreement in one grid pass."""
+def extraction_grid_checks(grid, tol: float) -> list[CheckResult]:
+    """Positivity, normalization and closed-form agreement in one pass over :func:`grid_schemes`."""
     psd_worst = 0.0
     norm_worst = 0.0
     agree_worst = 0.0
-    for configs in _readout_groups(distinct_grid_configs()):
-        schemes = extraction.schemes_for(configs)
+    for configs, schemes in grid:
         effects = extraction.extract_effects(schemes)
         low = float(linalg.eigvals_hermitian(effects)[..., -1].min())
         psd_worst = max(psd_worst, -low)
@@ -449,10 +451,10 @@ def extraction_grid_checks(tol: float) -> list[CheckResult]:
     ]
 
 
-def check_probability_reproduction(seed: int, samples: int, tol: float) -> CheckResult:
+def check_probability_reproduction(grid, seed: int, samples: int, tol: float) -> CheckResult:
     worst = 0.0
-    for configs in _readout_groups(distinct_grid_configs()):
-        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for(configs), seed, samples).max()))
+    for _, schemes in grid:
+        worst = max(worst, float(oracle.cross_check_stack(schemes, seed, samples).max()))
     return _result("probability-reproduction", worst, tol)
 
 
@@ -623,6 +625,7 @@ def check_determinism(seed: int, samples: int) -> CheckResult:
 
 def run_all(seed: int = 42, samples: int = 100, tol: float = 1e-10) -> list[CheckResult]:
     """Run every module invariant plus all oracle cross-checks."""
+    grid = grid_schemes()
     return [
         check_pauli_algebra(),
         check_bloch_round_trip(seed),
@@ -640,8 +643,8 @@ def run_all(seed: int = 42, samples: int = 100, tol: float = 1e-10) -> list[Chec
         check_marking_unitary(seed),
         check_final_state_norm(),
         check_completion_independence(seed),
-        *extraction_grid_checks(tol),
-        check_probability_reproduction(seed, samples, tol),
+        *extraction_grid_checks(grid, tol),
+        check_probability_reproduction(grid, seed, samples, tol),
         check_pointer_freedom(seed),
         check_state_relations(seed, samples),
         check_entropic_bound(seed, samples),

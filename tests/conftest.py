@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,27 @@ def assert_same_bits(got, want):
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
     else:
         assert np.array_equal(got, want)
+
+
+def expectation(a, rho) -> float:
+    """tr[A rho], the reference route to an expectation value."""
+    return float(np.trace(a @ rho).real)
+
+
+def variance(a, rho) -> float:
+    """Var(A, rho) = <A^2> - <A>^2; for Pauli operators this is 1 - r_k^2."""
+    mean = expectation(a, rho)
+    return expectation(a @ a, rho) - mean * mean
+
+
+def shannon_entropy(effects, rho) -> float:
+    """-sum p log2 p (bits) over the outcomes p = tr[E rho] of a POVM, each p clipped to [0, 1]."""
+    total = 0.0
+    for e in effects:
+        prob = min(1.0, max(0.0, expectation(e, rho)))
+        if prob > 0.0:
+            total -= prob * math.log2(prob)
+    return total
 
 
 def random_pure(rng) -> np.ndarray:

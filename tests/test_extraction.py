@@ -7,7 +7,7 @@ import pytest
 from mzpovm import extraction, interferometer, linalg, oracle, povm, verify
 from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
 
-from conftest import assert_same_bits, random_pure
+from conftest import assert_same_bits, expectation, random_pure
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -342,7 +342,7 @@ class TestConditionalProbabilities:
             psi = random_pure(rng)
             got = extraction.conditional_probabilities(measured, "1", psi)
             rho = linalg.projectors(psi)
-            assert got["1"] == pytest.approx(linalg.expectation(interference, rho), abs=1e-12)
+            assert got["1"] == pytest.approx(expectation(interference, rho), abs=1e-12)
 
     def test_zero_probability_condition_raises(self):
         # Sharp probe marginal (path basis) and a path eigenstate starve

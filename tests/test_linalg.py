@@ -64,39 +64,6 @@ class TestBloch:
         assert np.max(np.abs(back - np.asarray(r))) <= 1e-12
 
 
-class TestExpectationVariance:
-    def test_sigma_z_on_eigenstate(self):
-        rho = linalg.projectors([1, 0])
-        assert linalg.expectation(linalg.pauli("z"), rho) == pytest.approx(1.0, abs=1e-14)
-
-    def test_pauli_expectation_is_bloch_component(self, rng):
-        for _ in range(50):
-            r = random_bloch_in_ball(rng)
-            rho = linalg.density_from_bloch(r)
-            for k, axis in enumerate("xyz"):
-                got = linalg.expectation(linalg.pauli(axis), rho)
-                assert got == pytest.approx(r[k], abs=1e-13)
-
-    def test_maximally_mixed_has_zero_expectations(self):
-        assert linalg.expectation(linalg.pauli("x"), np.eye(2) / 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
-            linalg.expectation(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
-
-    def test_variance_zero_on_eigenstate(self):
-        rho = linalg.projectors([1, 0])
-        assert linalg.variance(linalg.pauli("z"), rho) == pytest.approx(0.0, abs=1e-14)
-
-    def test_variance_one_for_unbiased_direction(self):
-        rho = linalg.projectors([1, 0])
-        assert linalg.variance(linalg.pauli("x"), rho) == pytest.approx(1.0, abs=1e-14)
-
-    def test_variance_matches_one_minus_component_squared(self):
-        rho = linalg.density_from_bloch([0, 0, 0.6])
-        assert linalg.variance(linalg.pauli("z"), rho) == pytest.approx(0.64, abs=1e-14)
-
-
 class TestTensorAndPartialTrace:
     def test_identity_tensor_identity(self):
         np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))

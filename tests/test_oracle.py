@@ -131,8 +131,7 @@ class TestCrossCheck:
         samples = 600
         assert samples > 2 * oracle.CROSS_CHECK_STACK
         states = oracle.random_states(4, samples)
-        for configs in verify._readout_groups(verify.distinct_grid_configs()):
-            schemes = extraction.schemes_for(configs)
+        for _, schemes in verify.grid_schemes():
             effects = extraction.extract_effects(schemes)
             direct = oracle._probabilities(schemes, states)
             predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real

@@ -1,12 +1,16 @@
-"""README's rule for public names: one exists only where the CLI, a script or ``verify`` needs it.
+"""README's rule for names: one exists only where the CLI, a script or ``verify`` needs it.
 
 Every module-level public function or class in ``src/mzpovm/*.py`` must be
 referenced outside its own definition by code in ``src/``, ``scripts/`` or
-``perfbench/``. References from the tests do not count; README names the
-four that stay for the tests alone. Every public method or property of a
-public class must likewise be read as an attribute outside its own
-definition and outside every other unused method; dunder methods are
-exempt, and no method is kept for the tests.
+``perfbench/``. References from the tests do not count, and no name is
+kept for the tests alone: a test that needs a reference route writes its
+own, as ``conftest.py`` does. ``KEPT_FOR_THE_TESTS`` stays, empty, so that
+any exemption is an argued edit. Every module-level private function,
+class or constant (not a dunder) must be referenced outside its own
+definition by code in ``src/``. Every public method or property of a
+public class must be read as an attribute outside its own definition and
+outside every other unused method; dunder methods are exempt, and no
+method is kept for the tests.
 """
 
 from __future__ import annotations
@@ -17,12 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mzpovm"
-KEPT_FOR_THE_TESTS = {
-    ("linalg", "expectation"),
-    ("linalg", "variance"),
-    ("relations", "shannon_entropy"),
-    ("complementarity", "meet"),
-}
+KEPT_FOR_THE_TESTS: set[tuple[str, str]] = set()
 
 
 def _referenced_names(node) -> set[str]:
@@ -59,20 +58,47 @@ def _public_classes(trees):
                 yield path.stem, node
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    trees = _sources()
-    # How many top-level statements of src/, scripts/ and perfbench/ reference each name.
+def _defined_names(node) -> list[str]:
+    # The names a top-level statement binds: a function, a class or the targets of an assignment.
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def _unreferenced(trees, kinds) -> list[tuple[str, str]]:
+    """(module, name) of each name bound by a top-level statement of src/mzpovm/*.py of a type in ``kinds``
+    that no other top-level statement of ``trees`` references.
+
+    A reference inside the defining statement itself does not count.
+    """
     statements = {path: [(node, _referenced_names(node)) for node in tree.body] for path, tree in trees.items()}
+    # How many top-level statements reference each name.
     counts = Counter(name for nodes in statements.values() for _, names in nodes for name in names)
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node, names in statements[path]:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            # A reference inside the definition itself does not count.
-            if (path.stem, node.name) not in KEPT_FOR_THE_TESTS and counts[node.name] == (node.name in names):
-                unused.append(f"{path.stem}.{node.name}")
-    assert unused == []
+    return [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node, names in statements[path]
+        if isinstance(node, kinds)
+        for name in _defined_names(node)
+        if counts[name] == (name in names)
+    ]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = _unreferenced(_sources(), (ast.FunctionDef, ast.ClassDef))
+    assert [key for key in unused if not key[1].startswith("_") and key not in KEPT_FOR_THE_TESTS] == []
+
+
+def test_every_private_name_has_a_reader_in_src():
+    # Private functions, classes and constants serve src/ alone, so only src/ counts.
+    trees = {path: tree for path, tree in _sources().items() if PACKAGE in path.parents}
+    unused = _unreferenced(trees, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign))
+    assert [key for key in unused if _is_private(key[1])] == []
 
 
 def _unused_methods(classes, trees) -> list[str]:

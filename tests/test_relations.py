@@ -6,7 +6,15 @@ import pytest
 from mzpovm import complementarity, interferometer, linalg, oracle, povm, relations
 from mzpovm.errors import DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
-from conftest import assert_same_bits, random_bloch_in_ball, random_pure, stack_of
+from conftest import (
+    assert_same_bits,
+    expectation,
+    random_bloch_in_ball,
+    random_pure,
+    shannon_entropy,
+    stack_of,
+    variance,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX, SY, SZ = linalg.pauli_triple()
@@ -65,30 +73,6 @@ class TestVarianceUr:
         report = relations.state_relations_stack(linalg.density_from_bloch_stack(r))[0]
         assert (report.slack >= -1e-12).all()
         np.testing.assert_allclose(report.slack, 1.0 - np.sum(r * r, axis=1), rtol=0, atol=1e-10)
-
-
-class TestShannonEntropy:
-    def test_eigenstate_has_zero_entropy(self):
-        assert relations.shannon_entropy(
-            relations.pauli_pvm("z"), linalg.projectors([1, 0])
-        ) == pytest.approx(0.0, abs=1e-14)
-
-    def test_maximally_mixed_has_one_bit(self):
-        assert relations.shannon_entropy(relations.pauli_pvm("z"), np.eye(2) / 2) == pytest.approx(
-            1.0, abs=1e-14
-        )
-
-    def test_binary_entropy_of_tilted_state(self):
-        rho = linalg.density_from_bloch([0, 0, 0.5])
-        h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        assert relations.shannon_entropy(relations.pauli_pvm("z"), rho) == pytest.approx(
-            h, abs=1e-14
-        )
-
-    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(4) / 4])
-    def test_non_hermitian_nan_or_non_qubit_state_raises(self, bad):
-        with pytest.raises(NotHermitian):
-            relations.shannon_entropy(relations.pauli_pvm("z"), bad)
 
 
 class TestEntropicBound:
@@ -186,6 +170,11 @@ class TestContrasts:
         assert c.path == pytest.approx(0.5, abs=1e-14)
         assert c.interference_x == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
         assert c.path**2 + c.interference_x**2 == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(4) / 4])
+    def test_non_hermitian_nan_or_non_qubit_state_raises(self, bad):
+        with pytest.raises(NotHermitian):
+            relations.contrasts(bad)
 
 
 def reduced_state(alpha, beta, p1, p2) -> np.ndarray:
@@ -313,7 +302,7 @@ class TestVisibility:
             rho_e = reduced_state(*args)
             n = audits.visibility_direction[i]
             s_n = n[0] * SX + n[1] * SY
-            assert abs(linalg.expectation(s_n, rho_e)) == pytest.approx(audits.visibility[i], abs=1e-12)
+            assert abs(expectation(s_n, rho_e)) == pytest.approx(audits.visibility[i], abs=1e-12)
 
             def equatorial(r, rho_e=rho_e):
                 planar = math.hypot(r[0], r[1])
@@ -401,24 +390,15 @@ class TestReportMechanics:
 
 
 # Per-state reference formulas for the stacked kernels: the scalar routes
-# these kernels replaced, written with the linalg primitives one state at
-# a time.
-
-
-def reference_entropy(effects, rho):
-    total = 0.0
-    for e in effects:
-        prob = min(1.0, max(0.0, float(np.trace(e @ rho).real)))
-        if prob > 0.0:
-            total -= prob * math.log2(prob)
-    return total
+# these kernels replaced, written with the conftest reference helpers and
+# the linalg primitives one state at a time.
 
 
 def reference_variance_ur(rho):
-    lhs = linalg.variance(SX, rho) * linalg.variance(SZ, rho)
+    lhs = variance(SX, rho) * variance(SZ, rho)
     comm = complex(np.trace((SX @ SZ - SZ @ SX) @ rho))
     anti = float(np.trace((SX @ SZ + SZ @ SX) @ rho).real)
-    mx, mz = linalg.expectation(SX, rho), linalg.expectation(SZ, rho)
+    mx, mz = expectation(SX, rho), expectation(SZ, rho)
     return lhs, 0.25 * abs(comm) ** 2 + 0.25 * (anti - 2.0 * mx * mz) ** 2
 
 
@@ -427,8 +407,8 @@ def reference_triple(rho):
     r = linalg.bloch_from_density_stack(rho)
     c = [min(1.0, abs(float(x))) for x in r]
     return (
-        sum(reference_entropy(ops, rho) for ops in pvms),
-        sum(linalg.variance(s, rho) for s in (SX, SY, SZ)),
+        sum(shannon_entropy(ops, rho) for ops in pvms),
+        sum(variance(s, rho) for s in (SX, SY, SZ)),
         c[2] ** 2 + c[0] ** 2 + c[1] ** 2,
     )
 
@@ -436,7 +416,7 @@ def reference_triple(rho):
 def reference_entropic_bound(ops_a, ops_b, psi):
     v = linalg.state_vector(psi)
     rho = np.outer(v, v.conj())
-    lhs = reference_entropy(ops_a, rho) + reference_entropy(ops_b, rho)
+    lhs = shannon_entropy(ops_a, rho) + shannon_entropy(ops_b, rho)
     best = 0.0
     for pa_op in ops_a:
         pa = pa_op @ v
@@ -473,7 +453,7 @@ def reference_erasure(alpha, beta, p1, p2):
     correct = 0.5 * ((1.0 + 0.5 * float(r @ (b1 - b2))) * I2 + 0.5 * float(r @ (b1 + b2)) * SZ)
     psi_in = linalg.state_vector([alpha, beta])
     diff = float(np.trace((correct - (I2 - correct)) @ np.outer(psi_in, psi_in.conj())).real)
-    var_interference = linalg.variance(n[0] * SX + n[1] * SY, rho_e)
+    var_interference = variance(n[0] * SX + n[1] * SY, rho_e)
     return pointer, d, v_e, n, d * d + v_e**2, 1.0 - diff * diff + var_interference
 
 

@@ -64,15 +64,11 @@ def _reference_config_effects(config, probes):
     return _reference_effects(unitary, probes[0], _reference_outputs(_reference_pointers(config)))
 
 
-def _groups():
-    return verify._readout_groups(verify.distinct_grid_configs())
-
-
 class TestStackedExtraction:
     def test_grid_configs_match_the_per_entry_route(self):
         checked = 0
-        for configs in _groups():
-            effects = extraction.extract_effects(extraction.schemes_for(configs))
+        for configs, schemes in verify.grid_schemes():
+            effects = extraction.extract_effects(schemes)
             for config, probes, got in zip(configs, interferometer.probe_stack(configs), effects):
                 np.testing.assert_allclose(got, _reference_config_effects(config, probes), rtol=0, atol=TOL)
                 checked += 1
@@ -95,8 +91,7 @@ class TestStackedExtraction:
             np.testing.assert_allclose(effects[n], want, rtol=0, atol=TOL)
 
     def test_scalar_entry_points_are_batches_of_one(self):
-        for configs in _groups():
-            schemes = extraction.schemes_for(configs)
+        for configs, schemes in verify.grid_schemes():
             effects = extraction.extract_effects(schemes)
             for n in (0, len(configs) - 1):
                 scheme = extraction.schemes_for([configs[n]])
@@ -113,8 +108,7 @@ class TestStackedExtraction:
 class TestStackedOracle:
     def test_probabilities_match_a_per_config_per_state_loop(self):
         states = oracle.random_states(11, 20)
-        for configs in _groups():
-            schemes = extraction.schemes_for(configs)
+        for configs, schemes in verify.grid_schemes():
             probs = oracle._probabilities(schemes, states)
             assert probs.shape == (len(configs), 20, len(schemes.labels))
             for n, (config, probes) in enumerate(zip(configs, interferometer.probe_stack(configs))):
@@ -126,8 +120,8 @@ class TestStackedOracle:
                     np.testing.assert_allclose(probs[n, s], want, rtol=0, atol=TOL)
 
     def test_cross_check_stack_matches_the_scalar_cross_check(self):
-        for configs in _groups():
-            stacked = oracle.cross_check_stack(extraction.schemes_for(configs), 5, 30)
+        for configs, schemes in verify.grid_schemes():
+            stacked = oracle.cross_check_stack(schemes, 5, 30)
             for n in (0, len(configs) // 2, len(configs) - 1):
                 alone = oracle.cross_check_stack(extraction.schemes_for([configs[n]]), 5, 30)[0]
                 assert abs(stacked[n] - alone) <= TOL

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ class TestCheckResults:
         assert verify.check_pauli_algebra().passed
         assert verify.check_mz_unitarity(1).passed
         assert verify.check_limit_complementarity().passed
-        results = verify.extraction_grid_checks(1e-10)
+        results = verify.extraction_grid_checks(verify.grid_schemes(), 1e-10)
         assert all(r.passed for r in results)
 
     def test_limit_complementarity_counts_each_wrong_limit(self, monkeypatch):
@@ -44,7 +45,7 @@ class TestCheckResults:
             return effects
 
         monkeypatch.setattr(extraction, "extract_effects", corrupted)
-        result = verify.check_probability_reproduction(seed=3, samples=5, tol=1e-10)
+        result = verify.check_probability_reproduction(verify.grid_schemes(), seed=3, samples=5, tol=1e-10)
         assert not result.passed
         assert result.deviation >= 1e-7
 
@@ -64,15 +65,31 @@ class TestCheckResults:
             return effects
 
         monkeypatch.setattr(extraction, "extract_effects", corrupted)
-        result = verify.check_probability_reproduction(seed=3, samples=5, tol=1e-10)
+        result = verify.check_probability_reproduction(verify.grid_schemes(), seed=3, samples=5, tol=1e-10)
         assert seen[0] == len(verify.distinct_grid_configs()) == 138
         assert not result.passed
         assert result.deviation >= 1e-7
 
     def test_noise_floor_tolerance_fails(self):
-        results = verify.extraction_grid_checks(1e-16)
+        results = verify.extraction_grid_checks(verify.grid_schemes(), 1e-16)
         by_name = {r.name: r for r in results}
         assert not by_name["closed-form-agreement"].passed
+
+    def test_a_suite_builds_each_grid_stack_once(self, monkeypatch):
+        # The two readout groups of the grid, shared by the grid checks, and
+        # determinism's one-config stack; no stack is kept across suites.
+        calls = []
+        original = extraction.schemes_for
+
+        def counting(configs):
+            calls.append(len(configs))
+            return original(configs)
+
+        monkeypatch.setattr(extraction, "schemes_for", counting)
+        verify.run_all(42)
+        assert len(calls) == 3
+        verify.run_all(42)
+        assert len(calls) == 6
 
     def test_distinct_grid_configs_cover_all_experiments(self):
         configs = verify.distinct_grid_configs()
@@ -86,6 +103,12 @@ class TestCheckResults:
         configs = verify.distinct_grid_configs()
         assert type(configs) is tuple and len(configs) == 138
         assert verify.distinct_grid_configs() is configs
+
+
+@functools.cache
+def _grid():
+    # Built once, so that the build stays out of each traced peak below.
+    return verify.grid_schemes()
 
 
 class TestLargeSamples:
@@ -102,7 +125,7 @@ class TestLargeSamples:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("check", [
-        lambda samples: verify.check_probability_reproduction(42, samples, 1e-10),
+        lambda samples: verify.check_probability_reproduction(_grid(), 42, samples, 1e-10),
         lambda samples: verify.check_state_relations(42, samples),
         lambda samples: verify.check_entropic_bound(42, samples),
     ], ids=["probability-reproduction", "state-relations", "entropic-bound"])
@@ -131,7 +154,7 @@ class TestLazyImport:
             "import contextlib, io, sys, mzpovm\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert mzpovm.cli.main(['run', '--experiment', 'path']) == 0\n"
-            "for name, attribute in (('complementarity', 'meet'), ('verify', 'run_all')):\n"
+            "for name, attribute in (('complementarity', 'probabilistically_complementary'), ('verify', 'run_all')):\n"
             "    assert 'mzpovm.' + name not in sys.modules, name\n"
             "    assert callable(getattr(getattr(mzpovm, name), attribute))\n"
             "    assert 'mzpovm.' + name in sys.modules, name\n"
