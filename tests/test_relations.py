@@ -146,6 +146,23 @@ class TestTripleRelations:
         entropic = state_reports(linalg.projectors([1, 0]))[1]
         assert entropic.lhs[0] == pytest.approx(2.0, abs=1e-12)
 
+    def test_tilted_state_entropy_triple(self):
+        # r = (0, 0, 1/2): sz gives outcomes 3/4 and 1/4, sx and sy one bit each.
+        entropic = state_reports(linalg.density_from_bloch([0, 0, 0.5]))[1]
+        h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
+        assert entropic.lhs[0] == pytest.approx(h + 2.0, abs=1e-14)
+
+    def test_tilted_state_variances(self):
+        # r = (0, 0, 0.6): Var(sz) = 1 - 0.36, Var(sx) = Var(sy) = 1.
+        product, _, variances, _ = state_reports(linalg.density_from_bloch([0, 0, 0.6]))
+        assert product.lhs[0] == pytest.approx(0.64, abs=1e-14)
+        assert variances.lhs[0] == pytest.approx(2.64, abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(4) / 4])
+    def test_non_hermitian_nan_or_non_qubit_state_raises(self, bad):
+        with pytest.raises(NotHermitian):
+            relations.state_relations_stack(bad[None])
+
     def test_identities_on_mixed_states(self, rng):
         r = np.array([random_bloch_in_ball(rng) for _ in range(300)])
         _, _, variances, squares = relations.state_relations_stack(linalg.density_from_bloch_stack(r))
