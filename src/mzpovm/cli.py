@@ -24,7 +24,7 @@ Who checks what on a run or sweep (the package states this here only):
 one ``linalg.check_unit_rows`` call. The route then calls the
 private cores behind ``relations.state_relations_stack``,
 ``entropic_bound_stack`` and ``erasure_duality_stack``,
-``oracle.direct_probability_stack`` and
+``oracle.direct_probabilities`` and
 ``extraction.conditional_probabilities``; each of those public kernels is
 its checks followed by its core, and a core checks nothing. The
 ``SchemeStack`` validation and the probabilities' range and sum checks
@@ -177,7 +177,7 @@ def _evaluate(configs, v: np.ndarray):
         probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
     )
     audit = relations._erasure_duality_core(v[None], probes[:, 1:])
-    probabilities = oracle._direct_probability_core(schemes, v)
+    probabilities = oracle._probabilities(schemes, v[None])[:, 0]
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
 
 

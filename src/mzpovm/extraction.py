@@ -13,7 +13,8 @@ input expectations <psi| E_kl |psi> for every input.
 Schemes are held in a :class:`SchemeStack` of N members sharing one
 output label set; a single scheme is a one-member stack, and
 :func:`extract_effects` reads the (N, L, 2, 2) effects of all members in
-one array pass.
+one array pass. Callers hand them to ``oracle.cross_check_stack``, which
+checks them on a route that never imports this module.
 
 The closed forms here are the analytic effect tables of the three marked
 experiments; the extraction route and the closed-form route must agree
@@ -25,9 +26,10 @@ sweep gate alone; neither calls an interferometer or extraction kernel.
 The F, G and H marginals of an extracted joint POVM come from
 ``povm.joint_marginals``. Stacks are (N, ..., d, d) at every public
 boundary. :func:`build_schemes` checks its probe rows before it builds a
-unitary. A valid ``SchemeStack`` costs one maximum per defect; only a
-failing one is reduced per member (``linalg.max_abs``) to name the first
-bad member. :func:`conditional_probabilities` checks its input, then
+unitary, and ``SchemeStack`` checks p0 with the same
+``linalg.check_unit_rows``. A valid ``SchemeStack`` costs one maximum per
+defect; only a failing one is reduced per member (``linalg.max_abs``) to
+name the first bad member. :func:`conditional_probabilities` checks its input, then
 calls a private core; the ``cli`` module docstring says which checks a
 run makes.
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interferometer, linalg, povm
-from .errors import InvalidScheme, NotHermitian, NotNormalized, UnsupportedExperiment, ZeroProbabilityCondition
+from .errors import InvalidScheme, NotHermitian, UnsupportedExperiment, ZeroProbabilityCondition
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
@@ -75,7 +77,8 @@ class SchemeStack:
             raise InvalidScheme(f"initial probe states must be ({n}, 2), got {p0.shape}")
         if m.shape != (n, len(labels), 4, 4):
             raise InvalidScheme(f"outputs must be ({n}, {len(labels)}, 4, 4), got {m.shape}")
-        _validate(labels, u, p0, m)
+        linalg.check_unit_rows(p0, "initial probe state")
+        _validate(labels, u, m)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unitaries", u)
         object.__setattr__(self, "probe_init", p0)
@@ -85,19 +88,17 @@ class SchemeStack:
         return len(self.unitaries)
 
 
-def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
+def _validate(labels, u: np.ndarray, m: np.ndarray) -> None:
     # Every check is "not value <= tol", which rejects NaN: every
     # comparison with NaN is False. On success each matrix defect takes
     # one maximum over the whole stack; only a failure reduces it per
     # member to name the first bad one.
     unitarity = u.conj().swapaxes(-1, -2) @ u - _IDENTITY4
-    norms = np.sqrt((p0.conj() * p0).real.sum(axis=1))  # numpy.linalg.norm(p0, axis=1)'s arithmetic
     idempotency = m @ m - m
     hermiticity = linalg.hermitian_deviation(m)
     total = m.sum(axis=1) - _IDENTITY4
     if (
         np.abs(unitarity).max(initial=0.0) <= SCHEME_UNITARY_TOL
-        and np.abs(norms - 1.0).max(initial=0.0) <= linalg.NORM_TOL
         and np.abs(idempotency).max(initial=0.0) <= SCHEME_PROJECTION_TOL
         and hermiticity.max(initial=0.0) <= linalg.HERMITIAN_TOL
         and np.abs(total).max(initial=0.0) <= SCHEME_PROJECTION_TOL
@@ -105,18 +106,12 @@ def _validate(labels, u: np.ndarray, p0: np.ndarray, m: np.ndarray) -> None:
         return
     unitarity, idempotency, total = map(linalg.max_abs, (unitarity, idempotency, total))
     bad_unitary = ~(unitarity <= SCHEME_UNITARY_TOL)
-    bad_probe = ~(np.abs(norms - 1.0) <= linalg.NORM_TOL)
     bad_output = ~(idempotency <= SCHEME_PROJECTION_TOL) | ~(hermiticity <= linalg.HERMITIAN_TOL)
     bad_total = ~(total <= SCHEME_PROJECTION_TOL)
-    k = int(np.argmax(bad_unitary | bad_probe | bad_output.any(axis=1) | bad_total))
+    k = int(np.argmax(bad_unitary | bad_output.any(axis=1) | bad_total))
     if bad_unitary[k]:
         raise InvalidScheme(
             f"scheme {k}: unitarity defect {unitarity[k]:.3e} exceeds {SCHEME_UNITARY_TOL}"
-        )
-    if bad_probe[k]:
-        raise NotNormalized(
-            f"scheme {k}: initial probe state norm is {float(norms[k])!r}, "
-            f"expected 1 within {linalg.NORM_TOL}"
         )
     if bad_output[k].any():
         l = int(np.argmax(bad_output[k]))

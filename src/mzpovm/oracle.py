@@ -15,9 +15,9 @@ PCG64 generator seeded with the entropy pair (seed, sample_index). The
 per-sample seeding is counter-based, so parallel and serial evaluation
 orders agree bit for bit.
 
-:func:`direct_probability_stack` checks its input with
-``interferometer.photon_state``, the one photon-input check, then calls a
-private core; the ``cli`` module docstring says which checks a run makes.
+The oracle never imports extraction: :func:`cross_check_stack` checks the
+effects its caller passes in. :func:`direct_probabilities` checks its
+input with ``interferometer.photon_state``, the one photon-input check.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from . import extraction, interferometer, linalg
-from .errors import InvalidScheme
+from . import interferometer, linalg
+from .errors import DimensionMismatch, InvalidScheme
 
 # Latitude/longitude step of the coarse sweep that starts every search.
 GRID_RESOLUTION = math.pi / 16.0
@@ -76,8 +76,8 @@ def random_states(seed: int, count: int) -> np.ndarray:
     return states
 
 
-def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray, first: int = 0) -> np.ndarray:
-    """p[n, s, l] = <Psi| M_l |Psi> with Psi = U_n (psi_s (x) p0_n), as (N, S, L).
+def _probabilities(schemes, states: np.ndarray, first: int = 0) -> np.ndarray:
+    """p[n, s, l] = <Psi| M_l |Psi> with Psi = U_n (psi_s (x) p0_n) of a ``SchemeStack``, as (N, S, L).
 
     Every p must lie in [0, 1] and the p of each scheme and state must sum
     to 1; a failure names the scheme, the state (counted from ``first``)
@@ -102,42 +102,33 @@ def _probabilities(schemes: extraction.SchemeStack, states: np.ndarray, first: i
     return probs
 
 
-def direct_probability_stack(schemes: extraction.SchemeStack, psi) -> np.ndarray:
-    """Output probabilities of one input in every scheme of a stack, as (N, L).
+def direct_probabilities(scheme, psi) -> dict[str, float]:
+    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0) of a one-member ``SchemeStack``.
 
     Computed with no reference to any extracted POVM; this is the
     independent route against which extraction is checked.
     """
-    return _direct_probability_core(schemes, interferometer.photon_state(psi))
-
-
-def _direct_probability_core(schemes: extraction.SchemeStack, v: np.ndarray) -> np.ndarray:
-    """:func:`direct_probability_stack` for a (2,) unit input the caller checked; the probability checks still run."""
-    return _probabilities(schemes, v[None, :])[:, 0]
-
-
-def direct_probabilities(scheme: extraction.SchemeStack, psi) -> dict[str, float]:
-    """Output probabilities <Psi_f| M |Psi_f> with Psi_f = U (psi (x) p0) of a one-member stack.
-
-    A batch of one of :func:`direct_probability_stack`.
-    """
     if len(scheme) != 1:
         raise InvalidScheme(f"expected a one-member scheme stack, got {len(scheme)} members")
-    probs = direct_probability_stack(scheme, psi)[0]
+    probs = _probabilities(scheme, interferometer.photon_state(psi)[None])[0, 0]
     return {label: float(p) for label, p in zip(scheme.labels, probs)}
 
 
-def cross_check_stack(schemes: extraction.SchemeStack, seed: int, samples: int) -> np.ndarray:
+def cross_check_stack(schemes, effects: np.ndarray, seed: int, samples: int) -> np.ndarray:
     """Per scheme, the max deviation |direct - <psi|E|psi>| over random inputs and outcomes.
 
-    The inputs are the first ``samples`` Haar states for ``seed`` (at
-    least one). All schemes go through the direct route together, in
-    passes of at most ``CROSS_CHECK_STACK`` inputs. This only reports; the
-    caller compares the deviations with its own bound.
+    ``effects`` are the (N, L, 2, 2) effects claimed for the N schemes of a
+    ``SchemeStack``; any other shape raises ``DimensionMismatch``. The
+    inputs are the first ``samples`` Haar states for ``seed`` (at least
+    one), in passes of at most ``CROSS_CHECK_STACK``. This only reports;
+    the caller compares the deviations with its own bound.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    effects = extraction.extract_effects(schemes)
+    if np.shape(effects) != (len(schemes), len(schemes.labels), 2, 2):
+        raise DimensionMismatch(
+            f"effects must be ({len(schemes)}, {len(schemes.labels)}, 2, 2) for this stack, got {np.shape(effects)}"
+        )
     states = random_states(seed, samples)
     worst = []
     for first in range(0, samples, CROSS_CHECK_STACK):

@@ -102,15 +102,16 @@ def distinct_grid_configs() -> tuple[interferometer.MzConfig, ...]:
     return tuple(configs)
 
 
-def grid_schemes() -> list[tuple[list[interferometer.MzConfig], extraction.SchemeStack]]:
-    """The :func:`distinct_grid_configs` by readout, each group with its scheme stack; :func:`run_all` builds them once.
+def grid_schemes() -> list[tuple[list[interferometer.MzConfig], extraction.SchemeStack, np.ndarray]]:
+    """The :func:`distinct_grid_configs` by readout, as (configs, schemes, effects); :func:`run_all` builds them once.
 
     One scheme stack holds one readout: detectors alone (two outputs) or
     detectors with a probe pointer (four outputs).
     """
     detector_only = [c for c in distinct_grid_configs() if c.experiment in interferometer.DETECTOR_ONLY]
     with_pointer = [c for c in distinct_grid_configs() if c.experiment not in interferometer.DETECTOR_ONLY]
-    return [(group, extraction.schemes_for(group)) for group in (detector_only, with_pointer)]
+    stacks = [(group, extraction.schemes_for(group)) for group in (detector_only, with_pointer)]
+    return [(group, schemes, extraction.extract_effects(schemes)) for group, schemes in stacks]
 
 
 def check_pauli_algebra() -> CheckResult:
@@ -428,8 +429,7 @@ def extraction_grid_checks(grid, tol: float) -> list[CheckResult]:
     psd_worst = 0.0
     norm_worst = 0.0
     agree_worst = 0.0
-    for configs, schemes in grid:
-        effects = extraction.extract_effects(schemes)
+    for configs, _, effects in grid:
         low = float(linalg.eigvals_hermitian(effects)[..., -1].min())
         psd_worst = max(psd_worst, -low)
         norm_worst = max(norm_worst, float(np.max(np.abs(effects.sum(axis=1) - np.eye(2)))))
@@ -453,8 +453,8 @@ def extraction_grid_checks(grid, tol: float) -> list[CheckResult]:
 
 def check_probability_reproduction(grid, seed: int, samples: int, tol: float) -> CheckResult:
     worst = 0.0
-    for _, schemes in grid:
-        worst = max(worst, float(oracle.cross_check_stack(schemes, seed, samples).max()))
+    for _, schemes, effects in grid:
+        worst = max(worst, float(oracle.cross_check_stack(schemes, effects, seed, samples).max()))
     return _result("probability-reproduction", worst, tol)
 
 

@@ -142,7 +142,8 @@ def test_criterion_4_oracle_probability_reproduction():
     # Configurations identical after dropping inert angles build the same
     # scheme; one representative per distinct scheme is exhaustive.
     for config in verify.distinct_grid_configs():
-        worst = max(worst, float(oracle.cross_check_stack(extraction.schemes_for([config]), 42, 100)[0]))
+        scheme = extraction.schemes_for([config])
+        worst = max(worst, float(oracle.cross_check_stack(scheme, extraction.extract_effects(scheme), 42, 100)[0]))
     ok = worst <= 1e-12
     conclude(4, ok, f"direct and extracted probabilities agree (max dev {worst:.2e})")
 

@@ -1,10 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mzpovm import extraction, interferometer, linalg, oracle, verify
-from mzpovm.errors import InvalidScheme, NotNormalized
+from mzpovm.errors import DimensionMismatch, InvalidScheme, NotNormalized
 
 from conftest import stack_of
 
@@ -19,7 +21,23 @@ class TestConfig:
     def test_bad_samples(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            oracle.cross_check_stack(scheme, 42, 0)
+            oracle.cross_check_stack(scheme, extraction.extract_effects(scheme), 42, 0)
+
+
+class TestIndependence:
+    def test_the_oracle_imports_no_extraction(self):
+        # The oracle checks the effects extraction gives, so it must not reach extraction itself.
+        modules = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("mzpovm" + (f".{node.module}" if node.module else "")) if node.level else node.module
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            modules.update(name.split(".")[1] for name in names if name.startswith("mzpovm."))
+        assert modules and modules <= {"interferometer", "linalg", "errors"}
 
 
 class TestHaarStates:
@@ -88,23 +106,25 @@ class TestCrossCheck:
     def test_exactness_on_sample_configs(self):
         for experiment in interferometer.EXPERIMENTS:
             config = interferometer.MzConfig(experiment, delta=0.4, gamma=1.0, theta=0.7)
-            assert oracle.cross_check_stack(extraction.schemes_for([config]), 9, 100)[0] <= 1e-12
+            scheme = extraction.schemes_for([config])
+            assert oracle.cross_check_stack(scheme, extraction.extract_effects(scheme), 9, 100)[0] <= 1e-12
+
+    def test_effects_of_another_stack_size_are_rejected(self):
+        # A (1, L, 2, 2) array would broadcast against N schemes and compare each with scheme 0.
+        configs = [interferometer.MzConfig("erasure", delta=0.1 * n, gamma=0.3) for n in range(3)]
+        schemes = extraction.schemes_for(configs)
+        one = extraction.extract_effects(extraction.schemes_for(configs[:1]))
+        with pytest.raises(DimensionMismatch, match=r"^effects must be \(3, 4, 2, 2\)"):
+            oracle.cross_check_stack(schemes, one, 42, 10)
+        with pytest.raises(DimensionMismatch):
+            oracle.cross_check_stack(schemes, extraction.extract_effects(schemes)[:, :2], 42, 10)
 
     def test_corrupted_effect_detected(self):
         config = interferometer.MzConfig("erasure", delta=0.4, gamma=1.0)
         scheme = extraction.schemes_for([config])
-        measured = extraction.extract_effects(scheme)[0]
-        corrupted = {
-            label: effect + (0.01 * I2 if label == "11" else 0.0)
-            for label, effect in zip(scheme.labels, measured)
-        }
-        worst = 0.0
-        for i in range(100):
-            psi = oracle.haar_state(2, i)
-            direct = oracle.direct_probabilities(scheme, psi)
-            for label, p in direct.items():
-                predicted = float(np.vdot(psi, corrupted[label] @ psi).real)
-                worst = max(worst, abs(p - predicted))
+        corrupted = extraction.extract_effects(scheme).copy()
+        corrupted[0, scheme.labels.index("11")] += 0.01 * I2
+        worst = oracle.cross_check_stack(scheme, corrupted, 2, 100)[0]
         assert worst >= 0.004
 
     def test_stacked_route_matches_per_state_loop_on_the_grid(self):
@@ -118,12 +138,16 @@ class TestCrossCheck:
                 for label, p in oracle.direct_probabilities(scheme, psi).items():
                     predicted = float(np.vdot(psi, measured[scheme.labels.index(label)] @ psi).real)
                     worst = max(worst, abs(p - predicted))
-            assert abs(oracle.cross_check_stack(scheme, 5, 100)[0] - worst) <= 1e-15
+            assert abs(oracle.cross_check_stack(scheme, measured[None], 5, 100)[0] - worst) <= 1e-15
 
     def test_deterministic_given_seed(self):
         config = interferometer.MzConfig("quantitative", delta=-math.pi / 2, theta=0.6)
         scheme = extraction.schemes_for([config])
-        assert oracle.cross_check_stack(scheme, 21, 30).tobytes() == oracle.cross_check_stack(scheme, 21, 30).tobytes()
+        effects = extraction.extract_effects(scheme)
+        assert (
+            oracle.cross_check_stack(scheme, effects, 21, 30).tobytes()
+            == oracle.cross_check_stack(scheme, effects, 21, 30).tobytes()
+        )
 
     def test_passes_match_one_shot_reference(self):
         # 600 samples take several passes of CROSS_CHECK_STACK inputs; the
@@ -131,12 +155,11 @@ class TestCrossCheck:
         samples = 600
         assert samples > 2 * oracle.CROSS_CHECK_STACK
         states = oracle.random_states(4, samples)
-        for _, schemes in verify.grid_schemes():
-            effects = extraction.extract_effects(schemes)
+        for _, schemes, effects in verify.grid_schemes():
             direct = oracle._probabilities(schemes, states)
             predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
             want = np.abs(direct - predicted).max(axis=(1, 2))
-            assert oracle.cross_check_stack(schemes, 4, samples).tobytes() == want.tobytes()
+            assert oracle.cross_check_stack(schemes, effects, 4, samples).tobytes() == want.tobytes()
 
 
 class TestProbabilityChecks:
@@ -158,14 +181,12 @@ class TestProbabilityChecks:
     def test_direct_route_rejects_a_non_unit_input(self, psi):
         scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)])
         with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
-            oracle.direct_probability_stack(scheme, psi)
-        with pytest.raises(NotNormalized, match="^state vector 0 has norm"):
             oracle.direct_probabilities(scheme, psi)
 
     def test_direct_route_rejects_an_input_of_another_dimension(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("erasure", delta=0.4)])
         with pytest.raises(InvalidScheme, match="^the input must be a two-component photon state$"):
-            oracle.direct_probability_stack(scheme, [1.0, 0.0, 0.0])
+            oracle.direct_probabilities(scheme, [1.0, 0.0, 0.0])
 
     def test_a_later_pass_names_the_state_by_its_sample_index(self):
         schemes = extraction.schemes_for([interferometer.MzConfig("interference"), interferometer.MzConfig("path")])

@@ -67,8 +67,7 @@ def _reference_config_effects(config, probes):
 class TestStackedExtraction:
     def test_grid_configs_match_the_per_entry_route(self):
         checked = 0
-        for configs, schemes in verify.grid_schemes():
-            effects = extraction.extract_effects(schemes)
+        for configs, _, effects in verify.grid_schemes():
             for config, probes, got in zip(configs, interferometer.probe_stack(configs), effects):
                 np.testing.assert_allclose(got, _reference_config_effects(config, probes), rtol=0, atol=TOL)
                 checked += 1
@@ -91,8 +90,7 @@ class TestStackedExtraction:
             np.testing.assert_allclose(effects[n], want, rtol=0, atol=TOL)
 
     def test_scalar_entry_points_are_batches_of_one(self):
-        for configs, schemes in verify.grid_schemes():
-            effects = extraction.extract_effects(schemes)
+        for configs, schemes, effects in verify.grid_schemes():
             for n in (0, len(configs) - 1):
                 scheme = extraction.schemes_for([configs[n]])
                 assert scheme.unitaries[0].tobytes() == schemes.unitaries[n].tobytes()
@@ -108,7 +106,7 @@ class TestStackedExtraction:
 class TestStackedOracle:
     def test_probabilities_match_a_per_config_per_state_loop(self):
         states = oracle.random_states(11, 20)
-        for configs, schemes in verify.grid_schemes():
+        for configs, schemes, _ in verify.grid_schemes():
             probs = oracle._probabilities(schemes, states)
             assert probs.shape == (len(configs), 20, len(schemes.labels))
             for n, (config, probes) in enumerate(zip(configs, interferometer.probe_stack(configs))):
@@ -120,10 +118,11 @@ class TestStackedOracle:
                     np.testing.assert_allclose(probs[n, s], want, rtol=0, atol=TOL)
 
     def test_cross_check_stack_matches_the_scalar_cross_check(self):
-        for configs, schemes in verify.grid_schemes():
-            stacked = oracle.cross_check_stack(schemes, 5, 30)
+        for configs, schemes, effects in verify.grid_schemes():
+            stacked = oracle.cross_check_stack(schemes, effects, 5, 30)
             for n in (0, len(configs) // 2, len(configs) - 1):
-                alone = oracle.cross_check_stack(extraction.schemes_for([configs[n]]), 5, 30)[0]
+                scheme = extraction.schemes_for([configs[n]])
+                alone = oracle.cross_check_stack(scheme, extraction.extract_effects(scheme), 5, 30)[0]
                 assert abs(stacked[n] - alone) <= TOL
 
     def test_out_of_range_names_scheme_and_state(self):
@@ -170,8 +169,24 @@ class TestStackedValidator:
             extraction.SchemeStack(**arrays)
 
     def test_bad_initial_probe_state_is_named(self):
-        with pytest.raises(NotNormalized, match="scheme 4"):
+        with pytest.raises(NotNormalized, match="^initial probe state 4 has norm"):
             extraction.SchemeStack(**self._stack(probe_init=(4, lambda p: np.multiply(p, 1.5, out=p))))
+
+    @pytest.mark.parametrize("norm", [1.1, math.nan, math.inf])
+    def test_non_unit_initial_probe_state_raises_without_a_warning(self, norm):
+        # linalg.check_unit_rows checks p0; a NaN or infinite norm is named like a large one.
+        arrays = self._stack(probe_init=(0, lambda p: np.copyto(p, (norm, 0.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized, match="^initial probe state 0 has norm"):
+                extraction.SchemeStack(**arrays)
+
+    def test_bad_initial_probe_state_is_named_before_a_bad_unitary(self):
+        arrays = self._stack(
+            probe_init=(2, lambda p: np.multiply(p, 1.5, out=p)), unitaries=(2, lambda u: np.multiply(u, 2.0, out=u))
+        )
+        with pytest.raises(NotNormalized, match="^initial probe state 2 has norm"):
+            extraction.SchemeStack(**arrays)
 
     def test_shape_mismatch_rejected(self):
         arrays = self._stack()
@@ -262,8 +277,9 @@ class TestInputCheckedOnce:
 
         monkeypatch.setattr(linalg, "check_unit_rows", counting)
         cli.evaluate_run(interferometer.MzConfig(experiment, delta=0.4, gamma=1.1, theta=0.6), random_pure(rng))
-        # The photon state once, and the (3 N, 2) probe rows once.
-        assert calls == ["state vector", "probe state"]
+        # The photon state once, the (3 N, 2) probe rows once, and p0 in the
+        # SchemeStack validation, which has no norm arithmetic of its own.
+        assert calls == ["state vector", "probe state", "initial probe state"]
 
     @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.6, 0.6j], [math.nan, 0.0], [math.inf, 0.0], [1.0, math.nan]])
     @pytest.mark.parametrize("experiment", ["path", "quantitative"])
@@ -288,7 +304,7 @@ class TestInputCheckedOnce:
                 cli.evaluate_run(interferometer.MzConfig("erasure", delta=0.4), v)
 
     def test_run_and_sweep_reject_an_input_of_another_dimension(self):
-        # The same check, and the same error, as oracle.direct_probability_stack.
+        # The same check, and the same error, as oracle.direct_probabilities.
         config = interferometer.MzConfig("erasure", delta=0.4)
         with pytest.raises(InvalidScheme, match="two-component"):
             cli.evaluate_run(config, np.array([1.0, 0.0, 0.0]))
@@ -303,7 +319,7 @@ class TestInputCheckedOnce:
         with pytest.raises(InvalidScheme, match=message):
             interferometer.final_state_stack(psi, interferometer.probe_stack([config]), [0.4])
         with pytest.raises(InvalidScheme, match=message):
-            oracle.direct_probability_stack(extraction.schemes_for([config]), psi)
+            oracle.direct_probabilities(extraction.schemes_for([config]), psi)
         with pytest.raises(InvalidScheme, match=message):
             cli.evaluate_run(config, psi)
 

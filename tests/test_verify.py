@@ -91,6 +91,22 @@ class TestCheckResults:
         verify.run_all(42)
         assert len(calls) == 6
 
+    def test_a_suite_extracts_each_grid_group_once(self, monkeypatch):
+        # The two grid groups, shared by the grid checks and the probability
+        # check, then completion-independence's two stacks and pointer-freedom's.
+        calls = []
+        original = extraction.extract_effects
+
+        def counting(schemes):
+            calls.append(len(schemes))
+            return original(schemes)
+
+        monkeypatch.setattr(extraction, "extract_effects", counting)
+        verify.run_all(42)
+        assert calls == [2, 136, 40, 40, 50]
+        verify.run_all(42)
+        assert len(calls) == 10
+
     def test_distinct_grid_configs_cover_all_experiments(self):
         configs = verify.distinct_grid_configs()
         experiments = {c.experiment for c in configs}
