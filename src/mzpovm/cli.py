@@ -313,7 +313,8 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
     one stack; ``psi`` is checked once, before the first.
     """
     psi = interferometer.photon_state(psi)
-    state_contrast = relations.contrasts(linalg.projectors(psi))
+    r = linalg.bloch_from_density_stack(linalg.projectors(psi))
+    path, interference = (min(1.0, abs(float(r[k]))) for k in (2, 0))
     for first in range(0, len(configs), SWEEP_STACK):
         chunk = configs[first:first + SWEEP_STACK]
         labels, effects, probabilities, audit = _evaluate(chunk, psi)
@@ -332,8 +333,7 @@ def sweep_rows(configs, psi: np.ndarray, param: str):
         for n in range(len(chunk)):
             row = {name: None for name in SWEEP_COLUMNS}
             row.update((name, float(values[n])) for name, values in columns.items())
-            row["C_P"] = state_contrast.path
-            row["C_Ix"] = state_contrast.interference_x
+            row["C_P"], row["C_Ix"] = path, interference
             yield row
 
 

@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, InvalidBasis, NotAProjection
 BASIS_TOL = 1e-10
 MEET_EIGENVALUE_TOL = 1e-8
 PROJECTION_TOL = 1e-10
+MAX_DIMENSION = 16
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class OrthonormalBasis:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidBasis(f"expected n vectors of dimension n, got shape {v.shape}")
-        if v.shape[0] > linalg.MAX_DIMENSION:
-            raise InvalidBasis(f"dimension {v.shape[0]} exceeds {linalg.MAX_DIMENSION}")
+        if v.shape[0] > MAX_DIMENSION:
+            raise InvalidBasis(f"dimension {v.shape[0]} exceeds {MAX_DIMENSION}")
         gram = v.conj() @ v.T
         dev = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
         if not dev <= BASIS_TOL:

@@ -25,7 +25,6 @@ from .errors import BlochOutOfBall, DimensionMismatch, NotHermitian, NotNormaliz
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
 ZERO_NORM_GUARD = 1e-12
-MAX_DIMENSION = 16
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -118,8 +117,12 @@ def hermitian_deviation(a) -> np.ndarray:
     return np.abs(np.subtract(t, t.conj().swapaxes(0, 1), order="C")).max(axis=(0, 1)).T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def projectors(states) -> np.ndarray:
-    """The projections |v><v| of every vector along the last axis of a stack, shape (..., d, d)."""
+    """The projections |v><v| of every vector along the last axis of a stack, shape (..., d, d).
+
+    A core: nothing is checked, and a non-finite or overflowing entry gives inf or NaN entries, with no warning.
+    """
     v = np.asarray(states, dtype=complex)
     return v[..., :, None] * v.conj()[..., None, :]
 
@@ -265,6 +268,7 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the Hermitian part of every matrix in a stack.
 
@@ -272,8 +276,10 @@ def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
     descending, and the orthonormal eigenvectors, shape (..., n, n), row k
     belonging to eigenvalue k. Each eigenvector's global phase makes its
     largest component real positive. The 2x2 case is solved in closed form,
-    mean +/- spread; larger matrices use ``numpy.linalg.eigh``. Nothing is validated:
-    callers that need Hermiticity measure it themselves.
+    mean +/- spread; larger matrices use ``numpy.linalg.eigh``. A core: nothing
+    is validated, and callers that need Hermiticity measure it themselves. A
+    non-finite 2x2 gives NaN or inf rows with no warning; larger matrices
+    raise numpy's ``LinAlgError``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -288,14 +294,15 @@ def eig_hermitian_stack(a) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(values), _frozen(vectors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eigvals_hermitian(a) -> np.ndarray:
     """Descending eigenvalues of the Hermitian part of every matrix in a stack.
 
     ``a`` has shape (..., n, n); the result has shape (..., n). The 2x2
     case shares the closed form of :func:`eig_hermitian_stack`, so its
     values equal that kernel's; larger matrices use
-    ``numpy.linalg.eigvalsh``. Nothing is validated: callers that need
-    Hermiticity measure it themselves.
+    ``numpy.linalg.eigvalsh``. A core, which reads non-finite input as
+    :func:`eig_hermitian_stack` does.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

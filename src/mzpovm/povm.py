@@ -50,23 +50,11 @@ class DiscretePovm:
 
 @dataclass(frozen=True)
 class StackClassification:
-    """Verdicts on an (N, K, d, d) stack of N candidate K-effect POVMs.
-
-    ``valid``, ``sharp`` and ``trivial`` have shape (N,). The magnitudes
-    behind them have shape (N, K) per effect, or (N,) for the sum:
-    ``hermitian_deviation`` is max |E - E^dagger|, ``lowest`` and
-    ``highest`` are the extreme eigenvalues of the Hermitian part of E,
-    and ``sum_deviation`` is max |sum E - I| over the effects that are
-    Hermitian within the tolerance.
-    """
+    """Verdicts on an (N, K, d, d) stack of N candidate K-effect POVMs: ``valid``, ``sharp`` and ``trivial``, each (N,)."""
 
     valid: np.ndarray
     sharp: np.ndarray
     trivial: np.ndarray
-    hermitian_deviation: np.ndarray
-    lowest: np.ndarray
-    highest: np.ndarray
-    sum_deviation: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -99,7 +87,7 @@ def classify_effects(effects, tol: float = EFFECT_TOL) -> StackClassification:
     sharp = valid & (np.abs(square - t).max(axis=(0, 1)) <= tol).all(axis=0)
     mean = t.reshape(dim * dim, *t.shape[2:])[:: dim + 1].sum(axis=0) / dim
     trivial = valid & (np.abs(t - mean * ident).max(axis=(0, 1)) <= tol).all(axis=0)
-    return StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
+    return StackClassification(valid, sharp, trivial)
 
 
 def smear_stack(projections, w) -> np.ndarray:

@@ -8,7 +8,7 @@ the verification suite) can audit rather than recompute. Quantities:
   right side equals <sy>^2 + <sx>^2 <sz>^2; the gap is 1 - |r|^2, i.e. the
   relation expresses positivity of the state.
 * Shannon entropies of POVM outcome distributions (base 2).
-* contrasts C_P = |<sz>|, C_I = |<sx>| (or |<sy>|) and visibility 2r.
+* contrasts |<sx>|, |<sy>|, |<sz>|, whose squares sum to |r|^2 <= 1.
 * distinguishability D = 2L - 1 from the optimal probe pointer, and the
   reduced-state visibility V_e, with the pure-state identities
   D^2 + V_e^2 = 1 and Var(H, psi) + Var(s_n, rho_e) = 1 at the respective
@@ -177,30 +177,6 @@ def _entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> Relatio
     rhs = np.full(best.shape, math.inf)
     rhs[found] = -2.0 * np.log2(best[found])
     return make_reports("entropy-pair", lhs, rhs, "geq")
-
-
-@dataclass(frozen=True)
-class StateContrasts:
-    """Path/interference contrasts and visibility of a qubit state."""
-
-    path: float
-    interference_x: float
-    interference_y: float
-    visibility: float
-
-
-def contrasts(rho) -> StateContrasts:
-    """C_P = |<sz>|, C_Ix = |<sx>|, C_Iy = |<sy>|, V = sqrt(<sx>^2 + <sy>^2).
-
-    ``rho`` is one 2x2 state; a non-Hermitian or NaN one raises ``NotHermitian``.
-    """
-    r = linalg.bloch_from_density_stack(_density_stack(np.asarray(rho, dtype=complex)[None]))[0]
-    return StateContrasts(
-        path=min(1.0, abs(float(r[2]))),
-        interference_x=min(1.0, abs(float(r[0]))),
-        interference_y=min(1.0, abs(float(r[1]))),
-        visibility=min(1.0, float(math.hypot(r[0], r[1]))),
-    )
 
 
 # The (12, 2, 2) operators the state relations trace: I (every Pauli squared), sx, sy,

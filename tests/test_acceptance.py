@@ -182,8 +182,8 @@ def test_criterion_7_duality_relations(state_sample):
     ok = True
     for r in state_sample:
         rho = linalg.density_from_bloch(r)
-        c = relations.contrasts(rho)
-        squares = c.path**2 + c.interference_x**2 + c.interference_y**2
+        # The contrast-triple's lhs is C_P^2 + C_Ix^2 + C_Iy^2.
+        squares = float(relations.state_relations_stack(rho[None])[3].lhs[0])
         if squares > 1.0 + 1e-12:
             ok = False
         purity = float(np.trace(rho @ rho).real)

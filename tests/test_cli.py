@@ -300,6 +300,19 @@ class TestSweep:
         assert cells[header.index("G_contrast")] == ""
         assert float(cells[header.index("F_contrast")]) == pytest.approx(1.0)
 
+    def test_state_contrast_columns(self):
+        # C_P = |<sz>| and C_Ix = |<sx>| of the photon input, the same on every row.
+        configs = cli.sweep_configs(interferometer.MzConfig("erasure", delta=0.0, gamma=0.3), "delta", 0.0, 1.0, 3)
+
+        def columns(psi):
+            pairs = {(row["C_P"], row["C_Ix"]) for row in cli.sweep_rows(configs, psi, "delta")}
+            assert len(pairs) == 1
+            return pairs.pop()
+
+        assert columns([1.0, 0.0]) == (1.0, 0.0)
+        assert columns([math.sqrt(0.5), math.sqrt(0.5)]) == pytest.approx((0.0, 1.0), abs=1e-14)
+        assert columns([math.sqrt(3) / 2, 0.5]) == pytest.approx((0.5, math.sqrt(3) / 2), abs=1e-14)
+
     def test_ignored_angle_noted_on_stderr(self, capsys):
         argv = ("sweep", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3")
         code, out, err = run_cli(capsys, *argv, "--experiment", "erasure")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ class TestEigvalsHermitian:
     def test_non_square_rejected(self):
         with pytest.raises(NotHermitian):
             linalg.eigvals_hermitian(np.zeros((3, 2, 3)))
+
+
+class TestNonFiniteCores:
+    """The 2x2 eigen kernels and ``projectors`` are cores: non-finite input comes out NaN or inf, with no warning."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: linalg.eig_hermitian_stack(np.full((2, 2), math.inf))[0],
+            lambda: linalg.eig_hermitian_stack(np.full((2, 2), math.nan))[1],
+            lambda: linalg.eigvals_hermitian(np.full((2, 2), math.inf)),
+            lambda: linalg.projectors([math.inf, 0.0]),
+            lambda: linalg.projectors([1e200, 0.0]),
+        ],
+        ids=["eig-inf", "eig-nan", "eigvals-inf", "projectors-inf", "projectors-overflow"],
+    )
+    def test_no_numpy_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(call()).all()
+
+    @pytest.mark.parametrize("kernel", [linalg.eig_hermitian_stack, linalg.eigvals_hermitian])
+    def test_larger_matrices_raise_numpys_error(self, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                kernel(np.full((3, 3), math.inf))
 
 
 class TestSchmidt:

@@ -43,7 +43,7 @@ def _reference_classify(effects, tol=TOL):
     sharp = valid & (_reference_max_abs(np.einsum("nkij,nkjl->nkil", ops, ops) - ops) <= tol).all(axis=1)
     mean = ops.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / dim
     trivial = valid & (_reference_max_abs(ops - mean[..., None, None] * ident) <= tol).all(axis=1)
-    return povm.StackClassification(valid, sharp, trivial, herm_dev, lowest, highest, sum_dev)
+    return povm.StackClassification(valid, sharp, trivial)
 
 
 def _reference_joint_pair_effects(a, b):
@@ -122,7 +122,7 @@ class TestMatrixReductions:
         off = np.array([[0.0, 0.0], [TOL, 0.0]])
         assert linalg.hermitian_deviation(off) <= linalg.HERMITIAN_TOL < linalg.hermitian_deviation(off * 2)
         with pytest.raises(NotHermitian, match=r"deviates from Hermitian by 2\.000e-10"):
-            relations.contrasts(np.eye(2) / 2 + 2 * off)
+            relations.state_relations_stack((np.eye(2) / 2 + 2 * off)[None])
 
 
 class TestClassification:

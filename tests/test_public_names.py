@@ -10,7 +10,9 @@ class or constant (not a dunder) must be referenced outside its own
 definition by code in ``src/``. Every public method or property of a
 public class must be read as an attribute outside its own definition and
 outside every other unused method; dunder methods are exempt, and no
-method is kept for the tests.
+method is kept for the tests. Every field of a public dataclass must be
+read as an attribute by the same code, outside the class's own
+``__post_init__`` and every unused method, with no exemption.
 """
 
 from __future__ import annotations
@@ -133,6 +135,47 @@ def test_every_public_method_and_property_has_a_reader_outside_the_tests():
     assert _unused_methods(list(_public_classes(trees)), trees.values()) == []
 
 
+def _unused_fields(classes, trees) -> list[str]:
+    """The fields of the dataclasses among ``classes``, (module, ClassDef) pairs, that nothing in ``trees`` reads.
+
+    Reads are attribute names, as for methods. A read inside the class's
+    own ``__post_init__`` does not count, nor does a read inside a method
+    that :func:`_unused_methods` finds unused. Matching is by name, so a
+    field shares the reads of every attribute that has its name: a
+    ``hermitian_deviation`` field would pass on the reads of
+    ``linalg.hermitian_deviation``, and a ``visibility`` field on those of
+    ``ErasureAudit.visibility``.
+    """
+    trees = list(trees)
+    dead = set(_unused_methods(classes, trees))
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    reads -= sum(
+        (
+            _attribute_reads(node)
+            for module, cls in classes
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and f"{module}.{cls.name}.{node.name}" in dead
+        ),
+        Counter(),
+    )
+    unused = []
+    for module, cls in classes:
+        if not any("dataclass" in _referenced_names(decorator) for decorator in cls.decorator_list):
+            continue
+        own = sum((_attribute_reads(node) for node in cls.body if getattr(node, "name", "") == "__post_init__"), Counter())
+        unused += [
+            f"{module}.{cls.name}.{node.target.id}"
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and reads[node.target.id] <= own[node.target.id]
+        ]
+    return sorted(unused)
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    trees = _sources()
+    assert _unused_fields(list(_public_classes(trees)), trees.values()) == []
+
+
 def test_a_method_read_only_by_an_unused_method_is_unused():
     source = ast.parse(
         "class A:\n"
@@ -147,3 +190,22 @@ def test_a_method_read_only_by_an_unused_method_is_unused():
     )
     classes = [("m", node) for node in source.body if isinstance(node, ast.ClassDef)]
     assert _unused_methods(classes, [source]) == ["m.A.report", "m.B.report"]
+
+
+def test_a_field_read_only_by_its_post_init_or_an_unused_method_is_unused():
+    source = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    checked: int\n"
+        "    reported: int\n"
+        "    def __post_init__(self):\n"
+        "        assert self.checked >= 0\n"
+        "    def report(self):\n"
+        "        return self.reported\n"
+        "class B:\n"
+        "    loose: int\n"
+        "A(1, 2, 3).kept\n"
+    )
+    classes = [("m", node) for node in source.body if isinstance(node, ast.ClassDef)]
+    assert _unused_fields(classes, [source]) == ["m.A.checked", "m.A.reported"]

@@ -170,30 +170,6 @@ class TestTripleRelations:
         np.testing.assert_allclose(squares.lhs, np.sum(r * r, axis=1), rtol=0, atol=1e-12)
 
 
-class TestContrasts:
-    def test_path_eigenstate(self):
-        c = relations.contrasts(linalg.projectors([1, 0]))
-        assert (c.path, c.interference_x, c.interference_y, c.visibility) == (1.0, 0.0, 0.0, 0.0)
-
-    def test_interference_eigenstate(self):
-        c = relations.contrasts(linalg.projectors(PLUS))
-        assert c.path == pytest.approx(0.0, abs=1e-14)
-        assert c.interference_x == pytest.approx(1.0, abs=1e-14)
-        assert c.visibility == pytest.approx(1.0, abs=1e-14)
-
-    def test_partially_coherent_state_saturates_duality(self):
-        rho = np.array([[0.75, math.sqrt(3) / 4], [math.sqrt(3) / 4, 0.25]], dtype=complex)
-        c = relations.contrasts(rho)
-        assert c.path == pytest.approx(0.5, abs=1e-14)
-        assert c.interference_x == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
-        assert c.path**2 + c.interference_x**2 == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(4) / 4])
-    def test_non_hermitian_nan_or_non_qubit_state_raises(self, bad):
-        with pytest.raises(NotHermitian):
-            relations.contrasts(bad)
-
-
 def reduced_state(alpha, beta, p1, p2) -> np.ndarray:
     """The photon state of alpha |1>|p1> + beta |2>|p2>, probe traced out."""
     return linalg.partial_trace_probe_stack(np.concatenate([alpha * np.asarray(p1), beta * np.asarray(p2)])[None])[0]

@@ -346,7 +346,8 @@ class TestInputCheckedOnce:
     [
         (lambda: extraction.build_schemes([[[math.inf, 0.0], E1, E2]], [0.0], None), NotNormalized,
          "^probe state 0 has norm inf"),
-        (lambda: relations.contrasts(np.full((2, 2), math.nan)), NotHermitian, "^state deviates from Hermitian by nan"),
+        (lambda: relations.state_relations_stack(np.full((1, 2, 2), math.nan)), NotHermitian,
+         "^state deviates from Hermitian by nan"),
         (lambda: extraction.conditional_probabilities(np.full((4, 2, 2), math.nan), "1", E1), NotHermitian,
          "^joint effects deviate from Hermitian by nan"),
         (lambda: complementarity.OrthonormalBasis(np.full((2, 2), math.nan)), InvalidBasis,
