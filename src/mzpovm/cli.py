@@ -17,19 +17,10 @@ Exit codes: 0 success, 1 verification failure (a check fails or raises), 2 usage
 Angles are radians; pass --degrees to convert every angle flag at parse
 time. Complex numbers serialize as [re, im] pairs, matrices row-major.
 
-Who checks what on a run or sweep (the package states this here only):
-``evaluate_run`` and ``sweep_rows`` check the photon input once with
-``interferometer.photon_state``, the one photon-input check, and
-``extraction.build_schemes`` checks every probe row, p0 and markers, in
-one ``linalg.check_unit_rows`` call. The route then calls the
-private cores behind ``relations.state_relations_stack``,
-``entropic_bound_stack`` and ``erasure_duality_stack``,
-``oracle.direct_probabilities`` and
-``extraction.conditional_probabilities``; each of those public kernels is
-its checks followed by its core, and a core checks nothing. The
-``SchemeStack`` validation and the probabilities' range and sum checks
-still run on every request. A check added to one of those kernels must
-be added here too, or run and sweep skip it.
+A run or sweep checks its photon input and probe rows once and then calls
+cores that check nothing more (``oracle.probabilities`` checks only its
+results); ``tests/test_stacked_core.py::TestRouteArguments`` shows that each
+core's checked entry accepts the route's arguments and gives the same bits.
 """
 
 from __future__ import annotations
@@ -176,8 +167,8 @@ def _evaluate(configs, v: np.ndarray):
     schemes = extraction.build_schemes(
         probes, [interferometer.effective_delta(c) for c in configs], interferometer.pointer_stack(configs)
     )
-    audit = relations._erasure_duality_core(v[None], probes[:, 1:])
-    probabilities = oracle._probabilities(schemes, v[None])[:, 0]
+    audit = relations.erasure_duality_core(v[None], probes[:, 1:])
+    probabilities = oracle.probabilities(schemes, v[None])[:, 0]
     return schemes.labels, extraction.extract_effects(schemes), probabilities, audit
 
 
@@ -188,8 +179,8 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
     """
     psi = interferometer.photon_state(psi)
     labels, effects, probabilities, audits = _evaluate([config], psi)
-    variance_product, *triple = relations._state_relations_core(linalg.projectors(psi[None]))
-    entropy_pair = relations._entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
+    variance_product, *triple = relations.state_relations_core(linalg.projectors(psi[None]))
+    entropy_pair = relations.entropic_bound_core(relations.pauli_pvm("z"), relations.pauli_pvm("x"), psi[None])
     reports = [variance_product, entropy_pair, *triple, audits.duality, audits.variance_tradeoff]
     d, pointer = float(audits.distinguishability[0]), audits.pointer_direction[0]
 
@@ -220,7 +211,7 @@ def evaluate_run(config: interferometer.MzConfig, psi: np.ndarray) -> dict:
         conditional = report["conditional_probabilities"] = {}
         for probe_label in ("1", "2"):
             try:
-                conditional[probe_label] = extraction._conditional_probabilities_core(effects[0], probe_label, psi)
+                conditional[probe_label] = extraction.conditional_probabilities_core(effects[0], probe_label, psi)
             except ZeroProbabilityCondition:
                 conditional[probe_label] = None
 

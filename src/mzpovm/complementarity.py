@@ -28,6 +28,7 @@ class OrthonormalBasis:
 
     vectors: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -66,9 +67,10 @@ def is_mutually_unbiased(a: OrthonormalBasis, b: OrthonormalBasis, tol: float = 
     return bool(np.max(np.abs(overlaps - 1.0 / np.sqrt(a.dimension))) <= tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _require_projection(p: np.ndarray):
     dev = float(np.max(np.abs(p @ p - p)))
-    if dev > PROJECTION_TOL or not linalg.hermitian_deviation(p) <= linalg.HERMITIAN_TOL:
+    if not dev <= PROJECTION_TOL or not linalg.hermitian_deviation(p) <= linalg.HERMITIAN_TOL:
         raise NotAProjection(f"operator deviates from a projection by {dev:.3e}")
 
 

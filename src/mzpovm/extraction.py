@@ -29,9 +29,7 @@ boundary. :func:`build_schemes` checks its probe rows before it builds a
 unitary, and ``SchemeStack`` checks p0 with the same
 ``linalg.check_unit_rows``. A valid ``SchemeStack`` costs one maximum per
 defect; only a failing one is reduced per member (``linalg.max_abs``) to
-name the first bad member. :func:`conditional_probabilities` checks its input, then
-calls a private core; the ``cli`` module docstring says which checks a
-run makes.
+name the first bad member.
 In the path-marking table the joint probability |alpha|^2 cos^2(delta/2)
 follows from the effects: normalization fixes the prefactor at 1/2
 (1 + cos delta), not 1/4.
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interferometer, linalg, povm
-from .errors import InvalidScheme, NotHermitian, UnsupportedExperiment, ZeroProbabilityCondition
+from .errors import DimensionMismatch, InvalidScheme, NotHermitian, UnsupportedExperiment, ZeroProbabilityCondition
 
 SCHEME_UNITARY_TOL = 1e-12
 SCHEME_PROJECTION_TOL = 1e-10
@@ -88,11 +86,12 @@ class SchemeStack:
         return len(self.unitaries)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _validate(labels, u: np.ndarray, m: np.ndarray) -> None:
-    # Every check is "not value <= tol", which rejects NaN: every
-    # comparison with NaN is False. On success each matrix defect takes
-    # one maximum over the whole stack; only a failure reduces it per
-    # member to name the first bad one.
+    # Every check is "not value <= tol", which rejects NaN (every comparison
+    # with NaN is False), inf and overflow, with no warning. On success each
+    # matrix defect takes one maximum over the whole stack; only a failure
+    # reduces it per member to name the first bad one.
     unitarity = u.conj().swapaxes(-1, -2) @ u - _IDENTITY4
     idempotency = m @ m - m
     hermiticity = linalg.hermitian_deviation(m)
@@ -273,24 +272,29 @@ def closed_form(config: interferometer.MzConfig) -> ExperimentObservables:
     return ExperimentObservables(povm.DiscretePovm(povm.JOINT_LABELS, closed_form_stack([config])[0][0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conditional_probabilities(joint, probe_label: str, psi) -> dict[str, float]:
     """Detector probabilities conditional on one probe outcome.
 
     prob(D_k | probe = l) = <psi| E_kl |psi> / <psi| G_l |psi>, where G_l
-    sums the joint effects over the detector index. ``joint`` is a
-    (4, d, d) effect array in the order of ``povm.JOINT_LABELS``; one that
-    is not Hermitian within ``linalg.HERMITIAN_TOL`` (NaN included) raises
-    ``NotHermitian``. An unknown ``probe_label`` raises ``KeyError``.
+    sums the joint effects over the detector index. ``joint`` is a (4, 2, 2)
+    effect array in the order of ``povm.JOINT_LABELS``: another shape raises
+    ``DimensionMismatch``, one not Hermitian within ``linalg.HERMITIAN_TOL``
+    (NaN and inf included) ``NotHermitian``. ``interferometer.photon_state``
+    checks ``psi``; an unknown ``probe_label`` raises ``KeyError``.
     """
     joint = np.asarray(joint, dtype=complex)
-    dev = float(linalg.hermitian_deviation(joint).max(initial=0.0))
+    if joint.shape != (4, 2, 2):
+        raise DimensionMismatch(f"joint effects must be (4, 2, 2), got {joint.shape}")
+    dev = float(linalg.hermitian_deviation(joint).max())
     if not dev <= linalg.HERMITIAN_TOL:
         raise NotHermitian(f"joint effects deviate from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
-    return _conditional_probabilities_core(joint, probe_label, linalg.state_vector(psi))
+    return conditional_probabilities_core(joint, probe_label, interferometer.photon_state(psi))
 
 
-def _conditional_probabilities_core(joint, probe_label: str, v: np.ndarray) -> dict[str, float]:
-    """:func:`conditional_probabilities` for a complex unit vector ``v`` the caller has checked."""
+def conditional_probabilities_core(joint, probe_label: str, v: np.ndarray) -> dict[str, float]:
+    """:func:`conditional_probabilities`, checking nothing: the caller guarantees a
+    Hermitian (4, 2, 2) complex joint and a complex (2,) unit vector ``v``."""
     # Outcome l of the probe marginal G sums E_1l and E_2l, in that order.
     members = povm.MARGINAL_PAIRS[1, {"1": 0, "2": 1}[probe_label]]
     joint_probabilities = [float(np.vdot(v, joint[k] @ v).real) for k in members]

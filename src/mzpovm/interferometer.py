@@ -98,14 +98,17 @@ def mz_evolution_stack(deltas) -> np.ndarray:
     return 0.5 * out
 
 
-def marker_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marker states tilted by theta from the probe poles toward +x.
+def marker_states(theta) -> tuple[np.ndarray, np.ndarray]:
+    """Marker states tilted by theta from the probe poles toward +x, each shaped like theta plus a last axis of 2.
 
     p1 = cos(theta/2) |q1> + sin(theta/2) |q2>,
     p2 = sin(theta/2) |q1> + cos(theta/2) |q2>; overlap <p1|p2> = sin(theta).
+    ``math.cos`` and ``math.sin`` per tilt keep a marker independent of the
+    tilts beside it.
     """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([c, s], dtype=complex), np.array([s, c], dtype=complex)
+    t = np.asarray(theta, dtype=float)
+    p1 = np.array([(math.cos(a / 2.0), math.sin(a / 2.0)) for a in t.flat], dtype=complex).reshape(t.shape + (2,))
+    return p1, p1[..., ::-1].copy()
 
 
 _Q1 = linalg.state_vector([1.0, 0.0])
@@ -151,38 +154,20 @@ def pointer_stack(configs) -> np.ndarray | None:
     return out
 
 
-def _marking_blocks(probes: np.ndarray) -> np.ndarray:
-    # V_k = |p_k><p0| + |p_k_perp><p0_perp| for k = 1, 2, as (N, 2, 2, 2) [n, k, row, col].
-    p0, pk, perps = probes[:, 0, None, None, :], probes[:, 1:, :, None], linalg.perp(probes)
-    return pk * p0.conj() + perps[:, 1:, :, None] * perps[:, 0, None, None, :].conj()
-
-
-def marking_unitary_stack(probes) -> np.ndarray:
-    """The path-marking couplings of an (N, 3, 2) probe stack, as (N, 4, 4).
-
-    Each is |k><k| (x) V_k with V_k p0 = p_k. The coupling is only
-    constrained on inputs psi (x) p0; the completion
-    V_k = |p_k><p0| + |p_k_perp><p0_perp| makes it a concrete unitary.
-    Any other completion acts identically on all psi (x) p0 and yields the
-    same measured POVM.
-    """
-    blocks = _marking_blocks(np.asarray(probes, dtype=complex))
-    out = np.zeros((len(blocks), 2, 2, 2, 2), dtype=complex)
-    out[:, 0, :, 0, :] = blocks[:, 0]
-    out[:, 1, :, 1, :] = blocks[:, 1]
-    return out.reshape(-1, 4, 4)
-
-
 def total_unitary_stack(probes, deltas) -> np.ndarray:
     """Marking followed by the interferometer, (U_MZ (x) I) . U_mark, as (N, 4, 4).
 
-    U_mark is block diagonal in the photon path, so the product maps
-    |k, d> to sum_ab U_MZ[a, k] V_k[b, d] |a, b>: an outer product and a
-    reshape, with no Kronecker product formed.
+    U_mark = sum_k |k><k| (x) V_k with V_k p0 = p_k, completed to a unitary by
+    V_k = |p_k><p0| + |p_k_perp><p0_perp|; any other completion acts alike on
+    every psi (x) p0 and yields the same measured POVM. The product maps |k, d>
+    to sum_ab U_MZ[a, k] V_k[b, d] |a, b>, each entry one product, with no
+    Kronecker product formed; at delta = 0, where U_MZ = -I, it is -U_mark.
     """
-    blocks = _marking_blocks(np.asarray(probes, dtype=complex))
-    mz = mz_evolution_stack(deltas)
-    return np.einsum("nak,nkbd->nabkd", mz, blocks).reshape(-1, 4, 4)
+    probes = np.asarray(probes, dtype=complex)
+    # V_k for k = 1, 2, as (N, 2, 2, 2) [n, k, row, col].
+    p0, pk, perps = probes[:, 0, None, None, :], probes[:, 1:, :, None], linalg.perp(probes)
+    blocks = pk * p0.conj() + perps[:, 1:, :, None] * perps[:, 0, None, None, :].conj()
+    return np.einsum("nak,nkbd->nabkd", mz_evolution_stack(deltas), blocks).reshape(-1, 4, 4)
 
 
 def photon_state(psi) -> np.ndarray:
@@ -196,10 +181,12 @@ def photon_state(psi) -> np.ndarray:
 def final_state_stack(psi, probes, deltas) -> np.ndarray:
     """Total output vectors (U_MZ (x) I) U_mark (psi (x) p0) for one input, as (N, 4).
 
-    ``psi`` is checked once for the whole stack, by :func:`photon_state`.
+    ``psi`` is checked once for the whole stack, by :func:`photon_state`,
+    and every probe row as ``extraction.build_schemes`` checks them.
     """
     v = photon_state(psi)
     probes = np.asarray(probes, dtype=complex)
+    linalg.check_unit_rows(probes.reshape(-1, probes.shape[-1]), "probe state")
     inputs = (v[:, None] * probes[:, 0, None, :]).reshape(-1, 4)
     return np.einsum("nab,nb->na", total_unitary_stack(probes, deltas), inputs)
 

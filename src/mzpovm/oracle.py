@@ -76,12 +76,12 @@ def random_states(seed: int, count: int) -> np.ndarray:
     return states
 
 
-def _probabilities(schemes, states: np.ndarray, first: int = 0) -> np.ndarray:
+def probabilities(schemes, states: np.ndarray, first: int = 0) -> np.ndarray:
     """p[n, s, l] = <Psi| M_l |Psi> with Psi = U_n (psi_s (x) p0_n) of a ``SchemeStack``, as (N, S, L).
 
-    Every p must lie in [0, 1] and the p of each scheme and state must sum
-    to 1; a failure names the scheme, the state (counted from ``first``)
-    and the output.
+    The caller guarantees (S, 2) complex unit rows ``states``; only the result is
+    checked: each p must lie in [0, 1] and the p of each scheme and state sum to 1.
+    A failure names the scheme, the state (counted from ``first``) and the output.
     """
     inputs = states[None, :, :, None] * schemes.probe_init[:, None, None, :]
     final = inputs.reshape(len(schemes), -1, 4) @ schemes.unitaries.swapaxes(-1, -2)
@@ -110,7 +110,7 @@ def direct_probabilities(scheme, psi) -> dict[str, float]:
     """
     if len(scheme) != 1:
         raise InvalidScheme(f"expected a one-member scheme stack, got {len(scheme)} members")
-    probs = _probabilities(scheme, interferometer.photon_state(psi)[None])[0, 0]
+    probs = probabilities(scheme, interferometer.photon_state(psi)[None])[0, 0]
     return {label: float(p) for label, p in zip(scheme.labels, probs)}
 
 
@@ -133,7 +133,7 @@ def cross_check_stack(schemes, effects: np.ndarray, seed: int, samples: int) -> 
     worst = []
     for first in range(0, samples, CROSS_CHECK_STACK):
         chunk = states[first:first + CROSS_CHECK_STACK]
-        direct = _probabilities(schemes, chunk, first)
+        direct = probabilities(schemes, chunk, first)
         predicted = np.einsum("si,nlij,sj->nsl", chunk.conj(), effects, chunk).real
         worst.append(np.abs(direct - predicted).max(axis=(1, 2)))
     return np.max(worst, axis=0)

@@ -25,10 +25,8 @@ and returns one :class:`ErasureAudit` whose fields are arrays, its two
 equalities among them as :class:`RelationReport` records. Entry i of each
 array is the audit of state i; ``mzpovm run`` audits its one state as a
 batch of one and reads entry 0. POVMs enter as (L, d, d) effect arrays,
-effect k being outcome k.
-
-Each public kernel checks its inputs, then calls a private core; the
-``cli`` module docstring says which checks a run makes.
+effect k being outcome k. Each ``*_core`` is its kernel without the
+checks, for a caller that has made them.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .errors import DimensionMismatch, NotHermitian, NotSharp
+from .errors import BlochOutOfBall, DimensionMismatch, NotHermitian, NotNormalized, NotSharp
 
 EQ_TOL = 1e-9
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -89,13 +87,23 @@ def _trace(ops, rho) -> np.ndarray:
     return np.einsum("...ij,...ji->...", ops, rho)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _density_stack(rhos) -> np.ndarray:
+    # Hermitian, then unit trace, then |r| <= 1, each within its tolerance; inf and overflow fail with no warning.
     rho = np.asarray(rhos, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (2, 2):
         raise NotHermitian(f"expected an (N, 2, 2) stack of states, got shape {rho.shape}")
     dev = float(linalg.hermitian_deviation(rho).max(initial=0.0))
     if not dev <= linalg.HERMITIAN_TOL:
         raise NotHermitian(f"state deviates from Hermitian by {dev:.3e} (tol {linalg.HERMITIAN_TOL})")
+    trace = rho[:, 0, 0].real + rho[:, 1, 1].real
+    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= linalg.NORM_TOL))
+    if bad.size:
+        raise NotNormalized(f"state {bad[0]} has trace {float(trace[bad[0]])!r}, expected 1 within {linalg.NORM_TOL}")
+    length = np.hypot.reduce(linalg.bloch_from_density_stack(rho), axis=1)
+    bad = np.flatnonzero(~(length <= 1.0 + linalg.NORM_TOL))
+    if bad.size:
+        raise BlochOutOfBall(f"state {bad[0]}: |r| = {float(length[bad[0]])!r} lies outside the Bloch ball")
     return rho
 
 
@@ -147,9 +155,6 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     for p in (a, b):
-        # The cached Pauli PVMs are sharp by construction and immutable.
-        if any(p is pauli_pvm(axis) for axis in "xyz"):
-            continue
         if not povm.classify_effects(p[None]).sharp[0]:
             raise NotSharp("the entropic bound applies to projection-valued observables")
     v = linalg.check_unit_rows(states, "state")
@@ -157,11 +162,12 @@ def entropic_bound_stack(a, b, states) -> RelationReport:
         raise DimensionMismatch(
             f"observables on C^{a.shape[-1]} and C^{b.shape[-1]} and states in C^{v.shape[1]} must share one dimension"
         )
-    return _entropic_bound_core(a, b, v)
+    return entropic_bound_core(a, b, v)
 
 
-def _entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
-    """:func:`entropic_bound_stack` for sharp (La, d, d), (Lb, d, d) arrays and (N, d) unit rows the caller checked."""
+def entropic_bound_core(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> RelationReport:
+    """:func:`entropic_bound_stack`, checking nothing: the caller guarantees sharp
+    (La, d, d) and (Lb, d, d) complex effect arrays and (N, d) complex unit rows."""
     effects, split = np.concatenate([a, b]), len(a)
     terms = _plogp(_trace(effects, linalg.projectors(v)[:, None]).real)
     lhs = -terms[:, :split].sum(axis=-1) - terms[:, split:].sum(axis=-1)
@@ -196,11 +202,12 @@ def state_relations_stack(rhos) -> list[RelationReport]:
     the sx, sy, sz entropy sum >= 2 bits; variance-triple: their variance sum
     >= 2 (= 3 - |r|^2); contrast-triple: the squared-contrast sum <= 1 (= |r|^2).
     """
-    return _state_relations_core(_density_stack(rhos))
+    return state_relations_core(_density_stack(rhos))
 
 
-def _state_relations_core(rho: np.ndarray) -> list[RelationReport]:
-    """:func:`state_relations_stack` on an (N, 2, 2) complex stack of states the caller has checked."""
+def state_relations_core(rho: np.ndarray) -> list[RelationReport]:
+    """:func:`state_relations_stack`, checking nothing: the caller guarantees an (N, 2, 2)
+    complex stack of Hermitian unit-trace states whose Bloch vectors lie in the ball."""
     traces = _trace(_STATE_OPERATORS, rho[:, None])
     real = traces.real
     bloch = real[:, 1:4]
@@ -278,11 +285,11 @@ def erasure_duality_stack(alphas, betas, p1s, p2s) -> ErasureAudit:
     p2 = linalg.check_unit_rows(p2s, "marker state")
     if not p1.shape == p2.shape == (len(amplitudes), 2):
         raise DimensionMismatch(f"got {len(amplitudes)} amplitude pairs for {len(p1)} and {len(p2)} markers")
-    return _erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
+    return erasure_duality_core(amplitudes, np.stack([p1, p2], axis=1))
 
 
-def _erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> ErasureAudit:
-    """:func:`erasure_duality_stack` for unit rows the caller checked.
+def erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> ErasureAudit:
+    """:func:`erasure_duality_stack`, checking nothing: the caller guarantees complex unit rows.
 
     ``markers[n, k]`` is the marker of path k + 1 for input n, (N, 2, 2);
     ``amplitudes`` holds the rows (alpha, beta), (N, 2) or (1, 2) for one

@@ -69,14 +69,6 @@ def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _marker_stacks(thetas: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    # interferometer.marker_states over a list of tilts; math.cos and
-    # math.sin keep the markers independent of numpy's SIMD dispatch.
-    c = np.array([math.cos(t / 2.0) for t in thetas], dtype=complex)
-    s = np.array([math.sin(t / 2.0) for t in thetas], dtype=complex)
-    return np.stack([c, s], axis=1), np.stack([s, c], axis=1)
-
-
 @functools.cache
 def distinct_grid_configs() -> tuple[interferometer.MzConfig, ...]:
     # Configurations that differ only in angles an experiment ignores
@@ -369,7 +361,8 @@ def check_mz_unitarity(seed: int) -> CheckResult:
 def check_marking_unitary(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 111])
     probes = oracle.haar_vectors(rng, 600).reshape(200, 3, 2)
-    u = interferometer.marking_unitary_stack(probes)
+    # U_MZ at delta = 0 is exactly -I, so this is U_mark entry for entry, up to the sign of zeros.
+    u = -interferometer.total_unitary_stack(probes, np.zeros(len(probes)))
     worst = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))))
     for k in (1, 2):
         e = np.zeros(2, dtype=complex)
@@ -535,11 +528,11 @@ def check_erasure_duality(seed: int) -> CheckResult:
     # Each sample draws a tilt, a weight and a phase, in that order: one
     # batched draw replays them.
     u = rng.random((1000, 3))
-    thetas = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist()
+    thetas = _uniform(0.0, math.pi / 2.0, u[:, 0])
     weights, phases = u[:, 1], _uniform(0.0, 2.0 * math.pi, u[:, 2])
     alphas = np.sqrt(weights)
     betas = np.sqrt(1.0 - weights) * np.exp(1j * phases)
-    p1s, p2s = _marker_stacks(thetas)
+    p1s, p2s = interferometer.marker_states(thetas)
     audit = relations.erasure_duality_stack(alphas, betas, p1s, p2s)
     worst = float(max(np.max(np.abs(audit.duality.slack)), np.max(np.abs(audit.variance_tradeoff.slack))))
     return _result("erasure-duality", worst, 1e-9)
@@ -593,9 +586,9 @@ def check_grid_maximize_agreement(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 116])
     # Each sample draws a tilt, then a weight: one batched draw replays them.
     u = rng.random((50, 2))
-    thetas, weights = _uniform(0.0, math.pi / 2.0, u[:, 0]).tolist(), u[:, 1]
+    thetas, weights = _uniform(0.0, math.pi / 2.0, u[:, 0]), u[:, 1]
     alpha, beta = np.sqrt(weights), np.sqrt(1.0 - weights)
-    p1, p2 = _marker_stacks(thetas)
+    p1, p2 = interferometer.marker_states(thetas)
     b1 = linalg.bloch_from_density_stack(linalg.projectors(p1))
     b2 = linalg.bloch_from_density_stack(linalg.projectors(p2))
     evidence = alpha[:, None] ** 2 * b1 - beta[:, None] ** 2 * b2

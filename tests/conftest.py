@@ -61,6 +61,15 @@ def random_bloch_in_ball(rng) -> np.ndarray:
     return direction * rng.random() ** (1.0 / 3.0)
 
 
+def reference_marking_unitary(p0, p1, p2):
+    """The path-marking coupling sum_k |k><k| (x) V_k, V_k = |p_k><p0| + |p_k_perp><p0_perp|, entry by entry."""
+    out = np.zeros((4, 4), dtype=complex)
+    for k, pk in enumerate((p1, p2)):
+        block = np.outer(pk, p0.conj()) + np.outer(linalg.perp(pk), linalg.perp(p0).conj())
+        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+    return out
+
+
 def random_hermitian(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)

@@ -56,15 +56,20 @@ class TestMarkerStates:
         assert np.vdot(p1, p2).real == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
 
 
+def _marking_unitary(probes):
+    # U_mark as the run route builds it: the total unitary at delta = 0, where U_MZ = -I.
+    return -interferometer.total_unitary_stack(probes, np.zeros(len(probes)))
+
+
 class TestMarkingUnitary:
     def test_no_marking_acts_as_identity_on_neutral_inputs(self, rng):
         p0 = random_pure(rng)
-        u = interferometer.marking_unitary_stack([[p0, p0, p0]])[0]
+        u = _marking_unitary(np.array([[p0, p0, p0]]))[0]
         np.testing.assert_allclose(u, np.eye(4), atol=1e-12)
 
     def test_orthogonal_markers_entangle(self):
         p0, p1, p2 = interferometer.probe_stack([interferometer.MzConfig("marking")])[0]
-        u = interferometer.marking_unitary_stack([[p0, p1, p2]])[0]
+        u = _marking_unitary(np.array([[p0, p1, p2]]))[0]
         alpha, beta = 0.6, 0.8
         out = u @ np.kron([alpha, beta], p0)
         want = alpha * np.kron([1, 0], p1) + beta * np.kron([0, 1], p2)
@@ -72,7 +77,7 @@ class TestMarkingUnitary:
 
     def test_unitarity_and_action_for_random_probes(self, rng):
         probes = np.array([[random_pure(rng), random_pure(rng), random_pure(rng)] for _ in range(200)])
-        for u, (p0, p1, p2) in zip(interferometer.marking_unitary_stack(probes), probes):
+        for u, (p0, p1, p2) in zip(_marking_unitary(probes), probes):
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
             for k, pk in ((1, p1), (2, p2)):
                 e = np.zeros(2)
@@ -81,7 +86,7 @@ class TestMarkingUnitary:
 
     def test_two_completions_agree_on_neutral_inputs(self, rng):
         p0, p1, p2 = random_pure(rng), random_pure(rng), random_pure(rng)
-        u = interferometer.marking_unitary_stack([[p0, p1, p2]])[0]
+        u = _marking_unitary(np.array([[p0, p1, p2]]))[0]
         # Alternative completion: arbitrary phases on the perp channel.
         blocks = []
         for pk, phase in ((p1, np.exp(0.7j)), (p2, np.exp(-1.1j))):

@@ -156,7 +156,7 @@ class TestCrossCheck:
         assert samples > 2 * oracle.CROSS_CHECK_STACK
         states = oracle.random_states(4, samples)
         for _, schemes, effects in verify.grid_schemes():
-            direct = oracle._probabilities(schemes, states)
+            direct = oracle.probabilities(schemes, states)
             predicted = np.einsum("si,nlij,sj->nsl", states.conj(), effects, states).real
             want = np.abs(direct - predicted).max(axis=(1, 2))
             assert oracle.cross_check_stack(schemes, effects, 4, samples).tobytes() == want.tobytes()
@@ -167,7 +167,7 @@ class TestProbabilityChecks:
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         states = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]], dtype=complex)
         with pytest.raises(InvalidScheme, match=r"probability 4\.0 for output '1'"):
-            oracle._probabilities(scheme, states)
+            oracle.probabilities(scheme, states)
 
     def test_out_of_range_names_the_scheme_state_and_output(self):
         # Scheme 1 (path) on state 1 (2|1>) gives p1 = 4, the farthest from [0, 1].
@@ -175,7 +175,7 @@ class TestProbabilityChecks:
         states = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
         message = r"^scheme 1, state 1: probability 4\.0 for output '1' is out of range$"
         with pytest.raises(InvalidScheme, match=message):
-            oracle._probabilities(schemes, states)
+            oracle.probabilities(schemes, states)
 
     @pytest.mark.parametrize("psi", [[1.0, 1.0], [0.0, 1.1], [math.nan, 0.0]])
     def test_direct_route_rejects_a_non_unit_input(self, psi):
@@ -193,14 +193,14 @@ class TestProbabilityChecks:
         states = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
         message = r"^scheme 1, state 301: probability 4\.0 for output '1' is out of range$"
         with pytest.raises(InvalidScheme, match=message):
-            oracle._probabilities(schemes, states, 300)
+            oracle.probabilities(schemes, states, 300)
 
     def test_bad_sum_names_the_worst_total(self):
         scheme = extraction.schemes_for([interferometer.MzConfig("path")])
         balanced = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         states = np.array([balanced, (1.0 + 1e-9) * balanced, (1.0 + 1e-10) * balanced])
         with pytest.raises(InvalidScheme, match=r"sum to 1\.000000002"):
-            oracle._probabilities(scheme, states)
+            oracle.probabilities(scheme, states)
 
 
 class TestGridMaximize:

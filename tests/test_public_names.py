@@ -12,7 +12,9 @@ public class must be read as an attribute outside its own definition and
 outside every other unused method; dunder methods are exempt, and no
 method is kept for the tests. Every field of a public dataclass must be
 read as an attribute by the same code, outside the class's own
-``__post_init__`` and every unused method, with no exemption.
+``__post_init__`` and every unused method, with no exemption. No module
+of ``src/`` or ``scripts/`` reads a private name of another package
+module: a kernel another module calls is public, and says what it checks.
 """
 
 from __future__ import annotations
@@ -101,6 +103,40 @@ def test_every_private_name_has_a_reader_in_src():
     trees = {path: tree for path, tree in _sources().items() if PACKAGE in path.parents}
     unused = _unreferenced(trees, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign))
     assert [key for key in unused if _is_private(key[1])] == []
+
+
+def _private_reads(trees) -> list[str]:
+    """``module._name`` reads of package modules, and ``from`` imports of private names, in ``trees``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path, tree in trees.items():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                names = [f"{sub.value.id}.{sub.attr}"]
+            elif isinstance(sub, ast.ImportFrom) and (sub.level or (sub.module or "").startswith("mzpovm")):
+                names = [f"{sub.module or ''}.{alias.name}" for alias in sub.names]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{sub.lineno}: {name}" for name in names if _is_private(name.rsplit(".", 1)[-1])]
+    return found
+
+
+def test_no_module_reads_a_private_name_of_another_package_module():
+    trees = {path: tree for path, tree in _sources().items() if "perfbench" not in path.relative_to(ROOT).parts}
+    assert _private_reads(trees) == []
+
+
+def test_a_private_read_is_found_and_a_dunder_is_not():
+    source = ast.parse(
+        "from mzpovm import relations\n"
+        "from .oracle import _probabilities, haar_state\n"
+        "relations._state_relations_core(x)\n"
+        "relations.__name__, relations.state_relations_core, rng._private\n"
+    )
+    assert _private_reads({ROOT / "src" / "m.py": source}) == [
+        "src/m.py:2: oracle._probabilities",
+        "src/m.py:3: relations._state_relations_core",
+    ]
 
 
 def _unused_methods(classes, trees) -> list[str]:

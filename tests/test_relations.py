@@ -565,7 +565,7 @@ class TestStackedKernels:
             ("contrast-triple", "leq"),
         ]
 
-    def test_cached_pauli_pair_is_not_revalidated(self, monkeypatch):
+    def test_each_observable_is_classified_once_per_call(self, monkeypatch):
         calls = []
         original = povm.classify_effects
 
@@ -575,13 +575,15 @@ class TestStackedKernels:
 
         monkeypatch.setattr(povm, "classify_effects", counting_classify)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
-        relations.entropic_bound_stack(z_pvm, x_pvm, np.array([[1.0, 0.0]]))
-        assert calls == []
-        copy = z_pvm.copy()
-        relations.entropic_bound_stack(copy, x_pvm, np.array(EIGENSTATES, dtype=complex))
-        # Once per kernel call, not once per state, as a batch of one.
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], copy[None])
+        states = np.array(EIGENSTATES, dtype=complex)
+        # Once per observable and kernel call, not once per state, as a batch
+        # of one; the cached Pauli pair is checked like a copy of it.
+        for a in (z_pvm, z_pvm.copy()):
+            calls.clear()
+            relations.entropic_bound_stack(a, x_pvm, states)
+            assert len(calls) == 2
+            np.testing.assert_array_equal(calls[0], a[None])
+            np.testing.assert_array_equal(calls[1], x_pvm[None])
 
     def test_cached_pauli_pvms_are_write_protected(self):
         for axis in "xyz":
@@ -632,18 +634,18 @@ class TestStackedKernels:
 
         states = np.array([random_pure(rng) for _ in range(40)] + EIGENSTATES, dtype=complex)
         rhos = states[:, :, None] * states.conj()[:, None, :]
-        for got, want in zip(relations._state_relations_core(rhos), relations.state_relations_stack(rhos)):
+        for got, want in zip(relations.state_relations_core(rhos), relations.state_relations_stack(rhos)):
             same_report_bits(got, want)
         z_pvm, x_pvm = relations.pauli_pvm("z"), relations.pauli_pvm("x")
         same_report_bits(
-            relations._entropic_bound_core(z_pvm, x_pvm, states), relations.entropic_bound_stack(z_pvm, x_pvm, states)
+            relations.entropic_bound_core(z_pvm, x_pvm, states), relations.entropic_bound_stack(z_pvm, x_pvm, states)
         )
         # One (1, 2) amplitude row broadcasts against every marker pair.
         thetas = rng.uniform(0.0, math.pi / 2.0, len(states))
         markers = np.array([interferometer.marker_states(float(t)) for t in thetas])
         n = len(markers)
         for psi in states[:3]:
-            got = relations._erasure_duality_core(psi[None], markers)
+            got = relations.erasure_duality_core(psi[None], markers)
             want = relations.erasure_duality_stack(
                 np.repeat(psi[:1], n), np.repeat(psi[1:], n), markers[:, 0], markers[:, 1]
             )

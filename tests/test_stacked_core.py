@@ -6,6 +6,7 @@ replaced: Kronecker-product unitaries and projections, and one
 here, so the stacked arrays always have an independent route to agree with.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -13,26 +14,28 @@ import numpy as np
 import pytest
 
 from mzpovm import cli, complementarity, extraction, interferometer, linalg, oracle, povm, relations, verify
-from mzpovm.errors import InvalidBasis, InvalidScheme, NotHermitian, NotNormalized, UnsupportedExperiment
+from mzpovm.errors import (
+    BlochOutOfBall,
+    DimensionMismatch,
+    InvalidBasis,
+    InvalidScheme,
+    MzPovmError,
+    NotAProjection,
+    NotHermitian,
+    NotNormalized,
+    UnsupportedExperiment,
+)
 
-from conftest import random_pure
+from conftest import assert_same_bits, random_pure, reference_marking_unitary
 
 TOL = 1e-15
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
 
 
-def _reference_marking_unitary(p0, p1, p2):
-    out = np.zeros((4, 4), dtype=complex)
-    for k, pk in enumerate((p1, p2)):
-        block = np.outer(pk, p0.conj()) + np.outer(linalg.perp(pk), linalg.perp(p0).conj())
-        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
-    return out
-
-
 def _reference_total_unitary(p0, p1, p2, delta):
     mz = interferometer.mz_evolution_stack([delta])[0]
-    return np.kron(mz, np.eye(2, dtype=complex)) @ _reference_marking_unitary(p0, p1, p2)
+    return np.kron(mz, np.eye(2, dtype=complex)) @ reference_marking_unitary(p0, p1, p2)
 
 
 def _reference_outputs(pointers):
@@ -107,7 +110,7 @@ class TestStackedOracle:
     def test_probabilities_match_a_per_config_per_state_loop(self):
         states = oracle.random_states(11, 20)
         for configs, schemes, _ in verify.grid_schemes():
-            probs = oracle._probabilities(schemes, states)
+            probs = oracle.probabilities(schemes, states)
             assert probs.shape == (len(configs), 20, len(schemes.labels))
             for n, (config, probes) in enumerate(zip(configs, interferometer.probe_stack(configs))):
                 unitary = _reference_total_unitary(*probes, interferometer.effective_delta(config))
@@ -129,7 +132,7 @@ class TestStackedOracle:
         schemes = extraction.schemes_for([interferometer.MzConfig("path")] * 3)
         states = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidScheme, match=r"scheme 0, state 2: probability 4\.0"):
-            oracle._probabilities(schemes, states)
+            oracle.probabilities(schemes, states)
 
 
 class TestStackedValidator:
@@ -267,7 +270,7 @@ class TestInputCheckedOnce:
     """A run or sweep checks its input at the entry; the kernel cores behind it trust it."""
 
     @pytest.mark.parametrize("experiment", interferometer.EXPERIMENTS)
-    def test_a_run_report_makes_two_unit_norm_checks(self, rng, monkeypatch, experiment):
+    def test_a_run_report_makes_three_unit_norm_checks(self, rng, monkeypatch, experiment):
         calls = []
         original = linalg.check_unit_rows
 
@@ -341,6 +344,17 @@ class TestInputCheckedOnce:
             next(cli.sweep_rows(configs, np.array([1.0, 0.0]), "delta"))
 
 
+def _broken_scheme(field, value):
+    # A valid one-member marking stack with entry [0, 0, 0] of one array set to ``value``.
+    schemes = extraction.schemes_for([interferometer.MzConfig("marking", delta=0.3)])
+    arrays = {"unitaries": schemes.unitaries.copy(), "outputs": schemes.outputs.copy()}
+    arrays[field][0, 0, 0] = value
+    return extraction.SchemeStack(schemes.labels, probe_init=schemes.probe_init, **arrays)
+
+
+JOINT = extraction.extract_effects(extraction.schemes_for([interferometer.MzConfig("marking", delta=0.3)]))[0]
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -352,8 +366,46 @@ class TestInputCheckedOnce:
          "^joint effects deviate from Hermitian by nan"),
         (lambda: complementarity.OrthonormalBasis(np.full((2, 2), math.nan)), InvalidBasis,
          "^Gram matrix deviates from identity by nan"),
+        (lambda: extraction.conditional_probabilities(JOINT, "1", [0.6, 0.8, 0.0]), InvalidScheme,
+         "^the input must be a two-component photon state$"),
+        (lambda: extraction.conditional_probabilities(JOINT[:3], "2", E1), DimensionMismatch,
+         r"^joint effects must be \(4, 2, 2\), got \(3, 2, 2\)$"),
+        (lambda: extraction.conditional_probabilities(JOINT[0], "1", E1), DimensionMismatch,
+         r"^joint effects must be \(4, 2, 2\), got \(2, 2\)$"),
+        (lambda: extraction.conditional_probabilities(np.eye(3)[None].repeat(4, 0), "1", [1.0, 0.0, 0.0]),
+         DimensionMismatch, r"^joint effects must be \(4, 2, 2\), got \(4, 3, 3\)$"),
+        (lambda: extraction.conditional_probabilities(np.full((4, 2, 2), math.inf), "1", E1), NotHermitian,
+         "^joint effects deviate from Hermitian by nan"),
+        (lambda: relations.state_relations_stack(np.full((1, 2, 2), math.inf)), NotHermitian,
+         "^state deviates from Hermitian by nan"),
+        (lambda: relations.state_relations_stack(np.full((1, 2, 2), 1e200)), NotNormalized,
+         r"^state 0 has trace 2e\+200, expected 1 within 1e-10$"),
+        (lambda: relations.state_relations_stack(np.array([np.eye(2) / 2, [[0.5, 1e200], [1e200, 0.5]]])),
+         BlochOutOfBall, r"^state 1: \|r\| = 2e\+200 lies outside the Bloch ball$"),
+        (lambda: relations.state_relations_stack(linalg.bloch_operators(1.0, (0.0, 0.0, 1.1))[None]),
+         BlochOutOfBall, r"^state 0: \|r\| = 1\.1 lies outside the Bloch ball$"),
+        (lambda: _broken_scheme("unitaries", math.inf), InvalidScheme, "^scheme 0: unitarity defect nan"),
+        (lambda: _broken_scheme("unitaries", 1e200), InvalidScheme, "^scheme 0: unitarity defect inf"),
+        (lambda: _broken_scheme("outputs", math.inf), InvalidScheme,
+         "^scheme 0: output '11' deviates from a projection by nan"),
+        (lambda: _broken_scheme("outputs", 1e200), InvalidScheme,
+         "^scheme 0: output '11' deviates from a projection by inf"),
+        (lambda: complementarity.OrthonormalBasis(np.full((2, 2), math.inf)), InvalidBasis,
+         "^Gram matrix deviates from identity by nan"),
+        (lambda: complementarity.probabilistically_complementary(np.full((2, 2), math.inf), np.diag([1.0, 0.0])),
+         NotAProjection, "^operator deviates from a projection by nan"),
+        (lambda: interferometer.final_state_stack(E1, [[[math.inf, 0.0], E1, E2]], [0.3]), NotNormalized,
+         "^probe state 0 has norm inf"),
+        (lambda: interferometer.final_state_stack(E1, [[E1, E1, E1], [E1, 1.1 * E1, E2]], [0.3, 0.3]),
+         NotNormalized, "^probe state 4 has norm 1.1"),
     ],
-    ids=["infinite-probe", "nan-state-contrasts", "nan-joint-conditional", "nan-basis"],
+    ids=[
+        "infinite-probe", "nan-state-contrasts", "nan-joint-conditional", "nan-basis",
+        "conditional-3-vector", "conditional-3-effects", "conditional-one-effect", "conditional-qutrit",
+        "conditional-inf-joint", "inf-state", "huge-state", "huge-coherence", "outside-ball",
+        "inf-unitary", "huge-unitary", "inf-output", "huge-output", "inf-basis", "inf-projection",
+        "inf-probe-final-state", "long-probe-final-state",
+    ],
 )
 def test_a_bad_library_input_raises_a_named_error_without_a_numpy_warning(call, error, message):
     with warnings.catch_warnings():
@@ -362,17 +414,101 @@ def test_a_bad_library_input_raises_a_named_error_without_a_numpy_warning(call, 
             call()
 
 
+# Each core the run route calls, with the checked entry that is its checks followed by it.
+ROUTE_CORES = {
+    (relations, "state_relations_core"): relations.state_relations_stack,
+    (relations, "entropic_bound_core"): relations.entropic_bound_stack,
+    # The route shares one (1, 2) amplitude row among the markers; the entry takes one per marker pair.
+    (relations, "erasure_duality_core"): lambda amplitudes, markers: relations.erasure_duality_stack(
+        *np.broadcast_to(amplitudes, (len(markers), 2)).T, markers[:, 0], markers[:, 1]
+    ),
+    (extraction, "conditional_probabilities_core"): extraction.conditional_probabilities,
+    # Each member as a one-member stack, each state as psi.
+    (oracle, "probabilities"): lambda schemes, states: np.array([
+        [list(oracle.direct_probabilities(_member(schemes, n), psi).values()) for psi in states]
+        for n in range(len(schemes))
+    ]),
+}
+
+
+def _member(schemes, n):
+    return extraction.SchemeStack(
+        schemes.labels, schemes.unitaries[n:n + 1], schemes.probe_init[n:n + 1], schemes.outputs[n:n + 1]
+    )
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except MzPovmError as exc:
+        return exc
+
+
+def _recording(core, key, calls):
+    # ``core`` as the route sees it, logging each call's arguments and outcome.
+    def spy(*args):
+        outcome = _outcome(core, *args)
+        calls.append((key, args, outcome))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return spy
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_outcome(g, w)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        _assert_same_outcome(list(got.values()), list(want.values()))
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same_outcome(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+
+
+class TestRouteArguments:
+    """Each checked entry accepts the arguments run and sweep give its core, and gives the same bits."""
+
+    @pytest.mark.parametrize("experiment", interferometer.EXPERIMENTS)
+    def test_each_checked_entry_accepts_the_route_arguments_of_its_core(self, rng, experiment):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ROUTE_CORES:
+                patch.setattr(module, name, _recording(getattr(module, name), (module, name), calls))
+            config = interferometer.MzConfig(experiment, delta=0.4, gamma=1.1, theta=0.6)
+            # Under |1>, probe outcome 2 of marking has zero probability: its condition raises on both sides.
+            for psi in (random_pure(rng), E1):
+                cli.evaluate_run(config, psi)
+                list(cli.sweep_rows(cli.sweep_configs(config, "delta", 0.0, 1.0, 3), psi, "delta"))
+        detector_only = experiment in interferometer.DETECTOR_ONLY
+        assert {key for key, _, _ in calls} == set(ROUTE_CORES) - (
+            {(extraction, "conditional_probabilities_core")} if detector_only else set()
+        )
+        for key, args, want in calls:
+            _assert_same_outcome(_outcome(ROUTE_CORES[key], *args), want)
+
+
 class TestInterferometerStacks:
     def test_total_unitaries_match_the_kron_route(self, rng):
         triples = np.array([[random_pure(rng) for _ in range(3)] for _ in range(50)])
         deltas = rng.uniform(-2 * math.pi, 2 * math.pi, 50)
         stacked = interferometer.total_unitary_stack(triples, deltas)
-        marking = interferometer.marking_unitary_stack(triples)
+        # At delta = 0, where U_MZ = -I, the negated stack is U_mark entry for entry (zeros up to sign).
+        marking = -interferometer.total_unitary_stack(triples, np.zeros(50))
         for n in range(50):
             np.testing.assert_allclose(
                 stacked[n], _reference_total_unitary(*triples[n], deltas[n]), rtol=0, atol=TOL
             )
-            np.testing.assert_allclose(marking[n], _reference_marking_unitary(*triples[n]), rtol=0, atol=TOL)
+            np.testing.assert_array_equal(marking[n], reference_marking_unitary(*triples[n]))
 
     def test_probe_stack_matches_literal_triples(self):
         unmarked, marked = [E1, E1, E1], [E1, E1, E2]

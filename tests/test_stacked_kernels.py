@@ -555,12 +555,13 @@ class TestDrawReplay:
         assert linalg.density_from_bloch_stack(rs).tobytes() == want.tobytes()
 
     def test_marking_unitary(self, monkeypatch, seed):
-        calls = _spy(monkeypatch, interferometer, "marking_unitary_stack")
+        calls = _spy(monkeypatch, interferometer, "total_unitary_stack")
         assert verify.check_marking_unitary(seed).passed
         rng = np.random.default_rng([seed, 111])
         probes = np.array([[_reference_haar_vector(rng) for _ in range(3)] for _ in range(200)])
-        assert calls[0][0].tobytes() == probes.tobytes()
-
+        (args,) = calls
+        assert args[0].tobytes() == probes.tobytes()
+        assert np.asarray(args[1]).tobytes() == np.zeros(200).tobytes()
 
     def test_erasure_duality(self, monkeypatch, seed):
         calls = _spy(monkeypatch, relations, "erasure_duality_stack")
