@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidScheme, UnsupportedExperiment
+from .errors import InvalidScheme, NotNormalized, UnsupportedExperiment
 
 EXPERIMENTS = ("path", "interference", "marking", "erasure", "quantitative")
 # The angles each experiment's scheme reads; it ignores the others.
@@ -171,10 +171,18 @@ def total_unitary_stack(probes, deltas) -> np.ndarray:
 
 
 def photon_state(psi) -> np.ndarray:
-    """The checked (2,) unit vector of a photon input; any other length raises ``InvalidScheme``."""
+    """The checked (2,) unit vector of a photon input; any other length raises ``InvalidScheme``.
+
+    Past the ``linalg.state_vector`` check, a squared norm further than
+    1e-12 from 1 raises ``NotNormalized``: that is the bound to which
+    ``oracle.probabilities`` holds the sum of each output distribution.
+    """
     v = linalg.state_vector(psi)
     if v.shape != (2,):
         raise InvalidScheme("the input must be a two-component photon state")
+    squared = float(np.vdot(v, v).real)
+    if not abs(squared - 1.0) <= 1e-12:
+        raise NotNormalized(f"photon input has squared norm {squared!r}, expected 1 within 1e-12")
     return v
 
 

@@ -58,11 +58,6 @@ def _random_bloch_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     return ball
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
 def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
     # Generator.uniform(low, high) from random() draws u, scaled the way
     # numpy scales one draw, so a batched draw replays interleaved calls.
@@ -155,17 +150,13 @@ def check_eig_reconstruction(seed: int) -> CheckResult:
 
 def check_schmidt_separability(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 104])
-    # Even samples are products; odd ones draw a weight, then psi and phi.
-    # The draws interleave two distributions, so they stay in a loop.
+    # Even samples are products; odd ones are entangled with a drawn weight.
+    # The weights are drawn first, then psi and phi of every sample.
     product = np.arange(60) % 2 == 0
     weights = np.ones(60)
-    psi = np.empty((60, 2), dtype=complex)
-    phi = np.empty((60, 2), dtype=complex)
-    for k in range(60):
-        if not product[k]:
-            weights[k] = rng.uniform(0.55, 0.95)
-        psi[k] = oracle.haar_vector(rng)
-        phi[k] = oracle.haar_vector(rng)
+    weights[~product] = rng.uniform(0.55, 0.95, 30)
+    pairs = oracle.haar_vectors(rng, 120).reshape(60, 2, 2)
+    psi, phi = pairs[:, 0], pairs[:, 1]
     entangled = np.sqrt(weights)[:, None] * linalg.kron_rows(psi, phi) + np.sqrt(1.0 - weights)[:, None] * linalg.kron_rows(
         linalg.perp(psi), linalg.perp(phi)
     )
@@ -182,23 +173,33 @@ def check_schmidt_separability(seed: int) -> CheckResult:
     return _result("schmidt-separability", worst, 1e-10, ok)
 
 
+def _largest_commutator_entry(a: np.ndarray, b: np.ndarray) -> float:
+    # max |[a, b]_ij| over stacks of 2x2 matrices, entry by entry. The
+    # diagonal of [a, b] is (d, -d), so three entries give the maximum.
+    da = a[..., 0, 0] - a[..., 1, 1]
+    db = b[..., 0, 0] - b[..., 1, 1]
+    d = a[..., 0, 1] * b[..., 1, 0] - b[..., 0, 1] * a[..., 1, 0]
+    upper = b[..., 0, 1] * da - a[..., 0, 1] * db
+    lower = a[..., 1, 0] * db - b[..., 1, 0] * da
+    return float(max(np.abs(d).max(), np.abs(upper).max(), np.abs(lower).max()))
+
+
 def check_smear_validity(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 105])
-    # Each sample draws an axis, a row count and that many weight rows; the
-    # draws interleave three distributions, so they stay in a loop.
-    axes, weights = [], []
-    for _ in range(1000):
-        axes.append(rng.standard_normal(3))
-        weights.append(rng.random((int(rng.integers(2, 5)), 2)))
-    axes = np.array(axes)
+    # Each sample has an axis, a row count of 2-4 and that many weight
+    # rows, the first rows of its (4, 2) weight draw: all axes are drawn
+    # first, then all counts, then all weights.
+    axes = rng.standard_normal((1000, 3))
+    counts = rng.integers(2, 5, 1000)
+    weights = rng.random((1000, 4, 2))
     axes /= linalg.vector_norms(axes)[:, None]
     sx, sy, sz = linalg.pauli_triple()
     worst = 0.0
     ok = True
     # One smear, one classification and one commutator pass per row count.
     for rows in (2, 3, 4):
-        members = [n for n, w in enumerate(weights) if len(w) == rows]
-        w = np.array([weights[n] for n in members]) + 1e-3
+        members = counts == rows
+        w = weights[members, :rows] + 1e-3
         w /= w.sum(axis=1, keepdims=True)
         a = axes[members][:, :, None, None]
         op = a[:, 0] * sx + a[:, 1] * sy + a[:, 2] * sz
@@ -206,8 +207,7 @@ def check_smear_validity(seed: int) -> CheckResult:
         smeared = povm.smear_stack(pvms, w)
         ok = ok and bool(povm.classify_effects(smeared).valid.all())
         i, j = np.triu_indices(rows, 1)
-        left, right = smeared[:, i], smeared[:, j]
-        worst = max(worst, float(np.max(np.abs(left @ right - right @ left))))
+        worst = max(worst, _largest_commutator_entry(smeared[:, i], smeared[:, j]))
     return _result("smear-commutative", worst, 1e-12, ok)
 
 
@@ -277,16 +277,11 @@ def _contrast_objective(diff: np.ndarray):
 
 def check_contrast_oracle(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 107])
-    # Each sample draws a direction, a length and a bias; the draws
-    # interleave two distributions, so they stay in a loop.
-    u_dir, u_len, bias = [], [], []
-    for _ in range(50):
-        u_dir.append(_random_unit(rng))
-        u_len.append(rng.random())
-        bias.append(rng.random())
-    u_dir = np.array(u_dir)
-    u_len = np.array(u_len)[:, None, None]
-    b = (1.0 - u_len) * (2.0 * np.array(bias)[:, None, None] - 1.0)
+    # Each sample has a direction, a length and a bias: all directions are
+    # drawn first, then all lengths, then all biases.
+    u_dir = _random_directions(rng, 50)
+    u_len = rng.random(50)[:, None, None]
+    b = (1.0 - u_len) * (2.0 * rng.random(50)[:, None, None] - 1.0)
     along = sum(u_dir[:, i, None, None] * s for i, s in enumerate(linalg.pauli_triple()))
     e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * along)
     effects = np.stack([e1, np.eye(2) - e1], axis=1)
@@ -388,19 +383,18 @@ def check_final_state_norm() -> CheckResult:
 
 def check_completion_independence(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 112])
-    probes, deltas, phases = [], [], []
-    for _ in range(40):
-        probes.append([oracle.haar_vector(rng) for _ in range(3)])
-        deltas.append(float(rng.uniform(-math.pi, math.pi)))
-        phases.append(np.exp(1j * rng.uniform(0, 2 * math.pi, 2)))
-    probes = np.array(probes)
+    # Each sample has a probe triple, a phase and two completion phases: all
+    # triples are drawn first, then all phases, then all completion phases.
+    probes = oracle.haar_vectors(rng, 120).reshape(40, 3, 2)
+    deltas = rng.uniform(-math.pi, math.pi, 40)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, (40, 2)))
     pointers = interferometer.pointer_stack([interferometer.MzConfig("marking")] * len(probes))
     base_schemes = extraction.build_schemes(probes, deltas, pointers)
     # Alternative completion: extra phases on the perp channel,
     # V_k = |p_k><p0| + ph_k |p_k_perp><p0_perp|.
     p0, pk = probes[:, 0, None, None, :], probes[:, 1:, :, None]
     perp_outer = linalg.perp(probes[:, 1:])[..., None] * linalg.perp(p0).conj()
-    blocks = pk * p0.conj() + np.array(phases)[:, :, None, None] * perp_outer
+    blocks = pk * p0.conj() + phases[:, :, None, None] * perp_outer
     alt_mark = np.zeros((len(probes), 2, 2, 2, 2), dtype=complex)
     alt_mark[:, 0, :, 0, :] = blocks[:, 0]
     alt_mark[:, 1, :, 1, :] = blocks[:, 1]
@@ -453,15 +447,14 @@ def check_probability_reproduction(grid, seed: int, samples: int, tol: float) ->
 
 def check_pointer_freedom(seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, 113])
-    configs, pointers = [], []
-    for _ in range(50):
-        theta = float(rng.uniform(0.0, math.pi / 2.0))
-        delta = float(rng.uniform(-math.pi, math.pi))
-        configs.append(interferometer.MzConfig("quantitative", delta=delta, theta=theta))
-        r1 = oracle.haar_vector(rng)
-        pointers.append((r1, linalg.perp(r1)))
+    # Each sample has a tilt, a phase and a pointer: all tilts are drawn
+    # first, then all phases, then all pointers.
+    thetas = rng.uniform(0.0, math.pi / 2.0, 50).tolist()
+    deltas = rng.uniform(-math.pi, math.pi, 50).tolist()
+    r1 = oracle.haar_vectors(rng, 50)
+    configs = [interferometer.MzConfig("quantitative", delta=d, theta=t) for t, d in zip(thetas, deltas)]
     schemes = extraction.build_schemes(
-        interferometer.probe_stack(configs), [c.delta for c in configs], pointers
+        interferometer.probe_stack(configs), deltas, np.stack([r1, linalg.perp(r1)], axis=1)
     )
     effects = extraction.extract_effects(schemes)
     probe = povm.joint_marginals(effects)[:, 1]
@@ -560,12 +553,6 @@ def _correct_prob_objective(evidence: np.ndarray):
     return objective
 
 
-def _planar_norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # math.hypot point by point: numpy.hypot rounds differently from it in
-    # about one case in 200.
-    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _equatorial_objective(rho_e: np.ndarray):
     """(points, rows) -> |tr[rho_e,n (m . sigma)]| for the unit equatorial direction m along (x, y)."""
     sx, sy, _ = linalg.pauli_triple()
@@ -574,10 +561,9 @@ def _equatorial_objective(rho_e: np.ndarray):
 
     def objective(points, rows):
         x, y = points[..., 0], points[..., 1]
-        planar = _planar_norms(x, y)
+        planar = np.sqrt(x * x + y * y)
         polar = planar < 1e-12
-        planar = np.where(polar, 1.0, planar)
-        return np.where(polar, 0.0, np.abs(ex[rows] * (x / planar) + ey[rows] * (y / planar)))
+        return np.where(polar, 0.0, np.abs(ex[rows] * x + ey[rows] * y) / np.where(polar, 1.0, planar))
 
     return objective
 

@@ -42,10 +42,10 @@ SWEEP_DIGESTS = {
 # (exit code, digest of standard output) of ``verify`` at three seeds, and at a
 # tolerance below the noise floor, where three rows fail.
 VERIFY_DIGESTS = {
-    ("--seed=42",): (0, "4be4ec0afa33f1f90f8704088e33024ed09ddb9e3e726c0f78224ba8e114f204"),
-    ("--seed=7",): (0, "892fc01b6113825694e6798fa76d074002fc5eda716a671079e6a64f77017fcc"),
-    ("--seed=1",): (0, "e65f24c96fd0773aed0619e75fd2b717207de5efb003017dc6515e1387175d15"),
-    ("--seed=42", "--tol=1e-16"): (1, "617fa8a4ca69ba333c6d25effe8e0b469cbfc9beeca5b34d3bd875f437d70b43"),
+    ("--seed=42",): (0, "db5d3fe5933d988ea1b70157d3fb79ba14abb7748b5b61cdf6f792250e5505bc"),
+    ("--seed=7",): (0, "5dfb6a0a14ce8d3000fc98e2577b08d4a0f395c01ae4357f26a3f037f07f6fd1"),
+    ("--seed=1",): (0, "12810d5d2a6d46f7919be9c785f08fee20e90a7c691776df39165291b788486a"),
+    ("--seed=42", "--tol=1e-16"): (1, "223a5625e63f11e7156d6bb303ea20bc41a6f34c84ea1854d45c5c1ec999b4db"),
 }
 
 

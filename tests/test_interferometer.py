@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import extraction, interferometer, linalg
-from mzpovm.errors import InvalidScheme, UnsupportedExperiment
+from mzpovm import cli, extraction, interferometer, linalg, oracle
+from mzpovm.errors import InvalidScheme, NotNormalized, UnsupportedExperiment
 
 from conftest import random_pure
 
@@ -180,6 +180,33 @@ class TestFinalState:
             out = interferometer.final_state_stack(psi, interferometer.probe_stack(configs), deltas)
             assert out.shape == (len(configs), 4)
             assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
+
+
+class TestPhotonState:
+    PSI = np.array([0.6, 0.8j])
+
+    @pytest.mark.parametrize("scale", (1.0 + 0.9e-10, 1.0 - 0.9e-10, 1.0 + 2e-12))
+    def test_a_squared_norm_past_the_probability_sum_bound_is_rejected(self, scale):
+        # linalg.state_vector passes these; the probabilities would not sum to 1 within 1e-12.
+        with pytest.raises(NotNormalized, match="^photon input has squared norm"):
+            interferometer.photon_state(scale * self.PSI)
+
+    @pytest.mark.parametrize("scale", (1.0 + 4e-13, 1.0 - 4e-13))
+    def test_a_squared_norm_within_the_bound_passes_unchanged(self, scale):
+        assert interferometer.photon_state(scale * self.PSI).tobytes() == (scale * self.PSI).tobytes()
+
+    def test_every_route_names_the_photon_input(self):
+        config = interferometer.MzConfig("erasure", 0.3, 0.2)
+        psi = (1.0 + 0.9e-10) * self.PSI
+        message = r"^photon input has squared norm 1\.00000000018, expected 1 within 1e-12$"
+        with pytest.raises(NotNormalized, match=message):
+            oracle.direct_probabilities(extraction.schemes_for([config]), psi)
+        with pytest.raises(NotNormalized, match=message):
+            cli.evaluate_run(config, psi)
+        with pytest.raises(NotNormalized, match=message):
+            next(cli.sweep_rows([config], psi, "delta"))
+        probs = oracle.direct_probabilities(extraction.schemes_for([config]), (1.0 + 4e-13) * self.PSI)
+        assert abs(sum(probs.values()) - 1.0) <= 1e-12
 
 
 class TestOutputProjection:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -249,47 +250,6 @@ def _reference_bloch(theta, phi):
     return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
 
 
-def _reference_frame(r):
-    axis = np.array([0.0, 0.0, 1.0]) if abs(r[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(r, axis)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(r, t1)
-
-
-def reference_grid_maximize(objective):
-    """The lattice sweep and pattern search on numpy vectors, one step at a time."""
-    step = oracle.GRID_RESOLUTION
-    best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
-    theta = 0.0
-    while theta <= math.pi + 1e-12:
-        phi = 0.0
-        while phi < 2.0 * math.pi - 1e-12:
-            candidate = _reference_bloch(theta, phi)
-            value = float(objective(candidate))
-            if value > best_value:
-                best_value, best = value, candidate
-            if theta <= 1e-12 or theta >= math.pi - 1e-12:
-                break
-            phi += step
-        theta += step
-    for _ in range(20):
-        step *= 0.5
-        improved = True
-        while improved:
-            improved = False
-            t1, t2 = _reference_frame(best)
-            for a in (-1.0, 0.0, 1.0):
-                for b in (-1.0, 0.0, 1.0):
-                    if a == 0.0 and b == 0.0:
-                        continue
-                    candidate = best + step * (a * t1 + b * t2)
-                    candidate = candidate / np.linalg.norm(candidate)
-                    value = float(objective(candidate))
-                    if value > best_value:
-                        best_value, best, improved = value, candidate, True
-    return best_value, best
-
-
 def _float_unit(v):
     n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     return (v[0] / n, v[1] / n, v[2] / n)
@@ -299,13 +259,16 @@ def _float_cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def float_reference_grid_maximize(objective):
-    """The per-point search on Python floats, as the oracle ran it before
-    its searches were stacked: the bit-for-bit reference.
+PATCH_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
-    ``reference_grid_maximize`` normalizes with ``numpy.linalg.norm``, which
-    rounds differently from the square root of the summed squares, so it
-    agrees with this loop only to 1e-15.
+
+def float_reference_grid_maximize(objective):
+    """The search on Python floats, one point at a time: the bit-for-bit reference.
+
+    The lattice sweep keeps its first strict maximum. Each of the
+    ``REFINE_LEVELS`` levels halves the step, scans the 5 x 5 patch around
+    the best point in a-major order for the patch's first strict maximum,
+    and moves there only if it beats the best.
     """
     step = oracle.GRID_RESOLUTION
     best_value, best = -math.inf, _reference_bloch(0.0, 0.0)
@@ -322,25 +285,23 @@ def float_reference_grid_maximize(objective):
             phi += step
         theta += step
     r = best.tolist()
-    for _ in range(20):
+    for _ in range(oracle.REFINE_LEVELS):
         step *= 0.5
-        improved = True
-        while improved:
-            improved = False
-            axis = (0.0, 0.0, 1.0) if abs(r[2]) <= 0.9 else (1.0, 0.0, 0.0)
-            t1 = _float_unit(_float_cross(r, axis))
-            (u1, u2, u3), (v1, v2, v3) = t1, _float_cross(r, t1)
-            for a in (-1.0, 0.0, 1.0):
-                for b in (-1.0, 0.0, 1.0):
-                    if a == 0.0 and b == 0.0:
-                        continue
-                    moved = (r[0] + step * (a * u1 + b * v1),
-                             r[1] + step * (a * u2 + b * v2),
-                             r[2] + step * (a * u3 + b * v3))
-                    candidate = np.array(_float_unit(moved))
-                    value = float(objective(candidate))
-                    if value > best_value:
-                        best_value, best, r, improved = value, candidate, candidate.tolist(), True
+        axis = (0.0, 0.0, 1.0) if abs(r[2]) <= 0.9 else (1.0, 0.0, 0.0)
+        t1 = _float_unit(_float_cross(r, axis))
+        (u1, u2, u3), (v1, v2, v3) = t1, _float_cross(r, t1)
+        patch_value, patch_best = -math.inf, None
+        for a in PATCH_OFFSETS:
+            for b in PATCH_OFFSETS:
+                moved = (r[0] + step * (a * u1 + b * v1),
+                         r[1] + step * (a * u2 + b * v2),
+                         r[2] + step * (a * u3 + b * v3))
+                candidate = np.array(_float_unit(moved))
+                value = float(objective(candidate))
+                if value > patch_value:
+                    patch_value, patch_best = value, candidate
+        if patch_value > best_value:
+            best_value, best, r = patch_value, patch_best, patch_best.tolist()
     return best_value, np.array(best)
 
 
@@ -373,16 +334,15 @@ def _reference_equatorial(rho_e):
 
 
 def _suite_inputs(seed, count):
-    """The per-search inputs of the contrast-oracle and grid-maximize-agreement
-    checks, replayed one sample at a time: the contrast-oracle ``diff``
-    matrices, the evidence vectors and the reduced states rho_e."""
+    """The first ``count`` (at most 50) per-search inputs of the contrast-oracle
+    and grid-maximize-agreement checks: the contrast-oracle ``diff`` matrices,
+    the evidence vectors and the reduced states rho_e. The draws replay the
+    checks' batched draws; the arithmetic runs one sample at a time."""
     rng = np.random.default_rng([seed, 107])
+    draws = zip(verify._random_directions(rng, 50), rng.random(50), rng.random(50))
     diffs = []
-    for _ in range(count):
-        u_dir = rng.standard_normal(3)
-        u_dir /= np.linalg.norm(u_dir)
-        u_len = rng.random()
-        b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
+    for u_dir, u_len, bias in itertools.islice(draws, count):
+        b = (1.0 - u_len) * (2.0 * bias - 1.0)
         e1 = 0.5 * ((1.0 + b) * I2 + u_len * (u_dir[0] * SX + u_dir[1] * SY + u_dir[2] * SZ))
         diffs.append(e1 - (I2 - e1))
     rng = np.random.default_rng([seed, 116])
@@ -398,17 +358,8 @@ def _suite_inputs(seed, count):
     return np.array(diffs), np.array(evidences), np.array(reduced)
 
 
-def _suite_objectives(seed, count):
-    """The reference formulas of the suite's objectives."""
-    diffs, evidences, reduced = _suite_inputs(seed, count)
-    yield from map(_reference_contrast, diffs)
-    for evidence, rho_e in zip(evidences, reduced):
-        yield _reference_correct_prob(evidence)
-        yield _reference_equatorial(rho_e)
-
-
-# Copies of the suite's per-point objectives on Python floats, as verify
-# wrote them before its searches were stacked.
+# The suite's objectives on Python floats, one point at a time: the
+# bit-for-bit twins of verify's stacked objectives.
 def _float_contrast(diff):
     (d00, d01), (d10, d11) = diff.tolist()
     c0 = 0.5 * (d00 + d11).real
@@ -439,10 +390,10 @@ def _float_equatorial(rho_e):
 
     def objective(r):
         x, y, _ = r.tolist()
-        planar = math.hypot(x, y)
+        planar = math.sqrt(x * x + y * y)
         if planar < 1e-12:
             return 0.0
-        return abs(ex * (x / planar) + ey * (y / planar))
+        return abs(ex * x + ey * y) / planar
 
     return objective
 
@@ -491,55 +442,54 @@ class TestSuiteObjectives:
             assert values.tobytes() == want.tobytes()
 
 
-class TestGridMaximizeAgainstReference:
-    def assert_same_search(self, objective):
-        fast, fast_calls = _counted(objective)
-        slow, slow_calls = _counted(objective)
-        (best,), (argmax,) = oracle.grid_maximize_stack(stack_of([fast]), 1)
-        want, want_argmax = reference_grid_maximize(slow)
-        assert len(fast_calls) == len(slow_calls)
-        assert best == pytest.approx(want, abs=1e-15)
-        np.testing.assert_allclose(argmax, want_argmax, rtol=0, atol=1e-15)
+def _closed_maxima(diffs, evidences, reduced):
+    """The exact maxima over the sphere of each kind of suite objective: |c0| + |c|
+    of the contrast, (1 + |evidence|) / 2 and 2 |rho_01|."""
+    c0 = 0.5 * np.trace(diffs, axis1=-2, axis2=-1).real
+    c = 0.5 * np.einsum("kij,nji->nk", np.array([SX, SY, SZ]), diffs).real
+    return [
+        np.abs(c0) + np.linalg.norm(c, axis=1),
+        0.5 * (1.0 + np.linalg.norm(evidences, axis=1)),
+        2.0 * np.abs(reduced[:, 0, 1]),
+    ]
 
-    def test_suite_objectives(self):
-        for objective in _suite_objectives(42, 8):
-            self.assert_same_search(objective)
 
-    def test_unit_test_objectives(self, rng, monkeypatch):
-        rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
+class TestGridMaximizeExactness:
+    @pytest.mark.parametrize("seed", (42, 7, 1, 3, 11))
+    def test_suite_searches_reach_the_closed_maxima(self, seed):
+        inputs = _suite_inputs(seed, 50)
+        for (objective, _, floats), exact in zip(_suite_stacks(*inputs), _closed_maxima(*inputs)):
+            values, argmax = oracle.grid_maximize_stack(objective, len(floats))
+            assert np.max(np.abs(values - exact)) <= 1e-12
+            np.testing.assert_allclose(np.linalg.norm(argmax, axis=1), 1.0, rtol=0, atol=1e-15)
 
-        def equatorial(r):
-            planar = math.hypot(r[0], r[1])
-            if planar < 1e-12:
-                return 0.0
-            return abs(float(np.trace(rho @ ((r[0] * SX + r[1] * SY) / planar)).real))
+    def test_generic_linear_searches_reach_the_closed_maxima(self, rng):
+        # Hermitian diffs with every Pauli part and evidence vectors with a
+        # y part. The equatorial objective is left out: it is flat along
+        # meridians, and with a complex coherence a search can stall near a pole.
+        g = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        diffs = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        evidences = rng.standard_normal((200, 3))
+        exact = _closed_maxima(diffs, evidences, np.zeros((0, 2, 2)))
+        for objective, want in zip((verify._contrast_objective(diffs), verify._correct_prob_objective(evidences)), exact):
+            values, _ = oracle.grid_maximize_stack(objective, 200)
+            assert np.max(np.abs(values - want)) <= 1e-12
 
-        objectives = [
-            lambda r: float(np.trace(linalg.density_from_bloch(r) @ (0.6 * SX)).real),
-            equatorial,
-            lambda r: 0.25,
-        ]
-        for _ in range(5):
-            target = rng.standard_normal(3)
-            target /= np.linalg.norm(target)
-            objectives.append(lambda r, t=target: float(r @ t))
-        for resolution in (math.pi / 16.0, math.pi / 8.0, 0.1):
-            monkeypatch.setattr(oracle, "GRID_RESOLUTION", resolution)
-            for objective in objectives:
-                self.assert_same_search(objective)
+    @pytest.mark.parametrize("count", (1, 7, 50))
+    def test_every_search_makes_one_call_per_level(self, count):
+        calls = []
+        objective = verify._contrast_objective(_suite_inputs(42, count)[0])
 
-    def test_cached_lattice_is_read_only_and_result_is_owned(self):
-        seen = []
-        oracle.grid_maximize_stack(stack_of([lambda r: seen.append(r) or 0.0]), 1)
-        with pytest.raises(ValueError):
-            seen[0][0] = 5.0
-        best, argmax = oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)
-        argmax[0, 0] = 5.0
-        assert oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)[0] == best
+        def counted(points, rows):
+            calls.append(rows)
+            return objective(points, rows)
+
+        oracle.grid_maximize_stack(counted, count)
+        assert len(calls) == 1 + oracle.REFINE_LEVELS
 
 
 def _unit_test_objectives(rng):
-    """The per-point objectives of ``TestGridMaximizeAgainstReference::test_unit_test_objectives``."""
+    """Per-point objectives with a linear, an equatorial, a constant and five random linear cases."""
     rho = np.array([[0.5, 0.3 * np.exp(-0.8j)], [0.3 * np.exp(0.8j), 0.5]])
 
     def equatorial(r):
@@ -591,7 +541,7 @@ class TestGridMaximizeStack:
         counted = [_counted(objective) for objective in objectives]
         values, argmax = oracle.grid_maximize_stack(stack_of([f for f, _ in counted]), len(objectives))
         self.assert_rows_match_float_reference(values, argmax, objectives)
-        # Every lattice point and pattern step of every row is evaluated.
+        # Every lattice and patch point of every row is evaluated.
         for objective, (_, calls) in zip(objectives, counted):
             slow, slow_calls = _counted(objective)
             float_reference_grid_maximize(slow)
@@ -624,6 +574,15 @@ class TestGridMaximizeStack:
             assert values[n : n + 1].tobytes() == value.tobytes()
             assert argmax[n : n + 1].tobytes() == r.tobytes()
 
+    def test_cached_lattice_is_read_only_and_result_is_owned(self):
+        seen = []
+        oracle.grid_maximize_stack(stack_of([lambda r: seen.append(r) or 0.0]), 1)
+        with pytest.raises(ValueError):
+            seen[0][0] = 5.0
+        best, argmax = oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)
+        argmax[0, 0] = 5.0
+        assert oracle.grid_maximize_stack(stack_of([lambda r: -float(r[2])]), 1)[0] == best
+
     def test_lattice_is_passed_once_and_read_only(self):
         lattice = oracle._coarse_lattice(oracle.GRID_RESOLUTION)
         calls = []
@@ -637,9 +596,10 @@ class TestGridMaximizeStack:
         assert points.shape == (1, len(lattice), 3) and not points.flags.writeable
         assert np.shares_memory(points, lattice)
         assert rows.tolist() == [[0], [1], [2], [3], [4]]
-        # Refinement passes the candidates of the rows still improving, in order.
+        # Each level passes the 5 x 5 patch of every row in one call.
+        assert len(calls) == 1 + oracle.REFINE_LEVELS
         for points, rows in calls[1:]:
-            assert points.shape == (len(rows), 3) and np.all(np.diff(rows) > 0)
+            assert points.shape == (25, 5, 3) and rows.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_batch_of_one_calls_the_objective_as_often_as_the_per_point_loop(self):
         for objective in (*DEGENERATE_OBJECTIVES, _float_contrast(_suite_inputs(42, 1)[0][0])):

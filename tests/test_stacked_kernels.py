@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from mzpovm import interferometer, linalg, oracle, povm, relations, verify
+from mzpovm import extraction, interferometer, linalg, oracle, povm, relations, verify
 from mzpovm.errors import BlochOutOfBall, NotHermitian, NotNormalized
 
 from conftest import random_hermitian
@@ -513,13 +513,15 @@ class TestDrawReplay:
         calls = _spy(monkeypatch, linalg, "schmidt_stack")
         result = verify.check_schmidt_separability(seed)
         rng = np.random.default_rng([seed, 104])
+        # The 30 entangled weights come first, then psi and phi of each sample.
+        weights = iter(rng.uniform(0.55, 0.95, 30).tolist())
         vecs, worst = [], 0.0
         for k in range(60):
             if k % 2 == 0:
                 vecs.append(_product(rng))
                 expected = 0.0
             else:
-                w = float(rng.uniform(0.55, 0.95))
+                w = next(weights)
                 vecs.append(_entangled(rng, w))
                 expected = 4.0 * w * (1.0 - w)
             w, (p1, p2), (q1, q2) = _reference_schmidt(vecs[-1])
@@ -587,13 +589,11 @@ class TestDrawReplay:
         calls = _spy(monkeypatch, povm, "contrast_stack")
         diffs = _spy(monkeypatch, verify, "_contrast_objective")
         assert verify.check_contrast_oracle(seed).passed
-        # The old loop: one two-outcome POVM and its diff per sample.
+        # The draws of the check, then one two-outcome POVM and its diff per sample.
         rng = np.random.default_rng([seed, 107])
         effects = []
-        for _ in range(50):
-            u_dir = verify._random_unit(rng)
-            u_len = rng.random()
-            b = (1.0 - u_len) * (2.0 * rng.random() - 1.0)
+        for u_dir, u_len, bias in zip(verify._random_directions(rng, 50), rng.random(50), rng.random(50)):
+            b = (1.0 - u_len) * (2.0 * bias - 1.0)
             e1 = 0.5 * ((1.0 + b) * np.eye(2) + u_len * sum(u_dir[i] * s for i, s in enumerate(linalg.pauli_triple())))
             effects.append(np.array([e1, np.eye(2) - e1], dtype=complex))
         effects = np.array(effects)
@@ -628,16 +628,24 @@ class TestDrawReplay:
 
     def test_smear_validity(self, monkeypatch, seed):
         calls = _spy(monkeypatch, povm, "smear_stack")
-        assert verify.check_smear_validity(seed).passed
+        result = verify.check_smear_validity(seed)
+        # The draws of the check, then per sample its axis, its first weight
+        # rows, its smeared POVM and the commutators of its effect pairs.
         rng = np.random.default_rng([seed, 105])
-        axes, weights = [], []
-        for _ in range(1000):
-            v = rng.standard_normal(3)
+        draws = zip(rng.standard_normal((1000, 3)), rng.integers(2, 5, 1000).tolist(), rng.random((1000, 4, 2)))
+        axes, weights, worst = [], [], 0.0
+        for v, rows, w in draws:
             axes.append(v / np.linalg.norm(v))
-            rows = int(rng.integers(2, 5))
-            w = rng.random((rows, 2)) + 1e-3
+            w = w[:rows] + 1e-3
             w /= w.sum(axis=0, keepdims=True)
             weights.append(w)
+            op = sum(a * s for a, s in zip(axes[-1], linalg.pauli_triple()))
+            smeared = w @ np.array([0.5 * (np.eye(2) + op), 0.5 * (np.eye(2) - op)]).reshape(2, 4)
+            effects = smeared.reshape(rows, 2, 2)
+            for i in range(rows):
+                for j in range(i + 1, rows):
+                    a, b = effects[i], effects[j]
+                    worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
         sx, sy, sz = linalg.pauli_triple()
         for (pvms, got), rows in zip(calls, (2, 3, 4)):
             members = [n for n, w in enumerate(weights) if len(w) == rows]
@@ -645,6 +653,38 @@ class TestDrawReplay:
             ops = [axes[n][0] * sx + axes[n][1] * sy + axes[n][2] * sz for n in members]
             want = np.array([[0.5 * (np.eye(2) + op), 0.5 * (np.eye(2) - op)] for op in ops])
             assert pvms.tobytes() == want.tobytes()
+        assert abs(result.deviation - worst) <= TOL and result.passed
+
+    def test_completion_independence(self, monkeypatch, seed):
+        calls = _spy(monkeypatch, extraction, "build_schemes")
+        assert verify.check_completion_independence(seed).passed
+        # The draws of the check: every probe triple, then the phases (the completion phases follow).
+        rng = np.random.default_rng([seed, 112])
+        probes = [[_reference_haar_vector(rng) for _ in range(3)] for _ in range(40)]
+        deltas = [float(rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+        ((got_probes, got_deltas, _),) = calls
+        assert got_probes.tobytes() == np.array(probes).tobytes()
+        assert np.asarray(got_deltas).tolist() == deltas
+
+    def test_pointer_freedom(self, monkeypatch, seed):
+        calls = _spy(monkeypatch, extraction, "build_schemes")
+        assert verify.check_pointer_freedom(seed).passed
+        # The draws of the check: every tilt, then every phase, then every pointer.
+        rng = np.random.default_rng([seed, 113])
+        thetas = [float(rng.uniform(0.0, math.pi / 2.0)) for _ in range(50)]
+        deltas = [float(rng.uniform(-math.pi, math.pi)) for _ in range(50)]
+        pointers = [(r1, linalg.perp(r1)) for r1 in (_reference_haar_vector(rng) for _ in range(50))]
+        configs = [interferometer.MzConfig("quantitative", delta=d, theta=t) for t, d in zip(thetas, deltas)]
+        ((got_probes, got_deltas, got_pointers),) = calls
+        assert got_probes.tobytes() == np.array([interferometer.probe_stack([c])[0] for c in configs]).tobytes()
+        assert list(got_deltas) == deltas
+        assert np.asarray(got_pointers).tobytes() == np.array(pointers).tobytes()
+
+
+def test_commutator_entries_match_the_matrix_products(rng):
+    a, b = (rng.standard_normal((2, 50, 3, 2, 2)) + 1j * rng.standard_normal((2, 50, 3, 2, 2)))
+    want = float(np.max(np.abs(a @ b - b @ a)))
+    assert abs(verify._largest_commutator_entry(a, b) - want) <= 1e-15 * want
 
 
 def test_joint_iff_grid_covers_the_grid(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import functools
 import os
 import subprocess
@@ -10,6 +11,22 @@ import pytest
 
 import mzpovm
 from mzpovm import extraction, verify
+
+
+def rng_streams(source: str) -> list[int]:
+    """The stream numbers N of every ``np.random.default_rng([seed, N])`` call in ``source``, in order."""
+    streams = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.random.default_rng"
+            and node.args
+            and isinstance(node.args[0], ast.List)
+            and len(node.args[0].elts) == 2
+            and ast.unparse(node.args[0].elts[0]) == "seed"
+        ):
+            streams.append(ast.literal_eval(node.args[0].elts[1]))
+    return streams
 
 
 class TestCheckResults:
@@ -178,3 +195,16 @@ class TestLazyImport:
         src = str(Path(mzpovm.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+class TestSeedStreams:
+    def test_every_check_draws_from_a_stream_of_its_own(self):
+        # Two checks on one (seed, N) stream would draw the same numbers.
+        # Seventeen checks draw; a new one raises the count.
+        streams = rng_streams(Path(verify.__file__).read_text())
+        assert len(streams) == 17
+        assert len(set(streams)) == len(streams), sorted(streams)
+
+    def test_a_shared_stream_is_found(self):
+        source = "a = np.random.default_rng([seed, 101])\nb = np.random.default_rng([seed, 101])\n"
+        assert rng_streams(source) == [101, 101]
