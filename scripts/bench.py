@@ -26,10 +26,17 @@ the side's ``src`` runs ``verify.run_all(42)`` once untimed and then
 ``summary`` keeps each side's best and median suite time and each
 check's minimum, with their ratios.
 
+Before the first pair, each side's ``src/mzpovm`` is compiled afresh with
+``compileall``, so both import bytecode that matches their source. A side
+whose ``__pycache__`` is stale or missing would otherwise compile on every
+import under ``PYTHONDONTWRITEBYTECODE=1`` while the other imports its
+cache, and ``setup_s`` would time that difference rather than the code.
+
     python scripts/bench.py --pr <number> --baseline <parent checkout> --pairs 10
 """
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -130,6 +137,12 @@ def wall_seconds(root: Path, command: str) -> float:
     return time.perf_counter() - start
 
 
+def compile_sources(root: Path) -> None:
+    """Write fresh bytecode for every module under ``root``'s ``src/mzpovm``, stale or not."""
+    if not compileall.compile_dir(root / "src" / "mzpovm", quiet=1, force=True):
+        raise RuntimeError(f"{root / 'src' / 'mzpovm'} does not compile")
+
+
 def src_lines(root: Path) -> int:
     """Lines of the package source ``src/mzpovm/*.py``, counted as ``wc -l`` does."""
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mzpovm").glob("*.py"))
@@ -200,6 +213,8 @@ def main() -> int:
         sides = list(roots)
         return sides if index % 2 == 0 else sides[::-1]
 
+    for root in roots.values():
+        compile_sources(root)
     runs = {side: {w: [] for w in WORKLOADS} for side in roots}
     step = 0
     for pair in range(args.pairs):

@@ -235,15 +235,7 @@ def _scalar_text(value) -> str:
         return _ESCAPE(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if key is not None and not isinstance(key, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _ESCAPE(key) if isinstance(key, str) else '"' + _scalar_text(key) + '"'
 
 
 def _write(value, newline: str, out: list) -> None:
@@ -253,15 +245,15 @@ def _write(value, newline: str, out: list) -> None:
     if isinstance(value, dict):
         opening = "{" + inner
         for key, item in sorted(value.items()):
-            head = opening + (_ESCAPE(key) if type(key) is str else _key_text(key)) + ": "
-            if isinstance(item, (dict, list, tuple)):
+            head = opening + _ESCAPE(key) + ": "
+            if isinstance(item, (dict, list)):
                 out.append(head)
                 _write(item, inner, out)
             else:
                 out.append(head + _scalar_text(item))
             opening = "," + inner
         out.append(newline + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         if value and _FLOATS_ONLY.issuperset(map(type, value)):
             # A list of floats, such as an [re, im] pair, is one join.
             return out.append("[" + inner + ("," + inner).join(map(_float_text, value)) + newline + "]")
@@ -276,7 +268,8 @@ def _write(value, newline: str, out: list) -> None:
 
 
 def render_json(report) -> str:
-    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``, written in one pass."""
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)``, written in one pass, for
+    dicts with str keys, lists, floats, strs, bools and None; anything else raises ``TypeError``."""
     out: list[str] = []
     _write(report, "\n", out)
     return "".join(out)

@@ -12,8 +12,11 @@ Conventions
   The two orders of margin keep computation noise away from assertion
   thresholds.
 
-All returned arrays are write-protected; every function is pure, so the
-module is thread-safe without qualification.
+Returned states, operators, spectra and norms are write-protected. The cores
+:func:`projectors` and :func:`bloch_operators` and the measures :func:`max_abs`
+and :func:`hermitian_deviation` return fresh writable arrays, and
+:func:`check_unit_rows` returns its input as a complex array, the caller's own
+when it is one. Every function is pure, so the module is thread-safe.
 """
 
 from __future__ import annotations

@@ -45,18 +45,13 @@ def haar_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` Haar-random unit qubit vectors drawn from ``rng``, shape (count, 2).
 
     Draws 4 standard normals per vector, pairs them as (re, im) and
-    normalizes each row. The package's one random-state sampler: row n
-    equals the n-th of ``count`` successive :func:`haar_vector` draws bit
-    for bit, and seeded draws replay bit for bit.
+    normalizes each row. The package's one random-state sampler: one vector
+    is ``haar_vectors(rng, 1)[0]``, row n equals the n-th of ``count``
+    successive batches of one bit for bit, and seeded draws replay.
     """
     z = rng.standard_normal((count, 4))
     v = z[:, 0::2] + 1j * z[:, 1::2]
     return v / linalg.vector_norms(v)[:, None]
-
-
-def haar_vector(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random unit qubit vector; a batch of one of :func:`haar_vectors`."""
-    return haar_vectors(rng, 1)[0]
 
 
 def haar_state(seed: int, index: int) -> np.ndarray:
@@ -64,7 +59,7 @@ def haar_state(seed: int, index: int) -> np.ndarray:
     rng = np.random.default_rng([seed, index])
     while True:
         # A draw too short to normalize (probability zero) is drawn again.
-        v = haar_vector(rng)
+        v = haar_vectors(rng, 1)[0]
         if np.isfinite(v).all():
             return linalg.state_vector(v)
 
@@ -144,10 +139,6 @@ def cross_check_stack(schemes, effects: np.ndarray, seed: int, samples: int) -> 
     return np.max(worst, axis=0)
 
 
-def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
-    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
-
-
 @functools.lru_cache(maxsize=4)
 def _coarse_lattice(step: float) -> np.ndarray:
     # The latitude/longitude points in sweep order, as one write-protected
@@ -158,7 +149,7 @@ def _coarse_lattice(step: float) -> np.ndarray:
     while theta <= math.pi + 1e-12:
         phi = 0.0
         while phi < 2.0 * math.pi - 1e-12:
-            points.append(_bloch(theta, phi))
+            points.append((math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)))
             # Poles are a single point; one longitude suffices there.
             if theta <= 1e-12 or theta >= math.pi - 1e-12:
                 break

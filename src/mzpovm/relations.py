@@ -83,8 +83,12 @@ def make_reports(name: str, lhs, rhs, kind: str, tol: float = EQ_TOL) -> Relatio
 
 
 def _trace(ops, rho) -> np.ndarray:
-    # tr(A rho) over broadcast stacks of operators and states.
-    return np.einsum("...ij,...ji->...", ops, rho)
+    # tr(A rho) over broadcast stacks, each row i of A rho summed as A_i0 rho_0i + A_i1 rho_1i
+    # + ... and then the rows, left to right: einsum's order for a batch of one, which einsum
+    # leaves for larger stacks. Elementwise, every row of a stack gets its batch of one's bits.
+    d = ops.shape[-1]
+    rows = (functools.reduce(np.add, (ops[..., i, j] * rho[..., j, i] for j in range(d))) for i in range(d))
+    return functools.reduce(np.add, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -313,8 +317,9 @@ def erasure_duality_core(amplitudes: np.ndarray, markers: np.ndarray) -> Erasure
     diff = (c00 - (1.0 - c00)) * r[:, 0] + (c11 - (1.0 - c11)) * r[:, 1]
     var_coincidence = 1.0 - diff * diff
     s_n = n[:, 0, None, None] * _X + n[:, 1, None, None] * _Y
-    mean = _trace(s_n, rho_e).real
-    var_interference = _trace(s_n @ s_n, rho_e).real - mean * mean  # Var(s_n, rho_e)
+    # einsum over same-shape stacks treats every row alike, and the run reports carry its bits.
+    mean = np.einsum("nij,nji->n", s_n, rho_e).real
+    var_interference = np.einsum("nij,nji->n", s_n @ s_n, rho_e).real - mean * mean  # Var(s_n, rho_e)
     return ErasureAudit(
         pointer_direction=direction,
         distinguishability=d,

@@ -312,36 +312,22 @@ def check_mub_fourier(seed: int) -> CheckResult:
 
 
 def check_projection_meets() -> CheckResult:
-    # Spectral form of the meet rule over a 180 x 360 latitude/longitude
-    # sweep against the fixed z axis: two rank-1 qubit projections share
-    # an eigenvalue-2 direction of P + Q exactly when they coincide. The
-    # overlap depends on the latitude alone, so each latitude is evaluated
-    # once and its verdict counts for all of its longitudes.
+    # Two rank-1 qubit projections are probabilistically complementary exactly
+    # when 0 < tr(PQ) < 1, with tr(PQ) = (1 + cos angle) / 2. The API route runs
+    # against the fixed z axis on every 2000th point of a 180 x 360
+    # latitude/longitude grid, latitude-major; k = 0 is the coincident pole.
     thetas = np.linspace(0.0, math.pi, 180)
     phis = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-    # tr(PQ) = (1 + cos angle) / 2 for rank-1 projections.
-    overlap = 0.5 * (1.0 + np.cos(thetas))
-    predicted = (overlap > 1e-9) & (overlap < 1.0 - 1e-9)
-    # Meet-based evaluation: lambda_max(P+Q) = 1 + |cos(angle/2)| via the
-    # closed form; an eigenvalue-2 appears only at angle 0 for P^Q, and
-    # the complement pairs move the coincidence to angle pi.
-    lam_pq = 1.0 + np.sqrt(np.clip(overlap, 0.0, 1.0))
-    lam_pqc = 1.0 + np.sqrt(np.clip(1.0 - overlap, 0.0, 1.0))
-    spectral = ~((lam_pq >= 2.0 - 1e-8) | (lam_pqc >= 2.0 - 1e-8))
-    mismatches = len(phis) * int(np.sum(spectral != predicted))
-    # API route on every 2000th grid point, latitude-major; k = 0 is the
-    # coincident pole.
     k = np.arange(0, len(thetas) * len(phis), 2000)
     t, p = thetas[k // len(phis)], phis[k % len(phis)]
     directions = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
-    fixed = np.array([0.0, 0.0, 1.0])
     p_op = 0.5 * (np.eye(2, dtype=complex) + linalg.pauli("z"))
+    mismatches = 0
     for d in directions:
         d = d / np.linalg.norm(d)
         q_op = linalg.density_from_bloch(d)  # rank-1 projection for unit d
         got = complementarity.probabilistically_complementary(p_op, q_op)
-        ov = 0.5 * (1.0 + float(d @ fixed))
-        if got != (1e-9 < ov < 1.0 - 1e-9):
+        if got != (1e-9 < 0.5 * (1.0 + float(d[2])) < 1.0 - 1e-9):
             mismatches += 1
     return _result("projection-meets", float(mismatches), 0.0)
 

@@ -46,7 +46,7 @@ def shannon_entropy(effects, rho) -> float:
 
 
 def random_pure(rng) -> np.ndarray:
-    return oracle.haar_vector(rng)
+    return oracle.haar_vectors(rng, 1)[0]
 
 
 def random_pure4(rng) -> np.ndarray:

@@ -39,13 +39,16 @@ SWEEP_DIGESTS = {
     ("erasure", "delta"): "e7283bcc1f6b5fc51de9ea6dcfae6c4cd72e308a5dbc900fc7f86ee03d035245",
     ("marking", "delta"): "c9ce18f33a8e7282c62581fd33d5823d4200c8334f71ff2bfd772b302660c6d3",
 }
-# (exit code, digest of standard output) of ``verify`` at three seeds, and at a
-# tolerance below the noise floor, where three rows fail.
+# (exit code, digest of standard output) of ``verify`` at three seeds, at a
+# tolerance below the noise floor, where three rows fail, and at 300 samples,
+# where each relation check and the cross-check make several stacked passes
+# with a short remainder.
 VERIFY_DIGESTS = {
     ("--seed=42",): (0, "db5d3fe5933d988ea1b70157d3fb79ba14abb7748b5b61cdf6f792250e5505bc"),
     ("--seed=7",): (0, "5dfb6a0a14ce8d3000fc98e2577b08d4a0f395c01ae4357f26a3f037f07f6fd1"),
     ("--seed=1",): (0, "12810d5d2a6d46f7919be9c785f08fee20e90a7c691776df39165291b788486a"),
     ("--seed=42", "--tol=1e-16"): (1, "223a5625e63f11e7156d6bb303ea20bc41a6f34c84ea1854d45c5c1ec999b4db"),
+    ("--seed=3", "--samples=300"): (0, "adff17532e4f8044b5e5db2b0e6189154a8554121d7a080481a9156cbef8f59d"),
 }
 
 

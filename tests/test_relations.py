@@ -653,3 +653,50 @@ class TestStackedKernels:
                 assert_same_bits(getattr(got, field), getattr(want, field))
             same_report_bits(got.duality, want.duality)
             same_report_bits(got.variance_tradeoff, want.variance_tradeoff)
+
+
+def _report_rows_match_batches_of_one(stacked, alone, n):
+    # Row n of every field of a stacked report against the same field of its batch of one.
+    for field in ("lhs", "rhs", "slack", "satisfied"):
+        assert getattr(stacked, field)[n : n + 1].tobytes() == getattr(alone, field).tobytes(), (field, n)
+
+
+def _batch_independence_states(rng) -> np.ndarray:
+    """300 unit rows: Haar pure states, then |1>, |2> and i|1>, whose zero entries carry signs."""
+    signed = np.array([[1.0, 0.0], [0.0, 1.0], [1j, 0.0]], dtype=complex)
+    signed[0, 1] = complex(0.0, -0.0)
+    signed[1, 0] = complex(-0.0, 0.0)
+    return np.concatenate([oracle.haar_vectors(rng, 297), signed])
+
+
+class TestBatchIndependence:
+    """Each row of a stacked audit has the bits of the same state audited alone."""
+
+    def test_state_relations_rows_equal_their_batch_of_one(self, rng):
+        pure = linalg.projectors(_batch_independence_states(rng)[150:])
+        mixed = linalg.density_from_bloch_stack(np.array([random_bloch_in_ball(rng) for _ in range(150)]))
+        rhos = np.concatenate([pure, mixed])
+        stacked = relations.state_relations_stack(rhos)
+        for n, rho in enumerate(rhos):
+            for got, alone in zip(stacked, relations.state_relations_stack(rho[None])):
+                _report_rows_match_batches_of_one(got, alone, n)
+
+    def test_entropic_bound_rows_equal_their_batch_of_one(self, rng):
+        states = _batch_independence_states(rng)
+        for a, b in (("z", "x"), ("x", "y")):
+            pvm_a, pvm_b = relations.pauli_pvm(a), relations.pauli_pvm(b)
+            stacked = relations.entropic_bound_stack(pvm_a, pvm_b, states)
+            for n, psi in enumerate(states):
+                _report_rows_match_batches_of_one(stacked, relations.entropic_bound_stack(pvm_a, pvm_b, psi[None]), n)
+
+    def test_erasure_duality_rows_equal_their_batch_of_one(self, rng):
+        amplitudes = _batch_independence_states(rng)
+        thetas = rng.uniform(0.0, math.pi / 2.0, len(amplitudes))
+        markers = np.array([interferometer.marker_states(float(t)) for t in thetas], dtype=complex)
+        stacked = relations.erasure_duality_core(amplitudes, markers)
+        for n in range(len(amplitudes)):
+            alone = relations.erasure_duality_core(amplitudes[n : n + 1], markers[n : n + 1])
+            for field in ("pointer_direction", "distinguishability", "visibility", "visibility_direction"):
+                assert getattr(stacked, field)[n : n + 1].tobytes() == getattr(alone, field).tobytes(), (field, n)
+            _report_rows_match_batches_of_one(stacked.duality, alone.duality, n)
+            _report_rows_match_batches_of_one(stacked.variance_tradeoff, alone.variance_tradeoff, n)

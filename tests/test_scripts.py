@@ -4,6 +4,7 @@ and the benchmark recorder summarizes runs as documented."""
 import importlib.util
 import math
 import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -223,3 +224,40 @@ def test_src_lines_counts_package_modules_as_wc_does(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "c.py").write_text("not = 'counted'\n")
     assert TestBenchSummary.bench.src_lines(tmp_path) == 4
+
+
+def test_compile_sources_replaces_a_stale_cache(tmp_path):
+    package = tmp_path / "src" / "mzpovm"
+    package.mkdir(parents=True)
+    source = package / "core.py"
+    source.write_text("VALUE = 1\n")
+    cached = Path(importlib.util.cache_from_source(str(source)))
+    py_compile.compile(str(source), cfile=str(cached))
+    stale = cached.read_bytes()
+    # A baseline whose source changed after its cache was written.
+    source.write_text("VALUE = 22\n")
+    os.utime(source, (source.stat().st_atime, source.stat().st_mtime + 10.0))
+    TestBenchSummary.bench.compile_sources(tmp_path)
+    fresh = tmp_path / "fresh.pyc"
+    py_compile.compile(str(source), cfile=str(fresh))
+    assert cached.read_bytes() == fresh.read_bytes() != stale
+
+
+def test_both_sides_compile_before_the_first_run(tmp_path, monkeypatch):
+    bench = _load_bench()
+    checkout, baseline = tmp_path / "checkout", tmp_path / "baseline"
+    (baseline / "perfbench").mkdir(parents=True)
+    (baseline / "perfbench" / "run.py").write_text("")
+    checkout.mkdir()
+    events = []
+    monkeypatch.setattr(bench, "ROOT", checkout)
+    monkeypatch.setattr(bench, "compile_sources", lambda root: events.append(("compile", root)))
+    monkeypatch.setattr(bench, "perfbench", lambda root, *args: events.append(("perfbench", root)) or {})
+    monkeypatch.setattr(bench, "wall_seconds", lambda root, command: 0.0)
+    monkeypatch.setattr(bench, "inprocess", lambda root: [])
+    monkeypatch.setattr(bench, "summarize", lambda *args: {})
+    monkeypatch.setattr(bench, "summarize_inprocess", lambda timings: {})
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--baseline", str(baseline)])
+    assert bench.main() == 0
+    assert sorted(events[:2]) == [("compile", baseline.resolve()), ("compile", checkout)]
+    assert all(kind == "perfbench" for kind, _ in events[2:])

@@ -397,11 +397,6 @@ class TestHaarVectors:
         want = np.array([_reference_haar_vector(rng) for _ in range(300)])
         assert got.tobytes() == want.tobytes()
 
-    def test_scalar_is_a_batch_of_one(self):
-        a = oracle.haar_vector(np.random.default_rng(3))
-        b = oracle.haar_vectors(np.random.default_rng(3), 1)[0]
-        assert a.tobytes() == b.tobytes()
-
 
 def _xz(f, g):
     # The Bloch vectors f x and g z of sigma_x / sigma_z pairs, as verify passes them.
